@@ -13,6 +13,7 @@ package cache
 
 import (
 	"zng/internal/config"
+	"zng/internal/intmap"
 	"zng/internal/mem"
 	"zng/internal/sim"
 	"zng/internal/stats"
@@ -26,10 +27,6 @@ type line struct {
 	accessed bool // demand-hit since fill, ZnG tag extension
 	pinned   bool
 	stamp    uint64 // LRU timestamp
-}
-
-type mshrEntry struct {
-	waiters []*mem.Request
 }
 
 // EvictInfo describes an evicted line for the access monitor.
@@ -52,8 +49,16 @@ type Cache struct {
 	sets  [][]line // [bank*cfg.Sets + set][way]
 	clock uint64
 
-	mshr     map[uint64]*mshrEntry
-	overflow []*mem.Request // misses waiting for a free MSHR
+	// The MSHR file is dense: cfg.MSHRs slots, each queueing the reads
+	// waiting on its line in arrival order, a free-slot stack and a
+	// line -> slot index, so a miss allocates nothing.
+	mshrs    []mem.Queue
+	mshrFree []int32
+	mshrIdx  *intmap.Map
+	overflow mem.Queue // misses waiting for a free MSHR
+
+	// reqs recycles the fills and write-backs this level issues.
+	reqs sim.FreeList[mem.Request]
 
 	// OnEvict, if set, observes every eviction (the ZnG access monitor).
 	OnEvict func(EvictInfo)
@@ -84,10 +89,16 @@ func New(eng *sim.Engine, cfg config.Cache, next mem.Memory, name string) *Cache
 		cfg:  cfg,
 		next: next,
 		sets: make([][]line, nb*cfg.Sets),
-		mshr: make(map[uint64]*mshrEntry),
+
+		mshrs:   make([]mem.Queue, cfg.MSHRs),
+		mshrIdx: intmap.New(cfg.MSHRs),
 	}
+	for i := cfg.MSHRs - 1; i >= 0; i-- {
+		c.mshrFree = append(c.mshrFree, int32(i))
+	}
+	lines := make([]line, len(c.sets)*cfg.Ways)
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+		c.sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	c.banks = make([]*sim.Resource, nb)
 	for i := range c.banks {
@@ -122,7 +133,54 @@ func (c *Cache) Access(r *mem.Request) {
 
 	// One cycle of bank occupancy models the pipelined tag lookup; the
 	// outcome is resolved when the bank slot is granted.
-	bank.Acquire(1, func() { c.resolve(r, la) })
+	bank.Acquire(1, lookup{c}, r)
+}
+
+// The cache's event handlers. Each wraps the one pointer, so passing
+// it as a sim.Handler allocates nothing.
+type (
+	// lookup resolves a request once its bank grants the tag lookup.
+	lookup struct{ c *Cache }
+	// filled completes a read miss's line fill.
+	filled struct{ c *Cache }
+	// allocated completes a write-allocate fill (mem.Request.Cause is
+	// the store).
+	allocated struct{ c *Cache }
+	// written recycles a completed write-back.
+	written struct{ c *Cache }
+)
+
+func (h lookup) Handle(arg any) {
+	r := arg.(*mem.Request)
+	h.c.resolve(r, h.c.lineAddr(r.Addr))
+}
+
+func (h filled) Handle(arg any) {
+	f := arg.(*mem.Request)
+	la := f.Addr
+	h.c.reqs.Put(f)
+	h.c.fill(la)
+}
+
+func (h allocated) Handle(arg any) {
+	c, f := h.c, arg.(*mem.Request)
+	la, r := f.Addr, f.Cause
+	c.reqs.Put(f)
+	c.install(la, false)
+	if w := findLine(c.set(la), la); w >= 0 {
+		c.set(la)[w].dirty = true
+	}
+	c.eng.Schedule(c.cfg.WriteLat, r, nil)
+}
+
+func (h written) Handle(arg any) { h.c.reqs.Put(arg.(*mem.Request)) }
+
+// request returns a recycled request for a fill or write-back of line
+// la.
+func (c *Cache) request(la uint64, done sim.Handler) *mem.Request {
+	f := c.reqs.Get()
+	f.Addr, f.Size, f.Done = la, c.cfg.LineBytes, done
+	return f
 }
 
 func (c *Cache) resolve(r *mem.Request, la uint64) {
@@ -140,7 +198,7 @@ func (c *Cache) resolve(r *mem.Request, la uint64) {
 		ln.accessed = true
 		ln.stamp = c.clock
 		c.Hits.Inc()
-		c.eng.Schedule(c.cfg.ReadLat, r.Complete)
+		c.eng.Schedule(c.cfg.ReadLat, r, nil)
 		return
 	}
 
@@ -149,13 +207,13 @@ func (c *Cache) resolve(r *mem.Request, la uint64) {
 	if !r.Prefetch && c.OnDemandMiss != nil {
 		c.OnDemandMiss(r)
 	}
-	if e, ok := c.mshr[la]; ok {
+	if slot, ok := c.mshrIdx.Get(la); ok {
 		c.MergedMisses.Inc()
-		e.waiters = append(e.waiters, r)
+		c.mshrs[slot].Push(r)
 		return
 	}
-	if len(c.mshr) >= c.cfg.MSHRs {
-		c.overflow = append(c.overflow, r)
+	if c.mshrIdx.Len() >= c.cfg.MSHRs {
+		c.overflow.Push(r)
 		return
 	}
 	c.issueMiss(r, la)
@@ -171,7 +229,7 @@ func (c *Cache) resolveWrite(r *mem.Request, la uint64, set []line, way int) {
 			set[way].dirty = true
 			set[way].stamp = c.clock
 			c.WriteHits.Inc()
-			c.eng.Schedule(c.cfg.WriteLat, r.Complete)
+			c.eng.Schedule(c.cfg.WriteLat, r, nil)
 			return
 		}
 		if way >= 0 {
@@ -189,7 +247,7 @@ func (c *Cache) resolveWrite(r *mem.Request, la uint64, set []line, way int) {
 		c.WriteHits.Inc()
 		if c.cfg.WriteBack {
 			ln.dirty = true
-			c.eng.Schedule(c.cfg.WriteLat, r.Complete)
+			c.eng.Schedule(c.cfg.WriteLat, r, nil)
 		} else {
 			// Write-through: update the line, forward the store.
 			c.next.Access(r)
@@ -204,56 +262,51 @@ func (c *Cache) resolveWrite(r *mem.Request, la uint64, set []line, way int) {
 		return
 	}
 	// Write-allocate: fetch the line, then dirty it.
-	fill := &mem.Request{
-		Addr: la, Size: c.cfg.LineBytes, PC: r.PC, Warp: r.Warp, SM: r.SM,
-		Done: func() {
-			c.install(la, false)
-			if w := findLine(c.set(la), la); w >= 0 {
-				c.set(la)[w].dirty = true
-			}
-			c.eng.Schedule(c.cfg.WriteLat, r.Complete)
-		},
-	}
+	fill := c.request(la, allocated{c})
+	fill.PC, fill.Warp, fill.SM, fill.Cause = r.PC, r.Warp, r.SM, r
 	c.next.Access(fill)
 }
 
 func (c *Cache) issueMiss(r *mem.Request, la uint64) {
-	c.mshr[la] = &mshrEntry{waiters: []*mem.Request{r}}
-	fill := &mem.Request{
-		Addr: la, Size: c.cfg.LineBytes, PC: r.PC, Warp: r.Warp, SM: r.SM,
-		Prefetch: r.Prefetch,
-		Done:     func() { c.fill(la) },
-	}
+	n := len(c.mshrFree) - 1
+	slot := c.mshrFree[n]
+	c.mshrFree = c.mshrFree[:n]
+	c.mshrs[slot].Push(r)
+	c.mshrIdx.Put(la, slot)
+	fill := c.request(la, filled{c})
+	fill.PC, fill.Warp, fill.SM, fill.Prefetch = r.PC, r.Warp, r.SM, r.Prefetch
 	c.next.Access(fill)
 }
 
 // fill completes an outstanding miss: installs the line, wakes the
 // waiters, and admits overflow misses into the freed MSHR.
 func (c *Cache) fill(la uint64) {
-	e := c.mshr[la]
-	delete(c.mshr, la)
+	var waiters mem.Queue
+	if slot, ok := c.mshrIdx.Get(la); ok {
+		c.mshrIdx.Delete(la)
+		waiters = c.mshrs[slot]
+		c.mshrs[slot] = mem.Queue{}
+		c.mshrFree = append(c.mshrFree, slot)
+	}
 	c.install(la, false)
-	if e != nil {
-		for _, w := range e.waiters {
-			c.eng.Schedule(c.cfg.ReadLat, w.Complete)
-		}
+	for w := waiters.Pop(); w != nil; w = waiters.Pop() {
+		c.eng.Schedule(c.cfg.ReadLat, w, nil)
 	}
 	c.drainOverflow()
 }
 
 func (c *Cache) drainOverflow() {
-	for len(c.overflow) > 0 && len(c.mshr) < c.cfg.MSHRs {
-		r := c.overflow[0]
-		c.overflow = c.overflow[1:]
+	for c.overflow.Len() > 0 && c.mshrIdx.Len() < c.cfg.MSHRs {
+		r := c.overflow.Pop()
 		la := c.lineAddr(r.Addr)
 		if w := findLine(c.set(la), la); w >= 0 {
 			// Filled while queued: now a hit.
 			c.Hits.Inc()
-			c.eng.Schedule(c.cfg.ReadLat, r.Complete)
+			c.eng.Schedule(c.cfg.ReadLat, r, nil)
 			continue
 		}
-		if e, ok := c.mshr[la]; ok {
-			e.waiters = append(e.waiters, r)
+		if slot, ok := c.mshrIdx.Get(la); ok {
+			c.mshrs[slot].Push(r)
 			continue
 		}
 		c.issueMiss(r, la)
@@ -316,7 +369,8 @@ func (c *Cache) evict(ln *line) {
 	}
 	if ln.dirty && c.cfg.WriteBack {
 		c.Writebacks.Inc()
-		wb := &mem.Request{Addr: ln.tag, Size: c.cfg.LineBytes, Write: true}
+		wb := c.request(ln.tag, written{c})
+		wb.Write = true
 		c.next.Access(wb)
 	}
 	if ln.pinned {

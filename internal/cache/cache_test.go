@@ -20,7 +20,7 @@ type backend struct {
 func (b *backend) Access(r *mem.Request) {
 	b.reqs = append(b.reqs, *r)
 	b.inFlight++
-	b.eng.Schedule(b.lat, func() { b.inFlight--; r.Complete() })
+	b.eng.Schedule(b.lat, sim.Func(func() { b.inFlight--; r.Complete() }), nil)
 }
 
 func (b *backend) reads() int {
@@ -45,11 +45,11 @@ func newTB(cfg config.Cache) (*sim.Engine, *Cache, *backend) {
 }
 
 func read(c *Cache, addr uint64, done *int) {
-	c.Access(&mem.Request{Addr: addr, Size: 128, Done: func() { *done++ }})
+	c.Access(&mem.Request{Addr: addr, Size: 128, Done: sim.Func(func() { *done++ })})
 }
 
 func write(c *Cache, addr uint64, done *int) {
-	c.Access(&mem.Request{Addr: addr, Size: 128, Write: true, Done: func() { *done++ }})
+	c.Access(&mem.Request{Addr: addr, Size: 128, Write: true, Done: sim.Func(func() { *done++ })})
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -315,7 +315,7 @@ func TestOnDemandMissHook(t *testing.T) {
 	c.OnDemandMiss = func(*mem.Request) { misses++ }
 	done := 0
 	read(c, 0, &done)
-	c.Access(&mem.Request{Addr: 4096, Size: 128, Prefetch: true, Done: func() { done++ }})
+	c.Access(&mem.Request{Addr: 4096, Size: 128, Prefetch: true, Done: sim.Func(func() { done++ })})
 	eng.Run()
 	if misses != 1 {
 		t.Errorf("demand-miss hook fired %d times, want 1 (prefetches excluded)", misses)

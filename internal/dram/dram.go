@@ -56,17 +56,26 @@ func (d *Device) Access(r *mem.Request) {
 	}
 	moved := bursts * gran
 
-	lat := d.cfg.ReadLat
 	if r.Write {
 		d.Writes.Inc()
-		lat = d.cfg.WriteLat
 	} else {
 		d.Reads.Inc()
 	}
 	d.Bytes.Add(uint64(moved))
-	d.ports[ctrl].Send(moved, func() {
-		d.eng.Schedule(lat, r.Complete)
-	})
+	d.ports[ctrl].Send(moved, transferred{d}, r)
+}
+
+// transferred charges the device read or write latency once a
+// request's bursts have crossed its channel.
+type transferred struct{ d *Device }
+
+func (h transferred) Handle(arg any) {
+	r := arg.(*mem.Request)
+	lat := h.d.cfg.ReadLat
+	if r.Write {
+		lat = h.d.cfg.WriteLat
+	}
+	h.d.eng.Schedule(lat, r, nil)
 }
 
 // DeliveredGBps reports achieved bandwidth over the elapsed ticks.

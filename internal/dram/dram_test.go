@@ -13,7 +13,7 @@ func TestSingleAccessLatency(t *testing.T) {
 	cfg := config.Default().GDDR5
 	d := New(eng, cfg)
 	var at sim.Tick
-	d.Access(&mem.Request{Addr: 0, Size: 128, Done: func() { at = eng.Now() }})
+	d.Access(&mem.Request{Addr: 0, Size: 128, Done: sim.Func(func() { at = eng.Now() })})
 	eng.Run()
 	if at < cfg.ReadLat {
 		t.Errorf("completed at %d, want >= device latency %d", at, cfg.ReadLat)
@@ -34,7 +34,7 @@ func TestSaturationBandwidthNearConfigured(t *testing.T) {
 		done := 0
 		for i := 0; i < n; i++ {
 			d.Access(&mem.Request{Addr: uint64(i) * uint64(kind.AccessGran), Size: kind.AccessGran,
-				Done: func() { done++ }})
+				Done: sim.Func(func() { done++ })})
 		}
 		eng.Run()
 		if done != n {
@@ -74,11 +74,11 @@ func TestOptaneWriteSlowerThanRead(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, config.Default().Optane)
 	var rAt, wAt sim.Tick
-	d.Access(&mem.Request{Addr: 0, Size: 256, Done: func() { rAt = eng.Now() }})
+	d.Access(&mem.Request{Addr: 0, Size: 256, Done: sim.Func(func() { rAt = eng.Now() })})
 	eng.Run()
 	e2 := sim.NewEngine()
 	d2 := New(e2, config.Default().Optane)
-	d2.Access(&mem.Request{Addr: 0, Size: 256, Write: true, Done: func() { wAt = e2.Now() }})
+	d2.Access(&mem.Request{Addr: 0, Size: 256, Write: true, Done: sim.Func(func() { wAt = e2.Now() })})
 	e2.Run()
 	if wAt <= rAt {
 		t.Errorf("Optane write (%d) must be slower than read (%d): tRP dominates", wAt, rAt)
@@ -92,8 +92,8 @@ func TestControllerInterleaving(t *testing.T) {
 	// Two accesses to different controllers finish together; to the
 	// same controller they serialize on bandwidth.
 	var a, b sim.Tick
-	d.Access(&mem.Request{Addr: 0, Size: 128, Done: func() { a = eng.Now() }})
-	d.Access(&mem.Request{Addr: 128, Size: 128, Done: func() { b = eng.Now() }})
+	d.Access(&mem.Request{Addr: 0, Size: 128, Done: sim.Func(func() { a = eng.Now() })})
+	d.Access(&mem.Request{Addr: 128, Size: 128, Done: sim.Func(func() { b = eng.Now() })})
 	eng.Run()
 	if a != b {
 		t.Errorf("different controllers should overlap: %d vs %d", a, b)

@@ -124,17 +124,17 @@ func fig4dHybrid(cfg config.Config) *stats.Breakdown {
 		i := i
 		addr := uint64(i) * 4096
 		t0 := eng.Now()
-		dispatch.Acquire(dispatchLat, func() {
+		dispatch.Acquire(dispatchLat, sim.Func(func() {
 			t1 := eng.Now()
 			b.Add("L2-engine net", config.TicksToNs(t1-t0))
-			firmware.Acquire(cfg.Engine.FTLLatPerReq, func() {
+			firmware.Acquire(cfg.Engine.FTLLatPerReq, sim.Func(func() {
 				t2 := eng.Now()
 				b.Add("SSD engine", config.TicksToNs(t2-t1))
 				finish := func(t3 sim.Tick) {
-					bufPort.Send(128, func() {
+					bufPort.Send(128, sim.Func(func() {
 						b.Add("DRAM buffer", config.TicksToNs(eng.Now()-t3))
 						done++
-					})
+					}), nil)
 				}
 				if i%10 != 0 {
 					// Buffer hit.
@@ -142,17 +142,17 @@ func fig4dHybrid(cfg config.Config) *stats.Breakdown {
 					return
 				}
 				loc := pm.Lookup(addr)
-				bb.Plane(loc.Plane).Read(loc.Block, loc.Page, func() {
+				bb.Plane(loc.Plane).Read(loc.Block, loc.Page, sim.Func(func() {
 					t3 := eng.Now()
 					b.Add("flash array", config.TicksToNs(t3-t2))
-					channels[loc.Plane%len(channels)].Send(fcfg.PageBytes, func() {
+					channels[loc.Plane%len(channels)].Send(fcfg.PageBytes, sim.Func(func() {
 						t4 := eng.Now()
 						b.Add("engine-flash net", config.TicksToNs(t4-t3))
 						finish(t4)
-					})
-				})
-			})
-		})
+					}), nil)
+				}), nil)
+			}), nil)
+		}), nil)
 	}
 	eng.Run()
 	// Normalize the accumulated sums to per-request values.
@@ -185,8 +185,8 @@ func measuredQueue(dcfg config.DRAM) float64 {
 		issued++
 		start := eng.Now()
 		dev.Access(&mem.Request{Addr: uint64(issued) * uint64(dcfg.AccessGran), Size: dcfg.AccessGran,
-			Done: func() { total += eng.Now() - start - dcfg.ReadLat }})
-		eng.Schedule(gap, issue)
+			Done: sim.Func(func() { total += eng.Now() - start - dcfg.ReadLat })})
+		eng.Schedule(gap, sim.Func(issue), nil)
 	}
 	issue()
 	eng.Run()
@@ -218,7 +218,7 @@ func saturateArrays(fcfg config.Flash) (readGBps, writeGBps float64) {
 	const per = 8
 	for p := 0; p < bb.Planes(); p++ {
 		for i := 0; i < per; i++ {
-			bb.Plane(p).Read(0, i, nop)
+			bb.Plane(p).Read(0, i, sim.Func(nop), nil)
 		}
 	}
 	eng.Run()
@@ -228,7 +228,7 @@ func saturateArrays(fcfg config.Flash) (readGBps, writeGBps float64) {
 	bb2 := flash.New(eng2, fcfg)
 	for p := 0; p < bb2.Planes(); p++ {
 		for i := 0; i < per; i++ {
-			if err := bb2.Plane(p).Program(0, i, nop); err != nil {
+			if err := bb2.Plane(p).Program(0, i, sim.Func(nop), nil); err != nil {
 				panic(err)
 			}
 		}
@@ -252,7 +252,7 @@ func saturateEngine(cfg config.Config) float64 {
 	var bytes uint64
 	for i := 0; i < n; i++ {
 		mod.Access(&mem.Request{Addr: uint64(i%32) * 128, Size: 128,
-			Done: func() { bytes += 128 }})
+			Done: sim.Func(func() { bytes += 128 })})
 	}
 	eng.Run()
 	return config.BytesPerTickToGBps(float64(bytes) / float64(eng.Now()-start))

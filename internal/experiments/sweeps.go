@@ -155,7 +155,7 @@ func AblationGC() (*stats.Table, GCStats) {
 	const writes = 4000
 	for i := 0; i < writes; i++ {
 		va := uint64(i%64) * 4096
-		split.WritePage(va, nil)
+		split.WritePage(va, nil, nil)
 		eng.Run()
 	}
 	st := GCStats{

@@ -12,7 +12,7 @@ func TestReadManyTiming(t *testing.T) {
 	b := New(eng, cfg)
 	p := b.Plane(0)
 	var at sim.Tick
-	p.ReadMany(5, func() { at = eng.Now() })
+	p.ReadMany(5, sim.Func(func() { at = eng.Now() }), nil)
 	eng.Run()
 	if want := 5 * cfg.ReadLat; at != want {
 		t.Errorf("ReadMany(5) completed at %d, want %d", at, want)
@@ -26,7 +26,7 @@ func TestReadManyZero(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, smallFlash())
 	done := false
-	b.Plane(0).ReadMany(0, func() { done = true })
+	b.Plane(0).ReadMany(0, sim.Func(func() { done = true }), nil)
 	eng.Run()
 	if !done {
 		t.Error("zero-page burst must still complete")
@@ -42,7 +42,7 @@ func TestProgramRange(t *testing.T) {
 	b := New(eng, cfg)
 	p := b.Plane(0)
 	var at sim.Tick
-	if err := p.ProgramRange(2, 3, func() { at = eng.Now() }); err != nil {
+	if err := p.ProgramRange(2, 3, sim.Func(func() { at = eng.Now() }), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -54,7 +54,7 @@ func TestProgramRange(t *testing.T) {
 		t.Errorf("block state: ptr=%d valid=%d", bl.WritePtr, bl.ValidCount())
 	}
 	// A second range continues in order.
-	if err := p.ProgramRange(2, 1, nil); err != nil {
+	if err := p.ProgramRange(2, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if p.Block(2).WritePtr != 4 {
@@ -67,7 +67,7 @@ func TestProgramRangeOverflow(t *testing.T) {
 	cfg := smallFlash() // 4 pages per block
 	b := New(eng, cfg)
 	p := b.Plane(0)
-	if err := p.ProgramRange(0, cfg.PagesPerBlock+1, nil); err != ErrNotErased {
+	if err := p.ProgramRange(0, cfg.PagesPerBlock+1, nil, nil); err != ErrNotErased {
 		t.Errorf("overflow range: err = %v, want ErrNotErased", err)
 	}
 	_ = eng

@@ -35,7 +35,7 @@ var (
 type Backbone struct {
 	eng    *sim.Engine
 	Cfg    config.Flash
-	planes []*Plane
+	planes []Plane
 
 	// Statistics for Figs. 1b, 8b and 11.
 	ArrayReads    stats.Counter
@@ -45,15 +45,9 @@ type Backbone struct {
 
 // New builds the backbone described by cfg.
 func New(eng *sim.Engine, cfg config.Flash) *Backbone {
-	b := &Backbone{eng: eng, Cfg: cfg}
-	n := cfg.Planes()
-	for i := 0; i < n; i++ {
-		b.planes = append(b.planes, &Plane{
-			bb:     b,
-			Index:  i,
-			res:    sim.NewResource(eng),
-			blocks: make([]*Block, cfg.BlocksPerPl),
-		})
+	b := &Backbone{eng: eng, Cfg: cfg, planes: make([]Plane, cfg.Planes())}
+	for i := range b.planes {
+		b.planes[i] = Plane{bb: b, Index: i, res: *sim.NewResource(eng)}
 	}
 	return b
 }
@@ -62,7 +56,7 @@ func New(eng *sim.Engine, cfg config.Flash) *Backbone {
 func (b *Backbone) Planes() int { return len(b.planes) }
 
 // Plane returns plane i.
-func (b *Backbone) Plane(i int) *Plane { return b.planes[i] }
+func (b *Backbone) Plane(i int) *Plane { return &b.planes[i] }
 
 // Plane index layout is channel-major:
 // plane = ((ch*pkgs + pkg)*dies + die)*planesPerDie + pl.
@@ -106,10 +100,6 @@ type Block struct {
 	valid      []uint64 // bitset, bit i = page i holds live data
 }
 
-func newBlock(pages int) *Block {
-	return &Block{pages: pages, valid: make([]uint64, (pages+63)/64)}
-}
-
 // ValidCount reports programmed-and-valid pages (GC victim scoring).
 func (bl *Block) ValidCount() int {
 	n := 0
@@ -147,26 +137,65 @@ func (bl *Block) setAll() {
 type Plane struct {
 	bb    *Backbone
 	Index int
-	res   *sim.Resource
+	res   sim.Resource
 
-	// blocks is dense (index = block id) and lazily filled: untouched
-	// blocks hold no data and no wear, so they stay nil.
-	blocks []*Block
+	// chunks is the plane's block directory (block id i lives at
+	// chunks[i/blockChunk][i%blockChunk]), filled lazily at both
+	// levels: untouched blocks hold no data and no wear, so they stay
+	// nil, and so does a chunk of them. The FTL allocators hand out
+	// low block ids first, so the metadata a plane holds tracks the
+	// blocks it has used, not its configured capacity.
+	chunks []*blockDir
+
+	// Block state is carved from arenas that double up to blockChunk
+	// blocks, so materializing a block costs a fraction of an
+	// allocation while a plane that touches one block holds one.
+	arena     []Block
+	bits      []uint64
+	arenaNext int
 
 	Reads    uint64 // per-plane counters for the Fig. 8b heatmap
 	Programs uint64
 }
 
+// blockChunk is the block-directory fan-out.
+const blockChunk = 64
+
+type blockDir [blockChunk]*Block
+
 // Block returns (lazily creating) block state.
 func (p *Plane) Block(i int) *Block {
-	if i < 0 || i >= len(p.blocks) {
+	if i < 0 || i >= p.bb.Cfg.BlocksPerPl {
 		panic(fmt.Sprintf("flash: block %d out of range", i))
 	}
-	bl := p.blocks[i]
-	if bl == nil {
-		bl = newBlock(p.bb.Cfg.PagesPerBlock)
-		p.blocks[i] = bl
+	if p.chunks == nil {
+		p.chunks = make([]*blockDir, (p.bb.Cfg.BlocksPerPl+blockChunk-1)/blockChunk)
 	}
+	dir := p.chunks[i/blockChunk]
+	if dir == nil {
+		dir = new(blockDir)
+		p.chunks[i/blockChunk] = dir
+	}
+	bl := dir[i%blockChunk]
+	if bl == nil {
+		bl = p.newBlock()
+		dir[i%blockChunk] = bl
+	}
+	return bl
+}
+
+func (p *Plane) newBlock() *Block {
+	pages := p.bb.Cfg.PagesPerBlock
+	words := (pages + 63) / 64
+	if len(p.arena) == 0 {
+		n := max(p.arenaNext, 1)
+		p.arena, p.bits = make([]Block, n), make([]uint64, n*words)
+		p.arenaNext = min(2*n, blockChunk)
+	}
+	bl := &p.arena[0]
+	p.arena = p.arena[1:]
+	bl.pages, bl.valid = pages, p.bits[:words:words]
+	p.bits = p.bits[words:]
 	return bl
 }
 
@@ -179,22 +208,23 @@ func (p *Plane) Preload(block int) {
 	bl.setAll()
 }
 
-// Read senses one page from the array (tR) and then calls fn. Reading
-// never fails: preloaded and programmed pages both sense; the
-// simulator does not model data contents.
-func (p *Plane) Read(block, page int, fn func()) {
+// Read senses one page from the array (tR) and then delivers
+// h.Handle(arg). Reading never fails: preloaded and programmed pages
+// both sense; the simulator does not model data contents.
+func (p *Plane) Read(block, page int, h sim.Handler, arg any) {
 	if page < 0 || page >= p.bb.Cfg.PagesPerBlock {
 		panic(ErrBadPage)
 	}
 	p.Reads++
 	p.bb.ArrayReads.Inc()
-	p.res.Acquire(p.bb.Cfg.ReadLat, fn)
+	p.res.Acquire(p.bb.Cfg.ReadLat, h, arg)
 }
 
-// Program writes one page. It enforces Z-NAND's in-order programming:
-// page must equal the block's write pointer, and the block must not be
-// full (erase-before-write).
-func (p *Plane) Program(block, page int, fn func()) error {
+// Program writes one page, delivering h.Handle(arg) when it completes.
+// It enforces Z-NAND's in-order programming: page must equal the
+// block's write pointer, and the block must not be full
+// (erase-before-write).
+func (p *Plane) Program(block, page int, h sim.Handler, arg any) error {
 	if page < 0 || page >= p.bb.Cfg.PagesPerBlock {
 		return ErrBadPage
 	}
@@ -209,7 +239,7 @@ func (p *Plane) Program(block, page int, fn func()) error {
 	bl.setValid(page)
 	p.Programs++
 	p.bb.ArrayPrograms.Inc()
-	p.res.Acquire(p.bb.Cfg.ProgramLat, fn)
+	p.res.Acquire(p.bb.Cfg.ProgramLat, h, arg)
 	return nil
 }
 
@@ -222,9 +252,9 @@ func (p *Plane) MarkInvalid(block, page int) {
 	}
 }
 
-// Erase wipes a block (tERASE) and counts a P/E cycle. It fails once
-// the endurance budget is exhausted.
-func (p *Plane) Erase(block int, fn func()) error {
+// Erase wipes a block (tERASE), counts a P/E cycle and then delivers
+// h.Handle(arg). It fails once the endurance budget is exhausted.
+func (p *Plane) Erase(block int, h sim.Handler, arg any) error {
 	bl := p.Block(block)
 	if bl.EraseCount >= p.bb.Cfg.PECycles {
 		return ErrWornOut
@@ -233,28 +263,29 @@ func (p *Plane) Erase(block int, fn func()) error {
 	bl.WritePtr = 0
 	bl.clearAll()
 	p.bb.Erases.Inc()
-	p.res.Acquire(p.bb.Cfg.EraseLat, fn)
+	p.res.Acquire(p.bb.Cfg.EraseLat, h, arg)
 	return nil
 }
 
 // ReadMany senses n pages of a block back to back (the sequential
-// read burst of a GC merge) as one array occupancy of n*tR.
-func (p *Plane) ReadMany(n int, fn func()) {
+// read burst of a GC merge) as one array occupancy of n*tR, then
+// delivers h.Handle(arg).
+func (p *Plane) ReadMany(n int, h sim.Handler, arg any) {
 	if n <= 0 {
-		p.res.Acquire(0, fn)
+		p.res.Acquire(0, h, arg)
 		return
 	}
 	p.Reads += uint64(n)
 	p.bb.ArrayReads.Add(uint64(n))
-	p.res.Acquire(sim.Tick(n)*p.bb.Cfg.ReadLat, fn)
+	p.res.Acquire(sim.Tick(n)*p.bb.Cfg.ReadLat, h, arg)
 }
 
 // ProgramRange programs n in-order pages starting at the block's write
 // pointer as one array occupancy of n*tPROG (the program burst of a GC
-// merge).
-func (p *Plane) ProgramRange(block, n int, fn func()) error {
+// merge), then delivers h.Handle(arg).
+func (p *Plane) ProgramRange(block, n int, h sim.Handler, arg any) error {
 	if n <= 0 {
-		p.res.Acquire(0, fn)
+		p.res.Acquire(0, h, arg)
 		return nil
 	}
 	bl := p.Block(block)
@@ -267,7 +298,7 @@ func (p *Plane) ProgramRange(block, n int, fn func()) error {
 	bl.WritePtr += n
 	p.Programs += uint64(n)
 	p.bb.ArrayPrograms.Add(uint64(n))
-	p.res.Acquire(sim.Tick(n)*p.bb.Cfg.ProgramLat, fn)
+	p.res.Acquire(sim.Tick(n)*p.bb.Cfg.ProgramLat, h, arg)
 	return nil
 }
 
@@ -296,9 +327,14 @@ func (p *Plane) NextFree() sim.Tick { return p.res.NextFree() }
 // wear). The ascending order makes callers that break ties by visit
 // order — GC victim selection — deterministic.
 func (p *Plane) EachBlock(f func(id int, bl *Block)) {
-	for id, bl := range p.blocks {
-		if bl != nil {
-			f(id, bl)
+	for c, dir := range p.chunks {
+		if dir == nil {
+			continue
+		}
+		for i, bl := range dir {
+			if bl != nil {
+				f(c*blockChunk+i, bl)
+			}
 		}
 	}
 }

@@ -45,7 +45,7 @@ func TestReadTiming(t *testing.T) {
 	p := b.Plane(0)
 	p.Preload(0)
 	var at sim.Tick
-	p.Read(0, 2, func() { at = eng.Now() })
+	p.Read(0, 2, sim.Func(func() { at = eng.Now() }), nil)
 	eng.Run()
 	if at != cfg.ReadLat {
 		t.Errorf("read completed at %d, want tR=%d", at, cfg.ReadLat)
@@ -61,8 +61,8 @@ func TestPlaneSerializesArrayOps(t *testing.T) {
 	b := New(eng, cfg)
 	p := b.Plane(0)
 	var t1, t2 sim.Tick
-	p.Read(0, 0, func() { t1 = eng.Now() })
-	p.Read(0, 1, func() { t2 = eng.Now() })
+	p.Read(0, 0, sim.Func(func() { t1 = eng.Now() }), nil)
+	p.Read(0, 1, sim.Func(func() { t2 = eng.Now() }), nil)
 	eng.Run()
 	if t2-t1 != cfg.ReadLat {
 		t.Errorf("second read must wait for the array: t1=%d t2=%d", t1, t2)
@@ -74,8 +74,8 @@ func TestPlanesOperateInParallel(t *testing.T) {
 	cfg := smallFlash()
 	b := New(eng, cfg)
 	var t1, t2 sim.Tick
-	b.Plane(0).Read(0, 0, func() { t1 = eng.Now() })
-	b.Plane(1).Read(0, 0, func() { t2 = eng.Now() })
+	b.Plane(0).Read(0, 0, sim.Func(func() { t1 = eng.Now() }), nil)
+	b.Plane(1).Read(0, 0, sim.Func(func() { t2 = eng.Now() }), nil)
 	eng.Run()
 	if t1 != t2 {
 		t.Errorf("independent planes must not serialize: %d vs %d", t1, t2)
@@ -86,13 +86,13 @@ func TestInOrderProgramming(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, smallFlash())
 	p := b.Plane(0)
-	if err := p.Program(0, 1, nil); err != ErrOutOfOrder {
+	if err := p.Program(0, 1, nil, nil); err != ErrOutOfOrder {
 		t.Errorf("out-of-order program: err = %v, want ErrOutOfOrder", err)
 	}
-	if err := p.Program(0, 0, nil); err != nil {
+	if err := p.Program(0, 0, nil, nil); err != nil {
 		t.Errorf("in-order program failed: %v", err)
 	}
-	if err := p.Program(0, 1, nil); err != nil {
+	if err := p.Program(0, 1, nil, nil); err != nil {
 		t.Errorf("next in-order program failed: %v", err)
 	}
 	eng.Run()
@@ -107,17 +107,17 @@ func TestEraseBeforeWrite(t *testing.T) {
 	b := New(eng, cfg)
 	p := b.Plane(0)
 	for i := 0; i < cfg.PagesPerBlock; i++ {
-		if err := p.Program(0, i, nil); err != nil {
+		if err := p.Program(0, i, nil, nil); err != nil {
 			t.Fatalf("program %d: %v", i, err)
 		}
 	}
-	if err := p.Program(0, 0, nil); err != ErrNotErased {
+	if err := p.Program(0, 0, nil, nil); err != ErrNotErased {
 		t.Errorf("program to full block: err = %v, want ErrNotErased", err)
 	}
-	if err := p.Erase(0, nil); err != nil {
+	if err := p.Erase(0, nil, nil); err != nil {
 		t.Fatalf("erase: %v", err)
 	}
-	if err := p.Program(0, 0, nil); err != nil {
+	if err := p.Program(0, 0, nil, nil); err != nil {
 		t.Errorf("program after erase: %v", err)
 	}
 	eng.Run()
@@ -133,11 +133,11 @@ func TestPECyclesEnforced(t *testing.T) {
 	b := New(eng, cfg)
 	p := b.Plane(0)
 	for i := 0; i < 2; i++ {
-		if err := p.Erase(0, nil); err != nil {
+		if err := p.Erase(0, nil, nil); err != nil {
 			t.Fatalf("erase %d: %v", i, err)
 		}
 	}
-	if err := p.Erase(0, nil); err != ErrWornOut {
+	if err := p.Erase(0, nil, nil); err != ErrWornOut {
 		t.Errorf("worn block erase: err = %v, want ErrWornOut", err)
 	}
 	eng.Run()
@@ -149,12 +149,12 @@ func TestProgramSlowerThanRead(t *testing.T) {
 	b := New(eng, cfg)
 	p := b.Plane(0)
 	var readAt, progAt sim.Tick
-	p.Read(1, 0, func() { readAt = eng.Now() })
+	p.Read(1, 0, sim.Func(func() { readAt = eng.Now() }), nil)
 	eng.Run()
 	e2 := sim.NewEngine()
 	b2 := New(e2, cfg)
 	p2 := b2.Plane(0)
-	if err := p2.Program(1, 0, func() { progAt = e2.Now() }); err != nil {
+	if err := p2.Program(1, 0, sim.Func(func() { progAt = e2.Now() }), nil); err != nil {
 		t.Fatal(err)
 	}
 	e2.Run()
@@ -188,7 +188,7 @@ func TestBadIndexesPanicOrError(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, smallFlash())
 	p := b.Plane(0)
-	if err := p.Program(0, 99, nil); err != ErrBadPage {
+	if err := p.Program(0, 99, nil, nil); err != ErrBadPage {
 		t.Errorf("bad page program err = %v", err)
 	}
 	func() {
@@ -206,9 +206,9 @@ func TestBackboneTrafficAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := smallFlash()
 	b := New(eng, cfg)
-	b.Plane(0).Read(0, 0, nil)
-	b.Plane(1).Read(0, 0, nil)
-	if err := b.Plane(2).Program(0, 0, nil); err != nil {
+	b.Plane(0).Read(0, 0, nil, nil)
+	b.Plane(1).Read(0, 0, nil, nil)
+	if err := b.Plane(2).Program(0, 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -291,5 +291,48 @@ func TestRowDecoderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Block state materializes lazily, one directory chunk at a time:
+// EachBlock visits exactly the touched blocks, in ascending id order,
+// across chunk boundaries.
+func TestLazyBlockDirectory(t *testing.T) {
+	cfg := smallFlash()
+	cfg.BlocksPerPl = 3*blockChunk + 5
+	b := New(sim.NewEngine(), cfg)
+	p := b.Plane(1)
+	var seen []int
+	p.EachBlock(func(id int, _ *Block) { seen = append(seen, id) })
+	if len(seen) != 0 || p.chunks != nil {
+		t.Fatalf("untouched plane holds state: blocks %v", seen)
+	}
+	touched := []int{cfg.BlocksPerPl - 1, 3, blockChunk, 2}
+	for _, id := range touched {
+		p.Block(id).EraseCount = id
+	}
+	p.EachBlock(func(id int, bl *Block) {
+		if bl.EraseCount != id {
+			t.Errorf("block %d carries state of block %d", id, bl.EraseCount)
+		}
+		seen = append(seen, id)
+	})
+	want := []int{2, 3, blockChunk, cfg.BlocksPerPl - 1}
+	if len(seen) != len(want) {
+		t.Fatalf("EachBlock visited %v, want %v", seen, want)
+	}
+	for i := range want {
+		if seen[i] != want[i] {
+			t.Fatalf("EachBlock visited %v, want %v", seen, want)
+		}
+	}
+	allocated := 0
+	for _, dir := range p.chunks {
+		if dir != nil {
+			allocated++
+		}
+	}
+	if allocated != 3 {
+		t.Errorf("%d directory chunks allocated, want 3 (blocks 2 and 3 share one)", allocated)
 	}
 }

@@ -32,11 +32,18 @@ import (
 // the least wear. Block allocation sits on the read path's first-touch
 // (Split.dataBlock) and was the hottest function in whole-platform
 // profiles; bucketing makes pop O(1).
+//
+// The never-allocated blocks [fresh, blocks) are the implicit front of
+// bucket 0: they are free from the start, so they precede any block
+// freed later, and a plane costs no per-block memory until its blocks
+// are used.
 type planeAlloc struct {
 	plane   *flash.Plane
-	buckets map[int]*allocBucket
-	minEC   int // lowest erase count that may have a non-empty bucket
+	buckets []allocBucket // index = erase count
+	minEC   int           // lowest erase count that may have a non-empty bucket
 	count   int
+
+	fresh, blocks int
 }
 
 // allocBucket is a FIFO of block ids sharing one erase count. head
@@ -47,20 +54,18 @@ type allocBucket struct {
 	head   int
 }
 
-func (b *allocBucket) empty() bool { return b == nil || b.head == len(b.blocks) }
+func (b *allocBucket) empty() bool { return b.head == len(b.blocks) }
 
-func newPlaneAlloc(p *flash.Plane, firstFree, blocks int) *planeAlloc {
-	// All blocks start at erase count zero; fill bucket 0 directly so
-	// construction does not materialize per-block state.
-	b := &allocBucket{blocks: make([]int, 0, blocks-firstFree)}
-	for i := firstFree; i < blocks; i++ {
-		b.blocks = append(b.blocks, i)
+// newPlaneAllocs builds one allocator per plane of bb, every block
+// free, in two allocations rather than one per plane.
+func newPlaneAllocs(bb *flash.Backbone) []*planeAlloc {
+	allocs := make([]planeAlloc, bb.Planes())
+	ptrs := make([]*planeAlloc, len(allocs))
+	for i := range allocs {
+		allocs[i] = planeAlloc{plane: bb.Plane(i), count: bb.Cfg.BlocksPerPl, blocks: bb.Cfg.BlocksPerPl}
+		ptrs[i] = &allocs[i]
 	}
-	return &planeAlloc{
-		plane:   p,
-		buckets: map[int]*allocBucket{0: b},
-		count:   len(b.blocks),
-	}
+	return ptrs
 }
 
 // pop removes and returns the free block with the lowest erase count
@@ -72,17 +77,22 @@ func newPlaneAlloc(p *flash.Plane, firstFree, blocks int) *planeAlloc {
 // amortized.
 func (a *planeAlloc) pop() (int, bool) {
 	for a.count > 0 {
-		b := a.buckets[a.minEC]
-		for b.empty() {
-			a.minEC++
-			b = a.buckets[a.minEC]
-		}
-		blk := b.blocks[b.head]
-		b.head++
-		if b.head == len(b.blocks) {
-			b.blocks, b.head = b.blocks[:0], 0
-		}
 		a.count--
+		var blk int
+		if a.minEC == 0 && a.fresh < a.blocks {
+			blk = a.fresh
+			a.fresh++
+		} else {
+			for a.minEC >= len(a.buckets) || a.buckets[a.minEC].empty() {
+				a.minEC++
+			}
+			b := &a.buckets[a.minEC]
+			blk = b.blocks[b.head]
+			b.head++
+			if b.head == len(b.blocks) {
+				b.blocks, b.head = b.blocks[:0], 0
+			}
+		}
 		if a.plane.Block(blk).EraseCount != a.minEC {
 			a.push(blk)
 			continue
@@ -95,11 +105,10 @@ func (a *planeAlloc) pop() (int, bool) {
 // push returns a block to the free list under its current erase count.
 func (a *planeAlloc) push(blk int) {
 	ec := a.plane.Block(blk).EraseCount
-	b := a.buckets[ec]
-	if b == nil {
-		b = &allocBucket{}
-		a.buckets[ec] = b
+	for ec >= len(a.buckets) {
+		a.buckets = append(a.buckets, allocBucket{})
 	}
+	b := &a.buckets[ec]
 	b.blocks = append(b.blocks, blk)
 	if ec < a.minEC {
 		a.minEC = ec

@@ -78,7 +78,7 @@ func BenchmarkFTLTranslate(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.WritePage(addrs[i%len(addrs)], nil)
+			s.WritePage(addrs[i%len(addrs)], nil, nil)
 			eng.Run()
 		}
 	})

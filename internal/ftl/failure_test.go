@@ -28,7 +28,7 @@ func TestSplitSurvivesWornLogBlock(t *testing.T) {
 	done := 0
 	const writes = 60 // ~15 merges against a 3-erase budget
 	for i := 0; i < writes; i++ {
-		s.WritePage(0x1000, func() { done++ })
+		s.WritePage(0x1000, sim.Func(func() { done++ }), nil)
 		eng.Run()
 	}
 	if done != writes {
@@ -63,7 +63,7 @@ func TestSplitManyGroupsConcurrentMerges(t *testing.T) {
 	const perPlane = 20
 	for i := 0; i < perPlane; i++ {
 		for plane := 0; plane < 4; plane++ {
-			s.WritePage(uint64(plane)*4096, func() { done++ })
+			s.WritePage(uint64(plane)*4096, sim.Func(func() { done++ }), nil)
 		}
 	}
 	eng.Run()

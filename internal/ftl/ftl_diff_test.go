@@ -148,14 +148,14 @@ func (p *refPageMapped) Lookup(va uint64) Loc {
 	return l
 }
 
-func (p *refPageMapped) WritePage(va uint64, fn func()) {
+func (p *refPageMapped) WritePage(va uint64, h sim.Handler, arg any) {
 	plane := p.rr % p.planes
 	p.rr++
 	p.HostWrites.Inc()
-	p.writeTo(plane, p.vpage(va), fn)
+	p.writeTo(plane, p.vpage(va), h, arg)
 }
 
-func (p *refPageMapped) writeTo(plane int, vp uint64, fn func()) {
+func (p *refPageMapped) writeTo(plane int, vp uint64, h sim.Handler, arg any) {
 	blk, page := p.nextSlot(plane)
 	if old, ok := p.table[vp]; ok {
 		p.bb.Plane(old.Plane).MarkInvalid(old.Block, old.Page)
@@ -164,7 +164,7 @@ func (p *refPageMapped) writeTo(plane int, vp uint64, fn func()) {
 	l := Loc{Plane: plane, Block: blk, Page: page}
 	p.table[vp] = l
 	p.owner[packLoc(l)] = vp
-	if err := p.bb.Plane(plane).Program(blk, page, fn); err != nil {
+	if err := p.bb.Plane(plane).Program(blk, page, h, arg); err != nil {
 		panic("ref ftl: program failed: " + err.Error())
 	}
 	p.maybeGC(plane)
@@ -198,19 +198,19 @@ func (p *refPageMapped) maybeGC(plane int) {
 	p.inGC[plane] = true
 	p.GCRuns.Inc()
 	pl := p.bb.Plane(plane)
-	pl.ReadMany(len(moves), func() {
+	pl.ReadMany(len(moves), sim.Func(func() {
 		for _, m := range moves {
 			if cur, ok := p.table[m.vp]; !ok || cur != m.loc {
 				continue
 			}
 			p.GCMoves.Inc()
-			p.writeTo(plane, m.vp, nil)
+			p.writeTo(plane, m.vp, nil, nil)
 		}
-		if err := pl.Erase(victim, nil); err == nil {
+		if err := pl.Erase(victim, nil, nil); err == nil {
 			p.alloc[plane].push(victim)
 		}
 		p.inGC[plane] = false
-	})
+	}), nil)
 }
 
 func (p *refPageMapped) pickVictim(plane int) (victim int, moves []gcMove) {
@@ -359,25 +359,25 @@ func (s *refSplit) ReadLoc(va uint64) Loc {
 	return Loc{Plane: plane, Block: s.dataBlock(vb), Page: pageIdx}
 }
 
-func (s *refSplit) WritePage(va uint64, fn func()) {
+func (s *refSplit) WritePage(va uint64, h sim.Handler, arg any) {
 	vb, pageIdx := s.VBlock(va)
 	s.dataBlock(vb)
 	g := s.group(vb)
 	if g.merging {
 		s.StalledWrites.Inc()
-		g.pending = append(g.pending, pendingWrite{va, fn})
+		g.pending = append(g.pending, pendingWrite{va, h, arg})
 		return
 	}
 	if g.dec.Full() {
 		s.StalledWrites.Inc()
-		g.pending = append(g.pending, pendingWrite{va, fn})
+		g.pending = append(g.pending, pendingWrite{va, h, arg})
 		s.merge(g)
 		return
 	}
-	s.program(g, vb, pageIdx, fn)
+	s.program(g, vb, pageIdx, h, arg)
 }
 
-func (s *refSplit) program(g *refLogGroup, vb uint64, pageIdx int, fn func()) {
+func (s *refSplit) program(g *refLogGroup, vb uint64, pageIdx int, h sim.Handler, arg any) {
 	key := s.lpmtKey(vb, pageIdx)
 	if old, ok := g.dec.Lookup(key); ok {
 		s.bb.Plane(g.plane).MarkInvalid(g.block, old)
@@ -389,7 +389,7 @@ func (s *refSplit) program(g *refLogGroup, vb uint64, pageIdx int, fn func()) {
 		panic("ref ftl: program into full log block")
 	}
 	s.LogPrograms.Inc()
-	if err := s.bb.Plane(g.plane).Program(g.block, slot, fn); err != nil {
+	if err := s.bb.Plane(g.plane).Program(g.block, slot, h, arg); err != nil {
 		panic("ref ftl: log program rejected: " + err.Error())
 	}
 }
@@ -415,13 +415,13 @@ func (s *refSplit) merge(g *refLogGroup) {
 	sortU64(affected)
 
 	plane := s.bb.Plane(g.plane)
-	s.helper.Acquire(s.cfg.HelperThreadLat, func() {
+	s.helper.Acquire(s.cfg.HelperThreadLat, sim.Func(func() {
 		reads := liveLog
 		for _, vb := range affected {
 			reads += plane.Block(s.dbmt[vb]).ValidCount()
 		}
 		s.MergeReads.Add(uint64(reads))
-		plane.ReadMany(reads, func() {
+		plane.ReadMany(reads, sim.Func(func() {
 			programs := 0
 			for _, vb := range affected {
 				old := s.dbmt[vb]
@@ -429,28 +429,28 @@ func (s *refSplit) merge(g *refLogGroup) {
 				if !ok {
 					panic("ref ftl: no free block for merge")
 				}
-				if err := plane.ProgramRange(fresh, s.pagesPerBlock, nil); err != nil {
+				if err := plane.ProgramRange(fresh, s.pagesPerBlock, nil, nil); err != nil {
 					panic("ref ftl: merge program failed: " + err.Error())
 				}
 				programs += s.pagesPerBlock
-				if err := plane.Erase(old, nil); err == nil {
+				if err := plane.Erase(old, nil, nil); err == nil {
 					s.alloc[g.plane].push(old)
 				}
 				s.dbmt[vb] = fresh
 			}
 			s.MergePrograms.Add(uint64(programs))
 
-			if err := plane.Erase(g.block, func() { s.mergeDone(g) }); err != nil {
+			if err := plane.Erase(g.block, sim.Func(func() { s.mergeDone(g) }), nil); err != nil {
 				b, ok := s.alloc[g.plane].pop()
 				if !ok {
 					panic("ref ftl: no replacement log block")
 				}
 				g.block = b
-				s.eng.Schedule(0, func() { s.mergeDone(g) })
+				s.eng.Schedule(0, sim.Func(func() { s.mergeDone(g) }), nil)
 				return
 			}
-		})
-	})
+		}), nil)
+	}), nil)
 }
 
 func (s *refSplit) mergeDone(g *refLogGroup) {
@@ -467,7 +467,7 @@ func (s *refSplit) mergeDone(g *refLogGroup) {
 			}
 			continue
 		}
-		s.program(g, vb, pageIdx, w.fn)
+		s.program(g, vb, pageIdx, w.h, w.arg)
 	}
 }
 
@@ -539,8 +539,8 @@ func TestPageMappedDifferential(t *testing.T) {
 				t.Fatalf("op %d: Lookup(%#x) = %+v, reference says %+v", op, va, got, want)
 			}
 		} else {
-			dense.WritePage(va, nil)
-			ref.WritePage(va, nil)
+			dense.WritePage(va, nil, nil)
+			ref.WritePage(va, nil, nil)
 		}
 		engA.Run()
 		engB.Run()
@@ -589,8 +589,8 @@ func TestSplitDifferential(t *testing.T) {
 				t.Fatalf("op %d: ReadLoc(%#x) = %+v, reference says %+v", op, va, got, want)
 			}
 		} else {
-			dense.WritePage(va, nil)
-			ref.WritePage(va, nil)
+			dense.WritePage(va, nil, nil)
+			ref.WritePage(va, nil, nil)
 		}
 		engA.Run()
 		engB.Run()

@@ -71,7 +71,7 @@ func TestSplitWriteRedirectsToLog(t *testing.T) {
 	va := uint64(0x3000)
 	before := s.ReadLoc(va)
 	done := false
-	s.WritePage(va, func() { done = true })
+	s.WritePage(va, sim.Func(func() { done = true }), nil)
 	eng.Run()
 	if !done {
 		t.Fatal("write did not complete")
@@ -97,10 +97,10 @@ func TestSplitRewriteSupersedesLogSlot(t *testing.T) {
 	bb, cfg := smallBB(eng)
 	s := NewSplit(eng, bb, cfg)
 	va := uint64(0x5000)
-	s.WritePage(va, nil)
+	s.WritePage(va, nil, nil)
 	eng.Run()
 	first := s.ReadLoc(va)
-	s.WritePage(va, nil)
+	s.WritePage(va, nil, nil)
 	eng.Run()
 	second := s.ReadLoc(va)
 	if first == second {
@@ -122,7 +122,7 @@ func TestSplitMergeOnFullLog(t *testing.T) {
 	// PagesPerBlock = 8: nine writes force a merge.
 	done := 0
 	for i := 0; i < 9; i++ {
-		s.WritePage(va, func() { done++ })
+		s.WritePage(va, sim.Func(func() { done++ }), nil)
 		eng.Run()
 	}
 	if done != 9 {
@@ -153,7 +153,7 @@ func TestSplitMergeUpdatesDBMT(t *testing.T) {
 	sibling := va + uint64(bb.Planes())*uint64(bb.Cfg.PageBytes)
 	oldData := s.ReadLoc(sibling)
 	for i := 0; i <= bb.Cfg.PagesPerBlock; i++ {
-		s.WritePage(va, nil)
+		s.WritePage(va, nil, nil)
 		eng.Run()
 	}
 	newData := s.ReadLoc(sibling)
@@ -176,7 +176,7 @@ func TestSplitMappingIntegrityProperty(t *testing.T) {
 		last := map[uint64]int{} // va -> write sequence
 		for i, w := range writes {
 			va := uint64(w%16) * 0x1000
-			s.WritePage(va, nil)
+			s.WritePage(va, nil, nil)
 			eng.Run()
 			last[va] = i
 		}
@@ -203,7 +203,7 @@ func TestSplitWearLeveling(t *testing.T) {
 	s := NewSplit(eng, bb, cfg)
 	// Hammer one page with enough writes for many merges.
 	for i := 0; i < 100; i++ {
-		s.WritePage(0x100, nil)
+		s.WritePage(0x100, nil, nil)
 		eng.Run()
 	}
 	if s.Merges.Value() < 5 {
@@ -237,7 +237,7 @@ func TestPageMappedWriteInvalidatesOld(t *testing.T) {
 	p := NewPageMapped(eng, bb, cfg)
 	old := p.Lookup(0x4000)
 	done := false
-	p.WritePage(0x4000, func() { done = true })
+	p.WritePage(0x4000, sim.Func(func() { done = true }), nil)
 	eng.Run()
 	if !done {
 		t.Fatal("write incomplete")
@@ -266,7 +266,7 @@ func TestPageMappedGCReclaims(t *testing.T) {
 	p := NewPageMapped(eng, bb, cfg)
 	// Rewrite a tiny working set far beyond capacity: GC must keep up.
 	for i := 0; i < 100; i++ {
-		p.WritePage(uint64(i%3)*0x1000, nil)
+		p.WritePage(uint64(i%3)*0x1000, nil, nil)
 		eng.Run()
 	}
 	if p.GCRuns.Value() == 0 {
@@ -294,7 +294,7 @@ func TestPageMappedNoAliasingProperty(t *testing.T) {
 		for _, op := range ops {
 			va := uint64(op%32) * 0x1000
 			if op%3 == 0 {
-				p.WritePage(va, nil)
+				p.WritePage(va, nil, nil)
 			} else {
 				p.Lookup(va)
 			}
@@ -322,7 +322,7 @@ func TestPlaneAllocWearOrder(t *testing.T) {
 	p := bb.Plane(0)
 	a := newPlaneAlloc(p, 0, 4)
 	// Wear block 2 once.
-	if err := p.Erase(2, nil); err != nil {
+	if err := p.Erase(2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()

@@ -50,8 +50,8 @@ func NewPageMapped(eng *sim.Engine, bb *flash.Backbone, cfg config.FTL) *PageMap
 		cfg:    cfg,
 		planes: bb.Planes(),
 	}
+	p.alloc = newPlaneAllocs(bb)
 	for i := 0; i < p.planes; i++ {
-		p.alloc = append(p.alloc, newPlaneAlloc(bb.Plane(i), 0, bb.Cfg.BlocksPerPl))
 		p.open = append(p.open, -1)
 		p.preload = append(p.preload, preloadState{block: -1})
 		p.inGC = append(p.inGC, false)
@@ -101,16 +101,16 @@ func (p *PageMapped) Lookup(va uint64) Loc {
 }
 
 // WritePage appends the newest version of va's page to an open block
-// (round-robin across planes), invalidates the old copy, and calls fn
-// when the program completes.
-func (p *PageMapped) WritePage(va uint64, fn func()) {
+// (round-robin across planes), invalidates the old copy, and delivers
+// h.Handle(arg) when the program completes.
+func (p *PageMapped) WritePage(va uint64, h sim.Handler, arg any) {
 	plane := p.rr % p.planes
 	p.rr++
 	p.HostWrites.Inc()
-	p.writeTo(plane, p.vpage(va), fn)
+	p.writeTo(plane, p.vpage(va), h, arg)
 }
 
-func (p *PageMapped) writeTo(plane int, vp uint64, fn func()) {
+func (p *PageMapped) writeTo(plane int, vp uint64, h sim.Handler, arg any) {
 	blk, page := p.nextSlot(plane)
 	// Invalidate the previous version.
 	if v, ok := p.table.get(vp); ok {
@@ -121,7 +121,7 @@ func (p *PageMapped) writeTo(plane int, vp uint64, fn func()) {
 	l := Loc{Plane: plane, Block: blk, Page: page}
 	p.table.put(vp, packLoc(l))
 	p.owner.put(p.physIdx(l), vp)
-	if err := p.bb.Plane(plane).Program(blk, page, fn); err != nil {
+	if err := p.bb.Plane(plane).Program(blk, page, h, arg); err != nil {
 		panic("ftl: page-mapped program failed: " + err.Error())
 	}
 	p.maybeGC(plane)
@@ -159,7 +159,7 @@ func (p *PageMapped) maybeGC(plane int) {
 	p.inGC[plane] = true
 	p.GCRuns.Inc()
 	pl := p.bb.Plane(plane)
-	pl.ReadMany(len(moves), func() {
+	pl.ReadMany(len(moves), sim.Func(func() {
 		for _, m := range moves {
 			// The foreground may have rewritten the page while the GC
 			// read burst was in flight; only move still-current copies,
@@ -168,13 +168,13 @@ func (p *PageMapped) maybeGC(plane int) {
 				continue
 			}
 			p.GCMoves.Inc()
-			p.writeTo(plane, m.vp, nil)
+			p.writeTo(plane, m.vp, nil, nil)
 		}
-		if err := pl.Erase(victim, nil); err == nil {
+		if err := pl.Erase(victim, nil, nil); err == nil {
 			p.alloc[plane].push(victim)
 		}
 		p.inGC[plane] = false
-	})
+	}), nil)
 }
 
 type gcMove struct {

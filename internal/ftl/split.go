@@ -61,8 +61,9 @@ type logGroup struct {
 }
 
 type pendingWrite struct {
-	va uint64
-	fn func()
+	va  uint64
+	h   sim.Handler
+	arg any
 }
 
 // NewSplit builds the split FTL over a backbone. A fraction of each
@@ -76,9 +77,7 @@ func NewSplit(eng *sim.Engine, bb *flash.Backbone, cfg config.FTL) *Split {
 		helper:        sim.NewResource(eng),
 		pagesPerBlock: bb.Cfg.PagesPerBlock,
 		planes:        bb.Planes(),
-	}
-	for i := 0; i < s.planes; i++ {
-		s.alloc = append(s.alloc, newPlaneAlloc(bb.Plane(i), 0, bb.Cfg.BlocksPerPl))
+		alloc:         newPlaneAllocs(bb),
 	}
 	return s
 }
@@ -167,28 +166,28 @@ func (s *Split) ReadLoc(va uint64) Loc {
 }
 
 // WritePage programs the newest version of va's page into the log
-// block, remapped by the row decoder. fn fires when the program
-// completes. A full log block triggers a helper-thread merge first;
-// the write stalls behind it (counted in StalledWrites).
-func (s *Split) WritePage(va uint64, fn func()) {
+// block, remapped by the row decoder, and delivers h.Handle(arg) when
+// the program completes. A full log block triggers a helper-thread
+// merge first; the write stalls behind it (counted in StalledWrites).
+func (s *Split) WritePage(va uint64, h sim.Handler, arg any) {
 	vb, pageIdx := s.VBlock(va)
 	s.dataBlock(vb) // ensure DBMT entry exists
 	g := s.group(vb)
 	if g.merging {
 		s.StalledWrites.Inc()
-		g.pending = append(g.pending, pendingWrite{va, fn})
+		g.pending = append(g.pending, pendingWrite{va, h, arg})
 		return
 	}
 	if g.dec.Full() {
 		s.StalledWrites.Inc()
-		g.pending = append(g.pending, pendingWrite{va, fn})
+		g.pending = append(g.pending, pendingWrite{va, h, arg})
 		s.merge(g)
 		return
 	}
-	s.program(g, vb, pageIdx, fn)
+	s.program(g, vb, pageIdx, h, arg)
 }
 
-func (s *Split) program(g *logGroup, vb uint64, pageIdx int, fn func()) {
+func (s *Split) program(g *logGroup, vb uint64, pageIdx int, h sim.Handler, arg any) {
 	key := s.lpmtKey(vb, pageIdx)
 	if old, ok := g.dec.Lookup(key); ok {
 		s.bb.Plane(g.plane).MarkInvalid(g.block, old)
@@ -202,7 +201,7 @@ func (s *Split) program(g *logGroup, vb uint64, pageIdx int, fn func()) {
 		panic("ftl: program into full log block")
 	}
 	s.LogPrograms.Inc()
-	if err := s.bb.Plane(g.plane).Program(g.block, slot, fn); err != nil {
+	if err := s.bb.Plane(g.plane).Program(g.block, slot, h, arg); err != nil {
 		panic("ftl: log program rejected: " + err.Error())
 	}
 }
@@ -229,7 +228,7 @@ func (s *Split) merge(g *logGroup) {
 	liveLog := len(keys)
 
 	plane := s.bb.Plane(g.plane)
-	s.helper.Acquire(s.cfg.HelperThreadLat, func() {
+	s.helper.Acquire(s.cfg.HelperThreadLat, sim.Func(func() {
 		// Read phase: live log pages plus the still-valid pages of each
 		// affected data block.
 		reads := liveLog
@@ -238,7 +237,7 @@ func (s *Split) merge(g *logGroup) {
 			reads += plane.Block(int(db)).ValidCount()
 		}
 		s.MergeReads.Add(uint64(reads))
-		plane.ReadMany(reads, func() {
+		plane.ReadMany(reads, sim.Func(func() {
 			// Program phase: each affected vblock gets a fresh, wear-
 			// levelled block holding all of its pages.
 			programs := 0
@@ -249,11 +248,11 @@ func (s *Split) merge(g *logGroup) {
 				if !ok {
 					panic("ftl: no free block for merge")
 				}
-				if err := plane.ProgramRange(fresh, s.pagesPerBlock, nil); err != nil {
+				if err := plane.ProgramRange(fresh, s.pagesPerBlock, nil, nil); err != nil {
 					panic("ftl: merge program failed: " + err.Error())
 				}
 				programs += s.pagesPerBlock
-				if err := plane.Erase(old, nil); err == nil {
+				if err := plane.Erase(old, nil, nil); err == nil {
 					s.alloc[g.plane].push(old)
 				}
 				s.dbmt.put(vb, uint64(fresh))
@@ -261,18 +260,19 @@ func (s *Split) merge(g *logGroup) {
 			s.MergePrograms.Add(uint64(programs))
 
 			// Recycle the log block.
-			if err := plane.Erase(g.block, func() { s.mergeDone(g) }); err != nil {
+			done := sim.Func(func() { s.mergeDone(g) })
+			if err := plane.Erase(g.block, done, nil); err != nil {
 				// Worn out: retire it and allocate a different log block.
 				b, ok := s.alloc[g.plane].pop()
 				if !ok {
 					panic("ftl: no replacement log block")
 				}
 				g.block = b
-				s.eng.Schedule(0, func() { s.mergeDone(g) })
+				s.eng.Schedule(0, done, nil)
 				return
 			}
-		})
-	})
+		}), nil)
+	}), nil)
 }
 
 func (s *Split) mergeDone(g *logGroup) {
@@ -290,7 +290,7 @@ func (s *Split) mergeDone(g *logGroup) {
 			}
 			continue
 		}
-		s.program(g, vb, pageIdx, w.fn)
+		s.program(g, vb, pageIdx, w.h, w.arg)
 	}
 }
 

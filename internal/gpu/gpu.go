@@ -29,6 +29,11 @@ type GPU struct {
 	mmu *mmu.Unit
 	l1s []*cache.Cache
 
+	// In-flight records: one request per coalesced sector and one
+	// memInst per memory instruction, recycled on completion.
+	reqs  sim.FreeList[mem.Request]
+	insts sim.FreeList[memInst]
+
 	sms  []*sm
 	apps []*appRun
 
@@ -52,6 +57,10 @@ type appRun struct {
 	smIDs  []int
 	kernel int
 	live   int // running warps in the current kernel
+
+	// warps holds one context per warp slot, reused by every kernel:
+	// a kernel starts only once all of its predecessor's warps retired.
+	warps []warpCtx
 }
 
 // New builds a GPU whose SMs translate through mmuU and access l1cfg
@@ -116,19 +125,25 @@ func (g *GPU) IPC() float64 {
 // Done reports whether every launched app has finished.
 func (g *GPU) Done() bool { return g.running == 0 && len(g.apps) > 0 }
 
+// Handle implements sim.Handler: the kernel barrier has elapsed.
+func (r *appRun) Handle(any) { r.startKernel() }
+
 func (r *appRun) startKernel() {
 	warps := r.app.Warps()
 	r.live = warps
-	for w := 0; w < warps; w++ {
-		smID := r.smIDs[w%len(r.smIDs)]
-		wc := &warpCtx{
-			run:    r,
-			sm:     r.g.sms[smID],
-			stream: r.app.Stream(r.kernel, w),
-			id:     r.app.Index<<20 | r.kernel<<10 | w,
+	if r.warps == nil {
+		r.warps = make([]warpCtx, warps)
+	}
+	for w := range r.warps {
+		wc := &r.warps[w]
+		*wc = warpCtx{
+			run: r,
+			sm:  r.g.sms[r.smIDs[w%len(r.smIDs)]],
+			id:  r.app.Index<<20 | r.kernel<<10 | w,
 		}
+		r.app.ResetStream(&wc.stream, r.kernel, w)
 		// Stagger warp starts by a cycle to avoid a synchronized stampede.
-		r.g.eng.Schedule(sim.Tick(w%workload.SectorBytes), wc.step)
+		r.g.eng.Schedule(sim.Tick(w%workload.SectorBytes), wc, nil)
 	}
 }
 
@@ -140,7 +155,7 @@ func (r *appRun) warpDone() {
 	r.kernel++
 	if r.kernel < r.app.Kernels() {
 		// Kernel barrier: the next launch begins once all warps retire.
-		r.g.eng.Schedule(1, r.startKernel)
+		r.g.eng.Schedule(1, r, nil)
 		return
 	}
 	r.g.running--
@@ -155,7 +170,7 @@ func (r *appRun) warpDone() {
 type warpCtx struct {
 	run    *appRun
 	sm     *sm
-	stream *workload.Stream
+	stream workload.Stream
 	id     int
 
 	// pendingMem counts memory instructions in flight; a warp stalls
@@ -164,11 +179,45 @@ type warpCtx struct {
 	pendingMem int
 	blocked    bool
 	draining   bool
+
+	// The instruction occupying the issue pipeline. acc aliases the
+	// stream's buffer, which stays valid until the next fetch — and the
+	// warp fetches again only after this instruction has issued.
+	issuing bool
+	pc      uint64
+	acc     []workload.Access
+}
+
+// memInst tracks one memory instruction's outstanding sectors; it is
+// the Done handler of each of their requests.
+type memInst struct {
+	w           *warpCtx
+	outstanding int
+}
+
+// translated hands a request whose address the MMU has translated to
+// its SM's L1.
+type translated struct{ g *GPU }
+
+func (h translated) Handle(arg any) {
+	r := arg.(*mem.Request)
+	h.g.l1s[r.SM].Access(r)
+}
+
+// Handle implements sim.Handler: the warp's next event is either the
+// fetch of its next instruction or, while one occupies the issue
+// pipeline, that instruction's issue.
+func (w *warpCtx) Handle(any) {
+	if w.issuing {
+		w.issuing = false
+		w.issue()
+		return
+	}
+	w.step()
 }
 
 // step fetches and executes the warp's next instruction.
 func (w *warpCtx) step() {
-	g := w.run.g
 	inst, ok := w.stream.Next()
 	if !ok {
 		if w.pendingMem > 0 {
@@ -189,43 +238,53 @@ func (w *warpCtx) step() {
 	if cost < 1 {
 		cost, insts = 1, 1
 	}
-	g.Insts.Add(uint64(insts))
-	acc := inst.Acc
-	pc := inst.PC
-	w.sm.issue.Acquire(cost, func() {
-		if len(acc) == 0 {
-			g.eng.Schedule(0, w.step)
-			return
-		}
-		w.pendingMem++
-		outstanding := len(acc)
-		for _, a := range acc {
-			a := a
-			g.mmu.Request(w.sm.id, a.Addr, func(pa uint64) {
-				r := &mem.Request{
-					Addr: pa, Size: workload.SectorBytes, Write: a.Write,
-					PC: pc, Warp: w.id, SM: w.sm.id,
-					Done: func() {
-						outstanding--
-						if outstanding == 0 {
-							w.memDone()
-						}
-					},
-				}
-				g.l1s[w.sm.id].Access(r)
-			})
-		}
-		max := g.cfg.MaxPerWarpMem
-		if max < 1 {
-			max = 1
-		}
-		if w.pendingMem < max {
-			// Run ahead to the next instruction.
-			g.eng.Schedule(1, w.step)
-		} else {
-			w.blocked = true
-		}
-	})
+	w.run.g.Insts.Add(uint64(insts))
+	w.issuing, w.pc, w.acc = true, inst.PC, inst.Acc
+	w.sm.issue.Acquire(cost, w, nil)
+}
+
+// issue sends the issued instruction's sectors to the MMU and runs
+// ahead, or stalls at the outstanding-instruction limit.
+func (w *warpCtx) issue() {
+	g := w.run.g
+	acc := w.acc
+	w.acc = nil
+	if len(acc) == 0 {
+		g.eng.Schedule(0, w, nil)
+		return
+	}
+	w.pendingMem++
+	m := g.insts.Get()
+	m.w, m.outstanding = w, len(acc)
+	for _, a := range acc {
+		r := g.reqs.Get()
+		r.Addr, r.Size, r.Write = a.Addr, workload.SectorBytes, a.Write
+		r.PC, r.Warp, r.SM, r.Done = w.pc, w.id, w.sm.id, m
+		g.mmu.Request(w.sm.id, r, translated{g})
+	}
+	max := g.cfg.MaxPerWarpMem
+	if max < 1 {
+		max = 1
+	}
+	if w.pendingMem < max {
+		// Run ahead to the next instruction.
+		g.eng.Schedule(1, w, nil)
+	} else {
+		w.blocked = true
+	}
+}
+
+// Handle implements sim.Handler: one of the instruction's sectors
+// completed.
+func (m *memInst) Handle(arg any) {
+	w := m.w
+	g := w.run.g
+	g.reqs.Put(arg.(*mem.Request))
+	m.outstanding--
+	if m.outstanding == 0 {
+		g.insts.Put(m)
+		w.memDone()
+	}
 }
 
 // memDone retires one memory instruction and resumes the warp if it
@@ -241,6 +300,6 @@ func (w *warpCtx) memDone() {
 	}
 	if w.blocked {
 		w.blocked = false
-		g.eng.Schedule(1, w.step)
+		g.eng.Schedule(1, w, nil)
 	}
 }

@@ -3,6 +3,8 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+
+	"zng/internal/sim"
 )
 
 func TestLineAddr(t *testing.T) {
@@ -46,7 +48,7 @@ func TestCompleteNilSafe(t *testing.T) {
 	r := &Request{}
 	r.Complete() // must not panic with nil Done
 	called := 0
-	r.Done = func() { called++ }
+	r.Done = sim.Func(func() { called++ })
 	r.Complete()
 	if called != 1 {
 		t.Errorf("called = %d", called)
@@ -57,8 +59,45 @@ func TestFuncAdapter(t *testing.T) {
 	hit := false
 	var m Memory = Func(func(r *Request) { hit = true; r.Complete() })
 	done := false
-	m.Access(&Request{Done: func() { done = true }})
+	m.Access(&Request{Done: sim.Func(func() { done = true })})
 	if !hit || !done {
 		t.Error("Func adapter failed")
+	}
+}
+
+func TestQueueFIFO(t *testing.T) {
+	var q Queue
+	rs := []*Request{{Addr: 1}, {Addr: 2}, {Addr: 3}}
+	for _, r := range rs {
+		q.Push(r)
+	}
+	if q.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", q.Len())
+	}
+	if r := q.Pop(); r != rs[0] {
+		t.Fatalf("first Pop = %v, want request 1", r)
+	}
+	q.Push(rs[0]) // a popped request may be queued again
+	for _, want := range []uint64{2, 3, 1} {
+		if r := q.Pop(); r == nil || r.Addr != want {
+			t.Fatalf("Pop = %v, want addr %d", r, want)
+		}
+	}
+	if q.Pop() != nil || q.Len() != 0 {
+		t.Fatal("queue not empty after draining")
+	}
+}
+
+// A request scheduled as its own completion event fires Done with
+// itself as the argument.
+func TestRequestAsCompletionEvent(t *testing.T) {
+	eng := sim.NewEngine()
+	var got *Request
+	r := &Request{}
+	r.Done = sim.Func(func() { got = r })
+	eng.Schedule(3, r, nil)
+	eng.Run()
+	if got != r || eng.Now() != 3 {
+		t.Fatalf("completion fired with %v at %d, want r at 3", got, eng.Now())
 	}
 }

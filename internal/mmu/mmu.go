@@ -18,6 +18,8 @@ package mmu
 
 import (
 	"zng/internal/config"
+	"zng/internal/intmap"
+	"zng/internal/mem"
 	"zng/internal/sim"
 	"zng/internal/stats"
 )
@@ -27,13 +29,12 @@ const PageBytes = 4096
 
 // tlb is a set-associative translation buffer with exact per-set LRU
 // replacement, laid out as dense slot arrays: per-set intrusive LRU
-// lists give O(1) hit promotion and eviction, and a small
-// open-addressed index (linear probing with backward-shift deletion,
-// <=50% load) gives O(1) slot resolution without map overhead or the
-// O(capacity) victim scan the map-backed buffer paid on every
-// eviction. A single set with as many ways as entries — the
-// simulator's default geometry — is exactly the fully-associative
-// LRU buffer of Sections II-A/III-B.
+// lists give O(1) hit promotion and eviction, and an open-addressed
+// page -> slot index (internal/intmap, <=50% load) gives O(1) slot
+// resolution without map overhead or the O(capacity) victim scan the
+// map-backed buffer paid on every eviction. A single set with as many
+// ways as entries — the simulator's default geometry — is exactly the
+// fully-associative LRU buffer of Sections II-A/III-B.
 type tlb struct {
 	sets, ways int
 
@@ -45,10 +46,7 @@ type tlb struct {
 	// count. -1 marks an empty list.
 	head, tail, free, size []int32
 
-	// Open-addressed page -> slot+1 index (0 = empty).
-	idxKey  []uint64
-	idxSlot []int32
-	idxMask uint64
+	idx *intmap.Map // page -> slot
 }
 
 // newTLB builds the default fully-associative geometry.
@@ -58,10 +56,6 @@ func newTLB(capacity int) *tlb { return newSetAssocTLB(1, capacity) }
 // page number modulo sets.
 func newSetAssocTLB(sets, ways int) *tlb {
 	n := sets * ways
-	idxSize := 1
-	for idxSize < 2*n {
-		idxSize <<= 1
-	}
 	t := &tlb{
 		sets: sets, ways: ways,
 		keys: make([]uint64, n),
@@ -71,10 +65,7 @@ func newSetAssocTLB(sets, ways int) *tlb {
 		tail: make([]int32, sets),
 		free: make([]int32, sets),
 		size: make([]int32, sets),
-
-		idxKey:  make([]uint64, idxSize),
-		idxSlot: make([]int32, idxSize),
-		idxMask: uint64(idxSize - 1),
+		idx:  intmap.New(n),
 	}
 	for s := 0; s < sets; s++ {
 		t.head[s], t.tail[s] = -1, -1
@@ -88,57 +79,6 @@ func newSetAssocTLB(sets, ways int) *tlb {
 		}
 	}
 	return t
-}
-
-func (t *tlb) hash(page uint64) uint64 {
-	return (page * 0x9E3779B97F4A7C15) >> 32 & t.idxMask
-}
-
-// find resolves page to its slot through the index.
-func (t *tlb) find(page uint64) (int32, bool) {
-	for i := t.hash(page); t.idxSlot[i] != 0; i = (i + 1) & t.idxMask {
-		if t.idxKey[i] == page {
-			return t.idxSlot[i] - 1, true
-		}
-	}
-	return 0, false
-}
-
-func (t *tlb) idxInsert(page uint64, slot int32) {
-	i := t.hash(page)
-	for t.idxSlot[i] != 0 {
-		i = (i + 1) & t.idxMask
-	}
-	t.idxKey[i] = page
-	t.idxSlot[i] = slot + 1
-}
-
-// idxDelete removes page's index entry, backward-shifting the probe
-// run so linear probing never needs tombstones.
-func (t *tlb) idxDelete(page uint64) {
-	i := t.hash(page)
-	for t.idxKey[i] != page || t.idxSlot[i] == 0 {
-		i = (i + 1) & t.idxMask
-	}
-	for {
-		t.idxSlot[i] = 0
-		j := i
-		for {
-			j = (j + 1) & t.idxMask
-			if t.idxSlot[j] == 0 {
-				return
-			}
-			h := t.hash(t.idxKey[j])
-			// Move j's entry into the hole at i only if its home
-			// position lies cyclically outside (i, j] — otherwise the
-			// entry is still reachable from its home and must stay.
-			if i <= j && h <= i || h > j && (i <= j || h <= i) {
-				t.idxKey[i], t.idxSlot[i] = t.idxKey[j], t.idxSlot[j]
-				i = j
-				break
-			}
-		}
-	}
 }
 
 // listUnlink removes slot from set s's LRU list.
@@ -172,7 +112,7 @@ func (t *tlb) set(page uint64) int { return int(page % uint64(t.sets)) }
 // evict drops set s's LRU entry, freeing its slot.
 func (t *tlb) evict(s int) {
 	victim := t.tail[s]
-	t.idxDelete(t.keys[victim])
+	t.idx.Delete(t.keys[victim])
 	t.listUnlink(s, victim)
 	t.next[victim] = t.free[s]
 	t.free[s] = victim
@@ -180,7 +120,7 @@ func (t *tlb) evict(s int) {
 }
 
 func (t *tlb) lookup(page uint64) bool {
-	slot, ok := t.find(page)
+	slot, ok := t.idx.Get(page)
 	if !ok {
 		return false
 	}
@@ -201,7 +141,7 @@ func (t *tlb) insert(page uint64) {
 	if int(t.size[s]) >= t.ways {
 		t.evict(s)
 	}
-	if slot, ok := t.find(page); ok {
+	if slot, ok := t.idx.Get(page); ok {
 		if t.head[s] != slot {
 			t.listUnlink(s, slot)
 			t.listPushFront(s, slot)
@@ -211,19 +151,19 @@ func (t *tlb) insert(page uint64) {
 	slot := t.free[s]
 	t.free[s] = t.next[slot]
 	t.keys[slot] = page
-	t.idxInsert(page, slot)
+	t.idx.Put(page, slot)
 	t.listPushFront(s, slot)
 	t.size[s]++
 }
 
 // invalidate drops page if present.
 func (t *tlb) invalidate(page uint64) {
-	slot, ok := t.find(page)
+	slot, ok := t.idx.Get(page)
 	if !ok {
 		return
 	}
 	s := int(slot) / t.ways
-	t.idxDelete(page)
+	t.idx.Delete(page)
 	t.listUnlink(s, slot)
 	t.next[slot] = t.free[s]
 	t.free[s] = slot
@@ -233,7 +173,7 @@ func (t *tlb) invalidate(page uint64) {
 // stateBytes reports the buffer's allocated footprint.
 func (t *tlb) stateBytes() uint64 {
 	n := uint64(len(t.keys))
-	return n*8 + n*4*2 + uint64(len(t.head))*4*4 + uint64(len(t.idxKey))*12
+	return n*8 + n*4*2 + uint64(len(t.head))*4*4 + t.idx.StateBytes()
 }
 
 // Unit is the shared MMU plus the per-SM L1 TLBs.
@@ -258,9 +198,12 @@ type Unit struct {
 	Translate func(va uint64) uint64
 
 	// Fault, if non-nil, is consulted on every translation; returning
-	// true means the page is non-resident and resume will be invoked
-	// by the platform when the fault is serviced (Hetero's host path).
-	Fault func(va uint64, resume func()) bool
+	// true means the page is non-resident and the platform calls
+	// resume.Handle(nil) when the fault is serviced (Hetero's host
+	// path).
+	Fault func(va uint64, resume sim.Handler) bool
+
+	xlates sim.FreeList[xlate]
 
 	// Statistics.
 	L1Hits, L1Misses   stats.Counter
@@ -293,35 +236,45 @@ func BaselineWalkLat(cfg config.MMU) sim.Tick {
 	return sim.Tick(cfg.WalkLevels) * cfg.WalkMemLatency
 }
 
-// Request translates va for the given SM and calls done with the
-// physical address. Latency is charged per the TLB/walk/fault path.
-func (u *Unit) Request(sm int, va uint64, done func(pa uint64)) {
+// xlate is one translation in flight. It is its own event handler:
+// walk completion, fault resumption and the final hand-off all arrive
+// at it, and stage says which.
+type xlate struct {
+	u     *Unit
+	r     *mem.Request
+	done  sim.Handler
+	sm    int
+	stage xlateStage
+	// delay is charged between the fault check and the hand-off; it
+	// applies only when deferred (a completed walk hands off at once).
+	delay    sim.Tick
+	deferred bool
+}
+
+type xlateStage uint8
+
+const (
+	walking   xlateStage = iota // on a walker thread
+	faulting                    // waiting for the platform's fault service
+	finishing                   // hand-off latency elapsing
+)
+
+// Request translates r.Addr, a virtual address issued by the given SM,
+// to the platform's physical address in place, then delivers
+// done.Handle(r). Latency is charged per the TLB/walk/fault path.
+func (u *Unit) Request(sm int, r *mem.Request, done sim.Handler) {
 	if u.Translate == nil {
 		panic("mmu: Translate not configured")
 	}
-	page := va / PageBytes
-
-	finish := func() {
-		pa := u.Translate(va)
-		done(pa)
-	}
-
-	withFault := func(after func()) {
-		if u.Fault == nil {
-			after()
-			return
-		}
-		if u.Fault(va, after) {
-			u.Faults.Inc()
-			return // platform resumes us
-		}
-		after()
-	}
+	page := r.Addr / PageBytes
+	x := u.xlates.Get()
+	x.u, x.r, x.done, x.sm = u, r, done, sm
 
 	if u.l1[sm].lookup(page) {
 		u.L1Hits.Inc()
 		// A TLB hit still requires residency (Hetero can evict pages).
-		withFault(func() { u.eng.Schedule(1, finish) })
+		x.delay, x.deferred = 1, true
+		x.checkFault()
 		return
 	}
 	u.L1Misses.Inc()
@@ -329,17 +282,60 @@ func (u *Unit) Request(sm int, va uint64, done func(pa uint64)) {
 	if u.walkCache.lookup(page) {
 		u.WalkCacheHits.Inc()
 		u.l1[sm].insert(page)
-		withFault(func() { u.eng.Schedule(u.WalkCacheLat, finish) })
+		x.delay, x.deferred = u.WalkCacheLat, true
+		x.checkFault()
 		return
 	}
 
 	// Full walk on one of the walker threads.
 	u.Walks.Inc()
-	u.walkers.Acquire(u.WalkLat, func() {
-		u.walkCache.insert(page)
-		u.l1[sm].insert(page)
-		withFault(finish)
-	})
+	x.stage = walking
+	u.walkers.Acquire(u.WalkLat, x, nil)
+}
+
+// Handle implements sim.Handler for the translation's own events.
+func (x *xlate) Handle(any) {
+	switch x.stage {
+	case walking:
+		page := x.r.Addr / PageBytes
+		x.u.walkCache.insert(page)
+		x.u.l1[x.sm].insert(page)
+		x.checkFault()
+	case faulting:
+		x.resume()
+	default:
+		x.finish()
+	}
+}
+
+// checkFault consults the platform's residency hook before the
+// hand-off.
+func (x *xlate) checkFault() {
+	u := x.u
+	if u.Fault != nil {
+		x.stage = faulting
+		if u.Fault(x.r.Addr, x) {
+			u.Faults.Inc()
+			return // the platform resumes us
+		}
+	}
+	x.resume()
+}
+
+func (x *xlate) resume() {
+	if x.deferred {
+		x.stage = finishing
+		x.u.eng.Schedule(x.delay, x, nil)
+		return
+	}
+	x.finish()
+}
+
+func (x *xlate) finish() {
+	u, r, done := x.u, x.r, x.done
+	u.xlates.Put(x)
+	r.Addr = u.Translate(r.Addr)
+	done.Handle(r)
 }
 
 // InvalidatePage drops a page from every TLB level (used when the

@@ -4,8 +4,16 @@ import (
 	"testing"
 
 	"zng/internal/config"
+	"zng/internal/mem"
 	"zng/internal/sim"
 )
+
+// translate issues one translation of va and calls fn with the
+// physical address when it is handed off.
+func translate(u *Unit, sm int, va uint64, fn func(pa uint64)) {
+	r := &mem.Request{Addr: va}
+	u.Request(sm, r, sim.Func(func() { fn(r.Addr) }))
+}
 
 func newUnit(eng *sim.Engine, walkLat sim.Tick) *Unit {
 	cfg := config.Default().MMU
@@ -18,7 +26,7 @@ func TestTranslationMissThenHit(t *testing.T) {
 	eng := sim.NewEngine()
 	u := newUnit(eng, 400)
 	var pa uint64
-	u.Request(0, 0x4000, func(p uint64) { pa = p })
+	translate(u, 0, 0x4000, func(p uint64) { pa = p })
 	eng.Run()
 	missTime := eng.Now()
 	if pa != 0x4000+0x1000_0000 {
@@ -32,7 +40,7 @@ func TestTranslationMissThenHit(t *testing.T) {
 	}
 
 	start := eng.Now()
-	u.Request(0, 0x4008, func(p uint64) { pa = p }) // same page: L1 TLB hit
+	translate(u, 0, 0x4008, func(p uint64) { pa = p }) // same page: L1 TLB hit
 	eng.Run()
 	if eng.Now()-start > 5 {
 		t.Errorf("TLB hit took %d ticks", eng.Now()-start)
@@ -45,11 +53,11 @@ func TestTranslationMissThenHit(t *testing.T) {
 func TestWalkCacheSharedAcrossSMs(t *testing.T) {
 	eng := sim.NewEngine()
 	u := newUnit(eng, 400)
-	u.Request(0, 0x8000, func(uint64) {})
+	translate(u, 0, 0x8000, func(uint64) {})
 	eng.Run()
 	start := eng.Now()
 	// SM 1 misses its own L1 TLB but hits the shared walk cache.
-	u.Request(1, 0x8000, func(uint64) {})
+	translate(u, 1, 0x8000, func(uint64) {})
 	eng.Run()
 	if u.WalkCacheHits.Value() != 1 {
 		t.Errorf("walk cache hits = %d, want 1", u.WalkCacheHits.Value())
@@ -67,7 +75,7 @@ func TestWalkerConcurrencyLimit(t *testing.T) {
 	u.Translate = func(va uint64) uint64 { return va }
 	done := 0
 	for i := 0; i < 4; i++ {
-		u.Request(0, uint64(i)<<12<<8, func(uint64) { done++ }) // distinct pages
+		translate(u, 0, uint64(i)<<12<<8, func(uint64) { done++ }) // distinct pages
 	}
 	eng.Run()
 	if done != 4 {
@@ -83,7 +91,7 @@ func TestDBMTFastWalk(t *testing.T) {
 	// ZnG mode: walk latency is the 4-cycle DBMT lookup.
 	eng := sim.NewEngine()
 	u := newUnit(eng, config.Default().MMU.DBMTLatency)
-	u.Request(0, 0xA000, func(uint64) {})
+	translate(u, 0, 0xA000, func(uint64) {})
 	eng.Run()
 	if eng.Now() > 20 {
 		t.Errorf("DBMT walk took %d ticks, want a handful", eng.Now())
@@ -98,10 +106,10 @@ func TestL1TLBEviction(t *testing.T) {
 	u := New(eng, cfg, 1, 50)
 	u.Translate = func(va uint64) uint64 { return va }
 	for i := 0; i < 3; i++ { // 3 pages through a 2-entry TLB
-		u.Request(0, uint64(i)*PageBytes, func(uint64) {})
+		translate(u, 0, uint64(i)*PageBytes, func(uint64) {})
 		eng.Run()
 	}
-	u.Request(0, 0, func(uint64) {}) // page 0 evicted from both TLB and walk cache
+	translate(u, 0, 0, func(uint64) {}) // page 0 evicted from both TLB and walk cache
 	eng.Run()
 	if u.Walks.Value() != 4 {
 		t.Errorf("walks = %d, want 4 (page 0 re-walked)", u.Walks.Value())
@@ -113,18 +121,18 @@ func TestFaultPath(t *testing.T) {
 	u := newUnit(eng, 10)
 	resident := map[uint64]bool{}
 	var pending []func()
-	u.Fault = func(va uint64, resume func()) bool {
+	u.Fault = func(va uint64, resume sim.Handler) bool {
 		if resident[va/PageBytes] {
 			return false
 		}
 		pending = append(pending, func() {
 			resident[va/PageBytes] = true
-			resume()
+			resume.Handle(nil)
 		})
 		return true
 	}
 	done := false
-	u.Request(0, 0xC000, func(uint64) { done = true })
+	translate(u, 0, 0xC000, func(uint64) { done = true })
 	eng.Run()
 	if done {
 		t.Fatal("request completed without fault service")
@@ -145,10 +153,10 @@ func TestFaultPath(t *testing.T) {
 func TestInvalidatePage(t *testing.T) {
 	eng := sim.NewEngine()
 	u := newUnit(eng, 100)
-	u.Request(0, 0xE000, func(uint64) {})
+	translate(u, 0, 0xE000, func(uint64) {})
 	eng.Run()
 	u.InvalidatePage(0xE000 / PageBytes)
-	u.Request(0, 0xE000, func(uint64) {})
+	translate(u, 0, 0xE000, func(uint64) {})
 	eng.Run()
 	if u.Walks.Value() != 2 {
 		t.Errorf("walks = %d, want 2 after invalidate", u.Walks.Value())
@@ -158,10 +166,10 @@ func TestInvalidatePage(t *testing.T) {
 func TestL1HitRate(t *testing.T) {
 	eng := sim.NewEngine()
 	u := newUnit(eng, 10)
-	u.Request(0, 0, func(uint64) {})
+	translate(u, 0, 0, func(uint64) {})
 	eng.Run()
 	for i := 0; i < 3; i++ {
-		u.Request(0, uint64(i*8), func(uint64) {})
+		translate(u, 0, uint64(i*8), func(uint64) {})
 		eng.Run()
 	}
 	if hr := u.L1HitRate(); hr != 0.75 {

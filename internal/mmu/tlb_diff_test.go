@@ -84,7 +84,7 @@ func TestTLBDifferential(t *testing.T) {
 		// Final-state equivalence: exactly the same resident set.
 		for p := uint64(0); p < pages; p++ {
 			_, inRef := ref.entries[p]
-			if _, inDense := dense.find(p); inDense != inRef {
+			if _, inDense := dense.idx.Get(p); inDense != inRef {
 				t.Fatalf("cap %d: page %d residency diverged (dense %v, ref %v)",
 					capacity, p, inDense, inRef)
 			}
@@ -150,7 +150,7 @@ func TestUnitCountersDifferential(t *testing.T) {
 		va := r.Uint64n(64) * PageBytes
 		page := va / PageBytes
 		done := false
-		u.Request(sm, va, func(uint64) { done = true })
+		translate(u, sm, va, func(uint64) { done = true })
 		eng.Run()
 		if !done {
 			t.Fatalf("op %d: translation never completed", op)

@@ -43,10 +43,11 @@ func NewXbar(eng *sim.Engine, n int, width float64, latency sim.Tick) *Xbar {
 // Ports reports the endpoint count.
 func (x *Xbar) Ports() int { return len(x.outs) }
 
-// Send moves n bytes to endpoint dst and schedules fn at delivery.
-func (x *Xbar) Send(dst, n int, fn func()) {
+// Send moves n bytes to endpoint dst and delivers h.Handle(arg) on
+// arrival.
+func (x *Xbar) Send(dst, n int, h sim.Handler, arg any) {
 	x.Bytes.Add(uint64(n))
-	x.outs[dst].Send(n, fn)
+	x.outs[dst].Send(n, h, arg)
 }
 
 // OutBusy reports the cumulative busy time of endpoint dst's port.
@@ -62,8 +63,22 @@ type Mesh struct {
 	north, south [][]*sim.Port // north: toward y-1, south: toward y+1
 	local        []*sim.Port   // ejection into the node
 
+	msgs sim.FreeList[message]
+
 	Bytes    stats.Counter
 	Messages stats.Counter
+}
+
+// message is one multi-hop transfer in flight: its position, its
+// destination, and the event to deliver on ejection. It is its own
+// event handler, arriving at each router in turn.
+type message struct {
+	m      *Mesh
+	x, y   int
+	dx, dy int
+	n      int
+	h      sim.Handler
+	arg    any
 }
 
 // NewMesh builds a dim x dim mesh with per-link width (bytes/tick) and
@@ -100,33 +115,50 @@ func (m *Mesh) Hops(src, dst int) int {
 	return abs(sx-dx) + abs(sy-dy)
 }
 
-// Send routes n bytes from src to dst (XY order) and schedules fn on
-// delivery. src == dst still pays the local ejection port.
-func (m *Mesh) Send(src, dst, n int, fn func()) {
+// Send routes n bytes from src to dst (XY order) and delivers
+// h.Handle(arg) on arrival. src == dst still pays the local ejection
+// port.
+func (m *Mesh) Send(src, dst, n int, h sim.Handler, arg any) {
 	if src < 0 || src >= m.Nodes() || dst < 0 || dst >= m.Nodes() {
 		panic(fmt.Sprintf("noc: bad mesh endpoints %d -> %d", src, dst))
 	}
 	m.Bytes.Add(uint64(n))
 	m.Messages.Inc()
-	m.step(src%m.dim, src/m.dim, dst%m.dim, dst/m.dim, n, fn)
+	if src == dst {
+		m.local[dst].Send(n, h, arg)
+		return
+	}
+	msg := m.msgs.Get()
+	*msg = message{m: m, x: src % m.dim, y: src / m.dim, dx: dst % m.dim, dy: dst / m.dim, n: n, h: h, arg: arg}
+	msg.forward()
 }
 
-// step forwards the message one hop at a time: X first, then Y, then
-// the local ejection port.
-func (m *Mesh) step(x, y, dx, dy, n int, fn func()) {
+// forward moves the message one hop: X first, then Y, then the local
+// ejection port, where it is recycled.
+func (msg *message) forward() {
+	m, x, y := msg.m, msg.x, msg.y
 	switch {
-	case x < dx:
-		m.east[y][x].Send(n, func() { m.step(x+1, y, dx, dy, n, fn) })
-	case x > dx:
-		m.west[y][x].Send(n, func() { m.step(x-1, y, dx, dy, n, fn) })
-	case y < dy:
-		m.south[y][x].Send(n, func() { m.step(x, y+1, dx, dy, n, fn) })
-	case y > dy:
-		m.north[y][x].Send(n, func() { m.step(x, y-1, dx, dy, n, fn) })
+	case x < msg.dx:
+		msg.x++
+		m.east[y][x].Send(msg.n, msg, nil)
+	case x > msg.dx:
+		msg.x--
+		m.west[y][x].Send(msg.n, msg, nil)
+	case y < msg.dy:
+		msg.y++
+		m.south[y][x].Send(msg.n, msg, nil)
+	case y > msg.dy:
+		msg.y--
+		m.north[y][x].Send(msg.n, msg, nil)
 	default:
-		m.local[y*m.dim+x].Send(n, fn)
+		n, h, arg := msg.n, msg.h, msg.arg
+		m.msgs.Put(msg)
+		m.local[y*m.dim+x].Send(n, h, arg)
 	}
 }
+
+// Handle implements sim.Handler: the message reached its next router.
+func (msg *message) Handle(any) { msg.forward() }
 
 // Bus models the legacy shared flash channel of HybridGPU: every
 // package on the channel contends for one serialized medium.
@@ -140,10 +172,11 @@ func NewBus(eng *sim.Engine, width float64, latency sim.Tick) *Bus {
 	return &Bus{port: sim.NewPort(eng, width, latency)}
 }
 
-// Send transfers n bytes over the shared medium.
-func (b *Bus) Send(n int, fn func()) {
+// Send transfers n bytes over the shared medium and delivers
+// h.Handle(arg) on arrival.
+func (b *Bus) Send(n int, h sim.Handler, arg any) {
 	b.Bytes.Add(uint64(n))
-	b.port.Send(n, fn)
+	b.port.Send(n, h, arg)
 }
 
 // BusyTicks reports cumulative bus occupancy.

@@ -10,7 +10,7 @@ func TestXbarDelivery(t *testing.T) {
 	eng := sim.NewEngine()
 	x := NewXbar(eng, 4, 8, 5)
 	var at sim.Tick
-	x.Send(2, 64, func() { at = eng.Now() })
+	x.Send(2, 64, sim.Func(func() { at = eng.Now() }), nil)
 	eng.Run()
 	if at != 64/8+5 {
 		t.Errorf("delivery at %d, want 13", at)
@@ -24,8 +24,8 @@ func TestXbarIndependentOutputs(t *testing.T) {
 	eng := sim.NewEngine()
 	x := NewXbar(eng, 2, 1, 0)
 	var a, b sim.Tick
-	x.Send(0, 100, func() { a = eng.Now() })
-	x.Send(1, 100, func() { b = eng.Now() })
+	x.Send(0, 100, sim.Func(func() { a = eng.Now() }), nil)
+	x.Send(1, 100, sim.Func(func() { b = eng.Now() }), nil)
 	eng.Run()
 	if a != 100 || b != 100 {
 		t.Errorf("a=%d b=%d, want both 100 (no cross-port contention)", a, b)
@@ -36,8 +36,8 @@ func TestXbarOutputContention(t *testing.T) {
 	eng := sim.NewEngine()
 	x := NewXbar(eng, 2, 1, 0)
 	var a, b sim.Tick
-	x.Send(0, 100, func() { a = eng.Now() })
-	x.Send(0, 100, func() { b = eng.Now() })
+	x.Send(0, 100, sim.Func(func() { a = eng.Now() }), nil)
+	x.Send(0, 100, sim.Func(func() { b = eng.Now() }), nil)
 	eng.Run()
 	if a != 100 || b != 200 {
 		t.Errorf("a=%d b=%d, want 100 and 200 (serialized)", a, b)
@@ -64,11 +64,11 @@ func TestMeshLatencyScalesWithDistance(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMesh(eng, 4, 8, 2)
 	var near, far sim.Tick
-	m.Send(0, 1, 64, func() { near = eng.Now() })
+	m.Send(0, 1, 64, sim.Func(func() { near = eng.Now() }), nil)
 	eng.Run()
 	e2 := sim.NewEngine()
 	m2 := NewMesh(e2, 4, 8, 2)
-	m2.Send(0, 15, 64, func() { far = e2.Now() })
+	m2.Send(0, 15, 64, sim.Func(func() { far = e2.Now() }), nil)
 	e2.Run()
 	if far <= near {
 		t.Errorf("far (%d) should exceed near (%d)", far, near)
@@ -84,8 +84,8 @@ func TestMeshLinkContention(t *testing.T) {
 	m := NewMesh(eng, 2, 1, 0)
 	// Two messages share the east link (0,0)->(1,0).
 	var a, b sim.Tick
-	m.Send(0, 1, 50, func() { a = eng.Now() })
-	m.Send(0, 1, 50, func() { b = eng.Now() })
+	m.Send(0, 1, 50, sim.Func(func() { a = eng.Now() }), nil)
+	m.Send(0, 1, 50, sim.Func(func() { b = eng.Now() }), nil)
 	eng.Run()
 	if b-a != 50 {
 		t.Errorf("second message should trail by one serialization: a=%d b=%d", a, b)
@@ -96,8 +96,8 @@ func TestMeshDisjointPathsParallel(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMesh(eng, 2, 1, 0)
 	var a, b sim.Tick
-	m.Send(0, 1, 50, func() { a = eng.Now() }) // east on row 0
-	m.Send(2, 3, 50, func() { b = eng.Now() }) // east on row 1
+	m.Send(0, 1, 50, sim.Func(func() { a = eng.Now() }), nil) // east on row 0
+	m.Send(2, 3, 50, sim.Func(func() { b = eng.Now() }), nil) // east on row 1
 	eng.Run()
 	if a != b {
 		t.Errorf("disjoint paths should not contend: a=%d b=%d", a, b)
@@ -108,7 +108,7 @@ func TestMeshSelfSend(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMesh(eng, 4, 8, 3)
 	var at sim.Tick
-	m.Send(5, 5, 8, func() { at = eng.Now() })
+	m.Send(5, 5, 8, sim.Func(func() { at = eng.Now() }), nil)
 	eng.Run()
 	if at != 1+3 {
 		t.Errorf("self send at %d, want ejection only (4)", at)
@@ -126,15 +126,15 @@ func TestMeshBadEndpointsPanic(t *testing.T) {
 			t.Error("want panic for out-of-range node")
 		}
 	}()
-	m.Send(0, 99, 8, nil)
+	m.Send(0, 99, 8, nil, nil)
 }
 
 func TestBusSerializesEverything(t *testing.T) {
 	eng := sim.NewEngine()
 	b := NewBus(eng, 2, 1)
 	var t1, t2 sim.Tick
-	b.Send(100, func() { t1 = eng.Now() })
-	b.Send(100, func() { t2 = eng.Now() })
+	b.Send(100, sim.Func(func() { t1 = eng.Now() }), nil)
+	b.Send(100, sim.Func(func() { t2 = eng.Now() }), nil)
 	eng.Run()
 	if t1 != 51 || t2 != 101 {
 		t.Errorf("t1=%d t2=%d, want 51 and 101", t1, t2)
@@ -152,7 +152,7 @@ func TestMeshAggregateExceedsBus(t *testing.T) {
 	m := NewMesh(engM, 2, 1, 0)
 	doneM := 0
 	for _, sd := range [][2]int{{0, 1}, {1, 0}, {2, 3}, {3, 2}} {
-		m.Send(sd[0], sd[1], 100, func() { doneM++ })
+		m.Send(sd[0], sd[1], 100, sim.Func(func() { doneM++ }), nil)
 	}
 	engM.Run()
 	meshTime := engM.Now()
@@ -161,7 +161,7 @@ func TestMeshAggregateExceedsBus(t *testing.T) {
 	b := NewBus(engB, 1, 0)
 	doneB := 0
 	for i := 0; i < 4; i++ {
-		b.Send(100, func() { doneB++ })
+		b.Send(100, sim.Func(func() { doneB++ }), nil)
 	}
 	engB.Run()
 	busTime := engB.Now()

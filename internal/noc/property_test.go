@@ -19,7 +19,7 @@ func TestMeshDeliversAllProperty(t *testing.T) {
 			src := int(raw) % 16
 			dst := int(raw>>4) % 16
 			size := int(raw%512) + 1
-			m.Send(src, dst, size, func() { got++ })
+			m.Send(src, dst, size, sim.Func(func() { got++ }), nil)
 		}
 		eng.Run()
 		return got == want && m.Messages.Value() == uint64(want)
@@ -55,7 +55,7 @@ func soloDelivery(src, dst int) sim.Tick {
 	eng := sim.NewEngine()
 	m := NewMesh(eng, 4, 4, 1)
 	var at sim.Tick
-	m.Send(src, dst, 64, func() { at = eng.Now() })
+	m.Send(src, dst, 64, sim.Func(func() { at = eng.Now() }), nil)
 	eng.Run()
 	return at
 }

@@ -1,0 +1,61 @@
+package platform
+
+import (
+	"runtime"
+	"testing"
+
+	"zng/internal/config"
+	"zng/internal/workload"
+)
+
+// mallocs reports the heap allocations one RunApps call makes.
+func mallocs(t *testing.T, k Kind, mix workload.Mix, scale float64, cfg config.Config) (uint64, Result) {
+	t.Helper()
+	apps, err := mix.Apps(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := RunApps(k, mix.Name, apps, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("%v: %v", k, err)
+	}
+	return after.Mallocs - before.Mallocs, r
+}
+
+// TestSimulationHotPathAllocFree pins the allocation-free hot path:
+// warps, caches, the MMU, the interconnects and every backend schedule
+// typed events and recycle their in-flight records, so quadrupling a
+// run's trace adds few allocations. What remains grows with the
+// model's footprint and queueing high-water marks (flash blocks and
+// FTL tables touched, record pools), not with each access. The
+// closure-per-event engine allocated about one object per retired
+// instruction on these cells; a single closure per memory access would
+// cost 0.1 or more.
+func TestSimulationHotPathAllocFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full platforms")
+	}
+	for _, c := range []struct {
+		kind Kind
+		mix  string
+	}{
+		{ZnG, "bfs1-gaus"}, {ZnGBase, "betw-back"}, {HybridGPU, "bfs1-gaus"},
+		{GDDR5, "betw-back"}, {Hetero, "bfs1-gaus"},
+	} {
+		mix, err := workload.MixByName(c.mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		small, rs := mallocs(t, c.kind, mix, 0.1, testCfg())
+		large, rl := mallocs(t, c.kind, mix, 0.4, testCfg())
+		extraInsts := float64(rl.Insts - rs.Insts)
+		extraAllocs := float64(large) - float64(small)
+		if perInst := extraAllocs / extraInsts; perInst > 0.04 {
+			t.Errorf("%v %s: %.0f extra allocations for %.0f extra instructions (%.4f per instruction, budget 0.04)",
+				c.kind, c.mix, extraAllocs, extraInsts, perInst)
+		}
+	}
+}

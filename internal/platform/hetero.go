@@ -32,7 +32,7 @@ func buildHetero(eng *sim.Engine, cfg config.Config) *system {
 		staging:  sim.NewPort(eng, config.GBpsToBytesPerTick(cfg.Host.StagingCopyBW), 0),
 		pcie:     sim.NewPort(eng, config.GBpsToBytesPerTick(cfg.Host.PCIeGBps), 0),
 		resident: make(map[uint64]uint64),
-		pending:  make(map[uint64][]func()),
+		pending:  make(map[uint64]*pageFault),
 	}
 	u.Fault = h.fault
 
@@ -60,14 +60,15 @@ type hostPath struct {
 
 	clock    uint64
 	resident map[uint64]uint64 // page -> LRU stamp
-	pending  map[uint64][]func()
+	pending  map[uint64]*pageFault
+	spare    []*pageFault // recycled, waiter lists kept
 
 	Faults    stats.Counter
 	Evictions stats.Counter
 }
 
 // fault implements the mmu.Unit fault hook.
-func (h *hostPath) fault(va uint64, resume func()) bool {
+func (h *hostPath) fault(va uint64, resume sim.Handler) bool {
 	page := va / mem.PageBytes4K
 	if _, ok := h.resident[page]; ok {
 		h.clock++
@@ -75,36 +76,66 @@ func (h *hostPath) fault(va uint64, resume func()) bool {
 		return false
 	}
 	h.Faults.Inc()
-	if waiters, inFlight := h.pending[page]; inFlight {
-		h.pending[page] = append(waiters, resume)
+	if f, inFlight := h.pending[page]; inFlight {
+		f.waiters = append(f.waiters, resume)
 		return true
 	}
-	h.pending[page] = []func(){resume}
+	var f *pageFault
+	if n := len(h.spare); n > 0 {
+		f = h.spare[n-1]
+		h.spare = h.spare[:n-1]
+	} else {
+		f = &pageFault{h: h}
+	}
+	f.page, f.stage, f.waiters = page, 0, append(f.waiters, resume)
+	h.pending[page] = f
 
 	// Interrupt + driver + user/kernel switches on a host handler, then
 	// three data movements: SSD -> host DRAM, the redundant staging
 	// copy, and PCIe DMA to the GPU (Section II-C).
-	h.handlers.Acquire(h.cfg.FaultFixedLat, func() {
-		h.ssd.Send(mem.PageBytes4K, func() {
-			h.staging.Send(mem.PageBytes4K, func() {
-				h.pcie.Send(mem.PageBytes4K, func() { h.arrive(page) })
-			})
-		})
-	})
+	h.handlers.Acquire(h.cfg.FaultFixedLat, f, nil)
 	return true
 }
 
-func (h *hostPath) arrive(page uint64) {
+// pageFault is one page fault in service and the translations waiting
+// on it. It is its own event handler; stage counts the steps done.
+type pageFault struct {
+	h       *hostPath
+	page    uint64
+	stage   int
+	waiters []sim.Handler
+}
+
+// Handle implements sim.Handler: the next step of the fault service
+// completed.
+func (f *pageFault) Handle(any) {
+	h := f.h
+	f.stage++
+	switch f.stage {
+	case 1:
+		h.ssd.Send(mem.PageBytes4K, f, nil)
+	case 2:
+		h.staging.Send(mem.PageBytes4K, f, nil)
+	case 3:
+		h.pcie.Send(mem.PageBytes4K, f, nil)
+	default:
+		h.arrive(f)
+	}
+}
+
+func (h *hostPath) arrive(f *pageFault) {
 	h.clock++
-	h.resident[page] = h.clock
+	h.resident[f.page] = h.clock
 	if len(h.resident) > h.cfg.GPUMemPages {
 		h.evictLRU()
 	}
-	waiters := h.pending[page]
-	delete(h.pending, page)
-	for _, w := range waiters {
-		w()
+	delete(h.pending, f.page)
+	for _, w := range f.waiters {
+		w.Handle(nil)
 	}
+	clear(f.waiters)
+	f.waiters = f.waiters[:0]
+	h.spare = append(h.spare, f)
 }
 
 func (h *hostPath) evictLRU() {

@@ -6,6 +6,7 @@ import (
 	"zng/internal/flash"
 	"zng/internal/ftl"
 	"zng/internal/gpu"
+	"zng/internal/intmap"
 	"zng/internal/mem"
 	"zng/internal/mmu"
 	"zng/internal/noc"
@@ -52,9 +53,9 @@ func buildZnG(eng *sim.Engine, kind Kind, cfg config.Config) *system {
 
 	ctl := &zngController{
 		eng: eng, bb: bb, split: split, mesh: mesh, xbar: xbar,
-		camLat:       rowDecoderLat,
-		sensePending: make(map[uint64][]*mem.Request),
-		readRegs:     make([]pageRing, bb.Planes()),
+		camLat:   rowDecoderLat,
+		senseIdx: intmap.New(0),
+		readRegs: make([]pageRing, bb.Planes()),
 	}
 	// At most two registers double-buffer reads; the rest (if any)
 	// belong to the write cache.
@@ -62,8 +63,12 @@ func buildZnG(eng *sim.Engine, kind Kind, cfg config.Config) *system {
 	if readRing > 2 {
 		readRing = 2
 	}
+	if readRing < 1 {
+		readRing = 1
+	}
+	pages := make([]uint64, len(ctl.readRegs)*readRing)
 	for i := range ctl.readRegs {
-		ctl.readRegs[i] = newPageRing(readRing)
+		ctl.readRegs[i] = pageRing{pages: pages[i*readRing : i*readRing : (i+1)*readRing]}
 	}
 
 	l2cfg := cfg.L2SRAM
@@ -138,12 +143,14 @@ type zngController struct {
 	pf *prefetch.Unit
 	l2 *cache.Cache
 
-	// sensePending merges concurrent fills of one flash page into a
-	// single array sense; readRegs model the plane cache registers
-	// holding recently sensed pages (Section II-B), which serve
-	// repeated reads without touching the array again.
-	sensePending map[uint64][]*mem.Request
-	readRegs     []pageRing
+	// In-flight array senses, indexed by page, merge concurrent fills
+	// of one flash page into a single sense; readRegs model the plane
+	// cache registers holding recently sensed pages (Section II-B),
+	// which serve repeated reads without touching the array again.
+	senseIdx  *intmap.Map // page -> senses slot
+	senses    []*sense
+	senseFree []int32
+	readRegs  []pageRing
 
 	DemandFills   stats.Counter
 	PrefetchBytes stats.Counter
@@ -154,13 +161,6 @@ type zngController struct {
 // pageRing is a tiny LRU of sensed pages (one per plane register).
 type pageRing struct {
 	pages []uint64
-}
-
-func newPageRing(n int) pageRing {
-	if n < 1 {
-		n = 1
-	}
-	return pageRing{pages: make([]uint64, 0, n)}
 }
 
 func (r *pageRing) contains(page uint64) bool {
@@ -183,10 +183,57 @@ func (r *pageRing) push(page uint64) {
 	r.pages = append(r.pages, page)
 }
 
+// sense is one flash-page array read in flight and the fills waiting
+// on it.
+type sense struct {
+	z       *zngController
+	slot    int32
+	page    uint64
+	plane   int
+	node    int
+	waiters mem.Queue
+}
+
 // node returns the mesh/crossbar endpoint owning va's home plane.
 func (z *zngController) node(va uint64) int {
 	vb, _ := z.split.VBlock(va)
 	return z.bb.PackageOf(z.split.PlaneOf(vb))
+}
+
+// The controller's per-request event handlers; each wraps the one
+// pointer, so passing it as a sim.Handler allocates nothing.
+type (
+	stored    struct{ z *zngController } // store reached the controller
+	commanded struct{ z *zngController } // read command reached the controller
+	decoded   struct{ z *zngController } // row-decoder CAM search done
+	delivered struct{ z *zngController } // fill crossed the mesh
+)
+
+func (h stored) Handle(arg any) {
+	r := arg.(*mem.Request)
+	h.z.regs.Write(r.Addr, r, nil)
+}
+
+func (h commanded) Handle(arg any) {
+	r := arg.(*mem.Request)
+	h.z.read(r, h.z.node(r.Addr))
+}
+
+func (h decoded) Handle(arg any) {
+	r := arg.(*mem.Request)
+	h.z.decode(r, h.z.node(r.Addr))
+}
+
+func (h delivered) Handle(arg any) {
+	z, r := h.z, arg.(*mem.Request)
+	if r.Size > 128 && z.l2 != nil {
+		ext := r.Size - 128
+		z.PrefetchBytes.Add(uint64(ext))
+		for off := 128; off < r.Size; off += 128 {
+			z.l2.InstallPrefetch(r.Addr + uint64(off))
+		}
+	}
+	r.Complete()
 }
 
 // Access implements mem.Memory for L2 fills (reads) and write-backs /
@@ -196,19 +243,17 @@ func (z *zngController) Access(r *mem.Request) {
 	if r.Write {
 		// Stores ride the crossbar to the controller, then enter the
 		// register cache.
-		z.xbar.Send(n, r.Size, func() {
-			z.regs.Write(r.Addr, r.Complete)
-		})
+		z.xbar.Send(n, r.Size, stored{z}, r)
 		return
 	}
 	// Reads: command packet to the controller first.
-	z.xbar.Send(n, 16, func() { z.read(r, n) })
+	z.xbar.Send(n, 16, commanded{z}, r)
 }
 
 func (z *zngController) read(r *mem.Request, n int) {
 	// Newest data may still sit in a flash write register.
 	if z.regs.ReadCheck(r.Addr) {
-		z.mesh.Send(n, n, r.Size, r.Complete)
+		z.mesh.Send(n, n, r.Size, r, nil)
 		return
 	}
 
@@ -220,54 +265,73 @@ func (z *zngController) read(r *mem.Request, n int) {
 		}
 	}
 
-	page := mem.PageAddr(r.Addr, z.bb.Cfg.PageBytes)
-
 	// A sense for this page already in flight: piggyback on it.
-	if waiters, ok := z.sensePending[page]; ok {
-		z.SenseMerges.Inc()
-		z.sensePending[page] = append(waiters, r)
+	if z.merge(r) {
 		return
 	}
 
 	// The page may still sit in one of the plane's cache registers.
-	z.eng.Schedule(z.camLat, func() {
-		loc := z.split.ReadLoc(r.Addr)
-		if z.readRegs[loc.Plane].contains(page) {
-			z.RegReadHits.Inc()
-			z.deliver(r, n)
-			return
-		}
-		if waiters, ok := z.sensePending[page]; ok {
-			z.SenseMerges.Inc()
-			z.sensePending[page] = append(waiters, r)
-			return
-		}
-		z.sensePending[page] = []*mem.Request{r}
-		z.DemandFills.Inc()
-		z.bb.Plane(loc.Plane).Read(loc.Block, loc.Page, func() {
-			z.readRegs[loc.Plane].push(page)
-			waiters := z.sensePending[page]
-			delete(z.sensePending, page)
-			for _, w := range waiters {
-				z.deliver(w, n)
-			}
-		})
-	})
+	z.eng.Schedule(z.camLat, decoded{z}, r)
+}
+
+// merge queues r on an in-flight sense of its page, if there is one.
+func (z *zngController) merge(r *mem.Request) bool {
+	slot, ok := z.senseIdx.Get(mem.PageAddr(r.Addr, z.bb.Cfg.PageBytes))
+	if !ok {
+		return false
+	}
+	z.SenseMerges.Inc()
+	z.senses[slot].waiters.Push(r)
+	return true
+}
+
+// decode resolves r's flash location once the row decoder has
+// searched: a plane-register hit, a merge into a sense issued
+// meanwhile, or a new array sense.
+func (z *zngController) decode(r *mem.Request, n int) {
+	page := mem.PageAddr(r.Addr, z.bb.Cfg.PageBytes)
+	loc := z.split.ReadLoc(r.Addr)
+	if z.readRegs[loc.Plane].contains(page) {
+		z.RegReadHits.Inc()
+		z.deliver(r, n)
+		return
+	}
+	if z.merge(r) {
+		return
+	}
+	var s *sense
+	if k := len(z.senseFree); k > 0 {
+		s = z.senses[z.senseFree[k-1]]
+		z.senseFree = z.senseFree[:k-1]
+	} else {
+		s = &sense{z: z, slot: int32(len(z.senses))}
+		z.senses = append(z.senses, s)
+	}
+	s.page, s.plane, s.node = page, loc.Plane, n
+	s.waiters.Push(r)
+	z.senseIdx.Put(page, s.slot)
+	z.DemandFills.Inc()
+	z.bb.Plane(loc.Plane).Read(loc.Block, loc.Page, s, nil)
+}
+
+// Handle implements sim.Handler: the array sense completed, so the
+// page sits in a plane register and every waiting fill moves on.
+func (s *sense) Handle(any) {
+	z := s.z
+	z.readRegs[s.plane].push(s.page)
+	z.senseIdx.Delete(s.page)
+	waiters := s.waiters
+	s.waiters = mem.Queue{}
+	z.senseFree = append(z.senseFree, s.slot)
+	for w := waiters.Pop(); w != nil; w = waiters.Pop() {
+		z.deliver(w, s.node)
+	}
 }
 
 // deliver moves a (possibly prefetch-widened) fill over the mesh and
 // installs any extra lines into L2.
 func (z *zngController) deliver(r *mem.Request, n int) {
-	z.mesh.Send(n, n, r.Size, func() {
-		if r.Size > 128 && z.l2 != nil {
-			ext := r.Size - 128
-			z.PrefetchBytes.Add(uint64(ext))
-			for off := 128; off < r.Size; off += 128 {
-				z.l2.InstallPrefetch(r.Addr + uint64(off))
-			}
-		}
-		r.Complete()
-	})
+	z.mesh.Send(n, n, r.Size, delivered{z}, r)
 }
 
 // planPrefetch clamps a prefetch extent to the flash page end.

@@ -27,6 +27,7 @@ import (
 	"zng/internal/config"
 	"zng/internal/flash"
 	"zng/internal/ftl"
+	"zng/internal/intmap"
 	"zng/internal/noc"
 	"zng/internal/sim"
 	"zng/internal/stats"
@@ -41,22 +42,58 @@ type PinSink interface {
 }
 
 type regEntry struct {
+	vp       uint64 // the page held
 	stamp    uint64
 	sectors  uint64 // coverage bitmap
 	regPlane int    // plane whose physical register holds the data
+	live     bool
 }
 
+// pkg is one package's register file. Its registers are dense: entry
+// slots, a free-slot stack and a vpage -> slot index, so absorbing a
+// store allocates nothing and victim selection walks an array, not a
+// map.
 type pkg struct {
-	id      int
-	cap     int
-	clock   uint64
-	entries map[uint64]*regEntry // vpage -> entry
-	owner   map[int][]uint64     // per-plane mode: plane -> resident vpages
-	local   *sim.Port            // NiF local network
-	rr      int
+	id    int
+	cap   int
+	base  int // first global plane index of the package
+	clock uint64
+	regs  []regEntry
+	free  []int32
+	idx   *intmap.Map
+	owner [][]uint64 // per-plane mode: plane in package -> resident vpages
+	local *sim.Port  // NiF local network
+	rr    int
 
 	window, misses int
 	thrashing      bool
+}
+
+// entry returns the register holding vp, or nil.
+func (p *pkg) entry(vp uint64) *regEntry {
+	if slot, ok := p.idx.Get(vp); ok {
+		return &p.regs[slot]
+	}
+	return nil
+}
+
+func (p *pkg) insert(e regEntry) {
+	n := len(p.free) - 1
+	slot := p.free[n]
+	p.free = p.free[:n]
+	e.live = true
+	p.regs[slot] = e
+	p.idx.Put(e.vp, slot)
+}
+
+// remove frees vp's register and returns what it held.
+func (p *pkg) remove(vp uint64) regEntry {
+	slot, _ := p.idx.Get(vp)
+	p.idx.Delete(vp)
+	e := p.regs[slot]
+	p.regs[slot] = regEntry{}
+	p.free = append(p.free, slot)
+	return e
 }
 
 // Cache is the backbone-wide register write cache.
@@ -72,6 +109,8 @@ type Cache struct {
 	unbuffered  bool // ZnG-base: no write caching at all
 	perPlaneDir bool // one open register per plane, no grouping
 	pinnedLines int
+
+	drains sim.FreeList[drain]
 
 	// Statistics.
 	Hits        stats.Counter
@@ -109,18 +148,25 @@ func New(eng *sim.Engine, cfg config.RegCache, bb *flash.Backbone, split *ftl.Sp
 		unbuffered: opt.Unbuffered, perPlaneDir: opt.PerPlaneDirect,
 	}
 	planesPerPkg := bb.Cfg.DiesPerPkg * bb.Cfg.PlanesPerDie
+	regs := planesPerPkg * bb.Cfg.RegsPerPlane
 	for i := 0; i < bb.Packages(); i++ {
-		capacity := planesPerPkg * bb.Cfg.RegsPerPlane
+		capacity := regs
 		if opt.PerPlaneDirect {
 			capacity = planesPerPkg
 		}
-		c.pkgs = append(c.pkgs, &pkg{
-			id:      i,
-			cap:     capacity,
-			entries: make(map[uint64]*regEntry),
-			owner:   make(map[int][]uint64),
-			local:   sim.NewPort(eng, config.GBpsToBytesPerTick(cfg.LocalNetGBps), cfg.BusLat),
-		})
+		p := &pkg{
+			id:    i,
+			cap:   capacity,
+			base:  i * planesPerPkg,
+			regs:  make([]regEntry, regs),
+			idx:   intmap.New(regs),
+			owner: make([][]uint64, planesPerPkg),
+			local: sim.NewPort(eng, config.GBpsToBytesPerTick(cfg.LocalNetGBps), cfg.BusLat),
+		}
+		for s := regs - 1; s >= 0; s-- {
+			p.free = append(p.free, int32(s))
+		}
+		c.pkgs = append(c.pkgs, p)
 	}
 	return c
 }
@@ -148,19 +194,19 @@ func (c *Cache) pkgOf(va uint64) (*pkg, int) {
 // a register (the read path must check before going to the array).
 func (c *Cache) ReadCheck(va uint64) bool {
 	p, _ := c.pkgOf(va)
-	e, ok := p.entries[c.vpage(va)]
-	hit := ok && e.sectors&c.sectorBit(va) != 0
+	e := p.entry(c.vpage(va))
+	hit := e != nil && e.sectors&c.sectorBit(va) != 0
 	if hit {
 		c.ReadHits.Inc()
 	}
 	return hit
 }
 
-// Write absorbs one sector store. fn fires when the store is durable
-// in a register — immediately on a hit or clean allocation, or after
-// the eviction it forced has drained to flash (the backpressure of a
-// thrashing register file).
-func (c *Cache) Write(va uint64, fn func()) {
+// Write absorbs one sector store and delivers h.Handle(arg) when the
+// store is durable in a register — immediately on a hit or clean
+// allocation, or after the eviction it forced has drained to flash
+// (the backpressure of a thrashing register file).
+func (c *Cache) Write(va uint64, h sim.Handler, arg any) {
 	p, target := c.pkgOf(va)
 	vp := c.vpage(va)
 	p.clock++
@@ -171,17 +217,16 @@ func (c *Cache) Write(va uint64, fn func()) {
 		// register and program it to the log immediately.
 		c.Allocs.Inc()
 		c.Evictions.Inc()
-		e := &regEntry{sectors: c.sectorBit(va), regPlane: target}
-		c.evict(p, vp, e, func() { c.eng.Schedule(c.cfg.BusLat, fn) })
+		c.evict(p, regEntry{vp: vp, sectors: c.sectorBit(va), regPlane: target}, h, arg)
 		return
 	}
 
-	if e, ok := p.entries[vp]; ok {
+	if e := p.entry(vp); e != nil {
 		e.sectors |= c.sectorBit(va)
 		e.stamp = p.clock
 		c.Hits.Inc()
 		c.endWindow(p)
-		c.eng.Schedule(c.cfg.BusLat, fn)
+		c.eng.Schedule(c.cfg.BusLat, h, arg)
 		return
 	}
 
@@ -189,67 +234,86 @@ func (c *Cache) Write(va uint64, fn func()) {
 	p.misses++
 	c.endWindow(p)
 
-	drained := func() { c.eng.Schedule(c.cfg.BusLat, fn) }
-
 	if c.perPlaneDir {
 		// Per-plane mode: each plane's RegsPerPlane registers hold open
 		// write pages privately — no grouping across planes.
-		list := p.owner[target]
+		list := p.owner[target-p.base]
 		if len(list) >= c.bb.Cfg.RegsPerPlane {
 			// Evict the plane's LRU page.
 			lru := 0
 			for i, cand := range list {
-				if p.entries[cand].stamp < p.entries[list[lru]].stamp {
+				if p.entry(cand).stamp < p.entry(list[lru]).stamp {
 					lru = i
 				}
 			}
-			victimVP := list[lru]
-			prev := p.entries[victimVP]
-			delete(p.entries, victimVP)
+			victim := p.remove(list[lru])
 			list = append(list[:lru], list[lru+1:]...)
-			c.evict(p, victimVP, prev, drained)
+			c.evict(p, victim, h, arg)
 		} else {
-			drained = nil
-			c.eng.Schedule(c.cfg.BusLat, fn)
+			c.eng.Schedule(c.cfg.BusLat, h, arg)
 		}
-		p.entries[vp] = &regEntry{stamp: p.clock, sectors: c.sectorBit(va), regPlane: target}
-		p.owner[target] = append(list, vp)
+		p.insert(regEntry{vp: vp, stamp: p.clock, sectors: c.sectorBit(va), regPlane: target})
+		p.owner[target-p.base] = append(list, vp)
 		return
 	}
 
 	// Grouped mode: fully-associative across the package's registers.
-	if len(p.entries) >= p.cap {
-		victimVP, victim := lruVictim(p)
-		delete(p.entries, victimVP)
-		c.evict(p, victimVP, victim, drained)
+	if p.idx.Len() >= p.cap {
+		c.evict(p, p.remove(lruVictim(p)), h, arg)
 	} else {
-		drained = nil
-		c.eng.Schedule(c.cfg.BusLat, fn)
+		c.eng.Schedule(c.cfg.BusLat, h, arg)
 	}
 	planesPerPkg := c.bb.Cfg.DiesPerPkg * c.bb.Cfg.PlanesPerDie
 	regPlane := p.id*planesPerPkg + p.rr%planesPerPkg
 	p.rr++
-	p.entries[vp] = &regEntry{stamp: p.clock, sectors: c.sectorBit(va), regPlane: regPlane}
+	p.insert(regEntry{vp: vp, stamp: p.clock, sectors: c.sectorBit(va), regPlane: regPlane})
 }
 
-func lruVictim(p *pkg) (uint64, *regEntry) {
+// lruVictim returns the package's least recently written page. Stamps
+// are unique (one clock tick per store), so the victim is too.
+func lruVictim(p *pkg) uint64 {
 	var vp uint64
-	var e *regEntry
 	oldest := ^uint64(0)
-	for k, v := range p.entries {
-		if v.stamp < oldest {
-			oldest = v.stamp
-			vp, e = k, v
+	for i := range p.regs {
+		if e := &p.regs[i]; e.live && e.stamp < oldest {
+			oldest, vp = e.stamp, e.vp
 		}
 	}
-	return vp, e
+	return vp
 }
 
+// drain is one register eviction in flight: an optional read of the
+// page's current version to merge a partial page (RMW), a migration to
+// the home plane's register, the log program, and finally the
+// completion of the store that forced it, BusLat later. It is its own
+// event handler, and stage says which step just completed.
+type drain struct {
+	c                *Cache
+	p                *pkg
+	va               uint64
+	regPlane, target int
+	stage            drainStage
+	h                sim.Handler
+	arg              any
+}
+
+type drainStage uint8
+
+const (
+	merged   drainStage = iota // RMW read done: migrate
+	hopped                     // SWnet first hop done: second hop
+	migrated                   // at the home plane: program
+	durable                    // programmed or pinned: release the store
+)
+
 // evict drains one register entry: pin to L2 under thrashing, or
-// read-modify-write + migrate + program.
-func (c *Cache) evict(p *pkg, vp uint64, e *regEntry, done func()) {
+// read-modify-write + migrate + program. The store that forced it
+// completes BusLat after the drain.
+func (c *Cache) evict(p *pkg, e regEntry, h sim.Handler, arg any) {
 	c.Evictions.Inc()
-	va := vp * uint64(c.bb.Cfg.PageBytes)
+	va := e.vp * uint64(c.bb.Cfg.PageBytes)
+	d := c.drains.Get()
+	d.c, d.p, d.va, d.regPlane, d.h, d.arg = c, p, va, e.regPlane, h, arg
 
 	if p.thrashing && c.l2 != nil && c.pinnedLines+32 <= c.cfg.PinLines {
 		// Spill the dirty page into pinned L2 lines.
@@ -260,54 +324,71 @@ func (c *Cache) evict(p *pkg, vp uint64, e *regEntry, done func()) {
 			}
 		}
 		c.PinnedPages.Inc()
-		if done != nil {
-			c.eng.Schedule(c.cfg.BusLat, done)
-		}
+		d.stage = durable
+		c.eng.Schedule(c.cfg.BusLat, d, nil)
 		return
 	}
 
 	vb, _ := c.split.VBlock(va)
-	target := c.split.PlaneOf(vb)
-
-	program := func() {
-		c.Programs.Inc()
-		c.split.WritePage(va, done)
-	}
-	migrate := func() {
-		if e.regPlane == target {
-			program()
-			return
-		}
-		c.Migrations.Inc()
-		c.migrate(p, program)
-	}
+	d.target = c.split.PlaneOf(vb)
 	if e.sectors != c.fullMask() {
 		// Partial page: read the current version to merge (RMW).
 		c.RMWReads.Inc()
 		loc := c.split.ReadLoc(va)
-		c.bb.Plane(loc.Plane).Read(loc.Block, loc.Page, migrate)
+		d.stage = merged
+		c.bb.Plane(loc.Plane).Read(loc.Block, loc.Page, d, nil)
 		return
 	}
-	migrate()
+	d.migrate()
 }
 
-// migrate moves a page between registers of the same package over the
-// configured interconnect.
-func (c *Cache) migrate(p *pkg, fn func()) {
+// Handle implements sim.Handler for the drain's own events.
+func (d *drain) Handle(any) {
+	c := d.c
+	switch d.stage {
+	case merged:
+		d.migrate()
+	case hopped:
+		d.stage = migrated
+		c.mesh.Send(d.p.id, d.p.id, c.bb.Cfg.PageBytes, d, nil)
+	case migrated:
+		d.program()
+	default:
+		h, arg := d.h, d.arg
+		c.drains.Put(d)
+		c.eng.Schedule(c.cfg.BusLat, h, arg)
+	}
+}
+
+// migrate moves the page to a register of its home plane over the
+// configured interconnect, unless it is already there.
+func (d *drain) migrate() {
+	c, p := d.c, d.p
+	if d.regPlane == d.target {
+		d.program()
+		return
+	}
+	c.Migrations.Inc()
 	page := c.bb.Cfg.PageBytes
+	d.stage = migrated
 	switch c.cfg.Net {
 	case config.SWnet:
 		// Register -> controller buffer -> remote register: two flash-
 		// network transfers through the package's router.
-		c.mesh.Send(p.id, p.id, page, func() {
-			c.mesh.Send(p.id, p.id, page, fn)
-		})
+		d.stage = hopped
+		c.mesh.Send(p.id, p.id, page, d, nil)
 	case config.FCnet:
 		// Dedicated point-to-point wire: latency only.
-		c.eng.Schedule(c.cfg.BusLat, fn)
+		c.eng.Schedule(c.cfg.BusLat, d, nil)
 	default: // NiF
-		p.local.Send(page, fn)
+		p.local.Send(page, d, nil)
 	}
+}
+
+func (d *drain) program() {
+	d.c.Programs.Inc()
+	d.stage = durable
+	d.c.split.WritePage(d.va, d, nil)
 }
 
 // endWindow runs the thrashing checker at window boundaries.
@@ -323,7 +404,7 @@ func (c *Cache) endWindow(p *pkg) {
 func (c *Cache) DirtyPages() int {
 	n := 0
 	for _, p := range c.pkgs {
-		n += len(p.entries)
+		n += p.idx.Len()
 	}
 	return n
 }

@@ -36,7 +36,7 @@ func TestWriteRedundancyAbsorbed(t *testing.T) {
 	// 65 stores to the same page (Fig. 5c redundancy): one allocation,
 	// zero programs while resident.
 	for i := 0; i < 65; i++ {
-		c.Write(uint64(i%4)*SectorBytes, func() { done++ })
+		c.Write(uint64(i%4)*SectorBytes, sim.Func(func() { done++ }), nil)
 		eng.Run()
 	}
 	if done != 65 {
@@ -60,7 +60,7 @@ func TestEvictionProgramsFlash(t *testing.T) {
 	stride := uint64(bb.Planes()) * uint64(bb.Cfg.PageBytes)
 	done := 0
 	for i := 0; i < 3; i++ {
-		c.Write(uint64(i)*stride, func() { done++ })
+		c.Write(uint64(i)*stride, sim.Func(func() { done++ }), nil)
 		eng.Run()
 	}
 	if done != 3 {
@@ -83,13 +83,13 @@ func TestFullCoverageSkipsRMW(t *testing.T) {
 	sectors := bb.Cfg.PageBytes / SectorBytes
 	// Cover every sector of page 0.
 	for s := 0; s < sectors; s++ {
-		c.Write(uint64(s)*SectorBytes, nil)
+		c.Write(uint64(s)*SectorBytes, nil, nil)
 		eng.Run()
 	}
 	// Force eviction with same-plane pages.
 	stride := uint64(bb.Planes()) * uint64(bb.Cfg.PageBytes)
-	c.Write(stride, nil)
-	c.Write(2*stride, nil)
+	c.Write(stride, nil, nil)
+	c.Write(2*stride, nil, nil)
 	eng.Run()
 	if c.Evictions.Value() == 0 {
 		t.Fatal("no eviction")
@@ -101,7 +101,7 @@ func TestFullCoverageSkipsRMW(t *testing.T) {
 
 func TestReadCheckSeesNewestSectors(t *testing.T) {
 	eng, c, _, _ := testRig(Options{}, 8)
-	c.Write(0, nil)
+	c.Write(0, nil, nil)
 	eng.Run()
 	if !c.ReadCheck(0) {
 		t.Error("written sector must hit the register")
@@ -124,9 +124,9 @@ func TestBaseModePerPlaneConflict(t *testing.T) {
 	// free registers (no cross-plane grouping).
 	stride := uint64(bb.Planes()) * uint64(bb.Cfg.PageBytes)
 	done := 0
-	c.Write(0, func() { done++ })
+	c.Write(0, sim.Func(func() { done++ }), nil)
 	eng.Run()
-	c.Write(stride, func() { done++ })
+	c.Write(stride, sim.Func(func() { done++ }), nil)
 	eng.Run()
 	if c.Evictions.Value() != 1 {
 		t.Errorf("base-mode conflict evictions = %d, want 1", c.Evictions.Value())
@@ -137,9 +137,9 @@ func TestBaseModePerPlaneConflict(t *testing.T) {
 	// Grouped mode with the same traffic does not evict.
 	eng2, c2, bb2, _ := testRig(Options{}, 2)
 	stride2 := uint64(bb2.Planes()) * uint64(bb2.Cfg.PageBytes)
-	c2.Write(0, nil)
+	c2.Write(0, nil, nil)
 	eng2.Run()
-	c2.Write(stride2, nil)
+	c2.Write(stride2, nil, nil)
 	eng2.Run()
 	if c2.Evictions.Value() != 0 {
 		t.Errorf("grouped mode evicted %d, want 0", c2.Evictions.Value())
@@ -153,7 +153,7 @@ func TestMigrationCounting(t *testing.T) {
 	stride := uint64(bb.Planes()) * uint64(bb.Cfg.PageBytes)
 	// Fill capacity (2) then force evictions; all pages target plane 0.
 	for i := 0; i < 6; i++ {
-		c.Write(uint64(i)*stride, nil)
+		c.Write(uint64(i)*stride, nil, nil)
 		eng.Run()
 	}
 	if c.Evictions.Value() < 3 {
@@ -184,7 +184,7 @@ func TestSWnetConsumesMeshBandwidth(t *testing.T) {
 	stride := uint64(bb.Planes()) * uint64(bb.Cfg.PageBytes)
 	before := mesh.Bytes.Value()
 	for i := 0; i < 6; i++ {
-		c.Write(uint64(i)*stride, nil)
+		c.Write(uint64(i)*stride, nil, nil)
 		eng.Run()
 	}
 	if c.Migrations.Value() == 0 {
@@ -214,7 +214,7 @@ func TestNiFKeepsMeshClean(t *testing.T) {
 
 	stride := uint64(bb.Planes()) * uint64(bb.Cfg.PageBytes)
 	for i := 0; i < 6; i++ {
-		c.Write(uint64(i)*stride, nil)
+		c.Write(uint64(i)*stride, nil, nil)
 		eng.Run()
 	}
 	if c.Migrations.Value() == 0 {
@@ -236,7 +236,7 @@ func TestThrashingPinsToL2(t *testing.T) {
 	// checker, then keep going: evictions should divert to L2.
 	stride := uint64(bb.Planes()) * uint64(bb.Cfg.PageBytes)
 	for i := 0; i < 64; i++ {
-		c.Write(uint64(i)*stride, nil)
+		c.Write(uint64(i)*stride, nil, nil)
 		eng.Run()
 	}
 	if !c.Thrashing() {
@@ -254,7 +254,7 @@ func TestNoThrashingOnHitStream(t *testing.T) {
 	sink := &pinRecorder{}
 	eng, c, _, _ := testRig(Options{L2: sink}, 8)
 	for i := 0; i < 64; i++ {
-		c.Write(uint64(i%4)*SectorBytes, nil) // one hot page
+		c.Write(uint64(i%4)*SectorBytes, nil, nil) // one hot page
 		eng.Run()
 	}
 	if c.Thrashing() {
@@ -272,7 +272,7 @@ func TestProgramsReducedVsWrites(t *testing.T) {
 	writes := 0
 	for rep := 0; rep < 50; rep++ {
 		for p := 0; p < 4; p++ {
-			c.Write(uint64(p)*4096+uint64(rep%32)*SectorBytes, nil)
+			c.Write(uint64(p)*4096+uint64(rep%32)*SectorBytes, nil, nil)
 			writes++
 		}
 	}

@@ -19,11 +19,15 @@ Everything runs on one discrete-event kernel: an event queue ordered
 by tick, bandwidth-limited ` + "`Port`" + `s, occupancy-limited ` + "`Resource`" + `s and
 worker ` + "`Pool`" + `s. One tick is one GPU core cycle (1.2 GHz per Table I,
 0.8333 ns); ` + "`internal/config`" + ` converts nanosecond device parameters to
-ticks. The queue is a monomorphic 4-ary min-heap — no interface
-boxing, backing slice reused — and same-tick events fire FIFO, a
-contract the tests pin because determinism is load-bearing: a
-simulation is a pure function of its inputs, which is what lets
-` + "`internal/experiments`" + ` memoize whole runs (see below).
+ticks. Events are typed: a long-lived handler (a warp, a cache, a
+flash controller) plus an argument, usually the in-flight request,
+which its issuer recycles once complete, so the hot path allocates
+nothing. The queue is a timing wheel of per-tick FIFO lists over the
+next 8,192 ticks, backed by a 4-ary min-heap for later events, and
+same-tick events fire FIFO, a contract the tests pin because
+determinism is load-bearing: a simulation is a pure function of its
+inputs, which is what lets ` + "`internal/experiments`" + ` memoize whole runs
+(see below).
 
 ## Workload model (` + "`internal/workload`" + `, ` + "`internal/rng`" + `)
 

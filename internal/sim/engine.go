@@ -12,13 +12,35 @@
 // reproducible.
 package sim
 
+import "math/bits"
+
 // Tick is simulated time measured in GPU core cycles.
 type Tick int64
+
+// Handler receives typed events. Handlers are long-lived model
+// components (a warp, a cache, a mesh message, a flash controller) and
+// arg names what the event is about, typically the in-flight request
+// the component is working on. A pointer, or a struct holding just one
+// pointer, is stored in an interface as is, so scheduling such a
+// handler with a pointer (or nil) arg allocates nothing; a closure per
+// event, by contrast, costs a heap object every time.
+type Handler interface {
+	Handle(arg any)
+}
+
+// Func adapts a closure to Handler for cold paths (tests, FTL garbage
+// collection, the analytic latency models) where an allocation per
+// event does not matter. The closure ignores arg.
+type Func func()
+
+// Handle implements Handler.
+func (f Func) Handle(any) { f() }
 
 type event struct {
 	when Tick
 	seq  uint64
-	fn   func()
+	h    Handler
+	arg  any
 }
 
 // before orders events by (when, seq): time first, then schedule
@@ -30,22 +52,53 @@ func (a event) before(b event) bool {
 	return a.seq < b.seq
 }
 
+// wheelTicks is the span of the engine's timing wheel: a power of two
+// above the flash read latency (3 us is 3,600 ticks), so cache, MMU,
+// interconnect and array-read events all land on it and only programs,
+// erases and deep queues reach the far heap.
+const wheelTicks = 1 << 13
+
 // Engine is a discrete-event simulator. The zero value is ready to use.
 //
-// The event queue is a hand-rolled 4-ary min-heap rather than
-// container/heap: the interface-based heap boxes every pushed event
-// into an `any` (one allocation per Schedule) and dispatches every
-// comparison through an interface call. A simulation fires hundreds of
-// millions of events, so the queue is the hottest structure in the
-// whole model; the monomorphic heap pushes and pops with zero
-// allocations on the steady state (the backing slice is retained
-// across pushes) and a 4-ary layout halves tree depth, trading a few
-// extra comparisons per level for far fewer cache-missing swaps.
+// A simulation fires hundreds of millions of events, so the queue is
+// the hottest structure in the whole model. Nearly every event lands
+// less than a flash read latency ahead of now, so the queue is split:
+//
+//   - a timing wheel holds events due in [now, now+wheelTicks), one
+//     FIFO list per tick, found through an occupancy bitmap. Push and
+//     pop are O(1), and a list is in schedule order by construction,
+//     which is exactly the same-tick FIFO contract.
+//   - a 4-ary min-heap ordered by (when, seq) holds the rest. Each time
+//     the clock advances, the events the wheel has come to cover move
+//     over in (when, seq) order. They were scheduled before anything
+//     the wheel could have accepted for their tick, so they go to the
+//     front of that tick's list and FIFO order holds across both.
+//
+// Events are typed (handler + arg) rather than closures, and wheel
+// nodes are recycled through a free chain, so the steady state of
+// Schedule and Step allocates nothing.
 type Engine struct {
-	now    Tick
-	seq    uint64
-	events []event // 4-ary min-heap ordered by event.before
-	fired  uint64
+	now   Tick
+	seq   uint64
+	fired uint64
+
+	// The wheel: nodes[i-1] is node i; 0 ends a list. heads and tails
+	// are indexed by tick modulo wheelTicks, occ has a bit per tick
+	// with a non-empty list, and free chains the recycled nodes.
+	nodes        []node
+	heads, tails []int32
+	occ          []uint64
+	free         int32
+	near         int
+
+	far []event // 4-ary min-heap ordered by event.before
+}
+
+type node struct {
+	when Tick
+	h    Handler
+	arg  any
+	next int32
 }
 
 // NewEngine returns an empty engine at tick zero.
@@ -58,56 +111,114 @@ func (e *Engine) Now() Tick { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are waiting to fire.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.near + len(e.far) }
 
-// Schedule runs fn delay ticks from now. A negative delay is treated
-// as zero (fires later in the current tick, preserving order).
-func (e *Engine) Schedule(delay Tick, fn func()) {
+// Schedule delivers h.Handle(arg) delay ticks from now. A negative
+// delay is treated as zero (fires later in the current tick, preserving
+// order).
+func (e *Engine) Schedule(delay Tick, h Handler, arg any) {
 	if delay < 0 {
 		delay = 0
 	}
-	e.ScheduleAt(e.now+delay, fn)
+	e.ScheduleAt(e.now+delay, h, arg)
 }
 
-// ScheduleAt runs fn at absolute tick t. A nil fn is ignored (callers
-// chain optional completion callbacks). Scheduling in the past is an
-// error in the caller; it is clamped to the current tick to keep the
-// simulation monotonic.
-func (e *Engine) ScheduleAt(t Tick, fn func()) {
-	if fn == nil {
+// ScheduleAt delivers h.Handle(arg) at absolute tick t. A nil h is
+// ignored (callers chain optional completion handlers). Scheduling in
+// the past is an error in the caller; it is clamped to the current tick
+// to keep the simulation monotonic.
+func (e *Engine) ScheduleAt(t Tick, h Handler, arg any) {
+	if h == nil {
 		return
 	}
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	e.events = append(e.events, event{when: t, seq: e.seq, fn: fn})
-	e.siftUp(len(e.events) - 1)
+	if t-e.now < wheelTicks {
+		e.pushNear(t, h, arg)
+		return
+	}
+	e.far = append(e.far, event{when: t, seq: e.seq, h: h, arg: arg})
+	e.siftUp(len(e.far) - 1)
+}
+
+// pushNear appends an event to tick t's list on the wheel.
+func (e *Engine) pushNear(t Tick, h Handler, arg any) {
+	if e.heads == nil {
+		e.heads = make([]int32, wheelTicks)
+		e.tails = make([]int32, wheelTicks)
+		e.occ = make([]uint64, wheelTicks/64)
+	}
+	n := e.free
+	if n != 0 {
+		e.free = e.nodes[n-1].next
+	} else {
+		e.nodes = append(e.nodes, node{})
+		n = int32(len(e.nodes))
+	}
+	e.nodes[n-1] = node{when: t, h: h, arg: arg}
+	i := t & (wheelTicks - 1)
+	if tail := e.tails[i]; tail != 0 {
+		e.nodes[tail-1].next = n
+	} else {
+		e.heads[i] = n
+		e.occ[i/64] |= 1 << (i % 64)
+	}
+	e.tails[i] = n
+	e.near++
+}
+
+// nextNear reports the earliest tick holding a wheel event. The wheel
+// must be non-empty; all of its events lie in [now, now+wheelTicks).
+func (e *Engine) nextNear() Tick {
+	i := int(e.now & (wheelTicks - 1))
+	w := i / 64
+	if set := e.occ[w] >> (i % 64); set != 0 {
+		return e.now + Tick(bits.TrailingZeros64(set))
+	}
+	dist := 64 - i%64
+	for k := 1; ; k++ {
+		if set := e.occ[(w+k)%len(e.occ)]; set != 0 {
+			return e.now + Tick(dist+bits.TrailingZeros64(set))
+		}
+		dist += 64
+	}
+}
+
+// advance moves the clock to t and pulls the far events the wheel now
+// covers onto it.
+func (e *Engine) advance(t Tick) {
+	e.now = t
+	for len(e.far) > 0 && e.far[0].when-t < wheelTicks {
+		ev := e.popFar()
+		e.pushNear(ev.when, ev.h, ev.arg)
+	}
 }
 
 // siftUp restores the heap property after appending at index i.
 func (e *Engine) siftUp(i int) {
-	ev := e.events[i]
+	ev := e.far[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !ev.before(e.events[parent]) {
+		if !ev.before(e.far[parent]) {
 			break
 		}
-		e.events[i] = e.events[parent]
+		e.far[i] = e.far[parent]
 		i = parent
 	}
-	e.events[i] = ev
+	e.far[i] = ev
 }
 
-// pop removes and returns the minimum event. The backing slice keeps
-// its capacity, and the vacated slot is cleared so the fired closure
-// does not outlive its turn in the queue.
-func (e *Engine) pop() event {
-	root := e.events[0]
-	n := len(e.events) - 1
-	last := e.events[n]
-	e.events[n] = event{} // release the closure for GC
-	e.events = e.events[:n]
+// popFar removes and returns the far heap's minimum event. The backing
+// slice keeps its capacity, and the vacated slot is cleared so the
+// handler and arg do not outlive their turn in the queue.
+func (e *Engine) popFar() event {
+	root := e.far[0]
+	n := len(e.far) - 1
+	last := e.far[n]
+	e.far[n] = event{} // release handler and arg for GC
+	e.far = e.far[:n]
 	if n > 0 {
 		e.siftDown(last)
 	}
@@ -117,7 +228,7 @@ func (e *Engine) pop() event {
 // siftDown places ev (the displaced last element) starting from the
 // root, walking toward the smaller of up to four children.
 func (e *Engine) siftDown(ev event) {
-	i, n := 0, len(e.events)
+	i, n := 0, len(e.far)
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -129,29 +240,43 @@ func (e *Engine) siftDown(ev event) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if e.events[c].before(e.events[min]) {
+			if e.far[c].before(e.far[min]) {
 				min = c
 			}
 		}
-		if !e.events[min].before(ev) {
+		if !e.far[min].before(ev) {
 			break
 		}
-		e.events[i] = e.events[min]
+		e.far[i] = e.far[min]
 		i = min
 	}
-	e.events[i] = ev
+	e.far[i] = ev
 }
 
 // Step fires the next event, advancing time to it. It reports whether
 // an event was available.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
-		return false
+	if e.near == 0 {
+		if len(e.far) == 0 {
+			return false
+		}
+		e.advance(e.far[0].when)
 	}
-	ev := e.pop()
-	e.now = ev.when
+	if t := e.nextNear(); t != e.now {
+		e.advance(t)
+	}
+	i := e.now & (wheelTicks - 1)
+	n := e.heads[i]
+	nd := e.nodes[n-1]
+	if e.heads[i] = nd.next; nd.next == 0 {
+		e.tails[i] = 0
+		e.occ[i/64] &^= 1 << (i % 64)
+	}
+	e.nodes[n-1] = node{next: e.free} // release handler and arg for GC
+	e.free = n
+	e.near--
 	e.fired++
-	ev.fn()
+	nd.h.Handle(nd.arg)
 	return true
 }
 
@@ -164,12 +289,20 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps <= t, then sets the clock to t.
 // Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t Tick) {
-	for len(e.events) > 0 && e.events[0].when <= t {
+	for e.Pending() > 0 && e.peek() <= t {
 		e.Step()
 	}
 	if e.now < t {
-		e.now = t
+		e.advance(t)
 	}
+}
+
+// peek reports the next event's tick; the queue must be non-empty.
+func (e *Engine) peek() Tick {
+	if e.near > 0 {
+		return e.nextNear()
+	}
+	return e.far[0].when
 }
 
 // RunFor advances the clock by d ticks (see RunUntil).

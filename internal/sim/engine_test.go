@@ -10,10 +10,10 @@ import (
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(10, func() { got = append(got, 2) })
-	e.Schedule(5, func() { got = append(got, 1) })
-	e.Schedule(10, func() { got = append(got, 3) }) // same tick: FIFO
-	e.Schedule(20, func() { got = append(got, 4) })
+	e.Schedule(10, Func(func() { got = append(got, 2) }), nil)
+	e.Schedule(5, Func(func() { got = append(got, 1) }), nil)
+	e.Schedule(10, Func(func() { got = append(got, 3) }), nil) // same tick: FIFO
+	e.Schedule(20, Func(func() { got = append(got, 4) }), nil)
 	e.Run()
 	want := []int{1, 2, 3, 4}
 	for i := range want {
@@ -32,10 +32,10 @@ func TestEngineOrdering(t *testing.T) {
 func TestEngineScheduleDuringRun(t *testing.T) {
 	e := NewEngine()
 	var ticks []Tick
-	e.Schedule(1, func() {
+	e.Schedule(1, Func(func() {
 		ticks = append(ticks, e.Now())
-		e.Schedule(9, func() { ticks = append(ticks, e.Now()) })
-	})
+		e.Schedule(9, Func(func() { ticks = append(ticks, e.Now()) }), nil)
+	}), nil)
 	e.Run()
 	if len(ticks) != 2 || ticks[0] != 1 || ticks[1] != 10 {
 		t.Fatalf("ticks = %v, want [1 10]", ticks)
@@ -44,19 +44,19 @@ func TestEngineScheduleDuringRun(t *testing.T) {
 
 func TestEngineZeroAndNegativeDelay(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(5, func() {
+	e.Schedule(5, Func(func() {
 		now := e.Now()
-		e.Schedule(0, func() {
+		e.Schedule(0, Func(func() {
 			if e.Now() != now {
 				t.Errorf("zero-delay event fired at %d, want %d", e.Now(), now)
 			}
-		})
-		e.Schedule(-3, func() {
+		}), nil)
+		e.Schedule(-3, Func(func() {
 			if e.Now() != now {
 				t.Errorf("negative-delay event fired at %d, want %d", e.Now(), now)
 			}
-		})
-	})
+		}), nil)
+	}), nil)
 	e.Run()
 }
 
@@ -64,7 +64,7 @@ func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	for _, d := range []Tick{1, 5, 10, 15} {
-		e.Schedule(d, func() { fired++ })
+		e.Schedule(d, Func(func() { fired++ }), nil)
 	}
 	e.RunUntil(10)
 	if fired != 3 {
@@ -84,13 +84,13 @@ func TestEngineRunUntil(t *testing.T) {
 
 func TestEngineScheduleAtPastClamps(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {
-		e.ScheduleAt(3, func() {
+	e.Schedule(10, Func(func() {
+		e.ScheduleAt(3, Func(func() {
 			if e.Now() != 10 {
 				t.Errorf("past event fired at %d, want clamp to 10", e.Now())
 			}
-		})
-	})
+		}), nil)
+	}), nil)
 	e.Run()
 }
 
@@ -102,12 +102,12 @@ func TestEngineMonotonicProperty(t *testing.T) {
 		last := Tick(-1)
 		ok := true
 		for _, d := range delays {
-			e.Schedule(Tick(d), func() {
+			e.Schedule(Tick(d), Func(func() {
 				if e.Now() < last {
 					ok = false
 				}
 				last = e.Now()
-			})
+			}), nil)
 		}
 		e.Run()
 		return ok
@@ -131,7 +131,7 @@ func TestEngineSameTickFIFO(t *testing.T) {
 	var got []fired
 	for i := 0; i < n; i++ {
 		i := i
-		e.Schedule(Tick(r.Intn(5)), func() { got = append(got, fired{e.Now(), i}) })
+		e.Schedule(Tick(r.Intn(5)), Func(func() { got = append(got, fired{e.Now(), i}) }), nil)
 	}
 	e.Run()
 	if len(got) != n {
@@ -156,12 +156,12 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 	nop := func() {}
 	// Warm the heap's backing slice to its high-water mark.
 	for i := 0; i < 64; i++ {
-		e.Schedule(Tick(i%8), nop)
+		e.Schedule(Tick(i%8), Func(nop), nil)
 	}
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
 		for i := 0; i < 64; i++ {
-			e.Schedule(Tick(i%8), nop)
+			e.Schedule(Tick(i%8), Func(nop), nil)
 		}
 		e.Run()
 	})
@@ -175,10 +175,63 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	nop := func() {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(Tick(i%64), nop)
+		e.Schedule(Tick(i%64), Func(nop), nil)
 		if i%64 == 63 {
 			e.Run()
 		}
 	}
 	e.Run()
+}
+
+// counter is a long-lived component receiving typed events.
+type counter struct {
+	got []*int
+}
+
+func (c *counter) Handle(arg any) { c.got = append(c.got, arg.(*int)) }
+
+// Typed events deliver their arg to their handler in (tick, schedule
+// order), and scheduling a pointer handler with a pointer arg — the
+// simulator's hot path — allocates nothing.
+func TestEngineTypedEvents(t *testing.T) {
+	e := NewEngine()
+	c := &counter{got: make([]*int, 0, 64)}
+	args := make([]int, 3)
+	e.Schedule(4, c, &args[0])
+	e.Schedule(2, c, &args[1])
+	e.Schedule(4, c, &args[2])
+	e.Run()
+	want := []*int{&args[1], &args[0], &args[2]}
+	for i := range want {
+		if c.got[i] != want[i] {
+			t.Fatalf("delivery %d carried the wrong arg", i)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		e.Schedule(Tick(i%8), c, &args[0])
+	}
+	e.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.got = c.got[:0]
+		for i := 0; i < 64; i++ {
+			e.Schedule(Tick(i%8), c, &args[i%3])
+		}
+		e.Run()
+	})
+	if allocs > 0 {
+		t.Errorf("typed schedule+run allocated %.1f allocs/run, want 0", allocs)
+	}
+}
+
+func TestFreeListRecycles(t *testing.T) {
+	var l FreeList[counter]
+	a := l.Get()
+	a.got = append(a.got, nil)
+	l.Put(a)
+	if b := l.Get(); b != a || b.got != nil {
+		t.Fatalf("Get after Put = %p (%v), want the zeroed record %p", b, b.got, a)
+	}
+	if l.Get() == a {
+		t.Fatal("a record was handed out twice")
+	}
 }

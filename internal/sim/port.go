@@ -36,9 +36,9 @@ func NewPort(eng *Engine, width float64, latency Tick) *Port {
 // Width reports the port's bandwidth in bytes per tick.
 func (p *Port) Width() float64 { return p.width }
 
-// Send queues a transfer of n bytes and schedules fn at delivery time.
-// It returns the delivery tick.
-func (p *Port) Send(n int, fn func()) Tick {
+// Send queues a transfer of n bytes and delivers h.Handle(arg) at
+// delivery time (nothing, if h is nil). It returns the delivery tick.
+func (p *Port) Send(n int, h Handler, arg any) Tick {
 	start := p.eng.Now()
 	if p.free > start {
 		start = p.free
@@ -49,9 +49,7 @@ func (p *Port) Send(n int, fn func()) Tick {
 	p.transfers++
 	p.busy += dur
 	deliver := p.free + p.latency
-	if fn != nil {
-		p.eng.ScheduleAt(deliver, fn)
-	}
+	p.eng.ScheduleAt(deliver, h, arg)
 	return deliver
 }
 

@@ -9,8 +9,8 @@ func TestPortSerialization(t *testing.T) {
 	e := NewEngine()
 	p := NewPort(e, 4, 10) // 4 B/tick, 10-tick latency
 	var first, second Tick
-	p.Send(16, func() { first = e.Now() })  // 4 ticks + 10
-	p.Send(16, func() { second = e.Now() }) // queued behind: 8 ticks + 10
+	p.Send(16, Func(func() { first = e.Now() }), nil)  // 4 ticks + 10
+	p.Send(16, Func(func() { second = e.Now() }), nil) // queued behind: 8 ticks + 10
 	e.Run()
 	if first != 14 {
 		t.Errorf("first delivery at %d, want 14", first)
@@ -30,7 +30,7 @@ func TestPortSaturationBandwidth(t *testing.T) {
 	done := 0
 	var last Tick
 	for i := 0; i < n; i++ {
-		p.Send(size, func() { done++; last = e.Now() })
+		p.Send(size, Func(func() { done++; last = e.Now() }), nil)
 	}
 	e.Run()
 	if done != n {
@@ -52,8 +52,8 @@ func TestPortIdleGap(t *testing.T) {
 	e := NewEngine()
 	p := NewPort(e, 1, 0)
 	var d1, d2 Tick
-	p.Send(3, func() { d1 = e.Now() })
-	e.Schedule(100, func() { p.Send(3, func() { d2 = e.Now() }) })
+	p.Send(3, Func(func() { d1 = e.Now() }), nil)
+	e.Schedule(100, Func(func() { p.Send(3, Func(func() { d2 = e.Now() }), nil) }), nil)
 	e.Run()
 	if d1 != 3 {
 		t.Errorf("d1 = %d, want 3", d1)
@@ -67,14 +67,14 @@ func TestPortMinimumOneTick(t *testing.T) {
 	e := NewEngine()
 	p := NewPort(e, 1024, 0)
 	var d Tick
-	p.Send(1, func() { d = e.Now() })
+	p.Send(1, Func(func() { d = e.Now() }), nil)
 	e.Run()
 	if d != 1 {
 		t.Errorf("tiny transfer delivered at %d, want 1 (min one tick)", d)
 	}
 	p2 := NewPort(e, 16, 7)
 	var dz Tick
-	p2.Send(0, func() { dz = e.Now() })
+	p2.Send(0, Func(func() { dz = e.Now() }), nil)
 	e.Run()
 	if dz != e.Now() && dz != 1+7 {
 		// zero-byte send takes zero serialization + latency
@@ -93,7 +93,7 @@ func TestPortBackToBackProperty(t *testing.T) {
 		p := NewPort(e, w, 3)
 		var last Tick
 		for i := 0; i < k; i++ {
-			p.Send(n, func() { last = e.Now() })
+			p.Send(n, Func(func() { last = e.Now() }), nil)
 		}
 		e.Run()
 		per := Tick(float64(n) / w)
@@ -114,8 +114,8 @@ func TestResourceQueueing(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e)
 	var a, b Tick
-	r.Acquire(10, func() { a = e.Now() })
-	r.Acquire(10, func() { b = e.Now() })
+	r.Acquire(10, Func(func() { a = e.Now() }), nil)
+	r.Acquire(10, Func(func() { b = e.Now() }), nil)
 	e.Run()
 	if a != 10 || b != 20 {
 		t.Errorf("completions at %d, %d; want 10, 20", a, b)
@@ -130,7 +130,7 @@ func TestPoolParallelism(t *testing.T) {
 	p := NewPool(e, 4)
 	var finish []Tick
 	for i := 0; i < 8; i++ {
-		p.Acquire(10, func() { finish = append(finish, e.Now()) })
+		p.Acquire(10, Func(func() { finish = append(finish, e.Now()) }), nil)
 	}
 	e.Run()
 	// 4 at t=10, 4 at t=20.
@@ -155,7 +155,7 @@ func TestPoolVsResourceThroughput(t *testing.T) {
 		p := NewPool(e, k)
 		var last Tick
 		for i := 0; i < 64; i++ {
-			p.Acquire(100, func() { last = e.Now() })
+			p.Acquire(100, Func(func() { last = e.Now() }), nil)
 		}
 		e.Run()
 		return last

@@ -16,9 +16,9 @@ type Resource struct {
 func NewResource(eng *Engine) *Resource { return &Resource{eng: eng} }
 
 // Acquire occupies the resource for dur ticks starting at the later of
-// now and its previous completion, then schedules fn. It returns the
-// completion tick.
-func (r *Resource) Acquire(dur Tick, fn func()) Tick {
+// now and its previous completion, then delivers h.Handle(arg) (nothing,
+// if h is nil). It returns the completion tick.
+func (r *Resource) Acquire(dur Tick, h Handler, arg any) Tick {
 	start := r.eng.Now()
 	if r.free > start {
 		start = r.free
@@ -29,9 +29,7 @@ func (r *Resource) Acquire(dur Tick, fn func()) Tick {
 	r.free = start + dur
 	r.served++
 	r.busy += dur
-	if fn != nil {
-		r.eng.ScheduleAt(r.free, fn)
-	}
+	r.eng.ScheduleAt(r.free, h, arg)
 	return r.free
 }
 
@@ -67,8 +65,9 @@ func NewPool(eng *Engine, k int) *Pool {
 func (p *Pool) Size() int { return len(p.servers) }
 
 // Acquire dispatches a request of duration dur to the earliest-free
-// server, schedules fn at completion, and returns the completion tick.
-func (p *Pool) Acquire(dur Tick, fn func()) Tick {
+// server, delivers h.Handle(arg) at completion (nothing, if h is nil),
+// and returns the completion tick.
+func (p *Pool) Acquire(dur Tick, h Handler, arg any) Tick {
 	best := 0
 	for i, f := range p.servers {
 		if f < p.servers[best] {
@@ -85,9 +84,7 @@ func (p *Pool) Acquire(dur Tick, fn func()) Tick {
 	p.servers[best] = start + dur
 	p.served++
 	p.busy += dur
-	if fn != nil {
-		p.eng.ScheduleAt(p.servers[best], fn)
-	}
+	p.eng.ScheduleAt(p.servers[best], h, arg)
 	return p.servers[best]
 }
 

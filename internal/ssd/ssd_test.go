@@ -25,7 +25,7 @@ func testModule(bufPages int) (*sim.Engine, *Module) {
 func TestReadMissFillsBufferThenHits(t *testing.T) {
 	eng, m := testModule(64)
 	done := 0
-	m.Access(&mem.Request{Addr: 0x1000, Size: 128, Done: func() { done++ }})
+	m.Access(&mem.Request{Addr: 0x1000, Size: 128, Done: sim.Func(func() { done++ })})
 	eng.Run()
 	if done != 1 {
 		t.Fatal("read did not complete")
@@ -39,7 +39,7 @@ func TestReadMissFillsBufferThenHits(t *testing.T) {
 	}
 
 	start := eng.Now()
-	m.Access(&mem.Request{Addr: 0x1040, Size: 128, Done: func() { done++ }})
+	m.Access(&mem.Request{Addr: 0x1040, Size: 128, Done: sim.Func(func() { done++ })})
 	eng.Run()
 	if done != 2 {
 		t.Fatal("hit did not complete")
@@ -57,13 +57,13 @@ func TestEngineSerializesRequests(t *testing.T) {
 	// Warm two pages so everything hits the buffer; completion is then
 	// engine-throughput-bound.
 	done := 0
-	m.Access(&mem.Request{Addr: 0, Size: 128, Done: func() { done++ }})
-	m.Access(&mem.Request{Addr: 0x1000, Size: 128, Done: func() { done++ }})
+	m.Access(&mem.Request{Addr: 0, Size: 128, Done: sim.Func(func() { done++ })})
+	m.Access(&mem.Request{Addr: 0x1000, Size: 128, Done: sim.Func(func() { done++ })})
 	eng.Run()
 	const n = 256
 	start := eng.Now()
 	for i := 0; i < n; i++ {
-		m.Access(&mem.Request{Addr: uint64(i%2) * 0x1000, Size: 128, Done: func() { done++ }})
+		m.Access(&mem.Request{Addr: uint64(i%2) * 0x1000, Size: 128, Done: sim.Func(func() { done++ })})
 	}
 	eng.Run()
 	elapsed := eng.Now() - start
@@ -80,7 +80,7 @@ func TestEngineSerializesRequests(t *testing.T) {
 func TestWriteAllocatesWithoutFlashRead(t *testing.T) {
 	eng, m := testModule(64)
 	done := 0
-	m.Access(&mem.Request{Addr: 0x9000, Size: 128, Write: true, Done: func() { done++ }})
+	m.Access(&mem.Request{Addr: 0x9000, Size: 128, Write: true, Done: sim.Func(func() { done++ })})
 	eng.Run()
 	if done != 1 {
 		t.Fatal("write did not complete")
@@ -96,12 +96,12 @@ func TestWriteAllocatesWithoutFlashRead(t *testing.T) {
 func TestDirtyEvictionFlushesToFlash(t *testing.T) {
 	eng, m := testModule(2) // tiny buffer
 	done := 0
-	m.Access(&mem.Request{Addr: 0, Size: 128, Write: true, Done: func() { done++ }})
+	m.Access(&mem.Request{Addr: 0, Size: 128, Write: true, Done: sim.Func(func() { done++ })})
 	eng.Run()
 	// Two more pages force the dirty page out.
-	m.Access(&mem.Request{Addr: 0x1000, Size: 128, Done: func() { done++ }})
+	m.Access(&mem.Request{Addr: 0x1000, Size: 128, Done: sim.Func(func() { done++ })})
 	eng.Run()
-	m.Access(&mem.Request{Addr: 0x2000, Size: 128, Done: func() { done++ }})
+	m.Access(&mem.Request{Addr: 0x2000, Size: 128, Done: sim.Func(func() { done++ })})
 	eng.Run()
 	if m.Flushes.Value() == 0 {
 		t.Error("dirty eviction must flush")
@@ -118,7 +118,7 @@ func TestCleanEvictionDoesNotFlush(t *testing.T) {
 	eng, m := testModule(2)
 	done := 0
 	for i := 0; i < 4; i++ {
-		m.Access(&mem.Request{Addr: uint64(i) * 0x1000, Size: 128, Done: func() { done++ }})
+		m.Access(&mem.Request{Addr: uint64(i) * 0x1000, Size: 128, Done: sim.Func(func() { done++ })})
 		eng.Run()
 	}
 	if m.Flushes.Value() != 0 {
@@ -156,7 +156,7 @@ func TestBufferHitRateUnderReuse(t *testing.T) {
 	// 8 pages, each accessed 16 times.
 	for rep := 0; rep < 16; rep++ {
 		for p := 0; p < 8; p++ {
-			m.Access(&mem.Request{Addr: uint64(p) * 0x1000, Size: 128, Done: func() { done++ }})
+			m.Access(&mem.Request{Addr: uint64(p) * 0x1000, Size: 128, Done: sim.Func(func() { done++ })})
 		}
 		eng.Run()
 	}

@@ -260,6 +260,14 @@ const writeBurst = 32
 // Stream returns the deterministic instruction stream for (kernel,
 // warp). kernel and warp must be in range.
 func (a *App) Stream(kernel, warp int) *Stream {
+	s := new(Stream)
+	a.ResetStream(s, kernel, warp)
+	return s
+}
+
+// ResetStream makes s the stream for (kernel, warp), exactly as Stream
+// would build it, so a consumer can reuse one Stream across kernels.
+func (a *App) ResetStream(s *Stream, kernel, warp int) {
 	if kernel < 0 || kernel >= a.Spec.Kernels {
 		panic(fmt.Sprintf("workload: kernel %d out of range", kernel))
 	}
@@ -268,7 +276,7 @@ func (a *App) Stream(kernel, warp int) *Stream {
 	}
 	seed := uint64(a.Spec.Seed) ^ uint64(a.Index)<<48 ^ uint64(kernel)<<24 ^ uint64(warp)
 	strip := uint64(kernel*a.Spec.WarpsPerKernel+warp) * uint64(a.instPerWK) * SectorBytes
-	s := &Stream{
+	*s = Stream{
 		app:       a,
 		kernel:    kernel,
 		warp:      warp,
@@ -282,7 +290,6 @@ func (a *App) Stream(kernel, warp int) *Stream {
 	case FamilyOLTP:
 		s.txnReads = oltpTxnReads(a.Spec.ReadRatio)
 	}
-	return s
 }
 
 // FrontierWindow reports the hot-pool window [lo, lo+n) that kernel
