@@ -1,7 +1,6 @@
 // Package cache implements the set-associative caches of the
-// simulated GPU: the per-SM L1D, the shared L2 (6 MB SRAM in the
-// baselines, 24 MB STT-MRAM configured read-only in ZnG), and the
-// page-granularity DRAM data buffer of the HybridGPU SSD module.
+// simulated GPU: the per-SM L1D and the shared L2 (6 MB SRAM in the
+// baselines, 24 MB STT-MRAM configured read-only in ZnG).
 //
 // The L2 tag array carries the ZnG extension bits of Section IV-B: a
 // prefetch bit marking lines filled by the read-prefetch unit and an
@@ -9,9 +8,23 @@
 // monitor measure prefetch waste. Lines can also be pinned, the
 // mechanism the flash-register thrashing checker uses to spill excess
 // dirty data into L2.
+//
+// The tag store is flat. Line number g (the line address over
+// LineBytes) belongs to bank b = g mod Banks and, within it, to set
+// s = (g/Banks) mod Sets. Tag row g mod (Banks*Sets), which is
+// b + Banks*s, holds exactly that set, so rows are set-major with the
+// banks interleaved and finding a row takes one modulo. A row is Ways
+// consecutive slots. The tag words have an array of their own, holding
+// lineAddr|1 for a resident line and 0 for an empty way, so a lookup
+// scans one contiguous row: one 64 B host cache line for an 8-way set.
+// Each slot's LRU stamp and dirty/prefetch/accessed/pinned bits share a
+// state word in a parallel array.
 package cache
 
 import (
+	"fmt"
+	"math/bits"
+
 	"zng/internal/config"
 	"zng/internal/intmap"
 	"zng/internal/mem"
@@ -19,15 +32,16 @@ import (
 	"zng/internal/stats"
 )
 
-type line struct {
-	tag      uint64
-	valid    bool
-	dirty    bool
-	prefetch bool // filled by the prefetcher, ZnG tag extension
-	accessed bool // demand-hit since fill, ZnG tag extension
-	pinned   bool
-	stamp    uint64 // LRU timestamp
-}
+// A slot's state word: the LRU stamp above four flag bits.
+const (
+	stDirty    uint64 = 1 << iota
+	stPrefetch        // filled by the prefetcher, ZnG tag extension
+	stAccessed        // demand-hit since fill, ZnG tag extension
+	stPinned
+
+	stampShift = 4
+	flagMask   = 1<<stampShift - 1
+)
 
 // EvictInfo describes an evicted line for the access monitor.
 type EvictInfo struct {
@@ -46,8 +60,12 @@ type Cache struct {
 	next mem.Memory
 
 	banks []*sim.Resource
-	sets  [][]line // [bank*cfg.Sets + set][way]
-	clock uint64
+	// The tag store, slot row*Ways+way: tags holds lineAddr|1 or 0
+	// (empty), state the slot's stamp and flags.
+	tags, state []uint64
+	rows        uint64 // Banks*Sets
+	shift       uint   // log2(LineBytes)
+	clock       uint64
 
 	// The MSHR file is dense: cfg.MSHRs slots, each queueing the reads
 	// waiting on its line in arrival order, a free-slot stack and a
@@ -74,31 +92,47 @@ type Cache struct {
 	PinnedNow                  int
 }
 
-// New creates a cache in front of next. next must not be nil.
+// ValidateConfig reports an error when the tag store cannot index cfg:
+// the line size must be a power of two of at least 2 bytes (so a line
+// address's low bit is free to mark a valid tag) and there must be at
+// least one set.
+func ValidateConfig(cfg config.Cache) error {
+	if cfg.LineBytes < 2 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
+		return fmt.Errorf("cache: LineBytes %d is not a power of two of at least 2", cfg.LineBytes)
+	}
+	if cfg.Sets < 1 {
+		return fmt.Errorf("cache: Sets %d, want at least 1", cfg.Sets)
+	}
+	return nil
+}
+
+// New creates a cache in front of next. next must not be nil and cfg
+// must pass ValidateConfig.
 func New(eng *sim.Engine, cfg config.Cache, next mem.Memory, name string) *Cache {
 	if next == nil {
 		panic("cache: next level must not be nil")
 	}
-	nb := cfg.Banks
-	if nb < 1 {
-		nb = 1
+	if err := ValidateConfig(cfg); err != nil {
+		panic(err)
 	}
+	nb := max(cfg.Banks, 1)
+	slots := nb * cfg.Sets * cfg.Ways
+	store := make([]uint64, 2*slots)
 	c := &Cache{
-		Name: name,
-		eng:  eng,
-		cfg:  cfg,
-		next: next,
-		sets: make([][]line, nb*cfg.Sets),
+		Name:  name,
+		eng:   eng,
+		cfg:   cfg,
+		next:  next,
+		tags:  store[:slots:slots],
+		state: store[slots:],
+		rows:  uint64(nb * cfg.Sets),
+		shift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 
 		mshrs:   make([]mem.Queue, cfg.MSHRs),
 		mshrIdx: intmap.New(cfg.MSHRs),
 	}
 	for i := cfg.MSHRs - 1; i >= 0; i-- {
 		c.mshrFree = append(c.mshrFree, int32(i))
-	}
-	lines := make([]line, len(c.sets)*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	c.banks = make([]*sim.Resource, nb)
 	for i := range c.banks {
@@ -112,27 +146,30 @@ func (c *Cache) Config() config.Cache { return c.cfg }
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return mem.LineAddr(addr, c.cfg.LineBytes) }
 
-func (c *Cache) locate(lineAddr uint64) (bankIdx int, setIdx int) {
-	g := lineAddr / uint64(c.cfg.LineBytes)
-	nb := uint64(len(c.banks))
-	bankIdx = int(g % nb)
-	setIdx = int((g / nb) % uint64(c.cfg.Sets))
-	return bankIdx, setIdx
+// row returns the first slot of line la's tag row.
+func (c *Cache) row(la uint64) int { return int((la>>c.shift)%c.rows) * c.cfg.Ways }
+
+// find returns line la's slot, or -1 when the line is not resident.
+func (c *Cache) find(la uint64) int {
+	base := c.row(la)
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == la|1 {
+			return base + i
+		}
+	}
+	return -1
 }
 
-func (c *Cache) set(lineAddr uint64) []line {
-	b, s := c.locate(lineAddr)
-	return c.sets[b*c.cfg.Sets+s]
+// touch stamps slot s with the current clock and sets flag bits f.
+func (c *Cache) touch(s int, f uint64) {
+	c.state[s] = c.clock<<stampShift | c.state[s]&flagMask | f
 }
 
 // Access services r: hit, MSHR merge, or miss to the next level.
 func (c *Cache) Access(r *mem.Request) {
-	la := c.lineAddr(r.Addr)
-	bankIdx, _ := c.locate(la)
-	bank := c.banks[bankIdx]
-
 	// One cycle of bank occupancy models the pipelined tag lookup; the
 	// outcome is resolved when the bank slot is granted.
+	bank := c.banks[(r.Addr>>c.shift)%uint64(len(c.banks))]
 	bank.Acquire(1, lookup{c}, r)
 }
 
@@ -166,9 +203,8 @@ func (h allocated) Handle(arg any) {
 	c, f := h.c, arg.(*mem.Request)
 	la, r := f.Addr, f.Cause
 	c.reqs.Put(f)
-	c.install(la, false)
-	if w := findLine(c.set(la), la); w >= 0 {
-		c.set(la)[w].dirty = true
+	if s := c.install(la, false); s >= 0 {
+		c.state[s] |= stDirty
 	}
 	c.eng.Schedule(c.cfg.WriteLat, r, nil)
 }
@@ -185,18 +221,15 @@ func (c *Cache) request(la uint64, done sim.Handler) *mem.Request {
 
 func (c *Cache) resolve(r *mem.Request, la uint64) {
 	c.clock++
-	set := c.set(la)
-	way := findLine(set, la)
+	s := c.find(la)
 
 	if r.Write {
-		c.resolveWrite(r, la, set, way)
+		c.resolveWrite(r, la, s)
 		return
 	}
 
-	if way >= 0 {
-		ln := &set[way]
-		ln.accessed = true
-		ln.stamp = c.clock
+	if s >= 0 {
+		c.touch(s, stAccessed)
 		c.Hits.Inc()
 		c.eng.Schedule(c.cfg.ReadLat, r, nil)
 		return
@@ -219,37 +252,36 @@ func (c *Cache) resolve(r *mem.Request, la uint64) {
 	c.issueMiss(r, la)
 }
 
-func (c *Cache) resolveWrite(r *mem.Request, la uint64, set []line, way int) {
+// resolveWrite services store r to line la, resident in slot s (-1 if
+// not).
+func (c *Cache) resolveWrite(r *mem.Request, la uint64, s int) {
 	if c.cfg.ReadOnly {
 		// ZnG read-only L2: writes bypass the cache (they are absorbed
 		// by the flash registers); a matching line is invalidated unless
 		// pinned there by the thrashing checker, in which case the write
 		// is absorbed by the pinned line (Section III-C).
-		if way >= 0 && set[way].pinned {
-			set[way].dirty = true
-			set[way].stamp = c.clock
+		if s >= 0 && c.state[s]&stPinned != 0 {
+			c.touch(s, stDirty)
 			c.WriteHits.Inc()
 			c.eng.Schedule(c.cfg.WriteLat, r, nil)
 			return
 		}
-		if way >= 0 {
-			set[way].valid = false
+		if s >= 0 {
+			c.tags[s] = 0
 		}
 		c.WriteMisses.Inc()
 		c.next.Access(r)
 		return
 	}
 
-	if way >= 0 {
-		ln := &set[way]
-		ln.stamp = c.clock
-		ln.accessed = true
+	if s >= 0 {
 		c.WriteHits.Inc()
 		if c.cfg.WriteBack {
-			ln.dirty = true
+			c.touch(s, stAccessed|stDirty)
 			c.eng.Schedule(c.cfg.WriteLat, r, nil)
 		} else {
 			// Write-through: update the line, forward the store.
+			c.touch(s, stAccessed)
 			c.next.Access(r)
 		}
 		return
@@ -299,7 +331,7 @@ func (c *Cache) drainOverflow() {
 	for c.overflow.Len() > 0 && c.mshrIdx.Len() < c.cfg.MSHRs {
 		r := c.overflow.Pop()
 		la := c.lineAddr(r.Addr)
-		if w := findLine(c.set(la), la); w >= 0 {
+		if c.find(la) >= 0 {
 			// Filled while queued: now a hit.
 			c.Hits.Inc()
 			c.eng.Schedule(c.cfg.ReadLat, r, nil)
@@ -313,111 +345,103 @@ func (c *Cache) drainOverflow() {
 	}
 }
 
-// install places lineAddr into its set, evicting if necessary.
-// Returns false if every way is pinned and the line was bypassed.
-func (c *Cache) install(la uint64, asPrefetch bool) bool {
+// install places line la in its row, evicting the least recently used
+// unpinned way when the row is full. It returns la's slot, or -1 when
+// every way is pinned and the line was bypassed.
+func (c *Cache) install(la uint64, asPrefetch bool) int {
 	c.clock++
-	set := c.set(la)
-	if w := findLine(set, la); w >= 0 {
-		// Already present (e.g. prefetch raced a demand fill): merge bits.
-		if !asPrefetch {
-			set[w].accessed = true
-		}
-		set[w].stamp = c.clock
-		return true
-	}
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		var oldest uint64 = ^uint64(0)
-		for i := range set {
-			if set[i].pinned {
-				continue
+	base := c.row(la)
+	s := -1
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == la|1 {
+			// Already present (e.g. prefetch raced a demand fill): merge bits.
+			var f uint64
+			if !asPrefetch {
+				f = stAccessed
 			}
-			if set[i].stamp < oldest {
-				oldest = set[i].stamp
-				victim = i
+			c.touch(base+i, f)
+			return base + i
+		}
+		if t == 0 && s < 0 {
+			s = base + i
+		}
+	}
+	if s < 0 {
+		oldest := ^uint64(0)
+		for i, st := range c.state[base : base+c.cfg.Ways] {
+			if st&stPinned == 0 && st>>stampShift < oldest {
+				oldest, s = st>>stampShift, base+i
 			}
 		}
+		if s < 0 {
+			return -1 // every way pinned: bypass
+		}
+		c.evict(s)
 	}
-	if victim < 0 {
-		return false // every way pinned: bypass
+	fresh := stAccessed
+	if asPrefetch {
+		fresh = stPrefetch
 	}
-	if set[victim].valid {
-		c.evict(&set[victim])
-	}
-	set[victim] = line{
-		tag: la, valid: true,
-		prefetch: asPrefetch, accessed: !asPrefetch,
-		stamp: c.clock,
-	}
-	return true
+	c.tags[s] = la | 1
+	c.state[s] = c.clock<<stampShift | fresh
+	return s
 }
 
-func (c *Cache) evict(ln *line) {
+// evict retires the line in slot s; the caller overwrites the slot.
+func (c *Cache) evict(s int) {
+	la, st := c.tags[s]&^1, c.state[s]
 	c.Evictions.Inc()
-	if ln.prefetch {
+	if st&stPrefetch != 0 {
 		c.PrefEvicted.Inc()
-		if !ln.accessed {
+		if st&stAccessed == 0 {
 			c.PrefUnused.Inc()
 		}
 	}
-	if ln.dirty && c.cfg.WriteBack {
+	if st&stDirty != 0 && c.cfg.WriteBack {
 		c.Writebacks.Inc()
-		wb := c.request(ln.tag, written{c})
+		wb := c.request(la, written{c})
 		wb.Write = true
 		c.next.Access(wb)
 	}
-	if ln.pinned {
+	if st&stPinned != 0 {
 		c.PinnedNow--
 	}
 	if c.OnEvict != nil {
-		c.OnEvict(EvictInfo{Addr: ln.tag, Prefetch: ln.prefetch, Accessed: ln.accessed, Dirty: ln.dirty})
+		c.OnEvict(EvictInfo{Addr: la, Prefetch: st&stPrefetch != 0, Accessed: st&stAccessed != 0, Dirty: st&stDirty != 0})
 	}
 }
 
 // InstallPrefetch installs a prefetched line (prefetch bit set,
 // accessed bit clear). It reports whether the line was installed.
 func (c *Cache) InstallPrefetch(addr uint64) bool {
-	return c.install(c.lineAddr(addr), true)
+	return c.install(c.lineAddr(addr), true) >= 0
 }
 
 // Contains reports whether addr's line is resident (for tests and the
 // prefetch cutoff).
 func (c *Cache) Contains(addr uint64) bool {
-	la := c.lineAddr(addr)
-	return findLine(c.set(la), la) >= 0
+	return c.find(c.lineAddr(addr)) >= 0
 }
 
 // PinDirty installs addr's line as pinned dirty data — the thrashing
 // checker's L2 spill (Section III-C). It reports whether a way was
 // available.
 func (c *Cache) PinDirty(addr uint64) bool {
-	la := c.lineAddr(addr)
-	if !c.install(la, false) {
+	s := c.install(c.lineAddr(addr), false)
+	if s < 0 {
 		return false
 	}
-	set := c.set(la)
-	w := findLine(set, la)
-	if !set[w].pinned {
-		set[w].pinned = true
+	if c.state[s]&stPinned == 0 {
 		c.PinnedNow++
 	}
-	set[w].dirty = true
+	c.state[s] |= stPinned | stDirty
 	return true
 }
 
 // Unpin releases a pinned line so normal replacement applies again.
 func (c *Cache) Unpin(addr uint64) {
-	la := c.lineAddr(addr)
-	set := c.set(la)
-	if w := findLine(set, la); w >= 0 && set[w].pinned {
-		set[w].pinned = false
+	if s := c.find(c.lineAddr(addr)); s >= 0 && c.state[s]&stPinned != 0 {
+		c.state[s] &^= stPinned
 		c.PinnedNow--
 	}
 }
@@ -429,13 +453,4 @@ func (c *Cache) HitRate() float64 {
 		return 0
 	}
 	return float64(c.Hits.Value()) / float64(t)
-}
-
-func findLine(set []line, la uint64) int {
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			return i
-		}
-	}
-	return -1
 }

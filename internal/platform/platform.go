@@ -157,6 +157,17 @@ func RunApps(kind Kind, label string, apps []*workload.App, cfg config.Config) (
 		return Result{}, fmt.Errorf("platform: %d co-resident apps exceed the %d SMs (each app needs at least one SM partition)",
 			len(apps), cfg.GPU.SMs)
 	}
+	// A configuration can arrive from outside the program (zngd's
+	// "config" field), so reject cache geometries the model cannot
+	// index before building anything.
+	for _, cc := range []struct {
+		name string
+		cfg  config.Cache
+	}{{"L1", cfg.L1}, {"L2SRAM", cfg.L2SRAM}, {"L2STT", cfg.L2STT}} {
+		if err := cache.ValidateConfig(cc.cfg); err != nil {
+			return Result{}, fmt.Errorf("platform: %s: %w", cc.name, err)
+		}
+	}
 	eng := sim.NewEngine()
 	sys, err := build(eng, kind, cfg)
 	if err != nil {

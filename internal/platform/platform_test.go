@@ -197,6 +197,29 @@ func TestRunMixTooManyApps(t *testing.T) {
 	}
 }
 
+// TestRunMixRejectsUnindexableCache: a cache geometry the tag store
+// cannot index is an error, not a run over garbage line addresses or a
+// modulo by zero.
+func TestRunMixRejectsUnindexableCache(t *testing.T) {
+	m := workload.NewMix("solo", "bfs1")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*config.Config)
+	}{
+		{"L2SRAM 96 B lines", func(c *config.Config) { c.L2SRAM.LineBytes = 96 }},
+		{"L1 1 B lines", func(c *config.Config) { c.L1.LineBytes = 1 }},
+		{"L2STT no sets", func(c *config.Config) { c.L2STT.Sets = 0 }},
+	} {
+		cfg := testCfg()
+		tc.mutate(&cfg)
+		for _, k := range []Kind{HybridGPU, ZnG} {
+			if _, err := RunMix(k, m, 0.05, cfg); err == nil {
+				t.Errorf("%s on %v: RunMix succeeded, want an error", tc.name, k)
+			}
+		}
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	if len(Kinds()) != 7 {
 		t.Fatalf("Kinds() = %d entries, want 7", len(Kinds()))

@@ -94,8 +94,8 @@ type Engine struct {
 	far []event // 4-ary min-heap ordered by event.before
 }
 
+// node is a wheel entry; its tick is the slot whose list holds it.
 type node struct {
-	when Tick
 	h    Handler
 	arg  any
 	next int32
@@ -157,7 +157,7 @@ func (e *Engine) pushNear(t Tick, h Handler, arg any) {
 		e.nodes = append(e.nodes, node{})
 		n = int32(len(e.nodes))
 	}
-	e.nodes[n-1] = node{when: t, h: h, arg: arg}
+	e.nodes[n-1] = node{h: h, arg: arg}
 	i := t & (wheelTicks - 1)
 	if tail := e.tails[i]; tail != 0 {
 		e.nodes[tail-1].next = n

@@ -393,6 +393,24 @@ func TestAPIRunWithConfig(t *testing.T) {
 	}
 }
 
+// TestAPIRunRejectsUnindexableCache: a "config" with a cache geometry
+// the simulator cannot index gets an error reply, not a result.
+func TestAPIRunRejectsUnindexableCache(t *testing.T) {
+	srv, _ := newTestServer(t, nil) // the real simulator
+	for _, body := range []string{
+		`{"platform":"HybridGPU","mix":"solo-bfs1","scale":0.05,"config":{"L2SRAM":{"LineBytes":96}}}`,
+		`{"platform":"ZnG","mix":"solo-bfs1","scale":0.05,"config":{"L2STT":{"Sets":0}}}`,
+	} {
+		resp, doc := postRun(t, srv.URL, body)
+		if resp.StatusCode == http.StatusOK || len(doc["result"]) != 0 {
+			t.Errorf("%s: status %d with result %s, want an error reply", body, resp.StatusCode, doc["result"])
+		}
+		if len(doc["error"]) == 0 {
+			t.Errorf("%s: reply carries no error", body)
+		}
+	}
+}
+
 // TestAPICampaignLifecycle drives a campaign end-to-end over HTTP:
 // POST the spec, poll the id to done, and collect the folded matrix.
 func TestAPICampaignLifecycle(t *testing.T) {
