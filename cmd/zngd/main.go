@@ -56,10 +56,14 @@
 // over the live membership (falling back to local execution), and
 // with -cache they checkpoint per cell into the store so POST
 // /v1/campaigns/{id}/resume picks a half-finished sweep back up after
-// a restart with zero re-simulation of journaled cells. Started with
-// -coordinator URL, the daemon is additionally a worker: it registers
-// its own serving address (-advertise overrides what it announces)
-// with that coordinator and heartbeats its queue depth until shutdown.
+// a restart with zero re-simulation of journaled cells. Past
+// fleet.DefaultMaxCampaigns (64) campaigns in memory the oldest
+// finished ones are evicted; their checkpoints still resume. A spec
+// that does not expand is rejected with 400 and writes nothing.
+// Started with -coordinator URL, the daemon is additionally a worker:
+// it registers its own serving address (-advertise overrides what it
+// announces) with that coordinator and heartbeats its queue depth
+// until shutdown.
 package main
 
 import (
@@ -159,10 +163,12 @@ func main() {
 	}
 	log.Info("listening", "addr", "http://"+bound, "cache", cache)
 
-	// Every daemon coordinates: the fleet endpoints are always live,
-	// and a campaign POSTed here fans out over whatever workers have
-	// registered (none = plain local execution, the old behavior).
+	// Every daemon coordinates: a campaign POSTed here fans out over
+	// whatever workers have registered (none = plain local execution).
 	// With a store, campaigns checkpoint under it and survive restarts.
+	// The daemon builds the coordinator NewHandler would otherwise
+	// build, to set the heartbeat TTL, the campaign worker bound and
+	// the logger.
 	fc := fleet.New(fleet.Config{
 		Local:   svc,
 		Store:   st,

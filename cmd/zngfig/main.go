@@ -37,6 +37,7 @@ import (
 	"strings"
 	"time"
 
+	"zng/internal/campaign"
 	"zng/internal/experiments"
 	"zng/internal/report"
 	"zng/internal/simsvc"
@@ -61,7 +62,7 @@ func main() {
 	// With -cache the figure suite runs through the store-backed
 	// service (the same code path zngsim and zngd use); without it,
 	// DefaultOptions' in-memory memo already dedups within this run.
-	var runner experiments.Runner
+	var runner campaign.Runner
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir)
 		if err != nil {
@@ -245,7 +246,7 @@ func emit(f experiments.Figure, o experiments.Options, outDir, format string) er
 // reportRunner prints the dedup ratio of whatever runner the suite
 // ran under: how many cells actually simulated, and how the rest were
 // served (memory vs the persistent store vs coalesced onto a flight).
-func reportRunner(r experiments.Runner) {
+func reportRunner(r campaign.Runner) {
 	sr, ok := r.(experiments.StatsReporter)
 	if !ok {
 		return

@@ -15,8 +15,9 @@
 // bounded concurrency, per-cell retry, live progress counters and
 // partial-failure reporting, and folds the results into a
 // stats.Table matrix that internal/report renders like any figure.
-// The Manager adds an asynchronous lifecycle (start, poll progress by
-// campaign id, collect the outcome) for the zngd HTTP API.
+// A Campaign binds a started Run to an id; internal/fleet owns the
+// asynchronous lifecycle behind the zngd HTTP API (start, poll
+// progress by campaign id, resume, collect the outcome).
 package campaign
 
 import (
@@ -31,11 +32,11 @@ import (
 	"zng/internal/workload"
 )
 
-// Runner answers one simulation cell. It is structurally identical to
-// experiments.Runner — re-declared here (rather than imported) so the
-// experiments figure drivers can themselves build their matrices
-// through a campaign without an import cycle. Any experiments.Runner
-// (the memo, the simsvc service, a remote dispatcher) satisfies it.
+// Runner answers one simulation cell. It is the one runner contract:
+// the experiments memo, the simsvc service, remote clients and
+// dispatchers and the fleet coordinator all implement it. It lives
+// here, not in internal/experiments, because the figure drivers build
+// matrices through a campaign and so import this package.
 type Runner interface {
 	Run(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error)
 }

@@ -157,6 +157,15 @@ func (o *Outcome) Table() *stats.Table {
 	return t
 }
 
+// Campaign is one managed campaign: its id, the spec it was started
+// from, and the executing Run (Progress, Done, Outcome, Wait, Cells,
+// Trace).
+type Campaign struct {
+	ID   string
+	Spec Spec
+	*Run
+}
+
 // Run is one executing campaign: a handle to poll while the grid
 // drains and to wait on for the outcome.
 type Run struct {

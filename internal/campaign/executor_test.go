@@ -240,96 +240,3 @@ func TestExecutorStartValidation(t *testing.T) {
 		t.Error("empty spec expanded")
 	}
 }
-
-func TestManagerLifecycle(t *testing.T) {
-	gate := make(chan struct{})
-	started := make(chan struct{}, 4)
-	r := &stubRunner{fn: func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
-		started <- struct{}{}
-		<-gate
-		return platform.Result{IPC: 2}, nil
-	}}
-	m := NewManager(r, config.Default(), 2)
-	c, err := m.Start(soloSpec(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ID != "c-1" {
-		t.Errorf("id = %q", c.ID)
-	}
-	if _, ok := m.Get("c-1"); !ok {
-		t.Error("Get(c-1) missed")
-	}
-	if _, ok := m.Get("c-99"); ok {
-		t.Error("Get(c-99) hit")
-	}
-	<-started
-	if c.Done() || c.Outcome() != nil {
-		t.Error("campaign done before cells resolved")
-	}
-	close(gate)
-	for !c.Done() {
-		time.Sleep(time.Millisecond)
-	}
-	if out := c.Outcome(); out == nil || out.Err() != nil {
-		t.Errorf("outcome = %+v", out)
-	}
-	if c2, err := m.Start(soloSpec(1)); err != nil || c2.ID != "c-2" {
-		t.Errorf("second campaign = %v, %v", c2, err)
-	}
-	if got := m.List(); len(got) != 2 || got[0].ID != "c-1" || got[1].ID != "c-2" {
-		t.Errorf("List = %v", got)
-	}
-	if _, err := m.Start(Spec{}); err == nil {
-		t.Error("manager started an unexpandable spec")
-	}
-}
-
-// TestManagerEvictsFinishedCampaigns: past the retention bound the
-// oldest finished campaigns disappear (their ids read as unknown)
-// while running campaigns always survive.
-func TestManagerEvictsFinishedCampaigns(t *testing.T) {
-	r := &stubRunner{}
-	m := NewManager(r, config.Default(), 1)
-	m.SetMaxCampaigns(2)
-	for i := 0; i < 3; i++ {
-		c, err := m.Start(soloSpec(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.run.Wait()
-	}
-	if _, ok := m.Get("c-1"); ok {
-		t.Error("oldest finished campaign survived eviction")
-	}
-	if _, ok := m.Get("c-3"); !ok {
-		t.Error("newest campaign was evicted")
-	}
-	if got := len(m.List()); got != 2 {
-		t.Errorf("retained campaigns = %d, want 2", got)
-	}
-
-	// A running campaign is never evicted, even at the bound.
-	gate := make(chan struct{})
-	started := make(chan struct{}, 1)
-	rg := &stubRunner{fn: func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
-		started <- struct{}{}
-		<-gate
-		return platform.Result{IPC: 1}, nil
-	}}
-	m2 := NewManager(rg, config.Default(), 1)
-	m2.SetMaxCampaigns(1)
-	running, err := m2.Start(soloSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	// Finished campaigns beyond the bound evict around the running one.
-	if _, err := m2.Start(soloSpec(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m2.Get(running.ID); !ok {
-		t.Error("running campaign was evicted")
-	}
-	close(gate)
-}

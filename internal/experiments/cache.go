@@ -13,18 +13,16 @@ import (
 // unchanged baseline cells, and `zngfig -fig all` multiplies that
 // again. A simulation is a pure function of (kind, mix, scale, cfg) —
 // the engine is single-threaded and the traces are seed-deterministic
-// — so results are memoized per Runner: one Options value (and every
-// copy derived from it) shares a Runner, and a full figure suite run
+// — so results are memoized per runner: one Options value (and every
+// copy derived from it) shares a runner, and a full figure suite run
 // under it performs each unique simulation exactly once.
 //
-// Runner is the injection point: the drivers only ever ask "give me
-// the result for this cell", so anything that answers that — the
-// in-memory Memo below, or the persistent store-backed scheduler in
-// internal/simsvc — can stand behind the whole experiments package,
-// the CLIs and the zngd daemon alike.
-type Runner interface {
-	Run(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error)
-}
+// Options.Runner (a campaign.Runner) is the injection point: the
+// drivers only ever ask "give me the result for this cell", so
+// anything that answers that — the in-memory Memo below, or the
+// persistent store-backed scheduler in internal/simsvc — can stand
+// behind the whole experiments package, the CLIs and the zngd daemon
+// alike.
 
 // RunnerStats counts how a Runner satisfied its requests. Memo never
 // touches disk, so its DiskHits stay zero; the simsvc service fills
@@ -143,12 +141,4 @@ func (c *Memo) Reset() {
 	defer c.mu.Unlock()
 	c.m = map[runKey]*runEntry{}
 	c.sims, c.memHits, c.coalesced = 0, 0, 0
-}
-
-// directRunner is the fallback when Options carries no Runner at all:
-// every request simulates, nothing is shared. Zero value usable.
-type directRunner struct{}
-
-func (directRunner) Run(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
-	return platform.RunMix(kind, mix, scale, cfg)
 }

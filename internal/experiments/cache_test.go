@@ -144,18 +144,3 @@ func TestMemoReset(t *testing.T) {
 		t.Errorf("post-reset run simulated %d cells, want 1 (memo was dropped)", st.Sims)
 	}
 }
-
-// TestNilRunnerSimulatesDirectly: Options without a runner still work
-// — every request simulates, nothing is shared.
-func TestNilRunnerSimulatesDirectly(t *testing.T) {
-	o := TestOptions()
-	o.Scale = 0.011
-	o.Runner = nil
-	r, err := runOne(o, platform.GDDR5, "betw-back")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.IPC <= 0 {
-		t.Errorf("direct run IPC %v, want positive", r.IPC)
-	}
-}

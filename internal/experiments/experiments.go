@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"sync"
 
+	"zng/internal/campaign"
 	"zng/internal/config"
 	"zng/internal/platform"
 	"zng/internal/workload"
@@ -34,13 +35,12 @@ type Options struct {
 	// Workers bounds simulation parallelism (0 = NumCPU). Individual
 	// simulations stay single-threaded and deterministic.
 	Workers int
-	// Runner answers simulation requests. DefaultOptions injects a
-	// fresh in-memory Memo, so every Options lineage (the value and
-	// all copies derived from it) shares one memo and independent
-	// lineages cannot observe each other; the CLIs and the zngd
-	// daemon inject the persistent simsvc scheduler instead. A nil
-	// Runner simulates every request directly, with no sharing.
-	Runner Runner
+	// Runner answers simulation requests; required. DefaultOptions
+	// injects a fresh in-memory Memo, so every Options lineage (the
+	// value and all copies derived from it) shares one memo and
+	// independent lineages cannot observe each other; the CLIs and
+	// the zngd daemon inject the persistent simsvc scheduler instead.
+	Runner campaign.Runner
 }
 
 // DefaultScale is the figure-quality trace scale.
@@ -71,13 +71,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.NumCPU()
-}
-
-func (o Options) runner() Runner {
-	if o.Runner != nil {
-		return o.Runner
-	}
-	return directRunner{}
 }
 
 type cell struct {
@@ -134,7 +127,7 @@ spawn:
 		wg.Add(1)
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			r, err := o.runner().Run(c.kind, c.mix, o.Scale, o.Cfg)
+			r, err := o.Runner.Run(c.kind, c.mix, o.Scale, o.Cfg)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -158,5 +151,5 @@ func runOne(o Options, k platform.Kind, mixName string) (platform.Result, error)
 	if err != nil {
 		return platform.Result{}, err
 	}
-	return o.runner().Run(k, m, o.Scale, o.Cfg)
+	return o.Runner.Run(k, m, o.Scale, o.Cfg)
 }

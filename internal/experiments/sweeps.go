@@ -99,7 +99,7 @@ func AblationConsolidation(o Options) (*stats.Table, map[platform.Kind][]float64
 		}
 		spec.Scenarios = append(spec.Scenarios, m.Name)
 	}
-	ex := campaign.Executor{Runner: o.runner(), Workers: o.workers()}
+	ex := campaign.Executor{Runner: o.Runner, Workers: o.workers()}
 	out, err := ex.Execute(spec, o.Cfg)
 	if err != nil {
 		return nil, nil, err

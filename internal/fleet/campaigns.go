@@ -9,21 +9,28 @@ import (
 	"zng/internal/store"
 )
 
-// Campaigns is the coordinator's durable campaign manager: the same
-// Start/Get/List lifecycle campaign.Manager gives the zngd API, plus
-// content-addressed ids, store-backed checkpoints and Resume. Every
-// campaign runs through the coordinator's fleet dispatch (falling
-// back to local execution), with each resolved cell journaled so a
-// restarted coordinator — or a fresh one pointed at the same store
-// directory — picks the sweep up where it died. Safe for concurrent
-// use.
+// DefaultMaxCampaigns bounds the finished campaigns a coordinator
+// retains in memory. A finished campaign's Outcome carries every
+// cell's result plus a full config per cell, so unbounded retention
+// would grow a long-lived daemon's heap. Past the bound the oldest
+// finished campaigns are evicted (running ones always stay); an
+// evicted id reads as unknown to Get, and its per-cell results and
+// checkpoint stay in the store, where Resume finds them.
+const DefaultMaxCampaigns = 64
+
+// Campaigns is the campaign manager behind the zngd API: Start, Get
+// and List under content-addressed ids, with store-backed checkpoints
+// and Resume. Every campaign runs through the coordinator's fleet
+// dispatch (falling back to local execution), with each resolved cell
+// journaled so a restarted coordinator — or a fresh one pointed at
+// the same store directory — picks the sweep up where it died. Safe
+// for concurrent use.
 type Campaigns struct {
 	co      *Coordinator
 	ck      *Checkpointer
 	st      *store.Store
 	workers int
 	base    config.Config
-	max     int // guarded by mu (constructor-set, then only mutated via SetMaxCampaigns)
 
 	mu      sync.Mutex
 	order   []*campaign.Campaign          // guarded by mu; start order
@@ -39,20 +46,9 @@ func newCampaigns(co *Coordinator, cfg Config) *Campaigns {
 		st:      cfg.Store,
 		workers: cfg.Workers,
 		base:    cfg.Base,
-		max:     campaign.DefaultMaxCampaigns,
 		byID:    map[string]*campaign.Campaign{},
 		runners: map[string]*durableRunner{},
 	}
-}
-
-// SetMaxCampaigns overrides the retention bound (0 = unbounded).
-// Evicted campaigns' checkpoints stay on disk — an evicted id still
-// resumes through Resume, it just re-loads from the store.
-func (m *Campaigns) SetMaxCampaigns(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.max = n
-	m.evictLocked()
 }
 
 // Start launches a campaign under its content-addressed id. Starting
@@ -61,13 +57,17 @@ func (m *Campaigns) SetMaxCampaigns(n int) {
 // retrying over a flaky link wants. When the store already holds a
 // journal for the id (a half-finished sweep from a previous process),
 // the campaign resumes: journaled cells serve from the store, only
-// the remainder dispatches.
+// the remainder dispatches. A spec that does not expand is rejected
+// before anything is written.
 func (m *Campaigns) Start(spec campaign.Spec) (*campaign.Campaign, error) {
 	id := CampaignID(spec)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if c, ok := m.byID[id]; ok {
 		return c, nil
+	}
+	if _, err := spec.Expand(m.base); err != nil {
+		return nil, err
 	}
 	journal, err := m.ck.LoadJournal(id)
 	if err != nil {
@@ -86,7 +86,7 @@ func (m *Campaigns) Start(spec campaign.Spec) (*campaign.Campaign, error) {
 	if resuming {
 		m.resumed++
 	}
-	c := campaign.NewCampaign(id, spec, run)
+	c := &campaign.Campaign{ID: id, Spec: spec, Run: run}
 	m.order = append(m.order, c)
 	m.byID[id] = c
 	m.runners[id] = dr
@@ -161,15 +161,16 @@ func (m *Campaigns) List() []*campaign.Campaign {
 	return out
 }
 
-// evictLocked drops the oldest finished campaigns past the bound,
-// mirroring campaign.Manager: running campaigns are never evicted.
-// An evicted campaign's checkpoint survives on disk, so its id still
-// answers through Resume. Caller holds mu.
+// evictLocked drops the oldest finished campaigns past
+// DefaultMaxCampaigns. Running campaigns are never evicted, so the
+// retained count can exceed the bound while more than that many are
+// in flight. An evicted campaign's checkpoint survives on disk, so
+// its id still answers through Resume. Caller holds mu.
 func (m *Campaigns) evictLocked() {
-	if m.max <= 0 || len(m.order) <= m.max {
+	excess := len(m.order) - DefaultMaxCampaigns
+	if excess <= 0 {
 		return
 	}
-	excess := len(m.order) - m.max
 	keep := m.order[:0]
 	for _, c := range m.order {
 		if excess > 0 && c.Done() {

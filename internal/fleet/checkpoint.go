@@ -52,6 +52,20 @@ func CampaignID(spec campaign.Spec) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// isCampaignID reports whether id has CampaignID's form: 64 lowercase
+// hex digits, which can never traverse out of the checkpoint root.
+func isCampaignID(id string) bool {
+	if len(id) != 2*sha256.Size {
+		return false
+	}
+	for _, r := range id {
+		if !('0' <= r && r <= '9' || 'a' <= r && r <= 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // JournalEntry records one resolved cell of a checkpointed campaign:
 // the cell's content address plus, for deterministic failures, the
 // error text to replay on resume. Successful cells carry no result
@@ -115,15 +129,22 @@ func (c *Checkpointer) WriteSpec(id string, spec campaign.Spec) error {
 	if err != nil {
 		return fmt.Errorf("fleet: encoding spec: %w", err)
 	}
-	return writeAtomic(c.dir(id), "spec.json", append(b, '\n'))
+	if err := os.MkdirAll(c.dir(id), 0o755); err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
+	return store.WriteFile(filepath.Join(c.dir(id), "spec.json"), append(b, '\n'))
 }
 
 // LoadSpec reads a checkpointed campaign's spec back. Unknown ids —
-// including a nil checkpointer — fail with os.ErrNotExist wrapped in
-// the message.
+// including a nil checkpointer, and any id not of CampaignID's form,
+// which is refused before it can name a path — fail with
+// os.ErrNotExist wrapped in the message.
 func (c *Checkpointer) LoadSpec(id string) (campaign.Spec, error) {
 	if c == nil {
 		return campaign.Spec{}, fmt.Errorf("fleet: no checkpoint store: campaign %q: %w", id, os.ErrNotExist)
+	}
+	if !isCampaignID(id) {
+		return campaign.Spec{}, fmt.Errorf("fleet: %q is not a campaign id: %w", id, os.ErrNotExist)
 	}
 	b, err := os.ReadFile(filepath.Join(c.dir(id), "spec.json"))
 	if err != nil {
@@ -150,7 +171,11 @@ func (c *Checkpointer) JournalCell(id string, e JournalEntry) error {
 	if e.Key == "" || strings.ContainsAny(e.Key, "/.") {
 		return fmt.Errorf("fleet: refusing journal entry with malformed key %q", e.Key)
 	}
-	return writeAtomic(filepath.Join(c.dir(id), "cells"), e.Key+".json", encodeJournalEntry(e))
+	dir := filepath.Join(c.dir(id), "cells")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
+	return store.WriteFile(filepath.Join(dir, e.Key+".json"), encodeJournalEntry(e))
 }
 
 // LoadJournal reads a campaign's journal back as a key-indexed map.
@@ -189,32 +214,6 @@ func (c *Checkpointer) LoadJournal(id string) (map[string]JournalEntry, error) {
 		out[e.Key] = e
 	}
 	return out, nil
-}
-
-// writeAtomic lands doc in dir/name via the store's temp-file+rename
-// discipline, creating dir as needed.
-func writeAtomic(dir, name string, doc []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("fleet: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, "ckpt-*.tmp")
-	if err != nil {
-		return fmt.Errorf("fleet: %w", err)
-	}
-	_, werr := tmp.Write(doc)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return fmt.Errorf("fleet: writing %s: %w", name, werr)
-		}
-		return fmt.Errorf("fleet: writing %s: %w", name, cerr)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fleet: publishing %s: %w", name, err)
-	}
-	return nil
 }
 
 // durableRunner wraps the coordinator's Runner with the campaign's

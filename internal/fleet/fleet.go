@@ -178,8 +178,8 @@ func (c *Coordinator) TTL() time.Duration { return c.ttl }
 // Tracer reports the coordinator's tracer (nil when untraced).
 func (c *Coordinator) Tracer() *obs.Tracer { return c.tr }
 
-// Campaigns is the coordinator's durable campaign manager — the
-// drop-in replacement for campaign.Manager behind the zngd API.
+// Campaigns is the coordinator's durable campaign manager, the one
+// behind the zngd API.
 func (c *Coordinator) Campaigns() *Campaigns { return c.camps }
 
 // Register joins a worker to the fleet under a fresh id and returns

@@ -129,8 +129,8 @@ FIFO-with-priority queue, concurrent requests for the same cell
 coalesce onto one in-flight job, and every request resolves through
 memory, then disk, then simulation — with counters (sims, memory
 hits, disk hits, coalesced waiters) at each step. The service
-implements the experiments ` + "`Runner`" + ` interface, so the figure drivers,
-` + "`zngsim -cache`" + `/` + "`zngfig -cache`" + ` and ` + "`cmd/zngd`" + ` — the HTTP JSON
+implements ` + "`campaign.Runner`" + `, the one runner interface, so the
+figure drivers, ` + "`zngsim -cache`" + `/` + "`zngfig -cache`" + ` and ` + "`cmd/zngd`" + ` — the HTTP JSON
 daemon exposing run/jobs/campaigns/scenarios/platforms/healthz/metrics
 endpoints with graceful drain on shutdown — all serve simulations
 through one code path. The daemon's job history is bounded: past the

@@ -66,22 +66,6 @@ type scenarioInfo struct {
 	Degree int    `json:"degree"`
 }
 
-// CampaignManager is the campaign lifecycle the API drives — the
-// plain in-process campaign.Manager, or the fleet coordinator's
-// durable, content-addressed manager (fleet.Campaigns). Managers that
-// additionally implement Resume(id) unlock POST
-// /v1/campaigns/{id}/resume.
-type CampaignManager interface {
-	Start(campaign.Spec) (*campaign.Campaign, error)
-	Get(string) (*campaign.Campaign, bool)
-	List() []*campaign.Campaign
-}
-
-// campaignResumer is the optional resume surface (fleet.Campaigns).
-type campaignResumer interface {
-	Resume(string) (*campaign.Campaign, error)
-}
-
 // HandlerOption customizes NewHandler.
 type HandlerOption func(*handlerOpts)
 
@@ -89,10 +73,8 @@ type handlerOpts struct {
 	fleet *fleet.Coordinator
 }
 
-// WithFleet attaches a fleet coordinator: campaigns run through its
-// durable, fleet-dispatched manager instead of the in-process one,
-// the /v1/fleet endpoints (register, heartbeat, status) go live, and
-// /metrics gains the fleet gauge block.
+// WithFleet serves campaigns and the /v1/fleet endpoints through the
+// given coordinator instead of one NewHandler builds over the service.
 func WithFleet(fc *fleet.Coordinator) HandlerOption {
 	return func(o *handlerOpts) { o.fleet = fc }
 }
@@ -125,6 +107,10 @@ type fleetHeartbeatRequest struct {
 //	POST /v1/campaigns       start a declarative sweep (202 + campaign id)
 //	GET  /v1/campaigns       list campaigns with live progress
 //	GET  /v1/campaigns/{id}  one campaign's progress (+ matrix once done)
+//	POST /v1/campaigns/{id}/resume  resume a store-checkpointed campaign
+//	POST /v1/fleet/register  join a worker to this coordinator's fleet
+//	POST /v1/fleet/heartbeat refresh a worker's liveness and load
+//	GET  /v1/fleet           live peer roster + fleet gauges
 //	GET  /v1/scenarios       the workload scenario registry
 //	GET  /v1/platforms       the platform vocabulary
 //	GET  /v1/trace           flight-recorder trace summaries (filterable)
@@ -145,32 +131,28 @@ type fleetHeartbeatRequest struct {
 // retries. Every endpoint's wall-clock latency feeds a fixed-bucket
 // histogram surfaced as p50/p95/p99 under "latency" in /metrics.
 //
-// With WithFleet, the daemon is a fleet coordinator: campaigns run
-// through the coordinator's durable manager (content-addressed ids,
-// store checkpoints, POST /v1/campaigns/{id}/resume), workers join via
+// The handler is always a fleet coordinator: campaigns run through
+// its durable manager (content-addressed ids, checkpoints in the
+// service's store, POST /v1/campaigns/{id}/resume), workers join via
 // POST /v1/fleet/register + /v1/fleet/heartbeat, and GET /v1/fleet
-// reports the live roster. Without it, the fleet endpoints answer 501.
+// reports the live roster. Without WithFleet it builds the coordinator
+// over svc, its store and its tracer, with cfg as the campaign base.
 func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Handler {
 	var ho handlerOpts
 	for _, o := range opts {
 		o(&ho)
 	}
-	fc := ho.fleet
-	mux := http.NewServeMux()
 	// The service's tracer (nil when the daemon runs untraced): run
 	// requests join the caller's trace via X-Zng-Trace or root a
-	// sampled one, and locally managed campaigns root their own. With a
-	// fleet coordinator the campaign side uses the coordinator's tracer
-	// (the daemon wires the same instance into both).
+	// sampled one. Campaigns root theirs through the coordinator's
+	// tracer (the daemon wires the same instance into both).
 	tr := svc.Tracer()
-	var mgr CampaignManager
-	if fc != nil {
-		mgr = fc.Campaigns()
-	} else {
-		pm := campaign.NewManager(svc, cfg, 0)
-		pm.SetTracer(tr)
-		mgr = pm
+	fc := ho.fleet
+	if fc == nil {
+		fc = fleet.New(fleet.Config{Local: svc, Store: svc.Store(), Base: cfg, Tracer: tr})
 	}
+	mgr := fc.Campaigns()
+	mux := http.NewServeMux()
 
 	// Per-endpoint latency histograms. The map is fully populated
 	// before NewHandler returns and read-only afterwards, so the
@@ -403,14 +385,8 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 	})
 
 	timed("POST /v1/campaigns/{id}/resume", func(w http.ResponseWriter, r *http.Request) {
-		resumer, ok := mgr.(campaignResumer)
-		if !ok {
-			writeErr(w, http.StatusNotImplemented,
-				errors.New("campaign resume requires a fleet coordinator (start zngd with -store and fleet enabled)"))
-			return
-		}
 		id := r.PathValue("id")
-		c, err := resumer.Resume(id)
+		c, err := mgr.Resume(id)
 		if errors.Is(err, os.ErrNotExist) {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("no checkpoint for campaign %q", id))
 			return
@@ -425,10 +401,6 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 	})
 
 	timed("POST /v1/fleet/register", func(w http.ResponseWriter, r *http.Request) {
-		if fc == nil {
-			writeErr(w, http.StatusNotImplemented, errors.New("this zngd is not a fleet coordinator"))
-			return
-		}
 		var req fleetRegisterRequest
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
@@ -448,10 +420,6 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 	})
 
 	timed("POST /v1/fleet/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		if fc == nil {
-			writeErr(w, http.StatusNotImplemented, errors.New("this zngd is not a fleet coordinator"))
-			return
-		}
 		var req fleetHeartbeatRequest
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
@@ -475,10 +443,6 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 	})
 
 	timed("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		if fc == nil {
-			writeErr(w, http.StatusNotImplemented, errors.New("this zngd is not a fleet coordinator"))
-			return
-		}
 		peers := fc.Peers()
 		sort.Slice(peers, func(i, j int) bool { return peers[i].Addr < peers[j].Addr })
 		writeJSON(w, http.StatusOK, struct {
@@ -692,8 +656,7 @@ type metricsDoc struct {
 	TierEvictions uint64 `json:"tier_evictions"`
 	TierNegatives int    `json:"tier_negatives"`
 
-	// Fleet is present only on coordinators (WithFleet).
-	Fleet *fleet.Gauges `json:"fleet,omitempty"`
+	Fleet fleet.Gauges `json:"fleet"`
 
 	Latency map[string]latency.Snapshot `json:"latency,omitempty"`
 }
@@ -714,11 +677,8 @@ func metrics(svc *Service, fc *fleet.Coordinator, hists map[string]*latency.Hist
 		TierMisses:    tier.Misses,
 		TierEvictions: tier.Evictions,
 		TierNegatives: tier.Negatives,
+		Fleet:         fc.Gauges(),
 		Latency:       map[string]latency.Snapshot{"sim": svc.SimLatency()},
-	}
-	if fc != nil {
-		g := fc.Gauges()
-		doc.Fleet = &g
 	}
 	for pattern, h := range hists {
 		if s := h.Snapshot(); s.Count > 0 {
@@ -790,12 +750,10 @@ func writeProm(w http.ResponseWriter, svc *Service, fc *fleet.Coordinator, hists
 	p.Counter("zng_tier_misses_total", "Memory tier misses.", float64(doc.TierMisses))
 	p.Counter("zng_tier_evictions_total", "Memory tier LRU evictions.", float64(doc.TierEvictions))
 	p.Gauge("zng_tier_negatives", "Negative (deterministic-failure) entries in the memory tier.", float64(doc.TierNegatives))
-	if doc.Fleet != nil {
-		p.Gauge("zng_fleet_peers_live", "Registered, un-expired workers.", float64(doc.Fleet.PeersLive))
-		p.Counter("zng_fleet_peers_dead_total", "Heartbeat expiries since start.", float64(doc.Fleet.PeersDead))
-		p.Counter("zng_fleet_cells_reassigned_total", "Cells rerouted after a peer fault.", float64(doc.Fleet.CellsReassigned))
-		p.Counter("zng_fleet_campaigns_resumed_total", "Campaigns started over a non-empty journal.", float64(doc.Fleet.CampaignsResumed))
-	}
+	p.Gauge("zng_fleet_peers_live", "Registered, un-expired workers.", float64(doc.Fleet.PeersLive))
+	p.Counter("zng_fleet_peers_dead_total", "Heartbeat expiries since start.", float64(doc.Fleet.PeersDead))
+	p.Counter("zng_fleet_cells_reassigned_total", "Cells rerouted after a peer fault.", float64(doc.Fleet.CellsReassigned))
+	p.Counter("zng_fleet_campaigns_resumed_total", "Campaigns started over a non-empty journal.", float64(doc.Fleet.CampaignsResumed))
 	if tr := svc.Tracer(); tr != nil {
 		total, dropped := tr.RingStats()
 		p.Counter("zng_trace_spans_total", "Spans recorded by the flight recorder.", float64(total))

@@ -312,6 +312,7 @@ func TestAPIStructuredErrors(t *testing.T) {
 		"job id wrong method":  {"POST", "/v1/jobs/job-1", http.StatusMethodNotAllowed},
 		"metrics wrong method": {"POST", "/metrics", http.StatusMethodNotAllowed},
 		"campaign bad method":  {"DELETE", "/v1/campaigns", http.StatusMethodNotAllowed},
+		"register bad method":  {"GET", "/v1/fleet/register", http.StatusMethodNotAllowed},
 	} {
 		req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
 		if err != nil {

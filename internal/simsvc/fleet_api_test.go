@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"zng/internal/config"
 	"zng/internal/fleet"
@@ -43,30 +46,105 @@ func postJSON(t *testing.T, url, body string) (*http.Response, map[string]json.R
 	return resp, doc
 }
 
-// Without WithFleet the fleet surfaces must answer 501, not 404: the
-// endpoints exist, this daemon just isn't a coordinator.
-func TestAPIFleetDisabled(t *testing.T) {
-	srv, _ := newTestServer(t, fixedSim(1))
-	resp, err := http.Get(srv.URL + "/v1/fleet")
-	if err != nil {
+// waitCampaign polls a campaign over the API until it is done.
+func waitCampaign(t *testing.T, base, id string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var c struct {
+			State string `json:"state"`
+		}
+		if code := getJSON(t, base+"/v1/campaigns/"+id, &c); code != http.StatusOK {
+			t.Fatalf("campaign %s: status %d", id, code)
+		}
+		if c.State == "done" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("campaign %s never finished", id)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// Without WithFleet the handler builds its own coordinator over the
+// service: campaigns checkpoint into the service's store and resume on
+// a fresh handler over the same directory with zero re-simulation, a
+// rejected spec writes nothing, and the fleet endpoints answer.
+func TestAPIBuildsItsOwnCoordinator(t *testing.T) {
+	dir := t.TempDir()
+	serve := func() (*httptest.Server, *Service) {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := New(Config{Workers: 2, Simulate: fixedSim(2), Store: st})
+		t.Cleanup(svc.Close)
+		srv := httptest.NewServer(NewHandler(svc, config.Default()))
+		t.Cleanup(srv.Close)
+		return srv, svc
+	}
+
+	srv1, _ := serve()
+	resp, doc := postJSON(t, srv1.URL+"/v1/campaigns", `{"platforms":["ZnG"],"scenarios":["solo-bfs1","solo-gaus"],"scales":[0.5]}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("start = %d (%s)", resp.StatusCode, doc["error"])
+	}
+	var c struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(doc["campaign"], &c); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("GET /v1/fleet = %d, want 501", resp.StatusCode)
+	waitCampaign(t, srv1.URL, c.ID)
+	if resp, _ := postJSON(t, srv1.URL+"/v1/campaigns", `{"platforms":["GTX9000"],"scenarios":["solo-bfs1"]}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown platform = %d, want 400", resp.StatusCode)
 	}
-	resp2, doc := postJSON(t, srv.URL+"/v1/campaigns/deadbeef/resume", `{}`)
-	if resp2.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("resume without fleet = %d, want 501 (%s)", resp2.StatusCode, doc["error"])
+	if ents, err := os.ReadDir(filepath.Join(dir, "campaigns")); err != nil || len(ents) != 1 || ents[0].Name() != c.ID {
+		t.Fatalf("checkpoints = %v (%v), want only campaign %s", ents, err, c.ID)
 	}
-	// Wrong method still gets the structured 405 with Allow.
-	resp3, err := http.Get(srv.URL + "/v1/fleet/register")
-	if err != nil {
+	srv1.Close()
+
+	srv2, svc2 := serve()
+	if resp, doc := postJSON(t, srv2.URL+"/v1/campaigns/"+c.ID+"/resume", `{}`); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resume = %d (%s)", resp.StatusCode, doc["error"])
+	}
+	waitCampaign(t, srv2.URL, c.ID)
+	if got := svc2.Stats().Sims; got != 0 {
+		t.Errorf("resume re-simulated %d cells, want 0", got)
+	}
+	if resp, doc := postJSON(t, srv2.URL+"/v1/fleet/register", `{"addr":"127.0.0.1:9001"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("register = %d (%s)", resp.StatusCode, doc["error"])
+	}
+	var roster struct {
+		Peers []fleet.Peer `json:"peers"`
+	}
+	if code := getJSON(t, srv2.URL+"/v1/fleet", &roster); code != http.StatusOK || len(roster.Peers) != 1 {
+		t.Errorf("GET /v1/fleet = %d with peers %+v, want 200 with the registered worker", code, roster.Peers)
+	}
+}
+
+// ServeMux unescapes %2F, so a traversal id reaches the resume handler
+// whole. An id not of CampaignID's form is 404 before the disk is
+// touched, whether or not the file it would name exists, so a client
+// cannot probe for files outside the store.
+func TestAPIResumeRejectsTraversalIDs(t *testing.T) {
+	root := t.TempDir()
+	srv, _, _ := newFleetServer(t, filepath.Join(root, "store"), fixedSim(1))
+	// <store>/campaigns/../../outside/spec.json is <root>/outside/spec.json.
+	outside := filepath.Join(root, "outside")
+	if err := os.MkdirAll(outside, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusMethodNotAllowed || resp3.Header.Get("Allow") != "POST" {
-		t.Fatalf("GET register = %d Allow=%q, want 405 Allow=POST", resp3.StatusCode, resp3.Header.Get("Allow"))
+	spec := `{"v":1,"spec":{"platforms":["ZnG"],"scenarios":["solo-bfs1"]}}`
+	if err := os.WriteFile(filepath.Join(outside, "spec.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"..%2F..%2Foutside", "..%2F..%2Fmissing"} {
+		resp, doc := postJSON(t, srv.URL+"/v1/campaigns/"+id+"/resume", `{}`)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("resume %s = %d (%s), want 404", id, resp.StatusCode, doc["error"])
+		}
 	}
 }
 

@@ -5,7 +5,7 @@
 // cell cost exactly one simulation and a cell computed by any past
 // process is served from disk without simulating at all.
 //
-// The service implements the experiments.Runner interface, so the
+// The service implements the campaign.Runner interface, so the
 // figure drivers, the CLIs (-cache) and the zngd daemon all share
 // this one code path; what used to be a process-wide memo global in
 // internal/experiments is now an injectable runner. Request flow:
@@ -489,7 +489,7 @@ func (s *Service) SubmitJob(req Request) (JobInfo, error) {
 	return info, nil
 }
 
-// Run implements experiments.Runner at default priority — the single
+// Run implements campaign.Runner at default priority — the single
 // code path the figure drivers, CLIs and daemon share.
 func (s *Service) Run(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
 	return s.Do(Request{Kind: kind, Mix: mix, Scale: scale, Cfg: cfg})

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"zng/internal/campaign"
 	"zng/internal/config"
 	"zng/internal/experiments"
 	"zng/internal/platform"
@@ -458,8 +459,8 @@ func TestDiskServedEqualsFreshSimulation(t *testing.T) {
 }
 
 // TestServiceImplementsRunner pins the structural contract the whole
-// refactor hangs on: the service is a drop-in experiments runner.
-var _ experiments.Runner = (*Service)(nil)
+// refactor hangs on: the service is a drop-in campaign runner.
+var _ campaign.Runner = (*Service)(nil)
 var _ experiments.StatsReporter = (*Service)(nil)
 
 // TestErrorsAreCachedInMemory: a deterministic failure is remembered

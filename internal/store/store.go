@@ -82,27 +82,32 @@ func (s *Store) Get(key string) (platform.Result, bool) {
 	return r, true
 }
 
-// Put writes the entry for key atomically: the document lands in a
-// temp file in the same directory and is renamed over the final path,
-// so concurrent readers (and other processes) only ever observe a
-// complete entry. Re-putting a key overwrites it.
+// Put writes the entry for key atomically (WriteFile), so concurrent
+// readers (and other processes) only ever observe a complete entry.
+// Re-putting a key overwrites it.
 func (s *Store) Put(key string, r platform.Result) error {
-	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
+	return WriteFile(s.Path(key), report.EncodeResult(r))
+}
+
+// WriteFile publishes doc at path atomically: the document lands in a
+// temp file in path's directory, which must exist, and is renamed
+// over path, so a crashed writer never publishes a torn document.
+// The store and the campaign checkpoints under it both write this way.
+func WriteFile(path string, doc []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "put-*.tmp")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	_, werr := tmp.Write(report.EncodeResult(r))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return fmt.Errorf("store: writing %s: %w", key, werr)
-		}
-		return fmt.Errorf("store: writing %s: %w", key, cerr)
+	_, err = tmp.Write(doc)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), s.Path(key)); err != nil {
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("store: publishing %s: %w", key, err)
+		return fmt.Errorf("store: writing %s: %w", path, err)
 	}
 	return nil
 }
