@@ -24,8 +24,10 @@ import (
 // cell key, so bumping it — whenever the result encoding or the
 // meaning of any keyed input changes — invalidates all existing
 // store entries at once instead of letting stale bytes decode into
-// wrong results.
-const SchemaVersion = 1
+// wrong results. A change to what the simulator outputs for an
+// unchanged key needs a bump too, or a store keeps serving the old
+// output while fresh simulations report the new one.
+const SchemaVersion = 2
 
 // keyDoc is the canonically-encoded cell identity that gets hashed.
 // Struct fields marshal in declaration order and config.Config is a

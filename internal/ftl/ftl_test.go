@@ -285,7 +285,8 @@ func TestPageMappedGCReclaims(t *testing.T) {
 }
 
 // Property: page-mapped FTL never maps two virtual pages to the same
-// physical slot.
+// physical slot, and the owner table is the forward table's inverse:
+// every mapped page is valid and owned by the page that maps it.
 func TestPageMappedNoAliasingProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		eng := sim.NewEngine()
@@ -301,13 +302,19 @@ func TestPageMappedNoAliasingProperty(t *testing.T) {
 			eng.Run()
 		}
 		seen := map[uint64]uint64{}
-		ok := true
+		ok := p.owner.len() == p.table.len()
 		p.EachMapping(func(vp uint64, l Loc) {
 			key := packLoc(l)
 			if other, dup := seen[key]; dup && other != vp {
 				ok = false
 			}
 			seen[key] = vp
+			if !bb.Plane(l.Plane).Block(l.Block).Valid(l.Page) {
+				ok = false
+			}
+			if owner, found := p.owner.get(p.physIdx(l)); !found || owner != vp {
+				ok = false
+			}
 		})
 		return ok
 	}
@@ -341,4 +348,86 @@ func TestPlaneAllocWearOrder(t *testing.T) {
 		t.Errorf("last pop = %d, want the worn block 2", b)
 	}
 	_ = got
+}
+
+// TestPhysIdxBijective checks the owner key on the differential
+// geometry: every (plane, block, page) gets its own key, and the keys
+// fill exactly [0, planes × blocks × pages).
+func TestPhysIdxBijective(t *testing.T) {
+	eng := sim.NewEngine()
+	fc := diffCfg()
+	p := NewPageMapped(eng, flash.New(eng, fc), config.Default().FTL)
+	total := p.planes * fc.BlocksPerPl * fc.PagesPerBlock
+	seen := make([]bool, total)
+	for plane := 0; plane < p.planes; plane++ {
+		for block := 0; block < fc.BlocksPerPl; block++ {
+			for page := 0; page < fc.PagesPerBlock; page++ {
+				k := p.physIdx(Loc{Plane: plane, Block: block, Page: page})
+				if k >= uint64(total) {
+					t.Fatalf("physIdx(%d, %d, %d) = %d, want < %d", plane, block, page, k, total)
+				}
+				if seen[k] {
+					t.Fatalf("physIdx(%d, %d, %d) = %d collides", plane, block, page, k)
+				}
+				seen[k] = true
+			}
+		}
+	}
+}
+
+// TestPageMappedStateBytesBounded maps one page per plane on the full
+// 1,024-plane geometry, then rewrites one page per plane. Planes take
+// blocks in lockstep, so the owner table packs into a few shared
+// leaves; a plane-major key would allocate a 32 KB leaf per plane
+// (over 32 MiB here).
+func TestPageMappedStateBytesBounded(t *testing.T) {
+	eng := sim.NewEngine()
+	fc := config.Default().Flash
+	p := NewPageMapped(eng, flash.New(eng, fc), config.Default().FTL)
+	planes := uint64(fc.Planes())
+	for vp := uint64(0); vp < planes; vp++ {
+		p.Lookup(vp * uint64(fc.PageBytes))
+	}
+	for vp := uint64(0); vp < planes; vp++ {
+		p.WritePage(vp*uint64(fc.PageBytes), nil, nil)
+	}
+	eng.Run()
+	if got, limit := p.StateBytes(), uint64(256<<10); got > limit {
+		t.Fatalf("StateBytes = %d, want <= %d", got, limit)
+	}
+}
+
+// TestPageMappedGCPanicsOnOrphanPage: a valid page in the GC victim
+// with no owner entry cannot be moved, so erasing the victim would
+// silently lose its data. pickVictim must fail loudly instead.
+func TestPageMappedGCPanicsOnOrphanPage(t *testing.T) {
+	eng := sim.NewEngine()
+	fc := config.Default().Flash
+	fc.Channels, fc.DiesPerPkg, fc.PlanesPerDie = 1, 1, 1
+	fc.BlocksPerPl = 8
+	fc.PagesPerBlock = 4
+	fc.ReadLat, fc.ProgramLat, fc.EraseLat = 30, 1000, 3000
+	cfg := config.Default().FTL
+	cfg.GCThreshold = 0 // never collect on its own
+	p := NewPageMapped(eng, flash.New(eng, fc), cfg)
+	// Fill block 0 with four pages; the fifth opens block 1, leaving
+	// block 0 the only full, non-open block: the victim.
+	for vp := uint64(0); vp <= 4; vp++ {
+		p.WritePage(vp*uint64(fc.PageBytes), nil, nil)
+	}
+	eng.Run()
+	orphan := Loc{Plane: 0, Block: 0, Page: 1}
+	if !p.bb.Plane(0).Block(0).Valid(orphan.Page) {
+		t.Fatalf("setup: %+v not valid", orphan)
+	}
+	p.owner.del(p.physIdx(orphan))
+
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		p.pickVictim(0)
+		return nil
+	}()
+	if want := "ftl: valid page without owner (plane 0, block 0, page 1)"; got != want {
+		t.Fatalf("pickVictim panic = %v, want %q", got, want)
+	}
 }
