@@ -12,12 +12,12 @@
 //
 // Endpoints (JSON):
 //
-//	POST /v1/run             {"platform":"ZnG","mix":"betw-back","scale":0.12}
+//	POST /v1/run             {"platform":"ZnG","mix":"betw-back","scale":0.12}; "async":true for 202 + job; ?wait=D
 //	GET  /v1/jobs            job list
-//	GET  /v1/jobs/{id}       job status
+//	GET  /v1/jobs/{id}       job status (+ result document once done); ?wait=D
 //	POST /v1/campaigns       start a declarative sweep (internal/campaign Spec)
 //	GET  /v1/campaigns       campaign list with live progress
-//	GET  /v1/campaigns/{id}  campaign progress + result matrix once done
+//	GET  /v1/campaigns/{id}  campaign progress + result matrix once done; ?wait=D
 //	POST /v1/campaigns/{id}/resume  resume a store-checkpointed campaign
 //	POST /v1/fleet/register  join a worker to this coordinator's fleet
 //	POST /v1/fleet/heartbeat refresh a worker's liveness and load
@@ -29,6 +29,13 @@
 //	GET  /v1/trace/{id}      one trace's full span tree
 //	GET  /healthz            liveness
 //	GET  /metrics            counters (sims, memory/disk hits, coalesced, jobs, evictions, rejections, tier gauges, latency quantiles); ?format=prom for Prometheus text
+//
+// Long polls: an async POST /v1/run, GET /v1/jobs/{id} and
+// GET /v1/campaigns/{id} take ?wait=D (a Go duration, capped at
+// simsvc.MaxWait, 20s) and hold the reply until the job or campaign
+// finishes, D elapses or the client goes away. An async run whose job
+// finishes within the wait is answered 200 with the result document,
+// as a done-job poll is; otherwise 202 with the job to poll.
 //
 // Observability: requests carrying an X-Zng-Trace header join the
 // caller's distributed trace; direct runs are sampled 1-in

@@ -32,12 +32,12 @@
 //
 // With -coordinator URL the campaign runs inside a zngd fleet
 // coordinator instead of this process: the spec is POSTed to
-// /v1/campaigns, progress polls until done, and the coordinator's
-// folded matrix renders locally. Campaigns run that way are durable —
-// the coordinator checkpoints each cell into its store — so
-// `zngsweep -coordinator URL -resume ID` resumes a sweep the
-// coordinator (or this command) died in the middle of, re-running
-// only the cells the journal is missing.
+// /v1/campaigns, progress long-polls (GET /v1/campaigns/{id}?wait=1s)
+// until done, and the coordinator's folded matrix renders locally.
+// Campaigns run that way are durable — the coordinator checkpoints
+// each cell into its store — so `zngsweep -coordinator URL -resume
+// ID` resumes a sweep the coordinator (or this command) died in the
+// middle of, re-running only the cells the journal is missing.
 //
 // The result matrix renders as a text table by default, or through
 // internal/report with -format md|csv|json. Cells that fail after
@@ -228,7 +228,7 @@ type coordCampaign struct {
 }
 
 // runOnCoordinator executes (or resumes) the campaign inside a zngd
-// fleet coordinator: POST the spec (or the resume), poll to done,
+// fleet coordinator: POST the spec (or the resume), long-poll to done,
 // render the coordinator's folded matrix through the same emitters a
 // local run uses.
 func runOnCoordinator(base string, spec campaign.Spec, resumeID, format string, verbose bool) error {
@@ -267,14 +267,15 @@ func runOnCoordinator(base string, spec campaign.Spec, resumeID, format string, 
 		fmt.Fprintf(os.Stderr, "zngsweep: campaign %s on %s\n", id, base)
 	}
 
-	// Poll to done, backing off toward one-second probes.
-	delay := 50 * time.Millisecond
+	// Long-poll to done: each GET waits up to a second for the campaign
+	// to finish, so completion is seen in the round trip it happens in
+	// and -v still prints progress about once a second.
 	var detail struct {
 		coordCampaign
 		Error string `json:"error"`
 	}
 	for {
-		resp, err := hc.Get(base + "/v1/campaigns/" + id)
+		resp, err := hc.Get(base + "/v1/campaigns/" + id + "?wait=1s")
 		if err != nil {
 			return err
 		}
@@ -291,10 +292,6 @@ func runOnCoordinator(base string, spec campaign.Spec, resumeID, format string, 
 		if verbose {
 			p := detail.Progress
 			fmt.Fprintf(os.Stderr, "zngsweep: %d/%d done, %d failed, %d retried\n", p.Done, p.Total, p.Failed, p.Retried)
-		}
-		time.Sleep(delay)
-		if delay *= 2; delay > time.Second {
-			delay = time.Second
 		}
 	}
 

@@ -158,8 +158,8 @@ func (o *Outcome) Table() *stats.Table {
 }
 
 // Campaign is one managed campaign: its id, the spec it was started
-// from, and the executing Run (Progress, Done, Outcome, Wait, Cells,
-// Trace).
+// from, and the executing Run (Progress, Done, Finished, Outcome,
+// Wait, Cells, Trace).
 type Campaign struct {
 	ID   string
 	Spec Spec
@@ -298,6 +298,10 @@ func (r *Run) Progress() Progress {
 
 // Cells returns the expanded grid (expansion order).
 func (r *Run) Cells() []Cell { return r.cells }
+
+// Finished returns a channel closed once every cell has resolved, for
+// callers that wait on the campaign with a bound of their own.
+func (r *Run) Finished() <-chan struct{} { return r.finished }
 
 // Done reports whether the campaign has finished without blocking.
 func (r *Run) Done() bool {

@@ -326,7 +326,7 @@ func (t *Tracer) Observe(parent SpanContext, name, detail string, start time.Tim
 }
 
 // Ingest lands records produced by another process — worker spans
-// piggybacked on poll replies — in this recorder, keeping their Proc
+// piggybacked on job replies — in this recorder, keeping their Proc
 // labels. Records without valid ids are dropped.
 func (t *Tracer) Ingest(recs []Record) {
 	if t == nil {
@@ -376,7 +376,7 @@ func (t *Tracer) Trace(id ID) []Record {
 
 // Subtree returns the spans of ctx's trace that are ctx.Span or its
 // descendants — the slice of the tree one worker-side request chain
-// produced, which is exactly what a poll reply piggybacks back to the
+// produced, which is exactly what a job reply piggybacks back to the
 // coordinator (spans of the same trace's other cells stay home, so
 // ingestion never duplicates them).
 func (t *Tracer) Subtree(ctx SpanContext) []Record {

@@ -58,7 +58,8 @@ type runRequest struct {
 
 // DefaultTimeout bounds every individual HTTP round trip the client
 // makes. A simulation cell may take arbitrarily long, but no single
-// request does — Run submits asynchronously and polls, so a peer
+// request does — Run submits asynchronously and long-polls, each
+// request asking the peer to wait at most half the timeout, so a peer
 // that wedges mid-cell (as opposed to refusing connections) still
 // surfaces as a PeerError within one timeout instead of hanging the
 // caller forever.
@@ -66,12 +67,14 @@ const DefaultTimeout = 30 * time.Second
 
 // Client is one zngd peer speaking the /v1 JSON API. It implements
 // the experiments/campaign Runner interface; every Run is one async
-// POST /v1/run carrying the full cell, followed by bounded status
-// polls to completion.
+// POST /v1/run?wait=D carrying the full cell, with D half the client's
+// timeout. A cell that finishes within D is answered by that one
+// request; a longer one is long-polled with GET /v1/jobs/{id}?wait=D
+// until a reply sees it finish. The client never sleeps between
+// requests.
 type Client struct {
 	base string
 	hc   *http.Client
-	poll time.Duration
 }
 
 // NewClient returns a client for a peer address ("host:port" or a
@@ -83,7 +86,6 @@ func NewClient(addr string) *Client {
 	return &Client{
 		base: strings.TrimRight(addr, "/"),
 		hc:   &http.Client{Timeout: DefaultTimeout},
-		poll: 50 * time.Millisecond,
 	}
 }
 
@@ -112,18 +114,18 @@ type envelope struct {
 	} `json:"job"`
 	Result json.RawMessage `json:"result"`
 	// Spans is the worker-side span subtree of a traced request,
-	// piggybacked on the poll reply that observed the job complete so
-	// the caller's flight recorder holds the whole cross-process tree.
+	// piggybacked on the reply that observed the job finish so the
+	// caller's flight recorder holds the whole cross-process tree.
 	Spans []obs.Record `json:"spans"`
 }
 
 // Run implements the Runner interface against the peer: submit the
-// cell asynchronously, poll its job to completion (every round trip
-// bounded by the client timeout, so a wedged peer faults instead of
-// hanging), decode the canonical result document, and relabel it
-// with the caller's mix name (aliasing scenarios share the remote
-// cell but keep their own labels, matching the local runners'
-// contract).
+// cell asynchronously with a wait, long-poll its job if it outlasts
+// the wait (every round trip bounded by the client timeout, so a
+// wedged peer faults instead of hanging), decode the canonical result
+// document, and relabel it with the caller's mix name (aliasing
+// scenarios share the remote cell but keep their own labels, matching
+// the local runners' contract).
 func (c *Client) Run(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
 	r, _, err := c.run(obs.SpanContext{}, kind, mix, scale, cfg)
 	return r, err
@@ -133,10 +135,10 @@ func (c *Client) Run(kind platform.Kind, mix workload.Mix, scale float64, cfg co
 // X-Zng-Trace header on the submit and every poll, so the peer
 // parents its own spans (queue wait, tier lookups, simulation) under
 // sc. The returned records are the peer-side span subtree piggybacked
-// on the final poll reply — the caller ingests them into its own
-// flight recorder to complete the cross-process tree. Spans may be
-// non-empty even when err is a deterministic simulation error (the
-// failing sim span is part of the story); they are empty on
+// on the reply that saw the job finish — the caller ingests them into
+// its own flight recorder to complete the cross-process tree. Spans
+// may be non-empty even when err is a deterministic simulation error
+// (the failing sim span is part of the story); they are empty on
 // peer-level faults.
 func (c *Client) RunTraced(sc obs.SpanContext, kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, []obs.Record, error) {
 	return c.run(sc, kind, mix, scale, cfg)
@@ -153,7 +155,15 @@ func (c *Client) run(sc obs.SpanContext, kind platform.Kind, mix workload.Mix, s
 	if err != nil {
 		return platform.Result{}, nil, fmt.Errorf("remote: encoding request: %w", err)
 	}
-	resp, err := c.post(sc, "/v1/run", body)
+	// The peer holds each request until the job finishes or the wait
+	// runs out, whichever is first; half the timeout leaves the reply
+	// the other half to arrive.
+	wait := c.hc.Timeout / 2
+	if wait <= 0 {
+		wait = DefaultTimeout / 2
+	}
+	query := "?wait=" + wait.String()
+	resp, err := c.post(sc, "/v1/run"+query, body)
 	if err != nil {
 		return platform.Result{}, nil, &PeerError{Peer: c.base, Err: err}
 	}
@@ -161,50 +171,45 @@ func (c *Client) run(sc obs.SpanContext, kind platform.Kind, mix workload.Mix, s
 	if err != nil {
 		return platform.Result{}, nil, &PeerError{Peer: c.base, Err: err}
 	}
-	if resp.StatusCode != http.StatusAccepted || env.Job.ID == "" {
+	if (resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted) || env.Job.ID == "" {
 		// 503 (draining), 4xx against this client's own request shape,
 		// or anything else unexpected: a peer-level fault the
 		// dispatcher can route around.
 		return platform.Result{}, nil, &PeerError{Peer: c.base, Err: fmt.Errorf("submit status %d: %s", resp.StatusCode, errText(env))}
 	}
-
-	delay := c.poll
-	for {
-		resp, err := c.get(sc, "/v1/jobs/"+env.Job.ID)
-		if err != nil {
+	// 200: the job finished within the submit's wait and the reply
+	// carries its outcome. 202: long-poll it with the same wait until
+	// a reply sees it finish.
+	for resp.StatusCode == http.StatusAccepted || !finished(env.Job.State) {
+		if resp, err = c.get(sc, "/v1/jobs/"+env.Job.ID+query); err != nil {
 			return platform.Result{}, nil, &PeerError{Peer: c.base, Err: err}
 		}
-		env, err := decodeEnvelope(resp)
-		if err != nil {
+		if env, err = decodeEnvelope(resp); err != nil {
 			return platform.Result{}, nil, &PeerError{Peer: c.base, Err: err}
 		}
-		switch {
-		case resp.StatusCode != http.StatusOK:
+		if resp.StatusCode != http.StatusOK {
 			// Includes an evicted job id (404): the cell's outcome is
 			// no longer observable here, so let the dispatcher re-route.
 			return platform.Result{}, nil, &PeerError{Peer: c.base, Err: fmt.Errorf("poll status %d: %s", resp.StatusCode, errText(env))}
-		case env.Job.State == "error":
-			// The peer ran the cell and the simulation itself failed —
-			// deterministic, so another peer would only repeat it.
-			return platform.Result{}, env.Spans, fmt.Errorf("remote: simulation failed on %s: %s", c.base, env.Job.Error)
-		case env.Job.State == "done":
-			r, err := report.DecodeResult(env.Result)
-			if err != nil {
-				return platform.Result{}, nil, &PeerError{Peer: c.base, Err: err}
-			}
-			if mix.Name != "" {
-				r.Workload = mix.Name
-			}
-			return r, env.Spans, nil
-		}
-		time.Sleep(delay)
-		// Back off toward one-second polls so long cells cost the peer
-		// little while tiny cells still round-trip fast.
-		if delay *= 2; delay > time.Second {
-			delay = time.Second
 		}
 	}
+	if env.Job.State == "error" {
+		// The peer ran the cell and the simulation itself failed —
+		// deterministic, so another peer would only repeat it.
+		return platform.Result{}, env.Spans, fmt.Errorf("remote: simulation failed on %s: %s", c.base, env.Job.Error)
+	}
+	r, err := report.DecodeResult(env.Result)
+	if err != nil {
+		return platform.Result{}, nil, &PeerError{Peer: c.base, Err: err}
+	}
+	if mix.Name != "" {
+		r.Workload = mix.Name
+	}
+	return r, env.Spans, nil
 }
+
+// finished reports whether a job state is terminal.
+func finished(state string) bool { return state == "done" || state == "error" }
 
 // post issues one POST with the trace header attached when sc is
 // valid.

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -307,5 +308,94 @@ func TestDispatcherRoutesAroundHungPeer(t *testing.T) {
 	}
 	if svc.Stats().Sims != 1 {
 		t.Errorf("live peer simulated %d cells, want 1", svc.Stats().Sims)
+	}
+}
+
+// TestServerWaitCapBelowClientTimeout: a peer never holds a long poll
+// past a default client's timeout, whatever wait the client asks for.
+func TestServerWaitCapBelowClientTimeout(t *testing.T) {
+	if simsvc.MaxWait >= remote.DefaultTimeout {
+		t.Fatalf("simsvc.MaxWait %v is not below remote.DefaultTimeout %v", simsvc.MaxWait, remote.DefaultTimeout)
+	}
+}
+
+// TestClientOneRequestPerQuickCell: a cell that finishes inside the
+// submit's wait costs exactly one request, the POST, and no poll. A
+// cell gated past the wait finishes through long-polled GETs and
+// returns within a small bound of the gate opening, not a sleep step
+// later.
+func TestClientOneRequestPerQuickCell(t *testing.T) {
+	gate := make(chan struct{})
+	gated := testMix(t, "solo-gaus")
+	svc := simsvc.New(simsvc.Config{Workers: 2, Simulate: func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
+		if mix.ID() == gated.ID() {
+			<-gate
+		}
+		return platform.Result{Kind: kind, Workload: mix.Name, IPC: 4}, nil
+	}})
+	t.Cleanup(svc.Close)
+	// Requests are counted as they complete, so three counted GETs are
+	// three polls answered while the cell was still gated.
+	var posts, gets atomic.Int64
+	h := simsvc.NewHandler(svc, config.Default())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/run":
+			posts.Add(1)
+		case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
+			gets.Add(1)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() {
+		select {
+		case <-gate:
+		default:
+			close(gate) // unwedge the gated cell so Close can drain
+		}
+	})
+
+	quick := remote.NewClient(srv.URL)
+	if res, err := quick.Run(platform.ZnG, testMix(t, "solo-bfs1"), 0.5, config.Default()); err != nil || res.IPC != 4 {
+		t.Fatalf("quick cell = %+v, %v", res, err)
+	}
+	if p, g := posts.Load(), gets.Load(); p != 1 || g != 0 {
+		t.Fatalf("quick cell cost %d POSTs and %d GETs, want 1 and 0", p, g)
+	}
+
+	// A 200 ms timeout asks the peer to wait 100 ms per request, so the
+	// gated cell outlasts the submit and several long polls.
+	slow := remote.NewClient(srv.URL)
+	slow.SetTimeout(200 * time.Millisecond)
+	type outcome struct {
+		res platform.Result
+		err error
+		at  time.Time
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := slow.Run(platform.ZnG, gated, 0.5, config.Default())
+		done <- outcome{res, err, time.Now()}
+	}()
+	base := gets.Load()
+	deadline := time.Now().Add(10 * time.Second)
+	for gets.Load() < base+3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("gated cell made %d polls in 10 s, want 3", gets.Load()-base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	opened := time.Now()
+	close(gate)
+	out := <-done
+	if out.err != nil || out.res.IPC != 4 {
+		t.Fatalf("gated cell = %+v, %v", out.res, out.err)
+	}
+	if lag := out.at.Sub(opened); lag > 100*time.Millisecond {
+		t.Errorf("gated cell returned %v after its gate opened, want within 100 ms", lag)
+	}
+	if p := posts.Load(); p != 2 {
+		t.Errorf("%d POSTs for two cells, want 2", p)
 	}
 }

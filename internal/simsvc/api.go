@@ -33,8 +33,10 @@ type runRequest struct {
 	Apps     string  `json:"apps,omitempty"`
 	Scale    float64 `json:"scale,omitempty"`
 	Priority int     `json:"priority,omitempty"`
-	// Async returns 202 with the job immediately instead of waiting
-	// for the result; poll GET /v1/jobs/{id}.
+	// Async returns 202 with the job instead of waiting for the
+	// result; poll GET /v1/jobs/{id}. With ?wait=D the reply waits up
+	// to D for the job, and a job that finishes within it is answered
+	// as a done-job poll is: 200 with the result document.
 	Async bool `json:"async,omitempty"`
 	// Config, when present, is decoded over a copy of the daemon's
 	// base configuration, so absent fields inherit the base instead of
@@ -101,12 +103,12 @@ type fleetHeartbeatRequest struct {
 // passes Table I defaults); requests choose platform, workload, scale
 // and priority, and may carry a full config of their own.
 //
-//	POST /v1/run             run (or enqueue) one simulation cell
+//	POST /v1/run             run (or enqueue) one simulation cell; ?wait=D on an async run
 //	GET  /v1/jobs            list jobs in submission order
-//	GET  /v1/jobs/{id}       one job's status
+//	GET  /v1/jobs/{id}       one job's status; ?wait=D long-polls it
 //	POST /v1/campaigns       start a declarative sweep (202 + campaign id)
 //	GET  /v1/campaigns       list campaigns with live progress
-//	GET  /v1/campaigns/{id}  one campaign's progress (+ matrix once done)
+//	GET  /v1/campaigns/{id}  one campaign's progress (+ matrix once done); ?wait=D long-polls it
 //	POST /v1/campaigns/{id}/resume  resume a store-checkpointed campaign
 //	POST /v1/fleet/register  join a worker to this coordinator's fleet
 //	POST /v1/fleet/heartbeat refresh a worker's liveness and load
@@ -118,6 +120,17 @@ type fleetHeartbeatRequest struct {
 //	GET  /v1/trace/{id}      one trace's full span tree
 //	GET  /healthz            liveness
 //	GET  /metrics            counters (JSON, or Prometheus text with ?format=prom)
+//
+// ?wait=D (a Go duration such as 500ms or 2s, clamped to MaxWait)
+// holds the reply until the job or campaign finishes, D elapses or
+// the client goes away, so a caller learns of completion in the
+// round trip that sees it instead of sleeping between polls. An async
+// POST /v1/run whose job finishes within the wait replies 200 with
+// what a done-job poll carries — the result document, and a traced
+// caller's span subtree — and 202 with the job otherwise; the GETs
+// reply as they do without a wait. A request without wait takes the
+// immediate path; a malformed or negative wait, or one on a sync
+// run, is a 400.
 //
 // Every reply — success, validation failure, unknown path, wrong
 // method — is a JSON document; errors are {"error": ...} with the
@@ -170,6 +183,11 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 	}
 
 	timed("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
+		wait, err := parseWait(r)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
 		var req runRequest
 		// Pre-seed the config target with the base configuration: a
 		// request's "config" object decodes over it, so unspecified
@@ -186,6 +204,10 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 		}
 		if req.Config == nil { // an explicit "config": null
 			req.Config = &seeded
+		}
+		if wait > 0 && !req.Async {
+			writeErr(w, http.StatusBadRequest, errors.New(`"wait" applies to async runs only; a sync run already waits for its result`))
+			return
 		}
 		kind, err := platform.KindByName(req.Platform)
 		if err != nil {
@@ -229,43 +251,38 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 			span = tr.SampledRoot("http", "POST /v1/run")
 		}
 		request := Request{Kind: kind, Mix: mix, Scale: scale, Cfg: *req.Config, Priority: req.Priority, Trace: span.Context()}
+		// Either call holds the job across its wait, so a retention
+		// eviction between completion and reply cannot lose the result.
+		var (
+			res platform.Result
+			job JobInfo
+		)
 		if req.Async {
-			job, err := svc.SubmitJob(request)
-			if errors.Is(err, ErrOverloaded) {
-				span.SetCode(http.StatusTooManyRequests)
-				span.EndErr(err)
-				writeOverloaded(w, svc, err)
-				return
-			}
-			if err != nil {
-				// Beyond overload, only shutdown rejects a well-formed
-				// submission.
-				span.SetCode(http.StatusServiceUnavailable)
-				span.EndErr(err)
-				writeErr(w, http.StatusServiceUnavailable, err)
-				return
-			}
-			span.SetCode(http.StatusAccepted)
-			span.End()
-			writeJSON(w, http.StatusAccepted, runResponse{Job: job})
-			return
+			res, job, err = svc.SubmitWait(r.Context(), request, wait)
+		} else {
+			res, job, err = svc.DoJob(request)
 		}
-		// DoJob holds the job across the wait, so a retention eviction
-		// between completion and reply cannot lose the result.
-		res, job, err := svc.DoJob(request)
 		if errors.Is(err, ErrOverloaded) {
 			span.SetCode(http.StatusTooManyRequests)
 			span.EndErr(err)
 			writeOverloaded(w, svc, err)
 			return
 		}
-		if errors.Is(err, ErrClosed) && job.ID == "" {
+		if err != nil && job.ID == "" {
+			// Beyond overload, only shutdown refuses a well-formed
+			// submission.
 			span.SetCode(http.StatusServiceUnavailable)
 			span.EndErr(err)
 			writeErr(w, http.StatusServiceUnavailable, err)
 			return
 		}
-		if err != nil {
+		if req.Async && (wait == 0 || !finished(job.State)) {
+			span.SetCode(http.StatusAccepted)
+			span.End()
+			writeJSON(w, http.StatusAccepted, runResponse{Job: job})
+			return
+		}
+		if !req.Async && err != nil {
 			status := http.StatusInternalServerError
 			if errors.Is(err, ErrClosed) {
 				status = http.StatusServiceUnavailable
@@ -278,13 +295,12 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 			}{err.Error(), job})
 			return
 		}
+		// A sync run's result, or an async job that finished within the
+		// wait, answered as a done-job poll is. The span ends first, so
+		// the caller's subtree includes it.
 		span.SetCode(http.StatusOK)
 		span.End()
-		resp := runResponse{Job: job, Result: report.EncodeResult(res)}
-		if hasHeader {
-			resp.Spans = tr.Subtree(headerCtx)
-		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, jobReply(tr, r, job, res))
 	})
 
 	timed("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -294,37 +310,29 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 	})
 
 	timed("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		wait, err := parseWait(r)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
 		id := r.PathValue("id")
 		// A completed job carries its result, so an async submitter can
 		// poll this endpoint to done and collect the document in one
-		// round trip. JobResult snapshots status and result in a single
-		// lookup, so retention eviction between the two cannot reply
-		// "done" without the document. The result is relabeled to the
-		// job's workload, matching the sync run path — a disk-served
-		// cell may carry the label of whoever first computed it,
-		// possibly an aliasing scenario.
-		job, res, ok := svc.JobResult(id)
+		// round trip. JobResult snapshots status and result from the
+		// one job it resolved, so retention eviction between the two
+		// (or during the wait) cannot reply "done" without the document.
+		// The result is relabeled to the job's workload, matching the
+		// sync run path — a disk-served cell may carry the label of
+		// whoever first computed it, possibly an aliasing scenario.
+		job, res, ok := svc.JobResult(r.Context(), id, wait)
 		if !ok {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 			return
 		}
-		resp := runResponse{Job: job}
-		if job.State == StateDone {
-			if job.Workload != "" {
-				res.Workload = job.Workload
-			}
-			resp.Result = report.EncodeResult(res)
+		if job.Workload != "" {
+			res.Workload = job.Workload
 		}
-		// A traced poller (X-Zng-Trace) observing the job complete gets
-		// this process's span subtree piggybacked — the worker half of a
-		// cross-process trace. Polls themselves are not spanned; the
-		// header only scopes the subtree to the caller's peer span.
-		if job.State == StateDone || job.State == StateError {
-			if sc, ok := obs.DecodeContext(r.Header.Get(obs.Header)); ok {
-				resp.Spans = tr.Subtree(sc)
-			}
-		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, jobReply(tr, r, job, res))
 	})
 
 	timed("POST /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
@@ -357,12 +365,18 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 	})
 
 	timed("GET /v1/campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
+		wait, err := parseWait(r)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
 		id := r.PathValue("id")
 		c, ok := mgr.Get(id)
 		if !ok {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown campaign %q", id))
 			return
 		}
+		waitDone(r.Context(), c.Finished(), wait)
 		detail := campaignDetail{campaignInfo: campaignStatus(c)}
 		// A finished campaign carries the folded result matrix (the
 		// same table zngsweep prints) and any per-cell failures, so
@@ -524,7 +538,7 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 			return
 		}
 		// The full tree, worker spans included (they were ingested when
-		// the dispatcher's polls piggybacked them), sorted by start.
+		// the dispatcher's job replies piggybacked them), sorted by start.
 		recs := tr.Trace(id)
 		if len(recs) == 0 {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("no spans recorded for trace %s", id))
@@ -587,6 +601,50 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 	}
 
 	return mux
+}
+
+// MaxWait caps the ?wait=D long poll. It stays below
+// remote.DefaultTimeout, so a client with the default timeout always
+// gets the reply before it gives up on the request.
+const MaxWait = 20 * time.Second
+
+// parseWait reads the optional ?wait=D bound, clamped to MaxWait; 0
+// means no wait. The query is parsed only when there is one: r.URL.Query
+// allocates, and a request without a wait must not pay for it.
+func parseWait(r *http.Request) (time.Duration, error) {
+	if r.URL.RawQuery == "" {
+		return 0, nil
+	}
+	s := r.URL.Query().Get("wait")
+	if s == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("bad wait %q (want a non-negative duration such as 500ms or 2s)", s)
+	}
+	return min(d, MaxWait), nil
+}
+
+// finished reports whether a job has reached a terminal state.
+func finished(st State) bool { return st == StateDone || st == StateError }
+
+// jobReply is the reply about one job: its snapshot, the result
+// document once it is done, and — for a traced caller (X-Zng-Trace)
+// once it has finished — this process's span subtree under the
+// caller's span, the worker half of a cross-process trace. Polls
+// themselves are not spanned; the header only scopes the subtree.
+func jobReply(tr *obs.Tracer, r *http.Request, job JobInfo, res platform.Result) runResponse {
+	resp := runResponse{Job: job}
+	if job.State == StateDone {
+		resp.Result = report.EncodeResult(res)
+	}
+	if finished(job.State) {
+		if sc, ok := obs.DecodeContext(r.Header.Get(obs.Header)); ok {
+			resp.Spans = tr.Subtree(sc)
+		}
+	}
+	return resp
 }
 
 // campaignInfo is the campaign status envelope shared by the list,

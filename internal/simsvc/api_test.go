@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -299,22 +300,30 @@ func TestAPIRunRealSimulation(t *testing.T) {
 // never the ServeMux's text/plain fallback.
 func TestAPIStructuredErrors(t *testing.T) {
 	srv, _ := newTestServer(t, fixedSim(1))
+	const async = `{"platform":"ZnG","mix":"betw-back","scale":0.5,"async":true}`
 	for name, tc := range map[string]struct {
-		method, path string
-		status       int
+		method, path, body string
+		status             int
 	}{
-		"unknown job":          {"GET", "/v1/jobs/job-999", http.StatusNotFound},
-		"unknown campaign":     {"GET", "/v1/campaigns/c-999", http.StatusNotFound},
-		"unknown path":         {"GET", "/v1/nope", http.StatusNotFound},
-		"root path":            {"GET", "/", http.StatusNotFound},
-		"run wrong method":     {"GET", "/v1/run", http.StatusMethodNotAllowed},
-		"jobs wrong method":    {"DELETE", "/v1/jobs", http.StatusMethodNotAllowed},
-		"job id wrong method":  {"POST", "/v1/jobs/job-1", http.StatusMethodNotAllowed},
-		"metrics wrong method": {"POST", "/metrics", http.StatusMethodNotAllowed},
-		"campaign bad method":  {"DELETE", "/v1/campaigns", http.StatusMethodNotAllowed},
-		"register bad method":  {"GET", "/v1/fleet/register", http.StatusMethodNotAllowed},
+		"unknown job":          {"GET", "/v1/jobs/job-999", "", http.StatusNotFound},
+		"unknown campaign":     {"GET", "/v1/campaigns/c-999", "", http.StatusNotFound},
+		"unknown path":         {"GET", "/v1/nope", "", http.StatusNotFound},
+		"root path":            {"GET", "/", "", http.StatusNotFound},
+		"run wrong method":     {"GET", "/v1/run", "", http.StatusMethodNotAllowed},
+		"jobs wrong method":    {"DELETE", "/v1/jobs", "", http.StatusMethodNotAllowed},
+		"job id wrong method":  {"POST", "/v1/jobs/job-1", "", http.StatusMethodNotAllowed},
+		"metrics wrong method": {"POST", "/metrics", "", http.StatusMethodNotAllowed},
+		"campaign bad method":  {"DELETE", "/v1/campaigns", "", http.StatusMethodNotAllowed},
+		"register bad method":  {"GET", "/v1/fleet/register", "", http.StatusMethodNotAllowed},
+		"run malformed wait":   {"POST", "/v1/run?wait=soon", async, http.StatusBadRequest},
+		"run unitless wait":    {"POST", "/v1/run?wait=5", async, http.StatusBadRequest},
+		"run negative wait":    {"POST", "/v1/run?wait=-1s", async, http.StatusBadRequest},
+		"sync run with wait":   {"POST", "/v1/run?wait=1s", `{"platform":"ZnG","mix":"betw-back","scale":0.5}`, http.StatusBadRequest},
+		"job malformed wait":   {"GET", "/v1/jobs/job-1?wait=forever", "", http.StatusBadRequest},
+		"job negative wait":    {"GET", "/v1/jobs/job-1?wait=-2ms", "", http.StatusBadRequest},
+		"campaign bad wait":    {"GET", "/v1/campaigns/c-1?wait=1x", "", http.StatusBadRequest},
 	} {
-		req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
+		req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,6 +45,7 @@ package simsvc
 
 import (
 	"container/heap"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -472,21 +473,39 @@ func (s *Service) DoJob(req Request) (platform.Result, JobInfo, error) {
 	return res, info, j.err
 }
 
-// SubmitJob is Submit plus the admitted job's snapshot taken at
-// admission time, so async callers get consistent metadata even if
-// retention evicts the job before they poll.
-func (s *Service) SubmitJob(req Request) (JobInfo, error) {
+// SubmitWait is DoJob for async callers: it admits req and waits up to
+// d (d <= 0: not at all) for the job to finish, returning early when
+// ctx ends. The snapshot's state says whether the job finished; it is
+// taken from the held job, so retention cannot evict the outcome out
+// from under the wait. Once the job is done the result is set and
+// relabeled as DoJob's is; the error is the admission failure or, for
+// a failed job, the job's own.
+func (s *Service) SubmitWait(ctx context.Context, req Request, d time.Duration) (platform.Result, JobInfo, error) {
 	j, served, err := s.submit(req)
 	if err != nil {
-		return JobInfo{}, err
+		return platform.Result{}, JobInfo{}, err
 	}
+	waitDone(ctx, j.done, d)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	info := j.info()
+	s.mu.Unlock()
 	if served != "" {
 		info.Source = served
 	}
-	return info, nil
+	// res and err were published before the state the snapshot observed
+	// (finish holds the lock for all three), so they may be read
+	// lock-free once it says the job finished.
+	switch info.State {
+	case StateDone:
+		res := j.res
+		if req.Mix.Name != "" {
+			res.Workload = req.Mix.Name
+		}
+		return res, info, nil
+	case StateError:
+		return platform.Result{}, info, j.err
+	}
+	return platform.Result{}, info, nil
 }
 
 // Run implements campaign.Runner at default priority — the single
@@ -540,16 +559,20 @@ func (s *Service) Job(id string) (JobInfo, bool) {
 }
 
 // JobResult snapshots one job by id and — when it is done — its
-// result, in a single lookup, so a retention eviction between
-// "observe done" and "read result" cannot lose the result the way a
-// Job-then-Await pair would (the HTTP poll endpoint's contract).
-func (s *Service) JobResult(id string) (JobInfo, platform.Result, bool) {
+// result, after waiting up to d (d <= 0: not at all) for the job to
+// finish, returning early when ctx ends. The id is resolved once, so a
+// retention eviction between "observe done" and "read result", or
+// during the wait, cannot lose the result the way a Job-then-Await
+// pair would (the HTTP poll endpoint's contract).
+func (s *Service) JobResult(ctx context.Context, id string, d time.Duration) (JobInfo, platform.Result, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		return JobInfo{}, platform.Result{}, false
 	}
+	waitDone(ctx, j.done, d)
+	s.mu.Lock()
 	info := j.info()
 	s.mu.Unlock()
 	if info.State != StateDone {
@@ -558,6 +581,28 @@ func (s *Service) JobResult(id string) (JobInfo, platform.Result, bool) {
 	// res was published before state flipped to done (finish holds the
 	// lock for both), so having observed done we may read it lock-free.
 	return info, j.res, true
+}
+
+// waitDone is the one bounded wait, on a job or a campaign: it blocks
+// until done is closed, d elapses or ctx ends, whichever comes first.
+// With d <= 0, or done already closed, it returns at once and arms no
+// timer.
+func waitDone(ctx context.Context, done <-chan struct{}, d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	select {
+	case <-done:
+		return
+	default:
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-done:
+	case <-t.C:
+	case <-ctx.Done():
+	}
 }
 
 // Jobs snapshots every job in submission order.

@@ -2,6 +2,7 @@ package simsvc
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"runtime"
@@ -631,18 +632,18 @@ func TestJobResultSingleLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	if info, _, ok := svc.JobResult(id); !ok || info.State == StateDone {
+	if info, _, ok := svc.JobResult(context.Background(), id, 0); !ok || info.State == StateDone {
 		t.Errorf("in-flight JobResult = %+v, %v", info, ok)
 	}
 	close(gate)
 	if _, err := svc.Await(id); err != nil {
 		t.Fatal(err)
 	}
-	info, res, ok := svc.JobResult(id)
+	info, res, ok := svc.JobResult(context.Background(), id, 0)
 	if !ok || info.State != StateDone || res.IPC != 6 {
 		t.Errorf("done JobResult = %+v, %+v, %v; want done with IPC 6", info, res, ok)
 	}
-	if _, _, ok := svc.JobResult("job-999"); ok {
+	if _, _, ok := svc.JobResult(context.Background(), "job-999", 0); ok {
 		t.Error("unknown id resolved")
 	}
 }
