@@ -10,18 +10,23 @@ import (
 
 // BenchmarkCacheAccess times one read through the ZnG L2 geometry (the
 // bank-granted tag lookup and the completion, plus the fill and
-// eviction on a miss) on a stream whose lines all stay resident and on
+// eviction on a miss) on a stream whose lines all stay resident, on
 // one that cycles through four times the capacity, so that every read
-// misses and evicts.
+// misses and evicts, and on row-lru, which cycles through exactly Ways
+// lines of one row, so that every read hits the row's least recently
+// used way and ages all the others.
 func BenchmarkCacheAccess(b *testing.B) {
 	cfg := config.Default().L2STT
-	lines := uint64(cfg.Banks * cfg.Sets * cfg.Ways)
+	rows := uint64(cfg.Banks * cfg.Sets)
+	lines := rows * uint64(cfg.Ways)
 	for _, bc := range []struct {
-		name string
-		span uint64 // distinct lines the stream cycles through
+		name   string
+		span   uint64 // distinct lines the stream cycles through
+		stride uint64 // line-number step between them
 	}{
-		{"hit", lines / 4},
-		{"miss", lines * 4},
+		{"hit", lines / 4, 1},
+		{"miss", lines * 4, 1},
+		{"row-lru", uint64(cfg.Ways), rows},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			eng := sim.NewEngine()
@@ -29,13 +34,13 @@ func BenchmarkCacheAccess(b *testing.B) {
 			r := &mem.Request{Size: cfg.LineBytes}
 			var n uint64
 			read := func() {
-				r.Addr = n % bc.span * uint64(cfg.LineBytes)
+				r.Addr = n % bc.span * bc.stride * uint64(cfg.LineBytes)
 				n++
 				c.Access(r)
 				eng.Run()
 			}
-			// Warm up: the hit stream becomes resident, the miss stream
-			// fills every row.
+			// Warm up: the hit and row-lru streams become resident, the
+			// miss stream fills every row.
 			for range min(bc.span, 2*lines) {
 				read()
 			}

@@ -9,16 +9,32 @@
 // mechanism the flash-register thrashing checker uses to spill excess
 // dirty data into L2.
 //
-// The tag store is flat. Line number g (the line address over
-// LineBytes) belongs to bank b = g mod Banks and, within it, to set
-// s = (g/Banks) mod Sets. Tag row g mod (Banks*Sets), which is
-// b + Banks*s, holds exactly that set, so rows are set-major with the
-// banks interleaved and finding a row takes one modulo. A row is Ways
-// consecutive slots. The tag words have an array of their own, holding
-// lineAddr|1 for a resident line and 0 for an empty way, so a lookup
-// scans one contiguous row: one 64 B host cache line for an 8-way set.
-// Each slot's LRU stamp and dirty/prefetch/accessed/pinned bits share a
-// state word in a parallel array.
+// The tag store is flat: one 8-byte word per way. Line number g (the
+// line address over LineBytes) belongs to bank b = g mod Banks and,
+// within it, to set s = (g/Banks) mod Sets. Tag row g mod (Banks*Sets),
+// which is b + Banks*s, holds exactly that set, so rows are set-major
+// with the banks interleaved and finding a row takes one modulo. A row
+// is Ways consecutive words, so all of an 8-way set (tags, flags and
+// replacement state) is one 64 B host cache line.
+//
+// A way's word holds, from the top, the line number g, the way's LRU
+// rank within its row, the dirty, prefetch, accessed and pinned flags,
+// and a valid bit. The zero word is an empty way, so a new cache is all
+// zeros and rows a run never touches are never written. The rank
+// counts the resident ways of the row used more recently, so the k
+// resident ways of a row hold ranks 0 (most recent) to k-1:
+//
+//   - a hit or re-install ages every way ranked below it by one and
+//     takes rank 0;
+//   - an install into an empty way ages every resident way;
+//   - an install over a victim (the unpinned way of highest rank) ages
+//     the ways ranked below the victim and takes rank 0;
+//   - a write that invalidates a line in the read-only L2 empties its
+//     way and closes the gap: the ranks above the way's fall by one.
+//
+// That is exactly the order of a global LRU clock stamped on every use,
+// without the clock: the rank field's 7 bits order up to 128 ways, and
+// the tag field's 52 bits hold any line number below 2^52.
 package cache
 
 import (
@@ -32,15 +48,27 @@ import (
 	"zng/internal/stats"
 )
 
-// A slot's state word: the LRU stamp above four flag bits.
+// A way's word, from bit 0 up: the valid bit, four flag bits, the LRU
+// rank and the line number.
 const (
-	stDirty    uint64 = 1 << iota
-	stPrefetch        // filled by the prefetcher, ZnG tag extension
-	stAccessed        // demand-hit since fill, ZnG tag extension
-	stPinned
+	wValid uint64 = 1 << iota
+	wDirty
+	wPrefetch // filled by the prefetcher, ZnG tag extension
+	wAccessed // demand-hit since fill, ZnG tag extension
+	wPinned
 
-	stampShift = 4
-	flagMask   = 1<<stampShift - 1
+	rankShift = 5
+	rankBits  = 7
+	tagShift  = rankShift + rankBits
+
+	rankOne  = 1 << rankShift
+	rankMask = (1<<rankBits - 1) << rankShift
+	// keyMask keeps the line number and the valid bit: a word matches
+	// line g when word&keyMask == g<<tagShift|wValid.
+	keyMask = ^uint64(1<<tagShift-1) | wValid
+
+	maxWays = 1 << rankBits        // the most ways the rank field orders
+	maxLine = 1<<(64-tagShift) - 1 // the widest line number the tag field holds
 )
 
 // EvictInfo describes an evicted line for the access monitor.
@@ -60,12 +88,10 @@ type Cache struct {
 	next mem.Memory
 
 	banks []*sim.Resource
-	// The tag store, slot row*Ways+way: tags holds lineAddr|1 or 0
-	// (empty), state the slot's stamp and flags.
-	tags, state []uint64
-	rows        uint64 // Banks*Sets
-	shift       uint   // log2(LineBytes)
-	clock       uint64
+	// The tag store: way row*Ways+i's word, 0 when the way is empty.
+	words []uint64
+	rows  uint64 // Banks*Sets
+	shift uint   // log2(LineBytes)
 
 	// The MSHR file is dense: cfg.MSHRs slots, each queueing the reads
 	// waiting on its line in arrival order, a free-slot stack and a
@@ -92,16 +118,22 @@ type Cache struct {
 	PinnedNow                  int
 }
 
-// ValidateConfig reports an error when the tag store cannot index cfg:
-// the line size must be a power of two of at least 2 bytes (so a line
-// address's low bit is free to mark a valid tag) and there must be at
-// least one set.
+// ValidateConfig reports an error when the model cannot run cfg: the
+// line size must be a power of two of at least 2 bytes, there must be
+// at least one set and one MSHR, and the rank field must order the
+// ways (0 to 128; 0 ways is a cache every line bypasses).
 func ValidateConfig(cfg config.Cache) error {
 	if cfg.LineBytes < 2 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		return fmt.Errorf("cache: LineBytes %d is not a power of two of at least 2", cfg.LineBytes)
 	}
 	if cfg.Sets < 1 {
 		return fmt.Errorf("cache: Sets %d, want at least 1", cfg.Sets)
+	}
+	if cfg.Ways < 0 || cfg.Ways > maxWays {
+		return fmt.Errorf("cache: Ways %d, want 0 to %d", cfg.Ways, maxWays)
+	}
+	if cfg.MSHRs < 1 {
+		return fmt.Errorf("cache: MSHRs %d, want at least 1", cfg.MSHRs)
 	}
 	return nil
 }
@@ -116,15 +148,12 @@ func New(eng *sim.Engine, cfg config.Cache, next mem.Memory, name string) *Cache
 		panic(err)
 	}
 	nb := max(cfg.Banks, 1)
-	slots := nb * cfg.Sets * cfg.Ways
-	store := make([]uint64, 2*slots)
 	c := &Cache{
 		Name:  name,
 		eng:   eng,
 		cfg:   cfg,
 		next:  next,
-		tags:  store[:slots:slots],
-		state: store[slots:],
+		words: make([]uint64, nb*cfg.Sets*cfg.Ways),
 		rows:  uint64(nb * cfg.Sets),
 		shift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 
@@ -146,23 +175,57 @@ func (c *Cache) Config() config.Cache { return c.cfg }
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return mem.LineAddr(addr, c.cfg.LineBytes) }
 
-// row returns the first slot of line la's tag row.
-func (c *Cache) row(la uint64) int { return int((la>>c.shift)%c.rows) * c.cfg.Ways }
-
-// find returns line la's slot, or -1 when the line is not resident.
-func (c *Cache) find(la uint64) int {
-	base := c.row(la)
-	for i, t := range c.tags[base : base+c.cfg.Ways] {
-		if t == la|1 {
-			return base + i
-		}
+// locate returns line la's tag row and the key its word carries. A line
+// number too wide for the tag field would alias a narrower one, so it
+// panics instead.
+func (c *Cache) locate(la uint64) (row []uint64, key uint64) {
+	g := la >> c.shift
+	if g > maxLine {
+		panic(fmt.Sprintf("cache %s: line address %#x is too wide for the %d-bit tag field", c.Name, la, 64-tagShift))
 	}
-	return -1
+	base := int(g%c.rows) * c.cfg.Ways
+	return c.words[base : base+c.cfg.Ways : base+c.cfg.Ways], g<<tagShift | wValid
 }
 
-// touch stamps slot s with the current clock and sets flag bits f.
-func (c *Cache) touch(s int, f uint64) {
-	c.state[s] = c.clock<<stampShift | c.state[s]&flagMask | f
+// find returns line la's row and its way there, -1 when the line is
+// not resident.
+func (c *Cache) find(la uint64) (row []uint64, way int) {
+	row, key := c.locate(la)
+	for i, w := range row {
+		if w&keyMask == key {
+			return row, i
+		}
+	}
+	return row, -1
+}
+
+// age adds one to the rank of every resident way in row ranked below
+// r, a rank in field position (shifted left by rankShift).
+func age(row []uint64, r uint64) {
+	for i, w := range row {
+		if w&wValid != 0 && w&rankMask < r {
+			row[i] = w + rankOne
+		}
+	}
+}
+
+// touch makes resident way i its row's most recently used and sets flag
+// bits f.
+func touch(row []uint64, i int, f uint64) {
+	age(row, row[i]&rankMask)
+	row[i] = row[i]&^rankMask | f
+}
+
+// invalidate empties resident way i, and the ranks above its rank fall
+// by one.
+func invalidate(row []uint64, i int) {
+	r := row[i] & rankMask
+	row[i] = 0
+	for j, w := range row {
+		if w&wValid != 0 && w&rankMask > r {
+			row[j] = w - rankOne
+		}
+	}
 }
 
 // Access services r: hit, MSHR merge, or miss to the next level.
@@ -203,8 +266,8 @@ func (h allocated) Handle(arg any) {
 	c, f := h.c, arg.(*mem.Request)
 	la, r := f.Addr, f.Cause
 	c.reqs.Put(f)
-	if s := c.install(la, false); s >= 0 {
-		c.state[s] |= stDirty
+	if row, i := c.install(la, false); i >= 0 {
+		row[i] |= wDirty
 	}
 	c.eng.Schedule(c.cfg.WriteLat, r, nil)
 }
@@ -220,16 +283,15 @@ func (c *Cache) request(la uint64, done sim.Handler) *mem.Request {
 }
 
 func (c *Cache) resolve(r *mem.Request, la uint64) {
-	c.clock++
-	s := c.find(la)
+	row, i := c.find(la)
 
 	if r.Write {
-		c.resolveWrite(r, la, s)
+		c.resolveWrite(r, la, row, i)
 		return
 	}
 
-	if s >= 0 {
-		c.touch(s, stAccessed)
+	if i >= 0 {
+		touch(row, i, wAccessed)
 		c.Hits.Inc()
 		c.eng.Schedule(c.cfg.ReadLat, r, nil)
 		return
@@ -252,36 +314,36 @@ func (c *Cache) resolve(r *mem.Request, la uint64) {
 	c.issueMiss(r, la)
 }
 
-// resolveWrite services store r to line la, resident in slot s (-1 if
-// not).
-func (c *Cache) resolveWrite(r *mem.Request, la uint64, s int) {
+// resolveWrite services store r to line la, resident in way i of row
+// (-1 if not).
+func (c *Cache) resolveWrite(r *mem.Request, la uint64, row []uint64, i int) {
 	if c.cfg.ReadOnly {
 		// ZnG read-only L2: writes bypass the cache (they are absorbed
 		// by the flash registers); a matching line is invalidated unless
 		// pinned there by the thrashing checker, in which case the write
 		// is absorbed by the pinned line (Section III-C).
-		if s >= 0 && c.state[s]&stPinned != 0 {
-			c.touch(s, stDirty)
+		if i >= 0 && row[i]&wPinned != 0 {
+			touch(row, i, wDirty)
 			c.WriteHits.Inc()
 			c.eng.Schedule(c.cfg.WriteLat, r, nil)
 			return
 		}
-		if s >= 0 {
-			c.tags[s] = 0
+		if i >= 0 {
+			invalidate(row, i)
 		}
 		c.WriteMisses.Inc()
 		c.next.Access(r)
 		return
 	}
 
-	if s >= 0 {
+	if i >= 0 {
 		c.WriteHits.Inc()
 		if c.cfg.WriteBack {
-			c.touch(s, stAccessed|stDirty)
+			touch(row, i, wAccessed|wDirty)
 			c.eng.Schedule(c.cfg.WriteLat, r, nil)
 		} else {
 			// Write-through: update the line, forward the store.
-			c.touch(s, stAccessed)
+			touch(row, i, wAccessed)
 			c.next.Access(r)
 		}
 		return
@@ -331,7 +393,7 @@ func (c *Cache) drainOverflow() {
 	for c.overflow.Len() > 0 && c.mshrIdx.Len() < c.cfg.MSHRs {
 		r := c.overflow.Pop()
 		la := c.lineAddr(r.Addr)
-		if c.find(la) >= 0 {
+		if _, i := c.find(la); i >= 0 {
 			// Filled while queued: now a hit.
 			c.Hits.Inc()
 			c.eng.Schedule(c.cfg.ReadLat, r, nil)
@@ -345,103 +407,105 @@ func (c *Cache) drainOverflow() {
 	}
 }
 
-// install places line la in its row, evicting the least recently used
-// unpinned way when the row is full. It returns la's slot, or -1 when
-// every way is pinned and the line was bypassed.
-func (c *Cache) install(la uint64, asPrefetch bool) int {
-	c.clock++
-	base := c.row(la)
-	s := -1
-	for i, t := range c.tags[base : base+c.cfg.Ways] {
-		if t == la|1 {
+// install places line la in its row, evicting the unpinned way of
+// highest rank when the row is full. It returns the row and la's way
+// there, -1 when every way is pinned and the line was bypassed.
+func (c *Cache) install(la uint64, asPrefetch bool) (row []uint64, way int) {
+	row, key := c.locate(la)
+	free, victim, vr := -1, -1, uint64(0) // vr: the victim's rank field
+	for i, w := range row {
+		switch {
+		case w&keyMask == key:
 			// Already present (e.g. prefetch raced a demand fill): merge bits.
 			var f uint64
 			if !asPrefetch {
-				f = stAccessed
+				f = wAccessed
 			}
-			c.touch(base+i, f)
-			return base + i
-		}
-		if t == 0 && s < 0 {
-			s = base + i
+			touch(row, i, f)
+			return row, i
+		case w == 0:
+			if free < 0 {
+				free = i
+			}
+		case w&wPinned == 0 && (victim < 0 || w&rankMask > vr):
+			victim, vr = i, w&rankMask
 		}
 	}
-	if s < 0 {
-		oldest := ^uint64(0)
-		for i, st := range c.state[base : base+c.cfg.Ways] {
-			if st&stPinned == 0 && st>>stampShift < oldest {
-				oldest, s = st>>stampShift, base+i
-			}
-		}
-		if s < 0 {
-			return -1 // every way pinned: bypass
-		}
-		c.evict(s)
-	}
-	fresh := stAccessed
+	fresh := key | wAccessed
 	if asPrefetch {
-		fresh = stPrefetch
+		fresh = key | wPrefetch
 	}
-	c.tags[s] = la | 1
-	c.state[s] = c.clock<<stampShift | fresh
-	return s
+	switch {
+	case free >= 0:
+		age(row, ^uint64(0)) // every resident way
+		row[free] = fresh
+		return row, free
+	case victim < 0:
+		return row, -1 // every way pinned: bypass
+	}
+	c.evict(row[victim])
+	age(row, vr)
+	row[victim] = fresh
+	return row, victim
 }
 
-// evict retires the line in slot s; the caller overwrites the slot.
-func (c *Cache) evict(s int) {
-	la, st := c.tags[s]&^1, c.state[s]
+// evict retires the line word w holds; the caller overwrites its way.
+func (c *Cache) evict(w uint64) {
+	la := w >> tagShift << c.shift
 	c.Evictions.Inc()
-	if st&stPrefetch != 0 {
+	if w&wPrefetch != 0 {
 		c.PrefEvicted.Inc()
-		if st&stAccessed == 0 {
+		if w&wAccessed == 0 {
 			c.PrefUnused.Inc()
 		}
 	}
-	if st&stDirty != 0 && c.cfg.WriteBack {
+	if w&wDirty != 0 && c.cfg.WriteBack {
 		c.Writebacks.Inc()
 		wb := c.request(la, written{c})
 		wb.Write = true
 		c.next.Access(wb)
 	}
-	if st&stPinned != 0 {
+	if w&wPinned != 0 {
 		c.PinnedNow--
 	}
 	if c.OnEvict != nil {
-		c.OnEvict(EvictInfo{Addr: la, Prefetch: st&stPrefetch != 0, Accessed: st&stAccessed != 0, Dirty: st&stDirty != 0})
+		c.OnEvict(EvictInfo{Addr: la, Prefetch: w&wPrefetch != 0, Accessed: w&wAccessed != 0, Dirty: w&wDirty != 0})
 	}
 }
 
 // InstallPrefetch installs a prefetched line (prefetch bit set,
 // accessed bit clear). It reports whether the line was installed.
 func (c *Cache) InstallPrefetch(addr uint64) bool {
-	return c.install(c.lineAddr(addr), true) >= 0
+	_, i := c.install(c.lineAddr(addr), true)
+	return i >= 0
 }
 
 // Contains reports whether addr's line is resident (for tests and the
 // prefetch cutoff).
 func (c *Cache) Contains(addr uint64) bool {
-	return c.find(c.lineAddr(addr)) >= 0
+	_, i := c.find(c.lineAddr(addr))
+	return i >= 0
 }
 
 // PinDirty installs addr's line as pinned dirty data — the thrashing
 // checker's L2 spill (Section III-C). It reports whether a way was
 // available.
 func (c *Cache) PinDirty(addr uint64) bool {
-	s := c.install(c.lineAddr(addr), false)
-	if s < 0 {
+	row, i := c.install(c.lineAddr(addr), false)
+	if i < 0 {
 		return false
 	}
-	if c.state[s]&stPinned == 0 {
+	if row[i]&wPinned == 0 {
 		c.PinnedNow++
 	}
-	c.state[s] |= stPinned | stDirty
+	row[i] |= wPinned | wDirty
 	return true
 }
 
 // Unpin releases a pinned line so normal replacement applies again.
 func (c *Cache) Unpin(addr uint64) {
-	if s := c.find(c.lineAddr(addr)); s >= 0 && c.state[s]&stPinned != 0 {
-		c.state[s] &^= stPinned
+	if row, i := c.find(c.lineAddr(addr)); i >= 0 && row[i]&wPinned != 0 {
+		row[i] &^= wPinned
 		c.PinnedNow--
 	}
 }

@@ -404,10 +404,11 @@ func refCounters(c *refCache) [10]uint64 {
 // TestCacheDifferential drives the flat tag store and the bank-major
 // reference in lockstep through random reads, writes, prefetch
 // installs, pins and unpins, on the shipped geometries, a
-// non-power-of-two set count and a small banked cache. After every step
-// the residency of every line touched, every counter, the eviction
-// stream, the next level's request sequence and the completions must
-// agree.
+// non-power-of-two set count, a small banked cache, a row pair at the
+// most ways the rank field orders, a direct-mapped cache and a small
+// read-only banked cache under pin-heavy traffic. After every step the
+// residency of every line touched, every counter, the eviction stream,
+// the next level's request sequence and the completions must agree.
 func TestCacheDifferential(t *testing.T) {
 	def := config.Default()
 	l2x3 := def.L2STT
@@ -415,19 +416,26 @@ func TestCacheDifferential(t *testing.T) {
 	for _, g := range []struct {
 		name string
 		cfg  config.Cache
+		pins int // op kinds added to the 20 base ones, half pins, half unpins
 	}{
-		{"L1", def.L1},
-		{"L2SRAM", def.L2SRAM},
-		{"L2STT", def.L2STT},
-		{"L2STT-3072-sets", l2x3},
+		{"L1", def.L1, 0},
+		{"L2SRAM", def.L2SRAM, 0},
+		{"L2STT", def.L2STT, 0},
+		{"L2STT-3072-sets", l2x3, 0},
 		{"banked-4x2", config.Cache{Sets: 4, Ways: 2, LineBytes: 128, Banks: 4,
-			ReadLat: 1, WriteLat: 1, MSHRs: 4, WriteBack: true}},
+			ReadLat: 1, WriteLat: 1, MSHRs: 4, WriteBack: true}, 0},
+		{"max-ways", config.Cache{Sets: 2, Ways: maxWays, LineBytes: 128, Banks: 1,
+			ReadLat: 1, WriteLat: 1, MSHRs: 8, WriteBack: true}, 0},
+		{"direct-mapped", config.Cache{Sets: 16, Ways: 1, LineBytes: 128, Banks: 2,
+			ReadLat: 1, WriteLat: 1, MSHRs: 4, WriteBack: true}, 0},
+		{"read-only-pinned", config.Cache{Sets: 2, Ways: 4, LineBytes: 128, Banks: 2,
+			ReadLat: 1, WriteLat: 5, MSHRs: 4, ReadOnly: true}, 4},
 	} {
-		t.Run(g.name, func(t *testing.T) { runLockstep(t, g.cfg) })
+		t.Run(g.name, func(t *testing.T) { runLockstep(t, g.cfg, g.pins) })
 	}
 }
 
-func runLockstep(t *testing.T, cfg config.Cache) {
+func runLockstep(t *testing.T, cfg config.Cache, pins int) {
 	flat, ref := newSide(), newSide()
 	c := New(flat.eng, cfg, flat.next, "flat")
 	rc := newRefCache(ref.eng, cfg, ref.next)
@@ -455,6 +463,11 @@ func runLockstep(t *testing.T, cfg config.Cache) {
 		return line*lb + r.Uint64n(lb)
 	}
 
+	// A touched line resident at one check and gone at the next without
+	// an eviction was invalidated by a write; a pin or prefetch install
+	// that found every way pinned was bypassed.
+	resident := map[uint64]bool{}
+	var invalidated, bypassed, evictsSeen int
 	check := func(op int) {
 		t.Helper()
 		if got, want := flatCounters(c), refCounters(rc); got != want {
@@ -469,29 +482,59 @@ func runLockstep(t *testing.T, cfg config.Cache) {
 		if !slices.Equal(flat.done, ref.done) {
 			t.Fatalf("op %d: completions diverged (%d vs %d)", op, len(flat.done), len(ref.done))
 		}
+		for _, h := range hot {
+			if row := c.words[h*uint64(cfg.Ways) : (h+1)*uint64(cfg.Ways)]; !ranksDense(row) {
+				t.Fatalf("op %d: row %d ranks are not 0 to k-1: %#x", op, h, row)
+			}
+		}
+		evicted := map[uint64]bool{}
+		for _, e := range flat.evicts[evictsSeen:] {
+			evicted[e.Addr] = true
+		}
+		evictsSeen = len(flat.evicts)
 		for _, a := range touched {
-			if got, want := c.Contains(a), rc.Contains(a); got != want {
+			got, want := c.Contains(a), rc.Contains(a)
+			if got != want {
 				t.Fatalf("op %d: Contains(%#x) = %v, reference %v", op, a, got, want)
 			}
+			if resident[a] && !got && !evicted[a] {
+				invalidated++
+			}
+			resident[a] = got
 		}
 	}
 
 	const ops = 4000
 	for op := 0; op < ops; op++ {
-		switch k := r.Intn(20); {
+		// Op kinds 0-15 read and write, 16-17 install prefetches, 18
+		// pins and 19 unpins. The pins extra kinds alternate between
+		// pinning and unpinning.
+		k := r.Intn(20 + pins)
+		if k >= 20 {
+			k = 18 + k%2
+		}
+		switch {
 		case k < 16: // reads and writes, 3:1
 			addr, write := pick(), k >= 12
 			c.Access(flat.request(op, addr, write))
 			rc.Access(ref.request(op, addr, write))
 		case k < 18:
 			addr := pick()
-			if got, want := c.InstallPrefetch(addr), rc.InstallPrefetch(addr); got != want {
+			got, want := c.InstallPrefetch(addr), rc.InstallPrefetch(addr)
+			if got != want {
 				t.Fatalf("op %d: InstallPrefetch(%#x) = %v, reference %v", op, addr, got, want)
+			}
+			if !got {
+				bypassed++
 			}
 		case k == 18:
 			addr := pick()
-			if got, want := c.PinDirty(addr), rc.PinDirty(addr); got != want {
+			got, want := c.PinDirty(addr), rc.PinDirty(addr)
+			if got != want {
 				t.Fatalf("op %d: PinDirty(%#x) = %v, reference %v", op, addr, got, want)
+			}
+			if !got {
+				bypassed++
 			}
 			pinned = append(pinned, addr)
 		case len(pinned) > 0:
@@ -516,7 +559,18 @@ func runLockstep(t *testing.T, cfg config.Cache) {
 	if flat.eng.Now() != ref.eng.Now() {
 		t.Fatalf("drained at tick %d, reference %d", flat.eng.Now(), ref.eng.Now())
 	}
+	for base := 0; base < len(c.words); base += cfg.Ways {
+		if row := c.words[base : base+cfg.Ways]; !ranksDense(row) {
+			t.Fatalf("row %d ranks are not 0 to k-1: %#x", base/cfg.Ways, row)
+		}
+	}
 	if c.Evictions.Value() == 0 || c.Hits.Value() == 0 || c.MergedMisses.Value() == 0 {
 		t.Fatalf("stream too tame to compare: counters %v", flatCounters(c))
+	}
+	if cfg.ReadOnly && invalidated == 0 {
+		t.Fatal("no write invalidated a resident line")
+	}
+	if pins > 0 && bypassed == 0 {
+		t.Fatal("no install found its row all pinned")
 	}
 }

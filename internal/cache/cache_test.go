@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -253,7 +255,7 @@ func TestAllWaysPinnedBypasses(t *testing.T) {
 	c.PinDirty(0)
 	c.PinDirty(512)
 	// Set is fully pinned: a new install must bypass.
-	if c.install(1024, false) >= 0 {
+	if _, w := c.install(1024, false); w >= 0 {
 		t.Error("install into fully pinned set should bypass")
 	}
 	done := 0
@@ -344,7 +346,8 @@ func TestBankedCacheDistributes(t *testing.T) {
 }
 
 // Property: after any sequence of reads, no tag row holds a line twice,
-// and every resident line sits in the row its address maps to.
+// every resident line sits in the row its address maps to, and the
+// ranks of a row's k resident ways are 0 to k-1.
 func TestNoDuplicateTagsProperty(t *testing.T) {
 	f := func(addrs []uint16) bool {
 		eng, c, _ := newTB(smallCfg())
@@ -356,16 +359,21 @@ func TestNoDuplicateTagsProperty(t *testing.T) {
 		if done != len(addrs) {
 			return false
 		}
-		for base := 0; base < len(c.tags); base += c.cfg.Ways {
+		for base := 0; base < len(c.words); base += c.cfg.Ways {
+			row := c.words[base : base+c.cfg.Ways]
 			seen := map[uint64]bool{}
-			for _, tag := range c.tags[base : base+c.cfg.Ways] {
-				if tag == 0 {
+			for _, w := range row {
+				if w == 0 {
 					continue
 				}
-				if seen[tag] || c.row(tag&^1) != base {
+				la := w >> tagShift << c.shift
+				if home, _ := c.locate(la); seen[la] || &home[0] != &row[0] {
 					return false
 				}
-				seen[tag] = true
+				seen[la] = true
+			}
+			if !ranksDense(row) {
+				return false
 			}
 		}
 		return true
@@ -373,6 +381,25 @@ func TestNoDuplicateTagsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// ranksDense reports whether the k resident ways of row hold the ranks
+// 0 to k-1.
+func ranksDense(row []uint64) bool {
+	seen := make([]bool, len(row))
+	k := 0
+	for _, w := range row {
+		if w == 0 {
+			continue
+		}
+		r := (w & rankMask) >> rankShift
+		if r >= uint64(len(row)) || seen[r] {
+			return false
+		}
+		seen[r] = true
+		k++
+	}
+	return !slices.Contains(seen[:k], false)
 }
 
 func TestHitRate(t *testing.T) {
@@ -407,5 +434,60 @@ func TestSTTMRAMWriteLatency(t *testing.T) {
 	readTime := eng.Now() - t0
 	if writeTime <= readTime {
 		t.Errorf("write hit (%d) must be slower than read hit (%d)", writeTime, readTime)
+	}
+}
+
+// TestTagStoreFootprint: the 24 MB L2's tag store costs one 8-byte word
+// per way; everything else New allocates (MSHRs, banks) fits a small
+// fixed allowance.
+func TestTagStoreFootprint(t *testing.T) {
+	cfg := config.Default().L2STT
+	ways := uint64(cfg.Banks * cfg.Sets * cfg.Ways)
+	eng := sim.NewEngine()
+	next := &backend{eng: eng}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := New(eng, cfg, next, "L2")
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	const allowance = 32 << 10
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 8*ways+allowance; got > limit {
+		t.Errorf("New allocated %d B for %d ways (%.2f B/way), want at most %d", got, ways, float64(got)/float64(ways), limit)
+	}
+}
+
+// TestTooWideLinePanics: a line number beyond the tag field would alias
+// a narrower line, so every path that looks one up panics, and the
+// line is never stored.
+func TestTooWideLinePanics(t *testing.T) {
+	eng, c, _ := newTB(smallCfg())
+	c.InstallPrefetch(0) // the line the wide one would alias
+	wide := uint64(maxLine+1) << c.shift
+	for _, op := range []struct {
+		name string
+		f    func()
+	}{
+		{"Contains", func() { c.Contains(wide) }},
+		{"InstallPrefetch", func() { c.InstallPrefetch(wide) }},
+		{"PinDirty", func() { c.PinDirty(wide) }},
+		{"Unpin", func() { c.Unpin(wide) }},
+		{"Access", func() { done := 0; read(c, wide, &done); eng.Run() }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(%#x) did not panic", op.name, wide)
+				}
+			}()
+			op.f()
+		}()
+	}
+	for i, w := range c.words {
+		if w != 0 && w>>tagShift != 0 {
+			t.Errorf("way %d holds line %#x", i, w>>tagShift<<c.shift)
+		}
+	}
+	if !c.Contains(0) || c.PinnedNow != 0 {
+		t.Errorf("line 0 resident %v, %d pinned; want resident, none pinned", c.Contains(0), c.PinnedNow)
 	}
 }

@@ -158,8 +158,8 @@ func RunApps(kind Kind, label string, apps []*workload.App, cfg config.Config) (
 			len(apps), cfg.GPU.SMs)
 	}
 	// A configuration can arrive from outside the program (zngd's
-	// "config" field), so reject cache geometries the model cannot
-	// index before building anything.
+	// "config" field), so reject cache and MMU sizes the model cannot
+	// run before building anything.
 	for _, cc := range []struct {
 		name string
 		cfg  config.Cache
@@ -167,6 +167,9 @@ func RunApps(kind Kind, label string, apps []*workload.App, cfg config.Config) (
 		if err := cache.ValidateConfig(cc.cfg); err != nil {
 			return Result{}, fmt.Errorf("platform: %s: %w", cc.name, err)
 		}
+	}
+	if err := mmu.ValidateConfig(cfg.MMU); err != nil {
+		return Result{}, fmt.Errorf("platform: MMU: %w", err)
 	}
 	eng := sim.NewEngine()
 	sys, err := build(eng, kind, cfg)

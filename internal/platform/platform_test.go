@@ -220,6 +220,27 @@ func TestRunMixRejectsUnindexableCache(t *testing.T) {
 	}
 }
 
+// TestHybridTranslationStateBounded runs the 32x HybridGPU cell
+// (bfs1-gaus at scale 0.64 on the Table I configuration) and bounds the
+// host footprint of its translation tables. It reads about 8.0e5 B with
+// the page FTL's block-major reverse map and 3.49e7 B when every flash
+// plane allocated its own reverse-map leaf; the 4e6 ceiling catches a
+// regression to a per-plane layout.
+func TestHybridTranslationStateBounded(t *testing.T) {
+	m, err := workload.MixByName("bfs1-gaus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunMix(HybridGPU, m, 0.64, config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := r.Extra["translation_state_bytes"]
+	if !ok || got > 4e6 {
+		t.Errorf("translation_state_bytes = %v (reported %v), want at most 4e6", got, ok)
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	if len(Kinds()) != 7 {
 		t.Fatalf("Kinds() = %d entries, want 7", len(Kinds()))

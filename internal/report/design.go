@@ -73,10 +73,12 @@ Address translation follows Section II-A: per-SM L1 TLBs behind a
 shared MMU with a 32-thread page-table walker. ZnG's MMU embeds the
 split FTL's read mapping, so a TLB miss resolves straight to a flash
 location with no firmware hop. ` + "`internal/cache`" + ` provides the L1s and the
-6 MB SRAM / 24 MB STT-MRAM L2s over a flat, set-major tag store: each
-set is one row of tag words, so a lookup is one modulo and one
-contiguous scan, and each way's LRU stamp and flag bits sit in a
-parallel array. The flags include the L2 tag extension bits of
+6 MB SRAM / 24 MB STT-MRAM L2s over a flat, set-major tag store of
+one 8-byte word per way: the line number, the way's LRU rank within
+its set, the flag bits and a valid bit. Each set is one row of words,
+so a lookup is one modulo and one contiguous scan (one 64 B host line
+for an 8-way set), and a hit or fill re-ranks that row in place
+instead of stamping a global clock. The flags include the L2 tag extension bits of
 Section IV-B that feed ZnG's two data-path optimizations:
 ` + "`internal/prefetch`" + ` (the dynamic read-prefetcher and its waste
 monitor, Fig. 8a) and ` + "`internal/regcache`" + ` (plane cache registers

@@ -403,20 +403,41 @@ func TestAPIRunWithConfig(t *testing.T) {
 	}
 }
 
-// TestAPIRunRejectsUnindexableCache: a "config" with a cache geometry
-// the simulator cannot index gets an error reply, not a result.
+// TestAPIRunRejectsUnindexableCache: a "config" with a cache or MMU
+// size the simulator cannot run gets an error reply that names the
+// field, not a result and not a recovered panic.
 func TestAPIRunRejectsUnindexableCache(t *testing.T) {
 	srv, _ := newTestServer(t, nil) // the real simulator
-	for _, body := range []string{
-		`{"platform":"HybridGPU","mix":"solo-bfs1","scale":0.05,"config":{"L2SRAM":{"LineBytes":96}}}`,
-		`{"platform":"ZnG","mix":"solo-bfs1","scale":0.05,"config":{"L2STT":{"Sets":0}}}`,
+	for _, c := range []struct {
+		body   string
+		fields []string // what the error must name
+	}{
+		{`{"platform":"HybridGPU","mix":"solo-bfs1","scale":0.05,"config":{"L2SRAM":{"LineBytes":96}}}`, []string{"L2SRAM", "LineBytes"}},
+		{`{"platform":"ZnG","mix":"solo-bfs1","scale":0.05,"config":{"L2STT":{"Sets":0}}}`, []string{"L2STT", "Sets"}},
+		{`{"platform":"GDDR5","mix":"solo-bfs1","scale":0.05,"config":{"L1":{"Ways":-1}}}`, []string{"L1", "Ways"}},
+		{`{"platform":"GDDR5","mix":"solo-bfs1","scale":0.05,"config":{"L1":{"Ways":129}}}`, []string{"L1", "Ways"}},
+		{`{"platform":"ZnG","mix":"solo-bfs1","scale":0.05,"config":{"L2STT":{"MSHRs":-1}}}`, []string{"L2STT", "MSHRs"}},
+		{`{"platform":"GDDR5","mix":"solo-bfs1","scale":0.05,"config":{"L1":{"MSHRs":0}}}`, []string{"L1", "MSHRs"}},
+		{`{"platform":"GDDR5","mix":"solo-bfs1","scale":0.05,"config":{"MMU":{"L1TLBEntries":0}}}`, []string{"MMU", "L1TLBEntries"}},
+		{`{"platform":"GDDR5","mix":"solo-bfs1","scale":0.05,"config":{"MMU":{"WalkCacheEnt":0}}}`, []string{"MMU", "WalkCacheEnt"}},
+		{`{"platform":"GDDR5","mix":"solo-bfs1","scale":0.05,"config":{"MMU":{"WalkerThreads":0}}}`, []string{"MMU", "WalkerThreads"}},
 	} {
-		resp, doc := postRun(t, srv.URL, body)
+		resp, doc := postRun(t, srv.URL, c.body)
 		if resp.StatusCode == http.StatusOK || len(doc["result"]) != 0 {
-			t.Errorf("%s: status %d with result %s, want an error reply", body, resp.StatusCode, doc["result"])
+			t.Errorf("%s: status %d with result %s, want an error reply", c.body, resp.StatusCode, doc["result"])
 		}
-		if len(doc["error"]) == 0 {
-			t.Errorf("%s: reply carries no error", body)
+		var msg string
+		if err := json.Unmarshal(doc["error"], &msg); err != nil || msg == "" {
+			t.Errorf("%s: reply carries no error (%s)", c.body, doc["error"])
+			continue
+		}
+		for _, f := range c.fields {
+			if !strings.Contains(msg, f) {
+				t.Errorf("%s: error %q does not name %s", c.body, msg, f)
+			}
+		}
+		if strings.Contains(msg, "panicked") {
+			t.Errorf("%s: error %q is a recovered panic, want a config error", c.body, msg)
 		}
 	}
 }
