@@ -230,7 +230,7 @@ func BenchmarkAblationL2(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
 		o.Runner = experiments.NewMemo()
-		if _, _, err := experiments.AblationL2(o); err != nil {
+		if _, err := experiments.AblationL2(o); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,6 +25,10 @@
 // content-addressed store shared with zngsim and the zngd daemon, so
 // cells survive across invocations too. -v reports per-figure
 // wall-clock and the dedup ratio (memory vs disk hits).
+//
+// After each figure's table, stderr carries its shape-check verdict
+// (PASS, or FAIL with the check's error), as docs/EXPERIMENTS.md
+// reports it. Only -fig docs turns a FAIL into a non-zero exit.
 package main
 
 import (
@@ -148,15 +152,16 @@ func main() {
 			fatal(err)
 		}
 		start := time.Now()
-		if collectJSON {
-			t, err := f.Run(o)
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", id, err))
-			}
-			collected = append(collected, t)
-		} else if err := emit(f, o, *outDir, *format); err != nil {
+		t, err := f.Run(o)
+		if err != nil {
 			fatal(fmt.Errorf("%s: %w", id, err))
 		}
+		if collectJSON {
+			collected = append(collected, t)
+		} else if err := emit(t, id, *outDir, *format); err != nil {
+			fatal(fmt.Errorf("%s: %w", id, err))
+		}
+		fmt.Fprintf(os.Stderr, "zngfig: %s: %s\n", id, f.Verdict(t))
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "zngfig: %s in %v\n", id, time.Since(start).Round(time.Millisecond))
 		}
@@ -211,13 +216,9 @@ func sameMixes(a, b []workload.Mix) bool {
 	return true
 }
 
-// emit runs one figure and delivers it: to stdout in text (default) or
+// emit delivers one figure's table: to stdout in text (default) or
 // the requested format, or into outDir as <id>.<format>.
-func emit(f experiments.Figure, o experiments.Options, outDir, format string) error {
-	t, err := f.Run(o)
-	if err != nil {
-		return err
-	}
+func emit(t *stats.Table, id, outDir, format string) error {
 	if outDir == "" {
 		if format == "" {
 			fmt.Println(t)
@@ -240,7 +241,7 @@ func emit(f experiments.Figure, o experiments.Options, outDir, format string) er
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(outDir, f.ID+"."+format), out, 0o644)
+	return os.WriteFile(filepath.Join(outDir, id+"."+format), out, 0o644)
 }
 
 // reportRunner prints the dedup ratio of whatever runner the suite

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"zng/internal/config"
 	"zng/internal/platform"
+	"zng/internal/stats"
 )
 
 func TestTableI(t *testing.T) {
@@ -282,4 +284,35 @@ func fmtSscan(s string, f *float64) (int, error) {
 	}
 	*f = v
 	return 1, nil
+}
+
+// TestAblationL2Sizes: the docs regime's L2s print as 0.75 to 6 MB
+// rather than rounded down to whole megabytes, and the shape check
+// refuses sizes that do not strictly ascend, such as two capacities
+// that round down to the same integer.
+func TestAblationL2Sizes(t *testing.T) {
+	tab, err := AblationL2(TestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := colByName(tab, "size (MB)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for r := range tab.Rows() {
+		got = append(got, cellStr(tab, r, col))
+	}
+	if want := []string{"0.75", "1.5", "3", "6"}; !slices.Equal(got, want) {
+		t.Errorf("sizes = %v MB, want %v", got, want)
+	}
+	if err := checkAblL2(tab); err != nil {
+		t.Errorf("shape check: %v", err)
+	}
+	flat := stats.NewTable("", "L2 config", "size (MB)", "IPC", "L2 hit rate")
+	flat.AddRow("1x SRAM sets", 0, 0.5, 0.25)
+	flat.AddRow("2x SRAM sets", 0, 0.5, 0.25)
+	if err := checkAblL2(flat); err == nil {
+		t.Error("shape check passed two rows of the same size")
+	}
 }

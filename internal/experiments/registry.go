@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -41,6 +40,22 @@ type Figure struct {
 	// Check validates Shape against the measured table; nil error
 	// means the paper's qualitative shape holds in this reproduction.
 	Check func(*stats.Table) error
+}
+
+// VerdictPass is the verdict of a figure whose shape check passes.
+const VerdictPass = "PASS"
+
+// Verdict runs the figure's shape check on its table and says how it
+// went, as docs/EXPERIMENTS.md and zngfig print it: PASS, FAIL with the
+// check's error, or n/a for a figure without a check.
+func (f Figure) Verdict(t *stats.Table) string {
+	if f.Check == nil {
+		return "n/a (no shape check)"
+	}
+	if err := f.Check(t); err != nil {
+		return "FAIL — " + err.Error()
+	}
+	return VerdictPass
 }
 
 // DocsOptions returns the canonical options for generated-docs runs
@@ -220,11 +235,8 @@ func Registry() []Figure {
 			Driver: "AblationL2",
 			Claim:  "Replacing the 6 MB SRAM L2 with the 24 MB STT-MRAM array is what gives the prefetcher room to work; capacity beyond that shows diminishing returns.",
 			Shape:  "Swept capacities ascend and every configuration sustains a positive IPC and L2 hit rate.",
-			Run: func(o Options) (*stats.Table, error) {
-				t, _, err := AblationL2(o)
-				return t, err
-			},
-			Check: checkAblL2,
+			Run:    AblationL2,
+			Check:  checkAblL2,
 		},
 		{
 			ID: "scale-sweep", Ref: "perf (dense translation state)", Title: "Trace-scale sweep",
@@ -852,8 +864,10 @@ func checkAblL2(t *stats.Table) error {
 			return fmt.Errorf("%s: L2 hit rate %v, want positive", cellStr(t, r, 0), hit)
 		}
 	}
-	if !sort.Float64sAreSorted(sizes) {
-		return fmt.Errorf("swept sizes %v not ascending", sizes)
+	for i := 1; i < len(sizes); i++ {
+		if sizes[i] <= sizes[i-1] {
+			return fmt.Errorf("swept sizes %v not strictly ascending", sizes)
+		}
 	}
 	return nil
 }

@@ -179,21 +179,19 @@ func AblationGC() (*stats.Table, GCStats) {
 
 // AblationL2 sweeps the ZnG L2 capacity: the 6 MB SRAM baseline, the
 // Table I 24 MB STT-MRAM, and half/double variants, on a read-heavy
-// pair.
-func AblationL2(o Options) (*stats.Table, map[int]float64, error) {
+// pair. Sizes print exactly, so the docs regime's 0.75 MB L2 is not 0.
+func AblationL2(o Options) (*stats.Table, error) {
 	t := stats.NewTable("Ablation C: ZnG L2 capacity sweep (bfs1-gaus)",
 		"L2 config", "size (MB)", "IPC", "L2 hit rate")
-	out := map[int]float64{}
 	for _, mult := range []int{1, 2, 4, 8} {
 		oo := o
 		oo.Cfg.L2STT.Sets = oo.Cfg.L2SRAM.Sets * mult
 		r, err := runOne(oo, platform.ZnG, "bfs1-gaus")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		sizeMB := oo.Cfg.L2STT.SizeBytes() >> 20
-		out[sizeMB] = r.IPC
+		sizeMB := float64(oo.Cfg.L2STT.SizeBytes()) / (1 << 20)
 		t.AddRow(fmt.Sprintf("%dx SRAM sets", mult), sizeMB, r.IPC, r.L2HitRate)
 	}
-	return t, out, nil
+	return t, nil
 }

@@ -47,8 +47,10 @@ func DefaultCanonicalKey() *Analyzer {
 // keys encoding/json cannot sort deterministically (only string and
 // integer keys marshal in sorted order; any other key type is
 // iteration-ordered or unencodable). String- or integer-keyed maps
-// with canonical value types pass: encoding/json sorts those keys, so
-// Result.Extra-style maps stay byte-stable.
+// with canonical value types pass: the sinks write those keys sorted
+// (encoding/json does for the cell-key hasher and the fleet encoders,
+// and report.EncodeResult sorts Result.Extra's keys itself), so such
+// maps stay byte-stable.
 func NewCanonicalKey(cfg CanonicalKeyConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "canonicalkey",

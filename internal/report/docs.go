@@ -64,15 +64,13 @@ func Experiments(o experiments.Options) ([]byte, DocStats, error) {
 		// A nil Check renders as n/a and stays out of the tally, so
 		// the headline count and the per-figure verdicts can never
 		// disagree.
-		verdict := "n/a (no shape check)"
+		verdict := f.Verdict(t)
 		if f.Check != nil {
 			ds.Checked++
-			if err := f.Check(t); err != nil {
-				verdict = "FAIL — " + err.Error()
-				ds.Failed++
-			} else {
-				verdict = "PASS"
+			if verdict == experiments.VerdictPass {
 				ds.Passed++
+			} else {
+				ds.Failed++
 			}
 		}
 		all = append(all, rendered{f, t, verdict})

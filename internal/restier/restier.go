@@ -13,7 +13,10 @@
 // tier — the determinism contract the whole store design leans on.
 // Lookups resolve memory first, then disk (a disk hit is promoted
 // into the memory tier read-through), and report which tier answered
-// so the serving layer can account mem_hits/disk_hits/evictions.
+// so the serving layer can account mem_hits/disk_hits/evictions. A
+// memory hit saves the file read and report.DecodeResult's one pass
+// over the document; either way the serving layer encodes the result
+// once per reply.
 package restier
 
 import (

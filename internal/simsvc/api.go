@@ -1,6 +1,7 @@
 package simsvc
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,16 +50,17 @@ type runRequest struct {
 	Config *config.Config `json:"config,omitempty"`
 }
 
-// runResponse is the POST /v1/run reply. Result is the
-// report.EncodeResult document and is absent on async submissions
-// and failures.
+// runResponse is the reply about one run or job: POST /v1/run's 202
+// and 200, and GET /v1/jobs/{id}. writeRun writes it.
 type runResponse struct {
-	Job    JobInfo         `json:"job"`
-	Result json.RawMessage `json:"result,omitempty"`
+	Job JobInfo
+	// Result is the report.EncodeResult document, nil on async
+	// submissions and failures.
+	Result []byte
 	// Spans piggybacks this process's span subtree for a traced request
 	// (X-Zng-Trace present) once the job completes, so the caller's
 	// flight recorder reconstructs the cross-process tree.
-	Spans []obs.Record `json:"spans,omitempty"`
+	Spans []obs.Record
 }
 
 // scenarioInfo is one GET /v1/scenarios row.
@@ -279,7 +281,7 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 		if req.Async && (wait == 0 || !finished(job.State)) {
 			span.SetCode(http.StatusAccepted)
 			span.End()
-			writeJSON(w, http.StatusAccepted, runResponse{Job: job})
+			writeRun(w, http.StatusAccepted, runResponse{Job: job})
 			return
 		}
 		if !req.Async && err != nil {
@@ -300,7 +302,7 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 		// the caller's subtree includes it.
 		span.SetCode(http.StatusOK)
 		span.End()
-		writeJSON(w, http.StatusOK, jobReply(tr, r, job, res))
+		writeRun(w, http.StatusOK, jobReply(tr, r, job, res))
 	})
 
 	timed("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -332,7 +334,7 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 		if job.Workload != "" {
 			res.Workload = job.Workload
 		}
-		writeJSON(w, http.StatusOK, jobReply(tr, r, job, res))
+		writeRun(w, http.StatusOK, jobReply(tr, r, job, res))
 	})
 
 	timed("POST /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
@@ -840,6 +842,54 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	// The status line is gone; an encoding failure can only be a dead
 	// client, which has already stopped caring.
 	_ = enc.Encode(v)
+}
+
+// writeRun writes resp as writeJSON would write the object {"job": ...,
+// "result": ..., "spans": ...}, byte for byte, "result" and "spans"
+// only when present. The result document is copied in one indent
+// deeper, which is all re-encoding it would change: its newlines are
+// all structural, since JSON strings escape theirs.
+func writeRun(w http.ResponseWriter, status int, resp runResponse) {
+	job, err := json.MarshalIndent(resp.Job, "  ", "  ")
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	var spans []byte
+	if len(resp.Spans) > 0 {
+		if spans, err = json.MarshalIndent(resp.Spans, "  ", "  "); err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+	}
+	doc := bytes.TrimSuffix(resp.Result, []byte{'\n'})
+	b := make([]byte, 0, 48+len(job)+len(doc)+2*bytes.Count(doc, []byte{'\n'})+len(spans))
+	b = append(b, "{\n  \"job\": "...)
+	b = append(b, job...)
+	if len(doc) > 0 {
+		b = append(b, ",\n  \"result\": "...)
+		for {
+			i := bytes.IndexByte(doc, '\n')
+			if i < 0 {
+				break
+			}
+			b = append(b, doc[:i+1]...)
+			b = append(b, "  "...)
+			doc = doc[i+1:]
+		}
+		b = append(b, doc...)
+	}
+	if len(spans) > 0 {
+		b = append(b, ",\n  \"spans\": "...)
+		b = append(b, spans...)
+	}
+	b = append(b, "\n}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(status)
+	// The status line is gone; a failed write can only be a dead
+	// client.
+	_, _ = w.Write(b)
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
