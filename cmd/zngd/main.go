@@ -61,12 +61,13 @@
 // Fleet: every zngd is a coordinator — workers join it with POST
 // /v1/fleet/register and heartbeats, campaigns POSTed to it fan out
 // over the live membership (falling back to local execution), and
-// with -cache they checkpoint per cell into the store so POST
-// /v1/campaigns/{id}/resume picks a half-finished sweep back up after
-// a restart with zero re-simulation of journaled cells. Past
-// fleet.DefaultMaxCampaigns (64) campaigns in memory the oldest
-// finished ones are evicted; their checkpoints still resume. A spec
-// that does not expand is rejected with 400 and writes nothing.
+// with -cache the coordinator checkpoints each campaign's spec and
+// stores every finished cell, so POST /v1/campaigns/{id}/resume picks
+// a half-finished sweep back up after a restart, re-running only the
+// cells the store lacks. Past fleet.DefaultMaxCampaigns (64) campaigns
+// in memory the oldest finished ones are evicted; their checkpoints
+// still resume. A spec that does not expand, or whose grid is over
+// campaign.MaxCells cells, is rejected with 400 and writes nothing.
 // Started with -coordinator URL, the daemon is additionally a worker:
 // it registers its own serving address (-advertise overrides what it
 // announces) with that coordinator and heartbeats its queue depth

@@ -21,6 +21,9 @@
 //	  "overrides": [{"name": "base"}, {"l2_mult": 8}, {"prefetch_off": true}]
 //	}
 //
+// A spec whose grid is over campaign.MaxCells (16,384) cells is
+// refused, from a file or from flags.
+//
 // Execution backends, most local first: the default in-memory
 // single-flight memo; with -cache DIR the store-backed simsvc
 // scheduler (cells persist and dedupe across invocations and against
@@ -34,10 +37,11 @@
 // coordinator instead of this process: the spec is POSTed to
 // /v1/campaigns, progress long-polls (GET /v1/campaigns/{id}?wait=1s)
 // until done, and the coordinator's folded matrix renders locally.
-// Campaigns run that way are durable — the coordinator checkpoints
-// each cell into its store — so `zngsweep -coordinator URL -resume
-// ID` resumes a sweep the coordinator (or this command) died in the
-// middle of, re-running only the cells the journal is missing.
+// Campaigns run that way are durable — the coordinator writes each
+// finished cell into its store and reads the store before running any
+// cell — so `zngsweep -coordinator URL -resume ID` resumes a sweep the
+// coordinator (or this command) died in the middle of, re-running only
+// the cells the store lacks.
 //
 // The result matrix renders as a text table by default, or through
 // internal/report with -format md|csv|json. Cells that fail after

@@ -167,6 +167,14 @@ func (ov Override) Apply(base config.Config) (config.Config, error) {
 	return cfg, nil
 }
 
+// MaxCells bounds the grid one Spec may expand to: 50 times the full
+// registry (every platform × every registered scenario) at one scale
+// and override. A spec is caller input (a POST /v1/campaigns body, a
+// zngsweep -spec file), and a few kilobytes of axis entries can name
+// a cross product of millions of cells; Expand refuses such a spec
+// before allocating any of it.
+const MaxCells = 16384
+
 // Spec declares one campaign: the full cross product of its four
 // axes. Platforms and Scenarios are required; Scales defaults to
 // {1.0} (the Table II trace budgets) and Overrides to the single base
@@ -228,13 +236,25 @@ func resolveScenario(name string) (workload.Mix, error) {
 // naturally into one (override, scale) block of scenario rows ×
 // platform columns. Cells that alias the same content (two scenario
 // names with one composition) keep separate grid points with their
-// own labels; any Runner dedupes them by Key.
+// own labels; any Runner dedupes them by Key. A grid of more than
+// MaxCells cells is rejected before anything is resolved.
 func (s Spec) Expand(base config.Config) ([]Cell, error) {
 	if len(s.Platforms) == 0 {
 		return nil, fmt.Errorf("campaign: spec %q lists no platforms", s.Name)
 	}
 	if len(s.Scenarios) == 0 {
 		return nil, fmt.Errorf("campaign: spec %q lists no scenarios", s.Name)
+	}
+	axes := []int{len(s.Platforms), len(s.Scenarios), max(len(s.Scales), 1), max(len(s.Overrides), 1)}
+	n := 1
+	for _, l := range axes {
+		// n never exceeds MaxCells, so the product is bounded without
+		// computing it: n*l > MaxCells exactly when n > MaxCells/l.
+		if n > MaxCells/l {
+			return nil, fmt.Errorf("campaign: spec %q has %d platforms × %d scenarios × %d scales × %d overrides, over the %d-cell limit",
+				s.Name, axes[0], axes[1], axes[2], axes[3], MaxCells)
+		}
+		n *= l
 	}
 	kinds := make([]platform.Kind, len(s.Platforms))
 	for i, name := range s.Platforms {
@@ -266,7 +286,7 @@ func (s Spec) Expand(base config.Config) ([]Cell, error) {
 		overrides = []Override{{}}
 	}
 
-	cells := make([]Cell, 0, len(overrides)*len(scales)*len(mixes)*len(kinds))
+	cells := make([]Cell, 0, n)
 	for _, ov := range overrides {
 		cfg, err := ov.Apply(base)
 		if err != nil {

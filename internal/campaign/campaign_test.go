@@ -1,10 +1,13 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"zng/internal/cellkey"
 	"zng/internal/config"
@@ -119,6 +122,82 @@ func TestExpandValidation(t *testing.T) {
 			t.Errorf("%s: expansion succeeded, want error", name)
 		}
 	}
+}
+
+// TestExpandCellLimit: a spec over MaxCells is refused before any of
+// its grid is built. The 5.5 KB spec below names 720,000 cells, which
+// took seconds and gigabytes to expand while nothing bounded it. A
+// grid of exactly MaxCells still expands.
+func TestExpandCellLimit(t *testing.T) {
+	base := config.Default()
+	scales := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = float64(i+1) / 100
+		}
+		return out
+	}
+	huge := Spec{Platforms: platform.KindNames(), Scenarios: slices.Repeat([]string{"solo-bfs1"}, 300), Scales: scales(300)}
+	start := time.Now()
+	_, err := huge.Expand(base)
+	if took := time.Since(start); err == nil || took > time.Second {
+		t.Fatalf("720,000-cell spec: err %v after %v, want a rejection within a second", err, took)
+	}
+	if !strings.Contains(err.Error(), "16384-cell limit") {
+		t.Errorf("rejection %q does not name the limit", err)
+	}
+
+	atCap := Spec{Platforms: platform.KindNames(), Scenarios: slices.Repeat([]string{"solo-bfs1"}, 32), Scales: scales(64)}
+	cells, err := atCap.Expand(base)
+	if err != nil || len(cells) != MaxCells {
+		t.Fatalf("spec at the cap: %d cells, err %v; want %d", len(cells), err, MaxCells)
+	}
+	atCap.Overrides = []Override{{}, {L2Mult: 8}}
+	if _, err := atCap.Expand(base); err == nil {
+		t.Error("spec at twice the cap expanded")
+	}
+}
+
+// FuzzSpecExpand decodes its input as POST /v1/campaigns and zngsweep
+// -spec do. Expand must never panic, and an accepted spec must yield
+// exactly the product of its defaulted axis lengths, at most MaxCells,
+// in index order, each cell keyed by its content address, with the
+// same keys on a second expansion.
+func FuzzSpecExpand(f *testing.F) {
+	base := config.Default()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var spec Spec
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil {
+			return
+		}
+		cells, err := spec.Expand(base)
+		if err != nil {
+			return
+		}
+		want := len(spec.Platforms) * len(spec.Scenarios) * max(len(spec.Scales), 1) * max(len(spec.Overrides), 1)
+		if len(cells) != want || want > MaxCells {
+			t.Fatalf("%q expanded to %d cells, want %d (at most %d)", b, len(cells), want, MaxCells)
+		}
+		for i, c := range cells {
+			if c.Index != i {
+				t.Fatalf("%q: cell %d carries index %d", b, i, c.Index)
+			}
+			if k := cellkey.Key(c.Kind, c.Mix.ID(), c.Scale, c.Cfg); c.Key != k {
+				t.Fatalf("%q: cell %d key %s, want %s", b, i, c.Key, k)
+			}
+		}
+		again, err := spec.Expand(base)
+		if err != nil || len(again) != len(cells) {
+			t.Fatalf("%q: second expansion gave %d cells, err %v", b, len(again), err)
+		}
+		for i := range cells {
+			if again[i].Key != cells[i].Key {
+				t.Fatalf("%q: cell %d key changed between expansions", b, i)
+			}
+		}
+	})
 }
 
 func TestOverrideApply(t *testing.T) {

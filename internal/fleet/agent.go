@@ -45,7 +45,6 @@ type Agent struct {
 	hc          *http.Client
 
 	stop chan struct{}
-	done chan struct{}
 	wg   sync.WaitGroup
 }
 
@@ -71,7 +70,6 @@ func StartAgent(coordinatorURL, addr string, load func() int) *Agent {
 		load:        load,
 		hc:          &http.Client{Timeout: 5 * time.Second},
 		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
 	}
 	a.wg.Add(1)
 	go a.loop()
@@ -91,7 +89,6 @@ func (a *Agent) Stop() {
 
 func (a *Agent) loop() {
 	defer a.wg.Done()
-	defer close(a.done)
 	for {
 		id, interval, err := a.register()
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"zng/internal/campaign"
 	"zng/internal/config"
-	"zng/internal/store"
 )
 
 // DefaultMaxCampaigns bounds the finished campaigns a coordinator
@@ -20,65 +19,56 @@ const DefaultMaxCampaigns = 64
 
 // Campaigns is the campaign manager behind the zngd API: Start, Get
 // and List under content-addressed ids, with store-backed checkpoints
-// and Resume. Every campaign runs through the coordinator's fleet
-// dispatch (falling back to local execution), with each resolved cell
-// journaled so a restarted coordinator — or a fresh one pointed at
-// the same store directory — picks the sweep up where it died. Safe
-// for concurrent use.
+// and Resume. Every campaign runs its cells through the coordinator,
+// which serves stored cells from the store and stores every fresh
+// result, so a restarted coordinator — or a fresh one pointed at the
+// same store directory — picks the sweep up where it died. Safe for
+// concurrent use.
 type Campaigns struct {
 	co      *Coordinator
 	ck      *Checkpointer
-	st      *store.Store
 	workers int
 	base    config.Config
 
 	mu      sync.Mutex
 	order   []*campaign.Campaign          // guarded by mu; start order
 	byID    map[string]*campaign.Campaign // guarded by mu
-	runners map[string]*durableRunner     // guarded by mu; campaign id -> its journal-aware runner
-	resumed uint64                        // guarded by mu; campaigns started over a non-empty journal
+	resumed uint64                        // guarded by mu; campaigns started over a checkpointed spec
 }
 
 func newCampaigns(co *Coordinator, cfg Config) *Campaigns {
 	return &Campaigns{
 		co:      co,
 		ck:      NewCheckpointer(cfg.Store),
-		st:      cfg.Store,
 		workers: cfg.Workers,
 		base:    cfg.Base,
 		byID:    map[string]*campaign.Campaign{},
-		runners: map[string]*durableRunner{},
 	}
 }
 
 // Start launches a campaign under its content-addressed id. Starting
 // a spec whose id is already live (running or retained-done) returns
 // the existing campaign — the idempotent-POST contract a client
-// retrying over a flaky link wants. When the store already holds a
-// journal for the id (a half-finished sweep from a previous process),
-// the campaign resumes: journaled cells serve from the store, only
-// the remainder dispatches. A spec that does not expand is rejected
-// before anything is written.
+// retrying over a flaky link wants. When the store already holds the
+// id's spec (a sweep from a previous process), the campaign resumes:
+// cells the store holds are served from it, the rest dispatch. A spec
+// that does not expand is rejected before anything is written.
 func (m *Campaigns) Start(spec campaign.Spec) (*campaign.Campaign, error) {
+	if _, err := spec.Expand(m.base); err != nil {
+		return nil, err
+	}
 	id := CampaignID(spec)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if c, ok := m.byID[id]; ok {
 		return c, nil
 	}
-	if _, err := spec.Expand(m.base); err != nil {
-		return nil, err
-	}
-	journal, err := m.ck.LoadJournal(id)
-	if err != nil {
-		return nil, err
-	}
+	_, err := m.ck.LoadSpec(id)
+	resuming := err == nil
 	if err := m.ck.WriteSpec(id, spec); err != nil {
 		return nil, err
 	}
-	resuming := len(journal) > 0
-	dr := &durableRunner{inner: m.co, st: m.st, ck: m.ck, id: id, tr: m.co.tr, journal: journal}
-	exec := campaign.Executor{Runner: dr, Workers: m.workers, Retries: 1, Tracer: m.co.tr}
+	exec := campaign.Executor{Runner: m.co, Workers: m.workers, Retries: 1, Tracer: m.co.tr}
 	run, err := exec.Start(spec, m.base)
 	if err != nil {
 		return nil, err
@@ -89,7 +79,6 @@ func (m *Campaigns) Start(spec campaign.Spec) (*campaign.Campaign, error) {
 	c := &campaign.Campaign{ID: id, Spec: spec, Run: run}
 	m.order = append(m.order, c)
 	m.byID[id] = c
-	m.runners[id] = dr
 	m.evictLocked()
 	// Re-evict when this campaign finishes: campaigns that were running
 	// (unevictable) during later Starts must not linger past the bound
@@ -105,8 +94,9 @@ func (m *Campaigns) Start(spec campaign.Spec) (*campaign.Campaign, error) {
 
 // Resume restarts a checkpointed campaign by id: a live id returns
 // the in-memory campaign, otherwise the spec reloads from the store
-// and Starts — which by construction derives the same id and skips
-// every journaled cell. Unknown ids (no checkpoint on disk) fail.
+// and Starts — which by construction derives the same id and runs
+// only the cells the store lacks. Unknown ids (no checkpoint on disk)
+// fail.
 func (m *Campaigns) Resume(id string) (*campaign.Campaign, error) {
 	m.mu.Lock()
 	c, ok := m.byID[id]
@@ -124,20 +114,8 @@ func (m *Campaigns) Resume(id string) (*campaign.Campaign, error) {
 	return m.Start(spec)
 }
 
-// Replayed reports how many of a campaign's cells were served from
-// its journal without running (0 for unknown ids).
-func (m *Campaigns) Replayed(id string) uint64 {
-	m.mu.Lock()
-	dr, ok := m.runners[id]
-	m.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	return dr.Replayed()
-}
-
-// Resumed reports how many campaigns started over a non-empty
-// journal — the campaigns_resumed gauge.
+// Resumed reports how many campaigns started with their spec already
+// checkpointed in the store — the campaigns_resumed gauge.
 func (m *Campaigns) Resumed() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -175,7 +153,6 @@ func (m *Campaigns) evictLocked() {
 	for _, c := range m.order {
 		if excess > 0 && c.Done() {
 			delete(m.byID, c.ID)
-			delete(m.runners, c.ID)
 			excess--
 			continue
 		}

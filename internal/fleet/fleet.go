@@ -3,12 +3,13 @@
 // and heartbeat to (the zngd -coordinator worker mode), a dynamic
 // dispatch surface over internal/remote that reassigns a dead peer's
 // cells and folds newly registered workers into campaigns already
-// running, and durable campaigns — the campaign Spec plus a per-cell
-// progress journal checkpointed into the store directory under the
-// campaign's content-addressed id, so a restarted coordinator (or a
-// brand-new one pointed at the same directory) resumes a half-finished
-// sweep by re-expanding the spec, serving journaled-done cells from
-// the store and dispatching only the remainder.
+// running, and durable campaigns. A campaign's checkpoint is its Spec,
+// written into the store directory under the campaign's
+// content-addressed id, plus the store itself: the coordinator reads
+// the store before it dispatches any cell and writes every fresh
+// result back, so a restarted coordinator (or a brand-new one pointed
+// at the same directory) resumes a half-finished sweep by re-expanding
+// the spec and dispatching only the cells the store lacks.
 //
 // Determinism is preserved end to end: simulations are pure functions
 // of their content-addressed cells, so a campaign that rode out worker
@@ -51,10 +52,11 @@ type Config struct {
 	// simsvc service, so a coordinator with zero workers degrades to
 	// exactly the single-process behavior. Required.
 	Local campaign.Runner
-	// Store backs campaign checkpoints (under <dir>/campaigns/) and
-	// serves journaled-done cells on resume. nil disables durability:
-	// campaigns still run under content-addressed ids, they just do not
-	// survive the process.
+	// Store answers every cell it holds before dispatch and receives
+	// every fresh result after it; campaign specs checkpoint under
+	// <dir>/campaigns/. nil disables durability: campaigns still run
+	// under content-addressed ids, they just do not survive the
+	// process.
 	Store *store.Store
 	// TTL is the heartbeat expiry window (0 = DefaultTTL).
 	TTL time.Duration
@@ -102,8 +104,8 @@ type Gauges struct {
 	// CellsReassigned counts cells that faulted on one peer and went
 	// back to dispatch for another.
 	CellsReassigned uint64 `json:"cells_reassigned"`
-	// CampaignsResumed counts campaigns started over a non-empty
-	// journal — sweeps that skipped already-done cells.
+	// CampaignsResumed counts campaigns whose spec was already
+	// checkpointed in the store when they started.
 	CampaignsResumed uint64 `json:"campaigns_resumed"`
 }
 
@@ -117,11 +119,12 @@ type peerState struct {
 
 // Coordinator owns the fleet: worker registration and heartbeats on
 // one side, campaign dispatch over the live membership on the other.
-// It implements campaign.Runner — one cell at a time, dispatched to
-// the least-loaded live peer, falling back to the Local runner when
-// the fleet is empty or every peer faults — so the durable campaign
-// layer (campaigns.go) and any other matrix driver fan out over the
-// fleet without knowing it. Safe for concurrent use.
+// It implements campaign.Runner — one cell at a time, served from the
+// store when it holds the cell, otherwise dispatched to the
+// least-loaded live peer, falling back to the Local runner when the
+// fleet is empty or every peer faults — so the durable campaign layer
+// (campaigns.go) and any other matrix driver fan out over the fleet
+// without knowing it. Safe for concurrent use.
 type Coordinator struct {
 	local campaign.Runner
 	disp  *remote.Dispatcher
@@ -289,18 +292,22 @@ func (c *Coordinator) Gauges() Gauges {
 	}
 }
 
-// Run implements campaign.Runner over the fleet: dispatch the cell to
-// the live membership, fall back to the Local runner when the fleet
-// is empty or every peer faulted on the cell. A deterministic
-// simulation error from a peer is returned as-is — every worker (and
-// the local runner) would compute the identical failure.
+// Run implements campaign.Runner over the store and the fleet: a cell
+// the store holds is answered from it; any other cell is dispatched to
+// the live membership, falling back to the Local runner when the
+// fleet is empty or every peer faulted on the cell, and a successful
+// result is written to the store. A deterministic simulation error
+// from a peer is returned as-is — every worker (and the local runner)
+// would compute the identical failure — and no error is ever stored,
+// so a later run (a resume, say) tries the cell again.
 func (c *Coordinator) Run(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
 	return c.run(obs.SpanContext{}, kind, mix, scale, cfg)
 }
 
 // RunTraced is Run under the caller's span context: each cell records
-// a "dispatch" span here (detail: "local", "fleet", or the
-// local-fallback reason), the dispatcher's per-attempt peer spans and
+// a "dispatch" span here (detail: "store", "local", "fleet", or the
+// local-fallback reason), a fresh result's write records a
+// "store.write" span, the dispatcher's per-attempt peer spans and
 // the workers' piggybacked spans nest under it, and a local fallback
 // threads the same context into the local runner when it implements
 // campaign.TracedRunner. It implements campaign.TracedRunner itself,
@@ -311,6 +318,34 @@ func (c *Coordinator) RunTraced(sc obs.SpanContext, kind platform.Kind, mix work
 }
 
 func (c *Coordinator) run(sc obs.SpanContext, kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
+	if c.st == nil {
+		return c.dispatch(sc, kind, mix, scale, cfg)
+	}
+	key := store.CellKey(kind, mix.ID(), scale, cfg)
+	start := time.Now()
+	if r, ok := c.st.Get(key); ok {
+		// The stored document may carry the label of whoever first
+		// computed the cell (an aliasing scenario); relabel per request,
+		// as the serving layer does.
+		if mix.Name != "" {
+			r.Workload = mix.Name
+		}
+		c.tr.Observe(sc, "dispatch", "store", start, time.Since(start), nil)
+		return r, nil
+	}
+	res, err := c.dispatch(sc, kind, mix, scale, cfg)
+	if err == nil {
+		// A failed write only costs a re-run on resume; the result in
+		// hand is still the answer.
+		span := c.span(sc, "store.write", key)
+		span.EndErr(c.st.Put(key, res))
+	}
+	return res, err
+}
+
+// dispatch answers a cell on the live membership, falling back to the
+// Local runner when the fleet is empty or every peer faulted.
+func (c *Coordinator) dispatch(sc obs.SpanContext, kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
 	now := time.Now()
 	c.mu.Lock()
 	c.expireLocked(now)

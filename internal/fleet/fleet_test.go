@@ -6,13 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"zng/internal/campaign"
 	"zng/internal/config"
+	"zng/internal/obs"
 	"zng/internal/platform"
 	"zng/internal/remote"
 	"zng/internal/report"
@@ -24,7 +25,7 @@ import (
 // function of the cell, so matrices fold byte-identically across
 // processes — the property every resume test leans on. failWith makes
 // chosen scenarios fail (deterministically, or with a transport-shaped
-// PeerError that must never be journaled).
+// PeerError); no failure is ever stored.
 type stubRunner struct {
 	mu       sync.Mutex
 	calls    int              // guarded by mu
@@ -131,51 +132,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Error("reloaded spec derives a different id")
 	}
 
-	// Journal entries round-trip and index by key.
-	keys := []string{"aaaa1111", "bbbb2222"}
-	if err := ck.JournalCell(id, JournalEntry{Key: keys[0]}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.JournalCell(id, JournalEntry{Key: keys[1], Error: "boom"}); err != nil {
-		t.Fatal(err)
-	}
-	j, err := ck.LoadJournal(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(j) != 2 || j[keys[0]].Error != "" || j[keys[1]].Error != "boom" {
-		t.Errorf("journal round-trip = %+v", j)
-	}
-
-	// Malformed keys are refused (they would escape the cells dir).
-	for _, bad := range []string{"", "../../etc/passwd", "x.json"} {
-		if err := ck.JournalCell(id, JournalEntry{Key: bad}); err == nil {
-			t.Errorf("JournalCell accepted malformed key %q", bad)
-		}
-	}
-
-	// An undecodable journal file (a torn copy, say) reads as absent.
-	cells := filepath.Join(st.Dir(), "campaigns", id, "cells")
-	if err := os.WriteFile(filepath.Join(cells, "cccc3333.json"), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A renamed entry (key/filename mismatch) also reads as absent.
-	if err := os.WriteFile(filepath.Join(cells, "dddd4444.json"),
-		encodeJournalEntry(JournalEntry{Key: keys[0]}), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err = ck.LoadJournal(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(j) != 2 {
-		t.Errorf("journal with corrupt entries = %+v, want the 2 good ones", j)
-	}
-
-	// Unknown ids load an empty journal and a not-exist spec.
-	if j, err := ck.LoadJournal("ffff"); err != nil || len(j) != 0 {
-		t.Errorf("unknown journal = %v, %v", j, err)
-	}
+	// Unknown ids load a not-exist spec.
 	if _, err := ck.LoadSpec("ffff"); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("unknown spec err = %v, want ErrNotExist", err)
 	}
@@ -185,21 +142,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := nilCk.WriteSpec(id, spec); err != nil {
 		t.Errorf("nil WriteSpec = %v", err)
 	}
-	if err := nilCk.JournalCell(id, JournalEntry{Key: keys[0]}); err != nil {
-		t.Errorf("nil JournalCell = %v", err)
-	}
-	if j, err := nilCk.LoadJournal(id); err != nil || len(j) != 0 {
-		t.Errorf("nil LoadJournal = %v, %v", j, err)
-	}
 	if _, err := nilCk.LoadSpec(id); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("nil LoadSpec err = %v, want ErrNotExist", err)
 	}
 }
 
-// TestResumeServesJournaledCells is the durability core: a finished
+// TestResumeServesStoredCells is the durability core: a finished
 // campaign restarted on a fresh coordinator over the same store runs
 // zero cells and folds the byte-identical matrix.
-func TestResumeServesJournaledCells(t *testing.T) {
+func TestResumeServesStoredCells(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec()
 
@@ -235,7 +186,7 @@ func TestResumeServesJournaledCells(t *testing.T) {
 	}
 
 	// A fresh coordinator (new process, same directory) resumes: every
-	// cell replays from the journal + store, the local runner never runs.
+	// cell is served from the store, the local runner never runs.
 	local2 := &stubRunner{}
 	co2 := newTestCoordinator(t, dir, local2)
 	c2, err := co2.Campaigns().Resume(c1.ID)
@@ -244,10 +195,7 @@ func TestResumeServesJournaledCells(t *testing.T) {
 	}
 	c2.Wait()
 	if got := local2.Calls(); got != 0 {
-		t.Errorf("resume ran %d cells, want 0 (all journaled)", got)
-	}
-	if got := co2.Campaigns().Replayed(c2.ID); got != uint64(len(c2.Cells())) {
-		t.Errorf("replayed = %d, want %d", got, len(c2.Cells()))
+		t.Errorf("resume ran %d cells, want 0 (all stored)", got)
 	}
 	if g := co2.Gauges(); g.CampaignsResumed != 1 {
 		t.Errorf("campaigns_resumed = %d, want 1", g.CampaignsResumed)
@@ -258,10 +206,9 @@ func TestResumeServesJournaledCells(t *testing.T) {
 }
 
 // TestResumeRunsOnlyTheRemainder: a half-finished campaign — some
-// cells journaled, one scenario's cells lost to a transport fault
-// that must never be journaled — resumes running exactly the
-// remainder, and the healed matrix is byte-identical to an
-// uninterrupted run.
+// cells stored, one scenario's cells lost to a transport fault —
+// resumes running exactly the remainder, and the healed matrix is
+// byte-identical to an uninterrupted run.
 func TestResumeRunsOnlyTheRemainder(t *testing.T) {
 	spec := testSpec()
 
@@ -291,15 +238,10 @@ func TestResumeRunsOnlyTheRemainder(t *testing.T) {
 	}
 	done := c1.Progress().Done
 
-	// The journal holds exactly the successful cells: transport faults
-	// checkpointed nothing.
-	ck := NewCheckpointer(mustStore(t, dir))
-	j, err := ck.LoadJournal(c1.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(j) != done {
-		t.Fatalf("journal has %d entries, want %d (only successes)", len(j), done)
+	// The store holds exactly the successful cells (every cell of the
+	// spec has its own key): failures stored nothing.
+	if n, err := mustStore(t, dir).Entries(); err != nil || n != done {
+		t.Fatalf("store has %d documents (%v), want %d (only successes)", n, err, done)
 	}
 
 	// Pass 2: fresh coordinator, healthy runner. Only the faulted
@@ -323,10 +265,10 @@ func TestResumeRunsOnlyTheRemainder(t *testing.T) {
 	}
 }
 
-// TestDeterministicFailuresReplayOnResume: a cell that failed
-// deterministically is journaled with its error text and replays on
-// resume without re-running.
-func TestDeterministicFailuresReplayOnResume(t *testing.T) {
+// TestResumeRerunsFailedCells: a cell that failed deterministically
+// is not stored, so a resumed campaign runs it again — and reports the
+// same error when it fails again — while its stored cells run no more.
+func TestResumeRerunsFailedCells(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec()
 	gausID := mixID(t, "solo-gaus")
@@ -345,26 +287,67 @@ func TestDeterministicFailuresReplayOnResume(t *testing.T) {
 	}
 	want := tableBytes(t, c1)
 
-	local2 := &stubRunner{}
+	local2 := &stubRunner{failWith: map[string]error{gausID: simErr}}
 	co2 := newTestCoordinator(t, dir, local2)
 	c2, err := co2.Campaigns().Resume(c1.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c2.Wait()
-	if got := local2.Calls(); got != 0 {
-		t.Errorf("resume re-ran %d cells, want 0 (failures journal too)", got)
+	// Each failed cell runs its first attempt and its one retry; no
+	// stored cell runs.
+	if got, want := local2.Calls(), 2*failed; got != want {
+		t.Errorf("resume ran %d cells, want %d: both attempts at each failed cell and nothing else", got, want)
 	}
 	if c2.Progress().Failed != failed {
 		t.Errorf("resumed failures = %d, want %d", c2.Progress().Failed, failed)
 	}
 	for _, cr := range c2.Outcome().Cells {
 		if cr.Cell.Mix.ID() == gausID && (cr.Err == nil || cr.Err.Error() != simErr.Error()) {
-			t.Errorf("replayed error = %v, want %v", cr.Err, simErr)
+			t.Errorf("re-run error = %v, want %v", cr.Err, simErr)
 		}
 	}
 	if got := tableBytes(t, c2); !bytes.Equal(got, want) {
-		t.Errorf("replayed matrix differs:\nwant %s\ngot  %s", want, got)
+		t.Errorf("resumed matrix differs:\nwant %s\ngot  %s", want, got)
+	}
+}
+
+// TestStoreHitRelabels: a store hit comes back under the name the
+// caller asked for, not the one whoever computed the cell stored —
+// consol-2 and bfs1-gaus share one cell. Traced, the write records a
+// "store.write" span (not simsvc's "store.put") and the hit a
+// "dispatch" span with detail "store".
+func TestStoreHitRelabels(t *testing.T) {
+	local := &stubRunner{}
+	tr := obs.New("coordinator", 64, 1)
+	st := mustStore(t, t.TempDir())
+	co := New(Config{Local: local, Store: st, Base: config.Default(), Tracer: tr})
+	computed, alias := testMix(t, "bfs1-gaus"), testMix(t, "consol-2")
+	if computed.ID() != alias.ID() {
+		t.Fatalf("%s and %s no longer share a cell", computed.Name, alias.Name)
+	}
+	root := tr.StartRoot("test", "")
+	if _, err := co.RunTraced(root.Context(), platform.ZnG, computed, 0.5, config.Default()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := co.RunTraced(root.Context(), platform.ZnG, alias, 0.5, config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.Calls() != 1 {
+		t.Errorf("local calls = %d, want 1 (the alias is a store hit)", local.Calls())
+	}
+	if res.Workload != alias.Name {
+		t.Errorf("store hit labeled %q, want %q", res.Workload, alias.Name)
+	}
+	spans := map[string]int{}
+	for _, r := range tr.Trace(root.Context().Trace) {
+		spans[r.Name+"/"+r.Detail]++
+	}
+	key := store.CellKey(platform.ZnG, alias.ID(), 0.5, config.Default())
+	want := map[string]int{"dispatch/local": 1, "store.write/" + key: 1, "dispatch/store": 1}
+	if !reflect.DeepEqual(spans, want) {
+		t.Errorf("spans = %v, want %v", spans, want)
 	}
 }
 

@@ -9,7 +9,7 @@ package fleet_test
 import (
 	"bytes"
 	"net/http/httptest"
-	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -157,10 +157,10 @@ func TestWorkerKilledMidCell(t *testing.T) {
 	}
 }
 
-// A coordinator that dies mid-campaign leaves a spec plus a partial
-// journal in the store. A fresh coordinator over the same directory
-// resumes by id: journaled cells replay from the store with zero
-// re-simulation, only the remainder runs, and the matrix is
+// A coordinator that dies mid-campaign leaves a spec plus part of the
+// campaign's cells in the store. A fresh coordinator over the same
+// directory resumes by id: stored cells are served from the store with
+// zero re-simulation, only the remainder runs, and the matrix is
 // byte-identical to an uninterrupted run.
 func TestCoordinatorRestartMidCampaign(t *testing.T) {
 	dir := t.TempDir()
@@ -172,7 +172,7 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 	}
 
 	// Coordinator 1: solo-gaus cells wedge forever — the campaign can
-	// never finish in this process, only its betw-back half journals.
+	// never finish in this process, only its betw-back half is stored.
 	gate := make(chan struct{})
 	st1, err := store.Open(dir)
 	if err != nil {
@@ -192,19 +192,16 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 		close(gate)
 		t.Fatal(err)
 	}
-	// Unblock the wedged cells and let campaign 1 finish journaling
+	// Unblock the wedged cells and let campaign 1 finish storing
 	// before TempDir removal, or its late writes race the cleanup.
 	t.Cleanup(func() { close(gate); c1.Wait() })
 	id := c1.ID
-	cellsDir := filepath.Join(dir, "campaigns", id, "cells")
-	waitFor(t, "half the campaign to journal", func() bool {
-		// Count published entries only: a journal write in flight is
-		// a temp file in the same directory.
-		ents, _ := filepath.Glob(filepath.Join(cellsDir, "*.json"))
-		return len(ents) >= 2
+	waitFor(t, "half the campaign to be stored", func() bool {
+		n, _ := st1.Entries()
+		return n >= 2
 	})
 	// Coordinator 1 is now "dead": we simply stop looking at it. Its
-	// two wedged cells stay in flight and never journal until cleanup.
+	// two wedged cells stay in flight and are not stored until cleanup.
 
 	// Coordinator 2: fresh process, same store directory, healthy sim.
 	st2, err := store.Open(dir)
@@ -223,10 +220,7 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 		t.Fatal(out.Err())
 	}
 	if got := svc2.Stats().Sims; got != 2 {
-		t.Fatalf("resume ran %d simulations, want exactly the 2 un-journaled cells", got)
-	}
-	if got := fc2.Campaigns().Replayed(id); got != 2 {
-		t.Fatalf("replayed = %d, want 2 journaled cells served from the store", got)
+		t.Fatalf("resume ran %d simulations, want exactly the 2 unstored cells", got)
 	}
 	if g := fc2.Gauges(); g.CampaignsResumed != 1 {
 		t.Fatalf("campaigns_resumed = %d, want 1", g.CampaignsResumed)
@@ -243,6 +237,93 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 		t.Fatal(refOut.Err())
 	}
 	if got, want := report.JSON(out.Table()), report.JSON(refOut.Table()); !bytes.Equal(got, want) {
+		t.Fatalf("resumed matrix differs from uninterrupted reference:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// A graceful shutdown closes the coordinator's local service while
+// campaign cells are still queued on it: those cells fail with
+// simsvc.ErrClosed, the service's answer rather than the cell's. A
+// fresh coordinator over the same directory resumes the campaign by
+// id, simulates exactly the cells the store lacks, and finishes with
+// no failed cell and the matrix of an uninterrupted run.
+func TestResumeAfterServiceShutdown(t *testing.T) {
+	dir := t.TempDir()
+	spec := campaign.Spec{
+		Name:      "shutdown",
+		Platforms: []string{"ZnG"},
+		Scenarios: []string{"betw-back", "solo-bfs1", "solo-gaus", "solo-pr"},
+		Scales:    []float64{0.5},
+	}
+
+	// Coordinator 1: one simulation slot, held until gate closes, so
+	// one cell runs and the other three wait in the service's queue.
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	running := make(chan struct{}, 1)
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc1 := simsvc.New(simsvc.Config{Workers: 1, Store: st1,
+		Simulate: func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
+			select {
+			case running <- struct{}{}:
+			default:
+			}
+			<-gate
+			return detSim(kind, mix, scale, cfg)
+		}})
+	fc1 := fleet.New(fleet.Config{Local: svc1, Store: st1, Workers: 4, Base: config.Default()})
+	// Cleanups run last-registered first: the slot is released before
+	// Close waits for it, however the test ends.
+	t.Cleanup(svc1.Close)
+	t.Cleanup(release)
+	c1, err := fc1.Campaigns().Start(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	waitFor(t, "three cells to queue behind the running one", func() bool { return svc1.Load() == 4 })
+	closed := make(chan struct{})
+	go func() { svc1.Close(); close(closed) }()
+	waitFor(t, "the queued cells to fail", func() bool { return c1.Progress().Failed == 3 })
+	release()
+	<-closed
+	out1 := c1.Wait()
+	if p := c1.Progress(); p.Done != 1 || p.Failed != 3 {
+		t.Fatalf("first pass: %d done, %d failed; want 1 and 3", p.Done, p.Failed)
+	}
+	for _, cr := range out1.Cells {
+		if cr.Err != nil && cr.Err.Error() != simsvc.ErrClosed.Error() {
+			t.Fatalf("first pass failed with %v, want %v", cr.Err, simsvc.ErrClosed)
+		}
+	}
+	stored, err := st1.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Coordinator 2: fresh process, same store directory, healthy sim.
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2 := simsvc.New(simsvc.Config{Workers: 2, Store: st2, Simulate: detSim})
+	t.Cleanup(svc2.Close)
+	fc2 := fleet.New(fleet.Config{Local: svc2, Store: st2, Workers: 2, Base: config.Default()})
+	c2, err := fc2.Campaigns().Resume(c1.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := c2.Wait()
+	if f := out.Failed(); f != 0 {
+		t.Fatalf("resume finished with %d failed cells, want 0: %v", f, out.Err())
+	}
+	if got, want := svc2.Stats().Sims, uint64(len(c2.Cells())-stored); got != want {
+		t.Fatalf("resume ran %d simulations, want the %d cells the store lacks", got, want)
+	}
+	if got, want := report.JSON(out.Table()), referenceTable(t, spec); !bytes.Equal(got, want) {
 		t.Fatalf("resumed matrix differs from uninterrupted reference:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -23,17 +23,15 @@ type CanonicalKeyConfig struct {
 // DefaultCanonicalKey returns the canonical-key analyzer bound to the
 // byte-canonical encoders of this repository: the cell-key hasher
 // every store entry, coalescing decision and campaign dedupe rides
-// on, the result codec whose bytes the store persists, and the fleet
-// checkpoint encoders — the campaign-id hasher (a resumed campaign
-// must derive the same id from the same spec on every machine) and
-// the journal-entry codec the checkpoint files persist.
+// on, the result codec whose bytes the store persists, and the fleet's
+// campaign-id hasher (a resumed campaign must derive the same id from
+// the same spec on every machine).
 func DefaultCanonicalKey() *Analyzer {
 	return NewCanonicalKey(CanonicalKeyConfig{
 		Sinks: []Sink{
 			{PkgSuffix: "internal/cellkey", Func: "Key"},
 			{PkgSuffix: "internal/report", Func: "EncodeResult"},
 			{PkgSuffix: "internal/fleet", Func: "CampaignID"},
-			{PkgSuffix: "internal/fleet", Func: "encodeJournalEntry"},
 		},
 	})
 }
@@ -48,9 +46,9 @@ func DefaultCanonicalKey() *Analyzer {
 // integer keys marshal in sorted order; any other key type is
 // iteration-ordered or unencodable). String- or integer-keyed maps
 // with canonical value types pass: the sinks write those keys sorted
-// (encoding/json does for the cell-key hasher and the fleet encoders,
-// and report.EncodeResult sorts Result.Extra's keys itself), so such
-// maps stay byte-stable.
+// (encoding/json does for the cell-key and campaign-id hashers, and
+// report.EncodeResult sorts Result.Extra's keys itself), so such maps
+// stay byte-stable.
 func NewCanonicalKey(cfg CanonicalKeyConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "canonicalkey",

@@ -114,7 +114,7 @@ type Record struct {
 	Parent ID `json:"parent,omitempty"`
 	// Name is the span kind: "http", "campaign", "cell", "dispatch",
 	// "peer", "queue", "coalesce", "tier.memory", "tier.disk",
-	// "tier.negative", "sim", "store.put", "journal.write", ...
+	// "tier.negative", "sim", "store.put", "store.write", ...
 	Name string `json:"name"`
 	// Detail refines the name: the HTTP pattern, the peer address,
 	// the cell coordinates.

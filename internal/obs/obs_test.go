@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -57,6 +58,26 @@ func TestContextCodec(t *testing.T) {
 			t.Fatalf("DecodeContext(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzDecodeContext: an X-Zng-Trace value DecodeContext accepts names
+// a valid context and is that context's Encode() up to hex case, and
+// every valid context decodes from its own encoding.
+func FuzzDecodeContext(f *testing.F) {
+	f.Fuzz(func(t *testing.T, header string, trace, span uint64) {
+		if c, ok := DecodeContext(header); ok {
+			if !c.Valid() {
+				t.Fatalf("DecodeContext(%q) accepted invalid %+v", header, c)
+			}
+			if !strings.EqualFold(c.Encode(), header) {
+				t.Fatalf("DecodeContext(%q) = %+v, which encodes as %q", header, c, c.Encode())
+			}
+		}
+		c := SpanContext{Trace: ID(trace), Span: ID(span)}
+		if back, ok := DecodeContext(c.Encode()); ok != c.Valid() || ok && back != c {
+			t.Fatalf("%+v encodes as %q, which decodes as %+v/%v", c, c.Encode(), back, ok)
+		}
+	})
 }
 
 func TestNilSafety(t *testing.T) {

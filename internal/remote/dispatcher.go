@@ -151,13 +151,6 @@ func (d *Dispatcher) RemovePeer(addr string) {
 	d.peers = keep
 }
 
-// NumPeers reports the current fleet size.
-func (d *Dispatcher) NumPeers() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.peers)
-}
-
 // Reassigned reports how many peer-level faults sent a cell back for
 // another peer — the fleet's rebalancing gauge.
 func (d *Dispatcher) Reassigned() uint64 {

@@ -192,14 +192,17 @@ daemon as a worker of another); liveness is lazy — a peer whose
 heartbeat window lapses is expired on the next observation, its
 in-flight cells reassigned to survivors or run locally, and a
 re-registered worker rejoins campaigns already in flight. Campaigns
-run on a store-backed coordinator checkpoint themselves: the spec and
-each completed cell are journaled under the store (content-addressed
-campaign id = SHA-256 of the canonical spec; journal filenames are
-the cells' store keys; atomic temp+rename writes, enforced by the
-same canonical-key analyzer that guards the store codecs), so a
-restarted coordinator resumes a half-finished sweep
-(` + "`/v1/campaigns/{id}/resume`" + `, ` + "`zngsweep -resume`" + `) serving
-journaled cells from the store with zero re-simulation — and because
+run on a store-backed coordinator checkpoint themselves with one
+record per cell: the coordinator reads the content-addressed store
+before it dispatches any cell and writes every successful result
+back, so the only campaign document is the spec under the store
+(content-addressed campaign id = SHA-256 of the canonical spec, its
+encoding guarded by the same canonical-key analyzer that guards the
+store codecs; atomic temp+rename writes). A restarted coordinator
+resumes a half-finished sweep (` + "`/v1/campaigns/{id}/resume`" + `,
+` + "`zngsweep -resume`" + `) by re-running whatever the store lacks — a
+failed cell included, since no error is ever persisted — and serving
+every other cell from the store with zero re-simulation; because
 cells are pure functions of their inputs, the resumed, rebalanced
 matrix folds byte-identical to an uninterrupted local run, a property
 the fault-path tests and CI's fleet-smoke job pin.

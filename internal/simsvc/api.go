@@ -813,7 +813,7 @@ func writeProm(w http.ResponseWriter, svc *Service, fc *fleet.Coordinator, hists
 	p.Gauge("zng_fleet_peers_live", "Registered, un-expired workers.", float64(doc.Fleet.PeersLive))
 	p.Counter("zng_fleet_peers_dead_total", "Heartbeat expiries since start.", float64(doc.Fleet.PeersDead))
 	p.Counter("zng_fleet_cells_reassigned_total", "Cells rerouted after a peer fault.", float64(doc.Fleet.CellsReassigned))
-	p.Counter("zng_fleet_campaigns_resumed_total", "Campaigns started over a non-empty journal.", float64(doc.Fleet.CampaignsResumed))
+	p.Counter("zng_fleet_campaigns_resumed_total", "Campaigns started with their spec already checkpointed in the store.", float64(doc.Fleet.CampaignsResumed))
 	if tr := svc.Tracer(); tr != nil {
 		total, dropped := tr.RingStats()
 		p.Counter("zng_trace_spans_total", "Spans recorded by the flight recorder.", float64(total))
