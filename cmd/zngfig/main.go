@@ -83,6 +83,12 @@ func main() {
 	if !(*scale > 0) || math.IsInf(*scale, 0) {
 		fatal(fmt.Errorf("scale must be positive and finite, got %v", *scale))
 	}
+	// Every figure runs registered scenarios at the scale.
+	for _, m := range workload.Scenarios() {
+		if err := m.CheckScale(*scale); err != nil {
+			fatal(err)
+		}
+	}
 	// Reject a bad format before any simulation runs: at full scale a
 	// figure costs minutes, and report.Render would only error after.
 	if *format != "" && !slices.Contains(report.Formats(), *format) {

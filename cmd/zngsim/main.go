@@ -96,6 +96,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if err := mix.CheckScale(*scale); err != nil {
+		fatal(err)
+	}
 	// run produces the single cell: directly, or — with -cache —
 	// through the store-backed service (one worker; the service is
 	// here for its read-through/write-through path, the same code path

@@ -280,6 +280,11 @@ func (s Spec) Expand(base config.Config) ([]Cell, error) {
 		if !(sc > 0) || math.IsInf(sc, 0) {
 			return nil, fmt.Errorf("campaign: scale must be positive and finite, got %v", sc)
 		}
+		for _, m := range mixes {
+			if err := m.CheckScale(sc); err != nil {
+				return nil, fmt.Errorf("campaign: scenario %q: %w", m.Name, err)
+			}
+		}
 	}
 	overrides := s.Overrides
 	if len(overrides) == 0 {

@@ -115,6 +115,9 @@ func TestExpandValidation(t *testing.T) {
 		"unknown scenario": {Platforms: []string{"ZnG"}, Scenarios: []string{"no-such"}},
 		"negative scale":   {Platforms: []string{"ZnG"}, Scenarios: []string{"betw-back"}, Scales: []float64{-1}},
 		"zero scale":       {Platforms: []string{"ZnG"}, Scenarios: []string{"betw-back"}, Scales: []float64{0}},
+		"unfit scale":      {Platforms: []string{"ZnG"}, Scenarios: []string{"betw-back"}, Scales: []float64{1e308}},
+		"unfit weight":     {Platforms: []string{"ZnG"}, Scenarios: []string{"bfs1*1e300"}},
+		"infinite weight":  {Platforms: []string{"ZnG"}, Scenarios: []string{"bfs1*inf"}},
 		"bad override":     {Platforms: []string{"ZnG"}, Scenarios: []string{"betw-back"}, Overrides: []Override{{RegNet: "nope"}}},
 		"bad waste":        {Platforms: []string{"ZnG"}, Scenarios: []string{"betw-back"}, Overrides: []Override{{HighWaste: fp(2)}}},
 	} {

@@ -14,10 +14,11 @@ package cellkey
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+	"strconv"
 
 	"zng/internal/config"
 	"zng/internal/platform"
+	"zng/internal/wire"
 )
 
 // SchemaVersion stamps the key derivation. It participates in every
@@ -29,34 +30,38 @@ import (
 // output while fresh simulations report the new one.
 const SchemaVersion = 2
 
-// keyDoc is the canonically-encoded cell identity that gets hashed.
-// Struct fields marshal in declaration order and config.Config is a
-// flat value type (no maps, no pointers), so the encoding — and
-// therefore the key — is deterministic across processes.
-type keyDoc struct {
-	Schema int           `json:"schema"`
-	Kind   string        `json:"kind"`
-	Mix    string        `json:"mix"` // workload.Mix.ID(), the content identity
-	Scale  float64       `json:"scale"`
-	Cfg    config.Config `json:"cfg"`
-}
-
 // Key returns the content address of one simulation cell. Mixes
 // participate through their ID rather than their display name, so
 // aliasing scenarios (consol-2 and bfs1-gaus, say) share one entry.
+//
+// The hashed bytes are the canonical cell identity
+//
+//	{"schema":2,"kind":"ZnG","mix":"bfs1+gaus","scale":2,"cfg":{"GPU":{...},...}}
+//
+// and a newline: exactly what json.Encoder wrote for a struct of those
+// fields, since the keys of every existing store are hashes of those
+// bytes. Strings and floats are written as encoding/json writes them
+// and the configuration as json.Marshal writes it (config.AppendJSON);
+// the configuration is a flat value type, so the bytes, and the key,
+// are the same in every process.
 func Key(kind platform.Kind, mixID string, scale float64, cfg config.Config) string {
-	h := sha256.New()
-	if err := json.NewEncoder(h).Encode(keyDoc{
-		Schema: SchemaVersion,
-		Kind:   kind.String(),
-		Mix:    mixID,
-		Scale:  scale,
-		Cfg:    cfg,
-	}); err != nil {
-		// The only encodable failure here is a non-finite scale (JSON
-		// has no NaN/Inf); every entry point validates scale first, so
-		// reaching this is a caller bug worth failing loudly on.
+	var buf [4096]byte // the Table I configuration takes about 2 KB
+	b := append(buf[:0], `{"schema":`...)
+	b = strconv.AppendInt(b, SchemaVersion, 10)
+	b = append(b, `,"kind":`...)
+	b = wire.AppendString(b, kind.String())
+	b = append(b, `,"mix":`...)
+	b = wire.AppendString(b, mixID)
+	b = append(b, `,"scale":`...)
+	// A non-finite scale or configuration value has no JSON form; every
+	// entry point validates scale first, so reaching either panic is a
+	// caller bug worth failing loudly on.
+	b = wire.AppendFloat(b, scale)
+	b = append(b, `,"cfg":`...)
+	b, err := cfg.AppendJSON(b)
+	if err != nil {
 		panic(err)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(append(b, "}\n"...))
+	return hex.EncodeToString(sum[:])
 }

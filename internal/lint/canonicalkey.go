@@ -46,9 +46,11 @@ func DefaultCanonicalKey() *Analyzer {
 // integer keys marshal in sorted order; any other key type is
 // iteration-ordered or unencodable). String- or integer-keyed maps
 // with canonical value types pass: the sinks write those keys sorted
-// (encoding/json does for the cell-key and campaign-id hashers, and
+// (encoding/json does for the campaign-id hasher, and
 // report.EncodeResult sorts Result.Extra's keys itself), so such maps
-// stay byte-stable.
+// stay byte-stable. The cell-key hasher writes its bytes itself, with
+// internal/wire's encoding/json-exact writers and config.AppendJSON,
+// whose field plan admits no map, interface or pointer at all.
 func NewCanonicalKey(cfg CanonicalKeyConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "canonicalkey",

@@ -27,6 +27,7 @@ import (
 	"zng/internal/obs"
 	"zng/internal/platform"
 	"zng/internal/report"
+	"zng/internal/wire"
 	"zng/internal/workload"
 )
 
@@ -43,19 +44,6 @@ type PeerError struct {
 func (e *PeerError) Error() string { return fmt.Sprintf("remote: peer %s: %v", e.Peer, e.Err) }
 func (e *PeerError) Unwrap() error { return e.Err }
 
-// runRequest mirrors the zngd POST /v1/run body (simsvc/api.go). The
-// cell's workload travels in the ad-hoc apps syntax derived from the
-// mix's content identity, so unregistered compositions work and a
-// registered scenario resolves to the same cell key on the peer; the
-// caller relabels the returned result with its own display name.
-type runRequest struct {
-	Platform string         `json:"platform"`
-	Apps     string         `json:"apps"`
-	Scale    float64        `json:"scale"`
-	Async    bool           `json:"async"`
-	Config   *config.Config `json:"config,omitempty"`
-}
-
 // DefaultTimeout bounds every individual HTTP round trip the client
 // makes. A simulation cell may take arbitrarily long, but no single
 // request does — Run submits asynchronously and long-polls, each
@@ -64,6 +52,11 @@ type runRequest struct {
 // surfaces as a PeerError within one timeout instead of hanging the
 // caller forever.
 const DefaultTimeout = 30 * time.Second
+
+// requestBytes sizes a request body's buffer so that encoding it
+// allocates once: a cell with the Table I configuration encodes to
+// about 2.1 KB.
+const requestBytes = 3 << 10
 
 // Client is one zngd peer speaking the /v1 JSON API. It implements
 // the experiments/campaign Runner interface; every Run is one async
@@ -103,20 +96,21 @@ func appsArg(mix workload.Mix) string {
 	return strings.ReplaceAll(mix.ID(), "+", ",")
 }
 
-// envelope is the common reply shape of POST /v1/run and
-// GET /v1/jobs/{id}.
+// envelope is what the client reads of a POST /v1/run or
+// GET /v1/jobs/{id} reply.
 type envelope struct {
-	Error string `json:"error"`
+	Error string
 	Job   struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-		Error string `json:"error"`
-	} `json:"job"`
-	Result json.RawMessage `json:"result"`
+		ID    string
+		State string
+		Error string
+	}
+	// Result is the result document's bytes, aliasing the reply body.
+	Result []byte
 	// Spans is the worker-side span subtree of a traced request,
 	// piggybacked on the reply that observed the job finish so the
 	// caller's flight recorder holds the whole cross-process tree.
-	Spans []obs.Record `json:"spans"`
+	Spans []obs.Record
 }
 
 // Run implements the Runner interface against the peer: submit the
@@ -145,13 +139,8 @@ func (c *Client) RunTraced(sc obs.SpanContext, kind platform.Kind, mix workload.
 }
 
 func (c *Client) run(sc obs.SpanContext, kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, []obs.Record, error) {
-	body, err := json.Marshal(runRequest{
-		Platform: kind.String(),
-		Apps:     appsArg(mix),
-		Scale:    scale,
-		Async:    true,
-		Config:   &cfg,
-	})
+	req := RunRequest{Platform: kind.String(), Apps: appsArg(mix), Scale: scale, Async: true, Config: &cfg}
+	body, err := req.AppendJSON(make([]byte, 0, requestBytes))
 	if err != nil {
 		return platform.Result{}, nil, fmt.Errorf("remote: encoding request: %w", err)
 	}
@@ -167,7 +156,7 @@ func (c *Client) run(sc obs.SpanContext, kind platform.Kind, mix workload.Mix, s
 	if err != nil {
 		return platform.Result{}, nil, &PeerError{Peer: c.base, Err: err}
 	}
-	env, err := decodeEnvelope(resp)
+	env, err := readEnvelope(resp)
 	if err != nil {
 		return platform.Result{}, nil, &PeerError{Peer: c.base, Err: err}
 	}
@@ -184,7 +173,7 @@ func (c *Client) run(sc obs.SpanContext, kind platform.Kind, mix workload.Mix, s
 		if resp, err = c.get(sc, "/v1/jobs/"+env.Job.ID+query); err != nil {
 			return platform.Result{}, nil, &PeerError{Peer: c.base, Err: err}
 		}
-		if env, err = decodeEnvelope(resp); err != nil {
+		if env, err = readEnvelope(resp); err != nil {
 			return platform.Result{}, nil, &PeerError{Peer: c.base, Err: err}
 		}
 		if resp.StatusCode != http.StatusOK {
@@ -237,15 +226,71 @@ func (c *Client) get(sc obs.SpanContext, path string) (*http.Response, error) {
 	return c.hc.Do(req)
 }
 
-// decodeEnvelope reads one reply; an undecodable body (proxy page,
-// truncated reply) is an error whatever the status code said.
-func decodeEnvelope(resp *http.Response) (envelope, error) {
+// readEnvelope reads one reply to EOF and parses it; an undecodable
+// body (proxy page, truncated reply) is an error whatever the status
+// code said.
+func readEnvelope(resp *http.Response) (envelope, error) {
 	defer resp.Body.Close()
-	var env envelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+	body, err := wire.ReadAll(resp.Body, resp.ContentLength)
+	if err != nil {
+		return envelope{}, fmt.Errorf("reading reply (status %d): %w", resp.StatusCode, err)
+	}
+	env, err := parseEnvelope(body)
+	if err != nil {
 		return env, fmt.Errorf("undecodable reply (status %d): %w", resp.StatusCode, err)
 	}
 	return env, nil
+}
+
+// parseEnvelope reads a reply in one pass, as json.Decoder read it
+// into the envelope's fields before: keys match exactly or else under
+// case folding, unknown keys and nulls are skipped, a repeated key
+// applies again, and a known key with a value of the wrong type is an
+// error. The result document is only delimited: its bytes go to
+// report.DecodeResult untouched. Spans, present only on traced replies,
+// decode with encoding/json. Only whitespace may follow the object.
+func parseEnvelope(b []byte) (envelope, error) {
+	var (
+		env envelope
+		d   wire.Decoder
+	)
+	d.Reset(b)
+	for more := d.Object(); more; more = d.More() {
+		key := d.Key()
+		switch {
+		case wire.KeyIs(key, "error"):
+			readString(&d, &env.Error)
+		case wire.KeyIs(key, "job"):
+			if d.Null() {
+				break
+			}
+			for more := d.Object(); more; more = d.More() {
+				key := d.Key()
+				switch {
+				case wire.KeyIs(key, "id"):
+					readString(&d, &env.Job.ID)
+				case wire.KeyIs(key, "state"):
+					readString(&d, &env.Job.State)
+				case wire.KeyIs(key, "error"):
+					readString(&d, &env.Job.Error)
+				default:
+					d.Skip()
+				}
+			}
+		case wire.KeyIs(key, "result"):
+			env.Result = d.Value()
+		case wire.KeyIs(key, "spans"):
+			if v := d.Value(); d.Err() == nil {
+				if err := json.Unmarshal(v, &env.Spans); err != nil {
+					return env, err
+				}
+			}
+		default:
+			d.Skip()
+		}
+	}
+	d.End()
+	return env, d.Err()
 }
 
 func errText(env envelope) string {

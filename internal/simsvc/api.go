@@ -21,34 +21,11 @@ import (
 	"zng/internal/latency"
 	"zng/internal/obs"
 	"zng/internal/platform"
+	"zng/internal/remote"
 	"zng/internal/report"
+	"zng/internal/wire"
 	"zng/internal/workload"
 )
-
-// runRequest is the POST /v1/run body. Exactly one of Mix (a
-// registered scenario name) or Apps (zngsim's ad-hoc composition
-// syntax, e.g. "bfs1,gaus*1.5") selects the workload.
-type runRequest struct {
-	Platform string  `json:"platform"`
-	Mix      string  `json:"mix,omitempty"`
-	Apps     string  `json:"apps,omitempty"`
-	Scale    float64 `json:"scale,omitempty"`
-	Priority int     `json:"priority,omitempty"`
-	// Async returns 202 with the job instead of waiting for the
-	// result; poll GET /v1/jobs/{id}. With ?wait=D the reply waits up
-	// to D for the job, and a job that finishes within it is answered
-	// as a done-job poll is: 200 with the result document.
-	Async bool `json:"async,omitempty"`
-	// Config, when present, is decoded over a copy of the daemon's
-	// base configuration, so absent fields inherit the base instead of
-	// silently zeroing (a partial {"flash":{"channels":8}} means
-	// base-plus-8-channels, matching the campaign Override semantics).
-	// internal/remote sends every field, so a full config — the exact
-	// cell a campaign addressed — passes through unchanged and both
-	// sides hash the same cell key, keeping distributed results
-	// byte-identical to local ones.
-	Config *config.Config `json:"config,omitempty"`
-}
 
 // runResponse is the reply about one run or job: POST /v1/run's 202
 // and 200, and GET /v1/jobs/{id}. writeRun writes it.
@@ -190,17 +167,19 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		var req runRequest
+		body, err := readBody(w, r)
+		if err != nil {
+			writeBodyErr(w, "reading request", err)
+			return
+		}
 		// Pre-seed the config target with the base configuration: a
 		// request's "config" object decodes over it, so unspecified
 		// fields inherit the base rather than zeroing, and an absent
 		// "config" leaves the seed (= the base) in place. Either way
 		// req.Config is the effective cell configuration afterwards.
 		seeded := cfg
-		req.Config = &seeded
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		req := remote.RunRequest{Config: &seeded}
+		if err := req.DecodeJSON(body); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 			return
 		}
@@ -238,6 +217,10 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 		}
 		if scale < 0 {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("scale must be positive, got %v", scale))
+			return
+		}
+		if err := mix.CheckScale(scale); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
 		// One ingress span per accepted run: join the propagated trace
@@ -339,10 +322,8 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 
 	timed("POST /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var spec campaign.Spec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding campaign spec: %w", err))
+		if err := decodeBody(w, r, &spec); err != nil {
+			writeBodyErr(w, "decoding campaign spec", err)
 			return
 		}
 		c, err := mgr.Start(spec)
@@ -418,10 +399,8 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 
 	timed("POST /v1/fleet/register", func(w http.ResponseWriter, r *http.Request) {
 		var req fleetRegisterRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding register request: %w", err))
+		if err := decodeBody(w, r, &req); err != nil {
+			writeBodyErr(w, "decoding register request", err)
 			return
 		}
 		peer, err := fc.Register(req.Addr)
@@ -437,10 +416,8 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 
 	timed("POST /v1/fleet/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req fleetHeartbeatRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding heartbeat: %w", err))
+		if err := decodeBody(w, r, &req); err != nil {
+			writeBodyErr(w, "decoding heartbeat", err)
 			return
 		}
 		if err := fc.Heartbeat(req.ID, req.Load); err != nil {
@@ -626,6 +603,39 @@ func parseWait(r *http.Request) (time.Duration, error) {
 		return 0, fmt.Errorf("bad wait %q (want a non-negative duration such as 500ms or 2s)", s)
 	}
 	return min(d, MaxWait), nil
+}
+
+// MaxBodyBytes caps every request body. A POST /v1/run body with a
+// full configuration takes about 2 KB.
+const MaxBodyBytes = 1 << 20
+
+// readBody reads the request body whole, or fails with an
+// *http.MaxBytesError once it passes MaxBodyBytes: at once when the
+// Content-Length says so, else when the reader does.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > MaxBodyBytes {
+		return nil, &http.MaxBytesError{Limit: MaxBodyBytes}
+	}
+	return wire.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes), r.ContentLength)
+}
+
+// decodeBody decodes the request body into v with encoding/json,
+// rejecting unknown fields, or fails with an *http.MaxBytesError once
+// the body passes MaxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// writeBodyErr answers a request whose body could not be read or
+// decoded: 413 when it is over MaxBodyBytes, else 400.
+func writeBodyErr(w http.ResponseWriter, what string, err error) {
+	status := http.StatusBadRequest
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, fmt.Errorf("%s: %w", what, err))
 }
 
 // finished reports whether a job has reached a terminal state.

@@ -1,0 +1,128 @@
+package simsvc
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+
+	"zng/internal/config"
+)
+
+// TestAPIBodyCap: every endpoint that reads a body answers one over
+// MaxBodyBytes with a 413 and a JSON error, whether or not the request
+// declares its length, and the handler stops reading at the cap: a
+// 2 MiB POST /v1/run body costs it well under 8 MiB of allocation.
+func TestAPIBodyCap(t *testing.T) {
+	svc := New(Config{Workers: 1, Simulate: fixedSim(1)})
+	t.Cleanup(svc.Close)
+	h := NewHandler(svc, config.Default())
+	big := []byte(`{"platform":"` + strings.Repeat("A", 2<<20) + `"}`)
+	for _, path := range []string{"/v1/run", "/v1/campaigns", "/v1/fleet/register", "/v1/fleet/heartbeat"} {
+		for _, declared := range []bool{true, false} {
+			r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(big))
+			if !declared {
+				r.ContentLength = -1 // as a chunked body arrives
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			var doc struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &doc); rec.Code != http.StatusRequestEntityTooLarge || err != nil || doc.Error == "" {
+				t.Errorf("%s (length declared: %v): status %d, body %.200s", path, declared, rec.Code, rec.Body)
+			}
+		}
+	}
+	if len(svc.Jobs()) != 0 {
+		t.Errorf("an oversized body created %d jobs", len(svc.Jobs()))
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(big))
+	r.ContentLength = -1
+	h.ServeHTTP(httptest.NewRecorder(), r)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 8<<20 {
+		t.Errorf("a 2 MiB body made the handler allocate %.1f MiB", float64(n)/(1<<20))
+	}
+}
+
+// TestAPIRunLengthNotReserved: a POST /v1/run that declares a 1 MiB
+// body makes the handler allocate far less than that before the first
+// body byte arrives, so a client that sends only headers cannot make
+// zngd hold the cap for it.
+func TestAPIRunLengthNotReserved(t *testing.T) {
+	svc := New(Config{Workers: 1, Simulate: fixedSim(1)})
+	t.Cleanup(svc.Close)
+	h := NewHandler(svc, config.Default())
+	body := &stalledBody{}
+	r := httptest.NewRequest(http.MethodPost, "/v1/run", body)
+	r.ContentLength = MaxBodyBytes
+	runtime.GC()
+	runtime.ReadMemStats(&body.start)
+	h.ServeHTTP(httptest.NewRecorder(), r)
+	if !body.read {
+		t.Fatal("the handler never read the body")
+	}
+	if body.alloc >= 256<<10 {
+		t.Errorf("a declared 1 MiB body made the handler allocate %.0f KiB before any of it arrived", float64(body.alloc)/(1<<10))
+	}
+}
+
+// stalledBody is a request body whose client hangs up before sending
+// a byte. Its first Read records what the handler allocated up to then.
+type stalledBody struct {
+	start runtime.MemStats
+	alloc uint64
+	read  bool
+}
+
+func (b *stalledBody) Read([]byte) (int, error) {
+	if !b.read {
+		var now runtime.MemStats
+		runtime.ReadMemStats(&now)
+		b.alloc, b.read = now.TotalAlloc-b.start.TotalAlloc, true
+	}
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestAPIRunRejectsUnfitTraces: a weight or scale whose trace would not
+// fit is a 400 naming the component, answered before admission.
+func TestAPIRunRejectsUnfitTraces(t *testing.T) {
+	srv, svc := newTestServer(t, fixedSim(1))
+	for _, body := range []string{
+		`{"platform":"GDDR5","apps":"bfs1*inf","scale":1}`,
+		`{"platform":"GDDR5","apps":"bfs1*1e308","scale":1}`,
+		`{"platform":"GDDR5","mix":"solo-bfs1","scale":1e308}`,
+	} {
+		resp, doc := postRun(t, srv.URL, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(doc["error"]), "bfs1") {
+			t.Errorf("%s: status %d, error %s; want 400 naming bfs1", body, resp.StatusCode, doc["error"])
+		}
+	}
+	if n := len(svc.Jobs()); n != 0 {
+		t.Errorf("rejected runs left %d jobs", n)
+	}
+}
+
+// TestAPIRunUnknownFieldNamed: an unknown key in a run request, at the
+// top or inside "config", is a 400 that names it.
+func TestAPIRunUnknownFieldNamed(t *testing.T) {
+	srv, _ := newTestServer(t, fixedSim(1))
+	for body, name := range map[string]string{
+		`{"platform":"ZnG","mix":"betw-back","scalee":2}`:                     "scalee",
+		`{"platform":"ZnG","mix":"betw-back","config":{"Flash":{"Bogus":1}}}`: "Flash.Bogus",
+	} {
+		resp, doc := postRun(t, srv.URL, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(doc["error"]), name) {
+			t.Errorf("%s: status %d, error %s; want 400 naming %s", body, resp.StatusCode, doc["error"], name)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,6 +41,11 @@ func NewMix(name string, apps ...string) Mix {
 // the same components and weights simulate identically, and the
 // experiments memo keys on exactly this string — unlike the Mix struct
 // itself, it is comparable no matter how many components a mix has.
+//
+// A weight is written in strconv's shortest 'g' form with any '+'
+// dropped from its exponent (1e+06 becomes 1e06), so '+' only ever
+// separates components: campaign specs and remote peers turn an ID
+// back into a mix by reading each '+' as a ','.
 func (m Mix) ID() string {
 	var b strings.Builder
 	for i, c := range m.Components {
@@ -49,7 +55,7 @@ func (m Mix) ID() string {
 		b.WriteString(c.App)
 		if c.Weight != 1 {
 			b.WriteByte('*')
-			b.WriteString(strconv.FormatFloat(c.Weight, 'g', -1, 64))
+			b.WriteString(strings.Replace(strconv.FormatFloat(c.Weight, 'g', -1, 64), "+", "", 1))
 		}
 	}
 	return b.String()
@@ -67,16 +73,51 @@ func (m Mix) Apps(scale float64) ([]*App, error) {
 	}
 	apps := make([]*App, len(m.Components))
 	for i, c := range m.Components {
-		spec, err := SpecByName(c.App)
+		spec, err := c.spec(scale)
 		if err != nil {
 			return nil, fmt.Errorf("mix %q: %w", m.Name, err)
-		}
-		if !(c.Weight > 0) {
-			return nil, fmt.Errorf("workload: mix %q: component %s weight %v must be positive", m.Name, c.App, c.Weight)
 		}
 		apps[i] = NewApp(spec, scale*c.Weight, i)
 	}
 	return apps, nil
+}
+
+// CheckScale reports whether every component of m can be instantiated
+// at the trace scale, naming the first that cannot: its application
+// must be registered, and scale × weight must be positive with its
+// per-warp and total memory-instruction counts within an int. NewApp's
+// 4-instruction floor serves any positive product, however small; a
+// larger product than the counts can hold would wrap and silently run
+// a different trace. Entry points call it before a cell is keyed.
+func (m Mix) CheckScale(scale float64) error {
+	for _, c := range m.Components {
+		if _, err := c.spec(scale); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// spec resolves the component's application and checks that NewApp
+// can instantiate it at the mix-level trace scale.
+func (c Component) spec(scale float64) (Spec, error) {
+	spec, err := SpecByName(c.App)
+	if err != nil {
+		return Spec{}, err
+	}
+	if !(c.Weight > 0) || math.IsInf(c.Weight, 1) {
+		return Spec{}, fmt.Errorf("workload: component %s weight %v must be positive and finite", c.App, c.Weight)
+	}
+	// NewApp's counts: per warp, then over every (kernel, warp). On
+	// 64-bit hosts float64(math.MaxInt) is 2^63, the first value int()
+	// cannot take.
+	s := scale * c.Weight
+	warps := spec.Kernels * spec.WarpsPerKernel
+	perWarp := float64(spec.MemInstBudget) * s / float64(warps)
+	if !(s > 0) || !(perWarp < math.MaxInt) || int(perWarp) > math.MaxInt/warps {
+		return Spec{}, fmt.Errorf("workload: component %s at scale %v × weight %v: the trace's instruction count must be positive and fit in an int", c.App, scale, c.Weight)
+	}
+	return spec, nil
 }
 
 // PaperPairs returns the twelve co-run workloads of Figures 5, 10 and
@@ -190,8 +231,9 @@ func ParseApps(list string) (Mix, error) {
 		if _, err := SpecByName(c.App); err != nil {
 			return Mix{}, err
 		}
-		if !(c.Weight > 0) {
-			return Mix{}, fmt.Errorf("workload: component %s weight %v must be positive", c.App, c.Weight)
+		// ParseFloat reads "inf" and "infinity" too.
+		if !(c.Weight > 0) || math.IsInf(c.Weight, 1) {
+			return Mix{}, fmt.Errorf("workload: component %s weight %v must be positive and finite", c.App, c.Weight)
 		}
 		comps = append(comps, c)
 	}
