@@ -140,9 +140,12 @@ func main() {
 			f.Close()
 		}
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	r, err := run()
 	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
 	stopProfile()
 	if err != nil {
 		fatal(err)
@@ -169,9 +172,8 @@ func main() {
 	if secs := elapsed.Seconds(); secs > 0 {
 		fmt.Fprintf(os.Stderr, "host rate:  %.0f insts/sec (%.2fs wall)\n", float64(r.Insts)/secs, secs)
 	}
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	fmt.Fprintf(os.Stderr, "peak heap:  %.1f MiB\n", float64(m.HeapSys)/(1<<20))
+	fmt.Fprintf(os.Stderr, "peak heap:  %.1f MiB\n", float64(after.HeapSys)/(1<<20))
+	fmt.Fprintf(os.Stderr, "allocs:     %d\n", after.Mallocs-before.Mallocs)
 	fmt.Printf("L2 hit:     %.3f\n", r.L2HitRate)
 	fmt.Printf("TLB hit:    %.3f\n", r.TLBHitRate)
 	if r.FlashArrayGBps() > 0 {

@@ -37,19 +37,65 @@ type Backbone struct {
 	Cfg    config.Flash
 	planes []Plane
 
+	// Block state is created lazily, as the FTL touches blocks, and is
+	// cut from backbone-wide slabs: block records, their valid-bit
+	// words and block-directory chunks, each field the unused tail of
+	// its newest slab. A slab holds a fixed number of records and is
+	// never moved, so a *Block stays valid, and the 1,024 planes of
+	// Table I share a few dozen allocations.
+	blocks []Block
+	bits   []uint64
+	dirs   []blockDir
+
 	// Statistics for Figs. 1b, 8b and 11.
 	ArrayReads    stats.Counter
 	ArrayPrograms stats.Counter
 	Erases        stats.Counter
 }
 
+// Slab sizes, in records. A block slab is 48 KiB of records and, at
+// Table I's 384 pages per block, 48 KiB of valid bits; a directory
+// slab is 32 KiB. Each is a whole number of 8 KiB pages above the Go
+// allocator's 32 KiB small-object limit, so the allocator neither
+// rounds it up to a size class nor prefixes a type header.
+const (
+	blockSlab = 1024
+	dirSlab   = 64
+)
+
 // New builds the backbone described by cfg.
 func New(eng *sim.Engine, cfg config.Flash) *Backbone {
 	b := &Backbone{eng: eng, Cfg: cfg, planes: make([]Plane, cfg.Planes())}
+	per := (cfg.BlocksPerPl + blockChunk - 1) / blockChunk
+	chunks := make([]*blockDir, len(b.planes)*per)
 	for i := range b.planes {
-		b.planes[i] = Plane{bb: b, Index: i, res: *sim.NewResource(eng)}
+		b.planes[i] = Plane{bb: b, Index: i, res: *sim.NewResource(eng),
+			chunks: chunks[i*per : (i+1)*per : (i+1)*per]}
 	}
 	return b
+}
+
+// newBlock cuts an erased block's state from the block slabs.
+func (b *Backbone) newBlock() *Block {
+	words := (b.Cfg.PagesPerBlock + 63) / 64
+	if len(b.blocks) == 0 {
+		b.blocks, b.bits = make([]Block, blockSlab), make([]uint64, blockSlab*words)
+	}
+	bl := &b.blocks[0]
+	b.blocks = b.blocks[1:]
+	bl.pages, bl.valid = b.Cfg.PagesPerBlock, b.bits[:words:words]
+	b.bits = b.bits[words:]
+	return bl
+}
+
+// newDir cuts an empty directory chunk from the directory slab.
+func (b *Backbone) newDir() *blockDir {
+	if len(b.dirs) == 0 {
+		b.dirs = make([]blockDir, dirSlab)
+	}
+	dir := &b.dirs[0]
+	b.dirs = b.dirs[1:]
+	return dir
 }
 
 // Planes reports the plane count.
@@ -140,19 +186,13 @@ type Plane struct {
 	res   sim.Resource
 
 	// chunks is the plane's block directory (block id i lives at
-	// chunks[i/blockChunk][i%blockChunk]), filled lazily at both
-	// levels: untouched blocks hold no data and no wear, so they stay
-	// nil, and so does a chunk of them. The FTL allocators hand out
-	// low block ids first, so the metadata a plane holds tracks the
-	// blocks it has used, not its configured capacity.
+	// chunks[i/blockChunk][i%blockChunk]), its own window of one
+	// backbone-wide array. Chunks and blocks are filled lazily:
+	// untouched blocks hold no data and no wear, so they stay nil, and
+	// so does a chunk of them. The FTL allocators hand out low block
+	// ids first, so the block state a plane holds tracks the blocks it
+	// has used, not its configured capacity.
 	chunks []*blockDir
-
-	// Block state is carved from arenas that double up to blockChunk
-	// blocks, so materializing a block costs a fraction of an
-	// allocation while a plane that touches one block holds one.
-	arena     []Block
-	bits      []uint64
-	arenaNext int
 
 	Reads    uint64 // per-plane counters for the Fig. 8b heatmap
 	Programs uint64
@@ -168,34 +208,16 @@ func (p *Plane) Block(i int) *Block {
 	if i < 0 || i >= p.bb.Cfg.BlocksPerPl {
 		panic(fmt.Sprintf("flash: block %d out of range", i))
 	}
-	if p.chunks == nil {
-		p.chunks = make([]*blockDir, (p.bb.Cfg.BlocksPerPl+blockChunk-1)/blockChunk)
-	}
 	dir := p.chunks[i/blockChunk]
 	if dir == nil {
-		dir = new(blockDir)
+		dir = p.bb.newDir()
 		p.chunks[i/blockChunk] = dir
 	}
 	bl := dir[i%blockChunk]
 	if bl == nil {
-		bl = p.newBlock()
+		bl = p.bb.newBlock()
 		dir[i%blockChunk] = bl
 	}
-	return bl
-}
-
-func (p *Plane) newBlock() *Block {
-	pages := p.bb.Cfg.PagesPerBlock
-	words := (pages + 63) / 64
-	if len(p.arena) == 0 {
-		n := max(p.arenaNext, 1)
-		p.arena, p.bits = make([]Block, n), make([]uint64, n*words)
-		p.arenaNext = min(2*n, blockChunk)
-	}
-	bl := &p.arena[0]
-	p.arena = p.arena[1:]
-	bl.pages, bl.valid = pages, p.bits[:words:words]
-	p.bits = p.bits[words:]
 	return bl
 }
 

@@ -304,7 +304,7 @@ func TestLazyBlockDirectory(t *testing.T) {
 	p := b.Plane(1)
 	var seen []int
 	p.EachBlock(func(id int, _ *Block) { seen = append(seen, id) })
-	if len(seen) != 0 || p.chunks != nil {
+	if len(seen) != 0 {
 		t.Fatalf("untouched plane holds state: blocks %v", seen)
 	}
 	touched := []int{cfg.BlocksPerPl - 1, 3, blockChunk, 2}
@@ -334,5 +334,56 @@ func TestLazyBlockDirectory(t *testing.T) {
 	}
 	if allocated != 3 {
 		t.Errorf("%d directory chunks allocated, want 3 (blocks 2 and 3 share one)", allocated)
+	}
+}
+
+// Block state for every plane comes from shared slabs that are never
+// moved: across three block slabs and two directory slabs, a *Block
+// stays the pointer Block returns, and no two blocks share state or
+// valid bits.
+func TestBlockSlabsKeepPointers(t *testing.T) {
+	cfg := smallFlash()
+	cfg.Channels = 16 // 64 planes
+	cfg.BlocksPerPl = 8 * blockChunk
+	cfg.PagesPerBlock = 130 // three valid-bit words per block
+	b := New(sim.NewEngine(), cfg)
+	type at struct{ plane, block int }
+	type state struct {
+		bl *Block
+		n  int // the block's erase count and, mod the page count, its one valid page
+	}
+	blocks := map[at]state{}
+	n := 0
+	// A stride of 7 blocks opens a new directory chunk every nine or
+	// ten blocks, so the planes fill more than one directory slab.
+	for blk := 0; n <= 2*blockSlab; blk += 7 {
+		for pl := 0; pl < b.Planes(); pl++ {
+			bl := b.Plane(pl).Block(blk)
+			bl.EraseCount = n
+			b.Plane(pl).PreloadPage(blk, n%cfg.PagesPerBlock)
+			blocks[at{pl, blk}] = state{bl, n}
+			n++
+		}
+	}
+	dirs := 0
+	for pl := 0; pl < b.Planes(); pl++ {
+		for _, dir := range b.Plane(pl).chunks {
+			if dir != nil {
+				dirs++
+			}
+		}
+	}
+	if dirs <= dirSlab {
+		t.Fatalf("only %d directory chunks touched; the test must span two slabs", dirs)
+	}
+	for k, st := range blocks {
+		bl, page := st.bl, st.n%cfg.PagesPerBlock
+		if got := b.Plane(k.plane).Block(k.block); got != bl {
+			t.Fatalf("plane %d block %d moved", k.plane, k.block)
+		}
+		if bl.EraseCount != st.n || bl.ValidCount() != 1 || !bl.Valid(page) {
+			t.Fatalf("plane %d block %d: erase count %d with %d valid pages; want %d with page %d alone",
+				k.plane, k.block, bl.EraseCount, bl.ValidCount(), st.n, page)
+		}
 	}
 }

@@ -59,3 +59,27 @@ func TestSimulationHotPathAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAppsAllocationBudget pins the slab-backed simulator state:
+// records for work in flight come from chunked free lists and flash
+// block state from backbone-wide slabs, so a run's allocations follow
+// its components, not its in-flight high-water marks or the blocks it
+// touches. At experiments.TestOptions' scale and configuration, every
+// platform makes 470 (Optane) to 1,722 (Hetero) allocations on
+// bfs1-gaus; allocating each record, block and directory chunk on its
+// own made 3,098 to 5,671.
+func TestRunAppsAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every platform")
+	}
+	const budget = 2400
+	mix, err := workload.MixByName("bfs1-gaus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range AllKinds() {
+		if n, _ := mallocs(t, k, mix, 0.12, testCfg()); n > budget {
+			t.Errorf("%v %s: RunApps made %d allocations, budget %d", k, mix.Name, n, budget)
+		}
+	}
+}

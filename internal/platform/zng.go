@@ -147,9 +147,9 @@ type zngController struct {
 	// of one flash page into a single sense; readRegs model the plane
 	// cache registers holding recently sensed pages (Section II-B),
 	// which serve repeated reads without touching the array again.
-	senseIdx  *intmap.Map // page -> senses slot
-	senses    []*sense
-	senseFree []int32
+	senseIdx  *intmap.Map // page -> index in senses
+	senses    []*sense    // in flight, in no particular order
+	senseRecs sim.FreeList[sense]
 	readRegs  []pageRing
 
 	DemandFills   stats.Counter
@@ -187,7 +187,7 @@ func (r *pageRing) push(page uint64) {
 // on it.
 type sense struct {
 	z       *zngController
-	slot    int32
+	slot    int32 // index in z.senses
 	page    uint64
 	plane   int
 	node    int
@@ -299,16 +299,11 @@ func (z *zngController) decode(r *mem.Request, n int) {
 	if z.merge(r) {
 		return
 	}
-	var s *sense
-	if k := len(z.senseFree); k > 0 {
-		s = z.senses[z.senseFree[k-1]]
-		z.senseFree = z.senseFree[:k-1]
-	} else {
-		s = &sense{z: z, slot: int32(len(z.senses))}
-		z.senses = append(z.senses, s)
-	}
+	s := z.senseRecs.Get()
+	s.z, s.slot = z, int32(len(z.senses))
 	s.page, s.plane, s.node = page, loc.Plane, n
 	s.waiters.Push(r)
+	z.senses = append(z.senses, s)
 	z.senseIdx.Put(page, s.slot)
 	z.DemandFills.Inc()
 	z.bb.Plane(loc.Plane).Read(loc.Block, loc.Page, s, nil)
@@ -317,14 +312,20 @@ func (z *zngController) decode(r *mem.Request, n int) {
 // Handle implements sim.Handler: the array sense completed, so the
 // page sits in a plane register and every waiting fill moves on.
 func (s *sense) Handle(any) {
-	z := s.z
+	z, node, waiters := s.z, s.node, s.waiters
 	z.readRegs[s.plane].push(s.page)
 	z.senseIdx.Delete(s.page)
-	waiters := s.waiters
-	s.waiters = mem.Queue{}
-	z.senseFree = append(z.senseFree, s.slot)
+	// The last sense in flight takes s's place in the index.
+	last := z.senses[len(z.senses)-1]
+	z.senses = z.senses[:len(z.senses)-1]
+	if last != s {
+		last.slot = s.slot
+		z.senses[s.slot] = last
+		z.senseIdx.Put(last.page, last.slot)
+	}
+	z.senseRecs.Put(s)
 	for w := waiters.Pop(); w != nil; w = waiters.Pop() {
-		z.deliver(w, s.node)
+		z.deliver(w, node)
 	}
 }
 

@@ -106,7 +106,6 @@ type Cache struct {
 	l2    PinSink   // thrash spill target; nil disables the checker
 
 	pkgs        []*pkg
-	unbuffered  bool // ZnG-base: no write caching at all
 	perPlaneDir bool // one open register per plane, no grouping
 	pinnedLines int
 
@@ -125,11 +124,6 @@ type Cache struct {
 
 // Options configure New.
 type Options struct {
-	// Unbuffered selects the ZnG-base behaviour: registers are plain
-	// staging buffers with no caching policy, so every sector store
-	// costs a read-modify-write of its page plus a log program
-	// (Section V-A: ZnG-base has neither read nor write optimization).
-	Unbuffered bool
 	// PerPlaneDirect keeps the grouping off but gives each plane one
 	// open register that absorbs consecutive stores to the same page —
 	// the intermediate design point of the write ablation.
@@ -145,7 +139,7 @@ func New(eng *sim.Engine, cfg config.RegCache, bb *flash.Backbone, split *ftl.Sp
 	c := &Cache{
 		eng: eng, cfg: cfg, bb: bb, split: split,
 		mesh: opt.Mesh, l2: opt.L2,
-		unbuffered: opt.Unbuffered, perPlaneDir: opt.PerPlaneDirect,
+		perPlaneDir: opt.PerPlaneDirect,
 	}
 	planesPerPkg := bb.Cfg.DiesPerPkg * bb.Cfg.PlanesPerDie
 	regs := planesPerPkg * bb.Cfg.RegsPerPlane
@@ -211,15 +205,6 @@ func (c *Cache) Write(va uint64, h sim.Handler, arg any) {
 	vp := c.vpage(va)
 	p.clock++
 	p.window++
-
-	if c.unbuffered {
-		// ZnG-base: read-modify-write the page through a staging
-		// register and program it to the log immediately.
-		c.Allocs.Inc()
-		c.Evictions.Inc()
-		c.evict(p, regEntry{vp: vp, sectors: c.sectorBit(va), regPlane: target}, h, arg)
-		return
-	}
 
 	if e := p.entry(vp); e != nil {
 		e.sectors |= c.sectorBit(va)

@@ -12,7 +12,10 @@
 // reproducible.
 package sim
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Tick is simulated time measured in GPU core cycles.
 type Tick int64
@@ -124,15 +127,15 @@ func (e *Engine) Schedule(delay Tick, h Handler, arg any) {
 }
 
 // ScheduleAt delivers h.Handle(arg) at absolute tick t. A nil h is
-// ignored (callers chain optional completion handlers). Scheduling in
-// the past is an error in the caller; it is clamped to the current tick
-// to keep the simulation monotonic.
+// ignored (callers chain optional completion handlers). A tick before
+// now is a bug in the caller, which would otherwise go unseen as a
+// silently shortened latency, so it panics.
 func (e *Engine) ScheduleAt(t Tick, h Handler, arg any) {
 	if h == nil {
 		return
 	}
 	if t < e.now {
-		t = e.now
+		panic(fmt.Sprintf("sim: event scheduled at tick %d, before now (%d)", t, e.now))
 	}
 	e.seq++
 	if t-e.now < wheelTicks {

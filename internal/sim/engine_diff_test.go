@@ -27,12 +27,13 @@ func (a refEvent) before(b refEvent) bool {
 	return a.seq < b.seq
 }
 
-func (e *refEngine) ScheduleAt(t Tick, fn func()) {
-	if t < e.now {
-		t = e.now
+// Schedule treats a negative delay as zero, as Engine.Schedule does.
+func (e *refEngine) Schedule(d Tick, fn func()) {
+	if d < 0 {
+		d = 0
 	}
 	e.seq++
-	e.events = append(e.events, refEvent{when: t, seq: e.seq, fn: fn})
+	e.events = append(e.events, refEvent{when: e.now + d, seq: e.seq, fn: fn})
 	for i := len(e.events) - 1; i > 0; {
 		p := (i - 1) / 2
 		if !e.events[i].before(e.events[p]) {
@@ -86,9 +87,9 @@ type firing struct {
 
 // workload drives one engine through a seeded random schedule: each
 // fired event may schedule more at delays that stay on the wheel, cross
-// its horizon, or lie in the past, and the driver interleaves RunUntil
+// its horizon, or are negative, and the driver interleaves RunUntil
 // windows with free running.
-func workload(seed uint64, schedule func(t Tick, fn func()), now func() Tick, step func() bool, runUntil func(Tick)) []firing {
+func workload(seed uint64, schedule func(d Tick, fn func()), now func() Tick, step func() bool, runUntil func(Tick)) []firing {
 	r := rng.New(seed)
 	var out []firing
 	next := 0
@@ -109,9 +110,9 @@ func workload(seed uint64, schedule func(t Tick, fn func()), now func() Tick, st
 		case 4:
 			d = Tick(r.Intn(6 * wheelTicks))
 		default:
-			d = -Tick(r.Intn(5)) // past: clamped to now
+			d = -Tick(r.Intn(5)) // negative: fires later this tick
 		}
-		schedule(now()+d, func() {
+		schedule(d, func() {
 			out = append(out, firing{id, now()})
 			if depth < 6 {
 				for k := r.Intn(3); k > 0; k-- {
@@ -141,11 +142,11 @@ func TestEngineMatchesReferenceHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		e := NewEngine()
 		got := workload(seed,
-			func(t Tick, fn func()) { e.ScheduleAt(t, Func(fn), nil) },
+			func(d Tick, fn func()) { e.Schedule(d, Func(fn), nil) },
 			e.Now, e.Step, e.RunUntil)
 		ref := &refEngine{}
 		want := workload(seed,
-			ref.ScheduleAt, func() Tick { return ref.now }, ref.Step, ref.RunUntil)
+			ref.Schedule, func() Tick { return ref.now }, ref.Step, ref.RunUntil)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d events fired, reference %d", seed, len(got), len(want))
 		}

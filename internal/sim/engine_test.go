@@ -82,16 +82,28 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineScheduleAtPastClamps(t *testing.T) {
+// An event scheduled before now is a bug in its caller: ScheduleAt
+// panics instead of firing it late, and the queue is left as it was.
+func TestEngineScheduleAtPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, Func(func() {
-		e.ScheduleAt(3, Func(func() {
-			if e.Now() != 10 {
-				t.Errorf("past event fired at %d, want clamp to 10", e.Now())
+	e.RunUntil(10)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ScheduleAt(now-1) did not panic")
 			}
-		}), nil)
-	}), nil)
+		}()
+		e.ScheduleAt(e.Now()-1, Func(func() { t.Error("past event fired") }), nil)
+	}()
+	if e.Pending() != 0 {
+		t.Errorf("Pending() = %d after the rejected event, want 0", e.Pending())
+	}
+	fired := false
+	e.ScheduleAt(e.Now(), Func(func() { fired = true }), nil)
 	e.Run()
+	if !fired || e.Now() != 10 {
+		t.Errorf("event at now: fired %v at %d, want true at 10", fired, e.Now())
+	}
 }
 
 // Property: events always fire in nondecreasing time order, regardless
@@ -233,5 +245,30 @@ func TestFreeListRecycles(t *testing.T) {
 	}
 	if l.Get() == a {
 		t.Fatal("a record was handed out twice")
+	}
+}
+
+// Fresh records are cut from chunks of 8, 8, 16, 32 and then 64, so
+// handing out 192 records costs six allocations, and every record is a
+// distinct, zeroed object.
+func TestFreeListCarvesChunks(t *testing.T) {
+	var recs [8 + 8 + 16 + 32 + 64 + 64]*counter
+	var l FreeList[counter]
+	allocs := testing.AllocsPerRun(1, func() {
+		l = FreeList[counter]{}
+		for i := range recs {
+			recs[i] = l.Get()
+		}
+	})
+	if allocs != 6 {
+		t.Errorf("%d fresh records cost %.0f allocations, want 6", len(recs), allocs)
+	}
+	seen := make(map[*counter]bool, len(recs))
+	for i, x := range recs {
+		if seen[x] || x.got != nil {
+			t.Fatalf("record %d was handed out twice or not zeroed", i)
+		}
+		seen[x] = true
+		x.got = make([]*int, 0, 1)
 	}
 }

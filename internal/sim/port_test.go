@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+
+	"zng/internal/rng"
 )
 
 func TestPortSerialization(t *testing.T) {
@@ -162,5 +164,60 @@ func TestPoolVsResourceThroughput(t *testing.T) {
 	}
 	if t1, t4 := mk(1), mk(4); t1 != 4*t4 {
 		t.Errorf("1-server=%d, 4-server=%d; want exact 4x speedup", t1, t4)
+	}
+}
+
+// linearPool is the dispatcher Pool replaced: scan every server for the
+// earliest free one, lowest index first on ties.
+type linearPool struct {
+	eng     *Engine
+	servers []Tick
+}
+
+func (p *linearPool) Acquire(dur Tick) Tick {
+	best := 0
+	for i, f := range p.servers {
+		if f < p.servers[best] {
+			best = i
+		}
+	}
+	start := p.eng.Now()
+	if p.servers[best] > start {
+		start = p.servers[best]
+	}
+	if dur < 0 {
+		dur = 0
+	}
+	p.servers[best] = start + dur
+	return p.servers[best]
+}
+
+// TestPoolMatchesLinearScan drives the heap-ordered pool and the
+// linear scan through the same random arrivals and durations (bursts
+// at one tick, idle gaps, zero and negative durations): every request
+// must complete at the same tick.
+func TestPoolMatchesLinearScan(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rng.New(seed)
+		k := 1 + r.Intn(40)
+		e := NewEngine()
+		p := NewPool(e, k)
+		ref := &linearPool{eng: e, servers: make([]Tick, k)}
+		var busy Tick
+		for i := 0; i < 2000; i++ {
+			if r.Intn(3) == 0 {
+				e.RunFor(Tick(r.Intn(400)))
+			}
+			dur := Tick(r.Intn(1000)) - 5
+			got, want := p.Acquire(dur, nil, nil), ref.Acquire(dur)
+			if got != want {
+				t.Fatalf("seed %d, k %d, request %d at %d: pool completes at %d, linear scan at %d",
+					seed, k, i, e.Now(), got, want)
+			}
+			busy += max(dur, 0)
+		}
+		if p.Served() != 2000 || p.BusyTicks() != busy {
+			t.Fatalf("seed %d: served %d busy %d, want 2000 and %d", seed, p.Served(), p.BusyTicks(), busy)
+		}
 	}
 }

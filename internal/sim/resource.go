@@ -45,9 +45,13 @@ func (r *Resource) BusyTicks() Tick { return r.busy }
 // Pool models k identical parallel servers (e.g. the 2–5 embedded
 // cores of an SSD controller, or the 32 threads of the page-table
 // walker). Each request is dispatched to the earliest-free server.
+//
+// Servers are interchangeable, so only the multiset of their free
+// ticks is observable: free is a binary min-heap of them, and a
+// dispatch replaces its root instead of scanning all k.
 type Pool struct {
-	eng     *Engine
-	servers []Tick
+	eng  *Engine
+	free []Tick
 
 	served uint64
 	busy   Tick
@@ -58,34 +62,51 @@ func NewPool(eng *Engine, k int) *Pool {
 	if k <= 0 {
 		panic("sim: pool size must be positive")
 	}
-	return &Pool{eng: eng, servers: make([]Tick, k)}
+	return &Pool{eng: eng, free: make([]Tick, k)}
 }
 
 // Size reports the number of servers.
-func (p *Pool) Size() int { return len(p.servers) }
+func (p *Pool) Size() int { return len(p.free) }
 
 // Acquire dispatches a request of duration dur to the earliest-free
 // server, delivers h.Handle(arg) at completion (nothing, if h is nil),
 // and returns the completion tick.
 func (p *Pool) Acquire(dur Tick, h Handler, arg any) Tick {
-	best := 0
-	for i, f := range p.servers {
-		if f < p.servers[best] {
-			best = i
-		}
-	}
 	start := p.eng.Now()
-	if p.servers[best] > start {
-		start = p.servers[best]
+	if p.free[0] > start {
+		start = p.free[0]
 	}
 	if dur < 0 {
 		dur = 0
 	}
-	p.servers[best] = start + dur
+	done := start + dur
+	p.replaceMin(done)
 	p.served++
 	p.busy += dur
-	p.eng.ScheduleAt(p.servers[best], h, arg)
-	return p.servers[best]
+	p.eng.ScheduleAt(done, h, arg)
+	return done
+}
+
+// replaceMin replaces the heap's root with t, which is no earlier, and
+// sifts it down to its place.
+func (p *Pool) replaceMin(t Tick) {
+	f := p.free
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(f) {
+			break
+		}
+		if c+1 < len(f) && f[c+1] < f[c] {
+			c++
+		}
+		if f[c] >= t {
+			break
+		}
+		f[i] = f[c]
+		i = c
+	}
+	f[i] = t
 }
 
 // Served reports the number of Acquire calls.
