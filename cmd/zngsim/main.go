@@ -39,6 +39,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -172,7 +173,7 @@ func main() {
 	if secs := elapsed.Seconds(); secs > 0 {
 		fmt.Fprintf(os.Stderr, "host rate:  %.0f insts/sec (%.2fs wall)\n", float64(r.Insts)/secs, secs)
 	}
-	fmt.Fprintf(os.Stderr, "peak heap:  %.1f MiB\n", float64(after.HeapSys)/(1<<20))
+	fmt.Fprintf(os.Stderr, "peak RSS:   %s\n", peakRSS())
 	fmt.Fprintf(os.Stderr, "allocs:     %d\n", after.Mallocs-before.Mallocs)
 	fmt.Printf("L2 hit:     %.3f\n", r.L2HitRate)
 	fmt.Printf("TLB hit:    %.3f\n", r.TLBHitRate)
@@ -187,6 +188,27 @@ func main() {
 	for _, k := range keys {
 		fmt.Printf("  %-18s %.6g\n", k, r.Extra[k])
 	}
+}
+
+// peakRSS reports the process's peak resident set, VmHWM in
+// /proc/self/status (what cmd/zngbench reports as peak_rss_mib), or
+// why it is unavailable. The Go heap's HeapSys would not do: it reads
+// the same few MiB for every platform at the scales zngsim runs.
+func peakRSS() string {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return "unavailable (" + err.Error() + ")"
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kib, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimSuffix(rest, "kB")), 64)
+			if err != nil {
+				return "unavailable (" + err.Error() + ")"
+			}
+			return fmt.Sprintf("%.1f MiB", kib/1024)
+		}
+	}
+	return "unavailable (no VmHWM in /proc/self/status)"
 }
 
 func fatal(err error) {

@@ -8,7 +8,12 @@
 // nanosecond-scale device parameters are converted with NsToTicks.
 package config
 
-import "zng/internal/sim"
+import (
+	"fmt"
+	"reflect"
+
+	"zng/internal/sim"
+)
 
 // GPUClockGHz is the SM core clock from Table I.
 const GPUClockGHz = 1.2
@@ -249,6 +254,41 @@ type Config struct {
 	Prefetch Prefetch
 	RegCache RegCache
 	FTL      FTL
+}
+
+// CheckLatencies reports the first negative sim.Tick field of c, named
+// by its path from Config ("Flash.MeshHopLat"). The model cannot run a
+// negative latency: an event it would schedule lands before the
+// current tick, which the engine refuses, or the delay is silently
+// taken as zero. The fields are found by walking the struct, so a
+// latency added later is checked too; the walk allocates only for the
+// error it returns.
+func (c *Config) CheckLatencies() error {
+	if path, t, ok := negativeTick(reflect.ValueOf(c).Elem()); ok {
+		return fmt.Errorf("config: %s %d, want >= 0", path, t)
+	}
+	return nil
+}
+
+var tickType = reflect.TypeFor[sim.Tick]()
+
+// negativeTick finds the first negative sim.Tick field of the struct v
+// and returns its path from v.
+func negativeTick(v reflect.Value) (path string, t sim.Tick, ok bool) {
+	for i := range v.NumField() {
+		f := v.Field(i)
+		switch {
+		case f.Type() == tickType:
+			if t = sim.Tick(f.Int()); t < 0 {
+				return v.Type().Field(i).Name, t, true
+			}
+		case f.Kind() == reflect.Struct:
+			if path, t, ok = negativeTick(f); ok {
+				return v.Type().Field(i).Name + "." + path, t, true
+			}
+		}
+	}
+	return "", 0, false
 }
 
 // Default returns the Table I configuration.

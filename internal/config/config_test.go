@@ -135,3 +135,27 @@ func TestZNANDDensityConstants(t *testing.T) {
 		t.Error("Z-NAND must be the most power-efficient medium (Fig. 3b)")
 	}
 }
+
+// TestCheckLatencies: zero is a valid latency and -1 is not, and a
+// valid configuration is checked without allocating. Every sim.Tick
+// field is covered through platform.RunApps
+// (TestRunMixRejectsNegativeLatencies).
+func TestCheckLatencies(t *testing.T) {
+	c := Default()
+	c.Flash.MeshHopLat = 0
+	if err := c.CheckLatencies(); err != nil {
+		t.Errorf("Flash.MeshHopLat = 0: %v", err)
+	}
+	c.Flash.MeshHopLat = -1
+	if err, want := c.CheckLatencies(), "config: Flash.MeshHopLat -1, want >= 0"; err == nil || err.Error() != want {
+		t.Errorf("Flash.MeshHopLat = -1: err = %v, want %q", err, want)
+	}
+	c = Default()
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := c.CheckLatencies(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("CheckLatencies allocates %.0f objects on a valid config, want 0", allocs)
+	}
+}

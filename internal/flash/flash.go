@@ -18,6 +18,7 @@ import (
 	"math/bits"
 
 	"zng/internal/config"
+	"zng/internal/intmap"
 	"zng/internal/sim"
 	"zng/internal/stats"
 )
@@ -37,15 +38,16 @@ type Backbone struct {
 	Cfg    config.Flash
 	planes []Plane
 
-	// Block state is created lazily, as the FTL touches blocks, and is
-	// cut from backbone-wide slabs: block records, their valid-bit
-	// words and block-directory chunks, each field the unused tail of
-	// its newest slab. A slab holds a fixed number of records and is
-	// never moved, so a *Block stays valid, and the 1,024 planes of
-	// Table I share a few dozen allocations.
-	blocks []Block
-	bits   []uint64
-	dirs   []blockDir
+	// Block state is created lazily, as the FTL touches blocks. A
+	// block's record is cut from backbone-wide slabs of block records
+	// and valid-bit words, and index maps (plane, block id) to its
+	// record number, which counts the records cut before it. A slab
+	// holds a fixed number of records and is never moved, so a *Block
+	// stays valid, and the 1,024 planes of Table I share a few
+	// allocations; blocks never touched hold nothing at all.
+	index *intmap.Map
+	slabs []*[blockSlab]Block
+	bits  []uint64 // the unused tail of the newest valid-bit slab
 
 	// Statistics for Figs. 1b, 8b and 11.
 	ArrayReads    stats.Counter
@@ -53,49 +55,47 @@ type Backbone struct {
 	Erases        stats.Counter
 }
 
-// Slab sizes, in records. A block slab is 48 KiB of records and, at
-// Table I's 384 pages per block, 48 KiB of valid bits; a directory
-// slab is 32 KiB. Each is a whole number of 8 KiB pages above the Go
-// allocator's 32 KiB small-object limit, so the allocator neither
-// rounds it up to a size class nor prefixes a type header.
-const (
-	blockSlab = 1024
-	dirSlab   = 64
-)
+// blockSlab is the slab size, in records. A block slab is 56 KiB of
+// records and, at Table I's 384 pages per block, 48 KiB of valid bits.
+// Each is a whole number of 8 KiB pages above the Go allocator's 32 KiB
+// small-object limit, so the allocator neither rounds it up to a size
+// class nor prefixes a type header.
+const blockSlab = 1024
+
+// blocksPerPlane sizes the block index and the slab list in New: the
+// benchmark's 64x cells touch one to eight blocks per plane, 3.3 on
+// average at most, so a backbone this busy never regrows either.
+const blocksPerPlane = 4
 
 // New builds the backbone described by cfg.
 func New(eng *sim.Engine, cfg config.Flash) *Backbone {
-	b := &Backbone{eng: eng, Cfg: cfg, planes: make([]Plane, cfg.Planes())}
-	per := (cfg.BlocksPerPl + blockChunk - 1) / blockChunk
-	chunks := make([]*blockDir, len(b.planes)*per)
+	n := cfg.Planes()
+	b := &Backbone{eng: eng, Cfg: cfg, planes: make([]Plane, n),
+		index: intmap.New(blocksPerPlane * n),
+		slabs: make([]*[blockSlab]Block, 0, (blocksPerPlane*n+blockSlab-1)/blockSlab)}
 	for i := range b.planes {
-		b.planes[i] = Plane{bb: b, Index: i, res: *sim.NewResource(eng),
-			chunks: chunks[i*per : (i+1)*per : (i+1)*per]}
+		b.planes[i] = Plane{bb: b, Index: i, res: *sim.NewResource(eng)}
 	}
 	return b
 }
 
-// newBlock cuts an erased block's state from the block slabs.
-func (b *Backbone) newBlock() *Block {
-	words := (b.Cfg.PagesPerBlock + 63) / 64
-	if len(b.blocks) == 0 {
-		b.blocks, b.bits = make([]Block, blockSlab), make([]uint64, blockSlab*words)
-	}
-	bl := &b.blocks[0]
-	b.blocks = b.blocks[1:]
-	bl.pages, bl.valid = b.Cfg.PagesPerBlock, b.bits[:words:words]
-	b.bits = b.bits[words:]
-	return bl
-}
+// record returns block record r.
+func (b *Backbone) record(r int32) *Block { return &b.slabs[r/blockSlab][r%blockSlab] }
 
-// newDir cuts an empty directory chunk from the directory slab.
-func (b *Backbone) newDir() *blockDir {
-	if len(b.dirs) == 0 {
-		b.dirs = make([]blockDir, dirSlab)
+// newBlock cuts an erased block's state from the block slabs, files it
+// under key in the index and returns its record number.
+func (b *Backbone) newBlock(key uint64) int32 {
+	r := int32(b.index.Len())
+	words := (b.Cfg.PagesPerBlock + 63) / 64
+	if r%blockSlab == 0 {
+		b.slabs = append(b.slabs, new([blockSlab]Block))
+		b.bits = make([]uint64, blockSlab*words)
 	}
-	dir := &b.dirs[0]
-	b.dirs = b.dirs[1:]
-	return dir
+	bl := b.record(r)
+	bl.pages, bl.valid = int32(b.Cfg.PagesPerBlock), b.bits[:words:words]
+	b.bits = b.bits[words:]
+	b.index.Put(key, r)
+	return r
 }
 
 // Planes reports the plane count.
@@ -142,8 +142,10 @@ func (b *Backbone) TotalBytesProgrammed() uint64 {
 type Block struct {
 	WritePtr   int // next in-order programmable page; PagesPerBlock = full
 	EraseCount int
-	pages      int
+	id         int      // the block's id within its plane
 	valid      []uint64 // bitset, bit i = page i holds live data
+	pages      int32
+	next       int32 // record number + 1 of the plane's next touched block; 0 ends the list
 }
 
 // ValidCount reports programmed-and-valid pages (GC victim scoring).
@@ -157,7 +159,7 @@ func (bl *Block) ValidCount() int {
 
 // Valid reports whether a page holds live data.
 func (bl *Block) Valid(page int) bool {
-	return page >= 0 && page < bl.pages && bl.valid[page/64]&(1<<(page%64)) != 0
+	return page >= 0 && page < int(bl.pages) && bl.valid[page/64]&(1<<(page%64)) != 0
 }
 
 func (bl *Block) setValid(page int)   { bl.valid[page/64] |= 1 << (page % 64) }
@@ -185,38 +187,46 @@ type Plane struct {
 	Index int
 	res   sim.Resource
 
-	// chunks is the plane's block directory (block id i lives at
-	// chunks[i/blockChunk][i%blockChunk]), its own window of one
-	// backbone-wide array. Chunks and blocks are filled lazily:
-	// untouched blocks hold no data and no wear, so they stay nil, and
-	// so does a chunk of them. The FTL allocators hand out low block
-	// ids first, so the block state a plane holds tracks the blocks it
-	// has used, not its configured capacity.
-	chunks []*blockDir
+	// head and tail are the record numbers + 1 (0: none) of the
+	// plane's lowest and highest touched block. Touched blocks are
+	// linked in ascending id order through Block.next, so EachBlock
+	// walks them without consulting the index. The FTL allocators hand
+	// out low block ids first, so a new block usually goes at the tail.
+	head, tail int32
 
 	Reads    uint64 // per-plane counters for the Fig. 8b heatmap
 	Programs uint64
 }
-
-// blockChunk is the block-directory fan-out.
-const blockChunk = 64
-
-type blockDir [blockChunk]*Block
 
 // Block returns (lazily creating) block state.
 func (p *Plane) Block(i int) *Block {
 	if i < 0 || i >= p.bb.Cfg.BlocksPerPl {
 		panic(fmt.Sprintf("flash: block %d out of range", i))
 	}
-	dir := p.chunks[i/blockChunk]
-	if dir == nil {
-		dir = p.bb.newDir()
-		p.chunks[i/blockChunk] = dir
+	key := uint64(p.Index)*uint64(p.bb.Cfg.BlocksPerPl) + uint64(i)
+	if r, ok := p.bb.index.Get(key); ok {
+		return p.bb.record(r)
 	}
-	bl := dir[i%blockChunk]
-	if bl == nil {
-		bl = p.bb.newBlock()
-		dir[i%blockChunk] = bl
+	return p.link(p.bb.newBlock(key), i)
+}
+
+// link makes record r block id of the plane: it inserts the record into
+// the plane's ascending list, right after the tail when id is the
+// highest yet.
+func (p *Plane) link(r int32, id int) *Block {
+	bb := p.bb
+	bl := bb.record(r)
+	bl.id = id
+	next := &p.head
+	if p.tail != 0 && bb.record(p.tail-1).id < id {
+		next = &bb.record(p.tail - 1).next
+	}
+	for *next != 0 && bb.record(*next-1).id < id {
+		next = &bb.record(*next - 1).next
+	}
+	bl.next, *next = *next, r+1
+	if bl.next == 0 {
+		p.tail = r + 1
 	}
 	return bl
 }
@@ -269,7 +279,7 @@ func (p *Plane) Program(block, page int, h sim.Handler, arg any) error {
 // a log block or was merged elsewhere).
 func (p *Plane) MarkInvalid(block, page int) {
 	bl := p.Block(block)
-	if page >= 0 && page < bl.pages {
+	if page >= 0 && page < int(bl.pages) {
 		bl.clearValid(page)
 	}
 }
@@ -349,14 +359,9 @@ func (p *Plane) NextFree() sim.Tick { return p.res.NextFree() }
 // wear). The ascending order makes callers that break ties by visit
 // order — GC victim selection — deterministic.
 func (p *Plane) EachBlock(f func(id int, bl *Block)) {
-	for c, dir := range p.chunks {
-		if dir == nil {
-			continue
-		}
-		for i, bl := range dir {
-			if bl != nil {
-				f(c*blockChunk+i, bl)
-			}
-		}
+	for r := p.head; r != 0; {
+		bl := p.bb.record(r - 1)
+		r = bl.next
+		f(bl.id, bl)
 	}
 }

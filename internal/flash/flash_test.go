@@ -1,8 +1,10 @@
 package flash
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"zng/internal/config"
 	"zng/internal/sim"
@@ -294,12 +296,12 @@ func TestRowDecoderProperty(t *testing.T) {
 	}
 }
 
-// Block state materializes lazily, one directory chunk at a time:
-// EachBlock visits exactly the touched blocks, in ascending id order,
-// across chunk boundaries.
-func TestLazyBlockDirectory(t *testing.T) {
+// Block state materializes lazily, one index entry and one record per
+// touched block: EachBlock visits exactly the touched blocks, in
+// ascending id order, wherever a new id falls in the plane's list.
+func TestLazyBlockIndex(t *testing.T) {
 	cfg := smallFlash()
-	cfg.BlocksPerPl = 3*blockChunk + 5
+	cfg.BlocksPerPl = 3*64 + 5
 	b := New(sim.NewEngine(), cfg)
 	p := b.Plane(1)
 	var seen []int
@@ -307,7 +309,9 @@ func TestLazyBlockDirectory(t *testing.T) {
 	if len(seen) != 0 {
 		t.Fatalf("untouched plane holds state: blocks %v", seen)
 	}
-	touched := []int{cfg.BlocksPerPl - 1, 3, blockChunk, 2}
+	// The highest id first, then ids before the head, in the middle and
+	// after the tail.
+	touched := []int{cfg.BlocksPerPl - 1, 3, 64, 2, 130, 0, 3}
 	for _, id := range touched {
 		p.Block(id).EraseCount = id
 	}
@@ -317,7 +321,7 @@ func TestLazyBlockDirectory(t *testing.T) {
 		}
 		seen = append(seen, id)
 	})
-	want := []int{2, 3, blockChunk, cfg.BlocksPerPl - 1}
+	want := []int{0, 2, 3, 64, 130, cfg.BlocksPerPl - 1}
 	if len(seen) != len(want) {
 		t.Fatalf("EachBlock visited %v, want %v", seen, want)
 	}
@@ -326,25 +330,26 @@ func TestLazyBlockDirectory(t *testing.T) {
 			t.Fatalf("EachBlock visited %v, want %v", seen, want)
 		}
 	}
-	allocated := 0
-	for _, dir := range p.chunks {
-		if dir != nil {
-			allocated++
-		}
+	if n := b.index.Len(); n != len(want) {
+		t.Errorf("%d blocks indexed, want %d (touching block 3 again adds none)", n, len(want))
 	}
-	if allocated != 3 {
-		t.Errorf("%d directory chunks allocated, want 3 (blocks 2 and 3 share one)", allocated)
+	for pl := 0; pl < b.Planes(); pl++ {
+		if pl != 1 {
+			b.Plane(pl).EachBlock(func(id int, _ *Block) {
+				t.Errorf("plane %d holds block %d, which was never touched", pl, id)
+			})
+		}
 	}
 }
 
 // Block state for every plane comes from shared slabs that are never
-// moved: across three block slabs and two directory slabs, a *Block
-// stays the pointer Block returns, and no two blocks share state or
-// valid bits.
+// moved: across three block slabs and several growths of the index, a
+// *Block stays the pointer Block returns, no two blocks share state or
+// valid bits, and every plane still walks its blocks in id order.
 func TestBlockSlabsKeepPointers(t *testing.T) {
 	cfg := smallFlash()
 	cfg.Channels = 16 // 64 planes
-	cfg.BlocksPerPl = 8 * blockChunk
+	cfg.BlocksPerPl = 8 * 64
 	cfg.PagesPerBlock = 130 // three valid-bit words per block
 	b := New(sim.NewEngine(), cfg)
 	type at struct{ plane, block int }
@@ -353,9 +358,9 @@ func TestBlockSlabsKeepPointers(t *testing.T) {
 		n  int // the block's erase count and, mod the page count, its one valid page
 	}
 	blocks := map[at]state{}
+	initial := b.index.StateBytes()
 	n := 0
-	// A stride of 7 blocks opens a new directory chunk every nine or
-	// ten blocks, so the planes fill more than one directory slab.
+	// A stride of 7 blocks spreads the ids over the whole plane.
 	for blk := 0; n <= 2*blockSlab; blk += 7 {
 		for pl := 0; pl < b.Planes(); pl++ {
 			bl := b.Plane(pl).Block(blk)
@@ -365,16 +370,9 @@ func TestBlockSlabsKeepPointers(t *testing.T) {
 			n++
 		}
 	}
-	dirs := 0
-	for pl := 0; pl < b.Planes(); pl++ {
-		for _, dir := range b.Plane(pl).chunks {
-			if dir != nil {
-				dirs++
-			}
-		}
-	}
-	if dirs <= dirSlab {
-		t.Fatalf("only %d directory chunks touched; the test must span two slabs", dirs)
+	if len(b.slabs) != 3 || b.index.StateBytes() <= initial {
+		t.Fatalf("%d block slabs and an index of %d bytes (%d at first); the test must span three slabs and grow the index",
+			len(b.slabs), b.index.StateBytes(), initial)
 	}
 	for k, st := range blocks {
 		bl, page := st.bl, st.n%cfg.PagesPerBlock
@@ -386,4 +384,49 @@ func TestBlockSlabsKeepPointers(t *testing.T) {
 				k.plane, k.block, bl.EraseCount, bl.ValidCount(), st.n, page)
 		}
 	}
+	for pl := 0; pl < b.Planes(); pl++ {
+		next := 0
+		b.Plane(pl).EachBlock(func(id int, bl *Block) {
+			if id != next || blocks[at{pl, id}].bl != bl {
+				t.Fatalf("plane %d visits block %d (%p), want block %d (%p)", pl, id, bl, next, blocks[at{pl, next}].bl)
+			}
+			next += 7
+		})
+		if next != 7*(len(blocks)/b.Planes()) {
+			t.Fatalf("plane %d visited %d blocks, want %d", pl, next/7, len(blocks)/b.Planes())
+		}
+	}
+}
+
+// TestBlockStateFootprint pins block state to the blocks a cell
+// touches: on the Table I backbone with one block touched in each of
+// the 1,024 planes, everything New and Block allocate beyond the plane
+// array and the block slabs is the index, under 128 bytes a plane (a
+// per-plane block directory costs 640).
+func TestBlockStateFootprint(t *testing.T) {
+	cfg := config.Default().Flash
+	if cfg.Planes() != 1024 || cfg.BlocksPerPl != 1024 {
+		t.Fatalf("Table I backbone has %d planes of %d blocks, want 1,024 of 1,024", cfg.Planes(), cfg.BlocksPerPl)
+	}
+	eng := sim.NewEngine()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := New(eng, cfg)
+	for pl := 0; pl < b.Planes(); pl++ {
+		b.Plane(pl).Block(pl % cfg.BlocksPerPl).EraseCount = pl
+	}
+	runtime.ReadMemStats(&after)
+	for pl := 0; pl < b.Planes(); pl++ {
+		if bl := b.Plane(pl).Block(pl % cfg.BlocksPerPl); bl.EraseCount != pl {
+			t.Fatalf("plane %d block %d carries the state of plane %d", pl, pl%cfg.BlocksPerPl, bl.EraseCount)
+		}
+	}
+	words := (cfg.PagesPerBlock + 63) / 64
+	slabs := blockSlab * (unsafe.Sizeof(Block{}) + uintptr(words)*8)
+	planes := uintptr(b.Planes()) * unsafe.Sizeof(Plane{})
+	extra := int64(after.TotalAlloc-before.TotalAlloc) - int64(slabs+planes)
+	if budget := int64(128 * b.Planes()); extra > budget {
+		t.Errorf("block state beyond the plane array and block slabs: %d bytes, budget %d (128 per plane)", extra, budget)
+	}
+	t.Logf("beyond the plane array (%d B) and block slabs (%d B): %d B", planes, slabs, extra)
 }

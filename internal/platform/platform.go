@@ -158,8 +158,11 @@ func RunApps(kind Kind, label string, apps []*workload.App, cfg config.Config) (
 			len(apps), cfg.GPU.SMs)
 	}
 	// A configuration can arrive from outside the program (zngd's
-	// "config" field), so reject cache and MMU sizes the model cannot
-	// run before building anything.
+	// "config" field), so reject negative latencies and cache and MMU
+	// sizes the model cannot run before building anything.
+	if err := cfg.CheckLatencies(); err != nil {
+		return Result{}, fmt.Errorf("platform: %w", err)
+	}
 	for _, cc := range []struct {
 		name string
 		cfg  config.Cache

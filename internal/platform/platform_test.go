@@ -1,9 +1,13 @@
 package platform
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"zng/internal/config"
+	"zng/internal/sim"
 	"zng/internal/workload"
 )
 
@@ -217,6 +221,62 @@ func TestRunMixRejectsUnindexableCache(t *testing.T) {
 				t.Errorf("%s on %v: RunMix succeeded, want an error", tc.name, k)
 			}
 		}
+	}
+}
+
+// TestRunMixRejectsNegativeLatencies sets each sim.Tick field of the
+// configuration, found by walking config.Config, to -1 and expects
+// every platform to return an error naming the field, not to panic
+// (a negative mesh hop or DRAM-buffer latency used to schedule events
+// in the past) or run with the latency clamped to zero.
+func TestRunMixRejectsNegativeLatencies(t *testing.T) {
+	m, err := workload.MixByName("bfs1-gaus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type field struct {
+		path string
+		v    reflect.Value
+	}
+	var fields []field
+	var walk func(v reflect.Value, prefix string)
+	walk = func(v reflect.Value, prefix string) {
+		for i := range v.NumField() {
+			f, name := v.Field(i), prefix+v.Type().Field(i).Name
+			switch {
+			case f.Type() == reflect.TypeFor[sim.Tick]():
+				fields = append(fields, field{name, f})
+			case f.Kind() == reflect.Struct:
+				walk(f, name+".")
+			}
+		}
+	}
+	cfg := testCfg()
+	walk(reflect.ValueOf(&cfg).Elem(), "")
+	for _, want := range []string{"Flash.MeshHopLat", "Engine.DRAMBufLat", "RegCache.BusLat", "L2STT.ReadLat", "Flash.ReadLat"} {
+		if !slices.ContainsFunc(fields, func(f field) bool { return f.path == want }) {
+			t.Fatalf("the walk over config.Config misses %s", want)
+		}
+	}
+	run := func(k Kind) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("panic: %v", p)
+			}
+		}()
+		_, err = RunMix(k, m, 0.05, cfg)
+		return err
+	}
+	for _, f := range fields {
+		old := f.v.Int()
+		f.v.SetInt(-1)
+		want := "platform: config: " + f.path + " -1, want >= 0"
+		for _, k := range AllKinds() {
+			if err := run(k); err == nil || err.Error() != want {
+				t.Errorf("%s = -1 on %v: err = %v, want %q", f.path, k, err, want)
+			}
+		}
+		f.v.SetInt(old)
 	}
 }
 

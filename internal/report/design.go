@@ -25,16 +25,20 @@ which its issuer recycles once complete, so the hot path allocates
 nothing. What a run does grow is cut from slabs: in-flight records
 come from chunked free lists (` + "`sim.FreeList`" + `, whose capacity doubles
 from 8 records in chunks of at most 64), and flash block state from
-backbone-wide slabs of block records, valid bits and directory chunks
-(` + "`internal/flash`" + `). The benchmark's 64x cells make 1,000 to 1,700
-allocations each, where one per record and block made 8,000 to
-12,000. The queue is a timing wheel of per-tick FIFO lists over the
-next 8,192 ticks, backed by a 4-ary min-heap for later events, and
-same-tick events fire FIFO, a contract the tests pin because
-determinism is load-bearing: a simulation is a pure function of its
-inputs, which is what lets ` + "`internal/experiments`" + ` memoize whole runs
-(see below). An event scheduled before the current tick panics, since
-only a bug can ask for one.
+backbone-wide slabs of block records and valid bits
+(` + "`internal/flash`" + `). A block gets a record only when the FTL first
+touches it; one backbone-wide index maps (plane, block id) to it, and
+each plane links its touched blocks in id order, so block state
+follows the blocks a cell uses (one to eight a plane at 64x), not the
+1,024 planes of 1,024 blocks each it could use. The benchmark's 64x
+cells make 1,000 to 1,700 allocations each, where one per record and
+block made 8,000 to 12,000. The queue is a timing wheel of per-tick
+FIFO lists over the next 8,192 ticks, backed by a 4-ary min-heap for
+later events, and same-tick events fire FIFO, a contract the tests pin
+because determinism is load-bearing: a simulation is a pure function
+of its inputs, which is what lets ` + "`internal/experiments`" + ` memoize whole
+runs (see below). An event scheduled before the current tick panics,
+since only a bug can ask for one.
 
 ## Workload model (` + "`internal/workload`" + `, ` + "`internal/rng`" + `)
 
