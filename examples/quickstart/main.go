@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"zng/internal/config"
+	"zng/internal/experiments"
 	"zng/internal/platform"
 	"zng/internal/workload"
 )
@@ -39,6 +40,10 @@ func main() {
 		fmt.Printf("%-10s  %8.4f  %10.3f  %12.2f\n",
 			r.Kind, r.IPC, r.L2HitRate, r.FlashArrayGBps())
 	}
-	fmt.Printf("\nZnG speedup over HybridGPU: %.1fx (paper reports 7.5x on average)\n",
-		zng.IPC/hybrid.IPC)
+	fig10, err := experiments.FigureByID("fig10")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nZnG speedup over HybridGPU: %.1fx\npaper (%s): %s\n",
+		zng.IPC/hybrid.IPC, fig10.Ref, fig10.Claim)
 }

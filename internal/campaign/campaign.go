@@ -5,9 +5,9 @@
 // (kind, mix ID, scale, config) identity the persistent store
 // (internal/store) hashes, so identical cells across campaigns dedupe
 // through whatever runner executes them. The paper's evaluation is
-// exactly such a matrix (six platforms × twelve co-run pairs plus
-// ablation sweeps, Section V); before this package every sweep was
-// hand-rolled inside an internal/experiments figure driver.
+// exactly such a matrix (seven platforms × twelve co-run pairs plus
+// ablation sweeps, Section V), and every internal/experiments figure
+// driver declares its part of it as a Spec.
 //
 // An Executor drives the cells through any runner — the in-memory
 // experiments memo, the store-backed simsvc scheduler, or an
@@ -191,7 +191,7 @@ type Spec struct {
 }
 
 // Cell is one expanded grid point, content-addressed by Key — the
-// exact store.CellKey the persistent store and the simsvc scheduler
+// exact cellkey.Key the persistent store and the simsvc scheduler
 // hash, so a cell this campaign shares with any past campaign (or any
 // figure driver) is the same entry everywhere.
 type Cell struct {
@@ -203,7 +203,7 @@ type Cell struct {
 	Override Override
 	// Cfg is the base configuration with Override applied.
 	Cfg config.Config
-	// Key is the cell's content address (store.CellKey).
+	// Key is the cell's content address (cellkey.Key).
 	Key string
 }
 

@@ -5,7 +5,17 @@ import (
 	"testing"
 
 	"zng/internal/platform"
+	"zng/internal/workload"
 )
+
+// runCell asks the Options' runner for one registered scenario.
+func runCell(o Options, k platform.Kind, name string) (platform.Result, error) {
+	m, err := workload.MixByName(name)
+	if err != nil {
+		return platform.Result{}, err
+	}
+	return o.Runner.Run(k, m, o.Scale, o.Cfg)
+}
 
 // memoStats extracts the RunnerStats of the Options' injected runner.
 func memoStats(t *testing.T, o Options) RunnerStats {
@@ -29,7 +39,7 @@ func TestMemoDedupsRepeatedMatrices(t *testing.T) {
 	cells := uint64(len(kinds) * len(o.Mixes))
 
 	for run := 0; run < 2; run++ {
-		if _, err := runMatrix(o, kinds); err != nil {
+		if _, err := runMixes(o, kinds...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +69,7 @@ func TestMemoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := runOne(o, platform.GDDR5, "betw-back")
+			r, err := runCell(o, platform.GDDR5, "betw-back")
 			if err != nil {
 				t.Error(err)
 				return
@@ -70,7 +80,7 @@ func TestMemoSingleFlight(t *testing.T) {
 	wg.Wait()
 	st := memoStats(t, o)
 	if st.Sims != 1 {
-		t.Errorf("concurrent identical runOne calls performed %d simulations, want 1", st.Sims)
+		t.Errorf("concurrent identical requests performed %d simulations, want 1", st.Sims)
 	}
 	if got := st.MemoryHits + st.Coalesced; got != callers-1 {
 		t.Errorf("memory hits (%d) + coalesced (%d) = %d, want %d",
@@ -89,10 +99,10 @@ func TestMemoSingleFlight(t *testing.T) {
 func TestMemoIsolatedPerOptions(t *testing.T) {
 	a, b := TestOptions(), TestOptions()
 	a.Scale, b.Scale = 0.011, 0.011
-	if _, err := runOne(a, platform.GDDR5, "betw-back"); err != nil {
+	if _, err := runCell(a, platform.GDDR5, "betw-back"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runOne(b, platform.GDDR5, "betw-back"); err != nil {
+	if _, err := runCell(b, platform.GDDR5, "betw-back"); err != nil {
 		t.Fatal(err)
 	}
 	if st := memoStats(t, b); st.Sims != 1 || st.MemoryHits != 0 {
@@ -100,34 +110,14 @@ func TestMemoIsolatedPerOptions(t *testing.T) {
 	}
 }
 
-// TestMatrixStopsAfterFirstError: once a cell fails, the matrix must
-// stop spawning work rather than grinding through every remaining
-// simulation.
-func TestMatrixStopsAfterFirstError(t *testing.T) {
-	o := TestOptions()
-	o.Scale = 0.019
-	o.Workers = 1 // serialize so the failure lands before most spawns
-	// Unknown kinds fail in build() before any simulation work.
-	kinds := []platform.Kind{platform.Kind(97), platform.Kind(98), platform.Kind(99)}
-	cells := uint64(len(kinds) * len(o.Mixes))
-
-	_, err := runMatrix(o, kinds)
-	if err == nil {
-		t.Fatal("matrix of unknown kinds must error")
-	}
-	if st := memoStats(t, o); st.Sims > cells/2 {
-		t.Errorf("attempted %d of %d cells after first failure, want early stop", st.Sims, cells)
-	}
-}
-
 func TestMemoReset(t *testing.T) {
 	o := TestOptions()
 	o.Scale = 0.013
 	memo := o.Runner.(*Memo)
-	if _, err := runOne(o, platform.GDDR5, o.Mixes[0].Name); err != nil {
+	if _, err := runCell(o, platform.GDDR5, o.Mixes[0].Name); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runOne(o, platform.GDDR5, o.Mixes[0].Name); err != nil {
+	if _, err := runCell(o, platform.GDDR5, o.Mixes[0].Name); err != nil {
 		t.Fatal(err)
 	}
 	if st := memo.Stats(); st.Sims != 1 || st.MemoryHits != 1 {
@@ -137,7 +127,7 @@ func TestMemoReset(t *testing.T) {
 	if st := memo.Stats(); st != (RunnerStats{}) {
 		t.Errorf("stats after reset = %+v, want zeroes", st)
 	}
-	if _, err := runOne(o, platform.GDDR5, o.Mixes[0].Name); err != nil {
+	if _, err := runCell(o, platform.GDDR5, o.Mixes[0].Name); err != nil {
 		t.Fatal(err)
 	}
 	if st := memo.Stats(); st.Sims != 1 {

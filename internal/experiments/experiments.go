@@ -12,9 +12,7 @@
 package experiments
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
 
 	"zng/internal/campaign"
 	"zng/internal/config"
@@ -30,7 +28,9 @@ type Options struct {
 	Scale float64
 	Cfg   config.Config
 	// Mixes lists the workload scenarios the per-workload figures
-	// iterate; the figure defaults use the twelve paper pairs.
+	// iterate; the figure defaults use the twelve paper pairs. Figures
+	// name them in a campaign.Spec, so each must resolve by its Name:
+	// a registered scenario, or an ad-hoc mix named by its ID.
 	Mixes []workload.Mix
 	// Workers bounds simulation parallelism (0 = NumCPU). Individual
 	// simulations stay single-threaded and deterministic.
@@ -73,83 +73,49 @@ func (o Options) workers() int {
 	return runtime.NumCPU()
 }
 
-type cell struct {
-	kind platform.Kind
-	mix  workload.Mix
-}
-
-// runMatrix simulates every (kind, mix) combination in parallel and
-// returns results keyed by kind and mix name. Cells go through the
-// Options' runner (cache.go), so a cell another figure already
-// simulated under the same runner is free and concurrent duplicates
-// coalesce. On the first
-// failing cell the matrix stops spawning new work: already-running
-// simulations drain (they are not interruptible mid-run and their
-// results stay valid in the memo), but no fresh cell starts once
-// firstErr is set.
-func runMatrix(o Options, kinds []platform.Kind) (map[platform.Kind]map[string]platform.Result, error) {
-	var cells []cell
-	for _, k := range kinds {
-		for _, m := range o.Mixes {
-			cells = append(cells, cell{k, m})
-		}
+// runGrid runs spec's cells through o.Runner on a campaign.Executor
+// and returns them in expansion order: overrides, then scales,
+// scenarios and platforms. A spec without scales runs at o.Scale. A
+// figure needs its whole grid, so one failed cell fails the call,
+// naming the cell.
+func runGrid(o Options, spec campaign.Spec) ([]campaign.CellResult, error) {
+	if len(spec.Scales) == 0 {
+		spec.Scales = []float64{o.Scale}
 	}
-	out := make(map[platform.Kind]map[string]platform.Result)
-	for _, k := range kinds {
-		out[k] = make(map[string]platform.Result)
-	}
-
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		firstErr error
-	)
-	failed := make(chan struct{})
-	sem := make(chan struct{}, o.workers())
-spawn:
-	for _, c := range cells {
-		c := c
-		select {
-		case <-failed:
-			break spawn
-		case sem <- struct{}{}:
-		}
-		// A select with both cases ready picks randomly; re-check under
-		// the lock so that once firstErr is set no further cell ever
-		// starts.
-		mu.Lock()
-		stop := firstErr != nil
-		mu.Unlock()
-		if stop {
-			<-sem
-			break spawn
-		}
-		wg.Add(1)
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			r, err := o.Runner.Run(c.kind, c.mix, o.Scale, o.Cfg)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%v on %s: %w", c.kind, c.mix.Name, err)
-					close(failed)
-				}
-				return
-			}
-			out[c.kind][c.mix.Name] = r
-		}()
-	}
-	wg.Wait()
-	return out, firstErr
-}
-
-// runOne simulates a single registered scenario (memoized like matrix
-// cells).
-func runOne(o Options, k platform.Kind, mixName string) (platform.Result, error) {
-	m, err := workload.MixByName(mixName)
+	out, err := campaign.Executor{Runner: o.Runner, Workers: o.workers()}.Execute(spec, o.Cfg)
 	if err != nil {
-		return platform.Result{}, err
+		return nil, err
 	}
-	return o.Runner.Run(k, m, o.Scale, o.Cfg)
+	return out.Cells, out.Err()
+}
+
+// runMixes runs every kind on every scenario of o.Mixes and folds the
+// results by kind and scenario name, as the per-workload tables read
+// them.
+func runMixes(o Options, kinds ...platform.Kind) (map[platform.Kind]map[string]platform.Result, error) {
+	spec := campaign.Spec{Platforms: kindNames(kinds...)}
+	for _, m := range o.Mixes {
+		spec.Scenarios = append(spec.Scenarios, m.Name)
+	}
+	cells, err := runGrid(o, spec)
+	if err != nil {
+		return nil, err
+	}
+	res := make(map[platform.Kind]map[string]platform.Result, len(kinds))
+	for _, k := range kinds {
+		res[k] = make(map[string]platform.Result, len(o.Mixes))
+	}
+	for _, c := range cells {
+		res[c.Cell.Kind][c.Cell.Mix.Name] = c.Result
+	}
+	return res, nil
+}
+
+// kindNames spells kinds as a campaign.Spec lists its platforms.
+func kindNames(kinds ...platform.Kind) []string {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = k.String()
+	}
+	return names
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"zng/internal/campaign"
 	"zng/internal/config"
 	"zng/internal/platform"
 	"zng/internal/stats"
@@ -234,22 +235,19 @@ func TestAblationConsolidation(t *testing.T) {
 
 // TestMixAliasesShareSimulations pins the memo's content keying:
 // consol-2 and the paper pair bfs1-gaus have different names but the
-// same canonical ID, so the second request must be a pure cache hit —
-// and still come back labeled with the name it was asked under.
+// same canonical ID, so one grid naming both must simulate once — and
+// each cell still comes back labeled with the name it was asked under.
 func TestMixAliasesShareSimulations(t *testing.T) {
 	o := TestOptions()
 	o.Scale = 0.023
-	r1, err := runOne(o, platform.ZnG, "bfs1-gaus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := runOne(o, platform.ZnG, "consol-2")
+	cells, err := runGrid(o, campaign.Spec{Platforms: kindNames(platform.ZnG), Scenarios: []string{"bfs1-gaus", "consol-2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := o.Runner.(*Memo).Stats(); st.Sims != 1 {
 		t.Errorf("aliasing scenarios performed %d simulations, want 1", st.Sims)
 	}
+	r1, r2 := cells[0].Result, cells[1].Result
 	if r1.IPC != r2.IPC || r1.Cycles != r2.Cycles {
 		t.Errorf("aliased results differ: %+v vs %+v", r1, r2)
 	}

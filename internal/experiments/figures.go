@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"zng/internal/campaign"
 	"zng/internal/platform"
 	"zng/internal/stats"
 	"zng/internal/workload"
@@ -12,7 +13,7 @@ import (
 // requests directly from Z-NAND (ZnG-base, no buffering optimization)
 // relative to conventional GDDR5, per co-run workload (Fig. 5a).
 func Fig5a(o Options) (*stats.Table, map[string]float64, error) {
-	res, err := runMatrix(o, []platform.Kind{platform.GDDR5, platform.ZnGBase})
+	res, err := runMixes(o, platform.GDDR5, platform.ZnGBase)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -60,10 +61,11 @@ func Fig5bcd(o Options) (*stats.Table, error) {
 // path, folded to a 16x16 (channel x plane-group) grid like the
 // paper's plot.
 func Fig8b(o Options) (*stats.Table, [][]uint64, error) {
-	r, err := runOne(o, platform.ZnGBase, "betw-back")
+	cells, err := runGrid(o, campaign.Spec{Platforms: kindNames(platform.ZnGBase), Scenarios: []string{"betw-back"}})
 	if err != nil {
 		return nil, nil, err
 	}
+	r := cells[0].Result
 	const grid = 16
 	channels := o.Cfg.Flash.Channels
 	perCh := len(r.PlaneWrites) / channels
@@ -101,7 +103,7 @@ func Fig8b(o Options) (*stats.Table, [][]uint64, error) {
 // platforms across the twelve co-run workloads (Fig. 10), normalized
 // to ZnG like the paper.
 func Fig10(o Options) (*stats.Table, map[platform.Kind]map[string]platform.Result, error) {
-	res, err := runMatrix(o, platform.Kinds())
+	res, err := runMixes(o, platform.Kinds()...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -133,7 +135,7 @@ func Fig10(o Options) (*stats.Table, map[platform.Kind]map[string]platform.Resul
 // platform achieves (Fig. 11).
 func Fig11(o Options) (*stats.Table, map[platform.Kind]map[string]platform.Result, error) {
 	kinds := []platform.Kind{platform.HybridGPU, platform.ZnGBase, platform.ZnGRdopt, platform.ZnGWropt, platform.ZnG}
-	res, err := runMatrix(o, kinds)
+	res, err := runMixes(o, kinds...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -161,7 +163,7 @@ func Fig11(o Options) (*stats.Table, map[platform.Kind]map[string]platform.Resul
 // register page hits for ZnG-base versus ZnG-rdopt (the read-
 // optimization analysis of Section V-C).
 func Fig12(o Options) (*stats.Table, error) {
-	res, err := runMatrix(o, []platform.Kind{platform.ZnGBase, platform.ZnGRdopt})
+	res, err := runMixes(o, platform.ZnGBase, platform.ZnGRdopt)
 	if err != nil {
 		return nil, err
 	}

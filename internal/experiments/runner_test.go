@@ -1,42 +1,103 @@
 package experiments
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"zng/internal/campaign"
+	"zng/internal/config"
 	"zng/internal/platform"
+	"zng/internal/workload"
 )
 
-// TestMatrixMatchesSerialRuns confirms that the parallel harness does
+// TestMatrixMatchesSerialRuns confirms that the executor's fan-out does
 // not perturb results: each cell of a matrix equals an independent
-// serial simulation (simulations are single-goroutine; only the
-// harness fans out).
+// platform.RunMix simulation (simulations are single-goroutine; only
+// the executor fans out).
 func TestMatrixMatchesSerialRuns(t *testing.T) {
 	o := TestOptions()
 	o.Mixes = o.Mixes[:2]
 	o.Workers = 4
 	kinds := []platform.Kind{platform.Optane, platform.ZnG}
-	res, err := runMatrix(o, kinds)
+	res, err := runMixes(o, kinds...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range kinds {
-		for _, p := range o.Mixes {
-			serial, err := runOne(o, k, p.Name)
+		for _, m := range o.Mixes {
+			serial, err := platform.RunMix(k, m, o.Scale, o.Cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := res[k][p.Name]
+			got := res[k][m.Name]
 			if got.IPC != serial.IPC || got.Cycles != serial.Cycles || got.Insts != serial.Insts {
-				t.Errorf("%v/%s: matrix %+v != serial %+v", k, p.Name, got.IPC, serial.IPC)
+				t.Errorf("%v/%s: matrix %+v != serial %+v", k, m.Name, got.IPC, serial.IPC)
 			}
 		}
 	}
 }
 
-func TestRunOneUnknownPair(t *testing.T) {
+// TestGridRejectsUnknownScenario: a grid naming an unknown scenario
+// fails at expansion, before any cell reaches the runner.
+func TestGridRejectsUnknownScenario(t *testing.T) {
 	o := TestOptions()
-	if _, err := runOne(o, platform.ZnG, "nope"); err == nil {
-		t.Error("want error for unknown pair")
+	_, err := runGrid(o, campaign.Spec{Platforms: kindNames(platform.ZnG), Scenarios: []string{"nope"}})
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("err = %v, want an unknown-scenario error naming nope", err)
+	}
+	if st := memoStats(t, o); st.Sims != 0 {
+		t.Errorf("rejected grid simulated %d cells, want 0", st.Sims)
+	}
+}
+
+// failingRunner answers every cell with IPC 1 except one (kind,
+// scenario), which errors.
+type failingRunner struct {
+	kind platform.Kind
+	mix  string
+}
+
+func (f failingRunner) Run(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
+	if kind == f.kind && mix.Name == f.mix {
+		return platform.Result{}, errors.New("injected failure")
+	}
+	return platform.Result{Kind: kind, Workload: mix.Name, IPC: 1}, nil
+}
+
+// TestFigureFailsNamingCell: a figure needs its whole grid, so one
+// failed cell fails it, and the error names that cell and its cause.
+func TestFigureFailsNamingCell(t *testing.T) {
+	o := TestOptions()
+	bad := o.Mixes[1].Name
+	o.Runner = failingRunner{platform.ZnGBase, bad}
+	tab, _, err := Fig10(o)
+	if err == nil {
+		t.Fatalf("Fig10 with a failing cell returned a table:\n%s", tab)
+	}
+	for _, want := range []string{"ZnG-base on " + bad, "injected failure"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+// TestFiguresShareCells: figures under one Options share its runner, so
+// the Fig. 13 sweep's (0.3, 0.05) cell, which is the base
+// configuration, is the ZnG betw-back cell Fig. 10 already simulated.
+func TestFiguresShareCells(t *testing.T) {
+	o := TestOptions()
+	o.Mixes = o.Mixes[:1] // betw-back
+	if _, _, err := Fig10(o); err != nil {
+		t.Fatal(err)
+	}
+	before := memoStats(t, o)
+	if _, _, err := Fig13Sweep(o); err != nil {
+		t.Fatal(err)
+	}
+	after := memoStats(t, o)
+	if sims, hits := after.Sims-before.Sims, after.MemoryHits-before.MemoryHits; sims != 11 || hits != 1 {
+		t.Errorf("Fig13Sweep after Fig10 added %d simulations and %d memory hits, want 11 and 1", sims, hits)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"zng/internal/campaign"
 	"zng/internal/platform"
 	"zng/internal/stats"
 )
@@ -26,20 +27,19 @@ var ScaleSweepFactors = []int{1, 4, 16, 64}
 // relative rungs under the docs regime's default scale would collapse
 // the ladder into a few hundred pages and show nothing about growth.
 func ScaleSweep(o Options) (*stats.Table, error) {
+	spec := campaign.Spec{Platforms: kindNames(platform.ZnG, platform.HybridGPU), Scenarios: []string{"bfs1-gaus"}}
+	for _, f := range ScaleSweepFactors {
+		spec.Scales = append(spec.Scales, ScaleSweepBase*float64(f))
+	}
+	cells, err := runGrid(o, spec)
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Scale sweep: throughput and translation state vs trace scale (bfs1-gaus)",
 		"scale", "insts (M)", "ZnG Minst/s (sim)", "HybridGPU Minst/s (sim)",
 		"ZnG state (KiB)", "HybridGPU state (KiB)", "ZnG state (B/page)")
-	for _, f := range ScaleSweepFactors {
-		oo := o
-		oo.Scale = ScaleSweepBase * float64(f)
-		zng, err := runOne(oo, platform.ZnG, "bfs1-gaus")
-		if err != nil {
-			return nil, err
-		}
-		hyb, err := runOne(oo, platform.HybridGPU, "bfs1-gaus")
-		if err != nil {
-			return nil, err
-		}
+	for i, f := range ScaleSweepFactors {
+		zng, hyb := cells[2*i].Result, cells[2*i+1].Result
 		zngState := zng.Extra["translation_state_bytes"]
 		t.AddRow(fmt.Sprintf("%dx", f),
 			float64(zng.Insts)/1e6,

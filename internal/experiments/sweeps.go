@@ -19,21 +19,25 @@ import (
 func Fig13Sweep(o Options) (*stats.Table, map[[2]float64]float64, error) {
 	highs := []float64{0.1, 0.3, 0.5, 0.8}
 	lows := []float64{0.01, 0.05, 0.2}
+	spec := campaign.Spec{Platforms: kindNames(platform.ZnG), Scenarios: []string{"betw-back"}}
+	for i := range highs {
+		for j := range lows {
+			spec.Overrides = append(spec.Overrides, campaign.Override{HighWaste: &highs[i], LowWaste: &lows[j]})
+		}
+	}
+	cells, err := runGrid(o, spec)
+	if err != nil {
+		return nil, nil, err
+	}
 	t := stats.NewTable("Fig. 13 (Sec V-D): prefetch threshold sweep, ZnG IPC on betw-back",
 		"high \\ low", fmt.Sprint(lows[0]), fmt.Sprint(lows[1]), fmt.Sprint(lows[2]))
 	out := map[[2]float64]float64{}
-	for _, hi := range highs {
+	for i, hi := range highs {
 		row := []any{fmt.Sprint(hi)}
-		for _, lo := range lows {
-			oo := o
-			oo.Cfg.Prefetch.HighWaste = hi
-			oo.Cfg.Prefetch.LowWaste = lo
-			r, err := runOne(oo, platform.ZnG, "betw-back")
-			if err != nil {
-				return nil, nil, err
-			}
-			out[[2]float64{hi, lo}] = r.IPC
-			row = append(row, r.IPC)
+		for j, lo := range lows {
+			ipc := cells[i*len(lows)+j].Result.IPC
+			out[[2]float64{hi, lo}] = ipc
+			row = append(row, ipc)
 		}
 		t.AddRow(row...)
 	}
@@ -45,19 +49,22 @@ func Fig13Sweep(o Options) (*stats.Table, map[[2]float64]float64, error) {
 func AblationWriteNet(o Options) (*stats.Table, map[config.RegCacheNet]float64, error) {
 	nets := []config.RegCacheNet{config.SWnet, config.FCnet, config.NiF}
 	pairs := []string{"betw-back", "bfs4-back"}
+	spec := campaign.Spec{Platforms: kindNames(platform.ZnG), Scenarios: pairs}
+	for _, net := range nets {
+		spec.Overrides = append(spec.Overrides, campaign.Override{RegNet: net.String()})
+	}
+	cells, err := runGrid(o, spec)
+	if err != nil {
+		return nil, nil, err
+	}
 	t := stats.NewTable("Ablation A: register interconnect (ZnG IPC)",
 		"workload", "SWnet", "FCnet", "NiF", "migrations (NiF)")
 	avg := map[config.RegCacheNet]float64{}
-	for _, pn := range pairs {
+	for p, pn := range pairs {
 		row := []any{pn}
 		var migr float64
-		for _, net := range nets {
-			oo := o
-			oo.Cfg.RegCache.Net = net
-			r, err := runOne(oo, platform.ZnG, pn)
-			if err != nil {
-				return nil, nil, err
-			}
+		for n, net := range nets {
+			r := cells[n*len(pairs)+p].Result
 			row = append(row, r.IPC)
 			avg[net] += r.IPC / float64(len(pairs))
 			if net == config.NiF {
@@ -79,19 +86,7 @@ func AblationWriteNet(o Options) (*stats.Table, map[config.RegCacheNet]float64, 
 // direct flash path absorbs consolidation than HybridGPU's
 // engine-throttled one.
 func AblationConsolidation(o Options) (*stats.Table, map[platform.Kind][]float64, error) {
-	kinds := []platform.Kind{platform.HybridGPU, platform.ZnG}
-	t := stats.NewTable("Ablation D: consolidation sweep (aggregate IPC vs co-run degree)",
-		"mix", "degree", "HybridGPU", "ZnG", "HybridGPU (vs solo)", "ZnG (vs solo)")
-	// This driver's matrix is declared as a campaign Spec and fanned
-	// out through the campaign Executor over the Options' runner — the
-	// proof that the declarative sweep layer composes under any figure
-	// driver. The executor reports partial failure per cell; a figure
-	// needs the whole grid, so any failure fails the driver.
-	spec := campaign.Spec{
-		Name:      "abl-consolidation",
-		Platforms: []string{platform.HybridGPU.String(), platform.ZnG.String()},
-		Scales:    []float64{o.Scale},
-	}
+	spec := campaign.Spec{Platforms: kindNames(platform.HybridGPU, platform.ZnG)}
 	for d := 1; d <= workload.ConsolidationDegrees; d++ {
 		m, err := workload.ConsolidationMix(d)
 		if err != nil {
@@ -99,27 +94,18 @@ func AblationConsolidation(o Options) (*stats.Table, map[platform.Kind][]float64
 		}
 		spec.Scenarios = append(spec.Scenarios, m.Name)
 	}
-	ex := campaign.Executor{Runner: o.Runner, Workers: o.workers()}
-	out, err := ex.Execute(spec, o.Cfg)
+	cells, err := runGrid(o, spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := out.Err(); err != nil {
-		return nil, nil, err
-	}
-	res := map[platform.Kind]map[string]platform.Result{}
-	for _, cr := range out.Cells {
-		if res[cr.Cell.Kind] == nil {
-			res[cr.Cell.Kind] = map[string]platform.Result{}
-		}
-		res[cr.Cell.Kind][cr.Cell.Mix.Name] = cr.Result
-	}
+	// Cells come degree by degree, so each kind's IPCs append in
+	// degree order.
 	ipc := map[platform.Kind][]float64{}
-	for _, name := range spec.Scenarios {
-		for _, k := range kinds {
-			ipc[k] = append(ipc[k], res[k][name].IPC)
-		}
+	for _, c := range cells {
+		ipc[c.Cell.Kind] = append(ipc[c.Cell.Kind], c.Result.IPC)
 	}
+	t := stats.NewTable("Ablation D: consolidation sweep (aggregate IPC vs co-run degree)",
+		"mix", "degree", "HybridGPU", "ZnG", "HybridGPU (vs solo)", "ZnG (vs solo)")
 	for d, name := range spec.Scenarios {
 		hyb, zng := ipc[platform.HybridGPU][d], ipc[platform.ZnG][d]
 		t.AddRow(name, d+1, hyb, zng,
@@ -181,17 +167,19 @@ func AblationGC() (*stats.Table, GCStats) {
 // Table I 24 MB STT-MRAM, and half/double variants, on a read-heavy
 // pair. Sizes print exactly, so the docs regime's 0.75 MB L2 is not 0.
 func AblationL2(o Options) (*stats.Table, error) {
+	spec := campaign.Spec{Platforms: kindNames(platform.ZnG), Scenarios: []string{"bfs1-gaus"}}
+	for _, mult := range []int{1, 2, 4, 8} {
+		spec.Overrides = append(spec.Overrides, campaign.Override{L2Mult: mult})
+	}
+	cells, err := runGrid(o, spec)
+	if err != nil {
+		return nil, err
+	}
 	t := stats.NewTable("Ablation C: ZnG L2 capacity sweep (bfs1-gaus)",
 		"L2 config", "size (MB)", "IPC", "L2 hit rate")
-	for _, mult := range []int{1, 2, 4, 8} {
-		oo := o
-		oo.Cfg.L2STT.Sets = oo.Cfg.L2SRAM.Sets * mult
-		r, err := runOne(oo, platform.ZnG, "bfs1-gaus")
-		if err != nil {
-			return nil, err
-		}
-		sizeMB := float64(oo.Cfg.L2STT.SizeBytes()) / (1 << 20)
-		t.AddRow(fmt.Sprintf("%dx SRAM sets", mult), sizeMB, r.IPC, r.L2HitRate)
+	for _, c := range cells {
+		sizeMB := float64(c.Cell.Cfg.L2STT.SizeBytes()) / (1 << 20)
+		t.AddRow(fmt.Sprintf("%dx SRAM sets", c.Cell.Override.L2Mult), sizeMB, c.Result.IPC, c.Result.L2HitRate)
 	}
 	return t, nil
 }

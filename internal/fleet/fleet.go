@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"zng/internal/campaign"
+	"zng/internal/cellkey"
 	"zng/internal/config"
 	"zng/internal/obs"
 	"zng/internal/platform"
@@ -321,7 +322,7 @@ func (c *Coordinator) run(sc obs.SpanContext, kind platform.Kind, mix workload.M
 	if c.st == nil {
 		return c.dispatch(sc, kind, mix, scale, cfg)
 	}
-	key := store.CellKey(kind, mix.ID(), scale, cfg)
+	key := cellkey.Key(kind, mix.ID(), scale, cfg)
 	start := time.Now()
 	if r, ok := c.st.Get(key); ok {
 		// The stored document may carry the label of whoever first

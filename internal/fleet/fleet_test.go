@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"zng/internal/campaign"
+	"zng/internal/cellkey"
 	"zng/internal/config"
 	"zng/internal/obs"
 	"zng/internal/platform"
@@ -344,7 +345,7 @@ func TestStoreHitRelabels(t *testing.T) {
 	for _, r := range tr.Trace(root.Context().Trace) {
 		spans[r.Name+"/"+r.Detail]++
 	}
-	key := store.CellKey(platform.ZnG, alias.ID(), 0.5, config.Default())
+	key := cellkey.Key(platform.ZnG, alias.ID(), 0.5, config.Default())
 	want := map[string]int{"dispatch/local": 1, "store.write/" + key: 1, "dispatch/store": 1}
 	if !reflect.DeepEqual(spans, want) {
 		t.Errorf("spans = %v, want %v", spans, want)

@@ -83,3 +83,16 @@ func TestRunAppsAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateConfigAllocFree: zngd validates the configuration of
+// every run request before admission, so a valid one must cost no
+// allocation.
+func TestValidateConfigAllocFree(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := ValidateConfig(config.Default()); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ValidateConfig allocates %.0f objects on the Table I configuration, want 0", allocs)
+	}
+}

@@ -151,28 +151,38 @@ func RunMix(kind Kind, mix workload.Mix, scale float64, cfg config.Config) (Resu
 	return RunApps(kind, mix.Name, apps, cfg)
 }
 
-// RunApps simulates one platform running the given already-built apps.
-func RunApps(kind Kind, label string, apps []*workload.App, cfg config.Config) (Result, error) {
-	if len(apps) > cfg.GPU.SMs {
-		return Result{}, fmt.Errorf("platform: %d co-resident apps exceed the %d SMs (each app needs at least one SM partition)",
-			len(apps), cfg.GPU.SMs)
-	}
-	// A configuration can arrive from outside the program (zngd's
-	// "config" field), so reject negative latencies and cache and MMU
-	// sizes the model cannot run before building anything.
+// ValidateConfig reports the first field of cfg the model cannot run,
+// named by its path: a negative latency, or a cache or MMU size that
+// cache.ValidateConfig or mmu.ValidateConfig refuses. A configuration
+// can arrive from outside the program (zngd's "config" field), so
+// RunApps checks it before building anything. A valid cfg costs no
+// allocation.
+func ValidateConfig(cfg config.Config) error {
 	if err := cfg.CheckLatencies(); err != nil {
-		return Result{}, fmt.Errorf("platform: %w", err)
+		return fmt.Errorf("platform: %w", err)
 	}
 	for _, cc := range []struct {
 		name string
 		cfg  config.Cache
 	}{{"L1", cfg.L1}, {"L2SRAM", cfg.L2SRAM}, {"L2STT", cfg.L2STT}} {
 		if err := cache.ValidateConfig(cc.cfg); err != nil {
-			return Result{}, fmt.Errorf("platform: %s: %w", cc.name, err)
+			return fmt.Errorf("platform: %s: %w", cc.name, err)
 		}
 	}
 	if err := mmu.ValidateConfig(cfg.MMU); err != nil {
-		return Result{}, fmt.Errorf("platform: MMU: %w", err)
+		return fmt.Errorf("platform: MMU: %w", err)
+	}
+	return nil
+}
+
+// RunApps simulates one platform running the given already-built apps.
+func RunApps(kind Kind, label string, apps []*workload.App, cfg config.Config) (Result, error) {
+	if len(apps) > cfg.GPU.SMs {
+		return Result{}, fmt.Errorf("platform: %d co-resident apps exceed the %d SMs (each app needs at least one SM partition)",
+			len(apps), cfg.GPU.SMs)
+	}
+	if err := ValidateConfig(cfg); err != nil {
+		return Result{}, err
 	}
 	eng := sim.NewEngine()
 	sys, err := build(eng, kind, cfg)

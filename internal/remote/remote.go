@@ -10,7 +10,7 @@
 //
 // A request carries the cell's full configuration, not just the
 // platform/mix/scale triple, so the peer computes exactly the cell
-// the caller addressed — the content key (store.CellKey) hashes the
+// the caller addressed — the content key (cellkey.Key) hashes the
 // same bytes on both sides, and a distributed campaign's results are
 // byte-identical to a local run under the canonical result encoding.
 package remote

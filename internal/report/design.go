@@ -182,8 +182,10 @@ campaigns (and across figure drivers) dedupe. An ` + "`Executor`" + ` drives
 the cells through any runner with bounded concurrency, per-cell
 retry, live progress counters and per-cell partial-failure reporting,
 then folds the results into the same deterministic table type every
-figure emits; the ` + "`abl-consolidation`" + ` driver builds its matrix this
-way, proving the layers compose. ` + "`internal/remote`" + ` scales execution
+figure emits. Every simulated figure builds its grid this way and runs
+it on one ` + "`Executor`" + ` over the figure runner: the Fig. 13 thresholds,
+the register interconnects and the L2 capacities are overrides, and
+the scale ladder is the scales axis. ` + "`internal/remote`" + ` scales execution
 horizontally: a ` + "`Client`" + ` implements the runner interface against one
 zngd peer (each request carries the cell's full configuration, so
 both sides hash the same key and distributed results are

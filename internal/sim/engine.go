@@ -116,13 +116,10 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are waiting to fire.
 func (e *Engine) Pending() int { return e.near + len(e.far) }
 
-// Schedule delivers h.Handle(arg) delay ticks from now. A negative
-// delay is treated as zero (fires later in the current tick, preserving
-// order).
+// Schedule delivers h.Handle(arg) delay ticks from now. A zero delay
+// fires later in the current tick, preserving order; a negative one
+// lands before now and panics, as ScheduleAt does.
 func (e *Engine) Schedule(delay Tick, h Handler, arg any) {
-	if delay < 0 {
-		delay = 0
-	}
 	e.ScheduleAt(e.now+delay, h, arg)
 }
 

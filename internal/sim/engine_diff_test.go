@@ -27,11 +27,8 @@ func (a refEvent) before(b refEvent) bool {
 	return a.seq < b.seq
 }
 
-// Schedule treats a negative delay as zero, as Engine.Schedule does.
+// Schedule queues fn d ticks from now; d is never negative.
 func (e *refEngine) Schedule(d Tick, fn func()) {
-	if d < 0 {
-		d = 0
-	}
 	e.seq++
 	e.events = append(e.events, refEvent{when: e.now + d, seq: e.seq, fn: fn})
 	for i := len(e.events) - 1; i > 0; {
@@ -86,8 +83,8 @@ type firing struct {
 }
 
 // workload drives one engine through a seeded random schedule: each
-// fired event may schedule more at delays that stay on the wheel, cross
-// its horizon, or are negative, and the driver interleaves RunUntil
+// fired event may schedule more at delays that are zero, stay on the
+// wheel or cross its horizon, and the driver interleaves RunUntil
 // windows with free running.
 func workload(seed uint64, schedule func(d Tick, fn func()), now func() Tick, step func() bool, runUntil func(Tick)) []firing {
 	r := rng.New(seed)
@@ -98,7 +95,7 @@ func workload(seed uint64, schedule func(d Tick, fn func()), now func() Tick, st
 		id := next
 		next++
 		var d Tick
-		switch r.Intn(6) {
+		switch r.Intn(5) {
 		case 0:
 			d = 0
 		case 1:
@@ -107,10 +104,8 @@ func workload(seed uint64, schedule func(d Tick, fn func()), now func() Tick, st
 			d = Tick(r.Intn(wheelTicks))
 		case 3:
 			d = Tick(wheelTicks - 2 + r.Intn(4)) // straddle the horizon
-		case 4:
-			d = Tick(r.Intn(6 * wheelTicks))
 		default:
-			d = -Tick(r.Intn(5)) // negative: fires later this tick
+			d = Tick(r.Intn(6 * wheelTicks))
 		}
 		schedule(d, func() {
 			out = append(out, firing{id, now()})

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -42,22 +44,53 @@ func TestEngineScheduleDuringRun(t *testing.T) {
 	}
 }
 
-func TestEngineZeroAndNegativeDelay(t *testing.T) {
+func TestEngineZeroDelay(t *testing.T) {
 	e := NewEngine()
+	var order []int
 	e.Schedule(5, Func(func() {
 		now := e.Now()
 		e.Schedule(0, Func(func() {
 			if e.Now() != now {
 				t.Errorf("zero-delay event fired at %d, want %d", e.Now(), now)
 			}
+			order = append(order, 2)
 		}), nil)
-		e.Schedule(-3, Func(func() {
-			if e.Now() != now {
-				t.Errorf("negative-delay event fired at %d, want %d", e.Now(), now)
-			}
-		}), nil)
+		order = append(order, 1)
 	}), nil)
 	e.Run()
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Errorf("order = %v, want [1 2]", order)
+	}
+}
+
+// A negative delay or duration is a bug in its caller (config latencies
+// are checked non-negative before anything is built), so every entry
+// point that takes one panics, naming it, and queues nothing.
+func TestNegativeDelayPanics(t *testing.T) {
+	never := Func(func() { t.Error("event of a negative delay fired") })
+	for name, tc := range map[string]struct {
+		call func(e *Engine)
+		want string
+	}{
+		"Engine.Schedule":  {func(e *Engine) { e.Schedule(-3, never, nil) }, "tick 7, before now (10)"},
+		"Resource.Acquire": {func(e *Engine) { NewResource(e).Acquire(-3, never, nil) }, "negative duration -3"},
+		"Pool.Acquire":     {func(e *Engine) { NewPool(e, 2).Acquire(-3, never, nil) }, "negative duration -3"},
+	} {
+		e := NewEngine()
+		e.RunUntil(10)
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+					t.Errorf("%s(-3) panicked with %q, want a panic naming %q", name, msg, tc.want)
+				}
+			}()
+			tc.call(e)
+		}()
+		if e.Pending() != 0 {
+			t.Errorf("%s(-3) left %d events pending, want 0", name, e.Pending())
+		}
+		e.Run()
+	}
 }
 
 func TestEngineRunUntil(t *testing.T) {

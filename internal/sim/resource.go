@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Resource models a unit that serves one request at a time with a
 // per-request service latency — an SSD-engine core, a DMA engine, a
 // page-table-walker thread. Requests queue FIFO; Acquire returns the
@@ -17,14 +19,15 @@ func NewResource(eng *Engine) *Resource { return &Resource{eng: eng} }
 
 // Acquire occupies the resource for dur ticks starting at the later of
 // now and its previous completion, then delivers h.Handle(arg) (nothing,
-// if h is nil). It returns the completion tick.
+// if h is nil). It returns the completion tick. A negative dur is a bug
+// in the caller and panics.
 func (r *Resource) Acquire(dur Tick, h Handler, arg any) Tick {
+	if dur < 0 {
+		panic(fmt.Sprintf("sim: Resource.Acquire of negative duration %d", dur))
+	}
 	start := r.eng.Now()
 	if r.free > start {
 		start = r.free
-	}
-	if dur < 0 {
-		dur = 0
 	}
 	r.free = start + dur
 	r.served++
@@ -70,14 +73,15 @@ func (p *Pool) Size() int { return len(p.free) }
 
 // Acquire dispatches a request of duration dur to the earliest-free
 // server, delivers h.Handle(arg) at completion (nothing, if h is nil),
-// and returns the completion tick.
+// and returns the completion tick. A negative dur is a bug in the
+// caller and panics.
 func (p *Pool) Acquire(dur Tick, h Handler, arg any) Tick {
+	if dur < 0 {
+		panic(fmt.Sprintf("sim: Pool.Acquire of negative duration %d", dur))
+	}
 	start := p.eng.Now()
 	if p.free[0] > start {
 		start = p.free[0]
-	}
-	if dur < 0 {
-		dur = 0
 	}
 	done := start + dur
 	p.replaceMin(done)

@@ -186,6 +186,12 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 		if req.Config == nil { // an explicit "config": null
 			req.Config = &seeded
 		}
+		// A config the model cannot run is the caller's error, not a
+		// simulator fault: refuse it before any job exists.
+		if err := platform.ValidateConfig(*req.Config); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
 		if wait > 0 && !req.Async {
 			writeErr(w, http.StatusBadRequest, errors.New(`"wait" applies to async runs only; a sync run already waits for its result`))
 			return

@@ -403,11 +403,11 @@ func TestAPIRunWithConfig(t *testing.T) {
 	}
 }
 
-// TestAPIRunRejectsUnindexableCache: a "config" with a cache or MMU
-// size the simulator cannot run gets an error reply that names the
-// field, not a result and not a recovered panic.
+// TestAPIRunRejectsUnindexableCache: a "config" with a negative
+// latency or a cache or MMU size the simulator cannot run is a 400 that
+// names the field, for sync and async runs alike, and no job is created.
 func TestAPIRunRejectsUnindexableCache(t *testing.T) {
-	srv, _ := newTestServer(t, nil) // the real simulator
+	srv, svc := newTestServer(t, nil) // the real simulator
 	for _, c := range []struct {
 		body   string
 		fields []string // what the error must name
@@ -421,10 +421,13 @@ func TestAPIRunRejectsUnindexableCache(t *testing.T) {
 		{`{"platform":"GDDR5","mix":"solo-bfs1","scale":0.05,"config":{"MMU":{"L1TLBEntries":0}}}`, []string{"MMU", "L1TLBEntries"}},
 		{`{"platform":"GDDR5","mix":"solo-bfs1","scale":0.05,"config":{"MMU":{"WalkCacheEnt":0}}}`, []string{"MMU", "WalkCacheEnt"}},
 		{`{"platform":"GDDR5","mix":"solo-bfs1","scale":0.05,"config":{"MMU":{"WalkerThreads":0}}}`, []string{"MMU", "WalkerThreads"}},
+		{`{"platform":"ZnG","mix":"solo-bfs1","scale":0.05,"config":{"Flash":{"MeshHopLat":-500}}}`, []string{"Flash.MeshHopLat"}},
+		{`{"platform":"ZnG","mix":"solo-bfs1","scale":0.05,"async":true,"config":{"Flash":{"MeshHopLat":-500}}}`, []string{"Flash.MeshHopLat"}},
+		{`{"platform":"GDDR5","mix":"solo-bfs1","scale":0.05,"async":true,"config":{"L1":{"Ways":-1}}}`, []string{"L1", "Ways"}},
 	} {
 		resp, doc := postRun(t, srv.URL, c.body)
-		if resp.StatusCode == http.StatusOK || len(doc["result"]) != 0 {
-			t.Errorf("%s: status %d with result %s, want an error reply", c.body, resp.StatusCode, doc["result"])
+		if resp.StatusCode != http.StatusBadRequest || len(doc["result"]) != 0 {
+			t.Errorf("%s: status %d with result %s, want 400", c.body, resp.StatusCode, doc["result"])
 		}
 		var msg string
 		if err := json.Unmarshal(doc["error"], &msg); err != nil || msg == "" {
@@ -436,9 +439,15 @@ func TestAPIRunRejectsUnindexableCache(t *testing.T) {
 				t.Errorf("%s: error %q does not name %s", c.body, msg, f)
 			}
 		}
-		if strings.Contains(msg, "panicked") {
-			t.Errorf("%s: error %q is a recovered panic, want a config error", c.body, msg)
-		}
+	}
+	var jobs struct {
+		Jobs []JobInfo `json:"jobs"`
+	}
+	if code := getJSON(t, srv.URL+"/v1/jobs", &jobs); code != http.StatusOK || len(jobs.Jobs) != 0 {
+		t.Errorf("GET /v1/jobs: status %d, %d jobs; want 200 and none", code, len(jobs.Jobs))
+	}
+	if n := len(svc.Jobs()); n != 0 {
+		t.Errorf("rejected runs left %d jobs", n)
 	}
 }
 

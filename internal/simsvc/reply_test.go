@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"zng/internal/cellkey"
 	"zng/internal/config"
 	"zng/internal/obs"
 	"zng/internal/platform"
@@ -132,7 +133,7 @@ func TestAPIServesPlaneDocument(t *testing.T) {
 
 	h := boot()
 	serve(h, http.MethodPost, "/v1/run?wait=10s", cell) // simulates and stores the cell
-	if stored, err = os.ReadFile(st.Path(store.CellKey(platform.ZnG, mix.ID(), 0.05, config.Default()))); err != nil {
+	if stored, err = os.ReadFile(st.Path(cellkey.Key(platform.ZnG, mix.ID(), 0.05, config.Default()))); err != nil {
 		t.Fatal(err)
 	}
 	id := check("memory-hit POST", serve(h, http.MethodPost, "/v1/run?wait=10s", cell), "memory")

@@ -52,6 +52,7 @@ import (
 	"sync"
 	"time"
 
+	"zng/internal/cellkey"
 	"zng/internal/config"
 	"zng/internal/experiments"
 	"zng/internal/latency"
@@ -325,7 +326,7 @@ func (s *Service) submit(req Request) (*job, string, error) {
 		// outside the lock and memoize. A concurrent submitter may
 		// rederive the same key; both write the identical value.
 		s.mu.Unlock()
-		derived := store.CellKey(req.Kind, req.Mix.ID(), req.Scale, req.Cfg)
+		derived := cellkey.Key(req.Kind, req.Mix.ID(), req.Scale, req.Cfg)
 		s.mu.Lock()
 		if len(s.keys) >= keyMemoBound {
 			s.keys = make(map[keyID]string, keyMemoBound)

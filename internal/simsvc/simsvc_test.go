@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"zng/internal/campaign"
+	"zng/internal/cellkey"
 	"zng/internal/config"
 	"zng/internal/experiments"
 	"zng/internal/platform"
@@ -213,7 +214,7 @@ func TestCorruptEntryFallsBackToSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := Request{Kind: platform.ZnGBase, Mix: testMix(t, "pr-gaus"), Scale: 0.5, Cfg: config.Default()}
-	key := store.CellKey(req.Kind, req.Mix.ID(), req.Scale, req.Cfg)
+	key := cellkey.Key(req.Kind, req.Mix.ID(), req.Scale, req.Cfg)
 	if err := os.WriteFile(st.Path(key), []byte("{\"kind\":\"ZnG-base\",\"ipc\":"), 0o644); err != nil {
 		t.Fatal(err)
 	}

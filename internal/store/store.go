@@ -20,27 +20,9 @@ import (
 	"path/filepath"
 	"strings"
 
-	"zng/internal/cellkey"
-	"zng/internal/config"
 	"zng/internal/platform"
 	"zng/internal/report"
 )
-
-// SchemaVersion stamps the key derivation; see cellkey.SchemaVersion
-// (the derivation lives in that leaf package so key-addressed layers
-// like internal/campaign can compute cell identities without this
-// package's result-codec dependencies).
-const SchemaVersion = cellkey.SchemaVersion
-
-// CellKey returns the content address of one simulation cell: the
-// hex SHA-256 of the canonical encoding of (schema version, kind,
-// mix ID, scale, full configuration). Mixes participate through
-// their ID rather than their display name, so aliasing scenarios
-// (consol-2 and bfs1-gaus, say) share one entry. The derivation is
-// cellkey.Key, shared with every other key-addressed layer.
-func CellKey(kind platform.Kind, mixID string, scale float64, cfg config.Config) string {
-	return cellkey.Key(kind, mixID, scale, cfg)
-}
 
 // Store is one result cache directory. Methods are safe for
 // concurrent use by multiple goroutines and — thanks to the atomic

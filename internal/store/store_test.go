@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"zng/internal/cellkey"
 	"zng/internal/config"
 	"zng/internal/platform"
 	"zng/internal/workload"
@@ -40,7 +41,7 @@ func open(t *testing.T) *Store {
 
 func TestRoundTrip(t *testing.T) {
 	s := open(t)
-	key := CellKey(platform.ZnG, "betw+back", 2.0, config.Default())
+	key := cellkey.Key(platform.ZnG, "betw+back", 2.0, config.Default())
 	if _, ok := s.Get(key); ok {
 		t.Fatal("empty store reported a hit")
 	}
@@ -69,7 +70,7 @@ func TestRoundTrip(t *testing.T) {
 // garbage entries read as misses, and a re-Put heals them.
 func TestCorruptEntryRecovery(t *testing.T) {
 	s := open(t)
-	key := CellKey(platform.GDDR5, "bfs1", 1.0, config.Default())
+	key := cellkey.Key(platform.GDDR5, "bfs1", 1.0, config.Default())
 	if err := s.Put(key, sample()); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestCorruptEntryRecovery(t *testing.T) {
 func TestPutLeavesNoTempFiles(t *testing.T) {
 	s := open(t)
 	for i := 0; i < 4; i++ {
-		if err := s.Put(CellKey(platform.ZnG, "bfs1", float64(i+1), config.Default()), sample()); err != nil {
+		if err := s.Put(cellkey.Key(platform.ZnG, "bfs1", float64(i+1), config.Default()), sample()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,17 +132,17 @@ func TestPutLeavesNoTempFiles(t *testing.T) {
 // that lets separate processes share a cache directory.
 func TestCellKeyDiscriminates(t *testing.T) {
 	cfg := config.Default()
-	base := CellKey(platform.ZnG, "betw+back", 2.0, cfg)
-	if again := CellKey(platform.ZnG, "betw+back", 2.0, cfg); again != base {
+	base := cellkey.Key(platform.ZnG, "betw+back", 2.0, cfg)
+	if again := cellkey.Key(platform.ZnG, "betw+back", 2.0, cfg); again != base {
 		t.Errorf("key not stable: %s vs %s", base, again)
 	}
 	cfg2 := cfg
 	cfg2.Prefetch.HighWaste = 0.9
 	variants := map[string]string{
-		"kind":  CellKey(platform.HybridGPU, "betw+back", 2.0, cfg),
-		"mix":   CellKey(platform.ZnG, "bfs1+gaus", 2.0, cfg),
-		"scale": CellKey(platform.ZnG, "betw+back", 2.5, cfg),
-		"cfg":   CellKey(platform.ZnG, "betw+back", 2.0, cfg2),
+		"kind":  cellkey.Key(platform.HybridGPU, "betw+back", 2.0, cfg),
+		"mix":   cellkey.Key(platform.ZnG, "bfs1+gaus", 2.0, cfg),
+		"scale": cellkey.Key(platform.ZnG, "betw+back", 2.5, cfg),
+		"cfg":   cellkey.Key(platform.ZnG, "betw+back", 2.0, cfg2),
 	}
 	seen := map[string]string{base: "base"}
 	for what, key := range variants {
@@ -167,7 +168,7 @@ func TestAliasedMixesShareKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config.Default()
-	if CellKey(platform.ZnG, a.ID(), 1.0, cfg) != CellKey(platform.ZnG, b.ID(), 1.0, cfg) {
+	if cellkey.Key(platform.ZnG, a.ID(), 1.0, cfg) != cellkey.Key(platform.ZnG, b.ID(), 1.0, cfg) {
 		t.Errorf("aliasing scenarios (%s vs %s) produced different keys", a.ID(), b.ID())
 	}
 }
@@ -178,7 +179,7 @@ func TestOpenCreatesDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(CellKey(platform.GDDR5, "pr", 1.0, config.Default()), sample()); err != nil {
+	if err := s.Put(cellkey.Key(platform.GDDR5, "pr", 1.0, config.Default()), sample()); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s.Entries(); n != 1 {
