@@ -1,7 +1,7 @@
 // Command zngsweep declares and executes simulation campaigns: whole
 // evaluation matrices (platforms × scenarios × scales × config
-// overrides) expanded from flags or a JSON spec file, executed
-// locally or fanned out across a fleet of zngd peers.
+// overrides) expanded from flags or a JSON spec file, executed in
+// this process or inside a zngd fleet coordinator.
 //
 // Usage:
 //
@@ -9,7 +9,7 @@
 //	zngsweep -platforms ZnG -scenarios bfs1+gaus*1.5,pr-gaus   # ad-hoc co-run + registered
 //	zngsweep -spec sweep.json -format csv
 //	zngsweep -platforms ZnG -scenarios solo-bfs1 -cache ~/.zng-cache
-//	zngsweep -spec sweep.json -peers 10.0.0.1:8080,10.0.0.2:8080 -v
+//	zngsweep -spec sweep.json -coordinator 10.0.0.1:8080 -v
 //
 // A spec file is the JSON form of campaign.Spec:
 //
@@ -24,30 +24,29 @@
 // A spec whose grid is over campaign.MaxCells (16,384) cells is
 // refused, from a file or from flags.
 //
-// Execution backends, most local first: the default in-memory
-// single-flight memo; with -cache DIR the store-backed simsvc
-// scheduler (cells persist and dedupe across invocations and against
-// zngd daemons sharing the directory); with -peers the
-// internal/remote dispatcher, which shards cells across the named
-// zngd workers with health-checking, least-loaded work stealing and
-// retry-on-peer-failure — several daemons become one simulation
-// fleet, and results are byte-identical to a local run.
+// In this process a campaign runs on the in-memory single-flight
+// memo, or with -cache DIR on the store-backed simsvc scheduler (cells
+// persist and dedupe across invocations and against zngd daemons
+// sharing the directory).
 //
 // With -coordinator URL the campaign runs inside a zngd fleet
-// coordinator instead of this process: the spec is POSTed to
-// /v1/campaigns, progress long-polls (GET /v1/campaigns/{id}?wait=1s)
-// until done, and the coordinator's folded matrix renders locally.
-// Campaigns run that way are durable — the coordinator writes each
+// coordinator instead, which is the one way a sweep leaves this
+// process: the spec is POSTed to /v1/campaigns, progress long-polls
+// (GET /v1/campaigns/{id}?wait=1s) until done, and the coordinator's
+// folded matrix renders locally. The coordinator fans the cells out
+// over the workers registered with it (zngd -coordinator URL),
+// re-routes a cell whose worker faults to another one, and runs a cell
+// itself when no worker is left; results are byte-identical to a local
+// run. Campaigns run that way are durable — the coordinator writes each
 // finished cell into its store and reads the store before running any
 // cell — so `zngsweep -coordinator URL -resume ID` resumes a sweep the
 // coordinator (or this command) died in the middle of, re-running only
 // the cells the store lacks.
 //
 // The result matrix renders as a text table by default, or through
-// internal/report with -format md|csv|json. Cells that fail after
-// -retries attempts render as ERROR and the exit status is non-zero;
-// the rest of the matrix still prints. -v adds live progress, the
-// runner's dedup counters, with -peers per-peer cell counts, and a
+// internal/report with -format md|csv|json. Failed cells render as
+// ERROR and the exit status is non-zero; the rest of the matrix still
+// prints. -v adds live progress, the runner's dedup counters and a
 // per-stage latency breakdown (queue wait, tier lookups, simulation,
 // store writes) folded from the campaign's trace — local runs record
 // it in-process, -coordinator runs fetch the coordinator's span tree
@@ -70,7 +69,6 @@ import (
 	"zng/internal/config"
 	"zng/internal/experiments"
 	"zng/internal/obs"
-	"zng/internal/remote"
 	"zng/internal/report"
 	"zng/internal/simsvc"
 	"zng/internal/store"
@@ -83,14 +81,12 @@ func main() {
 		platforms = flag.String("platforms", "", "comma-separated platform axis, e.g. ZnG,HybridGPU")
 		scenarios = flag.String("scenarios", "", "comma-separated scenario axis: registered names or '+'-joined ad-hoc compositions like bfs1+gaus*1.5")
 		scales    = flag.String("scales", "", "comma-separated scale axis (default 1.0, the Table II budgets)")
-		peers     = flag.String("peers", "", "comma-separated zngd peers to fan out across (host:port,...)")
 		coord     = flag.String("coordinator", "", "run the campaign inside this zngd fleet coordinator (host:port or URL)")
 		resumeID  = flag.String("resume", "", "resume a checkpointed campaign by id on the coordinator (requires -coordinator)")
 		cacheDir  = flag.String("cache", "", "persistent result store directory (local execution)")
 		workers   = flag.Int("workers", 0, "concurrent in-flight cells (0 = NumCPU)")
-		retries   = flag.Int("retries", 1, "extra attempts per failed cell")
 		format    = flag.String("format", "", "rendering: md, csv or json (default: text table)")
-		verbose   = flag.Bool("v", false, "live progress, runner stats and per-peer counters")
+		verbose   = flag.Bool("v", false, "live progress, runner stats and per-stage latency")
 	)
 	flag.Parse()
 
@@ -101,8 +97,8 @@ func main() {
 	if *resumeID != "" && *coord == "" {
 		fatal(fmt.Errorf("-resume needs -coordinator (the checkpoint lives in the coordinator's store)"))
 	}
-	if *coord != "" && (*peers != "" || *cacheDir != "") {
-		fatal(fmt.Errorf("-coordinator is its own backend; it excludes -peers and -cache"))
+	if *coord != "" && *cacheDir != "" {
+		fatal(fmt.Errorf("-coordinator is its own backend; it excludes -cache"))
 	}
 
 	spec, err := buildSpec(*specFile, *name, *platforms, *scenarios, *scales)
@@ -119,32 +115,15 @@ func main() {
 
 	// -v traces the campaign end to end (unsampled: the caller asked
 	// for this sweep) so the per-stage breakdown prints afterwards.
-	// Worker-side spans of a -peers run come back piggybacked on the
-	// peers' replies and fold into the same recorder.
 	var tracer *obs.Tracer
 	if *verbose {
 		tracer = obs.New("zngsweep", obs.DefaultCapacity, 1)
 	}
 
-	// Pick the execution backend: remote dispatcher > store-backed
-	// service > in-memory memo. All three satisfy the same Runner
-	// interface, which is the whole point.
+	// Pick the local backend: the store-backed service or the
+	// in-memory memo. Both satisfy the same Runner interface.
 	var runner campaign.Runner
-	var dispatcher *remote.Dispatcher
-	switch {
-	case *peers != "" && *cacheDir != "":
-		fatal(fmt.Errorf("-peers and -cache are mutually exclusive (the peers own their caches)"))
-	case *peers != "":
-		d, err := remote.NewDispatcher(splitCSV(*peers), 0)
-		if err != nil {
-			fatal(err)
-		}
-		if err := d.CheckHealth(); err != nil {
-			fatal(fmt.Errorf("peer health check: %w", err))
-		}
-		d.SetTracer(tracer)
-		dispatcher, runner = d, d
-	case *cacheDir != "":
+	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir)
 		if err != nil {
 			fatal(err)
@@ -152,11 +131,11 @@ func main() {
 		svc := simsvc.New(simsvc.Config{Store: st, Workers: *workers, Tracer: tracer})
 		defer svc.Close()
 		runner = svc
-	default:
+	} else {
 		runner = experiments.NewMemo()
 	}
 
-	ex := campaign.Executor{Runner: runner, Workers: *workers, Retries: *retries, Tracer: tracer}
+	ex := campaign.Executor{Runner: runner, Workers: *workers, Tracer: tracer}
 	run, err := ex.Start(spec, config.Default())
 	if err != nil {
 		fatal(err)
@@ -167,8 +146,7 @@ func main() {
 		go func() {
 			for !run.Done() {
 				p := run.Progress()
-				fmt.Fprintf(os.Stderr, "zngsweep: %d/%d done, %d failed, %d retried\n",
-					p.Done, p.Total, p.Failed, p.Retried)
+				fmt.Fprintf(os.Stderr, "zngsweep: %d/%d done, %d failed\n", p.Done, p.Total, p.Failed)
 				time.Sleep(time.Second)
 			}
 		}()
@@ -197,16 +175,6 @@ func main() {
 				st.Sims, st.MemoryHits, st.DiskHits, st.Coalesced)
 		}
 		printStages(tracer.Stages())
-	}
-	if dispatcher != nil && (*verbose || out.Failed() > 0) {
-		for _, p := range dispatcher.PeerStats() {
-			state := "up"
-			if p.Down {
-				state = "down"
-			}
-			fmt.Fprintf(os.Stderr, "zngsweep: peer %s: %d cells, %d failures (%s)\n",
-				p.Addr, p.Cells, p.Failures, state)
-		}
 	}
 	if err := out.Err(); err != nil {
 		fatal(err)
@@ -295,7 +263,7 @@ func runOnCoordinator(base string, spec campaign.Spec, resumeID, format string, 
 		}
 		if verbose {
 			p := detail.Progress
-			fmt.Fprintf(os.Stderr, "zngsweep: %d/%d done, %d failed, %d retried\n", p.Done, p.Total, p.Failed, p.Retried)
+			fmt.Fprintf(os.Stderr, "zngsweep: %d/%d done, %d failed\n", p.Done, p.Total, p.Failed)
 		}
 	}
 

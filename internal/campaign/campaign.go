@@ -10,11 +10,11 @@
 // driver declares its part of it as a Spec.
 //
 // An Executor drives the cells through any runner — the in-memory
-// experiments memo, the store-backed simsvc scheduler, or an
-// internal/remote dispatcher fanning out over zngd peers — with
-// bounded concurrency, per-cell retry, live progress counters and
-// partial-failure reporting, and folds the results into a
-// stats.Table matrix that internal/report renders like any figure.
+// experiments memo, the store-backed simsvc scheduler, or the
+// internal/fleet coordinator fanning out over zngd workers — with
+// bounded concurrency, live progress counters and partial-failure
+// reporting, and folds the results into a stats.Table matrix that
+// internal/report renders like any figure.
 // A Campaign binds a started Run to an id; internal/fleet owns the
 // asynchronous lifecycle behind the zngd HTTP API (start, poll
 // progress by campaign id, resume, collect the outcome).
@@ -205,6 +205,18 @@ type Cell struct {
 	Cfg config.Config
 	// Key is the cell's content address (cellkey.Key).
 	Key string
+}
+
+// String names the cell in errors and trace spans: "<kind> on <mix>
+// at scale <scale>", then the override's label in brackets unless the
+// override is the zero one, e.g.
+// "ZnG on betw-back at scale 0.12 [hi0.8+lo0.2]".
+func (c Cell) String() string {
+	s := fmt.Sprintf("%s on %s at scale %s", c.Kind, c.Mix.Name, strconv.FormatFloat(c.Scale, 'g', -1, 64))
+	if c.Override != (Override{}) {
+		s += " [" + c.Override.Label() + "]"
+	}
+	return s
 }
 
 // resolveScenario accepts a registered scenario name or an ad-hoc

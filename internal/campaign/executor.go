@@ -25,21 +25,21 @@ type TracedRunner interface {
 }
 
 // Executor drives expanded cells through a Runner with bounded
-// concurrency and per-cell retry. The zero value is not usable: a
-// Runner is required. Individual simulations stay single-threaded and
-// deterministic; Workers only bounds how many cells are in flight,
-// and a deduplicating runner (memo, simsvc, dispatcher) still
-// coalesces identical cells submitted concurrently.
+// concurrency. The zero value is not usable: a Runner is required.
+// Individual simulations stay single-threaded and deterministic;
+// Workers only bounds how many cells are in flight, and a
+// deduplicating runner (memo, simsvc, coordinator) still coalesces
+// identical cells submitted concurrently. Each cell runs once and its
+// error is final: a simulation error is deterministic, a local service
+// refusing work at shutdown or past its queue bound refuses an
+// immediate retry too, and peer faults never reach the executor,
+// because the fleet coordinator re-routes them to another peer or runs
+// the cell itself.
 type Executor struct {
 	// Runner answers cells; required.
 	Runner Runner
 	// Workers bounds concurrent in-flight cells (0 = NumCPU).
 	Workers int
-	// Retries is the number of extra attempts a failed cell gets.
-	// Against a deterministic local runner a retry replays the cached
-	// error cheaply; against a remote dispatcher it rides out peer
-	// churn between attempts.
-	Retries int
 	// Tracer, when set, roots one trace per campaign (unsampled — the
 	// caller asked for this sweep) with a child span per cell, and
 	// passes each cell's context to the Runner when it implements
@@ -60,10 +60,8 @@ type Progress struct {
 	Total int `json:"total"`
 	// Done counts cells that finished successfully.
 	Done int `json:"done"`
-	// Failed counts cells whose final attempt errored.
+	// Failed counts cells that errored.
 	Failed int `json:"failed"`
-	// Retried counts extra attempts spent on failing cells.
-	Retried int `json:"retried"`
 }
 
 // Finished reports whether every cell has resolved.
@@ -71,10 +69,9 @@ func (p Progress) Finished() bool { return p.Done+p.Failed == p.Total }
 
 // CellResult is one cell's outcome.
 type CellResult struct {
-	Cell     Cell
-	Result   platform.Result
-	Err      error
-	Attempts int
+	Cell   Cell
+	Result platform.Result
+	Err    error
 }
 
 // Outcome is a completed campaign: every cell in expansion order,
@@ -86,7 +83,7 @@ type Outcome struct {
 	Cells []CellResult
 }
 
-// Failed counts the cells whose final attempt errored.
+// Failed counts the cells that errored.
 func (o *Outcome) Failed() int {
 	n := 0
 	for _, c := range o.Cells {
@@ -99,12 +96,12 @@ func (o *Outcome) Failed() int {
 
 // Err summarizes partial failure: nil when every cell succeeded,
 // otherwise an error naming the failure count and the first failing
-// cell.
+// cell (Cell.String).
 func (o *Outcome) Err() error {
 	for _, c := range o.Cells {
 		if c.Err != nil {
-			return fmt.Errorf("campaign: %d of %d cells failed (first: %s on %s: %v)",
-				o.Failed(), len(o.Cells), c.Cell.Kind, c.Cell.Mix.Name, c.Err)
+			return fmt.Errorf("campaign: %d of %d cells failed (first: %s: %v)",
+				o.Failed(), len(o.Cells), c.Cell, c.Err)
 		}
 	}
 	return nil
@@ -175,10 +172,9 @@ type Run struct {
 	// handle /v1/trace/{id} reconstructs the span tree under.
 	trace obs.ID
 
-	total   int
-	done    atomic.Int64
-	failed  atomic.Int64
-	retried atomic.Int64
+	total  int
+	done   atomic.Int64
+	failed atomic.Int64
 
 	finished chan struct{}
 	outcome  *Outcome
@@ -252,24 +248,14 @@ func (r *Run) execute(e Executor, root *obs.Span) {
 		wg.Add(1)
 		go func() {
 			defer func() { <-sem; wg.Done() }()
-			// One span per cell covering every attempt; the runner's
-			// own spans (dispatch, peer, queue, sim) nest under it.
-			cell := e.Tracer.StartSpan(rootCtx,
-				"cell", fmt.Sprintf("%s/%s@%s", c.Kind, c.Mix.Name, stats.FormatFloat(c.Scale)))
+			// One span per cell; the runner's own spans (dispatch,
+			// peer, queue, sim) nest under it.
+			cell := e.Tracer.StartSpan(rootCtx, "cell", c.String())
 			cr := CellResult{Cell: c}
-			for attempt := 0; attempt <= e.Retries; attempt++ {
-				cr.Attempts = attempt + 1
-				if sc := cell.Context(); sc.Valid() && traced != nil {
-					cr.Result, cr.Err = traced.RunTraced(sc, c.Kind, c.Mix, c.Scale, c.Cfg)
-				} else {
-					cr.Result, cr.Err = e.Runner.Run(c.Kind, c.Mix, c.Scale, c.Cfg)
-				}
-				if cr.Err == nil {
-					break
-				}
-				if attempt < e.Retries {
-					r.retried.Add(1)
-				}
+			if sc := cell.Context(); sc.Valid() && traced != nil {
+				cr.Result, cr.Err = traced.RunTraced(sc, c.Kind, c.Mix, c.Scale, c.Cfg)
+			} else {
+				cr.Result, cr.Err = e.Runner.Run(c.Kind, c.Mix, c.Scale, c.Cfg)
 			}
 			cell.EndErr(cr.Err)
 			results[i] = cr
@@ -289,10 +275,9 @@ func (r *Run) execute(e Executor, root *obs.Span) {
 // Progress snapshots the live counters.
 func (r *Run) Progress() Progress {
 	return Progress{
-		Total:   r.total,
-		Done:    int(r.done.Load()),
-		Failed:  int(r.failed.Load()),
-		Retried: int(r.retried.Load()),
+		Total:  r.total,
+		Done:   int(r.done.Load()),
+		Failed: int(r.failed.Load()),
 	}
 }
 

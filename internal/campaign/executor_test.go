@@ -22,7 +22,7 @@ type stubRunner struct {
 	peak    int
 	fn      func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error)
 	stall   time.Duration
-	failFor map[string]int // mix name -> remaining failures
+	failMix string // cells of this mix fail
 }
 
 func (s *stubRunner) Run(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
@@ -31,11 +31,6 @@ func (s *stubRunner) Run(kind platform.Kind, mix workload.Mix, scale float64, cf
 	s.active++
 	if s.active > s.peak {
 		s.peak = s.active
-	}
-	fail := false
-	if s.failFor[mix.Name] > 0 {
-		s.failFor[mix.Name]--
-		fail = true
 	}
 	s.mu.Unlock()
 	if s.stall > 0 {
@@ -46,8 +41,8 @@ func (s *stubRunner) Run(kind platform.Kind, mix workload.Mix, scale float64, cf
 		s.active--
 		s.mu.Unlock()
 	}()
-	if fail {
-		return platform.Result{}, errors.New("transient failure")
+	if mix.Name == s.failMix {
+		return platform.Result{}, errors.New("injected failure")
 	}
 	if s.fn != nil {
 		return s.fn(kind, mix, scale, cfg)
@@ -82,7 +77,7 @@ func TestExecutorRunsEveryCellOnce(t *testing.T) {
 		t.Errorf("outcome: %d cells, %d failed", len(out.Cells), out.Failed())
 	}
 	for i, cr := range out.Cells {
-		if cr.Err != nil || cr.Result.IPC != 5 || cr.Attempts != 1 {
+		if cr.Err != nil || cr.Result.IPC != 5 {
 			t.Errorf("cell %d: %+v", i, cr)
 		}
 		if cr.Cell.Index != i {
@@ -106,19 +101,22 @@ func TestExecutorBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestExecutorRetriesAndPartialFailure(t *testing.T) {
-	// solo-gaus fails once then succeeds (a peer blip); solo-pr fails
-	// forever (a broken cell). With one retry the campaign completes
-	// all but solo-pr and reports the partial failure per cell.
-	r := &stubRunner{failFor: map[string]int{"solo-gaus": 1, "solo-pr": 1 << 30}}
-	ex := Executor{Runner: r, Workers: 1, Retries: 1}
+// TestExecutorPartialFailure: a failed cell runs once and fails
+// alone. The campaign completes the other cells, reports the failure
+// per cell and names the failed cell in full.
+func TestExecutorPartialFailure(t *testing.T) {
+	r := &stubRunner{failMix: "solo-pr"}
+	ex := Executor{Runner: r, Workers: 1}
 	run, err := ex.Start(soloSpec(3), config.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := run.Wait()
-	if p := run.Progress(); p.Retried != 2 || p.Failed != 1 || p.Done != 2 {
-		t.Errorf("progress = %+v, want 2 retried, 1 failed, 2 done", p)
+	if p := run.Progress(); p.Failed != 1 || p.Done != 2 {
+		t.Errorf("progress = %+v, want 1 failed, 2 done", p)
+	}
+	if r.calls != 3 {
+		t.Errorf("runner saw %d calls, want 3 (the failed cell runs once)", r.calls)
 	}
 	if out.Failed() != 1 {
 		t.Fatalf("failed = %d, want 1", out.Failed())
@@ -127,17 +125,19 @@ func TestExecutorRetriesAndPartialFailure(t *testing.T) {
 	for _, cr := range out.Cells {
 		byName[cr.Cell.Mix.Name] = cr
 	}
-	if cr := byName["solo-bfs1"]; cr.Err != nil || cr.Attempts != 1 {
-		t.Errorf("clean cell: %+v", cr)
+	for _, clean := range []string{"solo-bfs1", "solo-gaus"} {
+		if cr := byName[clean]; cr.Err != nil {
+			t.Errorf("clean cell: %+v", cr)
+		}
 	}
-	if cr := byName["solo-gaus"]; cr.Err != nil || cr.Attempts != 2 {
-		t.Errorf("retried cell: err=%v attempts=%d, want recovery on attempt 2", cr.Err, cr.Attempts)
+	if cr := byName["solo-pr"]; cr.Err == nil {
+		t.Errorf("broken cell: %+v, want its error", cr)
 	}
-	if cr := byName["solo-pr"]; cr.Err == nil || cr.Attempts != 2 {
-		t.Errorf("broken cell: err=%v attempts=%d, want exhausted retries", cr.Err, cr.Attempts)
-	}
-	if err := out.Err(); err == nil || !strings.Contains(err.Error(), "1 of 3") {
-		t.Errorf("outcome error = %v, want partial-failure summary", err)
+	err = out.Err()
+	for _, want := range []string{"1 of 3", "ZnG on solo-pr at scale 0.5: injected failure"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("outcome error = %v, want it to contain %q", err, want)
+		}
 	}
 }
 

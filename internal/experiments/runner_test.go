@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -51,15 +52,12 @@ func TestGridRejectsUnknownScenario(t *testing.T) {
 	}
 }
 
-// failingRunner answers every cell with IPC 1 except one (kind,
-// scenario), which errors.
-type failingRunner struct {
-	kind platform.Kind
-	mix  string
-}
+// failingRunner answers every cell with IPC 1 except the cells it
+// selects, which error.
+type failingRunner func(kind platform.Kind, mix workload.Mix, cfg config.Config) bool
 
-func (f failingRunner) Run(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
-	if kind == f.kind && mix.Name == f.mix {
+func (fails failingRunner) Run(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
+	if fails(kind, mix, cfg) {
 		return platform.Result{}, errors.New("injected failure")
 	}
 	return platform.Result{Kind: kind, Workload: mix.Name, IPC: 1}, nil
@@ -70,7 +68,9 @@ func (f failingRunner) Run(kind platform.Kind, mix workload.Mix, scale float64, 
 func TestFigureFailsNamingCell(t *testing.T) {
 	o := TestOptions()
 	bad := o.Mixes[1].Name
-	o.Runner = failingRunner{platform.ZnGBase, bad}
+	o.Runner = failingRunner(func(kind platform.Kind, mix workload.Mix, _ config.Config) bool {
+		return kind == platform.ZnGBase && mix.Name == bad
+	})
 	tab, _, err := Fig10(o)
 	if err == nil {
 		t.Fatalf("Fig10 with a failing cell returned a table:\n%s", tab)
@@ -79,6 +79,20 @@ func TestFigureFailsNamingCell(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)
 		}
+	}
+}
+
+// TestSweepFailureNamesOverride: in a sweep whose cells differ only in
+// their override, the error names the failed cell's override and scale.
+func TestSweepFailureNamesOverride(t *testing.T) {
+	o := TestOptions()
+	o.Runner = failingRunner(func(_ platform.Kind, _ workload.Mix, cfg config.Config) bool {
+		return cfg.Prefetch.HighWaste == 0.8 && cfg.Prefetch.LowWaste == 0.2
+	})
+	_, _, err := Fig13Sweep(o)
+	want := fmt.Sprintf("ZnG on betw-back at scale %g [hi0.8+lo0.2]: injected failure", o.Scale)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Fig13Sweep error = %v, want it to contain %q", err, want)
 	}
 }
 

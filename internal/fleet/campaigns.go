@@ -68,7 +68,7 @@ func (m *Campaigns) Start(spec campaign.Spec) (*campaign.Campaign, error) {
 	if err := m.ck.WriteSpec(id, spec); err != nil {
 		return nil, err
 	}
-	exec := campaign.Executor{Runner: m.co, Workers: m.workers, Retries: 1, Tracer: m.co.tr}
+	exec := campaign.Executor{Runner: m.co, Workers: m.workers, Tracer: m.co.tr}
 	run, err := exec.Start(spec, m.base)
 	if err != nil {
 		return nil, err

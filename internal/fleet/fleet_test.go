@@ -295,10 +295,9 @@ func TestResumeRerunsFailedCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2.Wait()
-	// Each failed cell runs its first attempt and its one retry; no
-	// stored cell runs.
-	if got, want := local2.Calls(), 2*failed; got != want {
-		t.Errorf("resume ran %d cells, want %d: both attempts at each failed cell and nothing else", got, want)
+	// Each failed cell runs once more; no stored cell runs.
+	if got, want := local2.Calls(), failed; got != want {
+		t.Errorf("resume ran %d cells, want %d: each failed cell once and nothing else", got, want)
 	}
 	if c2.Progress().Failed != failed {
 		t.Errorf("resumed failures = %d, want %d", c2.Progress().Failed, failed)

@@ -64,23 +64,7 @@ type Dispatcher struct {
 type peer struct {
 	client   *Client
 	inflight int       // guarded by Dispatcher.mu
-	cells    uint64    // guarded by Dispatcher.mu
-	failures uint64    // guarded by Dispatcher.mu
 	downTil  time.Time // guarded by Dispatcher.mu
-}
-
-// PeerStats is one peer's scheduling counters — the per-worker view
-// zngsweep -v prints and the distributed tests assert on.
-type PeerStats struct {
-	Addr string
-	// Cells counts the cells this peer answered successfully.
-	Cells uint64
-	// Failures counts peer-level faults observed on this peer.
-	Failures uint64
-	// InFlight is the current outstanding request count.
-	InFlight int
-	// Down reports whether the peer is sitting out a failure cooldown.
-	Down bool
 }
 
 // DefaultCooldown is how long a failed peer sits out before the
@@ -176,28 +160,6 @@ func (d *Dispatcher) SetTimeout(t time.Duration) {
 	}
 }
 
-// CheckHealth probes every peer's /healthz concurrently and returns
-// an error naming the unreachable ones (nil when all answer). It does
-// not mark peers down — the scheduling loop's own observations do
-// that — it exists so a CLI can fail fast on a typo'd -peers list.
-func (d *Dispatcher) CheckHealth() error {
-	d.mu.Lock()
-	peers := append([]*peer(nil), d.peers...)
-	d.mu.Unlock()
-	errs := make([]error, len(peers))
-	var wg sync.WaitGroup
-	for i, p := range peers {
-		i, p := i, p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = p.client.Healthy()
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 // pick selects the untried peer with the fewest cells in flight,
 // preferring peers not in cooldown; when only cooled-down peers
 // remain untried it offers them anyway (they may have recovered, and
@@ -283,11 +245,9 @@ func (d *Dispatcher) run(sc obs.SpanContext, kind platform.Kind, mix workload.Mi
 		var pe *PeerError
 		switch {
 		case err == nil:
-			p.cells++
 			d.mu.Unlock()
 			return res, nil
 		case errors.As(err, &pe):
-			p.failures++
 			p.downTil = time.Now().Add(d.cooldown)
 			// The cell goes back to the scheduling loop for another
 			// peer — the fleet-level rebalancing event.
@@ -300,22 +260,4 @@ func (d *Dispatcher) run(sc obs.SpanContext, kind platform.Kind, mix workload.Mi
 			return platform.Result{}, err
 		}
 	}
-}
-
-// PeerStats snapshots every peer's counters in construction order.
-func (d *Dispatcher) PeerStats() []PeerStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	now := time.Now()
-	out := make([]PeerStats, len(d.peers))
-	for i, p := range d.peers {
-		out[i] = PeerStats{
-			Addr:     p.client.Addr(),
-			Cells:    p.cells,
-			Failures: p.failures,
-			InFlight: p.inflight,
-			Down:     now.Before(p.downTil),
-		}
-	}
-	return out
 }

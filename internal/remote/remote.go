@@ -1,9 +1,10 @@
 // Package remote turns zngd daemons into simulation backends: a
 // Client implements the experiments/campaign Runner interface against
 // one peer's HTTP JSON API, and a Dispatcher (dispatcher.go) shards
-// cells across N peers — health-checked, retried on peer failure,
-// balanced by least-in-flight work stealing — so several zngd
-// processes compose into one horizontally-scaled simulation fleet.
+// cells across N peers — re-routed on peer failure, balanced by
+// least-in-flight work stealing — as the dispatch layer of the fleet
+// coordinator (internal/fleet), so several zngd processes compose into
+// one horizontally-scaled simulation fleet.
 // This is the FlashGraph/Gunrock split applied to the simulator
 // itself: the semantic layer (campaign specs, figure drivers) stays
 // single-image while execution fans out over commodity workers.
@@ -298,18 +299,4 @@ func errText(env envelope) string {
 		return env.Error
 	}
 	return "no error body"
-}
-
-// Healthy probes the peer's /healthz endpoint with a short timeout.
-func (c *Client) Healthy() error {
-	hc := &http.Client{Timeout: 5 * time.Second}
-	resp, err := hc.Get(c.base + "/healthz")
-	if err != nil {
-		return &PeerError{Peer: c.base, Err: err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return &PeerError{Peer: c.base, Err: fmt.Errorf("healthz status %d", resp.StatusCode)}
-	}
-	return nil
 }

@@ -105,33 +105,29 @@ func TestClientErrors(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Errorf("dead peer error = %v, want PeerError", err)
 	}
-	if err := remote.NewClient(deadURL).Healthy(); !errors.As(err, &pe) {
-		t.Errorf("dead peer health = %v, want PeerError", err)
-	}
-	if err := remote.NewClient(srv.URL).Healthy(); err != nil {
-		t.Errorf("live peer health = %v", err)
-	}
 }
 
-// TestDispatcherFailover: with one live and one dead peer, every cell
-// still lands exactly once — on the live peer — and the dead peer is
-// marked down with its failures counted.
+// TestDispatcherFailover: with one live and one draining peer (every
+// request answered 503), every cell still lands exactly once — on the
+// live peer. Each 503 re-routes its cell, and the draining peer then
+// sits out its cooldown: later cells never reach it.
 func TestDispatcherFailover(t *testing.T) {
 	live, svc := newPeer(t, func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
 		return platform.Result{Kind: kind, Workload: mix.Name, IPC: 1.5}, nil
 	}, 2)
-	dead := httptest.NewServer(nil)
-	deadURL := dead.URL
-	dead.Close()
+	var refused atomic.Int64
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		refused.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		w.Write([]byte(`{"error":"draining"}`))
+	}))
+	t.Cleanup(draining.Close)
 
-	d, err := remote.NewDispatcher([]string{deadURL, live.URL}, time.Minute)
+	d, err := remote.NewDispatcher([]string{draining.URL, live.URL}, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CheckHealth(); err == nil {
-		t.Error("CheckHealth missed the dead peer")
-	}
-
 	spec := campaign.Spec{Platforms: []string{"ZnG", "HybridGPU"}, Scenarios: []string{"solo-bfs1", "solo-gaus"}, Scales: []float64{0.5}}
 	out, err := campaign.Executor{Runner: d, Workers: 2}.Execute(spec, config.Default())
 	if err != nil {
@@ -140,15 +136,24 @@ func TestDispatcherFailover(t *testing.T) {
 	if err := out.Err(); err != nil {
 		t.Fatalf("campaign failed despite a live peer: %v", err)
 	}
-	stats := d.PeerStats()
-	if stats[0].Addr != deadURL || stats[0].Cells != 0 || stats[0].Failures == 0 || !stats[0].Down {
-		t.Errorf("dead peer stats = %+v, want failures and down", stats[0])
-	}
-	if stats[1].Cells != 4 || stats[1].Failures != 0 {
-		t.Errorf("live peer stats = %+v, want all 4 cells", stats[1])
-	}
 	if svc.Stats().Sims != 4 {
 		t.Errorf("live peer simulated %d cells, want 4", svc.Stats().Sims)
+	}
+	// Only cells picked before the first 503 came back can reach the
+	// draining peer: at most one per executor worker.
+	n := refused.Load()
+	if n == 0 || n > 2 {
+		t.Errorf("draining peer saw %d requests, want 1 or 2", n)
+	}
+	if got := d.Reassigned(); got != uint64(n) {
+		t.Errorf("Reassigned = %d, want one per refused request (%d)", got, n)
+	}
+	// Cooling down, the draining peer is offered no further cell.
+	if _, err := d.Run(platform.ZnG, testMix(t, "solo-pr"), 0.5, config.Default()); err != nil {
+		t.Fatal(err)
+	}
+	if refused.Load() != n {
+		t.Errorf("a cell reached the draining peer during its cooldown")
 	}
 }
 
@@ -171,18 +176,15 @@ func TestDispatcherAllPeersDown(t *testing.T) {
 // TestDistributedCampaignEqualsLocal is the acceptance criterion: a
 // campaign fanned out across two real zngd peers (each running the
 // real simulator) produces a result matrix byte-identical to the same
-// campaign executed locally through experiments.NewMemo(), and the
-// dispatcher's per-peer counters show both peers simulated at least
-// one cell.
+// campaign executed locally through experiments.NewMemo(), every cell
+// is simulated exactly once across the fleet with no re-routing, and
+// both peers simulated at least one cell.
 func TestDistributedCampaignEqualsLocal(t *testing.T) {
 	peerA, svcA := newPeer(t, nil, 1)
 	peerB, svcB := newPeer(t, nil, 1)
 
 	d, err := remote.NewDispatcher([]string{peerA.URL, peerB.URL}, 0)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.CheckHealth(); err != nil {
 		t.Fatal(err)
 	}
 	spec := campaign.Spec{
@@ -221,23 +223,18 @@ func TestDistributedCampaignEqualsLocal(t *testing.T) {
 		t.Errorf("matrix differs:\nlocal:\n%s\nremote:\n%s", a, b)
 	}
 
-	// Every cell landed exactly once, spread across both peers.
-	stats := d.PeerStats()
-	var total uint64
-	for _, p := range stats {
-		total += p.Cells
-		if p.Failures != 0 {
-			t.Errorf("peer %s recorded %d failures", p.Addr, p.Failures)
-		}
+	// Every cell landed exactly once, spread across both peers: the
+	// grid's cells are distinct, so each peer request is one
+	// simulation, and no peer fault re-routed a cell.
+	a, b := svcA.Stats(), svcB.Stats()
+	if total := a.Sims + a.MemoryHits + a.DiskHits + a.Coalesced + b.Sims + b.MemoryHits + b.DiskHits + b.Coalesced; total != uint64(len(spec.Platforms)*len(spec.Scenarios)) {
+		t.Errorf("peers served %d cells (%+v, %+v), want %d exactly once each", total, a, b, len(spec.Platforms)*len(spec.Scenarios))
 	}
-	if total != uint64(len(spec.Platforms)*len(spec.Scenarios)) {
-		t.Errorf("peers served %d cells, want %d exactly once each", total, len(spec.Platforms)*len(spec.Scenarios))
+	if a.Sims == 0 || b.Sims == 0 {
+		t.Errorf("peer services simulated %d/%d cells, want both > 0", a.Sims, b.Sims)
 	}
-	if stats[0].Cells == 0 || stats[1].Cells == 0 {
-		t.Errorf("work stealing left a peer idle: %+v", stats)
-	}
-	if svcA.Stats().Sims == 0 || svcB.Stats().Sims == 0 {
-		t.Errorf("peer services simulated %d/%d cells, want both > 0", svcA.Stats().Sims, svcB.Stats().Sims)
+	if n := d.Reassigned(); n != 0 {
+		t.Errorf("%d cells were re-routed between healthy peers", n)
 	}
 }
 
@@ -246,10 +243,10 @@ func TestDistributedCampaignEqualsLocal(t *testing.T) {
 // rotate across the fleet rather than starving every peer but the
 // first.
 func TestDispatcherRoundRobinsSerializedCells(t *testing.T) {
-	peerA, _ := newPeer(t, func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
+	peerA, svcA := newPeer(t, func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
 		return platform.Result{Kind: kind, Workload: mix.Name, IPC: 1}, nil
 	}, 1)
-	peerB, _ := newPeer(t, func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
+	peerB, svcB := newPeer(t, func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
 		return platform.Result{Kind: kind, Workload: mix.Name, IPC: 1}, nil
 	}, 1)
 	d, err := remote.NewDispatcher([]string{peerA.URL, peerB.URL}, 0)
@@ -264,9 +261,8 @@ func TestDispatcherRoundRobinsSerializedCells(t *testing.T) {
 	if err := out.Err(); err != nil {
 		t.Fatal(err)
 	}
-	stats := d.PeerStats()
-	if stats[0].Cells != 2 || stats[1].Cells != 2 {
-		t.Errorf("serialized cells split %d/%d across peers, want 2/2 round-robin", stats[0].Cells, stats[1].Cells)
+	if a, b := svcA.Stats().Sims, svcB.Stats().Sims; a != 2 || b != 2 {
+		t.Errorf("serialized cells split %d/%d across peers, want 2/2 round-robin", a, b)
 	}
 }
 

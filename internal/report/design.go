@@ -179,10 +179,10 @@ register interconnect) — and expands deterministically into
 content-addressed cells, each keyed by the same ` + "`internal/cellkey`" + `
 hash the store files results under, so identical cells across
 campaigns (and across figure drivers) dedupe. An ` + "`Executor`" + ` drives
-the cells through any runner with bounded concurrency, per-cell
-retry, live progress counters and per-cell partial-failure reporting,
-then folds the results into the same deterministic table type every
-figure emits. Every simulated figure builds its grid this way and runs
+the cells through any runner with bounded concurrency, live progress
+counters and per-cell partial-failure reporting, running each cell
+once, then folds the results into the same deterministic table type
+every figure emits. Every simulated figure builds its grid this way and runs
 it on one ` + "`Executor`" + ` over the figure runner: the Fig. 13 thresholds,
 the register interconnects and the L2 capacities are overrides, and
 the scale ladder is the scales axis. ` + "`internal/remote`" + ` scales execution
@@ -190,16 +190,17 @@ horizontally: a ` + "`Client`" + ` implements the runner interface against one
 zngd peer (each request carries the cell's full configuration, so
 both sides hash the same key and distributed results are
 byte-identical to local ones), and a ` + "`Dispatcher`" + ` shards cells
-across N peers — least-loaded work stealing, health cooldowns,
-retry-on-peer-failure, per-peer counters — turning several daemons
-into one simulation fleet. ` + "`cmd/zngsweep`" + ` is the CLI over both
-(spec from flags or JSON, ` + "`-peers`" + ` for distributed mode), and zngd's
-` + "`/v1/campaigns`" + ` endpoints run the same campaigns asynchronously,
-pollable by campaign id.
+across N peers — least-loaded work stealing, a cooldown for a faulted
+peer, its cell re-routed to another — turning several daemons into
+one simulation fleet. ` + "`cmd/zngsweep`" + ` is the CLI (spec from flags or
+JSON; ` + "`-coordinator`" + ` runs the campaign on a fleet coordinator), and
+zngd's ` + "`/v1/campaigns`" + ` endpoints run the same campaigns
+asynchronously, pollable by campaign id.
 
-` + "`internal/fleet`" + ` makes that fleet elastic and its campaigns durable.
-Where ` + "`-peers`" + ` fixes membership at launch, a fleet coordinator —
-every zngd is one — accepts worker registrations and load-reporting
+` + "`internal/fleet`" + ` makes that fleet elastic and its campaigns durable,
+and its coordinator is the one distributed mode: the only way a
+campaign's cells leave the process. A fleet coordinator — every zngd
+is one — accepts worker registrations and load-reporting
 heartbeats at runtime (` + "`/v1/fleet`" + ` endpoints; ` + "`-coordinator`" + ` runs a
 daemon as a worker of another); liveness is lazy — a peer whose
 heartbeat window lapses is expired on the next observation, its

@@ -63,14 +63,14 @@ import (
 	"zng/internal/workload"
 )
 
-// ErrClosed is returned by Submit after Close, and by Await for jobs
-// that were still queued when the service shut down.
+// ErrClosed is returned for requests admitted after Close, and for
+// jobs that were still queued when the service shut down.
 var ErrClosed = errors.New("simsvc: service closed")
 
-// ErrOverloaded is returned by Submit/Do when admitting the request
-// would grow the pending queue past Config.MaxQueue. The work was not
-// admitted; the caller should retry after the backlog drains (the
-// HTTP layer translates this to 429 with a Retry-After header).
+// ErrOverloaded is returned when admitting a request would grow the
+// pending queue past Config.MaxQueue. The work was not admitted; the
+// caller should retry after the backlog drains (the HTTP layer
+// translates this to 429 with a Retry-After header).
 var ErrOverloaded = errors.New("simsvc: service overloaded: pending queue is full")
 
 // SimFunc computes one cell. The default is platform.RunMix; tests
@@ -291,23 +291,6 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Submit admits a request and returns the id of the job that will
-// satisfy it — an existing one when the cell is already completed in
-// memory (a memory hit) or in flight (a coalesced attach), a fresh
-// queued one otherwise. Submit never blocks on simulation work.
-//
-// With MaxJobs retention the returned id may be evicted at any time
-// after the job completes; Await on an evicted id fails. In-process
-// callers that must not race retention use Do/DoJob, which hold the
-// job itself rather than re-resolving the id.
-func (s *Service) Submit(req Request) (string, error) {
-	j, _, err := s.submit(req)
-	if err != nil {
-		return "", err
-	}
-	return j.id, nil
-}
-
 // submit is the admission core: it returns the owning job itself, so
 // internal callers keep a live reference that eviction cannot
 // invalidate. served names the tier that satisfied THIS request when
@@ -426,20 +409,6 @@ func (s *Service) submit(req Request) (*job, string, error) {
 	return j, "", nil
 }
 
-// Await blocks until the job finishes and returns its result. The
-// result's Workload label is whatever the job's first submitter asked
-// for; Do relabels per caller.
-func (s *Service) Await(id string) (platform.Result, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return platform.Result{}, fmt.Errorf("simsvc: unknown job %q", id)
-	}
-	<-j.done
-	return j.res, j.err
-}
-
 // Do is the synchronous request path: submit, wait, and relabel the
 // result with the name the caller asked under (aliasing scenarios
 // share cells but keep their own labels, matching the experiments
@@ -548,23 +517,12 @@ func memTierName(err error) string {
 	return "tier.memory"
 }
 
-// Job snapshots one job by id.
-func (s *Service) Job(id string) (JobInfo, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobInfo{}, false
-	}
-	return j.info(), true
-}
-
 // JobResult snapshots one job by id and — when it is done — its
 // result, after waiting up to d (d <= 0: not at all) for the job to
 // finish, returning early when ctx ends. The id is resolved once, so a
 // retention eviction between "observe done" and "read result", or
-// during the wait, cannot lose the result the way a Job-then-Await
-// pair would (the HTTP poll endpoint's contract).
+// during the wait, cannot lose the result (the HTTP poll endpoint's
+// contract).
 func (s *Service) JobResult(ctx context.Context, id string, d time.Duration) (JobInfo, platform.Result, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -829,8 +787,9 @@ func (s *Service) EvictedJobs() uint64 {
 }
 
 // Load reports the service's current backlog — queued plus running
-// jobs — the figure a fleet worker heartbeats to its coordinator so
-// dispatch can prefer idle peers.
+// jobs — the figure a fleet worker heartbeats to its coordinator. The
+// coordinator only reports it, as each peer's "load" in GET /v1/fleet;
+// dispatch balances on its own count of each peer's cells in flight.
 func (s *Service) Load() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

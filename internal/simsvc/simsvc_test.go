@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"zng/internal/campaign"
 	"zng/internal/cellkey"
@@ -67,6 +68,39 @@ func (s *stubSim) count() int {
 	return s.calls
 }
 
+// submit admits req without waiting for it, as an async POST /v1/run
+// does, and returns its job's id.
+func submit(t testing.TB, svc *Service, req Request) string {
+	t.Helper()
+	_, info, err := svc.SubmitWait(context.Background(), req, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.ID
+}
+
+// await waits for job id to finish, as GET /v1/jobs/{id}?wait does,
+// and returns its result or its error.
+func await(t testing.TB, svc *Service, id string) (platform.Result, error) {
+	t.Helper()
+	info, res, ok := svc.JobResult(context.Background(), id, time.Minute)
+	switch {
+	case !ok:
+		t.Fatalf("unknown job %q", id)
+	case info.State == StateError:
+		return res, errors.New(info.Error)
+	case info.State != StateDone:
+		t.Fatalf("job %s still %s after a minute", id, info.State)
+	}
+	return res, nil
+}
+
+// jobInfo snapshots job id without waiting.
+func jobInfo(svc *Service, id string) (JobInfo, bool) {
+	info, _, ok := svc.JobResult(context.Background(), id, 0)
+	return info, ok
+}
+
 // TestCoalescing is the tentpole property: K concurrent identical
 // requests perform exactly one simulation, asserted via the service
 // counters — the same counters the zngd /metrics endpoint serves.
@@ -83,10 +117,7 @@ func TestCoalescing(t *testing.T) {
 
 	// Admit the first request and wait until its simulation is in
 	// flight, so every later submit must attach to it.
-	id0, err := svc.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id0 := submit(t, svc, req)
 	<-sim.started
 
 	var wg sync.WaitGroup
@@ -95,10 +126,9 @@ func TestCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ids[i], errs[i] = svc.Submit(req)
-			if errs[i] == nil {
-				results[i], errs[i] = svc.Await(ids[i])
-			}
+			var info JobInfo
+			results[i], info, errs[i] = svc.DoJob(req)
+			ids[i] = info.ID
 		}()
 	}
 	// Release the simulation once every request has attached.
@@ -106,7 +136,7 @@ func TestCoalescing(t *testing.T) {
 		runtime.Gosched()
 	}
 	close(sim.gate)
-	results[0], errs[0] = svc.Await(id0)
+	results[0], errs[0] = await(t, svc, id0)
 	ids[0] = id0
 	wg.Wait()
 
@@ -128,7 +158,7 @@ func TestCoalescing(t *testing.T) {
 	if st.Sims != 1 || st.Coalesced != callers-1 || st.DiskHits != 0 {
 		t.Errorf("stats = %+v, want 1 sim, %d coalesced", st, callers-1)
 	}
-	job, ok := svc.Job(id0)
+	job, ok := jobInfo(svc, id0)
 	if !ok || job.State != StateDone || job.Waiters != callers-1 || job.Source != "sim" {
 		t.Errorf("job = %+v, want done with %d waiters from sim", job, callers-1)
 	}
@@ -258,29 +288,20 @@ func TestPriorityOrdersQueue(t *testing.T) {
 	defer svc.Close()
 
 	cfg := config.Default()
-	gateID, err := svc.Submit(Request{Kind: platform.ZnG, Mix: testMix(t, "solo-bfs1"), Scale: 1, Cfg: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gateID := submit(t, svc, Request{Kind: platform.ZnG, Mix: testMix(t, "solo-bfs1"), Scale: 1, Cfg: cfg})
 	// Wait until the gating job occupies the only worker, so the next
 	// two jobs are truly queued.
 	for {
-		if j, _ := svc.Job(gateID); j.State == StateRunning {
+		if j, _ := jobInfo(svc, gateID); j.State == StateRunning {
 			break
 		}
 		runtime.Gosched()
 	}
-	lowID, err := svc.Submit(Request{Kind: platform.ZnG, Mix: testMix(t, "solo-gaus"), Scale: 2, Cfg: cfg, Priority: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	highID, err := svc.Submit(Request{Kind: platform.ZnG, Mix: testMix(t, "solo-pr"), Scale: 2, Cfg: cfg, Priority: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lowID := submit(t, svc, Request{Kind: platform.ZnG, Mix: testMix(t, "solo-gaus"), Scale: 2, Cfg: cfg, Priority: 0})
+	highID := submit(t, svc, Request{Kind: platform.ZnG, Mix: testMix(t, "solo-pr"), Scale: 2, Cfg: cfg, Priority: 5})
 	close(gate)
 	for _, id := range []string{gateID, lowID, highID} {
-		if _, err := svc.Await(id); err != nil {
+		if _, err := await(t, svc, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,12 +337,9 @@ func TestCoalescedAttachPromotesPriority(t *testing.T) {
 	defer svc.Close()
 
 	cfg := config.Default()
-	gateID, err := svc.Submit(Request{Kind: platform.ZnG, Mix: testMix(t, "solo-bfs1"), Scale: 1, Cfg: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gateID := submit(t, svc, Request{Kind: platform.ZnG, Mix: testMix(t, "solo-bfs1"), Scale: 1, Cfg: cfg})
 	for {
-		if j, _ := svc.Job(gateID); j.State == StateRunning {
+		if j, _ := jobInfo(svc, gateID); j.State == StateRunning {
 			break
 		}
 		runtime.Gosched()
@@ -329,29 +347,20 @@ func TestCoalescedAttachPromotesPriority(t *testing.T) {
 	// Queue cell X at priority 0, then cell Y at priority 5; a
 	// priority-9 attach to X must now run X before Y.
 	lowReq := Request{Kind: platform.ZnG, Mix: testMix(t, "solo-gaus"), Scale: 2, Cfg: cfg, Priority: 0}
-	lowID, err := svc.Submit(lowReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	midID, err := svc.Submit(Request{Kind: platform.ZnG, Mix: testMix(t, "solo-pr"), Scale: 2, Cfg: cfg, Priority: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lowID := submit(t, svc, lowReq)
+	midID := submit(t, svc, Request{Kind: platform.ZnG, Mix: testMix(t, "solo-pr"), Scale: 2, Cfg: cfg, Priority: 5})
 	attach := lowReq
 	attach.Priority = 9
-	attachID, err := svc.Submit(attach)
-	if err != nil {
-		t.Fatal(err)
-	}
+	attachID := submit(t, svc, attach)
 	if attachID != lowID {
 		t.Fatalf("identical cell got its own job %s (want coalesced onto %s)", attachID, lowID)
 	}
-	if j, _ := svc.Job(lowID); j.Priority != 9 || j.Waiters != 1 {
+	if j, _ := jobInfo(svc, lowID); j.Priority != 9 || j.Waiters != 1 {
 		t.Errorf("attached job = %+v, want promoted to priority 9 with 1 waiter", j)
 	}
 	close(gate)
 	for _, id := range []string{gateID, lowID, midID} {
-		if _, err := svc.Await(id); err != nil {
+		if _, err := await(t, svc, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,15 +388,9 @@ func TestCloseDrainsInFlightAndFailsQueued(t *testing.T) {
 	}
 	svc := New(Config{Workers: 1, Simulate: sim})
 	cfg := config.Default()
-	runningID, err := svc.Submit(Request{Kind: platform.ZnG, Mix: testMix(t, "solo-bfs1"), Scale: 1, Cfg: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runningID := submit(t, svc, Request{Kind: platform.ZnG, Mix: testMix(t, "solo-bfs1"), Scale: 1, Cfg: cfg})
 	<-started
-	queuedID, err := svc.Submit(Request{Kind: platform.ZnG, Mix: testMix(t, "solo-gaus"), Scale: 1, Cfg: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	queuedID := submit(t, svc, Request{Kind: platform.ZnG, Mix: testMix(t, "solo-gaus"), Scale: 1, Cfg: cfg})
 
 	closed := make(chan struct{})
 	go func() {
@@ -395,7 +398,7 @@ func TestCloseDrainsInFlightAndFailsQueued(t *testing.T) {
 		close(closed)
 	}()
 	// The queued job fails promptly, even while the running one drains.
-	if _, err := svc.Await(queuedID); !errors.Is(err, ErrClosed) {
+	if _, err := await(t, svc, queuedID); err == nil || err.Error() != ErrClosed.Error() {
 		t.Errorf("queued job error = %v, want ErrClosed", err)
 	}
 	select {
@@ -405,11 +408,11 @@ func TestCloseDrainsInFlightAndFailsQueued(t *testing.T) {
 	}
 	close(gate)
 	<-closed
-	r, err := svc.Await(runningID)
+	r, err := await(t, svc, runningID)
 	if err != nil || r.IPC != 7 {
 		t.Errorf("drained job = %+v, %v; want IPC 7", r, err)
 	}
-	if _, err := svc.Submit(Request{Kind: platform.ZnG, Mix: testMix(t, "solo-pr"), Scale: 1, Cfg: cfg}); !errors.Is(err, ErrClosed) {
+	if _, _, err := svc.SubmitWait(context.Background(), Request{Kind: platform.ZnG, Mix: testMix(t, "solo-pr"), Scale: 1, Cfg: cfg}, 0); !errors.Is(err, ErrClosed) {
 		t.Errorf("post-close submit error = %v, want ErrClosed", err)
 	}
 	svc.Close() // idempotent
@@ -512,10 +515,10 @@ func TestRetentionEvictsPersistedJobs(t *testing.T) {
 		t.Errorf("evicted = %d, want 2", got)
 	}
 	// The oldest jobs went first: their ids are gone, the newest stay.
-	if _, ok := svc.Job("job-1"); ok {
+	if _, ok := jobInfo(svc, "job-1"); ok {
 		t.Error("oldest job survived eviction")
 	}
-	if _, ok := svc.Job("job-4"); !ok {
+	if _, ok := jobInfo(svc, "job-4"); !ok {
 		t.Error("newest job was evicted")
 	}
 
@@ -577,7 +580,7 @@ func TestRetentionKeepsUnpersistedJobs(t *testing.T) {
 
 // TestDoSurvivesEvictionChurn: Do holds the job it submitted, so
 // aggressive retention (MaxJobs=1) can never evict a result out from
-// under a waiting caller — the race a plain Submit+Await(id) pair
+// under a waiting caller — the race a submit-then-wait-by-id pair
 // would have (the id lookup can miss after eviction).
 func TestDoSurvivesEvictionChurn(t *testing.T) {
 	st, err := store.Open(t.TempDir())
@@ -628,16 +631,13 @@ func TestJobResultSingleLookup(t *testing.T) {
 	sim := &stubSim{gate: gate, started: started, res: platform.Result{IPC: 6}}
 	svc := New(Config{Workers: 1, Simulate: sim.fn})
 	defer svc.Close()
-	id, err := svc.Submit(Request{Kind: platform.ZnG, Mix: testMix(t, "solo-bfs1"), Scale: 0.5, Cfg: config.Default()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := submit(t, svc, Request{Kind: platform.ZnG, Mix: testMix(t, "solo-bfs1"), Scale: 0.5, Cfg: config.Default()})
 	<-started
 	if info, _, ok := svc.JobResult(context.Background(), id, 0); !ok || info.State == StateDone {
 		t.Errorf("in-flight JobResult = %+v, %v", info, ok)
 	}
 	close(gate)
-	if _, err := svc.Await(id); err != nil {
+	if _, err := await(t, svc, id); err != nil {
 		t.Fatal(err)
 	}
 	info, res, ok := svc.JobResult(context.Background(), id, 0)

@@ -2,6 +2,7 @@ package simsvc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -149,19 +150,16 @@ func TestAdmissionBound(t *testing.T) {
 		return Request{Kind: platform.ZnG, Mix: testMix(t, "betw-back"), Scale: scale, Cfg: config.Default()}
 	}
 	// Cell 1 occupies the worker; cells 2 and 3 fill the queue.
-	id1, err := svc.Submit(cell(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	id1 := submit(t, svc, cell(1))
 	<-sim.started
 	for i, sc := range []float64{2, 3} {
-		if _, err := svc.Submit(cell(sc)); err != nil {
+		if _, _, err := svc.SubmitWait(context.Background(), cell(sc), 0); err != nil {
 			t.Fatalf("queued submit %d: %v", i, err)
 		}
 	}
 
 	// A fourth distinct cell would grow the queue past the bound.
-	if _, err := svc.Submit(cell(4)); !errors.Is(err, ErrOverloaded) {
+	if _, _, err := svc.SubmitWait(context.Background(), cell(4), 0); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("submit past the bound: err = %v, want ErrOverloaded", err)
 	}
 	if n := svc.Rejected(); n != 1 {
@@ -170,7 +168,7 @@ func TestAdmissionBound(t *testing.T) {
 	// Coalescing onto queued or running work does not grow the queue
 	// and must be admitted at full load.
 	for _, sc := range []float64{1, 2, 3} {
-		if _, err := svc.Submit(cell(sc)); err != nil {
+		if _, _, err := svc.SubmitWait(context.Background(), cell(sc), 0); err != nil {
 			t.Errorf("coalesced attach at scale %v rejected: %v", sc, err)
 		}
 	}
@@ -182,7 +180,7 @@ func TestAdmissionBound(t *testing.T) {
 		}
 	}()
 	close(sim.gate)
-	if _, err := svc.Await(id1); err != nil {
+	if _, err := await(t, svc, id1); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
