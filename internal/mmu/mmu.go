@@ -30,108 +30,32 @@ import (
 const PageBytes = 4096
 
 // tlb is a set-associative translation buffer with exact per-set LRU
-// replacement, laid out as dense slot arrays: per-set intrusive LRU
-// lists give O(1) hit promotion and eviction, and an open-addressed
-// page -> slot index (internal/intmap, <=50% load) gives O(1) slot
-// resolution without map overhead or the O(capacity) victim scan the
-// map-backed buffer paid on every eviction. A single set with as many
+// replacement, kept in intmap's dense LRU index with every set's slots
+// reserved up front: O(1) hit promotion and eviction with no map
+// overhead and no O(capacity) victim scan. A single set with as many
 // ways as entries — the simulator's default geometry — is exactly the
 // fully-associative LRU buffer of Sections II-A/III-B.
 type tlb struct {
-	sets, ways int
-
-	// Slot state, len sets*ways; set s owns slots [s*ways, s*ways+ways).
-	keys       []uint64
-	prev, next []int32 // intrusive LRU list; next also links free slots
-
-	// Per-set list state: MRU head, LRU tail, free-slot stack, live
-	// count. -1 marks an empty list.
-	head, tail, free, size []int32
-
-	idx *intmap.Map // page -> slot
+	sets int
+	idx  *intmap.LRU[struct{}] // page -> slot
 }
 
 // newTLB builds the default fully-associative geometry.
 func newTLB(capacity int) *tlb { return newSetAssocTLB(1, capacity) }
 
-// newSetAssocTLB builds a sets x ways buffer; pages map to sets by
-// page number modulo sets.
+// newSetAssocTLB builds a sets x ways buffer.
 func newSetAssocTLB(sets, ways int) *tlb {
-	n := sets * ways
-	t := &tlb{
-		sets: sets, ways: ways,
-		keys: make([]uint64, n),
-		prev: make([]int32, n),
-		next: make([]int32, n),
-		head: make([]int32, sets),
-		tail: make([]int32, sets),
-		free: make([]int32, sets),
-		size: make([]int32, sets),
-		idx:  intmap.New(n),
-	}
-	for s := 0; s < sets; s++ {
-		t.head[s], t.tail[s] = -1, -1
-		t.free[s] = int32(s * ways)
-		for w := 0; w < ways; w++ {
-			slot := s*ways + w
-			t.next[slot] = int32(slot + 1)
-			if w == ways-1 {
-				t.next[slot] = -1
-			}
-		}
-	}
-	return t
-}
-
-// listUnlink removes slot from set s's LRU list.
-func (t *tlb) listUnlink(s int, slot int32) {
-	if t.prev[slot] >= 0 {
-		t.next[t.prev[slot]] = t.next[slot]
-	} else {
-		t.head[s] = t.next[slot]
-	}
-	if t.next[slot] >= 0 {
-		t.prev[t.next[slot]] = t.prev[slot]
-	} else {
-		t.tail[s] = t.prev[slot]
-	}
-}
-
-// listPushFront makes slot set s's MRU.
-func (t *tlb) listPushFront(s int, slot int32) {
-	t.prev[slot] = -1
-	t.next[slot] = t.head[s]
-	if t.head[s] >= 0 {
-		t.prev[t.head[s]] = slot
-	} else {
-		t.tail[s] = slot
-	}
-	t.head[s] = slot
+	return &tlb{sets: sets, idx: intmap.NewLRU[struct{}](sets, ways, true)}
 }
 
 func (t *tlb) set(page uint64) int { return int(page % uint64(t.sets)) }
 
-// evict drops set s's LRU entry, freeing its slot.
-func (t *tlb) evict(s int) {
-	victim := t.tail[s]
-	t.idx.Delete(t.keys[victim])
-	t.listUnlink(s, victim)
-	t.next[victim] = t.free[s]
-	t.free[s] = victim
-	t.size[s]--
-}
-
 func (t *tlb) lookup(page uint64) bool {
 	slot, ok := t.idx.Get(page)
-	if !ok {
-		return false
+	if ok {
+		t.idx.Touch(t.set(page), slot)
 	}
-	s := int(slot) / t.ways
-	if t.head[s] != slot {
-		t.listUnlink(s, slot)
-		t.listPushFront(s, slot)
-	}
-	return true
+	return ok
 }
 
 // insert fills page's set, evicting that set's LRU entry first when
@@ -140,43 +64,18 @@ func (t *tlb) lookup(page uint64) bool {
 // fresh slot, exactly as the stamp-based buffer behaved.
 func (t *tlb) insert(page uint64) {
 	s := t.set(page)
-	if int(t.size[s]) >= t.ways {
-		t.evict(s)
+	if t.idx.Full(s) {
+		t.idx.Evict(s)
 	}
 	if slot, ok := t.idx.Get(page); ok {
-		if t.head[s] != slot {
-			t.listUnlink(s, slot)
-			t.listPushFront(s, slot)
-		}
+		t.idx.Touch(s, slot)
 		return
 	}
-	slot := t.free[s]
-	t.free[s] = t.next[slot]
-	t.keys[slot] = page
-	t.idx.Put(page, slot)
-	t.listPushFront(s, slot)
-	t.size[s]++
+	t.idx.Insert(s, page, struct{}{})
 }
 
 // invalidate drops page if present.
-func (t *tlb) invalidate(page uint64) {
-	slot, ok := t.idx.Get(page)
-	if !ok {
-		return
-	}
-	s := int(slot) / t.ways
-	t.idx.Delete(page)
-	t.listUnlink(s, slot)
-	t.next[slot] = t.free[s]
-	t.free[s] = slot
-	t.size[s]--
-}
-
-// stateBytes reports the buffer's allocated footprint.
-func (t *tlb) stateBytes() uint64 {
-	n := uint64(len(t.keys))
-	return n*8 + n*4*2 + uint64(len(t.head))*4*4 + t.idx.StateBytes()
-}
+func (t *tlb) invalidate(page uint64) { t.idx.Delete(t.set(page), page) }
 
 // Unit is the shared MMU plus the per-SM L1 TLBs.
 type Unit struct {
@@ -368,9 +267,9 @@ func (u *Unit) InvalidatePage(page uint64) {
 // StateBytes reports the allocated footprint of every TLB level —
 // the MMU's share of the translation state the scale sweep tracks.
 func (u *Unit) StateBytes() uint64 {
-	b := u.walkCache.stateBytes()
+	b := u.walkCache.idx.StateBytes()
 	for _, t := range u.l1 {
-		b += t.stateBytes()
+		b += t.idx.StateBytes()
 	}
 	return b
 }

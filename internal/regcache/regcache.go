@@ -18,6 +18,13 @@
 //     data registers, so migrations stay inside the package and off
 //     the flash network.
 //
+// Without the grouping (ZnG-base and ZnG-rdopt), each plane's own
+// RegsPerPlane registers (two under Table I) hold only pages homed on
+// that plane. Both modes run one LRU index keyed by page whose sets are
+// packages when grouped and home planes when direct: a page takes a
+// register's host memory only once it is written, and an eviction
+// takes its set's least recently written page without a scan.
+//
 // A thrashing checker watches the register miss rate; when registers
 // thrash, evicted dirty pages are pinned into spare L2 ways instead of
 // programming flash (Section III-C).
@@ -41,59 +48,21 @@ type PinSink interface {
 	PinDirty(addr uint64) bool
 }
 
-type regEntry struct {
-	vp       uint64 // the page held
-	stamp    uint64
-	sectors  uint64 // coverage bitmap
-	regPlane int    // plane whose physical register holds the data
-	live     bool
+// reg is what a register holds beside its page: the sectors written
+// and the plane whose physical register holds the data.
+type reg struct {
+	sectors uint64 // coverage bitmap
+	plane   int32
 }
 
-// pkg is one package's register file. Its registers are dense: entry
-// slots, a free-slot stack and a vpage -> slot index, so absorbing a
-// store allocates nothing and victim selection walks an array, not a
-// map.
+// pkg is one package's thrashing checker, NiF local network and
+// round-robin register pointer.
 type pkg struct {
-	id    int
-	cap   int
-	base  int // first global plane index of the package
-	clock uint64
-	regs  []regEntry
-	free  []int32
-	idx   *intmap.Map
-	owner [][]uint64 // per-plane mode: plane in package -> resident vpages
-	local *sim.Port  // NiF local network
+	local *sim.Port
 	rr    int
 
 	window, misses int
 	thrashing      bool
-}
-
-// entry returns the register holding vp, or nil.
-func (p *pkg) entry(vp uint64) *regEntry {
-	if slot, ok := p.idx.Get(vp); ok {
-		return &p.regs[slot]
-	}
-	return nil
-}
-
-func (p *pkg) insert(e regEntry) {
-	n := len(p.free) - 1
-	slot := p.free[n]
-	p.free = p.free[:n]
-	e.live = true
-	p.regs[slot] = e
-	p.idx.Put(e.vp, slot)
-}
-
-// remove frees vp's register and returns what it held.
-func (p *pkg) remove(vp uint64) regEntry {
-	slot, _ := p.idx.Get(vp)
-	p.idx.Delete(vp)
-	e := p.regs[slot]
-	p.regs[slot] = regEntry{}
-	p.free = append(p.free, slot)
-	return e
 }
 
 // Cache is the backbone-wide register write cache.
@@ -105,8 +74,13 @@ type Cache struct {
 	mesh  *noc.Mesh // SWnet migrations; nil otherwise
 	l2    PinSink   // thrash spill target; nil disables the checker
 
-	pkgs        []*pkg
-	perPlaneDir bool // one open register per plane, no grouping
+	// regs is the backbone's register file, one LRU index keyed by page.
+	// A set is the registers a page may occupy: its package's in
+	// grouped mode, its home plane's RegsPerPlane in direct mode. span
+	// is the number of planes a set covers.
+	regs        *intmap.LRU[reg]
+	span        int
+	pkgs        []pkg
 	pinnedLines int
 
 	drains sim.FreeList[drain]
@@ -124,9 +98,10 @@ type Cache struct {
 
 // Options configure New.
 type Options struct {
-	// PerPlaneDirect keeps the grouping off but gives each plane one
-	// open register that absorbs consecutive stores to the same page —
-	// the intermediate design point of the write ablation.
+	// PerPlaneDirect keeps the grouping off: each plane's RegsPerPlane
+	// registers hold pages homed on that plane only, evicting the
+	// plane's least recently written page — the intermediate design
+	// point of the write ablation.
 	PerPlaneDirect bool
 	// Mesh is required for the SWnet interconnect.
 	Mesh *noc.Mesh
@@ -135,32 +110,21 @@ type Options struct {
 }
 
 // New builds the register cache over a backbone and its split FTL.
+// Registers take host memory only once a page is written to them.
 func New(eng *sim.Engine, cfg config.RegCache, bb *flash.Backbone, split *ftl.Split, opt Options) *Cache {
+	span := bb.Cfg.DiesPerPkg * bb.Cfg.PlanesPerDie
+	if opt.PerPlaneDirect {
+		span = 1
+	}
 	c := &Cache{
 		eng: eng, cfg: cfg, bb: bb, split: split,
 		mesh: opt.Mesh, l2: opt.L2,
-		perPlaneDir: opt.PerPlaneDirect,
+		regs: intmap.NewLRU[reg](bb.Planes()/span, span*bb.Cfg.RegsPerPlane, false),
+		span: span,
+		pkgs: make([]pkg, bb.Packages()),
 	}
-	planesPerPkg := bb.Cfg.DiesPerPkg * bb.Cfg.PlanesPerDie
-	regs := planesPerPkg * bb.Cfg.RegsPerPlane
-	for i := 0; i < bb.Packages(); i++ {
-		capacity := regs
-		if opt.PerPlaneDirect {
-			capacity = planesPerPkg
-		}
-		p := &pkg{
-			id:    i,
-			cap:   capacity,
-			base:  i * planesPerPkg,
-			regs:  make([]regEntry, regs),
-			idx:   intmap.New(regs),
-			owner: make([][]uint64, planesPerPkg),
-			local: sim.NewPort(eng, config.GBpsToBytesPerTick(cfg.LocalNetGBps), cfg.BusLat),
-		}
-		for s := regs - 1; s >= 0; s-- {
-			p.free = append(p.free, int32(s))
-		}
-		c.pkgs = append(c.pkgs, p)
+	for i := range c.pkgs {
+		c.pkgs[i].local = sim.NewPort(eng, config.GBpsToBytesPerTick(cfg.LocalNetGBps), cfg.BusLat)
 	}
 	return c
 }
@@ -176,20 +140,17 @@ func (c *Cache) sectorBit(va uint64) uint64 {
 	return 1 << ((va / SectorBytes) % (uint64(c.bb.Cfg.PageBytes) / SectorBytes))
 }
 
-// pkgOf returns the package whose registers absorb va's writes: the
-// one containing the target page's home plane.
-func (c *Cache) pkgOf(va uint64) (*pkg, int) {
+// homePlane returns the plane va's page is programmed to.
+func (c *Cache) homePlane(va uint64) int {
 	vb, _ := c.split.VBlock(va)
-	plane := c.split.PlaneOf(vb)
-	return c.pkgs[c.bb.PackageOf(plane)], plane
+	return c.split.PlaneOf(vb)
 }
 
 // ReadCheck reports whether the newest version of va's sector sits in
 // a register (the read path must check before going to the array).
 func (c *Cache) ReadCheck(va uint64) bool {
-	p, _ := c.pkgOf(va)
-	e := p.entry(c.vpage(va))
-	hit := e != nil && e.sectors&c.sectorBit(va) != 0
+	slot, ok := c.regs.Get(c.vpage(va))
+	hit := ok && c.regs.Val(slot).sectors&c.sectorBit(va) != 0
 	if hit {
 		c.ReadHits.Inc()
 	}
@@ -201,14 +162,16 @@ func (c *Cache) ReadCheck(va uint64) bool {
 // allocation, or after the eviction it forced has drained to flash
 // (the backpressure of a thrashing register file).
 func (c *Cache) Write(va uint64, h sim.Handler, arg any) {
-	p, target := c.pkgOf(va)
+	target := c.homePlane(va)
+	pi := c.bb.PackageOf(target)
+	p := &c.pkgs[pi]
+	set := target / c.span
 	vp := c.vpage(va)
-	p.clock++
 	p.window++
 
-	if e := p.entry(vp); e != nil {
-		e.sectors |= c.sectorBit(va)
-		e.stamp = p.clock
+	if slot, ok := c.regs.Get(vp); ok {
+		c.regs.Val(slot).sectors |= c.sectorBit(va)
+		c.regs.Touch(set, slot)
 		c.Hits.Inc()
 		c.endWindow(p)
 		c.eng.Schedule(c.cfg.BusLat, h, arg)
@@ -218,53 +181,17 @@ func (c *Cache) Write(va uint64, h sim.Handler, arg any) {
 	c.Allocs.Inc()
 	p.misses++
 	c.endWindow(p)
-
-	if c.perPlaneDir {
-		// Per-plane mode: each plane's RegsPerPlane registers hold open
-		// write pages privately — no grouping across planes.
-		list := p.owner[target-p.base]
-		if len(list) >= c.bb.Cfg.RegsPerPlane {
-			// Evict the plane's LRU page.
-			lru := 0
-			for i, cand := range list {
-				if p.entry(cand).stamp < p.entry(list[lru]).stamp {
-					lru = i
-				}
-			}
-			victim := p.remove(list[lru])
-			list = append(list[:lru], list[lru+1:]...)
-			c.evict(p, victim, h, arg)
-		} else {
-			c.eng.Schedule(c.cfg.BusLat, h, arg)
-		}
-		p.insert(regEntry{vp: vp, stamp: p.clock, sectors: c.sectorBit(va), regPlane: target})
-		p.owner[target-p.base] = append(list, vp)
-		return
-	}
-
-	// Grouped mode: fully-associative across the package's registers.
-	if p.idx.Len() >= p.cap {
-		c.evict(p, p.remove(lruVictim(p)), h, arg)
+	if c.regs.Full(set) {
+		victim, r := c.regs.Evict(set)
+		c.evict(pi, victim, r, h, arg)
 	} else {
 		c.eng.Schedule(c.cfg.BusLat, h, arg)
 	}
-	planesPerPkg := c.bb.Cfg.DiesPerPkg * c.bb.Cfg.PlanesPerDie
-	regPlane := p.id*planesPerPkg + p.rr%planesPerPkg
+	// Grouped mode hands out the package's registers round-robin; a
+	// direct set's one plane is the page's home.
+	regPlane := set*c.span + p.rr%c.span
 	p.rr++
-	p.insert(regEntry{vp: vp, stamp: p.clock, sectors: c.sectorBit(va), regPlane: regPlane})
-}
-
-// lruVictim returns the package's least recently written page. Stamps
-// are unique (one clock tick per store), so the victim is too.
-func lruVictim(p *pkg) uint64 {
-	var vp uint64
-	oldest := ^uint64(0)
-	for i := range p.regs {
-		if e := &p.regs[i]; e.live && e.stamp < oldest {
-			oldest, vp = e.stamp, e.vp
-		}
-	}
-	return vp
+	c.regs.Insert(set, vp, reg{sectors: c.sectorBit(va), plane: int32(regPlane)})
 }
 
 // drain is one register eviction in flight: an optional read of the
@@ -274,7 +201,7 @@ func lruVictim(p *pkg) uint64 {
 // event handler, and stage says which step just completed.
 type drain struct {
 	c                *Cache
-	p                *pkg
+	pkg              int
 	va               uint64
 	regPlane, target int
 	stage            drainStage
@@ -294,15 +221,14 @@ const (
 // evict drains one register entry: pin to L2 under thrashing, or
 // read-modify-write + migrate + program. The store that forced it
 // completes BusLat after the drain.
-func (c *Cache) evict(p *pkg, e regEntry, h sim.Handler, arg any) {
+func (c *Cache) evict(pi int, vp uint64, r reg, h sim.Handler, arg any) {
 	c.Evictions.Inc()
-	va := e.vp * uint64(c.bb.Cfg.PageBytes)
+	va := vp * uint64(c.bb.Cfg.PageBytes)
 	d := c.drains.Get()
-	d.c, d.p, d.va, d.regPlane, d.h, d.arg = c, p, va, e.regPlane, h, arg
+	d.c, d.pkg, d.va, d.regPlane, d.h, d.arg = c, pi, va, int(r.plane), h, arg
 
-	if p.thrashing && c.l2 != nil && c.pinnedLines+32 <= c.cfg.PinLines {
-		// Spill the dirty page into pinned L2 lines.
-		lines := c.bb.Cfg.PageBytes / 128
+	// Spill the dirty page into pinned L2 lines if all of them fit.
+	if lines := c.bb.Cfg.PageBytes / 128; c.pkgs[pi].thrashing && c.l2 != nil && c.pinnedLines+lines <= c.cfg.PinLines {
 		for i := 0; i < lines; i++ {
 			if c.l2.PinDirty(va + uint64(i)*128) {
 				c.pinnedLines++
@@ -314,9 +240,8 @@ func (c *Cache) evict(p *pkg, e regEntry, h sim.Handler, arg any) {
 		return
 	}
 
-	vb, _ := c.split.VBlock(va)
-	d.target = c.split.PlaneOf(vb)
-	if e.sectors != c.fullMask() {
+	d.target = c.homePlane(va)
+	if r.sectors != c.fullMask() {
 		// Partial page: read the current version to merge (RMW).
 		c.RMWReads.Inc()
 		loc := c.split.ReadLoc(va)
@@ -335,7 +260,7 @@ func (d *drain) Handle(any) {
 		d.migrate()
 	case hopped:
 		d.stage = migrated
-		c.mesh.Send(d.p.id, d.p.id, c.bb.Cfg.PageBytes, d, nil)
+		c.mesh.Send(d.pkg, d.pkg, c.bb.Cfg.PageBytes, d, nil)
 	case migrated:
 		d.program()
 	default:
@@ -348,7 +273,7 @@ func (d *drain) Handle(any) {
 // migrate moves the page to a register of its home plane over the
 // configured interconnect, unless it is already there.
 func (d *drain) migrate() {
-	c, p := d.c, d.p
+	c := d.c
 	if d.regPlane == d.target {
 		d.program()
 		return
@@ -361,12 +286,12 @@ func (d *drain) migrate() {
 		// Register -> controller buffer -> remote register: two flash-
 		// network transfers through the package's router.
 		d.stage = hopped
-		c.mesh.Send(p.id, p.id, page, d, nil)
+		c.mesh.Send(d.pkg, d.pkg, page, d, nil)
 	case config.FCnet:
 		// Dedicated point-to-point wire: latency only.
 		c.eng.Schedule(c.cfg.BusLat, d, nil)
 	default: // NiF
-		p.local.Send(page, d, nil)
+		c.pkgs[d.pkg].local.Send(page, d, nil)
 	}
 }
 
@@ -386,18 +311,12 @@ func (c *Cache) endWindow(p *pkg) {
 }
 
 // DirtyPages reports pages currently held in registers.
-func (c *Cache) DirtyPages() int {
-	n := 0
-	for _, p := range c.pkgs {
-		n += p.idx.Len()
-	}
-	return n
-}
+func (c *Cache) DirtyPages() int { return c.regs.Len() }
 
 // Thrashing reports whether any package is currently in thrash mode.
 func (c *Cache) Thrashing() bool {
-	for _, p := range c.pkgs {
-		if p.thrashing {
+	for i := range c.pkgs {
+		if c.pkgs[i].thrashing {
 			return true
 		}
 	}

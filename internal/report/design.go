@@ -30,9 +30,13 @@ backbone-wide slabs of block records and valid bits
 touches it; one backbone-wide index maps (plane, block id) to it, and
 each plane links its touched blocks in id order, so block state
 follows the blocks a cell uses (one to eight a plane at 64x), not the
-1,024 planes of 1,024 blocks each it could use. The benchmark's 64x
-cells make 1,000 to 1,700 allocations each, where one per record and
-block made 8,000 to 12,000. The queue is a timing wheel of per-tick
+1,024 planes of 1,024 blocks each it could use. Flash registers
+follow the pages a cell writes the same way: one backbone-wide LRU
+index keyed by page (` + "`intmap.LRU`" + `, which the TLBs share) gives a
+page its register slot on its first write, where preallocating all
+8,192 of ZnG's registers cost 0.6 MB a cell whose writes touch 430 to
+800 pages. The benchmark's 64x cells make 900 to 1,400 allocations
+each, where one per record and block made 8,000 to 12,000. The queue is a timing wheel of per-tick
 FIFO lists over the next 8,192 ticks, backed by a 4-ary min-heap for
 later events, and same-tick events fire FIFO, a contract the tests pin
 because determinism is load-bearing: a simulation is a pure function
@@ -94,7 +98,10 @@ Section IV-B that feed ZnG's two data-path optimizations:
 ` + "`internal/prefetch`" + ` (the dynamic read-prefetcher and its waste
 monitor, Fig. 8a) and ` + "`internal/regcache`" + ` (plane cache registers
 grouped into a write cache over SWnet/FCnet/NiF interconnects,
-Sections III-C/IV-C). ` + "`internal/noc`" + ` carries both the GPU-internal
+Sections III-C/IV-C; without the grouping, each plane's own two
+registers stage its pages). Both register modes are one exact-LRU
+index whose sets are packages or planes, so an eviction takes the
+least recently written page without scanning the set. ` + "`internal/noc`" + ` carries both the GPU-internal
 network and the flash mesh of Fig. 6a; ` + "`internal/dram`" + ` supplies the
 GDDR5/DDR4/LPDDR4/Optane baselines with Table I timing.
 
