@@ -1,6 +1,7 @@
-// Top-level benchmark harness: one testing.B benchmark per table and
-// figure of the ZnG paper's evaluation, each reporting the headline
-// metric of that experiment via b.ReportMetric. Run with
+// Top-level benchmark harness: BenchmarkFigures times every registered
+// table and figure of the ZnG paper's evaluation, one sub-benchmark
+// each, and BenchmarkScaleSweep and BenchmarkPlatforms time single
+// simulations. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -10,13 +11,11 @@ package zng_test
 
 import (
 	"runtime"
-	"strconv"
 	"testing"
 
 	"zng/internal/config"
 	"zng/internal/experiments"
 	"zng/internal/platform"
-	"zng/internal/stats"
 	"zng/internal/workload"
 )
 
@@ -26,234 +25,112 @@ func benchOptions() experiments.Options {
 	return o
 }
 
-func BenchmarkTableII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.TableII(0.1)
-		if t.Rows() != 16 {
-			b.Fatal("bad table")
-		}
+// BenchmarkFigures runs every registered figure's driver under
+// benchOptions, one sub-benchmark per figure named after its driver.
+// The figure's table holds its numbers, so no metric is reported.
+func BenchmarkFigures(b *testing.B) {
+	for _, f := range experiments.Registry() {
+		b.Run(f.Driver, benchFigure(f))
 	}
 }
 
-func BenchmarkFig1b(b *testing.B) {
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		t := experiments.Fig1b(config.Default())
-		// The figure's headline: GDDR5's aggregate bandwidth (the "gap
-		// line") over the SSD engine, HybridGPU's binding bottleneck.
-		gddr5 := tableValue(b, t, "GDDR5 (gap line)")
-		engine := tableValue(b, t, "SSD engine")
-		if engine <= 0 {
-			b.Fatal("SSD engine bandwidth not positive")
-		}
-		gap = gddr5 / engine
-	}
-	b.ReportMetric(gap, "dram_ssd_gap_x")
-}
-
-// tableValue extracts the numeric column of the named row.
-func tableValue(b *testing.B, t *stats.Table, row string) float64 {
-	b.Helper()
-	for r := 0; r < t.Rows(); r++ {
-		if t.Cell(r, 0) != row {
-			continue
-		}
-		v, err := strconv.ParseFloat(t.Cell(r, 1), 64)
-		if err != nil {
-			b.Fatalf("row %q: bad cell %q: %v", row, t.Cell(r, 1), err)
-		}
-		return v
-	}
-	b.Fatalf("row %q not in table", row)
-	return 0
-}
-
-func BenchmarkFig3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig3(config.Default())
-	}
-}
-
-func BenchmarkFig4c(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Fig4c(config.Default())
-	}
-}
-
-func BenchmarkFig4d(b *testing.B) {
-	var frac float64
-	for i := 0; i < b.N; i++ {
-		_, _, hyb := experiments.Fig4d(config.Default())
-		frac = hyb.Get("SSD engine") / hyb.Total()
-	}
-	b.ReportMetric(frac, "engine_frac")
-}
-
-func BenchmarkFig5a(b *testing.B) {
-	o := benchOptions()
-	o.Mixes = o.Mixes[:1]
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		o.Runner = experiments.NewMemo()
-		_, deg, err := experiments.Fig5a(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, d := range deg {
-			if d > worst {
-				worst = d
+// benchFigure times one figure's driver on a fresh memo each
+// iteration, so every iteration simulates its whole grid.
+func benchFigure(f experiments.Figure) func(*testing.B) {
+	return func(b *testing.B) {
+		o := benchOptions()
+		for i := 0; i < b.N; i++ {
+			o.Runner = experiments.NewMemo()
+			if _, err := f.Run(o); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
-	b.ReportMetric(worst, "degradation_x")
 }
 
-func BenchmarkFig5bcd(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5bcd(o); err != nil {
-			b.Fatal(err)
-		}
+// The scale ladder runs ZnG and HybridGPU on scaleSweepMix under the
+// Table I configuration at scaleSweepBase times each of
+// scaleSweepFactors: TestScaleSweepStateSublinear checks how
+// translation state grows up it, and BenchmarkScaleSweep times its top
+// rung.
+const (
+	scaleSweepMix  = "bfs1-gaus"
+	scaleSweepBase = 0.02
+)
+
+var (
+	scaleSweepFactors = []int{1, 4, 16, 64}
+	scaleSweepKinds   = []platform.Kind{platform.ZnG, platform.HybridGPU}
+)
+
+// TestScaleSweepStateSublinear asserts the ladder's shape: work grows
+// with scale while each platform's translation state grows
+// sublinearly, so the dense tables amortize and ZnG's state bytes per
+// mapped page fall. The state is the simulator's host tables, not a
+// modelled quantity, so it is checked here rather than in a figure.
+func TestScaleSweepStateSublinear(t *testing.T) {
+	mix, err := workload.MixByName(scaleSweepMix)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func BenchmarkFig8b(b *testing.B) {
-	o := benchOptions()
-	var max uint64
-	for i := 0; i < b.N; i++ {
-		o.Runner = experiments.NewMemo()
-		_, heat, err := experiments.Fig8b(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range heat {
-			for _, v := range row {
-				if v > max {
-					max = v
-				}
+	var insts, perPage []float64
+	state := map[platform.Kind][]float64{}
+	for _, f := range scaleSweepFactors {
+		for _, k := range scaleSweepKinds {
+			r, err := platform.RunMix(k, mix, scaleSweepBase*float64(f), config.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// translation_state_bytes leaves Result.Extra once the
+			// platforms' StateBytes methods are read directly.
+			bytes := r.Extra["translation_state_bytes"]
+			state[k] = append(state[k], bytes)
+			if k == platform.ZnG {
+				insts = append(insts, float64(r.Insts))
+				perPage = append(perPage, bytes/r.Extra["mapped_pages"])
 			}
 		}
 	}
-	b.ReportMetric(float64(max), "hottest_plane_writes")
-}
-
-func BenchmarkFig10(b *testing.B) {
-	o := benchOptions()
-	o.Mixes = o.Mixes[:1]
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		o.Runner = experiments.NewMemo()
-		_, res, err := experiments.Fig10(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pair := o.Mixes[0].Name
-		speedup = res[platform.ZnG][pair].IPC / res[platform.HybridGPU][pair].IPC
-	}
-	b.ReportMetric(speedup, "zng_vs_hybrid_x")
-}
-
-func BenchmarkFig11(b *testing.B) {
-	o := benchOptions()
-	o.Mixes = o.Mixes[:1]
-	var bw float64
-	for i := 0; i < b.N; i++ {
-		o.Runner = experiments.NewMemo()
-		_, res, err := experiments.Fig11(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bw = res[platform.ZnG][o.Mixes[0].Name].FlashArrayGBps()
-	}
-	b.ReportMetric(bw, "zng_flash_gbps")
-}
-
-func BenchmarkFig12(b *testing.B) {
-	o := benchOptions()
-	o.Mixes = o.Mixes[:1]
-	for i := 0; i < b.N; i++ {
-		o.Runner = experiments.NewMemo()
-		if _, err := experiments.Fig12(o); err != nil {
-			b.Fatal(err)
+	last := len(insts) - 1
+	for i := 1; i <= last; i++ {
+		if insts[i] <= insts[i-1] {
+			t.Errorf("insts not increasing with scale: rung %d has %v after %v", i, insts[i], insts[i-1])
 		}
 	}
-}
-
-func BenchmarkFig13Sweep(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		o.Runner = experiments.NewMemo()
-		if _, _, err := experiments.Fig13Sweep(o); err != nil {
-			b.Fatal(err)
+	for _, k := range scaleSweepKinds {
+		s := state[k]
+		for i := 1; i <= last; i++ {
+			if s[i] < s[i-1] {
+				t.Errorf("%v translation state shrank between rungs %d and %d (%v -> %v)", k, i-1, i, s[i-1], s[i])
+			}
+		}
+		if s[0] <= 0 || s[last]/s[0] >= insts[last]/insts[0] {
+			t.Errorf("%v translation state grew %vx over a %vx work increase, want sublinear growth",
+				k, s[last]/s[0], insts[last]/insts[0])
 		}
 	}
-}
-
-func BenchmarkAblationWriteNet(b *testing.B) {
-	o := benchOptions()
-	var nif float64
-	for i := 0; i < b.N; i++ {
-		o.Runner = experiments.NewMemo()
-		_, avg, err := experiments.AblationWriteNet(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nif = avg[config.NiF]
-	}
-	b.ReportMetric(nif, "nif_ipc")
-}
-
-func BenchmarkAblationConsolidation(b *testing.B) {
-	o := benchOptions()
-	var retained float64
-	for i := 0; i < b.N; i++ {
-		o.Runner = experiments.NewMemo()
-		_, ipc, err := experiments.AblationConsolidation(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		retained = ipc[platform.ZnG][3] / ipc[platform.ZnG][0]
-	}
-	b.ReportMetric(retained, "zng_deg4_vs_solo")
-}
-
-func BenchmarkAblationGC(b *testing.B) {
-	var merges uint64
-	for i := 0; i < b.N; i++ {
-		_, st := experiments.AblationGC()
-		merges = st.Merges
-	}
-	b.ReportMetric(float64(merges), "merges")
-}
-
-func BenchmarkAblationL2(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		o.Runner = experiments.NewMemo()
-		if _, err := experiments.AblationL2(o); err != nil {
-			b.Fatal(err)
-		}
+	if perPage[last] >= perPage[0] {
+		t.Errorf("ZnG state bytes per mapped page did not fall (%v at the base rung, %v at the top)", perPage[0], perPage[last])
 	}
 }
 
-// BenchmarkScaleSweep runs the top of the scale-sweep ladder (the 64x
-// point, see experiments.ScaleSweep) on the ZnG/HybridGPU pair and
-// reports the two machine-dependent numbers the deterministic docs
-// figure deliberately omits: host-side simulated insts/sec and the
-// process heap high-water after the run. Run it alone in a fresh
-// process (`go test -bench=ScaleSweep -benchtime=1x`) when comparing
-// peak heap across changes — heap-sys never shrinks, so earlier
-// benchmarks inflate it.
+// BenchmarkScaleSweep runs the top rung of the scale ladder (64x) and
+// reports the two machine-dependent numbers a result omits: host-side
+// simulated insts/sec and the process heap high-water after the run.
+// Run it alone in a fresh process (`go test -bench=ScaleSweep
+// -benchtime=1x`) when comparing peak heap across changes — heap-sys
+// never shrinks, so earlier benchmarks inflate it.
 func BenchmarkScaleSweep(b *testing.B) {
-	o := benchOptions()
-	mix := o.Mixes[0]
-	factors := experiments.ScaleSweepFactors
-	scale := experiments.ScaleSweepBase * float64(factors[len(factors)-1])
+	mix, err := workload.MixByName(scaleSweepMix)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scale := scaleSweepBase * float64(scaleSweepFactors[len(scaleSweepFactors)-1])
 	var insts uint64
 	for i := 0; i < b.N; i++ {
 		insts = 0
-		for _, k := range []platform.Kind{platform.HybridGPU, platform.ZnG} {
-			r, err := platform.RunMix(k, mix, scale, o.Cfg)
+		for _, k := range scaleSweepKinds {
+			r, err := platform.RunMix(k, mix, scale, config.Default())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strconv"
 
 	"zng/internal/experiments"
 )
@@ -21,24 +22,32 @@ func main() {
 	o.Cfg.L2STT.Sets /= 8
 
 	fmt.Println("Sweeping prefetch waste thresholds (Section V-D)...")
-	sweep, grid, err := experiments.Fig13Sweep(o)
+	sweep, err := experiments.Fig13Sweep(o)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(sweep)
 
-	best := [2]float64{}
+	// The first highest IPC in row order: rows are high thresholds,
+	// columns low ones, so ties always resolve the same way.
+	var best struct{ high, low string }
 	bestIPC := 0.0
-	for k, v := range grid {
-		if v > bestIPC {
-			bestIPC = v
-			best = k
+	for r := range sweep.Rows() {
+		for c := 1; c < sweep.Cols(); c++ {
+			ipc, err := strconv.ParseFloat(sweep.Cell(r, c), 64)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if ipc > bestIPC {
+				bestIPC = ipc
+				best.high, best.low = sweep.Cell(r, 0), sweep.Header()[c]
+			}
 		}
 	}
-	fmt.Printf("best thresholds: high=%.2f low=%.2f (paper: 0.3 / 0.05)\n\n", best[0], best[1])
+	fmt.Printf("best thresholds: high=%s low=%s (paper: 0.3 / 0.05)\n\n", best.high, best.low)
 
 	fmt.Println("Comparing register interconnects (Section IV-C)...")
-	nets, _, err := experiments.AblationWriteNet(o)
+	nets, err := experiments.AblationWriteNet(o)
 	if err != nil {
 		log.Fatal(err)
 	}

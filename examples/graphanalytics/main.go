@@ -1,7 +1,7 @@
-// Graph analytics: run three graph-analysis co-run workloads across
-// the memory architectures the paper compares (Hetero, HybridGPU,
-// Optane, ZnG) and print the normalized-IPC table — a miniature
-// Fig. 10.
+// Graph analytics: run Fig. 10 through the figure registry on three
+// graph-analysis co-run workloads and print its normalized-IPC table
+// (every platform the paper compares, ZnG = 1.0), the shape the
+// reproduction asserts and whether this run holds it.
 //
 //	go run ./examples/graphanalytics
 package main
@@ -10,37 +10,31 @@ import (
 	"fmt"
 	"log"
 
-	"zng/internal/config"
-	"zng/internal/platform"
-	"zng/internal/stats"
+	"zng/internal/experiments"
 	"zng/internal/workload"
 )
 
 func main() {
-	cfg := config.Default()
-	kinds := []platform.Kind{platform.Hetero, platform.HybridGPU, platform.Optane, platform.ZnG}
-	mixes := []string{"bfs1-gaus", "pr-gaus", "sssp3-gram"}
-	const scale = 0.25
-
-	t := stats.NewTable("Normalized IPC (ZnG = 1.0)",
-		"workload", "Hetero", "HybridGPU", "Optane", "ZnG")
-	for _, name := range mixes {
+	o := experiments.DefaultOptions() // Table I system configuration
+	o.Scale = 0.25                    // keep the example quick
+	o.Mixes = nil
+	for _, name := range []string{"bfs1-gaus", "pr-gaus", "sssp3-gram"} {
 		mix, err := workload.MixByName(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ipc := map[platform.Kind]float64{}
-		for _, k := range kinds {
-			r, err := platform.RunMix(k, mix, scale, cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			ipc[k] = r.IPC
-		}
-		ref := ipc[platform.ZnG]
-		t.AddRow(name, ipc[platform.Hetero]/ref, ipc[platform.HybridGPU]/ref,
-			ipc[platform.Optane]/ref, 1.0)
+		o.Mixes = append(o.Mixes, mix)
+	}
+
+	fig, err := experiments.FigureByID("fig10")
+	if err != nil {
+		log.Fatal(err)
+	}
+	t, err := fig.Run(o)
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println(t)
-	fmt.Println("Expected shape: ZnG > Optane > HybridGPU ~ Hetero (Fig. 10).")
+	fmt.Printf("Expected shape (%s): %s\n", fig.Ref, fig.Shape)
+	fmt.Printf("Verdict: %s\n", fig.Verdict(t))
 }

@@ -106,9 +106,6 @@ type Cache struct {
 
 	// OnEvict, if set, observes every eviction (the ZnG access monitor).
 	OnEvict func(EvictInfo)
-	// OnDemandMiss, if set, observes demand read misses (the ZnG
-	// predictor's cutoff test hooks here).
-	OnDemandMiss func(*mem.Request)
 
 	// Statistics.
 	Hits, Misses, MergedMisses stats.Counter
@@ -299,9 +296,6 @@ func (c *Cache) resolve(r *mem.Request, la uint64) {
 
 	// Read miss.
 	c.Misses.Inc()
-	if !r.Prefetch && c.OnDemandMiss != nil {
-		c.OnDemandMiss(r)
-	}
 	if slot, ok := c.mshrIdx.Get(la); ok {
 		c.MergedMisses.Inc()
 		c.mshrs[slot].Push(r)

@@ -311,19 +311,6 @@ func TestOnEvictCallback(t *testing.T) {
 	}
 }
 
-func TestOnDemandMissHook(t *testing.T) {
-	eng, c, _ := newTB(smallCfg())
-	misses := 0
-	c.OnDemandMiss = func(*mem.Request) { misses++ }
-	done := 0
-	read(c, 0, &done)
-	c.Access(&mem.Request{Addr: 4096, Size: 128, Prefetch: true, Done: sim.Func(func() { done++ })})
-	eng.Run()
-	if misses != 1 {
-		t.Errorf("demand-miss hook fired %d times, want 1 (prefetches excluded)", misses)
-	}
-}
-
 func TestBankedCacheDistributes(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Banks = 4

@@ -1,14 +1,15 @@
 // Package experiments regenerates every table and figure of the ZnG
 // paper's evaluation (Section V) plus the ablations docs/DESIGN.md
-// calls out. Each driver returns a stats.Table holding the same rows
-// or series the paper plots; the registry (registry.go) binds each
-// figure id to its driver, paper claim and shape check, and the
-// generated docs/EXPERIMENTS.md records paper-vs-measured for each.
+// calls out. Every driver is a func(Options) (*stats.Table, error)
+// whose table, holding the same rows or series the paper plots, is
+// its only output; the registry (registry.go) binds each figure id to
+// its driver, paper claim and shape check, and the generated
+// docs/EXPERIMENTS.md records paper-vs-measured for each.
 //
 // Absolute numbers are not expected to match the authors' testbed —
 // the substrate here is a from-scratch simulator with synthetic traces
 // — but the shapes (who wins, by roughly what factor, where the
-// crossovers sit) are asserted by this package's tests.
+// crossovers sit) are asserted on each table by its registered check.
 package experiments
 
 import (

@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"math"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -13,7 +13,10 @@ import (
 )
 
 func TestTableI(t *testing.T) {
-	tab := TableI(config.Default())
+	tab, err := TableI(Options{Cfg: config.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := tab.String()
 	for _, want := range []string{"Z-NAND", "tR (us)", "P/E cycles", "mesh", "Optane"} {
 		if !strings.Contains(s, want) {
@@ -23,7 +26,10 @@ func TestTableI(t *testing.T) {
 }
 
 func TestTableII(t *testing.T) {
-	tab := TableII(0.2)
+	tab, err := TableII(Options{Scale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tab.Rows() != 16 {
 		t.Fatalf("Table II rows = %d, want 16", tab.Rows())
 	}
@@ -33,7 +39,10 @@ func TestTableII(t *testing.T) {
 }
 
 func TestFig3StaticShape(t *testing.T) {
-	tab := Fig3(config.Default())
+	tab, err := Fig3(Options{Cfg: config.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tab.Rows() != 4 {
 		t.Fatalf("rows = %d", tab.Rows())
 	}
@@ -44,19 +53,17 @@ func TestFig3StaticShape(t *testing.T) {
 }
 
 func TestFig1bShape(t *testing.T) {
-	tab := Fig1b(config.Default())
-	get := func(row int) string { return tab.Cell(row, 1) }
+	tab, err := Fig1b(Options{Cfg: config.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := col1ByRowName(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Ordering claims of Fig. 1b: flash read >> flash channel >
 	// DRAM buffer > SSD engine; GDDR5 gap line above everything but
 	// the raw array read.
-	vals := map[string]float64{}
-	for i := 0; i < tab.Rows(); i++ {
-		var f float64
-		if _, err := sscan(tab.Cell(i, 1), &f); err != nil {
-			t.Fatalf("bad cell %q", get(i))
-		}
-		vals[tab.Cell(i, 0)] = f
-	}
 	if !(vals["flash read"] > vals["flash channel"]) {
 		t.Errorf("flash read (%v) must exceed channel (%v)", vals["flash read"], vals["flash channel"])
 	}
@@ -75,14 +82,13 @@ func TestFig1bShape(t *testing.T) {
 }
 
 func TestFig4cShape(t *testing.T) {
-	tab := Fig4c(config.Default())
-	vals := map[string]float64{}
-	for i := 0; i < tab.Rows(); i++ {
-		var f float64
-		if _, err := sscan(tab.Cell(i, 1), &f); err != nil {
-			t.Fatalf("bad cell")
-		}
-		vals[tab.Cell(i, 0)] = f
+	tab, err := Fig4c(Options{Cfg: config.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := col1ByRowName(tab)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// GDDR5 > DDR4 > LPDDR4 > ZSSD > HybridGPU > GPU-SSD.
 	order := []string{"GDDR5", "DDR4", "LPDDR4", "ZSSD"}
@@ -100,19 +106,23 @@ func TestFig4cShape(t *testing.T) {
 	}
 }
 
+// TestFig4dEngineDominates: checkFig4d asserts the totals and the SSD
+// engine's share; this test adds that no component of either path
+// reads a negative latency.
 func TestFig4dEngineDominates(t *testing.T) {
-	_, gpu, hyb := Fig4d(config.Default())
-	if hyb.Total() <= gpu.Total() {
-		t.Fatalf("HybridGPU total latency (%v) must exceed GPU (%v)", hyb.Total(), gpu.Total())
+	tab, err := Fig4d(Options{Cfg: config.Default()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Paper: the SSD engine accounts for ~67% of HybridGPU's latency.
-	frac := hyb.Get("SSD engine") / hyb.Total()
-	if frac < 0.3 {
-		t.Errorf("SSD engine fraction = %.2f, want the dominant component (paper 0.67)", frac)
-	}
-	for _, c := range hyb.Components() {
-		if hyb.Get(c) < 0 {
-			t.Errorf("negative latency for %s", c)
+	for r := range tab.Rows() {
+		for c := 1; c < tab.Cols(); c++ {
+			v, err := cellFloat(tab, r, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v < 0 {
+				t.Errorf("%s: negative %s latency %v", cellStr(tab, r, 0), tab.Header()[c], v)
+			}
 		}
 	}
 }
@@ -132,39 +142,57 @@ func TestFig5bcdAverages(t *testing.T) {
 func TestFig5aDegradationLarge(t *testing.T) {
 	o := TestOptions()
 	o.Mixes = o.Mixes[:1]
-	_, deg, err := Fig5a(o)
+	tab, err := Fig5a(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pair, d := range deg {
+	col, err := colByName(tab, "degradation (x)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range tab.Rows() {
+		d, err := cellFloat(tab, r, col)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if d < 5 {
-			t.Errorf("%s: degradation %.1fx, want large (paper up to 28x+)", pair, d)
+			t.Errorf("%s: degradation %.1fx, want large (paper up to 28x+)", cellStr(tab, r, 0), d)
 		}
 	}
 }
 
+// TestFig8bHeatmapAsymmetry: the lowest per-channel min and the
+// highest per-channel max bound the whole plane-group heatmap, so the
+// table shows whether any two plane groups differ.
 func TestFig8bHeatmapAsymmetry(t *testing.T) {
-	o := TestOptions()
-	_, heat, err := Fig8b(o)
+	tab, err := Fig8b(TestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var min, max uint64
-	min = ^uint64(0)
-	for _, row := range heat {
-		for _, v := range row {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
+	minCol, err := colByName(tab, "min")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if max == 0 {
+	maxCol, err := colByName(tab, "max")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for r := range tab.Rows() {
+		v, err := cellFloat(tab, r, minCol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo = min(lo, v)
+		if v, err = cellFloat(tab, r, maxCol); err != nil {
+			t.Fatal(err)
+		}
+		hi = max(hi, v)
+	}
+	if hi <= 0 {
 		t.Fatal("no writes recorded")
 	}
-	if min == max {
+	if lo == hi {
 		t.Error("write distribution perfectly uniform; Fig. 8b asymmetry absent")
 	}
 }
@@ -172,59 +200,70 @@ func TestFig8bHeatmapAsymmetry(t *testing.T) {
 func TestFig10SmallMatrix(t *testing.T) {
 	o := TestOptions()
 	o.Mixes = o.Mixes[:1]
-	tab, res, err := Fig10(o)
+	tab, err := Fig10(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tab.Rows() != 2 { // 1 pair + average
 		t.Fatalf("rows = %d", tab.Rows())
 	}
-	pair := o.Mixes[0].Name
-	zng := res[platform.ZnG][pair].IPC
-	if res[platform.HybridGPU][pair].IPC >= zng {
-		t.Error("ZnG must beat HybridGPU")
-	}
-	if res[platform.ZnGBase][pair].IPC >= res[platform.HybridGPU][pair].IPC {
-		t.Error("ZnG-base must trail HybridGPU")
-	}
 }
 
 func TestFig11ZnGWins(t *testing.T) {
 	o := TestOptions()
 	o.Mixes = o.Mixes[:1]
-	_, res, err := Fig11(o)
+	tab, err := Fig11(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair := o.Mixes[0].Name
-	if res[platform.ZnG][pair].FlashArrayGBps() <= res[platform.HybridGPU][pair].FlashArrayGBps() {
+	pair, err := rowByName(tab, o.Mixes[0].Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := map[string]float64{}
+	for _, k := range []string{"HybridGPU", "ZnG"} {
+		c, err := colByName(tab, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bw[k], err = cellFloat(tab, pair, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bw["ZnG"] <= bw["HybridGPU"] {
 		t.Error("ZnG flash bandwidth must exceed HybridGPU's")
 	}
 }
 
 func TestAblationConsolidation(t *testing.T) {
-	o := TestOptions()
-	tab, ipc, err := AblationConsolidation(o)
+	tab, err := AblationConsolidation(TestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tab.Rows() != 4 {
 		t.Fatalf("rows = %d, want degrees 1-4", tab.Rows())
 	}
-	for _, k := range []platform.Kind{platform.HybridGPU, platform.ZnG} {
-		if len(ipc[k]) != 4 {
-			t.Fatalf("%v: %d degrees measured", k, len(ipc[k]))
+	ipc := map[string][]float64{}
+	for _, k := range []string{"HybridGPU", "ZnG"} {
+		c, err := colByName(tab, k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for d, v := range ipc[k] {
-			if v <= 0 {
-				t.Errorf("%v degree %d: IPC %v", k, d+1, v)
+		for d := range tab.Rows() {
+			v, err := cellFloat(tab, d, c)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if v <= 0 {
+				t.Errorf("%s degree %d: IPC %v", k, d+1, v)
+			}
+			ipc[k] = append(ipc[k], v)
 		}
 	}
 	// The ablation's claim: ZnG retains at least as much of its solo
 	// IPC under 4-way consolidation as HybridGPU does.
-	zng := ipc[platform.ZnG][3] / ipc[platform.ZnG][0]
-	hyb := ipc[platform.HybridGPU][3] / ipc[platform.HybridGPU][0]
+	zng := ipc["ZnG"][3] / ipc["ZnG"][0]
+	hyb := ipc["HybridGPU"][3] / ipc["HybridGPU"][0]
 	if zng < hyb {
 		t.Errorf("ZnG retained %.3f of solo IPC vs HybridGPU %.3f; want ZnG to degrade at least as gracefully", zng, hyb)
 	}
@@ -257,31 +296,24 @@ func TestMixAliasesShareSimulations(t *testing.T) {
 }
 
 func TestAblationGC(t *testing.T) {
-	tab, st := AblationGC()
-	if st.Merges == 0 {
+	tab, err := AblationGC(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := col1ByRowName(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merges, maxErase := vals["log merges"], vals["max block erase count"]
+	if merges == 0 {
 		t.Fatal("GC ablation produced no merges")
 	}
-	if st.MaxErase > int(st.Merges) {
-		t.Errorf("max erase %d exceeds merges %d: wear leveling broken", st.MaxErase, st.Merges)
+	if maxErase > merges {
+		t.Errorf("max erase %v exceeds merges %v: wear leveling broken", maxErase, merges)
 	}
 	if !strings.Contains(tab.String(), "write amplification") {
 		t.Error("missing WA row")
 	}
-}
-
-// sscan is a tiny strconv wrapper tolerant of the table's trimmed
-// float formatting.
-func sscan(s string, f *float64) (int, error) {
-	return fmtSscan(s, f)
-}
-
-func fmtSscan(s string, f *float64) (int, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
-	}
-	*f = v
-	return 1, nil
 }
 
 // TestAblationL2Sizes: the docs regime's L2s print as 0.75 to 6 MB
@@ -303,9 +335,6 @@ func TestAblationL2Sizes(t *testing.T) {
 	}
 	if want := []string{"0.75", "1.5", "3", "6"}; !slices.Equal(got, want) {
 		t.Errorf("sizes = %v MB, want %v", got, want)
-	}
-	if err := checkAblL2(tab); err != nil {
-		t.Errorf("shape check: %v", err)
 	}
 	flat := stats.NewTable("", "L2 config", "size (MB)", "IPC", "L2 hit rate")
 	flat.AddRow("1x SRAM sets", 0, 0.5, 0.25)

@@ -12,14 +12,13 @@ import (
 // Fig5a measures the performance degradation of serving GPU memory
 // requests directly from Z-NAND (ZnG-base, no buffering optimization)
 // relative to conventional GDDR5, per co-run workload (Fig. 5a).
-func Fig5a(o Options) (*stats.Table, map[string]float64, error) {
+func Fig5a(o Options) (*stats.Table, error) {
 	res, err := runMixes(o, platform.GDDR5, platform.ZnGBase)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	t := stats.NewTable("Fig. 5a: performance degradation of direct Z-NAND vs GDDR5",
 		"workload", "GDDR5 IPC", "direct Z-NAND IPC", "degradation (x)")
-	deg := map[string]float64{}
 	for _, m := range o.Mixes {
 		g := res[platform.GDDR5][m.Name]
 		z := res[platform.ZnGBase][m.Name]
@@ -27,10 +26,9 @@ func Fig5a(o Options) (*stats.Table, map[string]float64, error) {
 		if z.IPC > 0 {
 			d = g.IPC / z.IPC
 		}
-		deg[m.Name] = d
 		t.AddRow(m.Name, g.IPC, z.IPC, d)
 	}
-	return t, deg, nil
+	return t, nil
 }
 
 // Fig5bcd characterizes the traces: read re-accesses per page
@@ -60,10 +58,10 @@ func Fig5bcd(o Options) (*stats.Table, error) {
 // per-plane program counts for betw-back on the unoptimized register
 // path, folded to a 16x16 (channel x plane-group) grid like the
 // paper's plot.
-func Fig8b(o Options) (*stats.Table, [][]uint64, error) {
+func Fig8b(o Options) (*stats.Table, error) {
 	cells, err := runGrid(o, campaign.Spec{Platforms: kindNames(platform.ZnGBase), Scenarios: []string{"betw-back"}})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	r := cells[0].Result
 	const grid = 16
@@ -73,19 +71,17 @@ func Fig8b(o Options) (*stats.Table, [][]uint64, error) {
 	if group < 1 {
 		group = 1
 	}
-	heat := make([][]uint64, channels)
-	for ch := 0; ch < channels; ch++ {
-		heat[ch] = make([]uint64, (perCh+group-1)/group)
-		for i := 0; i < perCh; i++ {
-			heat[ch][i/group] += r.PlaneWrites[ch*perCh+i]
-		}
-	}
 	t := stats.NewTable("Fig. 8b: asymmetric Z-NAND writes (betw-back), programs per plane group",
 		"channel", "min", "max", "total")
-	for ch := range heat {
+	heat := make([]uint64, (perCh+group-1)/group)
+	for ch := 0; ch < channels; ch++ {
+		clear(heat)
+		for i := 0; i < perCh; i++ {
+			heat[i/group] += r.PlaneWrites[ch*perCh+i]
+		}
 		var min, max, tot uint64
 		min = ^uint64(0)
-		for _, v := range heat[ch] {
+		for _, v := range heat {
 			if v < min {
 				min = v
 			}
@@ -96,16 +92,16 @@ func Fig8b(o Options) (*stats.Table, [][]uint64, error) {
 		}
 		t.AddRow(fmt.Sprintf("ch%02d", ch), min, max, tot)
 	}
-	return t, heat, nil
+	return t, nil
 }
 
 // Fig10 runs the headline experiment: normalized IPC of all seven
 // platforms across the twelve co-run workloads (Fig. 10), normalized
 // to ZnG like the paper.
-func Fig10(o Options) (*stats.Table, map[platform.Kind]map[string]platform.Result, error) {
+func Fig10(o Options) (*stats.Table, error) {
 	res, err := runMixes(o, platform.Kinds()...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	t := stats.NewTable("Fig. 10: normalized IPC (ZnG = 1.0)",
 		"workload", "Hetero", "HybridGPU", "Optane", "ZnG-base", "ZnG-rdopt", "ZnG-wropt", "ZnG")
@@ -128,16 +124,16 @@ func Fig10(o Options) (*stats.Table, map[platform.Kind]map[string]platform.Resul
 		avg = append(avg, sums[k]/float64(len(o.Mixes)))
 	}
 	t.AddRow(avg...)
-	return t, res, nil
+	return t, nil
 }
 
 // Fig11 reports the Z-NAND flash-array bandwidth each flash-backed
 // platform achieves (Fig. 11).
-func Fig11(o Options) (*stats.Table, map[platform.Kind]map[string]platform.Result, error) {
+func Fig11(o Options) (*stats.Table, error) {
 	kinds := []platform.Kind{platform.HybridGPU, platform.ZnGBase, platform.ZnGRdopt, platform.ZnGWropt, platform.ZnG}
 	res, err := runMixes(o, kinds...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	t := stats.NewTable("Fig. 11: flash array bandwidth (GB/s)",
 		"workload", "HybridGPU", "ZnG-base", "ZnG-rdopt", "ZnG-wropt", "ZnG")
@@ -156,7 +152,7 @@ func Fig11(o Options) (*stats.Table, map[platform.Kind]map[string]platform.Resul
 		avg = append(avg, sums[k]/float64(len(o.Mixes)))
 	}
 	t.AddRow(avg...)
-	return t, res, nil
+	return t, nil
 }
 
 // Fig12 examines the ZnG read path: L2 hit rate, prefetch volume and

@@ -17,7 +17,8 @@ import (
 // flash channels, the flash arrays (read and write), and the SSD
 // engine — each saturated by a dedicated micro-driver. The GDDR5
 // aggregate is the "performance gap" line at the top of the figure.
-func Fig1b(cfg config.Config) *stats.Table {
+func Fig1b(o Options) (*stats.Table, error) {
+	cfg := o.Cfg
 	t := stats.NewTable("Fig. 1b: HybridGPU component bandwidths (GB/s)",
 		"component", "GB/s")
 
@@ -36,12 +37,13 @@ func Fig1b(cfg config.Config) *stats.Table {
 
 	// SSD engine: firmware-processing throughput on 128 B requests.
 	t.AddRow("SSD engine", saturateEngine(cfg))
-	return t
+	return t, nil
 }
 
 // Fig4c measures the maximum 128 B-request throughput of each memory
 // medium / system path (Fig. 4c).
-func Fig4c(cfg config.Config) *stats.Table {
+func Fig4c(o Options) (*stats.Table, error) {
+	cfg := o.Cfg
 	t := stats.NewTable("Fig. 4c: max data access throughput (GB/s)", "medium", "GB/s")
 	t.AddRow("GDDR5", saturateDRAM(cfg.GDDR5))
 	t.AddRow("DDR4", saturateDRAM(cfg.DDR4))
@@ -49,16 +51,16 @@ func Fig4c(cfg config.Config) *stats.Table {
 	t.AddRow("ZSSD", float64(cfg.Flash.Channels)*cfg.Flash.ChannelGBps) // interface-bound raw drive
 	t.AddRow("GPU-SSD", cfg.Host.PCIeGBps)                              // host-mediated path
 	t.AddRow("HybridGPU", saturateHybrid(cfg))
-	return t
+	return t, nil
 }
 
 // Fig4d reproduces the memory-access latency breakdown (Fig. 4d):
 // per-component time of a loaded read on the conventional GPU memory
 // subsystem versus HybridGPU. The paper's headline: the SSD engine
 // alone accounts for ~67% of HybridGPU's total.
-func Fig4d(cfg config.Config) (*stats.Table, *stats.Breakdown, *stats.Breakdown) {
-	gpu := fig4dGPU(cfg)
-	hyb := fig4dHybrid(cfg)
+func Fig4d(o Options) (*stats.Table, error) {
+	gpu := fig4dGPU(o.Cfg)
+	hyb := fig4dHybrid(o.Cfg)
 
 	t := stats.NewTable("Fig. 4d: latency breakdown (ns per request under load)",
 		"component", "GPU(DRAM)", "HybridGPU")
@@ -72,7 +74,7 @@ func Fig4d(cfg config.Config) (*stats.Table, *stats.Breakdown, *stats.Breakdown)
 		t.AddRow(c, gpu.Get(c), hyb.Get(c))
 	}
 	t.AddRow("TOTAL", gpu.Total(), hyb.Total())
-	return t, gpu, hyb
+	return t, nil
 }
 
 // fig4dGPU charges the conventional path: TLB walk share, L1, L2,

@@ -23,22 +23,26 @@ type Figure struct {
 	Ref string
 	// Title is a short human-readable name.
 	Title string
-	// Driver is the experiments-package function that produces the
-	// table; the registry-completeness test keeps this in sync with
-	// the actual exported drivers.
+	// Driver names the experiments-package function that produces the
+	// table, Run; the registry-completeness test keeps it in sync with
+	// Run and with the actual exported drivers.
 	Driver string
 	// Claim states the paper's finding in one sentence.
 	Claim string
-	// Shape states the qualitative property Check (and the package's
-	// tests) assert about the measured table.
+	// Shape states the qualitative property Check asserts about the
+	// measured table.
 	Shape string
 	// ScaleFree marks figures derived from the Table I configuration
-	// alone: they ignore Options.Scale and Options.Pairs entirely.
+	// alone: they ignore Options.Scale and Options.Mixes entirely.
 	ScaleFree bool
-	// Run regenerates the figure's table under the given options.
+	// Run is the driver itself: it regenerates the figure's table
+	// under the given options. The table is the figure's only output,
+	// so everything Check, zngfig and the docs read is in it.
 	Run func(Options) (*stats.Table, error)
 	// Check validates Shape against the measured table; nil error
 	// means the paper's qualitative shape holds in this reproduction.
+	// Tier-1 requires every Check to pass on a one-pair TestOptions
+	// run (internal/report's TestExperimentsDocDeterministic).
 	Check func(*stats.Table) error
 }
 
@@ -80,7 +84,7 @@ func Registry() []Figure {
 			Driver: "TableI", ScaleFree: true,
 			Claim: "The evaluated GTX580-class GPU pairs 16 SMs with a 24 MB STT-MRAM L2 and an 800 GB-class Z-NAND backbone (3 us reads, 100 us programs, 100k P/E).",
 			Shape: "The transcription carries the Z-NAND geometry/timing, the mesh flash network and the Optane DC PMM timing of Table I.",
-			Run:   func(o Options) (*stats.Table, error) { return TableI(o.Cfg), nil },
+			Run:   TableI,
 			Check: checkTableI,
 		},
 		{
@@ -88,7 +92,7 @@ func Registry() []Figure {
 			Driver: "TableII",
 			Claim:  "The sixteen benchmarks span graph analytics and scientific kernels whose read ratios range from write-heavy (~46%) to almost pure-read (~99%).",
 			Shape:  "All sixteen apps generate traces and the measured read ratio of every trace tracks the paper's per-app column within 0.15.",
-			Run:    func(o Options) (*stats.Table, error) { return TableII(capScale(o.Scale)), nil },
+			Run:    TableII,
 			Check:  checkTableII,
 		},
 		{
@@ -96,7 +100,7 @@ func Registry() []Figure {
 			Driver: "Fig1b", ScaleFree: true,
 			Claim: "Z-NAND arrays can stream far more bandwidth than the DRAM buffer, legacy channels or SSD engine that HybridGPU puts in front of them, leaving an order-of-magnitude gap to GDDR5.",
 			Shape: "flash read > flash channel > DRAM buffer > SSD engine, reads out-pace programs, and the GDDR5 gap line exceeds 10x the DRAM buffer.",
-			Run:   func(o Options) (*stats.Table, error) { return Fig1b(o.Cfg), nil },
+			Run:   Fig1b,
 			Check: checkFig1b,
 		},
 		{
@@ -104,7 +108,7 @@ func Registry() []Figure {
 			Driver: "Fig3", ScaleFree: true,
 			Claim: "Z-NAND offers the highest per-package density at the lowest power per GB among GDDR5, DDR4 and LPDDR4.",
 			Shape: "The Z-NAND row has the maximum density and the minimum W/GB of the four media.",
-			Run:   func(o Options) (*stats.Table, error) { return Fig3(o.Cfg), nil },
+			Run:   Fig3,
 			Check: checkFig3,
 		},
 		{
@@ -112,7 +116,7 @@ func Registry() []Figure {
 			Driver: "Fig4c", ScaleFree: true,
 			Claim: "On 128 B accesses GPU DRAM outperforms the host-mediated GPU-SSD path by ~80x and HybridGPU by ~40x.",
 			Shape: "GDDR5 > DDR4 > LPDDR4 > ZSSD, HybridGPU beats GPU-SSD, and the GDDR5/GPU-SSD ratio is at least 30x.",
-			Run:   func(o Options) (*stats.Table, error) { return Fig4c(o.Cfg), nil },
+			Run:   Fig4c,
 			Check: checkFig4c,
 		},
 		{
@@ -120,10 +124,7 @@ func Registry() []Figure {
 			Driver: "Fig4d", ScaleFree: true,
 			Claim: "The SSD engine's firmware alone accounts for about two thirds of HybridGPU's loaded memory latency.",
 			Shape: "HybridGPU's total exceeds the conventional GPU's, with the SSD engine the dominant component (>30% of the total).",
-			Run: func(o Options) (*stats.Table, error) {
-				t, _, _ := Fig4d(o.Cfg)
-				return t, nil
-			},
+			Run:   Fig4d,
 			Check: checkFig4d,
 		},
 		{
@@ -131,11 +132,8 @@ func Registry() []Figure {
 			Driver: "Fig5a",
 			Claim:  "Serving GPU memory requests directly from Z-NAND (no buffering) degrades performance by up to ~28x versus GDDR5.",
 			Shape:  "Degradation is at least 5x on every co-run pair.",
-			Run: func(o Options) (*stats.Table, error) {
-				t, _, err := Fig5a(o)
-				return t, err
-			},
-			Check: checkFig5a,
+			Run:    Fig5a,
+			Check:  checkFig5a,
 		},
 		{
 			ID: "fig5bcd", Ref: "Sec. III-A, Fig. 5b-d", Title: "Workload locality characterization",
@@ -150,33 +148,24 @@ func Registry() []Figure {
 			Driver: "Fig8b",
 			Claim:  "Writes concentrate on a small subset of planes, leaving most per-plane register caches idle — the motivation for grouping them.",
 			Shape:  "Per-plane program counts are visibly non-uniform (some plane group differs from its channel's peak).",
-			Run: func(o Options) (*stats.Table, error) {
-				t, _, err := Fig8b(o)
-				return t, err
-			},
-			Check: checkFig8b,
+			Run:    Fig8b,
+			Check:  checkFig8b,
 		},
 		{
 			ID: "fig10", Ref: "Sec. V-B, Fig. 10", Title: "Normalized IPC, all platforms",
 			Driver: "Fig10",
 			Claim:  "ZnG outperforms HybridGPU by 1.9x on average (up to 12.6x) and its read and write optimizations are both needed to get there.",
 			Shape:  "On the workload average ZnG > HybridGPU > ZnG-base, with every platform normalized to ZnG = 1.",
-			Run: func(o Options) (*stats.Table, error) {
-				t, _, err := Fig10(o)
-				return t, err
-			},
-			Check: checkFig10,
+			Run:    Fig10,
+			Check:  checkFig10,
 		},
 		{
 			ID: "fig11", Ref: "Sec. V-B, Fig. 11", Title: "Flash array bandwidth",
 			Driver: "Fig11",
 			Claim:  "ZnG's optimizations raise delivered flash-array bandwidth well above HybridGPU's channel- and engine-throttled path.",
 			Shape:  "Average ZnG array bandwidth exceeds average HybridGPU array bandwidth.",
-			Run: func(o Options) (*stats.Table, error) {
-				t, _, err := Fig11(o)
-				return t, err
-			},
-			Check: checkFig11,
+			Run:    Fig11,
+			Check:  checkFig11,
 		},
 		{
 			ID: "fig12", Ref: "Sec. V-C, Fig. 12", Title: "Read-path effectiveness",
@@ -191,43 +180,31 @@ func Registry() []Figure {
 			Driver: "Fig13Sweep",
 			Claim:  "Performance is stable across a wide waste-threshold region; the paper lands on high=0.3, low=0.05.",
 			Shape:  "Every (high, low) cell simulates to a positive IPC — no threshold choice collapses the read path.",
-			Run: func(o Options) (*stats.Table, error) {
-				t, _, err := Fig13Sweep(o)
-				return t, err
-			},
-			Check: checkFig13,
+			Run:    Fig13Sweep,
+			Check:  checkFig13,
 		},
 		{
 			ID: "abl-writenet", Ref: "ablation (Sec. IV-C)", Title: "Register interconnect ablation",
 			Driver: "AblationWriteNet",
 			Claim:  "The network-in-flash (NiF) approaches fully-connected (FCnet) write absorption at mesh cost, where a plain switched bus (SWnet) serializes.",
 			Shape:  "All three interconnects sustain positive IPC on the write-heavy pairs and NiF's register migrations are counted.",
-			Run: func(o Options) (*stats.Table, error) {
-				t, _, err := AblationWriteNet(o)
-				return t, err
-			},
-			Check: checkAblWriteNet,
+			Run:    AblationWriteNet,
+			Check:  checkAblWriteNet,
 		},
 		{
 			ID: "abl-consolidation", Ref: "ablation (beyond Sec. V-A's 2-app co-runs)", Title: "Consolidation sweep",
 			Driver: "AblationConsolidation",
 			Claim:  "The paper evaluates 2-app co-runs only; stacking more tenants should favor ZnG, whose flash arrays serve requests directly, over HybridGPU, whose SSD engine serializes every miss.",
 			Shape:  "Both platforms sustain positive IPC at every co-run degree 1-4, and ZnG retains at least as much of its solo IPC as HybridGPU does at the highest degree.",
-			Run: func(o Options) (*stats.Table, error) {
-				t, _, err := AblationConsolidation(o)
-				return t, err
-			},
-			Check: checkAblConsolidation,
+			Run:    AblationConsolidation,
+			Check:  checkAblConsolidation,
 		},
 		{
 			ID: "abl-gc", Ref: "ablation (Sec. III-B/IV-A)", Title: "Split-FTL garbage collection",
 			Driver: "AblationGC", ScaleFree: true,
 			Claim: "The split FTL's helper-thread merges reclaim log blocks without stalling the write path, and wear levelling bounds per-block erase counts.",
 			Shape: "Merges occur under rewrite pressure, max erase count stays within the merge count, and write amplification is at least 1.",
-			Run: func(o Options) (*stats.Table, error) {
-				t, _ := AblationGC()
-				return t, nil
-			},
+			Run:   AblationGC,
 			Check: checkAblGC,
 		},
 		{
@@ -237,14 +214,6 @@ func Registry() []Figure {
 			Shape:  "Swept capacities ascend and every configuration sustains a positive IPC and L2 hit rate.",
 			Run:    AblationL2,
 			Check:  checkAblL2,
-		},
-		{
-			ID: "scale-sweep", Ref: "perf (dense translation state)", Title: "Trace-scale sweep",
-			Driver: "ScaleSweep", ScaleFree: true,
-			Claim: "Simulator translation state (dense page tables, set-associative TLBs, dense row decoders) grows sublinearly with trace scale from 1x to 64x, so billion-edge traces are bounded by trace size, not device state.",
-			Shape: "Simulated instructions rise monotonically up the ladder while both platforms' translation-state bytes grow sublinearly versus work, and ZnG's bytes per mapped page fall.",
-			Run:   ScaleSweep,
-			Check: checkScaleSweep,
 		},
 	}
 }
@@ -271,21 +240,11 @@ func FigureByID(id string) (Figure, error) {
 		id, strings.Join(FigureIDs(), ", "))
 }
 
-// capScale caps Table II's characterization scale at 1.0: the table
-// calibrates read ratios, which converge well below full scale, so
-// figure-quality runs need not pay for oversized traces.
-func capScale(s float64) float64 {
-	if s > 1 {
-		return 1
-	}
-	return s
-}
-
 // --- shape checks -----------------------------------------------------
 //
-// Each check validates, on the rendered table, the same qualitative
-// shape the package's tests assert — so docs/EXPERIMENTS.md can report
-// PASS/FAIL per figure without re-stating test logic elsewhere.
+// Each check validates its figure's Shape on the rendered table, the
+// one place it is asserted: docs/EXPERIMENTS.md and zngfig report its
+// verdict, and tier-1 requires it to pass.
 
 // cellStr returns the formatted cell at (r, c), or "" when row r omitted
 // its trailing cells — checks must degrade to a FAIL verdict on a
@@ -638,8 +597,8 @@ func checkFig10(t *stats.Table) error {
 	if !(hyb < zng) {
 		return fmt.Errorf("ZnG must beat HybridGPU (%v) on average", hyb)
 	}
-	if !(base < 1) {
-		return fmt.Errorf("ZnG-base (%v) must trail ZnG on average", base)
+	if !(base < hyb) {
+		return fmt.Errorf("ZnG-base (%v) must trail HybridGPU (%v) on average", base, hyb)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -31,6 +33,13 @@ func TestRegistryComplete(t *testing.T) {
 		if fig.ID == "" || fig.Ref == "" || fig.Title == "" || fig.Claim == "" ||
 			fig.Shape == "" || fig.Run == nil || fig.Check == nil {
 			t.Errorf("registry entry %q is incomplete: %+v", fig.ID, fig)
+			continue
+		}
+		// Run is the driver itself, never a wrapper, so the driver's
+		// table is the figure's only output.
+		run := runtime.FuncForPC(reflect.ValueOf(fig.Run).Pointer()).Name()
+		if want := "zng/internal/experiments." + fig.Driver; run != want {
+			t.Errorf("registry entry %q runs %s, want its driver %s", fig.ID, run, want)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func TestFigureFailsNamingCell(t *testing.T) {
 	o.Runner = failingRunner(func(kind platform.Kind, mix workload.Mix, _ config.Config) bool {
 		return kind == platform.ZnGBase && mix.Name == bad
 	})
-	tab, _, err := Fig10(o)
+	tab, err := Fig10(o)
 	if err == nil {
 		t.Fatalf("Fig10 with a failing cell returned a table:\n%s", tab)
 	}
@@ -89,7 +89,7 @@ func TestSweepFailureNamesOverride(t *testing.T) {
 	o.Runner = failingRunner(func(_ platform.Kind, _ workload.Mix, cfg config.Config) bool {
 		return cfg.Prefetch.HighWaste == 0.8 && cfg.Prefetch.LowWaste == 0.2
 	})
-	_, _, err := Fig13Sweep(o)
+	_, err := Fig13Sweep(o)
 	want := fmt.Sprintf("ZnG on betw-back at scale %g [hi0.8+lo0.2]: injected failure", o.Scale)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("Fig13Sweep error = %v, want it to contain %q", err, want)
@@ -102,11 +102,11 @@ func TestSweepFailureNamesOverride(t *testing.T) {
 func TestFiguresShareCells(t *testing.T) {
 	o := TestOptions()
 	o.Mixes = o.Mixes[:1] // betw-back
-	if _, _, err := Fig10(o); err != nil {
+	if _, err := Fig10(o); err != nil {
 		t.Fatal(err)
 	}
 	before := memoStats(t, o)
-	if _, _, err := Fig13Sweep(o); err != nil {
+	if _, err := Fig13Sweep(o); err != nil {
 		t.Fatal(err)
 	}
 	after := memoStats(t, o)

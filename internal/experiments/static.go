@@ -9,7 +9,8 @@ import (
 )
 
 // TableI renders the system configuration (Table I).
-func TableI(cfg config.Config) *stats.Table {
+func TableI(o Options) (*stats.Table, error) {
+	cfg := o.Cfg
 	t := stats.NewTable("Table I: system configuration", "component", "parameter", "value")
 	t.AddRow("GPU", "SM / freq", "16 / 1.2 GHz")
 	t.AddRow("GPU", "max warps per SM", cfg.GPU.MaxWarps)
@@ -29,7 +30,7 @@ func TableI(cfg config.Config) *stats.Table {
 	t.AddRow("Flash network", "link width (B)", 8)
 	t.AddRow("Optane DC PMM", "tRCD/tCL (ns)", "190 / 8.9")
 	t.AddRow("Optane DC PMM", "tRP (ns)", 763)
-	return t
+	return t, nil
 }
 
 func tripleInts(a, b, c int) string {
@@ -41,8 +42,11 @@ func tripleInts(a, b, c int) string {
 
 // TableII renders the benchmark suite (Table II) together with the
 // read ratio measured from the generated traces — the transcription
-// and the calibration side by side.
-func TableII(scale float64) *stats.Table {
+// and the calibration side by side. Read ratios converge well below
+// full scale, so the traces are characterized at o.Scale capped at 1.0
+// and figure-quality runs need not pay for oversized traces.
+func TableII(o Options) (*stats.Table, error) {
+	scale := min(o.Scale, 1)
 	t := stats.NewTable("Table II: GPU benchmarks",
 		"workload", "suite", "read ratio (paper)", "read ratio (measured)", "kernels")
 	for _, spec := range workload.Specs() {
@@ -50,16 +54,17 @@ func TableII(scale float64) *stats.Table {
 		st := workload.Characterize(app)
 		t.AddRow(spec.Name, spec.Suite, spec.ReadRatio, st.ReadRatio(), spec.Kernels)
 	}
-	return t
+	return t, nil
 }
 
 // Fig3 renders the memory density and power comparison (Fig. 3a/3b).
-func Fig3(cfg config.Config) *stats.Table {
+func Fig3(o Options) (*stats.Table, error) {
+	cfg := o.Cfg
 	t := stats.NewTable("Fig. 3: density and power per package",
 		"medium", "density (GB)", "power (W/GB)")
 	t.AddRow("GDDR5", cfg.GDDR5.PkgCapacityGB, cfg.GDDR5.PowerWPerGB)
 	t.AddRow("DDR4", cfg.DDR4.PkgCapacityGB, cfg.DDR4.PowerWPerGB)
 	t.AddRow("LPDDR4", cfg.LPDDR4.PkgCapacityGB, cfg.LPDDR4.PowerWPerGB)
 	t.AddRow("Z-NAND", config.ZNANDPackageDensityGB, config.ZNANDPowerWPerGB)
-	return t
+	return t, nil
 }

@@ -16,7 +16,7 @@ import (
 // Fig13Sweep reproduces the Section V-D sensitivity study: sweep the
 // access monitor's high and low waste thresholds and report ZnG IPC on
 // betw-back. The paper lands on high=0.3, low=0.05.
-func Fig13Sweep(o Options) (*stats.Table, map[[2]float64]float64, error) {
+func Fig13Sweep(o Options) (*stats.Table, error) {
 	highs := []float64{0.1, 0.3, 0.5, 0.8}
 	lows := []float64{0.01, 0.05, 0.2}
 	spec := campaign.Spec{Platforms: kindNames(platform.ZnG), Scenarios: []string{"betw-back"}}
@@ -27,26 +27,23 @@ func Fig13Sweep(o Options) (*stats.Table, map[[2]float64]float64, error) {
 	}
 	cells, err := runGrid(o, spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	t := stats.NewTable("Fig. 13 (Sec V-D): prefetch threshold sweep, ZnG IPC on betw-back",
 		"high \\ low", fmt.Sprint(lows[0]), fmt.Sprint(lows[1]), fmt.Sprint(lows[2]))
-	out := map[[2]float64]float64{}
 	for i, hi := range highs {
 		row := []any{fmt.Sprint(hi)}
-		for j, lo := range lows {
-			ipc := cells[i*len(lows)+j].Result.IPC
-			out[[2]float64{hi, lo}] = ipc
-			row = append(row, ipc)
+		for j := range lows {
+			row = append(row, cells[i*len(lows)+j].Result.IPC)
 		}
 		t.AddRow(row...)
 	}
-	return t, out, nil
+	return t, nil
 }
 
 // AblationWriteNet compares the three flash-register interconnects of
 // Section IV-C — SWnet, FCnet and NiF — on the write-heavy pairs.
-func AblationWriteNet(o Options) (*stats.Table, map[config.RegCacheNet]float64, error) {
+func AblationWriteNet(o Options) (*stats.Table, error) {
 	nets := []config.RegCacheNet{config.SWnet, config.FCnet, config.NiF}
 	pairs := []string{"betw-back", "bfs4-back"}
 	spec := campaign.Spec{Platforms: kindNames(platform.ZnG), Scenarios: pairs}
@@ -55,18 +52,16 @@ func AblationWriteNet(o Options) (*stats.Table, map[config.RegCacheNet]float64, 
 	}
 	cells, err := runGrid(o, spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	t := stats.NewTable("Ablation A: register interconnect (ZnG IPC)",
 		"workload", "SWnet", "FCnet", "NiF", "migrations (NiF)")
-	avg := map[config.RegCacheNet]float64{}
 	for p, pn := range pairs {
 		row := []any{pn}
 		var migr float64
 		for n, net := range nets {
 			r := cells[n*len(pairs)+p].Result
 			row = append(row, r.IPC)
-			avg[net] += r.IPC / float64(len(pairs))
 			if net == config.NiF {
 				migr = r.Extra["reg_migrations"]
 			}
@@ -74,7 +69,7 @@ func AblationWriteNet(o Options) (*stats.Table, map[config.RegCacheNet]float64, 
 		row = append(row, migr)
 		t.AddRow(row...)
 	}
-	return t, avg, nil
+	return t, nil
 }
 
 // AblationConsolidation sweeps the co-run degree of the consolidation
@@ -85,18 +80,18 @@ func AblationWriteNet(o Options) (*stats.Table, map[config.RegCacheNet]float64, 
 // subsystem opens up and quantifies how much more gracefully ZnG's
 // direct flash path absorbs consolidation than HybridGPU's
 // engine-throttled one.
-func AblationConsolidation(o Options) (*stats.Table, map[platform.Kind][]float64, error) {
+func AblationConsolidation(o Options) (*stats.Table, error) {
 	spec := campaign.Spec{Platforms: kindNames(platform.HybridGPU, platform.ZnG)}
 	for d := 1; d <= workload.ConsolidationDegrees; d++ {
 		m, err := workload.ConsolidationMix(d)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		spec.Scenarios = append(spec.Scenarios, m.Name)
 	}
 	cells, err := runGrid(o, spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Cells come degree by degree, so each kind's IPCs append in
 	// degree order.
@@ -111,22 +106,14 @@ func AblationConsolidation(o Options) (*stats.Table, map[platform.Kind][]float64
 		t.AddRow(name, d+1, hyb, zng,
 			hyb/ipc[platform.HybridGPU][0], zng/ipc[platform.ZnG][0])
 	}
-	return t, ipc, nil
-}
-
-// GCStats summarizes the garbage-collection ablation.
-type GCStats struct {
-	Merges        uint64
-	MergePrograms uint64
-	StalledWrites uint64
-	MaxErase      int
-	FreeBlocks    int
+	return t, nil
 }
 
 // AblationGC hammers a deliberately tiny flash geometry with rewrites
 // to exercise the split FTL's helper-thread merges, and reports GC
-// cost and wear-levelling effectiveness.
-func AblationGC() (*stats.Table, GCStats) {
+// cost and wear-levelling effectiveness. It shrinks the Table I
+// defaults itself, so it reads nothing from the options.
+func AblationGC(Options) (*stats.Table, error) {
 	eng := sim.NewEngine()
 	fcfg := config.Default().Flash
 	fcfg.Channels = 4
@@ -144,23 +131,16 @@ func AblationGC() (*stats.Table, GCStats) {
 		split.WritePage(va, nil, nil)
 		eng.Run()
 	}
-	st := GCStats{
-		Merges:        split.Merges.Value(),
-		MergePrograms: split.MergePrograms.Value(),
-		StalledWrites: split.StalledWrites.Value(),
-		MaxErase:      split.MaxEraseCount(),
-		FreeBlocks:    split.FreeBlocks(),
-	}
 	t := stats.NewTable("Ablation B: split-FTL garbage collection",
 		"metric", "value")
 	t.AddRow("page writes", writes)
-	t.AddRow("log merges", st.Merges)
-	t.AddRow("merge programs", st.MergePrograms)
-	t.AddRow("stalled writes", st.StalledWrites)
-	t.AddRow("max block erase count", st.MaxErase)
-	t.AddRow("free blocks remaining", st.FreeBlocks)
-	t.AddRow("write amplification", float64(st.MergePrograms+uint64(writes))/float64(writes))
-	return t, st
+	t.AddRow("log merges", split.Merges.Value())
+	t.AddRow("merge programs", split.MergePrograms.Value())
+	t.AddRow("stalled writes", split.StalledWrites.Value())
+	t.AddRow("max block erase count", split.MaxEraseCount())
+	t.AddRow("free blocks remaining", split.FreeBlocks())
+	t.AddRow("write amplification", float64(split.MergePrograms.Value()+uint64(writes))/float64(writes))
+	return t, nil
 }
 
 // AblationL2 sweeps the ZnG L2 capacity: the 6 MB SRAM baseline, the

@@ -41,9 +41,6 @@ type GPU struct {
 	start   sim.Tick
 	end     sim.Tick
 	running int
-
-	// OnFinish, if set, fires when every launched app completes.
-	OnFinish func()
 }
 
 type sm struct {
@@ -161,9 +158,6 @@ func (r *appRun) warpDone() {
 	r.g.running--
 	if r.g.running == 0 {
 		r.g.end = r.g.eng.Now()
-		if r.g.OnFinish != nil {
-			r.g.OnFinish()
-		}
 	}
 }
 

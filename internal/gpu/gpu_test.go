@@ -28,7 +28,6 @@ func rig(lat sim.Tick) (*sim.Engine, *GPU, *fixedMem) {
 	c.GPU.SMs = 4
 	be := &fixedMem{eng: eng, lat: lat}
 	u := mmu.New(eng, c.MMU, c.GPU.SMs, mmu.BaselineWalkLat(c.MMU))
-	u.Translate = func(va uint64) uint64 { return va }
 	g := New(eng, c.GPU, c.L1, u, be)
 	return eng, g, be
 }
@@ -58,11 +57,9 @@ func TestSingleAppRunsToCompletion(t *testing.T) {
 func TestCoRunFinishesBothApps(t *testing.T) {
 	eng, g, be := rig(50)
 	a, b := apps(0.02)
-	finished := false
-	g.OnFinish = func() { finished = true }
 	g.Launch(a, b)
 	eng.Run()
-	if !finished || !g.Done() {
+	if !g.Done() {
 		t.Fatal("co-run did not finish")
 	}
 	if be.seen == 0 {
@@ -137,7 +134,6 @@ func TestKernelBarrier(t *testing.T) {
 	c.GPU.SMs = 4
 	be := &fixedMem{eng: eng, lat: 10}
 	u := mmu.New(eng, c.MMU, c.GPU.SMs, 10)
-	u.Translate = func(va uint64) uint64 { return va }
 	g := New(eng, c.GPU, c.L1, u, be)
 	spec, _ := workload.SpecByName("pr")
 	a := workload.NewApp(spec, 0.02, 0)

@@ -11,9 +11,10 @@
 //     split FTL inside the MMU's SRAM (~80 KB, Section III-B), so a
 //     TLB miss costs only the DBMT lookup — the "zero-overhead FTL".
 //
-// The actual virtual-to-physical mapping function is injected by the
-// platform (identity for DRAM platforms, DBMT for ZnG); this package
-// charges the time.
+// This package charges the time; a platform picks the regime through
+// the walk latency it passes to New. Addresses leave the MMU
+// unchanged: each backend maps them itself (ZnG's flash controller
+// through the split FTL's tables).
 package mmu
 
 import (
@@ -94,10 +95,6 @@ type Unit struct {
 	// WalkCacheLat is charged when the walk hits the page-walk cache.
 	WalkCacheLat sim.Tick
 
-	// Translate maps a virtual address to the platform's physical
-	// address space. It must be set before use.
-	Translate func(va uint64) uint64
-
 	// Fault, if non-nil, is consulted on every translation; returning
 	// true means the page is non-resident and the platform calls
 	// resume.Handle(nil) when the fault is serviced (Hetero's host
@@ -107,11 +104,10 @@ type Unit struct {
 	xlates sim.FreeList[xlate]
 
 	// Statistics.
-	L1Hits, L1Misses   stats.Counter
-	WalkCacheHits      stats.Counter
-	Walks              stats.Counter
-	Faults             stats.Counter
-	TranslationLatency stats.Histogram
+	L1Hits, L1Misses stats.Counter
+	WalkCacheHits    stats.Counter
+	Walks            stats.Counter
+	Faults           stats.Counter
 }
 
 // ValidateConfig reports an error when the model cannot run cfg: every
@@ -176,12 +172,9 @@ const (
 )
 
 // Request translates r.Addr, a virtual address issued by the given SM,
-// to the platform's physical address in place, then delivers
-// done.Handle(r). Latency is charged per the TLB/walk/fault path.
+// then delivers done.Handle(r). Latency is charged per the
+// TLB/walk/fault path.
 func (u *Unit) Request(sm int, r *mem.Request, done sim.Handler) {
-	if u.Translate == nil {
-		panic("mmu: Translate not configured")
-	}
 	page := r.Addr / PageBytes
 	x := u.xlates.Get()
 	x.u, x.r, x.done, x.sm = u, r, done, sm
@@ -250,7 +243,6 @@ func (x *xlate) resume() {
 func (x *xlate) finish() {
 	u, r, done := x.u, x.r, x.done
 	u.xlates.Put(x)
-	r.Addr = u.Translate(r.Addr)
 	done.Handle(r)
 }
 
@@ -265,7 +257,8 @@ func (u *Unit) InvalidatePage(page uint64) {
 }
 
 // StateBytes reports the allocated footprint of every TLB level —
-// the MMU's share of the translation state the scale sweep tracks.
+// the MMU's share of the translation state the scale-ladder test
+// tracks.
 func (u *Unit) StateBytes() uint64 {
 	b := u.walkCache.idx.StateBytes()
 	for _, t := range u.l1 {

@@ -9,7 +9,7 @@ import (
 )
 
 // translate issues one translation of va and calls fn with the
-// physical address when it is handed off.
+// request's address when it is handed off.
 func translate(u *Unit, sm int, va uint64, fn func(pa uint64)) {
 	r := &mem.Request{Addr: va}
 	u.Request(sm, r, sim.Func(func() { fn(r.Addr) }))
@@ -17,9 +17,7 @@ func translate(u *Unit, sm int, va uint64, fn func(pa uint64)) {
 
 func newUnit(eng *sim.Engine, walkLat sim.Tick) *Unit {
 	cfg := config.Default().MMU
-	u := New(eng, cfg, 2, walkLat)
-	u.Translate = func(va uint64) uint64 { return va + 0x1000_0000 }
-	return u
+	return New(eng, cfg, 2, walkLat)
 }
 
 func TestTranslationMissThenHit(t *testing.T) {
@@ -29,8 +27,8 @@ func TestTranslationMissThenHit(t *testing.T) {
 	translate(u, 0, 0x4000, func(p uint64) { pa = p })
 	eng.Run()
 	missTime := eng.Now()
-	if pa != 0x4000+0x1000_0000 {
-		t.Fatalf("pa = %x", pa)
+	if pa != 0x4000 {
+		t.Fatalf("address handed off as %x, want 0x4000 unchanged", pa)
 	}
 	if missTime < 400 {
 		t.Errorf("walk completed at %d, want >= 400", missTime)
@@ -72,7 +70,6 @@ func TestWalkerConcurrencyLimit(t *testing.T) {
 	cfg := config.Default().MMU
 	cfg.WalkerThreads = 2
 	u := New(eng, cfg, 1, 100)
-	u.Translate = func(va uint64) uint64 { return va }
 	done := 0
 	for i := 0; i < 4; i++ {
 		translate(u, 0, uint64(i)<<12<<8, func(uint64) { done++ }) // distinct pages
@@ -104,7 +101,6 @@ func TestL1TLBEviction(t *testing.T) {
 	cfg.L1TLBEntries = 2
 	cfg.WalkCacheEnt = 2
 	u := New(eng, cfg, 1, 50)
-	u.Translate = func(va uint64) uint64 { return va }
 	for i := 0; i < 3; i++ { // 3 pages through a 2-entry TLB
 		translate(u, 0, uint64(i)*PageBytes, func(uint64) {})
 		eng.Run()

@@ -138,7 +138,6 @@ func TestUnitCountersDifferential(t *testing.T) {
 	cfg.L1TLBEntries = 4
 	cfg.WalkCacheEnt = 8
 	u := New(eng, cfg, 2, 100)
-	u.Translate = func(va uint64) uint64 { return va }
 
 	l1 := []*refTLB{newRefTLB(4), newRefTLB(4)}
 	walk := newRefTLB(8)

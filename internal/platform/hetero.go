@@ -18,7 +18,6 @@ import (
 // cost), then a PCIe DMA into GPU memory.
 func buildHetero(eng *sim.Engine, cfg config.Config) *system {
 	u := mmu.New(eng, cfg.MMU, cfg.GPU.SMs, mmu.BaselineWalkLat(cfg.MMU))
-	u.Translate = func(va uint64) uint64 { return va }
 	dev := dram.New(eng, cfg.GDDR5)
 	l2 := cache.New(eng, cfg.L2SRAM, dev, "L2")
 	g := gpu.New(eng, cfg.GPU, cfg.L1, u, l2)

@@ -16,7 +16,6 @@ import (
 // Z-NAND backbone.
 func buildHybrid(eng *sim.Engine, cfg config.Config) *system {
 	u := mmu.New(eng, cfg.MMU, cfg.GPU.SMs, mmu.BaselineWalkLat(cfg.MMU))
-	u.Translate = func(va uint64) uint64 { return va }
 	mod := ssd.New(eng, cfg.Engine, cfg.Flash, cfg.FTL)
 	l2 := cache.New(eng, cfg.L2SRAM, mod, "L2")
 	g := gpu.New(eng, cfg.GPU, cfg.L1, u, l2)

@@ -15,7 +15,6 @@ import (
 // table.
 func buildDRAM(eng *sim.Engine, cfg config.Config, dcfg config.DRAM) *system {
 	u := mmu.New(eng, cfg.MMU, cfg.GPU.SMs, mmu.BaselineWalkLat(cfg.MMU))
-	u.Translate = func(va uint64) uint64 { return va }
 	dev := dram.New(eng, dcfg)
 	l2 := cache.New(eng, cfg.L2SRAM, dev, "L2")
 	g := gpu.New(eng, cfg.GPU, cfg.L1, u, l2)

@@ -49,7 +49,6 @@ func buildZnG(eng *sim.Engine, kind Kind, cfg config.Config) *system {
 	// Zero-overhead FTL: the DBMT lives in the MMU, so a TLB miss costs
 	// only the in-SRAM block-map lookup.
 	u := mmu.New(eng, cfg.MMU, cfg.GPU.SMs, cfg.MMU.DBMTLatency)
-	u.Translate = func(va uint64) uint64 { return va }
 
 	ctl := &zngController{
 		eng: eng, bb: bb, split: split, mesh: mesh, xbar: xbar,

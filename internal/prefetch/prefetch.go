@@ -7,9 +7,10 @@
 // granularity (halve above the high waste threshold, grow by 1 KB
 // below the low one; the paper's sweep lands on 0.3 / 0.05).
 //
-// The unit is pure decision logic: the platform wires it to the L2's
-// OnDemandMiss and OnEvict hooks and performs the actual flash
-// fetches, so the same unit drives any backend.
+// The unit is pure decision logic: the platform's flash controller
+// asks OnMiss how far to widen each L2 fill, the L2's OnEvict hook
+// feeds the access monitor, and the platform performs the actual
+// flash fetches, so the same unit drives any backend.
 package prefetch
 
 import (
@@ -48,23 +49,20 @@ type Unit struct {
 	unused  int
 
 	// Statistics.
-	Issued      stats.Counter // prefetch decisions taken
-	Decisions   stats.Counter // cutoff tests performed
-	Grows       stats.Counter
-	Shrinks     stats.Counter
-	WasteRatios stats.Histogram
+	Issued    stats.Counter // prefetch decisions taken
+	Decisions stats.Counter // cutoff tests performed
+	Grows     stats.Counter
+	Shrinks   stats.Counter
 }
 
 // New builds a unit with the Table/Section IV-B configuration.
 func New(cfg config.Prefetch) *Unit {
-	u := &Unit{
+	return &Unit{
 		cfg:   cfg,
 		table: make([]entry, cfg.TableEntries),
 		gran:  cfg.InitialBytes,
 		cmax:  1<<cfg.CounterBits - 1,
 	}
-	u.WasteRatios = *stats.NewHistogram(0.05, 0.1, 0.2, 0.3, 0.5, 0.8)
-	return u
 }
 
 // Granularity reports the current prefetch extent in bytes.
@@ -159,7 +157,6 @@ func (u *Unit) OnEvict(info cache.EvictInfo) {
 		return
 	}
 	waste := float64(u.unused) / float64(u.evicted)
-	u.WasteRatios.Observe(waste)
 	switch {
 	case waste > u.cfg.HighWaste:
 		if g := u.gran / 2; g >= u.cfg.MinBytes {

@@ -60,12 +60,10 @@ applications with disjoint address spaces, and ` + "`workload.Scenarios`" + `
 registers the vocabulary — the twelve co-run pairs of Figs. 5/10/11
 (a read-intensive app paired with a write-intensive one, as the paper
 does), per-app solo runs, consolidation mixes of degree 1-4, pure
-read/write stress mixes, and co-runs of two generator families beyond
-Table II: a frontier-phase BFS-style traversal (FlashGraph-style
-expanding/contracting per-kernel frontier windows) and an OLTP
-transaction stream (fixed-shape read-modify-write transactions with
-scattered, burst-free stores). Every family passes the same
-` + "`Characterize`" + ` calibration tolerances.
+read/write stress mixes, and a co-run of one generator family beyond
+Table II: an OLTP transaction stream (fixed-shape read-modify-write
+transactions with scattered, burst-free stores). Every family passes
+the same ` + "`Characterize`" + ` calibration tolerances.
 
 ## Flash, FTL and the SSD module (` + "`internal/flash`" + `, ` + "`internal/ftl`" + `, ` + "`internal/ssd`" + `)
 
@@ -120,13 +118,18 @@ implementation drift.
 
 ` + "`internal/experiments`" + ` holds one driver per table/figure plus the
 registry that binds each figure id to its driver, paper reference,
-claim and shape check. Drivers run their cells through an injectable
-` + "`Runner`" + ` carried by ` + "`Options`" + ` — by default an in-memory single-flight
-memo keyed by (platform, mix ID, scale, config); the mix participates
-through its canonical content identity, so scenarios aliasing the
-same composition coalesce — and the full figure suite performs each
-unique simulation exactly once per runner.
-` + "`internal/stats`" + ` provides counters, breakdowns, histograms and the
+claim and shape check. Every driver has one signature,
+` + "`func(Options) (*stats.Table, error)`" + `, and is its registry entry's
+` + "`Run`" + `: the table is the figure's only output, so the shape check,
+` + "`zngfig`" + `, the examples and these docs all read the same cells, and
+the test suite requires every check to pass on a one-pair run.
+Drivers run their cells through an injectable ` + "`Runner`" + ` carried by
+` + "`Options`" + ` — by default an in-memory single-flight memo keyed by
+(platform, mix ID, scale, config); the mix participates through its
+canonical content identity, so scenarios aliasing the same
+composition coalesce — and the full figure suite performs each unique
+simulation exactly once per runner.
+` + "`internal/stats`" + ` provides counters, breakdowns and the
 deterministic table type every driver returns; ` + "`internal/report`" + `
 renders those tables to Markdown/CSV/JSON (plus the canonical
 per-result JSON document the store persists) and composes this
@@ -191,12 +194,11 @@ counters and per-cell partial-failure reporting, running each cell
 once, then folds the results into the same deterministic table type
 every figure emits. Every simulated figure builds its grid this way and runs
 it on one ` + "`Executor`" + ` over the figure runner: the Fig. 13 thresholds,
-the register interconnects and the L2 capacities are overrides, and
-the scale ladder is the scales axis. ` + "`internal/remote`" + ` scales execution
-horizontally: a ` + "`Client`" + ` implements the runner interface against one
-zngd peer (each request carries the cell's full configuration, so
-both sides hash the same key and distributed results are
-byte-identical to local ones), and a ` + "`Dispatcher`" + ` shards cells
+the register interconnects and the L2 capacities are overrides.
+` + "`internal/remote`" + ` scales execution horizontally: a ` + "`Client`" + `
+implements the runner interface against one zngd peer (each request
+carries the cell's full configuration, so both sides hash the same
+key and distributed results are byte-identical to local ones), and a ` + "`Dispatcher`" + ` shards cells
 across N peers — least-loaded work stealing, a cooldown for a faulted
 peer, its cell re-routed to another — turning several daemons into
 one simulation fleet. ` + "`cmd/zngsweep`" + ` is the CLI (spec from flags or

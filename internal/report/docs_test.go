@@ -19,7 +19,9 @@ func docTestOptions() experiments.Options {
 
 // TestExperimentsDocDeterministic renders EXPERIMENTS.md twice at a
 // fixed seed/scale and demands identical bytes — the property that
-// lets CI `git diff` the generated docs.
+// lets CI `git diff` the generated docs — and requires every
+// registered shape check to pass on that run. This is where tier-1
+// asserts each figure's Shape, on the table users see.
 func TestExperimentsDocDeterministic(t *testing.T) {
 	o := docTestOptions()
 	a, dsA, err := Experiments(o)
@@ -46,6 +48,25 @@ func TestExperimentsDocDeterministic(t *testing.T) {
 	if dsA.Passed+dsA.Failed != dsA.Checked {
 		t.Errorf("verdicts don't add up: %+v", dsA)
 	}
+	if dsA.Failed != 0 {
+		t.Errorf("%d of %d shape checks fail:\n%s", dsA.Failed, dsA.Checked, failedVerdicts(a))
+	}
+}
+
+// failedVerdicts lists each FAIL verdict in doc under its figure's
+// section heading.
+func failedVerdicts(doc []byte) string {
+	var b strings.Builder
+	heading := ""
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			heading = line
+		}
+		if strings.HasPrefix(line, "**Verdict: FAIL") {
+			b.WriteString(heading + ": " + line + "\n")
+		}
+	}
+	return b.String()
 }
 
 // TestExperimentsDocContent checks the composer's contract: every

@@ -1,11 +1,8 @@
 // Package stats collects the measurements the ZnG evaluation reports:
-// counters, latency breakdowns per hardware component, bandwidth
-// meters, and histograms, plus plain-text table rendering used by the
-// experiment drivers to print the same rows and series the paper's
-// figures show.
+// counters and latency breakdowns per hardware component, plus the
+// plain-text table rendering the experiment drivers use to print the
+// same rows and series the paper's figures show.
 package stats
-
-import "sort"
 
 // Counter is a monotonically increasing event count.
 type Counter struct {
@@ -84,78 +81,4 @@ func (b *Breakdown) Fractions() []float64 {
 		out[i] = b.vals[n] / t
 	}
 	return out
-}
-
-// Histogram is a fixed-bucket histogram over non-negative values.
-type Histogram struct {
-	bounds []float64 // bucket i holds values < bounds[i]; last bucket overflow
-	counts []uint64
-	n      uint64
-	sum    float64
-	max    float64
-}
-
-// NewHistogram creates a histogram with the given ascending upper
-// bounds; values beyond the last bound land in an overflow bucket.
-func NewHistogram(bounds ...float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be ascending")
-		}
-	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Observe records value v.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	if i < len(h.bounds) && v == h.bounds[i] {
-		i++ // bucket upper bounds are exclusive
-	}
-	h.counts[i]++
-	h.n++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count reports the number of observations.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Mean reports the mean observation, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Max reports the largest observation.
-func (h *Histogram) Max() float64 { return h.max }
-
-// Bucket reports the count in bucket i (len(bounds)+1 buckets).
-func (h *Histogram) Bucket(i int) uint64 { return h.counts[i] }
-
-// Quantile returns an upper bound on the q-quantile (0<=q<=1) using
-// bucket boundaries; exact for values that align with boundaries.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.n))
-	if target >= h.n {
-		target = h.n - 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum > target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestCounter(t *testing.T) {
@@ -46,65 +45,6 @@ func TestBreakdown(t *testing.T) {
 	}
 	if NewBreakdown().Fractions() != nil {
 		t.Error("empty breakdown should yield nil fractions")
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(10, 100, 1000)
-	for _, v := range []float64{1, 5, 10, 50, 99, 100, 500, 5000} {
-		h.Observe(v)
-	}
-	if h.Count() != 8 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	// buckets: <10: {1,5}=2; <100: {10,50,99}=3; <1000: {100,500}=2; ovf: {5000}=1
-	want := []uint64{2, 3, 2, 1}
-	for i, w := range want {
-		if h.Bucket(i) != w {
-			t.Errorf("Bucket(%d) = %d, want %d", i, h.Bucket(i), w)
-		}
-	}
-	if h.Max() != 5000 {
-		t.Errorf("Max = %v", h.Max())
-	}
-	if m := h.Mean(); math.Abs(m-720.625) > 1e-9 {
-		t.Errorf("Mean = %v, want 720.625", m)
-	}
-	if q := h.Quantile(0.5); q != 100 {
-		t.Errorf("Quantile(0.5) = %v, want 100", q)
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic on non-ascending bounds")
-		}
-	}()
-	NewHistogram(10, 10)
-}
-
-// Property: histogram count equals observations; mean within [0, max].
-func TestHistogramProperty(t *testing.T) {
-	f := func(vals []uint16) bool {
-		h := NewHistogram(16, 256, 4096)
-		for _, v := range vals {
-			h.Observe(float64(v))
-		}
-		if h.Count() != uint64(len(vals)) {
-			return false
-		}
-		if len(vals) > 0 && (h.Mean() < 0 || h.Mean() > h.Max()) {
-			return false
-		}
-		var total uint64
-		for i := 0; i < 4; i++ {
-			total += h.Bucket(i)
-		}
-		return total == uint64(len(vals))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

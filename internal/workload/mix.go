@@ -21,7 +21,7 @@ type Component struct {
 // space on its own SM partition. The twelve 2-app co-run pairs of the
 // paper's Section V-A are mixes of degree 2; the scenario registry
 // (Scenarios) adds solo runs, higher-degree consolidation mixes,
-// stress mixes and the new generator families on top.
+// stress mixes and an OLTP co-run on top.
 type Mix struct {
 	Name       string
 	Components []Component
@@ -163,7 +163,7 @@ func ConsolidationMix(degree int) (Mix, error) {
 // Scenarios returns the full scenario registry, the vocabulary behind
 // zngsim -mix and zngfig -mixes: the twelve paper pairs, a solo run
 // per application, the consolidation sweep, read-only/write-only
-// stress mixes and the new-family co-runs. Names are unique; content
+// stress mixes and the OLTP co-run. Names are unique; content
 // may coalesce (e.g. consol-2 simulates identically to bfs1-gaus, and
 // the memo's ID keying exploits that).
 func Scenarios() []Mix {
@@ -181,9 +181,7 @@ func Scenarios() []Mix {
 	out = append(out,
 		NewMix("read-stress", "rdstress", "rdstress"),
 		NewMix("write-stress", "wrstress", "wrstress"),
-		NewMix("fbfs-gaus", "fbfs", "gaus"),
 		NewMix("oltp-bfs1", "oltp", "bfs1"),
-		NewMix("frontier-oltp", "fbfs", "oltp"),
 	)
 	return out
 }

@@ -65,7 +65,7 @@ func TestScaleCheckKeepsRegisteredTraces(t *testing.T) {
 	for _, tc := range []struct {
 		scale float64
 		total int
-	}{{2.0, 6624896}, {1.28, 4232640}} {
+	}{{2.0, 6085760}, {1.28, 3889728}} {
 		total := 0
 		for _, m := range Scenarios() {
 			if err := m.CheckScale(tc.scale); err != nil {

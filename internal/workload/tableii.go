@@ -35,17 +35,11 @@ func Specs() []Spec {
 }
 
 // FamilySpecs lists the applications beyond Table II that the scenario
-// subsystem adds: the two new generator families (frontier traversal
-// and OLTP transaction stream, calibrated against the FlashGraph and
-// GPU-OLTP related work rather than Table II) and the pure read/write
-// stress generators behind the stress mixes.
+// subsystem adds: the OLTP transaction-stream family (calibrated
+// against the GPU-OLTP related work rather than Table II) and the pure
+// read/write stress generators behind the stress mixes.
 func FamilySpecs() []Spec {
 	return []Spec{
-		// fbfs: frontier-phase BFS traversal. Read ratio and locality
-		// sit in the band of the Table II BFS family; what changes is
-		// the shape — random reads sweep an expanding/contracting
-		// frontier window per kernel instead of one stationary pool.
-		{Name: "fbfs", Suite: "graph", Family: FamilyFrontier, ReadRatio: 0.94, Kernels: 12, WarpsPerKernel: 96, MemInstBudget: 60000, ReadReuse: 30, WriteRedund: 75, SeqFrac: 0.30, RandSectors: 4, ALUMean: 6, Seed: 201},
 		// oltp: small read-modify-write transactions — three
 		// single-sector row reads then one scattered row update
 		// (ReadRatio 0.75 = 3/(3+1) exactly, by construction). Low

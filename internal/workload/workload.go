@@ -1,9 +1,8 @@
 // Package workload generates the GPU memory traces the ZnG evaluation
 // runs, organized as a scenario subsystem: the sixteen applications of
 // Table II (graph analysis from GraphBIG-style suites plus scientific
-// kernels), two additional generator families (a frontier-phase
-// FlashGraph-style traversal and an OLTP transaction stream), and a
-// registry of named Mix scenarios — the twelve read-intensive +
+// kernels), an additional generator family (an OLTP transaction
+// stream), and a registry of named Mix scenarios — the twelve read-intensive +
 // write-intensive co-run pairs of Figures 5, 10 and 11, per-app solo
 // runs, 3- and 4-app consolidation mixes and read/write stress mixes.
 //
@@ -67,20 +66,14 @@ type Inst struct {
 const maxAccPerInst = 8
 
 // Family selects a trace-generator behavior. The zero value is the
-// Table II generic family; the other two are the scenario-subsystem
-// additions calibrated against related work rather than Table II.
+// Table II generic family; the other is the scenario-subsystem
+// addition calibrated against related work rather than Table II.
 type Family int
 
 const (
 	// FamilyGeneric is the Table II behavior: PC-stable sequential
 	// scans, power-law random gathers, warp-affine bursty writes.
 	FamilyGeneric Family = iota
-	// FamilyFrontier is a frontier-phase graph traversal
-	// (FlashGraph-style): each kernel is one BFS level whose random
-	// reads land in a per-kernel frontier window of the hot pool that
-	// expands toward the middle levels and contracts again, while edge
-	// lists are still scanned sequentially.
-	FamilyFrontier
 	// FamilyOLTP is a transaction stream (high-throughput GPU OLTP
 	// style): fixed-shape read-modify-write transactions of small
 	// single-sector random row reads followed by one scattered row
@@ -95,8 +88,6 @@ func (f Family) String() string {
 	switch f {
 	case FamilyGeneric:
 		return "generic"
-	case FamilyFrontier:
-		return "frontier"
 	case FamilyOLTP:
 		return "oltp"
 	}
@@ -232,10 +223,6 @@ type Stream struct {
 	seqCursor uint64
 	readFrac  float64 // instruction-level read probability
 
-	// Frontier-family state: the hot-pool window [frontLo,
-	// frontLo+frontN) this kernel's random reads land in.
-	frontLo, frontN int
-
 	// OLTP-family state: reads remaining before the transaction's
 	// read-modify-write store (txnReads per transaction).
 	txnReads, txnPos int
@@ -284,53 +271,9 @@ func (a *App) ResetStream(s *Stream, kernel, warp int) {
 		seqCursor: a.vaBase + regSeq + strip,
 		readFrac:  a.readInstFrac(),
 	}
-	switch a.Spec.Family {
-	case FamilyFrontier:
-		s.frontLo, s.frontN = a.FrontierWindow(kernel)
-	case FamilyOLTP:
+	if a.Spec.Family == FamilyOLTP {
 		s.txnReads = oltpTxnReads(a.Spec.ReadRatio)
 	}
-}
-
-// FrontierWindow reports the hot-pool window [lo, lo+n) that kernel
-// k's random reads draw from in the frontier family: window sizes
-// follow a triangular expand/contract profile across kernels (a BFS
-// frontier growing to its peak level and draining again) and tile the
-// hot pool exactly, so the family's distinct-page count — and with it
-// the ReadReuse calibration — matches the generic sizing math.
-func (a *App) FrontierWindow(k int) (lo, n int) {
-	K := a.Spec.Kernels
-	if k < 0 || k >= K {
-		panic(fmt.Sprintf("workload: frontier kernel %d out of range", k))
-	}
-	weight := func(i int) int {
-		if up, down := i+1, K-i; up < down {
-			return up
-		} else {
-			return down
-		}
-	}
-	total := 0
-	for i := 0; i < K; i++ {
-		total += weight(i)
-	}
-	for i := 0; i < k; i++ {
-		lo += a.hotPages * weight(i) / total
-	}
-	n = a.hotPages * weight(k) / total
-	if k == K-1 {
-		n = a.hotPages - lo // remainder: the tiling must be exact
-	}
-	if n < 1 {
-		n = 1
-	}
-	if lo+n > a.hotPages {
-		lo = a.hotPages - n
-		if lo < 0 {
-			lo = 0
-		}
-	}
-	return lo, n
 }
 
 // oltpTxnReads converts an OLTP access-level read ratio r into the
@@ -400,14 +343,7 @@ func (s *Stream) Next() (inst Inst, ok bool) {
 		if n < 1 {
 			n = 1
 		}
-		var page uint64
-		if spec.Family == FamilyFrontier {
-			// Frontier family: the gather lands in this kernel's
-			// frontier window instead of the whole hot pool.
-			page = uint64(s.frontLo) + s.zipfPage(s.frontN)
-		} else {
-			page = s.zipfPage(s.app.hotPages)
-		}
+		page := s.zipfPage(s.app.hotPages)
 		sectors := uint64(PageBytes / SectorBytes)
 		start := uint64(s.rng.Intn(int(sectors)))
 		acc := s.accBuf[:0]

@@ -163,11 +163,11 @@ func TestParseApps(t *testing.T) {
 	if m.Name != "bfs1+gaus+pr" || m.Degree() != 3 {
 		t.Errorf("parsed %q degree %d", m.Name, m.Degree())
 	}
-	m, err = ParseApps("oltp*2,fbfs")
+	m, err = ParseApps("oltp*2,rdstress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Components[0].Weight != 2 || m.Name != "oltp*2+fbfs" {
+	if m.Components[0].Weight != 2 || m.Name != "oltp*2+rdstress" {
 		t.Errorf("weighted parse: %+v", m)
 	}
 	// Whitespace around the weight separator is tolerated like the
@@ -213,39 +213,6 @@ func mustSpec(t *testing.T, name string) Spec {
 	return s
 }
 
-func TestFrontierWindowsTileAndPulse(t *testing.T) {
-	a := NewApp(mustSpec(t, "fbfs"), 0.25, 0)
-	next := 0
-	var sizes []int
-	for k := 0; k < a.Kernels(); k++ {
-		lo, n := a.FrontierWindow(k)
-		if lo != next {
-			t.Fatalf("kernel %d window starts at %d, want %d (tiling gap/overlap)", k, lo, next)
-		}
-		if n < 1 {
-			t.Fatalf("kernel %d window empty", k)
-		}
-		next = lo + n
-		sizes = append(sizes, n)
-	}
-	if next != a.HotPages() {
-		t.Fatalf("windows cover %d of %d hot pages", next, a.HotPages())
-	}
-	// Expand then contract: the peak sits strictly inside the run.
-	peak := 0
-	for k, n := range sizes {
-		if n > sizes[peak] {
-			peak = k
-		}
-	}
-	if peak == 0 || peak == len(sizes)-1 {
-		t.Errorf("frontier peak at kernel %d of %d, want interior expand/contract", peak, len(sizes))
-	}
-	if sizes[0] >= sizes[peak] || sizes[len(sizes)-1] >= sizes[peak] {
-		t.Errorf("frontier does not pulse: sizes %v", sizes)
-	}
-}
-
 func TestOLTPTransactionShape(t *testing.T) {
 	a := NewApp(mustSpec(t, "oltp"), 0.1, 0)
 	s := a.Stream(0, 0)
@@ -275,8 +242,8 @@ func TestOLTPTransactionShape(t *testing.T) {
 }
 
 // TestFamilyCalibration is the tolerance gate for every scenario
-// family: each application — Table II generics, the frontier and OLTP
-// families, and the stress generators — must land on its ReadRatio
+// family: each application — Table II generics, the OLTP family and
+// the stress generators — must land on its ReadRatio
 // spec and within band of its ReadReuse/WriteRedund locality targets
 // under the generalized Characterize.
 func TestFamilyCalibration(t *testing.T) {
@@ -354,7 +321,7 @@ func marshalStream(s *Stream) []byte {
 // constructed App instances, across every generator family — emit
 // byte-identical instruction sequences.
 func TestStreamByteIdentical(t *testing.T) {
-	for _, name := range []string{"betw", "back", "pr", "deg", "fbfs", "oltp", "rdstress", "wrstress"} {
+	for _, name := range []string{"betw", "back", "pr", "deg", "oltp", "rdstress", "wrstress"} {
 		spec, err := SpecByName(name)
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,8 @@ package zng_test
 import (
 	"flag"
 	"testing"
+
+	"zng/internal/experiments"
 )
 
 // TestBenchSmoke runs every benchmark of the harness exactly once
@@ -24,35 +26,18 @@ func TestBenchSmoke(t *testing.T) {
 	}
 	defer flag.Set("test.benchtime", old)
 
-	for _, bm := range []struct {
-		name string
-		fn   func(*testing.B)
-	}{
-		{"TableII", BenchmarkTableII},
-		{"Fig1b", BenchmarkFig1b},
-		{"Fig3", BenchmarkFig3},
-		{"Fig4c", BenchmarkFig4c},
-		{"Fig4d", BenchmarkFig4d},
-		{"Fig5a", BenchmarkFig5a},
-		{"Fig5bcd", BenchmarkFig5bcd},
-		{"Fig8b", BenchmarkFig8b},
-		{"Fig10", BenchmarkFig10},
-		{"Fig11", BenchmarkFig11},
-		{"Fig12", BenchmarkFig12},
-		{"Fig13Sweep", BenchmarkFig13Sweep},
-		{"AblationWriteNet", BenchmarkAblationWriteNet},
-		{"AblationConsolidation", BenchmarkAblationConsolidation},
-		{"AblationGC", BenchmarkAblationGC},
-		{"AblationL2", BenchmarkAblationL2},
-		{"ScaleSweep", BenchmarkScaleSweep},
-		{"Platforms", BenchmarkPlatforms},
-	} {
-		bm := bm
-		t.Run(bm.name, func(t *testing.T) {
-			r := testing.Benchmark(bm.fn)
+	smoke := func(name string, fn func(*testing.B)) {
+		t.Run(name, func(t *testing.T) {
+			r := testing.Benchmark(fn)
 			if r.N < 1 {
-				t.Fatalf("benchmark %s did not complete an iteration (it failed)", bm.name)
+				t.Fatalf("benchmark %s did not complete an iteration (it failed)", name)
 			}
 		})
 	}
+	// BenchmarkFigures' sub-benchmarks, one subtest each.
+	for _, f := range experiments.Registry() {
+		smoke(f.Driver, benchFigure(f))
+	}
+	smoke("ScaleSweep", BenchmarkScaleSweep)
+	smoke("Platforms", BenchmarkPlatforms)
 }
