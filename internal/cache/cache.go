@@ -167,9 +167,6 @@ func New(eng *sim.Engine, cfg config.Cache, next mem.Memory, name string) *Cache
 	return c
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() config.Cache { return c.cfg }
-
 func (c *Cache) lineAddr(addr uint64) uint64 { return mem.LineAddr(addr, c.cfg.LineBytes) }
 
 // locate returns line la's tag row and the key its word carries. A line

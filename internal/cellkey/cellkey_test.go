@@ -17,14 +17,14 @@ import (
 // existing store cold without a word, so a deliberate one comes with a
 // SchemaVersion bump and new values here.
 func TestKeyGolden(t *testing.T) {
-	if SchemaVersion != 2 {
-		t.Fatalf("SchemaVersion = %d; the golden keys below are for 2", SchemaVersion)
+	if SchemaVersion != 3 {
+		t.Fatalf("SchemaVersion = %d; the golden keys below are for 3", SchemaVersion)
 	}
 	cfg := config.Default()
 	cfg.Flash.Channels = 8
 	cfg.RegCache.Net = config.SWnet
 	cfg.L2STT.ReadOnly = false
-	cfg.FTL.OPFraction = 1e-7
+	cfg.FTL.GCThreshold = 1e-7
 	for _, tc := range []struct {
 		kind  platform.Kind
 		mix   string
@@ -32,9 +32,9 @@ func TestKeyGolden(t *testing.T) {
 		cfg   config.Config
 		want  string
 	}{
-		{platform.ZnG, "bfs1+gaus", 2, config.Default(), "52fe28928581d71ea8e97e3eb713ebd5748268b141d2991391ccea2453427248"},
-		{platform.HybridGPU, "bfs1", 0.05, config.Default(), "c925330b1708aeedc0674130c4b05146937d3a2b37700c82ae626bedad5fd28e"},
-		{platform.ZnGBase, "oltp*2+fbfs", 1.28, cfg, "8da3adfb000ce8d0781385ecbff9df3e769472c8b8b190da18fdfc878e8597c8"},
+		{platform.ZnG, "bfs1+gaus", 2, config.Default(), "4722e116578e0322abf38a88d8f89c5db806442b76abaedab6202b4c093ddb76"},
+		{platform.HybridGPU, "bfs1", 0.05, config.Default(), "45d4b988c0c53e16eefbaf34a4230d980d9b226cc0b6bbc3361f6b2842dea7f0"},
+		{platform.ZnGBase, "oltp*2+fbfs", 1.28, cfg, "a403dcea8ef83f969910e706cdbfd2687bcf24ee84d154a14b0b3066e452a9f6"},
 	} {
 		if got := Key(tc.kind, tc.mix, tc.scale, tc.cfg); got != tc.want {
 			t.Errorf("Key(%v, %q, %v) = %s, want %s", tc.kind, tc.mix, tc.scale, got, tc.want)
@@ -85,7 +85,7 @@ func TestKeyMatchesReference(t *testing.T) {
 		}
 		cfg := config.Default()
 		cfg.Flash.Channels = rng.IntN(64) - 8
-		cfg.FTL.OPFraction = scales[rng.IntN(len(scales))]
+		cfg.FTL.GCThreshold = scales[rng.IntN(len(scales))]
 		cfg.L2STT.ReadOnly = rng.IntN(2) == 0
 		cfg.RegCache.Net = config.RegCacheNet(rng.IntN(3))
 		kind := kinds[rng.IntN(len(kinds))]

@@ -48,8 +48,6 @@ func BytesPerTickToGBps(w float64) float64 { return w * GPUClockGHz }
 type GPU struct {
 	SMs           int // streaming multiprocessors
 	MaxWarps      int // resident warps per SM
-	WarpSize      int // threads per warp
-	IssuePerCyc   int // instructions issued per SM per cycle
 	MaxPerWarpMem int // outstanding memory instructions per warp
 }
 
@@ -73,7 +71,6 @@ func (c Cache) SizeBytes() int { return c.Sets * c.Ways * c.LineBytes * max(1, c
 type MMU struct {
 	L1TLBEntries   int // per-SM
 	WalkerThreads  int // highly-threaded page table walker
-	WalkBufEntries int
 	WalkCacheEnt   int
 	WalkMemLatency sim.Tick // memory access cost per walk step
 	WalkLevels     int
@@ -90,7 +87,6 @@ type Flash struct {
 	PagesPerBlock int
 	PageBytes     int
 	RegsPerPlane  int // cache registers; 2 baseline, 8 in ZnG
-	IOPortsPerPkg int
 
 	ReadLat    sim.Tick // tR: array sensing (3 us)
 	ProgramLat sim.Tick // tPROG (100 us)
@@ -130,34 +126,8 @@ type SSDEngine struct {
 	DispatchLat  sim.Tick
 }
 
-// DRAMKind selects a conventional memory backend.
-type DRAMKind int
-
-const (
-	GDDR5 DRAMKind = iota
-	DDR4
-	LPDDR4
-	OptanePMM
-)
-
-// String implements fmt.Stringer.
-func (k DRAMKind) String() string {
-	switch k {
-	case GDDR5:
-		return "GDDR5"
-	case DDR4:
-		return "DDR4"
-	case LPDDR4:
-		return "LPDDR4"
-	case OptanePMM:
-		return "Optane"
-	}
-	return "unknown"
-}
-
 // DRAM describes a conventional memory backend.
 type DRAM struct {
-	Kind        DRAMKind
 	Controllers int
 	TotalGBps   float64  // aggregate across controllers
 	ReadLat     sim.Tick // device read latency
@@ -232,7 +202,6 @@ type RegCache struct {
 // FTL describes the ZnG split FTL and the HybridGPU monolithic FTL.
 type FTL struct {
 	DataBlocksPerLog int     // physical data blocks sharing one log block
-	OPFraction       float64 // over-provisioned space
 	GCThreshold      float64 // free-block fraction triggering GC
 	HelperThreadLat  sim.Tick
 }
@@ -297,8 +266,6 @@ func Default() Config {
 		GPU: GPU{
 			SMs:           16,
 			MaxWarps:      80,
-			WarpSize:      32,
-			IssuePerCyc:   1,
 			MaxPerWarpMem: 2,
 		},
 		L1: Cache{
@@ -319,7 +286,6 @@ func Default() Config {
 		MMU: MMU{
 			L1TLBEntries:   64,
 			WalkerThreads:  32,
-			WalkBufEntries: 64,
 			WalkCacheEnt:   1024,
 			WalkMemLatency: 200,
 			WalkLevels:     2,
@@ -328,11 +294,11 @@ func Default() Config {
 		Flash: Flash{
 			Channels: 16, PackagesPerCh: 1, DiesPerPkg: 8, PlanesPerDie: 8,
 			BlocksPerPl: 1024, PagesPerBlock: 384, PageBytes: 4096,
-			RegsPerPlane: 2, IOPortsPerPkg: 2,
-			ReadLat:    UsToTicks(3),
-			ProgramLat: UsToTicks(100),
-			EraseLat:   UsToTicks(1000),
-			PECycles:   100_000,
+			RegsPerPlane: 2,
+			ReadLat:      UsToTicks(3),
+			ProgramLat:   UsToTicks(100),
+			EraseLat:     UsToTicks(1000),
+			PECycles:     100_000,
 			// 16 channels x 1.6 GB/s (ONFI 800 MT/s DDR) = 25.6 GB/s,
 			// matching the accumulated flash-channel bandwidth of Fig. 1b.
 			ChannelGBps: 1.6,
@@ -352,17 +318,17 @@ func Default() Config {
 			DispatchLat:  NsToTicks(30),
 		},
 		GDDR5: DRAM{
-			Kind: GDDR5, Controllers: 6, TotalGBps: 484,
+			Controllers: 6, TotalGBps: 484,
 			ReadLat: NsToTicks(200), WriteLat: NsToTicks(200), AccessGran: 128,
 			PkgCapacityGB: 1, PowerWPerGB: 1.88,
 		},
 		DDR4: DRAM{
-			Kind: DDR4, Controllers: 6, TotalGBps: 256,
+			Controllers: 6, TotalGBps: 256,
 			ReadLat: NsToTicks(170), WriteLat: NsToTicks(170), AccessGran: 128,
 			PkgCapacityGB: 2, PowerWPerGB: 0.38,
 		},
 		LPDDR4: DRAM{
-			Kind: LPDDR4, Controllers: 4, TotalGBps: 44.8,
+			Controllers: 4, TotalGBps: 44.8,
 			ReadLat: NsToTicks(220), WriteLat: NsToTicks(220), AccessGran: 128,
 			PkgCapacityGB: 4, PowerWPerGB: 0.20,
 		},
@@ -371,7 +337,7 @@ func Default() Config {
 		// controllers giving the ~39 GB/s accumulated bandwidth quoted
 		// in Section V-B.
 		Optane: DRAM{
-			Kind: OptanePMM, Controllers: 6, TotalGBps: 39,
+			Controllers: 6, TotalGBps: 39,
 			ReadLat:       NsToTicks(190 + 8.9),
 			WriteLat:      NsToTicks(763),
 			AccessGran:    256,
@@ -410,7 +376,6 @@ func Default() Config {
 		},
 		FTL: FTL{
 			DataBlocksPerLog: 8,
-			OPFraction:       0.07,
 			GCThreshold:      0.05,
 			HelperThreadLat:  NsToTicks(500),
 		},

@@ -36,7 +36,7 @@ func TestBandwidthConversionRoundTrip(t *testing.T) {
 func TestTableIConfiguration(t *testing.T) {
 	c := Default()
 
-	if c.GPU.SMs != 16 || c.GPU.MaxWarps != 80 || c.GPU.WarpSize != 32 {
+	if c.GPU.SMs != 16 || c.GPU.MaxWarps != 80 {
 		t.Errorf("GPU config mismatch: %+v", c.GPU)
 	}
 	if got := c.L1.SizeBytes(); got != 48<<10 {
@@ -103,15 +103,12 @@ func TestTableIConfiguration(t *testing.T) {
 	}
 }
 
-func TestDRAMKindString(t *testing.T) {
-	if GDDR5.String() != "GDDR5" || OptanePMM.String() != "Optane" {
-		t.Error("DRAMKind.String mismatch")
-	}
+func TestRegCacheNetString(t *testing.T) {
 	if NiF.String() != "NiF" || SWnet.String() != "SWnet" || FCnet.String() != "FCnet" {
 		t.Error("RegCacheNet.String mismatch")
 	}
-	if DRAMKind(99).String() != "unknown" || RegCacheNet(99).String() != "unknown" {
-		t.Error("unknown kinds must stringify")
+	if RegCacheNet(99).String() != "unknown" {
+		t.Error("an unknown net must stringify")
 	}
 }
 

@@ -175,12 +175,12 @@ func TestConfigCodecMatchesReference(t *testing.T) {
 func TestConfigEncodeNonFinite(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		c := Default()
-		c.FTL.OPFraction = f
-		if _, err := c.AppendJSON(nil); err == nil || !strings.Contains(err.Error(), "FTL.OPFraction") {
-			t.Errorf("OPFraction %v: error %v, want one naming FTL.OPFraction", f, err)
+		c.FTL.GCThreshold = f
+		if _, err := c.AppendJSON(nil); err == nil || !strings.Contains(err.Error(), "FTL.GCThreshold") {
+			t.Errorf("GCThreshold %v: error %v, want one naming FTL.GCThreshold", f, err)
 		}
 		if _, err := json.Marshal(c); err == nil {
-			t.Errorf("OPFraction %v: json.Marshal encoded it", f)
+			t.Errorf("GCThreshold %v: json.Marshal encoded it", f)
 		}
 	}
 }
@@ -195,10 +195,10 @@ func TestConfigDecodeMatchesReference(t *testing.T) {
 		"{\"Flash\":{\"Channelſ\":8}}", "{\"MMU\":{\"WalKCacheEnt\":7}}",
 		`{"Flash":null}`, `{"Flash":{"Channels":null}}`, `{"L2STT":{"ReadOnly":null,"WriteBack":true}}`,
 		`{"Flash":{"Channels":8},"Flash":{"PageBytes":512}}`, `{"GPU":{"SMs":4,"SMs":5}}`,
-		`{"Flash":{"Channels":-0}}`, `{"FTL":{"OPFraction":-0}}`, `{"FTL":{"OPFraction":1E-400}}`,
+		`{"Flash":{"Channels":-0}}`, `{"FTL":{"GCThreshold":-0}}`, `{"FTL":{"GCThreshold":1E-400}}`,
 		`{"Flash":{"Channels":9223372036854775807}}`, `{"Flash":{"Channels":-9223372036854775808}}`,
 		`{"Flash":{"Channels":1.0}}`, `{"Flash":{"Channels":1e2}}`, `{"Flash":{"Channels":9223372036854775808}}`,
-		`{"FTL":{"OPFraction":1e400}}`, `{"FTL":{"OPFraction":"0.5"}}`, `{"L1":{"ReadOnly":1}}`,
+		`{"FTL":{"GCThreshold":1e400}}`, `{"FTL":{"GCThreshold":"0.5"}}`, `{"L1":{"ReadOnly":1}}`,
 		`{"Flash":{"Bogus":1}}`, `{"Bogus":{}}`, `{"Flash":8}`, `{"Flash":[]}`, `[]`, `8`, `{"Flash":{"Channels":01}}`,
 		`{"Flash":{"Channels":8,}}`, `{"Flash":{"Channels":8}`, `{"Flash":{"Channels":+8}}`, `{"Flash":{"Channels":.5}}`,
 		`{"L1":{"WriteBack":tru}}`, `{"Flash":{"Channels":3}}`, `{"Flash":{"Channels":NaN}}`,

@@ -21,7 +21,6 @@ type Device struct {
 	ports []*sim.Port
 
 	Reads, Writes stats.Counter
-	Bytes         stats.Counter
 }
 
 // New builds a backend from a config.DRAM description.
@@ -33,9 +32,6 @@ func New(eng *sim.Engine, cfg config.DRAM) *Device {
 	}
 	return d
 }
-
-// Kind reports the memory technology.
-func (d *Device) Kind() config.DRAMKind { return d.cfg.Kind }
 
 // Access services one request: channel selection by address, device
 // access-granularity rounding, bandwidth serialization, then the
@@ -61,7 +57,6 @@ func (d *Device) Access(r *mem.Request) {
 	} else {
 		d.Reads.Inc()
 	}
-	d.Bytes.Add(uint64(moved))
 	d.ports[ctrl].Send(moved, transferred{d}, r)
 }
 
@@ -83,5 +78,9 @@ func (d *Device) DeliveredGBps(elapsed sim.Tick) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return config.BytesPerTickToGBps(float64(d.Bytes.Value()) / float64(elapsed))
+	var n uint64
+	for _, p := range d.ports {
+		n += p.Bytes()
+	}
+	return config.BytesPerTickToGBps(float64(n) / float64(elapsed))
 }

@@ -24,10 +24,12 @@ func TestSingleAccessLatency(t *testing.T) {
 }
 
 func TestSaturationBandwidthNearConfigured(t *testing.T) {
-	for _, kind := range []config.DRAM{
-		config.Default().GDDR5, config.Default().DDR4,
-		config.Default().LPDDR4, config.Default().Optane,
-	} {
+	c := config.Default()
+	for _, tc := range []struct {
+		name string
+		kind config.DRAM
+	}{{"GDDR5", c.GDDR5}, {"DDR4", c.DDR4}, {"LPDDR4", c.LPDDR4}, {"Optane", c.Optane}} {
+		kind := tc.kind
 		eng := sim.NewEngine()
 		d := New(eng, kind)
 		const n = 16000
@@ -38,13 +40,13 @@ func TestSaturationBandwidthNearConfigured(t *testing.T) {
 		}
 		eng.Run()
 		if done != n {
-			t.Fatalf("%v: done = %d", kind.Kind, done)
+			t.Fatalf("%s: done = %d", tc.name, done)
 		}
 		// Tick quantization of the port widths costs a few percent; the
 		// saturation point must still sit near the configured aggregate.
 		got := d.DeliveredGBps(eng.Now())
 		if got < kind.TotalGBps*0.8 || got > kind.TotalGBps*1.05 {
-			t.Errorf("%v: delivered %.1f GB/s, configured %.1f", kind.Kind, got, kind.TotalGBps)
+			t.Errorf("%s: delivered %.1f GB/s, configured %.1f", tc.name, got, kind.TotalGBps)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func Fig4c(o Options) (*stats.Table, error) {
 	t.AddRow("LPDDR4", saturateDRAM(cfg.LPDDR4))
 	t.AddRow("ZSSD", float64(cfg.Flash.Channels)*cfg.Flash.ChannelGBps) // interface-bound raw drive
 	t.AddRow("GPU-SSD", cfg.Host.PCIeGBps)                              // host-mediated path
-	t.AddRow("HybridGPU", saturateHybrid(cfg))
+	t.AddRow("HybridGPU", saturateEngine(cfg))
 	return t, nil
 }
 
@@ -241,7 +241,8 @@ func saturateArrays(fcfg config.Flash) (readGBps, writeGBps float64) {
 }
 
 // saturateEngine floods the SSD module with buffer-hitting requests so
-// only dispatch+firmware throughput limits it.
+// only dispatch+firmware throughput limits it: the engine and the
+// buffer bus jointly bound the whole module, the engine dominating.
 func saturateEngine(cfg config.Config) float64 {
 	eng := sim.NewEngine()
 	fcfg := cfg.Flash
@@ -258,10 +259,4 @@ func saturateEngine(cfg config.Config) float64 {
 	}
 	eng.Run()
 	return config.BytesPerTickToGBps(float64(bytes) / float64(eng.Now()-start))
-}
-
-// saturateHybrid floods the whole module with page-hitting traffic;
-// the engine and buffer bus jointly bound it, the engine dominating.
-func saturateHybrid(cfg config.Config) float64 {
-	return saturateEngine(cfg)
 }

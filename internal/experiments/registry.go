@@ -32,8 +32,9 @@ type Figure struct {
 	// Shape states the qualitative property Check asserts about the
 	// measured table.
 	Shape string
-	// ScaleFree marks figures derived from the Table I configuration
-	// alone: they ignore Options.Scale and Options.Mixes entirely.
+	// ScaleFree marks figures that ignore Options.Scale and
+	// Options.Mixes entirely and read only the run's configuration,
+	// Options.Cfg.
 	ScaleFree bool
 	// Run is the driver itself: it regenerates the figure's table
 	// under the given options. The table is the figure's only output,

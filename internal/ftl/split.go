@@ -66,9 +66,9 @@ type pendingWrite struct {
 	arg any
 }
 
-// NewSplit builds the split FTL over a backbone. A fraction of each
-// plane's blocks (cfg.OPFraction) is reserved as over-provisioned log
-// space, mirroring the paper's use of OP blocks for logs.
+// NewSplit builds the split FTL over a backbone. Data and log blocks
+// come from the same per-plane free pool; no share of a plane is set
+// aside as over-provisioned log space.
 func NewSplit(eng *sim.Engine, bb *flash.Backbone, cfg config.FTL) *Split {
 	s := &Split{
 		eng:           eng,

@@ -71,9 +71,6 @@ func New(eng *sim.Engine, cfg config.GPU, l1cfg config.Cache, mmuU *mmu.Unit, l2
 	return g
 }
 
-// L1 returns SM i's private L1D (tests, statistics).
-func (g *GPU) L1(i int) *cache.Cache { return g.l1s[i] }
-
 // Launch starts the given applications concurrently, partitioning the
 // SMs evenly among them (the multi-app co-run of Section V-A). It must
 // be called once, before the engine runs.

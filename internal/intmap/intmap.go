@@ -1,13 +1,13 @@
 // Package intmap is the simulator's one open-addressed hash index from
 // uint64 keys (pages, line addresses) to small int32 values (slot
 // numbers in a component's dense arrays). The hot-path tables of the
-// model — cache MSHRs, flash-sense merging, the flash block index, the
-// SSD page buffer — keep their state in dense slot arrays and resolve
-// keys through it instead of a Go map: no per-entry allocation, no
-// hashing of interface keys, and no iteration, so no map-order
-// nondeterminism can reach a result. LRU adds exact per-set
-// least-recently-used order over such slots; the TLBs and the flash
-// register file are built on it.
+// model — cache MSHRs, flash-sense merging, the flash block index —
+// keep their state in dense slot arrays and resolve keys through it
+// instead of a Go map: no per-entry allocation, no hashing of
+// interface keys, and no iteration, so no map-order nondeterminism can
+// reach a result. LRU adds exact per-set least-recently-used order
+// over such slots; the TLBs, the flash register file and the SSD page
+// buffer are built on it.
 //
 // Linear probing with backward-shift deletion keeps probe runs short
 // without tombstones; the table doubles whenever it would pass half

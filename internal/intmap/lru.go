@@ -11,8 +11,9 @@ import "unsafe"
 //
 // Every set chains its own free slots. Either each set's slots are
 // reserved up front (a TLB), or slots are cut from one pool as keys
-// arrive and shared by all sets (the flash register file), so an index
-// whose sets stay mostly empty holds only what it stores.
+// arrive and shared by all sets (the flash register file, and the SSD
+// page buffer's one set), so an index whose sets stay mostly empty
+// holds only what it stores.
 //
 // Which set a key belongs to is the caller's to define; every
 // operation that links or unlinks a slot takes it.

@@ -5,11 +5,11 @@
 // client-side quantile report.
 //
 // The histogram is deliberately not part of the deterministic
-// simulation core (internal/stats has its own histogram for simulated
-// quantities): it measures wall-clock serving latency, which only the
-// serving layer may observe — znglint's determinism analyzer keeps
-// time.Now out of the simulation packages, and this package never
-// reads the clock itself (callers observe durations they measured).
+// simulation core, which has no histogram: it measures wall-clock
+// serving latency, which only the serving layer may observe —
+// znglint's determinism analyzer keeps time.Now out of the simulation
+// packages, and this package never reads the clock itself (callers
+// observe durations they measured).
 //
 // Buckets are fixed powers of two from 1 µs up, so recording is one
 // atomic increment with no allocation, histograms from different

@@ -4,9 +4,10 @@
 // flash controllers to Z-NAND packages.
 //
 // HybridGPU attaches its flash packages over legacy shared-bus
-// channels; ZnG replaces them with a mesh whose links are 8 B wide —
-// 8x the legacy channel width — precisely because the bus "constrains
-// itself from scaling up with a higher frequency" (Section I).
+// channels, each one sim.Port (internal/ssd); ZnG replaces them with a
+// mesh whose links are 8 B wide — 8x the legacy channel width —
+// precisely because the bus "constrains itself from scaling up with a
+// higher frequency" (Section I).
 //
 // The mesh uses dimension-order (XY) routing with store-and-forward
 // links; each directional link is a bandwidth-limited sim.Port, so
@@ -24,39 +25,26 @@ import (
 // destination's output port, which is how a high-radix switch behaves
 // once the fabric itself is overprovisioned.
 type Xbar struct {
-	eng  *sim.Engine
 	outs []*sim.Port
-
-	Bytes stats.Counter
 }
 
 // NewXbar creates a crossbar with n endpoints, each output moving
 // width bytes/tick with the given latency.
 func NewXbar(eng *sim.Engine, n int, width float64, latency sim.Tick) *Xbar {
-	x := &Xbar{eng: eng}
+	x := &Xbar{}
 	for i := 0; i < n; i++ {
 		x.outs = append(x.outs, sim.NewPort(eng, width, latency))
 	}
 	return x
 }
 
-// Ports reports the endpoint count.
-func (x *Xbar) Ports() int { return len(x.outs) }
-
 // Send moves n bytes to endpoint dst and delivers h.Handle(arg) on
 // arrival.
-func (x *Xbar) Send(dst, n int, h sim.Handler, arg any) {
-	x.Bytes.Add(uint64(n))
-	x.outs[dst].Send(n, h, arg)
-}
-
-// OutBusy reports the cumulative busy time of endpoint dst's port.
-func (x *Xbar) OutBusy(dst int) sim.Tick { return x.outs[dst].BusyTicks() }
+func (x *Xbar) Send(dst, n int, h sim.Handler, arg any) { x.outs[dst].Send(n, h, arg) }
 
 // Mesh is a dim x dim store-and-forward mesh. Node i sits at
 // (i%dim, i/dim). Each directional link is a separate port.
 type Mesh struct {
-	eng *sim.Engine
 	dim int
 	// east[y][x]: link from (x,y) to (x+1,y); west, north, south similar.
 	east, west   [][]*sim.Port
@@ -87,7 +75,7 @@ func NewMesh(eng *sim.Engine, dim int, width float64, hopLat sim.Tick) *Mesh {
 	if dim < 1 {
 		panic("noc: mesh dimension must be >= 1")
 	}
-	m := &Mesh{eng: eng, dim: dim}
+	m := &Mesh{dim: dim}
 	mk := func() *sim.Port { return sim.NewPort(eng, width, hopLat) }
 	for y := 0; y < dim; y++ {
 		var e, w, n, s []*sim.Port
@@ -159,28 +147,6 @@ func (msg *message) forward() {
 
 // Handle implements sim.Handler: the message reached its next router.
 func (msg *message) Handle(any) { msg.forward() }
-
-// Bus models the legacy shared flash channel of HybridGPU: every
-// package on the channel contends for one serialized medium.
-type Bus struct {
-	port  *sim.Port
-	Bytes stats.Counter
-}
-
-// NewBus creates a shared bus of the given width and latency.
-func NewBus(eng *sim.Engine, width float64, latency sim.Tick) *Bus {
-	return &Bus{port: sim.NewPort(eng, width, latency)}
-}
-
-// Send transfers n bytes over the shared medium and delivers
-// h.Handle(arg) on arrival.
-func (b *Bus) Send(n int, h sim.Handler, arg any) {
-	b.Bytes.Add(uint64(n))
-	b.port.Send(n, h, arg)
-}
-
-// BusyTicks reports cumulative bus occupancy.
-func (b *Bus) BusyTicks() sim.Tick { return b.port.BusyTicks() }
 
 func abs(v int) int {
 	if v < 0 {

@@ -15,8 +15,8 @@ func TestXbarDelivery(t *testing.T) {
 	if at != 64/8+5 {
 		t.Errorf("delivery at %d, want 13", at)
 	}
-	if x.Bytes.Value() != 64 {
-		t.Errorf("bytes = %d", x.Bytes.Value())
+	if n := x.outs[2].Bytes(); n != 64 {
+		t.Errorf("bytes = %d", n)
 	}
 }
 
@@ -129,9 +129,11 @@ func TestMeshBadEndpointsPanic(t *testing.T) {
 	m.Send(0, 99, 8, nil, nil)
 }
 
+// TestBusSerializesEverything: a legacy flash channel is one sim.Port
+// that every package on it shares, so transfers queue back to back.
 func TestBusSerializesEverything(t *testing.T) {
 	eng := sim.NewEngine()
-	b := NewBus(eng, 2, 1)
+	b := sim.NewPort(eng, 2, 1) // a legacy channel, as internal/ssd builds it
 	var t1, t2 sim.Tick
 	b.Send(100, sim.Func(func() { t1 = eng.Now() }), nil)
 	b.Send(100, sim.Func(func() { t2 = eng.Now() }), nil)
@@ -158,7 +160,7 @@ func TestMeshAggregateExceedsBus(t *testing.T) {
 	meshTime := engM.Now()
 
 	engB := sim.NewEngine()
-	b := NewBus(engB, 1, 0)
+	b := sim.NewPort(engB, 1, 0)
 	doneB := 0
 	for i := 0; i < 4; i++ {
 		b.Send(100, sim.Func(func() { doneB++ }), nil)

@@ -152,14 +152,36 @@ func RunMix(kind Kind, mix workload.Mix, scale float64, cfg config.Config) (Resu
 }
 
 // ValidateConfig reports the first field of cfg the model cannot run,
-// named by its path: a negative latency, or a cache or MMU size that
-// cache.ValidateConfig or mmu.ValidateConfig refuses. A configuration
-// can arrive from outside the program (zngd's "config" field), so
-// RunApps checks it before building anything. A valid cfg costs no
-// allocation.
+// named by its path: a negative latency, a bandwidth that is not
+// positive (a sim.Port cannot move bytes at it), a plane without
+// registers, or a cache or MMU size that cache.ValidateConfig or
+// mmu.ValidateConfig refuses. A configuration can arrive from outside
+// the program (zngd's "config" field), so RunApps checks it before
+// building anything. A valid cfg costs no allocation.
 func ValidateConfig(cfg config.Config) error {
 	if err := cfg.CheckLatencies(); err != nil {
 		return fmt.Errorf("platform: %w", err)
+	}
+	for _, bw := range []struct {
+		path string
+		gbps float64
+	}{
+		{"Flash.ChannelGBps", cfg.Flash.ChannelGBps},
+		{"Flash.MeshLinkGBps", cfg.Flash.MeshLinkGBps},
+		{"Engine.DRAMBufGBps", cfg.Engine.DRAMBufGBps},
+		{"GDDR5.TotalGBps", cfg.GDDR5.TotalGBps},
+		{"Optane.TotalGBps", cfg.Optane.TotalGBps},
+		{"Host.PCIeGBps", cfg.Host.PCIeGBps},
+		{"Host.SSDGBps", cfg.Host.SSDGBps},
+		{"Host.StagingCopyBW", cfg.Host.StagingCopyBW},
+		{"RegCache.LocalNetGBps", cfg.RegCache.LocalNetGBps},
+	} {
+		if !(bw.gbps > 0) {
+			return fmt.Errorf("platform: config: %s %v, want > 0", bw.path, bw.gbps)
+		}
+	}
+	if n := cfg.Flash.RegsPerPlane; n < 1 {
+		return fmt.Errorf("platform: config: Flash.RegsPerPlane %d, want >= 1", n)
 	}
 	for _, cc := range []struct {
 		name string

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"zng/internal/config"
@@ -278,6 +279,54 @@ func TestRunMixRejectsNegativeLatencies(t *testing.T) {
 		}
 		f.v.SetInt(old)
 	}
+}
+
+// TestRunMixRejectsUnusableBandwidthsAndRegisters sets each bandwidth
+// field to 0 and to -1, and Flash.RegsPerPlane to 0, and expects every
+// platform to return an error naming the field. A bandwidth that is
+// not positive used to panic in sim.NewPort on the platforms that build
+// the link ("port width must be positive"), and a plane without
+// registers indexed its read ring at -1 on ZnG-base and ZnG-rdopt.
+func TestRunMixRejectsUnusableBandwidthsAndRegisters(t *testing.T) {
+	m, err := workload.MixByName("betw-back")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(cfg config.Config, path, value string) {
+		want := "platform: config: " + path + " " + value
+		for _, k := range AllKinds() {
+			err := func() (err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						err = fmt.Errorf("panic: %v", p)
+					}
+				}()
+				_, err = RunMix(k, m, 0.05, cfg)
+				return err
+			}()
+			if err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("%s = %s on %v: err = %v, want one starting %q", path, value, k, err, want)
+			}
+		}
+	}
+	for _, path := range []string{
+		"Flash.ChannelGBps", "Flash.MeshLinkGBps", "Engine.DRAMBufGBps",
+		"GDDR5.TotalGBps", "Optane.TotalGBps", "Host.PCIeGBps", "Host.SSDGBps",
+		"Host.StagingCopyBW", "RegCache.LocalNetGBps",
+	} {
+		for _, v := range []float64{0, -1} {
+			cfg := testCfg()
+			f := reflect.ValueOf(&cfg).Elem()
+			for _, name := range strings.Split(path, ".") {
+				f = f.FieldByName(name)
+			}
+			f.SetFloat(v)
+			check(cfg, path, fmt.Sprint(v))
+		}
+	}
+	cfg := testCfg()
+	cfg.Flash.RegsPerPlane = 0
+	check(cfg, "Flash.RegsPerPlane", "0")
 }
 
 // TestHybridTranslationStateBounded runs the 32x HybridGPU cell

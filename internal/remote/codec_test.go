@@ -84,7 +84,7 @@ func randCell(rng *rand.Rand) (platform.Kind, workload.Mix, float64, config.Conf
 	}
 	cfg := config.Default()
 	cfg.Flash.Channels = 1 << rng.IntN(6)
-	cfg.FTL.OPFraction = rng.Float64() / 1e7
+	cfg.FTL.GCThreshold = rng.Float64() / 1e7
 	cfg.L2STT.ReadOnly = rng.IntN(2) == 0
 	cfg.RegCache.Net = config.RegCacheNet(rng.IntN(3))
 	return kinds[rng.IntN(len(kinds))], mix, []float64{0.05, 0.1, 1.28, 2, 1e-7, 1e21}[rng.IntN(6)], cfg

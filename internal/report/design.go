@@ -32,10 +32,11 @@ each plane links its touched blocks in id order, so block state
 follows the blocks a cell uses (one to eight a plane at 64x), not the
 1,024 planes of 1,024 blocks each it could use. Flash registers
 follow the pages a cell writes the same way: one backbone-wide LRU
-index keyed by page (` + "`intmap.LRU`" + `, which the TLBs share) gives a
+index keyed by page (` + "`intmap.LRU`" + `, which the TLBs and HybridGPU's
+DRAM page buffer share) gives a
 page its register slot on its first write, where preallocating all
 8,192 of ZnG's registers cost 0.6 MB a cell whose writes touch 430 to
-800 pages. The benchmark's 64x cells make 900 to 1,400 allocations
+800 pages. The benchmark's 64x cells make 850 to 1,400 allocations
 each, where one per record and block made 8,000 to 12,000. The queue is a timing wheel of per-tick
 FIFO lists over the next 8,192 ticks, backed by a 4-ary min-heap for
 later events, and same-tick events fire FIFO, a contract the tests pin
@@ -78,7 +79,11 @@ table lives in the GPU MMU while writes are remapped by per-group log
 blocks, with garbage-collection merges running on a GPU helper thread.
 ` + "`internal/ssd`" + ` assembles HybridGPU's embedded SSD module — dispatcher,
 firmware engine cores (the component Fig. 4d blames for ~67% of its
-latency), single-package DRAM buffer, legacy shared-bus channels.
+latency), single-package DRAM buffer, legacy shared-bus channels. The
+buffer is one set of an ` + "`intmap.LRU`" + ` whose payload is a page's dirty
+bit, so its slots follow the pages a cell touches rather than the 2 GB
+it models; each channel is one ` + "`sim.Port`" + ` that every package on it
+shares.
 
 ## MMU, caches and the ZnG optimizations (` + "`internal/mmu`" + `, ` + "`internal/cache`" + `, ` + "`internal/prefetch`" + `, ` + "`internal/regcache`" + `)
 

@@ -87,10 +87,10 @@ check's verdict, and the measured series. Simulated figures ran at
 trace scale %s under the docs regime (%d SMs, L2s scaled down with the
 traces so cache pressure stays realistic — see
 `+"`experiments.DocsOptions`"+`) over %d co-run workloads; scale-free
-figures derive from the Table I configuration alone. Absolute numbers
-are not comparable to the authors' MacSim testbed — the substrate is a
-from-scratch simulator with synthetic traces — the shapes are the
-reproduction target.
+figures ignore the trace scale and the workloads and read the same
+configuration. Absolute numbers are not comparable to the authors'
+MacSim testbed — the substrate is a from-scratch simulator with
+synthetic traces — the shapes are the reproduction target.
 
 Shape checks passing: **%d of %d**.
 

@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"zng/internal/experiments"
@@ -17,20 +18,33 @@ func docTestOptions() experiments.Options {
 	return o
 }
 
+// firstDocRender is the one-pair EXPERIMENTS.md render that both doc
+// tests read, rendered once per test binary.
+var firstDocRender = sync.OnceValues(func() (docRender, error) {
+	doc, ds, err := Experiments(docTestOptions())
+	return docRender{doc, ds}, err
+})
+
+type docRender struct {
+	doc []byte
+	ds  DocStats
+}
+
 // TestExperimentsDocDeterministic renders EXPERIMENTS.md twice at a
 // fixed seed/scale and demands identical bytes — the property that
 // lets CI `git diff` the generated docs — and requires every
 // registered shape check to pass on that run. This is where tier-1
 // asserts each figure's Shape, on the table users see.
 func TestExperimentsDocDeterministic(t *testing.T) {
-	o := docTestOptions()
-	a, dsA, err := Experiments(o)
+	first, err := firstDocRender()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Swap in a fresh simulation memo so the second render re-simulates
+	a, dsA := first.doc, first.ds
+	// Use a fresh simulation memo so the second render re-simulates
 	// from scratch; without this the byte-equality would only test the
 	// composer, not the simulator's determinism.
+	o := docTestOptions()
 	o.Runner = experiments.NewMemo()
 	b, dsB, err := Experiments(o)
 	if err != nil {
@@ -69,15 +83,16 @@ func failedVerdicts(doc []byte) string {
 	return b.String()
 }
 
-// TestExperimentsDocContent checks the composer's contract: every
-// registered figure appears with its paper claim, a verdict, and its
-// measured table.
+// TestExperimentsDocContent checks the composer's contract on the
+// render TestExperimentsDocDeterministic compares: every registered
+// figure appears with its paper claim, a verdict, and its measured
+// table.
 func TestExperimentsDocContent(t *testing.T) {
-	doc, _, err := Experiments(docTestOptions())
+	first, err := firstDocRender()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := string(doc)
+	s := string(first.doc)
 	for _, f := range experiments.Registry() {
 		if !strings.Contains(s, "(`"+f.ID+"`)") {
 			t.Errorf("missing section for %s", f.ID)

@@ -33,9 +33,6 @@ func NewPort(eng *Engine, width float64, latency Tick) *Port {
 	return &Port{eng: eng, width: width, latency: latency}
 }
 
-// Width reports the port's bandwidth in bytes per tick.
-func (p *Port) Width() float64 { return p.width }
-
 // Send queues a transfer of n bytes and delivers h.Handle(arg) at
 // delivery time (nothing, if h is nil). It returns the delivery tick.
 func (p *Port) Send(n int, h Handler, arg any) Tick {

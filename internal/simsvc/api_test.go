@@ -404,8 +404,9 @@ func TestAPIRunWithConfig(t *testing.T) {
 }
 
 // TestAPIRunRejectsUnindexableCache: a "config" with a negative
-// latency or a cache or MMU size the simulator cannot run is a 400 that
-// names the field, for sync and async runs alike, and no job is created.
+// latency, a bandwidth that is not positive, a plane without registers
+// or a cache or MMU size the simulator cannot run is a 400 that names
+// the field, for sync and async runs alike, and no job is created.
 func TestAPIRunRejectsUnindexableCache(t *testing.T) {
 	srv, svc := newTestServer(t, nil) // the real simulator
 	for _, c := range []struct {
@@ -424,6 +425,9 @@ func TestAPIRunRejectsUnindexableCache(t *testing.T) {
 		{`{"platform":"ZnG","mix":"solo-bfs1","scale":0.05,"config":{"Flash":{"MeshHopLat":-500}}}`, []string{"Flash.MeshHopLat"}},
 		{`{"platform":"ZnG","mix":"solo-bfs1","scale":0.05,"async":true,"config":{"Flash":{"MeshHopLat":-500}}}`, []string{"Flash.MeshHopLat"}},
 		{`{"platform":"GDDR5","mix":"solo-bfs1","scale":0.05,"async":true,"config":{"L1":{"Ways":-1}}}`, []string{"L1", "Ways"}},
+		{`{"platform":"ZnG-base","mix":"solo-bfs1","scale":0.05,"config":{"RegCache":{"LocalNetGBps":0}}}`, []string{"RegCache.LocalNetGBps"}},
+		{`{"platform":"ZnG-rdopt","mix":"solo-bfs1","scale":0.05,"config":{"Flash":{"RegsPerPlane":0}}}`, []string{"Flash.RegsPerPlane"}},
+		{`{"platform":"HybridGPU","mix":"solo-bfs1","scale":0.05,"async":true,"config":{"Flash":{"ChannelGBps":-1.6}}}`, []string{"Flash.ChannelGBps"}},
 	} {
 		resp, doc := postRun(t, srv.URL, c.body)
 		if resp.StatusCode != http.StatusBadRequest || len(doc["result"]) != 0 {

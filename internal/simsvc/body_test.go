@@ -113,12 +113,20 @@ func TestAPIRunRejectsUnfitTraces(t *testing.T) {
 }
 
 // TestAPIRunUnknownFieldNamed: an unknown key in a run request, at the
-// top or inside "config", is a 400 that names it.
+// top or inside "config", is a 400 that names it. A configuration
+// field that no model read and that left config.Config is such a key.
 func TestAPIRunUnknownFieldNamed(t *testing.T) {
 	srv, _ := newTestServer(t, fixedSim(1))
 	for body, name := range map[string]string{
-		`{"platform":"ZnG","mix":"betw-back","scalee":2}`:                     "scalee",
-		`{"platform":"ZnG","mix":"betw-back","config":{"Flash":{"Bogus":1}}}`: "Flash.Bogus",
+		`{"platform":"ZnG","mix":"betw-back","scalee":2}`:                             "scalee",
+		`{"platform":"ZnG","mix":"betw-back","config":{"Flash":{"Bogus":1}}}`:         "Flash.Bogus",
+		`{"platform":"ZnG","mix":"betw-back","config":{"GPU":{"WarpSize":32}}}`:       "GPU.WarpSize",
+		`{"platform":"ZnG","mix":"betw-back","config":{"GPU":{"IssuePerCyc":1}}}`:     "GPU.IssuePerCyc",
+		`{"platform":"ZnG","mix":"betw-back","config":{"MMU":{"WalkBufEntries":64}}}`: "MMU.WalkBufEntries",
+		`{"platform":"ZnG","mix":"betw-back","config":{"Flash":{"IOPortsPerPkg":2}}}`: "Flash.IOPortsPerPkg",
+		`{"platform":"GDDR5","mix":"betw-back","config":{"GDDR5":{"Kind":0}}}`:        "GDDR5.Kind",
+		`{"platform":"Optane","mix":"betw-back","config":{"Optane":{"Kind":3}}}`:      "Optane.Kind",
+		`{"platform":"ZnG","mix":"betw-back","config":{"FTL":{"OPFraction":0.07}}}`:   "FTL.OPFraction",
 	} {
 		resp, doc := postRun(t, srv.URL, body)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(doc["error"]), name) {

@@ -55,12 +55,13 @@ func (b *refPageBuffer) insert(page uint64, dirty bool) (victim uint64, victimDi
 	return victim, victimDirty, evicted
 }
 
-// TestPageBufferDifferential drives the dense buffer and the map-backed
-// reference in lockstep through random hits, write hits and inserts;
-// every hit, victim, victim dirtiness and the resident set must agree.
+// TestPageBufferDifferential drives the module's buffer (touch and
+// insert over its intmap.LRU) and the map-backed reference in lockstep
+// through random hits, write hits and inserts; every hit, victim,
+// victim dirtiness and the resident set must agree.
 func TestPageBufferDifferential(t *testing.T) {
 	for _, capacity := range []int{1, 2, 5, 64} {
-		dense := newPageBuffer(capacity)
+		buf := newBuffer(capacity)
 		ref := &refPageBuffer{cap: capacity, entries: map[uint64]*refBufEntry{}}
 		r := rng.New(uint64(capacity))
 		pages := uint64(capacity*3 + 2)
@@ -68,25 +69,25 @@ func TestPageBufferDifferential(t *testing.T) {
 			page := r.Uint64n(pages) * 4096
 			write := r.Intn(4) == 0
 			if r.Intn(2) == 0 {
-				if got, want := dense.touch(page, write), ref.touch(page, write); got != want {
+				if got, want := touch(buf, page, write), ref.touch(page, write); got != want {
 					t.Fatalf("cap %d op %d: touch(%#x) = %v, reference %v", capacity, op, page, got, want)
 				}
 				continue
 			}
-			v, vd, ev := dense.insert(page, write)
+			v, vd, ev := insert(buf, page, write)
 			rv, rvd, rev := ref.insert(page, write)
 			if v != rv || vd != rvd || ev != rev {
 				t.Fatalf("cap %d op %d: insert(%#x) = (%#x,%v,%v), reference (%#x,%v,%v)",
 					capacity, op, page, v, vd, ev, rv, rvd, rev)
 			}
-			if dense.Len() != len(ref.entries) {
-				t.Fatalf("cap %d op %d: Len = %d, reference %d", capacity, op, dense.Len(), len(ref.entries))
+			if buf.Len() != len(ref.entries) {
+				t.Fatalf("cap %d op %d: Len = %d, reference %d", capacity, op, buf.Len(), len(ref.entries))
 			}
 		}
 		for p := uint64(0); p < pages; p++ {
 			_, inRef := ref.entries[p*4096]
-			if _, inDense := dense.idx.Get(p * 4096); inDense != inRef {
-				t.Fatalf("cap %d: page %d residency diverged (dense %v, ref %v)", capacity, p, inDense, inRef)
+			if _, inBuf := buf.Get(p * 4096); inBuf != inRef {
+				t.Fatalf("cap %d: page %d residency diverged (buffer %v, ref %v)", capacity, p, inBuf, inRef)
 			}
 		}
 	}

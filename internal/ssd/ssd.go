@@ -4,6 +4,12 @@
 // component Fig. 4d blames for 67% of HybridGPU's memory latency), a
 // single-package DRAM read/write buffer on a 32-bit bus, and legacy
 // shared-bus flash channels to the Z-NAND backbone.
+//
+// The buffer is one set of an intmap.LRU over the resident pages, each
+// carrying its dirty bit. Its slots grow with the resident set up to
+// the capacity, so its host memory tracks the pages a run touches
+// rather than the 2 GB it models. Each channel is one sim.Port that
+// every package on it shares.
 package ssd
 
 import (
@@ -12,7 +18,6 @@ import (
 	"zng/internal/ftl"
 	"zng/internal/intmap"
 	"zng/internal/mem"
-	"zng/internal/noc"
 	"zng/internal/sim"
 	"zng/internal/stats"
 )
@@ -26,12 +31,12 @@ type Module struct {
 	dispatch *sim.Resource
 	engine   *sim.Pool
 	bufPort  *sim.Port
-	channels []*noc.Bus
+	channels []*sim.Port
 
 	BB  *flash.Backbone
 	FTL *ftl.PageMapped
 
-	buf *pageBuffer
+	buf *intmap.LRU[bool] // page -> dirty
 	ops sim.FreeList[op]
 
 	// Statistics.
@@ -51,10 +56,10 @@ func New(eng *sim.Engine, ecfg config.SSDEngine, fcfg config.Flash, tcfg config.
 		bufPort:  sim.NewPort(eng, config.GBpsToBytesPerTick(ecfg.DRAMBufGBps), ecfg.DRAMBufLat),
 		BB:       bb,
 		FTL:      ftl.NewPageMapped(eng, bb, tcfg),
-		buf:      newPageBuffer(int(ecfg.DRAMBufBytes / int64(fcfg.PageBytes))),
+		buf:      newBuffer(int(ecfg.DRAMBufBytes / int64(fcfg.PageBytes))),
 	}
 	for i := 0; i < fcfg.Channels; i++ {
-		m.channels = append(m.channels, noc.NewBus(eng, config.GBpsToBytesPerTick(fcfg.ChannelGBps), 2))
+		m.channels = append(m.channels, sim.NewPort(eng, config.GBpsToBytesPerTick(fcfg.ChannelGBps), 2))
 	}
 	return m
 }
@@ -85,7 +90,7 @@ type op struct {
 	m     *Module
 	r     *mem.Request // the read being filled; nil for a flush
 	page  uint64
-	ch    *noc.Bus
+	ch    *sim.Port
 	stage opStage
 }
 
@@ -99,7 +104,7 @@ const (
 
 func (m *Module) afterEngine(r *mem.Request) {
 	page := mem.PageAddr(r.Addr, m.BB.Cfg.PageBytes)
-	if m.buf.touch(page, r.Write) {
+	if touch(m.buf, page, r.Write) {
 		m.BufHits.Inc()
 		m.bufPort.Send(r.Size, r, nil)
 		return
@@ -110,13 +115,13 @@ func (m *Module) afterEngine(r *mem.Request) {
 		// Write-allocate without fetch: the buffer page will be flushed
 		// whole. (Flash pages are written as units; sub-page residue is
 		// folded into the flush.)
-		m.insert(page, true)
+		m.install(page, true)
 		m.bufPort.Send(r.Size, r, nil)
 		return
 	}
 
 	// Read fill: sense the page from its plane, move it over the legacy
-	// channel bus, install, then serve the sector from the buffer.
+	// channel, install, then serve the sector from the buffer.
 	m.ReadFills.Inc()
 	loc := m.FTL.Lookup(page)
 	o := m.ops.Get()
@@ -134,7 +139,7 @@ func (o *op) Handle(any) {
 	case moved:
 		r, page := o.r, o.page
 		m.ops.Put(o)
-		m.insert(page, false)
+		m.install(page, false)
 		m.bufPort.Send(r.Size, r, nil)
 	default:
 		victim := o.page
@@ -146,9 +151,9 @@ func (o *op) Handle(any) {
 	}
 }
 
-// insert adds a page to the buffer, flushing a dirty victim to flash.
-func (m *Module) insert(page uint64, dirty bool) {
-	victim, vdirty, evicted := m.buf.insert(page, dirty)
+// install adds a page to the buffer, flushing a dirty victim to flash.
+func (m *Module) install(page uint64, dirty bool) {
+	victim, vdirty, evicted := insert(m.buf, page, dirty)
 	if !evicted || !vdirty {
 		return
 	}
@@ -163,110 +168,46 @@ func (m *Module) insert(page uint64, dirty bool) {
 // EngineBusyTicks reports cumulative firmware occupancy (Fig. 4d).
 func (m *Module) EngineBusyTicks() sim.Tick { return m.engine.BusyTicks() }
 
-// BufferBusyTicks reports DRAM-buffer bus occupancy.
-func (m *Module) BufferBusyTicks() sim.Tick { return m.bufPort.BusyTicks() }
-
 // ChannelBytes reports total bytes moved over the legacy channels.
 func (m *Module) ChannelBytes() uint64 {
 	var n uint64
 	for _, c := range m.channels {
-		n += c.Bytes.Value()
+		n += c.Bytes()
 	}
 	return n
 }
 
-// pageBuffer is the page-granularity LRU read/write buffer held in the
-// module's internal DRAM. Resident pages live in dense slots linked
-// into an exact LRU list (MRU at head), resolved through a page ->
-// slot index. The slots grow with the resident set up to the
-// capacity, so the buffer's host memory tracks the pages a run touches
-// rather than the 2 GB it models; eviction takes the list tail.
-type pageBuffer struct {
-	cap        int
-	pages      []uint64
-	dirty      []bool
-	prev, next []int32 // LRU list links; -1 ends the list
-	head, tail int32
-	idx        *intmap.Map
+// newBuffer returns an empty page buffer holding up to pages pages,
+// and at least one.
+func newBuffer(pages int) *intmap.LRU[bool] {
+	return intmap.NewLRU[bool](1, max(pages, 1), false)
 }
 
-func newPageBuffer(capacity int) *pageBuffer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &pageBuffer{cap: capacity, head: -1, tail: -1, idx: intmap.New(0)}
-}
-
-func (b *pageBuffer) unlink(s int32) {
-	if b.prev[s] >= 0 {
-		b.next[b.prev[s]] = b.next[s]
-	} else {
-		b.head = b.next[s]
-	}
-	if b.next[s] >= 0 {
-		b.prev[b.next[s]] = b.prev[s]
-	} else {
-		b.tail = b.prev[s]
-	}
-}
-
-func (b *pageBuffer) pushFront(s int32) {
-	b.prev[s], b.next[s] = -1, b.head
-	if b.head >= 0 {
-		b.prev[b.head] = s
-	} else {
-		b.tail = s
-	}
-	b.head = s
-}
-
-// promote makes slot s the most recently used.
-func (b *pageBuffer) promote(s int32) {
-	if b.head != s {
-		b.unlink(s)
-		b.pushFront(s)
-	}
-}
-
-// touch reports a hit, refreshing LRU state and dirtying on writes.
-func (b *pageBuffer) touch(page uint64, write bool) bool {
-	s, ok := b.idx.Get(page)
+// touch reports whether page is buffered. A hit becomes the most
+// recently used page, and a write dirties it.
+func touch(buf *intmap.LRU[bool], page uint64, write bool) bool {
+	s, ok := buf.Get(page)
 	if !ok {
 		return false
 	}
-	b.promote(s)
+	buf.Touch(0, s)
 	if write {
-		b.dirty[s] = true
+		*buf.Val(s) = true
 	}
 	return true
 }
 
-// insert adds a page, evicting the LRU entry if full. It returns the
-// victim and its dirtiness.
-func (b *pageBuffer) insert(page uint64, dirty bool) (victim uint64, victimDirty, evicted bool) {
-	if s, ok := b.idx.Get(page); ok {
-		b.promote(s)
-		b.dirty[s] = b.dirty[s] || dirty
+// insert buffers page as the most recently used, dirty if dirty is. A
+// page not yet buffered first evicts the least recently used one from
+// a full buffer and returns that victim and its dirty bit.
+func insert(buf *intmap.LRU[bool], page uint64, dirty bool) (victim uint64, victimDirty, evicted bool) {
+	if touch(buf, page, dirty) {
 		return 0, false, false
 	}
-	var s int32
-	if len(b.pages) >= b.cap {
-		s = b.tail
-		victim, victimDirty, evicted = b.pages[s], b.dirty[s], true
-		b.unlink(s)
-		b.idx.Delete(victim)
-	} else {
-		s = int32(len(b.pages))
-		b.pages = append(b.pages, 0)
-		b.dirty = append(b.dirty, false)
-		b.prev = append(b.prev, -1)
-		b.next = append(b.next, -1)
+	if buf.Full(0) {
+		victim, victimDirty = buf.Evict(0)
+		evicted = true
 	}
-	b.pages[s], b.dirty[s] = page, dirty
-	b.pushFront(s)
-	b.idx.Put(page, s)
+	buf.Insert(0, page, dirty)
 	return victim, victimDirty, evicted
 }
-
-// Len reports resident pages (tests).
-func (b *pageBuffer) Len() int { return b.idx.Len() }

@@ -130,11 +130,11 @@ func TestCleanEvictionDoesNotFlush(t *testing.T) {
 }
 
 func TestPageBufferLRU(t *testing.T) {
-	b := newPageBuffer(2)
-	b.insert(1, false)
-	b.insert(2, false)
-	b.touch(1, false) // 2 becomes LRU
-	victim, dirty, evicted := b.insert(3, false)
+	b := newBuffer(2)
+	insert(b, 1, false)
+	insert(b, 2, false)
+	touch(b, 1, false) // 2 becomes LRU
+	victim, dirty, evicted := insert(b, 3, false)
 	if !evicted || victim != 2 || dirty {
 		t.Errorf("evicted %v victim %d dirty %v, want 2 clean", evicted, victim, dirty)
 	}
@@ -142,10 +142,10 @@ func TestPageBufferLRU(t *testing.T) {
 		t.Errorf("len = %d", b.Len())
 	}
 	// Reinserting a resident page must not evict.
-	if _, _, ev := b.insert(3, true); ev {
+	if _, _, ev := insert(b, 3, true); ev {
 		t.Error("reinsert evicted")
 	}
-	if !b.touch(3, false) {
+	if !touch(b, 3, false) {
 		t.Error("page 3 missing")
 	}
 }

@@ -68,17 +68,3 @@ func (b *Breakdown) Components() []string {
 	copy(out, b.order)
 	return out
 }
-
-// Fractions returns each component's share of the total, in
-// first-use order. An empty breakdown yields nil.
-func (b *Breakdown) Fractions() []float64 {
-	t := b.Total()
-	if t == 0 {
-		return nil
-	}
-	out := make([]float64, len(b.order))
-	for i, n := range b.order {
-		out[i] = b.vals[n] / t
-	}
-	return out
-}

@@ -189,9 +189,6 @@ func (a *App) TotalMemInsts() int {
 	return a.instPerWK * a.Spec.Kernels * a.Spec.WarpsPerKernel
 }
 
-// HotPages reports the derived random-read pool size.
-func (a *App) HotPages() int { return a.hotPages }
-
 // WritePool reports the derived write working-set size.
 func (a *App) WritePool() int { return a.writePool }
 
