@@ -67,9 +67,11 @@ const (
 	// line g when word&keyMask == g<<tagShift|wValid.
 	keyMask = ^uint64(1<<tagShift-1) | wValid
 
-	maxWays = 1 << rankBits        // the most ways the rank field orders
 	maxLine = 1<<(64-tagShift) - 1 // the widest line number the tag field holds
 )
+
+// The rank field must order config.MaxWays ways.
+var _ [1<<rankBits - config.MaxWays]struct{}
 
 // EvictInfo describes an evicted line for the access monitor.
 type EvictInfo struct {
@@ -115,43 +117,19 @@ type Cache struct {
 	PinnedNow                  int
 }
 
-// ValidateConfig reports an error when the model cannot run cfg: the
-// line size must be a power of two of at least 2 bytes, there must be
-// at least one set and one MSHR, and the rank field must order the
-// ways (0 to 128; 0 ways is a cache every line bypasses).
-func ValidateConfig(cfg config.Cache) error {
-	if cfg.LineBytes < 2 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
-		return fmt.Errorf("cache: LineBytes %d is not a power of two of at least 2", cfg.LineBytes)
-	}
-	if cfg.Sets < 1 {
-		return fmt.Errorf("cache: Sets %d, want at least 1", cfg.Sets)
-	}
-	if cfg.Ways < 0 || cfg.Ways > maxWays {
-		return fmt.Errorf("cache: Ways %d, want 0 to %d", cfg.Ways, maxWays)
-	}
-	if cfg.MSHRs < 1 {
-		return fmt.Errorf("cache: MSHRs %d, want at least 1", cfg.MSHRs)
-	}
-	return nil
-}
-
 // New creates a cache in front of next. next must not be nil and cfg
-// must pass ValidateConfig.
+// must be valid (config.Config.Validate).
 func New(eng *sim.Engine, cfg config.Cache, next mem.Memory, name string) *Cache {
 	if next == nil {
 		panic("cache: next level must not be nil")
 	}
-	if err := ValidateConfig(cfg); err != nil {
-		panic(err)
-	}
-	nb := max(cfg.Banks, 1)
 	c := &Cache{
 		Name:  name,
 		eng:   eng,
 		cfg:   cfg,
 		next:  next,
-		words: make([]uint64, nb*cfg.Sets*cfg.Ways),
-		rows:  uint64(nb * cfg.Sets),
+		words: make([]uint64, cfg.Lines()),
+		rows:  uint64(cfg.Banks * cfg.Sets),
 		shift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 
 		mshrs:   make([]mem.Queue, cfg.MSHRs),
@@ -160,7 +138,7 @@ func New(eng *sim.Engine, cfg config.Cache, next mem.Memory, name string) *Cache
 	for i := cfg.MSHRs - 1; i >= 0; i-- {
 		c.mshrFree = append(c.mshrFree, int32(i))
 	}
-	c.banks = make([]*sim.Resource, nb)
+	c.banks = make([]*sim.Resource, cfg.Banks)
 	for i := range c.banks {
 		c.banks[i] = sim.NewResource(eng)
 	}

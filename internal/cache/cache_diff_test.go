@@ -424,7 +424,7 @@ func TestCacheDifferential(t *testing.T) {
 		{"L2STT-3072-sets", l2x3, 0},
 		{"banked-4x2", config.Cache{Sets: 4, Ways: 2, LineBytes: 128, Banks: 4,
 			ReadLat: 1, WriteLat: 1, MSHRs: 4, WriteBack: true}, 0},
-		{"max-ways", config.Cache{Sets: 2, Ways: maxWays, LineBytes: 128, Banks: 1,
+		{"max-ways", config.Cache{Sets: 2, Ways: config.MaxWays, LineBytes: 128, Banks: 1,
 			ReadLat: 1, WriteLat: 1, MSHRs: 8, WriteBack: true}, 0},
 		{"direct-mapped", config.Cache{Sets: 16, Ways: 1, LineBytes: 128, Banks: 2,
 			ReadLat: 1, WriteLat: 1, MSHRs: 4, WriteBack: true}, 0},

@@ -123,20 +123,15 @@ func regNetByName(name string) (config.RegCacheNet, error) {
 	return 0, fmt.Errorf("campaign: unknown reg_net %q (valid: SWnet, FCnet, NiF)", name)
 }
 
-// Apply validates the override and returns the base configuration
-// with the set fields perturbed.
+// Apply returns the base configuration with the set fields perturbed,
+// or an error naming the override when the result is not one the
+// model runs (config.Config.Validate).
 func (ov Override) Apply(base config.Config) (config.Config, error) {
 	cfg := base
-	if ov.L2Mult < 0 {
-		return cfg, fmt.Errorf("campaign: override %s: l2_mult %d must be positive", ov.Label(), ov.L2Mult)
-	}
-	if ov.L2Mult > 0 {
+	if ov.L2Mult != 0 {
 		cfg.L2STT.Sets = cfg.L2SRAM.Sets * ov.L2Mult
 	}
-	if ov.Channels < 0 {
-		return cfg, fmt.Errorf("campaign: override %s: channels %d must be positive", ov.Label(), ov.Channels)
-	}
-	if ov.Channels > 0 {
+	if ov.Channels != 0 {
 		cfg.Flash.Channels = ov.Channels
 	}
 	if ov.PrefetchOff {
@@ -144,18 +139,11 @@ func (ov Override) Apply(base config.Config) (config.Config, error) {
 		// above that can never be exceeded, so no prefetch ever issues.
 		cfg.Prefetch.CutoffThresh = 1 << 30
 	}
-	for _, w := range []struct {
-		name string
-		v    *float64
-		dst  *float64
-	}{{"high_waste", ov.HighWaste, &cfg.Prefetch.HighWaste}, {"low_waste", ov.LowWaste, &cfg.Prefetch.LowWaste}} {
-		if w.v == nil {
-			continue
-		}
-		if *w.v < 0 || *w.v > 1 || math.IsNaN(*w.v) {
-			return cfg, fmt.Errorf("campaign: override %s: %s %v outside [0, 1]", ov.Label(), w.name, *w.v)
-		}
-		*w.dst = *w.v
+	if ov.HighWaste != nil {
+		cfg.Prefetch.HighWaste = *ov.HighWaste
+	}
+	if ov.LowWaste != nil {
+		cfg.Prefetch.LowWaste = *ov.LowWaste
 	}
 	if ov.RegNet != "" {
 		net, err := regNetByName(ov.RegNet)
@@ -163,6 +151,9 @@ func (ov Override) Apply(base config.Config) (config.Config, error) {
 			return cfg, err
 		}
 		cfg.RegCache.Net = net
+	}
+	if err := cfg.Validate(); err != nil {
+		return cfg, fmt.Errorf("campaign: override %s: %w", ov.Label(), err)
 	}
 	return cfg, nil
 }

@@ -28,7 +28,7 @@ import (
 // wrong results. A change to what the simulator outputs for an
 // unchanged key needs a bump too, or a store keeps serving the old
 // output while fresh simulations report the new one.
-const SchemaVersion = 3
+const SchemaVersion = 4
 
 // Key returns the content address of one simulation cell. Mixes
 // participate through their ID rather than their display name, so

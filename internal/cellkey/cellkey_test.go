@@ -17,8 +17,8 @@ import (
 // existing store cold without a word, so a deliberate one comes with a
 // SchemaVersion bump and new values here.
 func TestKeyGolden(t *testing.T) {
-	if SchemaVersion != 3 {
-		t.Fatalf("SchemaVersion = %d; the golden keys below are for 3", SchemaVersion)
+	if SchemaVersion != 4 {
+		t.Fatalf("SchemaVersion = %d; the golden keys below are for 4", SchemaVersion)
 	}
 	cfg := config.Default()
 	cfg.Flash.Channels = 8
@@ -32,9 +32,9 @@ func TestKeyGolden(t *testing.T) {
 		cfg   config.Config
 		want  string
 	}{
-		{platform.ZnG, "bfs1+gaus", 2, config.Default(), "4722e116578e0322abf38a88d8f89c5db806442b76abaedab6202b4c093ddb76"},
-		{platform.HybridGPU, "bfs1", 0.05, config.Default(), "45d4b988c0c53e16eefbaf34a4230d980d9b226cc0b6bbc3361f6b2842dea7f0"},
-		{platform.ZnGBase, "oltp*2+fbfs", 1.28, cfg, "a403dcea8ef83f969910e706cdbfd2687bcf24ee84d154a14b0b3066e452a9f6"},
+		{platform.ZnG, "bfs1+gaus", 2, config.Default(), "5962d16d05632d26a55fea913d75657ae08ba9cfbc249868f4be347e17f1f63d"},
+		{platform.HybridGPU, "bfs1", 0.05, config.Default(), "c199bfcba57a7fdb2c87f1db7f619aca185d766c0363f5787cc914ebd2b6e6f3"},
+		{platform.ZnGBase, "oltp*2+fbfs", 1.28, cfg, "aff011fb17d15a21edc98b34693e1a7c1a27b1eeaccd6cc9448547bcce4212fa"},
 	} {
 		if got := Key(tc.kind, tc.mix, tc.scale, tc.cfg); got != tc.want {
 			t.Errorf("Key(%v, %q, %v) = %s, want %s", tc.kind, tc.mix, tc.scale, got, tc.want)

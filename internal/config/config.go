@@ -44,61 +44,92 @@ func TicksToNs(t sim.Tick) float64 { return float64(t) / GPUClockGHz }
 // BytesPerTickToGBps converts a port width back to GB/s.
 func BytesPerTickToGBps(w float64) float64 { return w * GPUClockGHz }
 
+// A numeric field's range tag declares the values the model runs:
+// range:"lo,hi" admits lo through hi, and a third element, pow2,
+// admits only powers of two, where the model masks with the value.
+// A bound is a number or one of the names below. Lower bounds are the
+// least value the model runs as the field says; caps bound the host
+// memory and simulated time one cell can ask for. Validate checks
+// every range, and the plan refuses a numeric field without one.
+const (
+	// MaxWays is the most ways a cache's LRU rank field orders.
+	MaxWays = 128
+	// maxLatency caps every sim.Tick field. The engine stops a cell
+	// after 600M events, and that many events each this far apart stay
+	// below the largest tick. The bandwidth floor, 0.001 GB/s, moves a
+	// page of at most 8 KiB within that delay, even split over 64 DRAM
+	// controllers.
+	maxLatency = 1 << 32
+	// maxPlanes caps Flash.Planes(), which sizes the per-plane tables
+	// of the backbone, both FTLs and the register file.
+	maxPlanes = 1 << 16
+	// maxLines caps a cache's Sets × Ways × Banks, its tag words.
+	maxLines = 1 << 20
+)
+
+// namedBounds are the names a range tag may use for a bound.
+var namedBounds = map[string]float64{"MaxWays": MaxWays, "maxLatency": maxLatency}
+
 // GPU core and cache hierarchy (Table I, left column).
 type GPU struct {
-	SMs           int // streaming multiprocessors
-	MaxWarps      int // resident warps per SM
-	MaxPerWarpMem int // outstanding memory instructions per warp
+	SMs           int `range:"1,64"` // streaming multiprocessors
+	MaxPerWarpMem int `range:"1,64"` // outstanding memory instructions per warp
 }
 
 // Cache describes one cache level.
 type Cache struct {
-	Sets      int
-	Ways      int
-	LineBytes int
-	Banks     int
-	ReadLat   sim.Tick // per-access hit latency
-	WriteLat  sim.Tick // write hit latency (STT-MRAM write is slower)
-	MSHRs     int      // outstanding distinct-line misses
+	Sets      int      `range:"1,1048576"`
+	Ways      int      `range:"0,MaxWays"` // 0: every line bypasses the cache
+	LineBytes int      `range:"2,4096,pow2"`
+	Banks     int      `range:"1,64"`
+	ReadLat   sim.Tick `range:"0,maxLatency"` // per-access hit latency
+	WriteLat  sim.Tick `range:"0,maxLatency"` // write hit latency (STT-MRAM write is slower)
+	MSHRs     int      `range:"1,4096"`       // outstanding distinct-line misses
 	WriteBack bool
 	ReadOnly  bool // ZnG configures the STT-MRAM L2 as a read-only cache
 }
 
+// Lines reports the cache's line frames, its tag words.
+func (c Cache) Lines() int { return c.Sets * c.Ways * c.Banks }
+
 // SizeBytes reports total capacity.
-func (c Cache) SizeBytes() int { return c.Sets * c.Ways * c.LineBytes * max(1, c.Banks) }
+func (c Cache) SizeBytes() int { return c.Lines() * c.LineBytes }
 
 // TLB and MMU (Section II-A academic design [18]).
 type MMU struct {
-	L1TLBEntries   int // per-SM
-	WalkerThreads  int // highly-threaded page table walker
-	WalkCacheEnt   int
-	WalkMemLatency sim.Tick // memory access cost per walk step
-	WalkLevels     int
-	DBMTLatency    sim.Tick // block-mapping-table lookup inside the MMU (ZnG)
+	L1TLBEntries   int      `range:"1,4096"` // per-SM
+	WalkerThreads  int      `range:"1,1024"` // highly-threaded page table walker
+	WalkCacheEnt   int      `range:"1,65536"`
+	WalkMemLatency sim.Tick `range:"0,maxLatency"` // memory access cost per walk step
+	WalkLevels     int      `range:"1,8"`
+	DBMTLatency    sim.Tick `range:"0,maxLatency"` // block-mapping-table lookup inside the MMU (ZnG)
 }
 
-// Flash describes the Z-NAND backbone (Table I, middle column).
+// Flash describes the Z-NAND backbone (Table I, middle column). The
+// page-mapped FTL packs a location into 24 bits of block and 16 of
+// page, and a register's sector bitmap holds 64 sectors of 128 B; the
+// block, page and page-size caps stay inside both.
 type Flash struct {
-	Channels      int
-	PackagesPerCh int
-	DiesPerPkg    int
-	PlanesPerDie  int
-	BlocksPerPl   int
-	PagesPerBlock int
-	PageBytes     int
-	RegsPerPlane  int // cache registers; 2 baseline, 8 in ZnG
+	Channels      int `range:"1,256"`
+	PackagesPerCh int `range:"1,64"`
+	DiesPerPkg    int `range:"1,64"`
+	PlanesPerDie  int `range:"1,64"`
+	BlocksPerPl   int `range:"2,1048576"` // and above FTL.DataBlocksPerLog
+	PagesPerBlock int `range:"1,4096"`
+	PageBytes     int `range:"128,8192,pow2"`
+	RegsPerPlane  int `range:"1,64"` // cache registers; 2 baseline, 8 in ZnG
 
-	ReadLat    sim.Tick // tR: array sensing (3 us)
-	ProgramLat sim.Tick // tPROG (100 us)
-	EraseLat   sim.Tick // tERASE
-	PECycles   int      // endurance per block (100k for SLC Z-NAND)
+	ReadLat    sim.Tick `range:"0,maxLatency"` // tR: array sensing (3 us)
+	ProgramLat sim.Tick `range:"0,maxLatency"` // tPROG (100 us)
+	EraseLat   sim.Tick `range:"0,maxLatency"` // tERASE
+	PECycles   int      `range:"1,1073741824"` // endurance per block (100k for SLC Z-NAND)
 
 	// Legacy bus channel (HybridGPU): ONFI 800 MT/s.
-	ChannelGBps float64
-	// ZnG mesh network: 8 B links (8x the legacy channel width).
-	MeshLinkGBps float64
-	MeshHopLat   sim.Tick
-	MeshDim      int // MeshDim x MeshDim router grid for 16 controllers
+	ChannelGBps float64 `range:"0.001,1e6"`
+	// ZnG mesh network: 8 B links (8x the legacy channel width), on
+	// the smallest square grid with a router per package.
+	MeshLinkGBps float64  `range:"0.001,1e6"`
+	MeshHopLat   sim.Tick `range:"0,maxLatency"`
 }
 
 // Planes reports the total number of planes in the backbone.
@@ -118,49 +149,49 @@ func (f Flash) CapacityBytes() int64 {
 // module (Section III-A: 2–5 low-power cores; FTL processing is the
 // dominant latency component at 67%).
 type SSDEngine struct {
-	Cores        int
-	FTLLatPerReq sim.Tick // per-request firmware processing time
-	DRAMBufGBps  float64  // single package, 32-bit bus
-	DRAMBufLat   sim.Tick
-	DRAMBufBytes int64 // data buffer capacity
-	DispatchLat  sim.Tick
+	Cores        int      `range:"1,1024"`
+	FTLLatPerReq sim.Tick `range:"0,maxLatency"` // per-request firmware processing time
+	DRAMBufGBps  float64  `range:"0.001,1e6"`    // single package, 32-bit bus
+	DRAMBufLat   sim.Tick `range:"0,maxLatency"`
+	DRAMBufBytes int64    `range:"8192,68719476736"` // data buffer capacity, at least one page
+	DispatchLat  sim.Tick `range:"0,maxLatency"`
 }
 
 // DRAM describes a conventional memory backend.
 type DRAM struct {
-	Controllers int
-	TotalGBps   float64  // aggregate across controllers
-	ReadLat     sim.Tick // device read latency
-	WriteLat    sim.Tick
-	AccessGran  int // bytes per device access (Optane: 256 B)
+	Controllers int      `range:"1,64"`
+	TotalGBps   float64  `range:"0.001,1e6"`    // aggregate across controllers
+	ReadLat     sim.Tick `range:"0,maxLatency"` // device read latency
+	WriteLat    sim.Tick `range:"0,maxLatency"`
+	AccessGran  int      `range:"1,4096"` // bytes per device access (Optane: 256 B)
 
 	// Static properties used by Fig. 3.
-	PkgCapacityGB float64
-	PowerWPerGB   float64
+	PkgCapacityGB float64 `range:"0,1e6"`
+	PowerWPerGB   float64 `range:"0,1e6"`
 }
 
 // PCIe and host path (Hetero platform, Section II-C).
 type Host struct {
-	PCIeGBps      float64  // effective GPU<->host bandwidth
-	SSDGBps       float64  // external NVMe SSD streaming bandwidth
-	FaultFixedLat sim.Tick // interrupt + user/kernel switches + driver
-	StagingCopyBW float64  // host DRAM redundant-copy bandwidth (GB/s)
-	GPUMemPages   int      // resident GPU-memory pages before eviction
+	PCIeGBps      float64  `range:"0.001,1e6"`    // effective GPU<->host bandwidth
+	SSDGBps       float64  `range:"0.001,1e6"`    // external NVMe SSD streaming bandwidth
+	FaultFixedLat sim.Tick `range:"0,maxLatency"` // interrupt + user/kernel switches + driver
+	StagingCopyBW float64  `range:"0.001,1e6"`    // host DRAM redundant-copy bandwidth (GB/s)
+	GPUMemPages   int      `range:"1,1073741824"` // resident GPU-memory pages before eviction
 }
 
 // Prefetch describes the ZnG dynamic read-prefetch module (Fig. 8a).
 type Prefetch struct {
-	TableEntries  int
-	WarpSlots     int
-	CounterBits   int
-	CutoffThresh  int
-	HighWaste     float64 // halve granularity above this waste ratio
-	LowWaste      float64 // grow granularity below this
-	GrowBytes     int     // +1 KB
-	MinBytes      int
-	MaxBytes      int
-	InitialBytes  int
-	MonitorWindow int // evictions per monitor decision
+	TableEntries  int     `range:"1,65536"`
+	WarpSlots     int     `range:"1,64"`
+	CounterBits   int     `range:"1,30"`
+	CutoffThresh  int     `range:"0,1073741824"` // 1<<30 is above every counter: prefetch off
+	HighWaste     float64 `range:"0,1"`          // halve granularity above this waste ratio
+	LowWaste      float64 `range:"0,1"`          // grow granularity below this
+	GrowBytes     int     `range:"0,65536"`      // +1 KB
+	MinBytes      int     `range:"0,65536"`
+	MaxBytes      int     `range:"0,65536"`
+	InitialBytes  int     `range:"0,65536"`
+	MonitorWindow int     `range:"1,1048576"` // evictions per monitor decision
 }
 
 // RegCacheNet selects the flash-register interconnect (Section IV-C).
@@ -191,19 +222,19 @@ func (n RegCacheNet) String() string {
 
 // RegCache describes the fully-associative flash-register write cache.
 type RegCache struct {
-	Net          RegCacheNet
-	LocalNetGBps float64 // NiF local network between data registers
-	BusLat       sim.Tick
-	ThrashWindow int     // writes per thrashing-checker decision
-	ThrashRatio  float64 // miss ratio above which L2 pinning engages
-	PinLines     int     // L2 lines pinned for excess dirty data
+	Net          RegCacheNet `range:"0,2"`       // SWnet, FCnet or NiF
+	LocalNetGBps float64     `range:"0.001,1e6"` // NiF local network between data registers
+	BusLat       sim.Tick    `range:"0,maxLatency"`
+	ThrashWindow int         `range:"1,1048576"` // writes per thrashing-checker decision
+	ThrashRatio  float64     `range:"0,1"`       // miss ratio above which L2 pinning engages
+	PinLines     int         `range:"0,1048576"` // L2 lines pinned for excess dirty data
 }
 
 // FTL describes the ZnG split FTL and the HybridGPU monolithic FTL.
 type FTL struct {
-	DataBlocksPerLog int     // physical data blocks sharing one log block
-	GCThreshold      float64 // free-block fraction triggering GC
-	HelperThreadLat  sim.Tick
+	DataBlocksPerLog int      `range:"1,1048576"` // physical data blocks sharing one log block
+	GCThreshold      float64  `range:"0,1"`       // free-block fraction triggering GC
+	HelperThreadLat  sim.Tick `range:"0,maxLatency"`
 }
 
 // Config aggregates the whole Table I system description.
@@ -225,39 +256,31 @@ type Config struct {
 	FTL      FTL
 }
 
-// CheckLatencies reports the first negative sim.Tick field of c, named
-// by its path from Config ("Flash.MeshHopLat"). The model cannot run a
-// negative latency: an event it would schedule lands before the
-// current tick, which the engine refuses, or the delay is silently
-// taken as zero. The fields are found by walking the struct, so a
-// latency added later is checked too; the walk allocates only for the
-// error it returns.
-func (c *Config) CheckLatencies() error {
-	if path, t, ok := negativeTick(reflect.ValueOf(c).Elem()); ok {
-		return fmt.Errorf("config: %s %d, want >= 0", path, t)
+// Validate reports the first value of c the model cannot run, naming
+// it by its path from Config: a numeric field outside its declared
+// range, a table size above its cap, or a plane without a block to
+// spare for a log. A configuration can arrive from outside the program
+// (zngd's "config" field), so platform.RunApps and zngd check it
+// before building anything. A valid c costs no allocation.
+func (c *Config) Validate() error {
+	if err := plan.check(reflect.ValueOf(c).Elem()); err != nil {
+		return err
 	}
-	return nil
-}
-
-var tickType = reflect.TypeFor[sim.Tick]()
-
-// negativeTick finds the first negative sim.Tick field of the struct v
-// and returns its path from v.
-func negativeTick(v reflect.Value) (path string, t sim.Tick, ok bool) {
-	for i := range v.NumField() {
-		f := v.Field(i)
-		switch {
-		case f.Type() == tickType:
-			if t = sim.Tick(f.Int()); t < 0 {
-				return v.Type().Field(i).Name, t, true
-			}
-		case f.Kind() == reflect.Struct:
-			if path, t, ok = negativeTick(f); ok {
-				return v.Type().Field(i).Name + "." + path, t, true
-			}
+	if n := c.Flash.Planes(); n > maxPlanes {
+		return fmt.Errorf("config: Flash.Planes() %d (Channels × PackagesPerCh × DiesPerPkg × PlanesPerDie), want at most %d", n, maxPlanes)
+	}
+	for _, cc := range [...]struct {
+		path  string
+		lines int
+	}{{"L1", c.L1.Lines()}, {"L2SRAM", c.L2SRAM.Lines()}, {"L2STT", c.L2STT.Lines()}} {
+		if cc.lines > maxLines {
+			return fmt.Errorf("config: %s.Lines() %d (Sets × Ways × Banks), want at most %d", cc.path, cc.lines, maxLines)
 		}
 	}
-	return "", 0, false
+	if b, d := c.Flash.BlocksPerPl, c.FTL.DataBlocksPerLog; b <= d {
+		return fmt.Errorf("config: Flash.BlocksPerPl %d, want more than FTL.DataBlocksPerLog (%d)", b, d)
+	}
+	return nil
 }
 
 // Default returns the Table I configuration.
@@ -265,7 +288,6 @@ func Default() Config {
 	return Config{
 		GPU: GPU{
 			SMs:           16,
-			MaxWarps:      80,
 			MaxPerWarpMem: 2,
 		},
 		L1: Cache{
@@ -305,7 +327,6 @@ func Default() Config {
 			// ZnG mesh: 8 B links at the same transfer rate: 6.4 GB/s/link.
 			MeshLinkGBps: 6.4,
 			MeshHopLat:   4,
-			MeshDim:      4,
 		},
 		Engine: SSDEngine{
 			// 4.8 GB/s engine throughput at 128 B requests (Fig. 1b):
@@ -388,10 +409,3 @@ const ZNANDPackageDensityGB = 64
 
 // ZNANDPowerWPerGB is the Z-NAND power efficiency shown in Fig. 3b.
 const ZNANDPowerWPerGB = 0.02
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,6 +1,10 @@
 package config
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"zng/internal/sim"
@@ -36,7 +40,7 @@ func TestBandwidthConversionRoundTrip(t *testing.T) {
 func TestTableIConfiguration(t *testing.T) {
 	c := Default()
 
-	if c.GPU.SMs != 16 || c.GPU.MaxWarps != 80 {
+	if c.GPU.SMs != 16 {
 		t.Errorf("GPU config mismatch: %+v", c.GPU)
 	}
 	if got := c.L1.SizeBytes(); got != 48<<10 {
@@ -133,26 +137,126 @@ func TestZNANDDensityConstants(t *testing.T) {
 	}
 }
 
-// TestCheckLatencies: zero is a valid latency and -1 is not, and a
-// valid configuration is checked without allocating. Every sim.Tick
-// field is covered through platform.RunApps
+// TestValidateRanges walks the declared ranges: each numeric field
+// set just below its minimum or just above its maximum, a float set to
+// NaN and a power-of-two field set to another value inside its range
+// is an error naming the field's path, and so is each table size above
+// its cap. Table I validates (without allocating:
+// platform.TestValidateConfigAllocFree).
+func TestValidateRanges(t *testing.T) {
+	type leaf struct {
+		path string
+		f    *field
+		v    func(*Config) reflect.Value
+	}
+	var leaves []leaf
+	var walk func(p *structPlan, get func(*Config) reflect.Value)
+	walk = func(p *structPlan, get func(*Config) reflect.Value) {
+		for i := range p.fields {
+			f := &p.fields[i]
+			v := func(c *Config) reflect.Value { return get(c).Field(f.index) }
+			switch f.kind {
+			case reflect.Struct:
+				walk(f.sub, v)
+			case reflect.Bool:
+			default:
+				leaves = append(leaves, leaf{p.path + f.name, f, v})
+			}
+		}
+	}
+	walk(plan, func(c *Config) reflect.Value { return reflect.ValueOf(c).Elem() })
+	if len(leaves) != 103 {
+		t.Errorf("%d numeric fields carry a range, want all 103", len(leaves))
+	}
+	check := func(c Config, path, what string) {
+		t.Helper()
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "config: "+path+" ") {
+			t.Errorf("%s %s: Validate() = %v, want an error naming %s", path, what, err, path)
+		}
+	}
+	for _, l := range leaves {
+		c := Default()
+		if l.f.kind == reflect.Float64 {
+			for _, x := range []float64{math.Nextafter(l.f.lo, math.Inf(-1)), math.Nextafter(l.f.hi, math.Inf(1)), math.NaN()} {
+				l.v(&c).SetFloat(x)
+				check(c, l.path, fmt.Sprint(x))
+			}
+			continue
+		}
+		bad := []int64{int64(l.f.lo) - 1, int64(l.f.hi) + 1}
+		if l.f.pow2 {
+			bad = append(bad, int64(l.f.lo)+1)
+		}
+		for _, n := range bad {
+			l.v(&c).SetInt(n)
+			check(c, l.path, fmt.Sprint(n))
+		}
+	}
+
+	c := Default()
+	c.Flash.PageBytes = 4000
+	if err, want := c.Validate(), "config: Flash.PageBytes 4000, want a power of two in [128, 8192]"; err == nil || err.Error() != want {
+		t.Errorf("PageBytes 4000: Validate() = %v, want %q", err, want)
+	}
+	for path, mutate := range map[string]func(*Config){
+		"Flash.Planes()":    func(c *Config) { c.Flash.Channels, c.Flash.PlanesPerDie = 256, 64 },
+		"L1.Lines()":        func(c *Config) { c.L1.Sets, c.L1.Ways = 1<<19, 4 },
+		"L2STT.Lines()":     func(c *Config) { c.L2STT.Banks = 64 },
+		"Flash.BlocksPerPl": func(c *Config) { c.Flash.BlocksPerPl = c.FTL.DataBlocksPerLog },
+	} {
+		c := Default()
+		mutate(&c)
+		check(c, path, "above its cap")
+	}
+
+	if c := Default(); c.Validate() != nil {
+		t.Errorf("Table I: %v", c.Validate())
+	}
+}
+
+// TestCheckLatencies: every sim.Tick field, found by walking Config,
+// admits 0 and maxLatency and rejects -1 and maxLatency+1 with an
+// error naming the field and its range. Every platform refuses such a
+// configuration through platform.RunApps
 // (TestRunMixRejectsNegativeLatencies).
 func TestCheckLatencies(t *testing.T) {
 	c := Default()
-	c.Flash.MeshHopLat = 0
-	if err := c.CheckLatencies(); err != nil {
-		t.Errorf("Flash.MeshHopLat = 0: %v", err)
+	type latency struct {
+		path string
+		v    reflect.Value
 	}
-	c.Flash.MeshHopLat = -1
-	if err, want := c.CheckLatencies(), "config: Flash.MeshHopLat -1, want >= 0"; err == nil || err.Error() != want {
-		t.Errorf("Flash.MeshHopLat = -1: err = %v, want %q", err, want)
-	}
-	c = Default()
-	if allocs := testing.AllocsPerRun(10, func() {
-		if err := c.CheckLatencies(); err != nil {
-			t.Fatal(err)
+	var lats []latency
+	var walk func(v reflect.Value, prefix string)
+	walk = func(v reflect.Value, prefix string) {
+		for i := range v.NumField() {
+			f, path := v.Field(i), prefix+v.Type().Field(i).Name
+			switch {
+			case f.Type() == reflect.TypeFor[sim.Tick]():
+				lats = append(lats, latency{path, f})
+			case f.Kind() == reflect.Struct:
+				walk(f, path+".")
+			}
 		}
-	}); allocs != 0 {
-		t.Errorf("CheckLatencies allocates %.0f objects on a valid config, want 0", allocs)
+	}
+	walk(reflect.ValueOf(&c).Elem(), "")
+	if len(lats) != 26 {
+		t.Errorf("the walk over Config finds %d latencies, want 26", len(lats))
+	}
+	for _, l := range lats {
+		old := l.v.Int()
+		for _, n := range []int64{0, maxLatency} {
+			l.v.SetInt(n)
+			if err := c.Validate(); err != nil {
+				t.Errorf("%s = %d: %v", l.path, n, err)
+			}
+		}
+		for _, n := range []int64{-1, maxLatency + 1} {
+			l.v.SetInt(n)
+			want := fmt.Sprintf("config: %s %d, want [0, %d]", l.path, n, maxLatency)
+			if err := c.Validate(); err == nil || err.Error() != want {
+				t.Errorf("%s = %d: err = %v, want %q", l.path, n, err, want)
+			}
+		}
+		l.v.SetInt(old)
 	}
 }

@@ -39,15 +39,24 @@ func TestPlanCoversConfig(t *testing.T) {
 		}
 		return n
 	}
-	if got, want := leaves(plan()), count(reflect.TypeFor[Config]()); got != want {
+	if got, want := leaves(plan), count(reflect.TypeFor[Config]()); got != want {
 		t.Errorf("the plan carries %d fields, Config has %d", got, want)
 	}
 }
 
 // TestPlanRejectsUnsupportedFields: what the codec would not encode as
-// encoding/json does panics when the plan is built.
+// encoding/json does, and a numeric field without a well-formed range,
+// panics when the plan is built.
 func TestPlanRejectsUnsupportedFields(t *testing.T) {
-	type inner struct{ N int }
+	type inner struct {
+		N int `range:"0,1"`
+	}
+	buildPlan(reflect.TypeFor[struct {
+		In inner
+		B  bool
+		F  float64 `range:"-0.5,1e3"`
+		P  int     `range:"2,MaxWays,pow2"`
+	}](), "")
 	for name, typ := range map[string]reflect.Type{
 		"uint":    reflect.TypeFor[struct{ N uint }](),
 		"string":  reflect.TypeFor[struct{ S string }](),
@@ -57,10 +66,34 @@ func TestPlanRejectsUnsupportedFields(t *testing.T) {
 		"tag": reflect.TypeFor[struct {
 			N int `json:"n"`
 		}](),
-		"unexported": reflect.TypeFor[struct{ n int }](),
-		"embedded":   reflect.TypeFor[struct{ inner }](),
-		"fold-equal": reflect.TypeFor[struct{ Ab, AB int }](),
-		"nested":     reflect.TypeFor[struct{ In struct{ S string } }](),
+		"range-and-tag": reflect.TypeFor[struct {
+			N int `range:"0,1" json:"n"`
+		}](),
+		"unexported": reflect.TypeFor[struct {
+			n int `range:"0,1"`
+		}](),
+		"embedded": reflect.TypeFor[struct{ inner }](),
+		"fold-equal": reflect.TypeFor[struct {
+			Ab int `range:"0,1"`
+			AB int `range:"0,1"`
+		}](),
+		"nested":   reflect.TypeFor[struct{ In struct{ S string } }](),
+		"no-range": reflect.TypeFor[struct{ N int }](),
+		"bool-range": reflect.TypeFor[struct {
+			B bool `range:"0,1"`
+		}](),
+		"one-bound": reflect.TypeFor[struct {
+			N int `range:"1"`
+		}](),
+		"unknown-name": reflect.TypeFor[struct {
+			N int `range:"0,MaxBogus"`
+		}](),
+		"reversed": reflect.TypeFor[struct {
+			N int `range:"2,1"`
+		}](),
+		"float-pow2": reflect.TypeFor[struct {
+			F float64 `range:"1,2,pow2"`
+		}](),
 	} {
 		func() {
 			defer func() {

@@ -38,9 +38,6 @@ func New(eng *sim.Engine, cfg config.DRAM) *Device {
 // device read or write latency.
 func (d *Device) Access(r *mem.Request) {
 	gran := d.cfg.AccessGran
-	if gran <= 0 {
-		gran = 128
-	}
 	// Interleave at access granularity across controllers.
 	ctrl := int(r.Addr/uint64(gran)) % len(d.ports)
 

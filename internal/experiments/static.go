@@ -13,7 +13,6 @@ func TableI(o Options) (*stats.Table, error) {
 	cfg := o.Cfg
 	t := stats.NewTable("Table I: system configuration", "component", "parameter", "value")
 	t.AddRow("GPU", "SM / freq", fmt.Sprintf("%d / %g GHz", cfg.GPU.SMs, config.GPUClockGHz))
-	t.AddRow("GPU", "max warps per SM", cfg.GPU.MaxWarps)
 	t.AddRow("L1 cache", "size", cfg.L1.SizeBytes())
 	t.AddRow("L1 cache", "sets/ways/line", tripleInts(cfg.L1.Sets, cfg.L1.Ways, cfg.L1.LineBytes))
 	t.AddRow("L2 (SRAM)", "size", cfg.L2SRAM.SizeBytes())

@@ -253,11 +253,7 @@ func (w *warpCtx) issue() {
 		r.PC, r.Warp, r.SM, r.Done = w.pc, w.id, w.sm.id, m
 		g.mmu.Request(w.sm.id, r, translated{g})
 	}
-	max := g.cfg.MaxPerWarpMem
-	if max < 1 {
-		max = 1
-	}
-	if w.pendingMem < max {
+	if w.pendingMem < g.cfg.MaxPerWarpMem {
 		// Run ahead to the next instruction.
 		g.eng.Schedule(1, w, nil)
 	} else {

@@ -18,8 +18,6 @@
 package mmu
 
 import (
-	"fmt"
-
 	"zng/internal/config"
 	"zng/internal/intmap"
 	"zng/internal/mem"
@@ -110,23 +108,9 @@ type Unit struct {
 	Faults           stats.Counter
 }
 
-// ValidateConfig reports an error when the model cannot run cfg: every
-// TLB needs at least one entry and the walker at least one thread.
-func ValidateConfig(cfg config.MMU) error {
-	for _, f := range []struct {
-		name string
-		n    int
-	}{{"L1TLBEntries", cfg.L1TLBEntries}, {"WalkCacheEnt", cfg.WalkCacheEnt}, {"WalkerThreads", cfg.WalkerThreads}} {
-		if f.n < 1 {
-			return fmt.Errorf("mmu: %s %d, want at least 1", f.name, f.n)
-		}
-	}
-	return nil
-}
-
 // New creates an MMU for sms streaming multiprocessors. walkLat is the
-// charge for a full walk (see Unit.WalkLat). cfg must pass
-// ValidateConfig.
+// charge for a full walk (see Unit.WalkLat). cfg must be valid
+// (config.Config.Validate).
 func New(eng *sim.Engine, cfg config.MMU, sms int, walkLat sim.Tick) *Unit {
 	u := &Unit{
 		eng:          eng,

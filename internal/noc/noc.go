@@ -72,9 +72,6 @@ type message struct {
 // NewMesh builds a dim x dim mesh with per-link width (bytes/tick) and
 // per-hop latency.
 func NewMesh(eng *sim.Engine, dim int, width float64, hopLat sim.Tick) *Mesh {
-	if dim < 1 {
-		panic("noc: mesh dimension must be >= 1")
-	}
 	m := &Mesh{dim: dim}
 	mk := func() *sim.Port { return sim.NewPort(eng, width, hopLat) }
 	for y := 0; y < dim; y++ {

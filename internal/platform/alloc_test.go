@@ -84,15 +84,16 @@ func TestRunAppsAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestValidateConfigAllocFree: zngd validates the configuration of
-// every run request before admission, so a valid one must cost no
-// allocation.
+// TestValidateConfigAllocFree: RunApps, and zngd before admission,
+// validate every configuration, so a valid one must cost no
+// allocation, not even by moving the caller's copy to the heap.
 func TestValidateConfigAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := ValidateConfig(config.Default()); err != nil {
+		cfg := config.Default()
+		if err := cfg.Validate(); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("ValidateConfig allocates %.0f objects on the Table I configuration, want 0", allocs)
+		t.Errorf("Validate allocates %.0f objects on the Table I configuration, want 0", allocs)
 	}
 }

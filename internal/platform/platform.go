@@ -151,60 +151,21 @@ func RunMix(kind Kind, mix workload.Mix, scale float64, cfg config.Config) (Resu
 	return RunApps(kind, mix.Name, apps, cfg)
 }
 
-// ValidateConfig reports the first field of cfg the model cannot run,
-// named by its path: a negative latency, a bandwidth that is not
-// positive (a sim.Port cannot move bytes at it), a plane without
-// registers, or a cache or MMU size that cache.ValidateConfig or
-// mmu.ValidateConfig refuses. A configuration can arrive from outside
-// the program (zngd's "config" field), so RunApps checks it before
-// building anything. A valid cfg costs no allocation.
-func ValidateConfig(cfg config.Config) error {
-	if err := cfg.CheckLatencies(); err != nil {
-		return fmt.Errorf("platform: %w", err)
-	}
-	for _, bw := range []struct {
-		path string
-		gbps float64
-	}{
-		{"Flash.ChannelGBps", cfg.Flash.ChannelGBps},
-		{"Flash.MeshLinkGBps", cfg.Flash.MeshLinkGBps},
-		{"Engine.DRAMBufGBps", cfg.Engine.DRAMBufGBps},
-		{"GDDR5.TotalGBps", cfg.GDDR5.TotalGBps},
-		{"Optane.TotalGBps", cfg.Optane.TotalGBps},
-		{"Host.PCIeGBps", cfg.Host.PCIeGBps},
-		{"Host.SSDGBps", cfg.Host.SSDGBps},
-		{"Host.StagingCopyBW", cfg.Host.StagingCopyBW},
-		{"RegCache.LocalNetGBps", cfg.RegCache.LocalNetGBps},
-	} {
-		if !(bw.gbps > 0) {
-			return fmt.Errorf("platform: config: %s %v, want > 0", bw.path, bw.gbps)
-		}
-	}
-	if n := cfg.Flash.RegsPerPlane; n < 1 {
-		return fmt.Errorf("platform: config: Flash.RegsPerPlane %d, want >= 1", n)
-	}
-	for _, cc := range []struct {
-		name string
-		cfg  config.Cache
-	}{{"L1", cfg.L1}, {"L2SRAM", cfg.L2SRAM}, {"L2STT", cfg.L2STT}} {
-		if err := cache.ValidateConfig(cc.cfg); err != nil {
-			return fmt.Errorf("platform: %s: %w", cc.name, err)
-		}
-	}
-	if err := mmu.ValidateConfig(cfg.MMU); err != nil {
-		return fmt.Errorf("platform: MMU: %w", err)
-	}
-	return nil
+// RunApps simulates one platform running the given already-built apps.
+// It refuses a cfg that config.Config.Validate rejects before building
+// anything.
+func RunApps(kind Kind, label string, apps []*workload.App, cfg config.Config) (Result, error) {
+	return runApps(kind, label, apps, cfg, maxEvents)
 }
 
-// RunApps simulates one platform running the given already-built apps.
-func RunApps(kind Kind, label string, apps []*workload.App, cfg config.Config) (Result, error) {
+// runApps is RunApps stopping the simulation after limit events.
+func runApps(kind Kind, label string, apps []*workload.App, cfg config.Config, limit uint64) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
 	if len(apps) > cfg.GPU.SMs {
 		return Result{}, fmt.Errorf("platform: %d co-resident apps exceed the %d SMs (each app needs at least one SM partition)",
 			len(apps), cfg.GPU.SMs)
-	}
-	if err := ValidateConfig(cfg); err != nil {
-		return Result{}, err
 	}
 	eng := sim.NewEngine()
 	sys, err := build(eng, kind, cfg)
@@ -216,8 +177,8 @@ func RunApps(kind Kind, label string, apps []*workload.App, cfg config.Config) (
 		if !eng.Step() {
 			return Result{}, fmt.Errorf("platform %v: simulation deadlocked at tick %d", kind, eng.Now())
 		}
-		if eng.Fired() > maxEvents {
-			return Result{}, fmt.Errorf("platform %v: exceeded %d events", kind, maxEvents)
+		if eng.Fired() > limit {
+			return Result{}, fmt.Errorf("platform %v: exceeded %d events", kind, limit)
 		}
 	}
 	eng.Run() // drain stragglers (writebacks, background GC)

@@ -202,6 +202,17 @@ func TestRunMixTooManyApps(t *testing.T) {
 	}
 }
 
+// runMixGuarded is RunMix turning a panic into an error.
+func runMixGuarded(k Kind, m workload.Mix, cfg config.Config) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	_, err = RunMix(k, m, 0.05, cfg)
+	return err
+}
+
 // TestRunMixRejectsUnindexableCache: a cache geometry the tag store
 // cannot index is an error, not a run over garbage line addresses or a
 // modulo by zero.
@@ -210,16 +221,17 @@ func TestRunMixRejectsUnindexableCache(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		mutate func(*config.Config)
+		want   string
 	}{
-		{"L2SRAM 96 B lines", func(c *config.Config) { c.L2SRAM.LineBytes = 96 }},
-		{"L1 1 B lines", func(c *config.Config) { c.L1.LineBytes = 1 }},
-		{"L2STT no sets", func(c *config.Config) { c.L2STT.Sets = 0 }},
+		{"L2SRAM 96 B lines", func(c *config.Config) { c.L2SRAM.LineBytes = 96 }, "config: L2SRAM.LineBytes 96, want a power of two in [2, 4096]"},
+		{"L1 1 B lines", func(c *config.Config) { c.L1.LineBytes = 1 }, "config: L1.LineBytes 1, want a power of two in [2, 4096]"},
+		{"L2STT no sets", func(c *config.Config) { c.L2STT.Sets = 0 }, "config: L2STT.Sets 0, want [1, 1048576]"},
 	} {
 		cfg := testCfg()
 		tc.mutate(&cfg)
 		for _, k := range []Kind{HybridGPU, ZnG} {
-			if _, err := RunMix(k, m, 0.05, cfg); err == nil {
-				t.Errorf("%s on %v: RunMix succeeded, want an error", tc.name, k)
+			if err := runMixGuarded(k, m, cfg); err == nil || err.Error() != tc.want {
+				t.Errorf("%s on %v: err = %v, want %q", tc.name, k, err, tc.want)
 			}
 		}
 	}
@@ -235,45 +247,24 @@ func TestRunMixRejectsNegativeLatencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type field struct {
-		path string
-		v    reflect.Value
-	}
-	var fields []field
-	var walk func(v reflect.Value, prefix string)
-	walk = func(v reflect.Value, prefix string) {
-		for i := range v.NumField() {
-			f, name := v.Field(i), prefix+v.Type().Field(i).Name
-			switch {
-			case f.Type() == reflect.TypeFor[sim.Tick]():
-				fields = append(fields, field{name, f})
-			case f.Kind() == reflect.Struct:
-				walk(f, name+".")
-			}
+	cfg := testCfg()
+	var lats []numericField
+	for _, f := range numericFields(&cfg) {
+		if f.v.Type() == reflect.TypeFor[sim.Tick]() {
+			lats = append(lats, f)
 		}
 	}
-	cfg := testCfg()
-	walk(reflect.ValueOf(&cfg).Elem(), "")
 	for _, want := range []string{"Flash.MeshHopLat", "Engine.DRAMBufLat", "RegCache.BusLat", "L2STT.ReadLat", "Flash.ReadLat"} {
-		if !slices.ContainsFunc(fields, func(f field) bool { return f.path == want }) {
+		if !slices.ContainsFunc(lats, func(f numericField) bool { return f.path == want }) {
 			t.Fatalf("the walk over config.Config misses %s", want)
 		}
 	}
-	run := func(k Kind) (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("panic: %v", p)
-			}
-		}()
-		_, err = RunMix(k, m, 0.05, cfg)
-		return err
-	}
-	for _, f := range fields {
+	for _, f := range lats {
 		old := f.v.Int()
 		f.v.SetInt(-1)
-		want := "platform: config: " + f.path + " -1, want >= 0"
+		want := "config: " + f.path + " -1, want [0, 4294967296]"
 		for _, k := range AllKinds() {
-			if err := run(k); err == nil || err.Error() != want {
+			if err := runMixGuarded(k, m, cfg); err == nil || err.Error() != want {
 				t.Errorf("%s = -1 on %v: err = %v, want %q", f.path, k, err, want)
 			}
 		}
@@ -288,23 +279,11 @@ func TestRunMixRejectsNegativeLatencies(t *testing.T) {
 // the link ("port width must be positive"), and a plane without
 // registers indexed its read ring at -1 on ZnG-base and ZnG-rdopt.
 func TestRunMixRejectsUnusableBandwidthsAndRegisters(t *testing.T) {
-	m, err := workload.MixByName("betw-back")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testMix(t)
 	check := func(cfg config.Config, path, value string) {
-		want := "platform: config: " + path + " " + value
+		want := "config: " + path + " " + value + ", want ["
 		for _, k := range AllKinds() {
-			err := func() (err error) {
-				defer func() {
-					if p := recover(); p != nil {
-						err = fmt.Errorf("panic: %v", p)
-					}
-				}()
-				_, err = RunMix(k, m, 0.05, cfg)
-				return err
-			}()
-			if err == nil || !strings.HasPrefix(err.Error(), want) {
+			if err := runMixGuarded(k, m, cfg); err == nil || !strings.HasPrefix(err.Error(), want) {
 				t.Errorf("%s = %s on %v: err = %v, want one starting %q", path, value, k, err, want)
 			}
 		}

@@ -43,7 +43,12 @@ func buildZnG(eng *sim.Engine, kind Kind, cfg config.Config) *system {
 
 	bb := flash.New(eng, fcfg)
 	split := ftl.NewSplit(eng, bb, cfg.FTL)
-	mesh := noc.NewMesh(eng, fcfg.MeshDim, config.GBpsToBytesPerTick(fcfg.MeshLinkGBps), fcfg.MeshHopLat)
+	// The mesh is the smallest square grid with a router per package.
+	dim := 1
+	for dim*dim < bb.Packages() {
+		dim++
+	}
+	mesh := noc.NewMesh(eng, dim, config.GBpsToBytesPerTick(fcfg.MeshLinkGBps), fcfg.MeshHopLat)
 	xbar := noc.NewXbar(eng, bb.Packages(), 32, 8)
 
 	// Zero-overhead FTL: the DBMT lives in the MMU, so a TLB miss costs
@@ -58,13 +63,7 @@ func buildZnG(eng *sim.Engine, kind Kind, cfg config.Config) *system {
 	}
 	// At most two registers double-buffer reads; the rest (if any)
 	// belong to the write cache.
-	readRing := fcfg.RegsPerPlane
-	if readRing > 2 {
-		readRing = 2
-	}
-	if readRing < 1 {
-		readRing = 1
-	}
+	readRing := min(fcfg.RegsPerPlane, 2)
 	pages := make([]uint64, len(ctl.readRegs)*readRing)
 	for i := range ctl.readRegs {
 		ctl.readRegs[i] = pageRing{pages: pages[i*readRing : i*readRing : (i+1)*readRing]}

@@ -45,6 +45,21 @@ of its inputs, which is what lets ` + "`internal/experiments`" + ` memoize whole
 runs (see below). An event scheduled before the current tick panics,
 since only a bug can ask for one.
 
+## Configuration (` + "`internal/config`" + `)
+
+` + "`config.Default`" + ` transcribes Table I, but zngd takes any configuration
+from the network and keys cells by all of it. So every numeric field
+carries a ` + "`range`" + ` tag declaring what the model runs: a lower bound the
+model runs as the field says, a power-of-two marker where the model
+masks with the value, and a cap on what one cell may ask of the host
+(latencies below 2^32 ticks and bandwidths of at least 0.001 GB/s, so
+600M events cannot overflow a tick; at most 65,536 planes and 2^20
+lines per cache). ` + "`Config.Validate`" + ` checks them in one walk of the JSON
+codec's field plan, allocating nothing for a valid configuration, and
+` + "`platform.RunApps`" + ` and zngd's ` + "`/v1/run`" + ` call it before building anything.
+Derived sizes are not fields: the flash mesh is the smallest square
+grid with a router per package (4x4 under Table I).
+
 ## Workload model (` + "`internal/workload`" + `, ` + "`internal/rng`" + `)
 
 The paper drives MacSim with real program traces; those are not
@@ -105,7 +120,7 @@ Sections III-C/IV-C; without the grouping, each plane's own two
 registers stage its pages). Both register modes are one exact-LRU
 index whose sets are packages or planes, so an eviction takes the
 least recently written page without scanning the set. ` + "`internal/noc`" + ` carries both the GPU-internal
-network and the flash mesh of Fig. 6a; ` + "`internal/dram`" + ` supplies the
+network and the flash mesh of Fig. 6a, one router per flash package; ` + "`internal/dram`" + ` supplies the
 GDDR5/DDR4/LPDDR4/Optane baselines with Table I timing.
 
 ## Platforms (` + "`internal/platform`" + `)

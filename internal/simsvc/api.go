@@ -188,7 +188,7 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 		}
 		// A config the model cannot run is the caller's error, not a
 		// simulator fault: refuse it before any job exists.
-		if err := platform.ValidateConfig(*req.Config); err != nil {
+		if err := req.Config.Validate(); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}

@@ -403,10 +403,13 @@ func TestAPIRunWithConfig(t *testing.T) {
 	}
 }
 
-// TestAPIRunRejectsUnindexableCache: a "config" with a negative
-// latency, a bandwidth that is not positive, a plane without registers
-// or a cache or MMU size the simulator cannot run is a 400 that names
-// the field, for sync and async runs alike, and no job is created.
+// TestAPIRunRejectsUnindexableCache: a "config" with a value outside
+// its declared range (a cache or MMU size the simulator cannot index, a
+// negative latency, a bandwidth that is not positive, a plane without
+// registers, a page size that is not a power of two, an unknown
+// register network) or a field config.Config no longer has is a 400
+// that names the field, for sync and async runs alike, and no job is
+// created.
 func TestAPIRunRejectsUnindexableCache(t *testing.T) {
 	srv, svc := newTestServer(t, nil) // the real simulator
 	for _, c := range []struct {
@@ -428,6 +431,11 @@ func TestAPIRunRejectsUnindexableCache(t *testing.T) {
 		{`{"platform":"ZnG-base","mix":"solo-bfs1","scale":0.05,"config":{"RegCache":{"LocalNetGBps":0}}}`, []string{"RegCache.LocalNetGBps"}},
 		{`{"platform":"ZnG-rdopt","mix":"solo-bfs1","scale":0.05,"config":{"Flash":{"RegsPerPlane":0}}}`, []string{"Flash.RegsPerPlane"}},
 		{`{"platform":"HybridGPU","mix":"solo-bfs1","scale":0.05,"async":true,"config":{"Flash":{"ChannelGBps":-1.6}}}`, []string{"Flash.ChannelGBps"}},
+		{`{"platform":"ZnG-base","mix":"solo-bfs1","scale":0.05,"config":{"Flash":{"PageBytes":4000}}}`, []string{"Flash.PageBytes"}},
+		{`{"platform":"ZnG","mix":"solo-bfs1","scale":0.05,"async":true,"config":{"Flash":{"Channels":0}}}`, []string{"Flash.Channels"}},
+		{`{"platform":"ZnG-wropt","mix":"solo-bfs1","scale":0.05,"config":{"RegCache":{"Net":7}}}`, []string{"RegCache.Net"}},
+		{`{"platform":"GDDR5","mix":"solo-bfs1","scale":0.05,"config":{"GPU":{"MaxWarps":80}}}`, []string{"GPU.MaxWarps"}},
+		{`{"platform":"ZnG","mix":"solo-bfs1","scale":0.05,"config":{"Flash":{"MeshDim":4}}}`, []string{"Flash.MeshDim"}},
 	} {
 		resp, doc := postRun(t, srv.URL, c.body)
 		if resp.StatusCode != http.StatusBadRequest || len(doc["result"]) != 0 {

@@ -685,10 +685,10 @@ func (s *Service) worker() {
 }
 
 // runCell invokes the simulator for one job, converting a panic —
-// e.g. a degenerate client-supplied configuration dividing by zero
-// deep inside a model (the zngd /v1/run "config" field is arbitrary
-// caller input) — into a deterministic job error instead of killing
-// the worker goroutine and with it the whole daemon.
+// e.g. a valid configuration whose flash the trace outgrows ("plane
+// out of data blocks"; a value outside its declared range never gets
+// here) — into a deterministic job error instead of killing the
+// worker goroutine and with it the whole daemon.
 func (s *Service) runCell(j *job) (r platform.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -3,6 +3,7 @@ package ssd
 import (
 	"testing"
 
+	"zng/internal/intmap"
 	"zng/internal/rng"
 )
 
@@ -61,7 +62,7 @@ func (b *refPageBuffer) insert(page uint64, dirty bool) (victim uint64, victimDi
 // victim dirtiness and the resident set must agree.
 func TestPageBufferDifferential(t *testing.T) {
 	for _, capacity := range []int{1, 2, 5, 64} {
-		buf := newBuffer(capacity)
+		buf := intmap.NewLRU[bool](1, capacity, false)
 		ref := &refPageBuffer{cap: capacity, entries: map[uint64]*refBufEntry{}}
 		r := rng.New(uint64(capacity))
 		pages := uint64(capacity*3 + 2)

@@ -56,7 +56,7 @@ func New(eng *sim.Engine, ecfg config.SSDEngine, fcfg config.Flash, tcfg config.
 		bufPort:  sim.NewPort(eng, config.GBpsToBytesPerTick(ecfg.DRAMBufGBps), ecfg.DRAMBufLat),
 		BB:       bb,
 		FTL:      ftl.NewPageMapped(eng, bb, tcfg),
-		buf:      newBuffer(int(ecfg.DRAMBufBytes / int64(fcfg.PageBytes))),
+		buf:      intmap.NewLRU[bool](1, int(ecfg.DRAMBufBytes/int64(fcfg.PageBytes)), false),
 	}
 	for i := 0; i < fcfg.Channels; i++ {
 		m.channels = append(m.channels, sim.NewPort(eng, config.GBpsToBytesPerTick(fcfg.ChannelGBps), 2))
@@ -175,12 +175,6 @@ func (m *Module) ChannelBytes() uint64 {
 		n += c.Bytes()
 	}
 	return n
-}
-
-// newBuffer returns an empty page buffer holding up to pages pages,
-// and at least one.
-func newBuffer(pages int) *intmap.LRU[bool] {
-	return intmap.NewLRU[bool](1, max(pages, 1), false)
 }
 
 // touch reports whether page is buffered. A hit becomes the most

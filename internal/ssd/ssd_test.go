@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"zng/internal/config"
+	"zng/internal/intmap"
 	"zng/internal/mem"
 	"zng/internal/sim"
 )
@@ -130,7 +131,7 @@ func TestCleanEvictionDoesNotFlush(t *testing.T) {
 }
 
 func TestPageBufferLRU(t *testing.T) {
-	b := newBuffer(2)
+	b := intmap.NewLRU[bool](1, 2, false)
 	insert(b, 1, false)
 	insert(b, 2, false)
 	touch(b, 1, false) // 2 becomes LRU
