@@ -18,8 +18,17 @@
 //	  "platforms": ["ZnG"],
 //	  "scenarios": ["betw-back", "bfs1-gaus"],
 //	  "scales": [0.12],
-//	  "overrides": [{"name": "base"}, {"l2_mult": 8}, {"prefetch_off": true}]
+//	  "overrides": [
+//	    {"name": "base"},
+//	    {"name": "l2x8", "config": {"L2STT": {"Sets": 8192}}},
+//	    {"name": "nopf", "config": {"Prefetch": {"CutoffThresh": 1073741824}}}
+//	  ]
 //	}
+//
+// An override's config is a partial config.Config document decoded
+// over the base configuration, as zngd decodes POST /v1/run's
+// "config": {"Flash": {"Channels": 8}} runs 8 flash channels, and an
+// unknown field or a value out of its range fails the spec.
 //
 // A spec whose grid is over campaign.MaxCells (16,384) cells is
 // refused, from a file or from flags.

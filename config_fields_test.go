@@ -3,8 +3,9 @@
 // identically into different cells, each simulated and stored on its
 // own. This test fails for any field name of config.Config's structs
 // that no selector names in the non-test Go under internal/, cmd/ and
-// examples/, internal/config itself and experiments.TableI excepted:
-// a field only Table I prints is read by no model.
+// examples/, internal/config and internal/experiments excepted: a
+// field only a figure reads is read by no model, and belongs with that
+// figure.
 //
 // It matches by name, not by type: a field whose name another type
 // shares can go unread without failing it. DRAM.Kind, say, would pass
@@ -49,7 +50,7 @@ func TestEveryConfigFieldIsRead(t *testing.T) {
 			switch {
 			case err != nil:
 				return err
-			case d.IsDir() && (path == filepath.Join("internal", "config") || d.Name() == "testdata"):
+			case d.IsDir() && (path == filepath.Join("internal", "config") || path == filepath.Join("internal", "experiments") || d.Name() == "testdata"):
 				return filepath.SkipDir
 			case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
 				return nil
@@ -59,10 +60,7 @@ func TestEveryConfigFieldIsRead(t *testing.T) {
 				return err
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					return f.Name.Name != "experiments" || n.Name.Name != "TableI"
-				case *ast.SelectorExpr:
+				if n, ok := n.(*ast.SelectorExpr); ok {
 					named[n.Sel.Name] = true
 				}
 				return true
@@ -75,7 +73,7 @@ func TestEveryConfigFieldIsRead(t *testing.T) {
 	}
 	for _, name := range slices.Sorted(maps.Keys(fields)) {
 		if !named[name] {
-			t.Errorf("config field %s is read nowhere outside internal/config; a model should read it, or it should go", fields[name])
+			t.Errorf("config field %s is read nowhere outside internal/config and internal/experiments; a model should read it, or it should go", fields[name])
 		}
 	}
 }

@@ -412,7 +412,7 @@ func refCounters(c *refCache) [10]uint64 {
 func TestCacheDifferential(t *testing.T) {
 	def := config.Default()
 	l2x3 := def.L2STT
-	l2x3.Sets = def.L2SRAM.Sets * 3 // a campaign's l2_mult 3
+	l2x3.Sets = def.L2SRAM.Sets * 3 // an abl-l2-style override, 3x the SRAM L2's sets
 	for _, g := range []struct {
 		name string
 		cfg  config.Cache

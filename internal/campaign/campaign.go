@@ -21,6 +21,8 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -29,6 +31,7 @@ import (
 	"zng/internal/cellkey"
 	"zng/internal/config"
 	"zng/internal/platform"
+	"zng/internal/wire"
 	"zng/internal/workload"
 )
 
@@ -41,118 +44,65 @@ type Runner interface {
 	Run(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error)
 }
 
-// Override is one declarative configuration perturbation of a
-// campaign axis. Every field's zero value means "inherit the base
-// configuration", so overrides compose a sparse diff rather than a
-// full config — the JSON form is what a zngsweep spec file or a
-// POST /v1/campaigns body carries. The knobs are the ones the
-// paper's own sensitivity studies turn: L2 capacity (Sec. IV-B),
-// flash channel count (Table I), the prefetcher and its waste
-// thresholds (Sec. V-D), and the register-cache interconnect
-// (Sec. IV-C).
+// Override is one configuration perturbation of a campaign axis: a
+// partial config.Config document, decoded over the base configuration
+// exactly as zngd decodes POST /v1/run's "config", so a field it does
+// not name inherits the base. It is what a zngsweep spec file or a
+// POST /v1/campaigns body carries, e.g.
+//
+//	{"name": "ch8", "config": {"Flash": {"Channels": 8}}}
+//
+// The paper's sensitivity studies are such documents: L2 capacity
+// (Sec. IV-B, {"L2STT":{"Sets":N}}), the access monitor's waste
+// thresholds (Sec. V-D, {"Prefetch":{"HighWaste":h,"LowWaste":l}})
+// and the register interconnect (Sec. IV-C, {"RegCache":{"Net":n}}).
 type Override struct {
-	// Name labels the override in tables and progress output; derived
-	// from the set fields when empty.
+	// Name labels the override in tables and progress output; the
+	// compact document when empty.
 	Name string `json:"name,omitempty"`
-	// L2Mult sets the STT-MRAM L2 to L2Mult× the SRAM L2's sets, the
-	// axis the abl-l2 sweep walks (Table I ships 4×).
-	L2Mult int `json:"l2_mult,omitempty"`
-	// Channels overrides the flash channel count (Table I: 16).
-	Channels int `json:"channels,omitempty"`
-	// PrefetchOff disables the dynamic read prefetcher by lifting the
-	// cutoff threshold above the predictor counter's saturation point.
-	PrefetchOff bool `json:"prefetch_off,omitempty"`
-	// HighWaste / LowWaste override the access monitor's waste
-	// thresholds (the Fig. 13 sweep axes; the paper lands on
-	// 0.3/0.05). Pointers, because 0 is a meaningful threshold — nil
-	// means "inherit the base", *0 means zero.
-	HighWaste *float64 `json:"high_waste,omitempty"`
-	LowWaste  *float64 `json:"low_waste,omitempty"`
-	// RegNet selects the flash-register interconnect: SWnet, FCnet or
-	// NiF (the abl-writenet axis).
-	RegNet string `json:"reg_net,omitempty"`
+	// Config is the partial configuration document.
+	Config json.RawMessage `json:"config,omitempty"`
 }
 
-// IsZero reports whether the override perturbs nothing (the base
-// configuration cell).
-func (ov Override) IsZero() bool {
-	return ov.L2Mult == 0 && ov.Channels == 0 && !ov.PrefetchOff &&
-		ov.HighWaste == nil && ov.LowWaste == nil && ov.RegNet == ""
-}
+// IsZero reports whether ov is the zero override: no name and no
+// document, the base configuration cell.
+func (ov Override) IsZero() bool { return ov.Name == "" && len(ov.Config) == 0 }
 
 // Label names the override for table rows and progress lines: the
-// explicit Name when set, "base" for the zero override, and a
-// deterministic field summary like "l2x8+ch8+nopf" otherwise.
+// explicit Name when set, "base" for the zero override, and the
+// compact document otherwise.
 func (ov Override) Label() string {
 	if ov.Name != "" {
 		return ov.Name
 	}
-	var parts []string
-	if ov.L2Mult != 0 {
-		parts = append(parts, fmt.Sprintf("l2x%d", ov.L2Mult))
-	}
-	if ov.Channels != 0 {
-		parts = append(parts, fmt.Sprintf("ch%d", ov.Channels))
-	}
-	if ov.PrefetchOff {
-		parts = append(parts, "nopf")
-	}
-	if ov.HighWaste != nil {
-		parts = append(parts, "hi"+strconv.FormatFloat(*ov.HighWaste, 'g', -1, 64))
-	}
-	if ov.LowWaste != nil {
-		parts = append(parts, "lo"+strconv.FormatFloat(*ov.LowWaste, 'g', -1, 64))
-	}
-	if ov.RegNet != "" {
-		parts = append(parts, ov.RegNet)
-	}
-	if len(parts) == 0 {
+	if len(ov.Config) == 0 {
 		return "base"
 	}
-	return strings.Join(parts, "+")
-}
-
-// regNetByName resolves the RegNet vocabulary through the config
-// package's Stringer, so a new interconnect shows up here for free.
-func regNetByName(name string) (config.RegCacheNet, error) {
-	for _, n := range []config.RegCacheNet{config.SWnet, config.FCnet, config.NiF} {
-		if n.String() == name {
-			return n, nil
-		}
+	var b bytes.Buffer
+	if err := json.Compact(&b, ov.Config); err != nil {
+		return string(ov.Config)
 	}
-	return 0, fmt.Errorf("campaign: unknown reg_net %q (valid: SWnet, FCnet, NiF)", name)
+	return b.String()
 }
 
-// Apply returns the base configuration with the set fields perturbed,
-// or an error naming the override when the result is not one the
-// model runs (config.Config.Validate).
+// Apply returns the base configuration with the document decoded over
+// it, or an error naming the override when the document does not
+// decode (an unknown field, a value of the wrong type) or the result
+// is not one the model runs (config.Config.Validate).
 func (ov Override) Apply(base config.Config) (config.Config, error) {
 	cfg := base
-	if ov.L2Mult != 0 {
-		cfg.L2STT.Sets = cfg.L2SRAM.Sets * ov.L2Mult
+	var err error
+	if len(ov.Config) > 0 {
+		var d wire.Decoder
+		d.Reset(ov.Config)
+		cfg.DecodeJSON(&d)
+		d.End()
+		err = d.Err()
 	}
-	if ov.Channels != 0 {
-		cfg.Flash.Channels = ov.Channels
+	if err == nil {
+		err = cfg.Validate()
 	}
-	if ov.PrefetchOff {
-		// The predictor counter saturates at 2^CounterBits-1; a cutoff
-		// above that can never be exceeded, so no prefetch ever issues.
-		cfg.Prefetch.CutoffThresh = 1 << 30
-	}
-	if ov.HighWaste != nil {
-		cfg.Prefetch.HighWaste = *ov.HighWaste
-	}
-	if ov.LowWaste != nil {
-		cfg.Prefetch.LowWaste = *ov.LowWaste
-	}
-	if ov.RegNet != "" {
-		net, err := regNetByName(ov.RegNet)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.RegCache.Net = net
-	}
-	if err := cfg.Validate(); err != nil {
+	if err != nil {
 		return cfg, fmt.Errorf("campaign: override %s: %w", ov.Label(), err)
 	}
 	return cfg, nil
@@ -204,7 +154,7 @@ type Cell struct {
 // "ZnG on betw-back at scale 0.12 [hi0.8+lo0.2]".
 func (c Cell) String() string {
 	s := fmt.Sprintf("%s on %s at scale %s", c.Kind, c.Mix.Name, strconv.FormatFloat(c.Scale, 'g', -1, 64))
-	if c.Override != (Override{}) {
+	if !c.Override.IsZero() {
 		s += " [" + c.Override.Label() + "]"
 	}
 	return s

@@ -14,8 +14,8 @@ import (
 	"zng/internal/platform"
 )
 
-// fp makes a pointer-valued threshold for override literals.
-func fp(v float64) *float64 { return &v }
+// doc makes an override document from a JSON literal.
+func doc(s string) json.RawMessage { return json.RawMessage(s) }
 
 func TestExpandGridOrderAndKeys(t *testing.T) {
 	spec := Spec{
@@ -23,7 +23,7 @@ func TestExpandGridOrderAndKeys(t *testing.T) {
 		Platforms: []string{"ZnG", "HybridGPU"},
 		Scenarios: []string{"betw-back", "pr-gaus"},
 		Scales:    []float64{0.1, 0.2},
-		Overrides: []Override{{}, {L2Mult: 8}},
+		Overrides: []Override{{}, {Config: doc(`{"L2STT":{"Sets":8192}}`)}},
 	}
 	base := config.Default()
 	cells, err := spec.Expand(base)
@@ -43,7 +43,7 @@ func TestExpandGridOrderAndKeys(t *testing.T) {
 	if cells[0].Scale != 0.1 || cells[4].Scale != 0.2 {
 		t.Errorf("scale axis order wrong: %v, %v", cells[0].Scale, cells[4].Scale)
 	}
-	if !cells[0].Override.IsZero() || cells[8].Override.L2Mult != 8 {
+	if !cells[0].Override.IsZero() || cells[8].Cfg.L2STT.Sets != 8192 {
 		t.Errorf("override axis order wrong: %+v, %+v", cells[0].Override, cells[8].Override)
 	}
 	for i, c := range cells {
@@ -118,8 +118,11 @@ func TestExpandValidation(t *testing.T) {
 		"unfit scale":      {Platforms: []string{"ZnG"}, Scenarios: []string{"betw-back"}, Scales: []float64{1e308}},
 		"unfit weight":     {Platforms: []string{"ZnG"}, Scenarios: []string{"bfs1*1e300"}},
 		"infinite weight":  {Platforms: []string{"ZnG"}, Scenarios: []string{"bfs1*inf"}},
-		"bad override":     {Platforms: []string{"ZnG"}, Scenarios: []string{"betw-back"}, Overrides: []Override{{RegNet: "nope"}}},
-		"bad waste":        {Platforms: []string{"ZnG"}, Scenarios: []string{"betw-back"}, Overrides: []Override{{HighWaste: fp(2)}}},
+		"unknown field":    {Platforms: []string{"ZnG"}, Scenarios: []string{"betw-back"}, Overrides: []Override{{Config: doc(`{"RegCache":{"Nett":2}}`)}}},
+		"bad reg net":      {Platforms: []string{"ZnG"}, Scenarios: []string{"betw-back"}, Overrides: []Override{{Config: doc(`{"RegCache":{"Net":7}}`)}}},
+		"bad waste":        {Platforms: []string{"ZnG"}, Scenarios: []string{"betw-back"}, Overrides: []Override{{Config: doc(`{"Prefetch":{"HighWaste":2}}`)}}},
+		"not an object":    {Platforms: []string{"ZnG"}, Scenarios: []string{"betw-back"}, Overrides: []Override{{Config: doc(`[8]`)}}},
+		"data after":       {Platforms: []string{"ZnG"}, Scenarios: []string{"betw-back"}, Overrides: []Override{{Config: doc(`{} {}`)}}},
 	} {
 		if _, err := spec.Expand(base); err == nil {
 			t.Errorf("%s: expansion succeeded, want error", name)
@@ -155,7 +158,7 @@ func TestExpandCellLimit(t *testing.T) {
 	if err != nil || len(cells) != MaxCells {
 		t.Fatalf("spec at the cap: %d cells, err %v; want %d", len(cells), err, MaxCells)
 	}
-	atCap.Overrides = []Override{{}, {L2Mult: 8}}
+	atCap.Overrides = []Override{{}, {Config: doc(`{"L2STT":{"Sets":8192}}`)}}
 	if _, err := atCap.Expand(base); err == nil {
 		t.Error("spec at twice the cap expanded")
 	}
@@ -205,38 +208,54 @@ func FuzzSpecExpand(f *testing.F) {
 
 func TestOverrideApply(t *testing.T) {
 	base := config.Default()
-	ov := Override{L2Mult: 8, Channels: 8, PrefetchOff: true, HighWaste: fp(0.5), LowWaste: fp(0.1), RegNet: "SWnet"}
+	ov := Override{Config: doc(`{"L2STT":{"Sets":8192},"Flash":{"Channels":8},
+		"Prefetch":{"CutoffThresh":1073741824,"HighWaste":0.5,"LowWaste":0},"RegCache":{"Net":0}}`)}
 	cfg, err := ov.Apply(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.L2STT.Sets != base.L2SRAM.Sets*8 {
-		t.Errorf("L2 sets = %d, want 8x SRAM", cfg.L2STT.Sets)
+	want := base
+	want.L2STT.Sets = 8192
+	want.Flash.Channels = 8
+	want.Prefetch.CutoffThresh = 1 << 30
+	want.Prefetch.HighWaste, want.Prefetch.LowWaste = 0.5, 0
+	want.RegCache.Net = config.SWnet
+	if cfg != want {
+		t.Errorf("Apply = %+v, want %+v", cfg, want)
 	}
-	if cfg.Flash.Channels != 8 {
-		t.Errorf("channels = %d", cfg.Flash.Channels)
-	}
+	// A cutoff of 2^30 is above the predictor counter's saturation, so
+	// the document turns prefetch off.
 	if cfg.Prefetch.CutoffThresh <= 1<<base.Prefetch.CounterBits {
-		t.Errorf("prefetch_off cutoff %d does not exceed counter saturation", cfg.Prefetch.CutoffThresh)
+		t.Errorf("cutoff %d does not exceed counter saturation", cfg.Prefetch.CutoffThresh)
 	}
-	if cfg.Prefetch.HighWaste != 0.5 || cfg.Prefetch.LowWaste != 0.1 {
-		t.Errorf("waste thresholds = %v/%v", cfg.Prefetch.HighWaste, cfg.Prefetch.LowWaste)
-	}
-	if cfg.RegCache.Net != config.SWnet {
-		t.Errorf("reg net = %v", cfg.RegCache.Net)
-	}
-	// The base config is untouched and a zero override is a no-op.
-	if !reflect.DeepEqual(base, config.Default()) {
+	// The base config is untouched and a zero override, an empty
+	// document and a null one are no-ops.
+	if base != config.Default() {
 		t.Error("Apply mutated the base configuration")
 	}
-	same, err := Override{}.Apply(base)
-	if err != nil || !reflect.DeepEqual(same, base) {
-		t.Errorf("zero override perturbed the configuration: %v", err)
+	for _, ov := range []Override{{}, {Config: doc(`{}`)}, {Config: doc(` null `)}, {Name: "base"}} {
+		if same, err := ov.Apply(base); err != nil || same != base {
+			t.Errorf("%+v perturbed the configuration: %v", ov, err)
+		}
 	}
-	// An explicit zero threshold is a real override, not "inherit".
-	zeroed, err := Override{LowWaste: fp(0)}.Apply(base)
-	if err != nil || zeroed.Prefetch.LowWaste != 0 {
-		t.Errorf("explicit zero threshold not applied: %v, %v", zeroed.Prefetch.LowWaste, err)
+}
+
+// TestOverrideErrorsNameTheField: a document the model cannot run is
+// an error naming the override and the field, and for a value out of
+// range the range too: an L2 of 2^40 sets is refused, never wrapped to
+// a size the model runs under the override's label.
+func TestOverrideErrorsNameTheField(t *testing.T) {
+	for in, want := range map[string]string{
+		`{"L2STT":{"Sets":1099511627776}}`:        "campaign: override big: config: L2STT.Sets 1099511627776, want [1, 1048576]",
+		`{"L2STT":{"Setz":8}}`:                    `campaign: override big: offset 17: config: unknown field "L2STT.Setz"`,
+		`{"L2STT":{"Sets":18446744073709552640}}`: "campaign: override big: offset 37: config: L2STT.Sets: strconv.ParseInt: ",
+		`{"L2STT":{"Sets":8.5}}`:                  "config: L2STT.Sets: strconv.ParseInt: ",
+		`{"RegCache":{"Net":"NiF"}}`:              "campaign: override big: offset 19: ",
+	} {
+		_, err := Override{Name: "big", Config: doc(in)}.Apply(config.Default())
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one containing %q", in, err, want)
+		}
 	}
 }
 
@@ -247,13 +266,23 @@ func TestOverrideLabels(t *testing.T) {
 	}{
 		{Override{}, "base"},
 		{Override{Name: "tuned"}, "tuned"},
-		{Override{L2Mult: 8, Channels: 8, PrefetchOff: true}, "l2x8+ch8+nopf"},
-		{Override{HighWaste: fp(0.5), RegNet: "NiF"}, "hi0.5+NiF"},
-		{Override{LowWaste: fp(0)}, "lo0"},
+		{Override{Name: "ch8", Config: doc(`{"Flash":{"Channels":8}}`)}, "ch8"},
+		{Override{Config: doc(`{ "Flash" : { "Channels" : 8 } }`)}, `{"Flash":{"Channels":8}}`},
+		{Override{Config: doc(`{"Prefetch":{"LowWaste":0}}`)}, `{"Prefetch":{"LowWaste":0}}`},
 	} {
 		if got := tc.ov.Label(); got != tc.want {
 			t.Errorf("Label(%+v) = %q, want %q", tc.ov, got, tc.want)
 		}
+	}
+	// A cell names its override unless the override is the zero one.
+	c := Cell{Kind: platform.ZnG, Scale: 0.5, Override: Override{Config: doc(`{"Flash":{"Channels":8}}`)}}
+	c.Mix.Name = "betw-back"
+	if got, want := c.String(), `ZnG on betw-back at scale 0.5 [{"Flash":{"Channels":8}}]`; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+	c.Override = Override{}
+	if got, want := c.String(), "ZnG on betw-back at scale 0.5"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
 }
 
@@ -263,7 +292,8 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		Platforms: []string{"ZnG"},
 		Scenarios: []string{"betw-back"},
 		Scales:    []float64{0.12},
-		Overrides: []Override{{}, {L2Mult: 8}, {PrefetchOff: true}, {LowWaste: fp(0)}},
+		Overrides: []Override{{}, {Name: "l2x8", Config: doc(`{"L2STT":{"Sets":8192}}`)},
+			{Config: doc(`{"Prefetch":{"CutoffThresh":1073741824}}`)}, {Config: doc(`{"Prefetch":{"LowWaste":0}}`)}},
 	}
 	b, err := json.Marshal(spec)
 	if err != nil {
@@ -277,5 +307,11 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(spec, back) {
 		t.Errorf("round trip lost data:\n%+v\n%+v", spec, back)
+	}
+	// A knob of the retired override form is an unknown field.
+	dec = json.NewDecoder(strings.NewReader(`{"platforms":["ZnG"],"scenarios":["betw-back"],"overrides":[{"l2_mult":8}]}`))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&back); err == nil || !strings.Contains(err.Error(), `"l2_mult"`) {
+		t.Errorf("l2_mult decoded: %v", err)
 	}
 }

@@ -192,7 +192,7 @@ func TestOutcomeTableFold(t *testing.T) {
 		Platforms: []string{"ZnG", "HybridGPU"},
 		Scenarios: []string{"solo-bfs1", "solo-pr"},
 		Scales:    []float64{0.5, 1},
-		Overrides: []Override{{}, {L2Mult: 16}},
+		Overrides: []Override{{}, {Config: doc(`{"L2STT":{"Sets":16384}}`)}},
 	}
 	out, err := Executor{Runner: r, Workers: 4}.Execute(spec, config.Default())
 	if err != nil {
@@ -224,11 +224,11 @@ func TestOutcomeTableFold(t *testing.T) {
 	if !foundErr {
 		t.Error("failed cell did not render as ERROR")
 	}
-	// The l2x16 block doubles ZnG IPC, proving the override reached
-	// the runner's cfg.
-	last := tab.Row(tab.Rows() - 2) // l2x16, scale 1, solo-bfs1
-	if last[2] != "l2x16" || last[3] != "18" {
-		t.Errorf("override row = %v, want l2x16 with doubled IPC 18", last)
+	// The larger-L2 block doubles ZnG IPC, proving the override
+	// reached the runner's cfg; its label is the unnamed document.
+	last := tab.Row(tab.Rows() - 2) // 16,384 sets, scale 1, solo-bfs1
+	if last[2] != `{"L2STT":{"Sets":16384}}` || last[3] != "18" {
+		t.Errorf("override row = %v, want the document's label with doubled IPC 18", last)
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 // wrong results. A change to what the simulator outputs for an
 // unchanged key needs a bump too, or a store keeps serving the old
 // output while fresh simulations report the new one.
-const SchemaVersion = 4
+const SchemaVersion = 5
 
 // Key returns the content address of one simulation cell. Mixes
 // participate through their ID rather than their display name, so
@@ -36,7 +36,7 @@ const SchemaVersion = 4
 //
 // The hashed bytes are the canonical cell identity
 //
-//	{"schema":3,"kind":"ZnG","mix":"bfs1+gaus","scale":2,"cfg":{"GPU":{...},...}}
+//	{"schema":5,"kind":"ZnG","mix":"bfs1+gaus","scale":2,"cfg":{"GPU":{...},...}}
 //
 // and a newline: exactly what json.Encoder wrote for a struct of those
 // fields, since the keys of every existing store are hashes of those
@@ -45,7 +45,7 @@ const SchemaVersion = 4
 // the configuration is a flat value type, so the bytes, and the key,
 // are the same in every process.
 func Key(kind platform.Kind, mixID string, scale float64, cfg config.Config) string {
-	var buf [4096]byte // the Table I configuration takes about 2 KB
+	var buf [4096]byte // the Table I configuration takes under 2 KB
 	b := append(buf[:0], `{"schema":`...)
 	b = strconv.AppendInt(b, SchemaVersion, 10)
 	b = append(b, `,"kind":`...)

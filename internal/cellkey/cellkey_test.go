@@ -17,8 +17,8 @@ import (
 // existing store cold without a word, so a deliberate one comes with a
 // SchemaVersion bump and new values here.
 func TestKeyGolden(t *testing.T) {
-	if SchemaVersion != 4 {
-		t.Fatalf("SchemaVersion = %d; the golden keys below are for 4", SchemaVersion)
+	if SchemaVersion != 5 {
+		t.Fatalf("SchemaVersion = %d; the golden keys below are for 5", SchemaVersion)
 	}
 	cfg := config.Default()
 	cfg.Flash.Channels = 8
@@ -32,9 +32,9 @@ func TestKeyGolden(t *testing.T) {
 		cfg   config.Config
 		want  string
 	}{
-		{platform.ZnG, "bfs1+gaus", 2, config.Default(), "5962d16d05632d26a55fea913d75657ae08ba9cfbc249868f4be347e17f1f63d"},
-		{platform.HybridGPU, "bfs1", 0.05, config.Default(), "c199bfcba57a7fdb2c87f1db7f619aca185d766c0363f5787cc914ebd2b6e6f3"},
-		{platform.ZnGBase, "oltp*2+fbfs", 1.28, cfg, "aff011fb17d15a21edc98b34693e1a7c1a27b1eeaccd6cc9448547bcce4212fa"},
+		{platform.ZnG, "bfs1+gaus", 2, config.Default(), "01667aca97490c6699cf10361ef16ce1819e26ed12357cb21ac8ff5db80c4414"},
+		{platform.HybridGPU, "bfs1", 0.05, config.Default(), "385520e9929a7f6999e7c4202d5b0f387f1355691ff9a09035002ed76dcb5ed5"},
+		{platform.ZnGBase, "oltp*2+fbfs", 1.28, cfg, "fafd286ba2712fb823efc615ddfdf7a873e166c0aab764dc8082a4a75bae310b"},
 	} {
 		if got := Key(tc.kind, tc.mix, tc.scale, tc.cfg); got != tc.want {
 			t.Errorf("Key(%v, %q, %v) = %s, want %s", tc.kind, tc.mix, tc.scale, got, tc.want)

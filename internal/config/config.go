@@ -164,10 +164,6 @@ type DRAM struct {
 	ReadLat     sim.Tick `range:"0,maxLatency"` // device read latency
 	WriteLat    sim.Tick `range:"0,maxLatency"`
 	AccessGran  int      `range:"1,4096"` // bytes per device access (Optane: 256 B)
-
-	// Static properties used by Fig. 3.
-	PkgCapacityGB float64 `range:"0,1e6"`
-	PowerWPerGB   float64 `range:"0,1e6"`
 }
 
 // PCIe and host path (Hetero platform, Section II-C).
@@ -237,7 +233,10 @@ type FTL struct {
 	HelperThreadLat  sim.Tick `range:"0,maxLatency"`
 }
 
-// Config aggregates the whole Table I system description.
+// Config aggregates the Table I system a cell simulates. Every leaf is
+// one a model reads, since every leaf enters the cell key: values only
+// a figure reads, such as Fig. 3's densities and Fig. 4c's DDR4 and
+// LPDDR4, live with that figure in internal/experiments.
 type Config struct {
 	GPU      GPU
 	L1       Cache
@@ -247,8 +246,6 @@ type Config struct {
 	Flash    Flash
 	Engine   SSDEngine
 	GDDR5    DRAM
-	DDR4     DRAM
-	LPDDR4   DRAM
 	Optane   DRAM
 	Host     Host
 	Prefetch Prefetch
@@ -341,17 +338,6 @@ func Default() Config {
 		GDDR5: DRAM{
 			Controllers: 6, TotalGBps: 484,
 			ReadLat: NsToTicks(200), WriteLat: NsToTicks(200), AccessGran: 128,
-			PkgCapacityGB: 1, PowerWPerGB: 1.88,
-		},
-		DDR4: DRAM{
-			Controllers: 6, TotalGBps: 256,
-			ReadLat: NsToTicks(170), WriteLat: NsToTicks(170), AccessGran: 128,
-			PkgCapacityGB: 2, PowerWPerGB: 0.38,
-		},
-		LPDDR4: DRAM{
-			Controllers: 4, TotalGBps: 44.8,
-			ReadLat: NsToTicks(220), WriteLat: NsToTicks(220), AccessGran: 128,
-			PkgCapacityGB: 4, PowerWPerGB: 0.20,
 		},
 		// Optane DC PMM: Table I timing (tRCD 190 ns / tCL 8.9 ns /
 		// tRP 763 ns), 256 B internal access granularity, six memory
@@ -359,10 +345,9 @@ func Default() Config {
 		// in Section V-B.
 		Optane: DRAM{
 			Controllers: 6, TotalGBps: 39,
-			ReadLat:       NsToTicks(190 + 8.9),
-			WriteLat:      NsToTicks(763),
-			AccessGran:    256,
-			PkgCapacityGB: 128, PowerWPerGB: 0.05,
+			ReadLat:    NsToTicks(190 + 8.9),
+			WriteLat:   NsToTicks(763),
+			AccessGran: 256,
 		},
 		Host: Host{
 			PCIeGBps: 3.2,
@@ -402,10 +387,3 @@ func Default() Config {
 		},
 	}
 }
-
-// ZNANDPackageDensityGB is the per-package density used by Fig. 3a:
-// Z-NAND offers 64x the density of a GDDR5 package.
-const ZNANDPackageDensityGB = 64
-
-// ZNANDPowerWPerGB is the Z-NAND power efficiency shown in Fig. 3b.
-const ZNANDPowerWPerGB = 0.02

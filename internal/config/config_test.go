@@ -86,10 +86,9 @@ func TestTableIConfiguration(t *testing.T) {
 		t.Errorf("accumulated channel bandwidth = %v, want 25.6", acc)
 	}
 
-	// Fig. 4c ordering: GDDR5 > DDR4 > LPDDR4 > Optane.
-	if !(c.GDDR5.TotalGBps > c.DDR4.TotalGBps &&
-		c.DDR4.TotalGBps > c.LPDDR4.TotalGBps &&
-		c.LPDDR4.TotalGBps > c.Optane.TotalGBps) {
+	// GPU DRAM out-streams Optane (Fig. 4c's DDR4 and LPDDR4 sit
+	// between them; experiments' Fig. 4c check holds that order).
+	if c.GDDR5.TotalGBps <= c.Optane.TotalGBps {
 		t.Error("DRAM bandwidth ordering violated")
 	}
 
@@ -127,16 +126,6 @@ func TestEngineThroughputCalibration(t *testing.T) {
 	}
 }
 
-func TestZNANDDensityConstants(t *testing.T) {
-	c := Default()
-	if ZNANDPackageDensityGB != 64*c.GDDR5.PkgCapacityGB {
-		t.Error("Z-NAND density must be 64x GDDR5 (Fig. 3a)")
-	}
-	if ZNANDPowerWPerGB >= c.LPDDR4.PowerWPerGB {
-		t.Error("Z-NAND must be the most power-efficient medium (Fig. 3b)")
-	}
-}
-
 // TestValidateRanges walks the declared ranges: each numeric field
 // set just below its minimum or just above its maximum, a float set to
 // NaN and a power-of-two field set to another value inside its range
@@ -165,8 +154,8 @@ func TestValidateRanges(t *testing.T) {
 		}
 	}
 	walk(plan, func(c *Config) reflect.Value { return reflect.ValueOf(c).Elem() })
-	if len(leaves) != 103 {
-		t.Errorf("%d numeric fields carry a range, want all 103", len(leaves))
+	if len(leaves) != 85 {
+		t.Errorf("%d numeric fields carry a range, want all 85", len(leaves))
 	}
 	check := func(c Config, path, what string) {
 		t.Helper()
@@ -239,8 +228,8 @@ func TestCheckLatencies(t *testing.T) {
 		}
 	}
 	walk(reflect.ValueOf(&c).Elem(), "")
-	if len(lats) != 26 {
-		t.Errorf("the walk over Config finds %d latencies, want 26", len(lats))
+	if len(lats) != 22 {
+		t.Errorf("the walk over Config finds %d latencies, want 22", len(lats))
 	}
 	for _, l := range lats {
 		old := l.v.Int()

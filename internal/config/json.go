@@ -182,7 +182,8 @@ func (p *structPlan) append(b []byte, v reflect.Value) ([]byte, error) {
 //     field's range, and a float beyond float64's range.
 //
 // A null in place of the object leaves c unchanged. An error is
-// recorded in d; an unknown field's names it by its path from Config.
+// recorded in d; one about an unknown field or an integer names the
+// field by its path from Config.
 func (c *Config) DecodeJSON(d *wire.Decoder) {
 	plan.decode(d, reflect.ValueOf(c).Elem())
 }
@@ -212,9 +213,13 @@ func (p *structPlan) decode(d *wire.Decoder, v reflect.Value) {
 		case reflect.Float64:
 			fv.SetFloat(d.Float())
 		default: // an integer
-			n := d.Int()
-			if fv.OverflowInt(n) {
-				d.Fail(fmt.Errorf("config: %s%s: %d overflows %s", p.path, f.name, n, fv.Type()))
+			// Parsed here, not by d.Int, so that an error names the field.
+			n, err := strconv.ParseInt(string(d.Number()), 10, 64)
+			if err == nil && fv.OverflowInt(n) {
+				err = fmt.Errorf("%d overflows %s", n, fv.Type())
+			}
+			if err != nil {
+				d.Fail(fmt.Errorf("config: %s%s: %w", p.path, f.name, err))
 			}
 			fv.SetInt(n)
 		}

@@ -249,4 +249,14 @@ func TestConfigDecodeMatchesReference(t *testing.T) {
 	if _, err := decode(Default(), []byte(`{"Flash":{"Bogus":1}}`)); err == nil || !strings.Contains(err.Error(), `"Flash.Bogus"`) {
 		t.Errorf("unknown field error %v does not name Flash.Bogus", err)
 	}
+	// An integer that does not parse as int64 names its field too.
+	for in, want := range map[string]string{
+		`{"L2STT":{"Sets":18446744073709552640}}`: `offset 37: config: L2STT.Sets: strconv.ParseInt: parsing "18446744073709552640": value out of range`,
+		`{"Flash":{"Channels":1e2}}`:              `config: Flash.Channels: strconv.ParseInt: parsing "1e2": invalid syntax`,
+		`{"MMU":{"WalkLevels":2.5}}`:              `config: MMU.WalkLevels: strconv.ParseInt: parsing "2.5": invalid syntax`,
+	} {
+		if _, err := decode(Default(), []byte(in)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want %q", in, err, want)
+		}
+	}
 }

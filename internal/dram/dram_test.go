@@ -25,10 +25,14 @@ func TestSingleAccessLatency(t *testing.T) {
 
 func TestSaturationBandwidthNearConfigured(t *testing.T) {
 	c := config.Default()
+	// DDR4 and LPDDR4 are Fig. 4c's presets (internal/experiments),
+	// which no platform simulates.
+	ddr4 := config.DRAM{Controllers: 6, TotalGBps: 256, ReadLat: config.NsToTicks(170), WriteLat: config.NsToTicks(170), AccessGran: 128}
+	lpddr4 := config.DRAM{Controllers: 4, TotalGBps: 44.8, ReadLat: config.NsToTicks(220), WriteLat: config.NsToTicks(220), AccessGran: 128}
 	for _, tc := range []struct {
 		name string
 		kind config.DRAM
-	}{{"GDDR5", c.GDDR5}, {"DDR4", c.DDR4}, {"LPDDR4", c.LPDDR4}, {"Optane", c.Optane}} {
+	}{{"GDDR5", c.GDDR5}, {"DDR4", ddr4}, {"LPDDR4", lpddr4}, {"Optane", c.Optane}} {
 		kind := tc.kind
 		eng := sim.NewEngine()
 		d := New(eng, kind)

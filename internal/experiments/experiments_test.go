@@ -39,7 +39,7 @@ func TestTableII(t *testing.T) {
 }
 
 func TestFig3StaticShape(t *testing.T) {
-	tab, err := Fig3(Options{Cfg: config.Default()})
+	tab, err := Fig3(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,6 +49,23 @@ func TestFig3StaticShape(t *testing.T) {
 	// Z-NAND row: highest density, lowest power.
 	if tab.Cell(3, 1) != "64" {
 		t.Errorf("Z-NAND density cell = %q, want 64", tab.Cell(3, 1))
+	}
+}
+
+// TestZNANDDensityConstants: Fig. 3's Z-NAND package holds 64x a GDDR5
+// package, at the lowest power per GB of the four media.
+func TestZNANDDensityConstants(t *testing.T) {
+	gddr5, znand := fig3Media[0], fig3Media[len(fig3Media)-1]
+	if gddr5.name != "GDDR5" || znand.name != "Z-NAND" {
+		t.Fatalf("Fig. 3 media run %s … %s, want GDDR5 … Z-NAND", gddr5.name, znand.name)
+	}
+	if znand.densityGB != 64*gddr5.densityGB {
+		t.Error("Z-NAND density must be 64x GDDR5 (Fig. 3a)")
+	}
+	for _, m := range fig3Media[:len(fig3Media)-1] {
+		if znand.wPerGB >= m.wPerGB {
+			t.Errorf("Z-NAND must be the most power-efficient medium (Fig. 3b), but %s draws %v W/GB", m.name, m.wPerGB)
+		}
 	}
 }
 

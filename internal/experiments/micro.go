@@ -40,14 +40,21 @@ func Fig1b(o Options) (*stats.Table, error) {
 	return t, nil
 }
 
+// Fig. 4c's desktop DDR4 and mobile LPDDR4. No platform simulates
+// them, so they are this figure's presets, not config.Config fields.
+var (
+	ddr4   = config.DRAM{Controllers: 6, TotalGBps: 256, ReadLat: config.NsToTicks(170), WriteLat: config.NsToTicks(170), AccessGran: 128}
+	lpddr4 = config.DRAM{Controllers: 4, TotalGBps: 44.8, ReadLat: config.NsToTicks(220), WriteLat: config.NsToTicks(220), AccessGran: 128}
+)
+
 // Fig4c measures the maximum 128 B-request throughput of each memory
 // medium / system path (Fig. 4c).
 func Fig4c(o Options) (*stats.Table, error) {
 	cfg := o.Cfg
 	t := stats.NewTable("Fig. 4c: max data access throughput (GB/s)", "medium", "GB/s")
 	t.AddRow("GDDR5", saturateDRAM(cfg.GDDR5))
-	t.AddRow("DDR4", saturateDRAM(cfg.DDR4))
-	t.AddRow("LPDDR4", saturateDRAM(cfg.LPDDR4))
+	t.AddRow("DDR4", saturateDRAM(ddr4))
+	t.AddRow("LPDDR4", saturateDRAM(lpddr4))
 	t.AddRow("ZSSD", float64(cfg.Flash.Channels)*cfg.Flash.ChannelGBps) // interface-bound raw drive
 	t.AddRow("GPU-SSD", cfg.Host.PCIeGBps)                              // host-mediated path
 	t.AddRow("HybridGPU", saturateEngine(cfg))

@@ -56,14 +56,25 @@ func TableII(o Options) (*stats.Table, error) {
 	return t, nil
 }
 
+// fig3Media is Fig. 3's density per package and power per GB of each
+// medium. No model reads them, so they are not config.Config fields.
+var fig3Media = []struct {
+	name              string
+	densityGB, wPerGB float64
+}{
+	{"GDDR5", 1, 1.88},
+	{"DDR4", 2, 0.38},
+	{"LPDDR4", 4, 0.20},
+	{"Z-NAND", 64, 0.02}, // 64x a GDDR5 package (Fig. 3a)
+}
+
 // Fig3 renders the memory density and power comparison (Fig. 3a/3b).
-func Fig3(o Options) (*stats.Table, error) {
-	cfg := o.Cfg
+// Its values are fixed, so it reads nothing from the options.
+func Fig3(Options) (*stats.Table, error) {
 	t := stats.NewTable("Fig. 3: density and power per package",
 		"medium", "density (GB)", "power (W/GB)")
-	t.AddRow("GDDR5", cfg.GDDR5.PkgCapacityGB, cfg.GDDR5.PowerWPerGB)
-	t.AddRow("DDR4", cfg.DDR4.PkgCapacityGB, cfg.DDR4.PowerWPerGB)
-	t.AddRow("LPDDR4", cfg.LPDDR4.PkgCapacityGB, cfg.LPDDR4.PowerWPerGB)
-	t.AddRow("Z-NAND", config.ZNANDPackageDensityGB, config.ZNANDPowerWPerGB)
+	for _, m := range fig3Media {
+		t.AddRow(m.name, m.densityGB, m.wPerGB)
+	}
 	return t, nil
 }

@@ -20,9 +20,10 @@ func Fig13Sweep(o Options) (*stats.Table, error) {
 	highs := []float64{0.1, 0.3, 0.5, 0.8}
 	lows := []float64{0.01, 0.05, 0.2}
 	spec := campaign.Spec{Platforms: kindNames(platform.ZnG), Scenarios: []string{"betw-back"}}
-	for i := range highs {
-		for j := range lows {
-			spec.Overrides = append(spec.Overrides, campaign.Override{HighWaste: &highs[i], LowWaste: &lows[j]})
+	for _, hi := range highs {
+		for _, lo := range lows {
+			spec.Overrides = append(spec.Overrides, campaign.Override{Name: fmt.Sprintf("hi%g+lo%g", hi, lo),
+				Config: fmt.Appendf(nil, `{"Prefetch":{"HighWaste":%g,"LowWaste":%g}}`, hi, lo)})
 		}
 	}
 	cells, err := runGrid(o, spec)
@@ -48,7 +49,8 @@ func AblationWriteNet(o Options) (*stats.Table, error) {
 	pairs := []string{"betw-back", "bfs4-back"}
 	spec := campaign.Spec{Platforms: kindNames(platform.ZnG), Scenarios: pairs}
 	for _, net := range nets {
-		spec.Overrides = append(spec.Overrides, campaign.Override{RegNet: net.String()})
+		spec.Overrides = append(spec.Overrides, campaign.Override{Name: net.String(),
+			Config: fmt.Appendf(nil, `{"RegCache":{"Net":%d}}`, net)})
 	}
 	cells, err := runGrid(o, spec)
 	if err != nil {
@@ -146,10 +148,13 @@ func AblationGC(Options) (*stats.Table, error) {
 // AblationL2 sweeps the ZnG L2 capacity: the 6 MB SRAM baseline, the
 // Table I 24 MB STT-MRAM, and half/double variants, on a read-heavy
 // pair. Sizes print exactly, so the docs regime's 0.75 MB L2 is not 0.
+// Each size is a multiple of o.Cfg's SRAM L2 sets.
 func AblationL2(o Options) (*stats.Table, error) {
+	mults := []int{1, 2, 4, 8}
 	spec := campaign.Spec{Platforms: kindNames(platform.ZnG), Scenarios: []string{"bfs1-gaus"}}
-	for _, mult := range []int{1, 2, 4, 8} {
-		spec.Overrides = append(spec.Overrides, campaign.Override{L2Mult: mult})
+	for _, mult := range mults {
+		spec.Overrides = append(spec.Overrides, campaign.Override{Name: fmt.Sprintf("l2x%d", mult),
+			Config: fmt.Appendf(nil, `{"L2STT":{"Sets":%d}}`, o.Cfg.L2SRAM.Sets*mult)})
 	}
 	cells, err := runGrid(o, spec)
 	if err != nil {
@@ -157,9 +162,9 @@ func AblationL2(o Options) (*stats.Table, error) {
 	}
 	t := stats.NewTable("Ablation C: ZnG L2 capacity sweep (bfs1-gaus)",
 		"L2 config", "size (MB)", "IPC", "L2 hit rate")
-	for _, c := range cells {
+	for i, c := range cells {
 		sizeMB := float64(c.Cell.Cfg.L2STT.SizeBytes()) / (1 << 20)
-		t.AddRow(fmt.Sprintf("%dx SRAM sets", c.Cell.Override.L2Mult), sizeMB, c.Result.IPC, c.Result.L2HitRate)
+		t.AddRow(fmt.Sprintf("%dx SRAM sets", mults[i]), sizeMB, c.Result.IPC, c.Result.L2HitRate)
 	}
 	return t, nil
 }

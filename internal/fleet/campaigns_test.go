@@ -82,7 +82,8 @@ func TestCampaignsLifecycle(t *testing.T) {
 	for name, bad := range map[string]campaign.Spec{
 		"empty":            {},
 		"unknown platform": {Platforms: []string{"GTX9000"}, Scenarios: []string{"solo-bfs1"}},
-		"bad override":     {Platforms: []string{"ZnG"}, Scenarios: []string{"solo-bfs1"}, Overrides: []campaign.Override{{RegNet: "nope"}}},
+		"bad override":     {Platforms: []string{"ZnG"}, Scenarios: []string{"solo-bfs1"}, Overrides: []campaign.Override{{Config: []byte(`{"RegCache":{"RegNet":"nope"}}`)}}},
+		"override range":   {Platforms: []string{"ZnG"}, Scenarios: []string{"solo-bfs1"}, Overrides: []campaign.Override{{Config: []byte(`{"L2STT":{"Sets":1099511627776}}`)}}},
 	} {
 		if _, err := m.Start(bad); err == nil {
 			t.Errorf("%s: unexpandable spec started", name)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -15,12 +16,13 @@ import (
 // checkpointSchemaVersion stamps the campaign id derivation and the
 // spec document; bump it whenever the spec document changes meaning,
 // so old checkpoints read as different campaigns instead of resuming
-// wrongly.
-const checkpointSchemaVersion = 1
+// wrongly. Version 2's overrides are partial config documents.
+const checkpointSchemaVersion = 2
 
 // specDoc is the canonical spec document CampaignID hashes and
 // WriteSpec persists — the campaign Spec plus the schema stamp, all
-// canonical types (strings, numbers, bools, slices, *float64).
+// canonical types (strings, numbers, slices and each override's JSON
+// document, which json.Marshal writes compact).
 type specDoc struct {
 	Version int           `json:"v"`
 	Spec    campaign.Spec `json:"spec"`
@@ -35,8 +37,10 @@ type specDoc struct {
 func CampaignID(spec campaign.Spec) string {
 	b, err := json.Marshal(specDoc{Version: checkpointSchemaVersion, Spec: spec})
 	if err != nil {
-		// Spec is a closed struct of canonical types; Marshal cannot
-		// fail on it. Panic loudly rather than return a colliding id.
+		// A spec that expands, or that was decoded from JSON, has a
+		// JSON form: finite scales and well-formed override documents.
+		// Campaigns asks only for such ids, so panic loudly rather than
+		// return a colliding id.
 		panic(fmt.Sprintf("fleet: encoding campaign spec: %v", err))
 	}
 	sum := sha256.Sum256(b)
@@ -116,8 +120,12 @@ func (c *Checkpointer) LoadSpec(id string) (campaign.Spec, error) {
 	if err != nil {
 		return campaign.Spec{}, fmt.Errorf("fleet: loading campaign %q: %w", id, err)
 	}
+	// An unknown key, such as an override knob of an older schema, is
+	// an error rather than a field dropped on the way to a resume.
 	var doc specDoc
-	if err := json.Unmarshal(b, &doc); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil {
 		return campaign.Spec{}, fmt.Errorf("fleet: decoding campaign %q spec: %w", id, err)
 	}
 	if doc.Version != checkpointSchemaVersion {

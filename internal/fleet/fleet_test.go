@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,6 +94,35 @@ func tableBytes(t *testing.T, c *campaign.Campaign) []byte {
 	return report.JSON(out.Table())
 }
 
+// TestLoadSpecRejectsUnknownKeys: a checkpointed spec with a key its
+// schema does not have, such as an override knob of schema 1, fails to
+// load and names the key, rather than resuming as the base
+// configuration with the knob dropped.
+func TestLoadSpecRejectsUnknownKeys(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := NewCheckpointer(st)
+	id := CampaignID(testSpec())
+	if err := os.MkdirAll(ck.dir(id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for doc, want := range map[string]string{
+		`{"v":1,"spec":{"platforms":["ZnG"],"scenarios":["solo-bfs1"],"overrides":[{"l2_mult":8}]}}`:     `unknown field "l2_mult"`,
+		`{"v":2,"spec":{"platforms":["ZnG"],"scenarios":["solo-bfs1"],"overrides":[{"reg_net":"NiF"}]}}`: `unknown field "reg_net"`,
+		`{"v":2,"spec":{"platforms":["ZnG"],"scenarios":["solo-bfs1"],"scale":[0.5]}}`:                   `unknown field "scale"`,
+		`{"v":1,"spec":{"platforms":["ZnG"],"scenarios":["solo-bfs1"]}}`:                                 "schema v1, want v2",
+	} {
+		if err := os.WriteFile(filepath.Join(ck.dir(id), "spec.json"), []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ck.LoadSpec(id); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: LoadSpec error %v, want one containing %q", doc, err, want)
+		}
+	}
+}
+
 func TestCampaignIDContentAddressed(t *testing.T) {
 	spec := testSpec()
 	id := CampaignID(spec)
@@ -115,6 +146,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	ck := NewCheckpointer(st)
 	spec := testSpec()
+	spec.Overrides = []campaign.Override{{}, {Name: "ch8", Config: json.RawMessage(`{"Flash": {"Channels": 8}}`)}}
 	id := CampaignID(spec)
 
 	if err := ck.WriteSpec(id, spec); err != nil {
@@ -131,6 +163,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if CampaignID(got) != id {
 		t.Error("reloaded spec derives a different id")
+	}
+
+	if got.Overrides[1].Label() != "ch8" || got.Overrides[1].Config == nil {
+		t.Errorf("reloaded override = %+v", got.Overrides[1])
 	}
 
 	// Unknown ids load a not-exist spec.

@@ -1,8 +1,13 @@
 package platform
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -154,4 +159,72 @@ func FuzzConfig(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFuzzConfigSeedsTargetTheirFields pins each FuzzConfig seed to the
+// mutations its name states. A seed picks its fields by ordinal among
+// config.Config's numeric leaves, so a leaf added or removed before a
+// seed's field silently re-targets it; this test names the seed instead.
+func TestFuzzConfigSeedsTargetTheirFields(t *testing.T) {
+	want := map[string]string{
+		"blocks-zero":                          "Flash.BlocksPerPl=0, GPU.SMs=8",
+		"channels-x1e3":                        "Flash.Channels×1e3, GPU.SMs=8",
+		"counter-bits-minus-1":                 "Prefetch.CounterBits=-1, GPU.SMs=8",
+		"firmware-and-helper-x1e3":             "Engine.FTLLatPerReq×1e3, FTL.HelperThreadLat×1e3",
+		"gpu-pages-one-ways-zero":              "Host.GPUMemPages=1, L2SRAM.Ways=0",
+		"one-plane-per-die-one-page-per-block": "Flash.PlanesPerDie=1, Flash.PagesPerBlock=1",
+		"page-bytes-4000":                      "Flash.PageBytes=4000, GPU.SMs=8",
+		"page-bytes-6144":                      "Flash.PageBytes=6144, GPU.SMs=8",
+		"reg-net-7":                            "RegCache.Net=7, GPU.SMs=8",
+		"reg-net-minus-1":                      "RegCache.Net=-1, GPU.SMs=8",
+		"table-entries-x1e-3":                  "Prefetch.TableEntries×1e-3, GPU.SMs=8",
+		"table-i":                              "GPU.SMs=8, GPU.SMs=8",
+		"walk-levels-minus-1":                  "MMU.WalkLevels=-1, GPU.SMs=8",
+	}
+	cfg := testCfg()
+	fields := numericFields(&cfg)
+	dir := filepath.Join("testdata", "fuzz", "FuzzConfig")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(want) {
+		t.Errorf("%d seeds in %s, want the %d this test pins", len(entries), dir, len(want))
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The arguments, one a line after the header: kind, then field,
+		// op and value for each of the two mutations.
+		args := strings.Split(strings.TrimSpace(string(b)), "\n")[1:]
+		if len(args) != 7 {
+			t.Fatalf("%s: %d arguments, want 7", e.Name(), len(args))
+		}
+		var got []string
+		for _, m := range [][]string{args[1:4], args[4:7]} {
+			field, errF := seedByte(m[0])
+			op, errO := seedByte(m[1])
+			v, errV := strconv.ParseFloat(strings.TrimSuffix(strings.TrimPrefix(m[2], "float64("), ")"), 64)
+			if err := errors.Join(errF, errO, errV); err != nil {
+				t.Fatalf("%s: %v", e.Name(), err)
+			}
+			mut := []string{"=0", "=-1", "×1e3", "×1e-3", "=" + strconv.FormatFloat(v, 'g', -1, 64)}[op%5]
+			got = append(got, fields[int(field)%len(fields)].path+mut)
+		}
+		if g := strings.Join(got, ", "); g != want[e.Name()] {
+			t.Errorf("seed %s mutates %s, want %q", e.Name(), g, want[e.Name()])
+		}
+	}
+}
+
+// seedByte reads a byte('…') argument of a fuzz seed file.
+func seedByte(arg string) (byte, error) {
+	lit := strings.TrimSuffix(strings.TrimPrefix(arg, "byte('"), "')")
+	r, _, rest, err := strconv.UnquoteChar(lit, '\'')
+	if err != nil || rest != "" || r > 0xff {
+		return 0, fmt.Errorf("%s is not a byte argument", arg)
+	}
+	return byte(r), nil
 }

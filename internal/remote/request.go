@@ -31,8 +31,9 @@ type RunRequest struct {
 	// Config, when present, is decoded over what the field already
 	// points at: zngd points it at a copy of its base configuration,
 	// so absent fields inherit the base instead of zeroing (a partial
-	// {"Flash":{"Channels":8}} means base-plus-8-channels, matching the
-	// campaign Override semantics). Client sends every field, so a full
+	// {"Flash":{"Channels":8}} means base-plus-8-channels). A
+	// campaign.Override's document is the same partial document,
+	// decoded the same way. Client sends every field, so a full
 	// config, the exact cell a campaign addressed, passes through
 	// unchanged and both sides hash the same cell key, keeping
 	// distributed results byte-identical to local ones.

@@ -203,9 +203,10 @@ the CI gate that keeps the hot path fast.
 
 The paper's evaluation is a matrix, and ` + "`internal/campaign`" + ` makes the
 matrix a first-class object: a declarative ` + "`Spec`" + ` names a grid —
-platforms × scenarios × trace scales × sparse configuration overrides
-(L2 capacity, channel count, prefetch on/off, waste thresholds,
-register interconnect) — and expands deterministically into
+platforms × scenarios × trace scales × configuration overrides, each
+a partial ` + "`config.Config`" + ` document decoded over the base exactly as
+zngd decodes a run request's ` + "`\"config\"`" + `, so any field is a knob —
+and expands deterministically into
 content-addressed cells, each keyed by the same ` + "`internal/cellkey`" + `
 hash the store files results under, so identical cells across
 campaigns (and across figure drivers) dedupe. An ` + "`Executor`" + ` drives
@@ -214,7 +215,8 @@ counters and per-cell partial-failure reporting, running each cell
 once, then folds the results into the same deterministic table type
 every figure emits. Every simulated figure builds its grid this way and runs
 it on one ` + "`Executor`" + ` over the figure runner: the Fig. 13 thresholds,
-the register interconnects and the L2 capacities are overrides.
+the register interconnects and the L2 capacities are override
+documents.
 ` + "`internal/remote`" + ` scales execution horizontally: a ` + "`Client`" + `
 implements the runner interface against one zngd peer (each request
 carries the cell's full configuration, so both sides hash the same

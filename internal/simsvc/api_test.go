@@ -553,14 +553,19 @@ func TestAPICampaignLifecycle(t *testing.T) {
 		t.Errorf("campaign list = %+v", list.Campaigns)
 	}
 
-	// Bad specs are structured 400s.
-	for name, body := range map[string]string{
-		"empty spec":       `{}`,
-		"unknown platform": `{"platforms":["GTX9000"],"scenarios":["solo-bfs1"]}`,
-		"unknown field":    `{"platformz":["ZnG"]}`,
-		"malformed":        `{"platforms":`,
+	// Bad specs are structured 400s naming what is wrong.
+	for name, tc := range map[string]struct{ body, want string }{
+		"empty spec":       {`{}`, "no platforms"},
+		"unknown platform": {`{"platforms":["GTX9000"],"scenarios":["solo-bfs1"]}`, "GTX9000"},
+		"unknown field":    {`{"platformz":["ZnG"]}`, "platformz"},
+		"malformed":        {`{"platforms":`, "EOF"},
+		// An override knob of the retired form is an unknown field, not
+		// a base-configuration cell.
+		"old override key": {`{"platforms":["ZnG"],"scenarios":["solo-bfs1"],"overrides":[{"l2_mult":8}]}`, `"l2_mult"`},
+		"override range": {`{"platforms":["ZnG"],"scenarios":["solo-bfs1"],"overrides":[{"config":{"L2STT":{"Sets":1099511627776}}}]}`,
+			"L2STT.Sets 1099511627776, want [1, 1048576]"},
 	} {
-		resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json", bytes.NewBufferString(body))
+		resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json", bytes.NewBufferString(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -569,8 +574,8 @@ func TestAPICampaignLifecycle(t *testing.T) {
 		}
 		decErr := json.NewDecoder(resp.Body).Decode(&doc)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || decErr != nil || doc.Error == "" {
-			t.Errorf("%s: status %d, err %v, body %+v; want structured 400", name, resp.StatusCode, decErr, doc)
+		if resp.StatusCode != http.StatusBadRequest || decErr != nil || !strings.Contains(doc.Error, tc.want) {
+			t.Errorf("%s: status %d, err %v, body %+v; want a structured 400 naming %s", name, resp.StatusCode, decErr, doc, tc.want)
 		}
 	}
 }

@@ -8,9 +8,14 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
+	"zng/internal/campaign"
+	"zng/internal/cellkey"
 	"zng/internal/config"
+	"zng/internal/platform"
+	"zng/internal/workload"
 )
 
 // TestAPIBodyCap: every endpoint that reads a body answers one over
@@ -127,10 +132,70 @@ func TestAPIRunUnknownFieldNamed(t *testing.T) {
 		`{"platform":"GDDR5","mix":"betw-back","config":{"GDDR5":{"Kind":0}}}`:        "GDDR5.Kind",
 		`{"platform":"Optane","mix":"betw-back","config":{"Optane":{"Kind":3}}}`:      "Optane.Kind",
 		`{"platform":"ZnG","mix":"betw-back","config":{"FTL":{"OPFraction":0.07}}}`:   "FTL.OPFraction",
+		// Only Fig. 3 and Fig. 4c read these; they left config.Config.
+		`{"platform":"GDDR5","mix":"betw-back","config":{"DDR4":{"TotalGBps":256}}}`:       "DDR4",
+		`{"platform":"GDDR5","mix":"betw-back","config":{"LPDDR4":{}}}`:                    "LPDDR4",
+		`{"platform":"GDDR5","mix":"betw-back","config":{"GDDR5":{"PkgCapacityGB":1}}}`:    "GDDR5.PkgCapacityGB",
+		`{"platform":"Optane","mix":"betw-back","config":{"Optane":{"PowerWPerGB":0.05}}}`: "Optane.PowerWPerGB",
 	} {
 		resp, doc := postRun(t, srv.URL, body)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(doc["error"]), name) {
 			t.Errorf("%s: status %d, error %s; want 400 naming %s", body, resp.StatusCode, doc["error"], name)
+		}
+	}
+}
+
+// TestOverrideDecodesAsRunConfig: a partial config document means one
+// thing. Applied as a campaign override and sent as POST /v1/run's
+// "config", it hands the simulator the same configuration under the
+// same cell key, and a document one side refuses, the other refuses
+// with the same error: a value out of range, an unknown field, and an
+// integer beyond int64, which names its field.
+func TestOverrideDecodesAsRunConfig(t *testing.T) {
+	var mu sync.Mutex
+	var ran []config.Config
+	srv, _ := newTestServer(t, func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		ran = append(ran, cfg)
+		return platform.Result{Kind: kind, Workload: mix.Name, IPC: 1}, nil
+	})
+	const doc = `{"L2STT":{"Sets":8192},"flash":{"channels":8},"Prefetch":{"HighWaste":0.8,"LowWaste":0.2},"RegCache":{"Net":0}}`
+	spec := campaign.Spec{Platforms: []string{"ZnG"}, Scenarios: []string{"betw-back"}, Scales: []float64{0.5},
+		Overrides: []campaign.Override{{Config: json.RawMessage(doc)}}}
+	cells, err := spec.Expand(config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, reply := postRun(t, srv.URL, `{"platform":"ZnG","mix":"betw-back","scale":0.5,"config":`+doc+`}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s)", resp.StatusCode, reply["error"])
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != 1 || ran[0] != cells[0].Cfg {
+		t.Fatalf("/v1/run simulated %+v, the override applies to %+v", ran, cells[0].Cfg)
+	}
+	if k := cellkey.Key(platform.ZnG, cells[0].Mix.ID(), 0.5, ran[0]); k != cells[0].Key {
+		t.Errorf("/v1/run keys the cell %s, the campaign %s", k, cells[0].Key)
+	}
+
+	// The errors agree from "config: " on; what precedes it says where
+	// the document sat.
+	tail := func(msg string) string { return msg[max(strings.Index(msg, "config: "), 0):] }
+	for _, bad := range []string{
+		`{"L2STT":{"Sets":1099511627776}}`,
+		`{"L2STT":{"Setz":8}}`,
+		`{"L2STT":{"Sets":18446744073709552640}}`,
+	} {
+		_, err := campaign.Override{Config: json.RawMessage(bad)}.Apply(config.Default())
+		resp, reply := postRun(t, srv.URL, `{"platform":"ZnG","mix":"betw-back","config":`+bad+`}`)
+		var msg string
+		if jerr := json.Unmarshal(reply["error"], &msg); jerr != nil || resp.StatusCode != http.StatusBadRequest || err == nil {
+			t.Errorf("%s: /v1/run status %d, error %s; Apply error %v; want both refused", bad, resp.StatusCode, reply["error"], err)
+			continue
+		}
+		if !strings.Contains(msg, "L2STT.Set") || tail(msg) != tail(err.Error()) {
+			t.Errorf("%s: /v1/run refused it with %q, Apply with %q", bad, msg, err)
 		}
 	}
 }
