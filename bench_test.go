@@ -30,7 +30,7 @@ func benchOptions() experiments.Options {
 // The figure's table holds its numbers, so no metric is reported.
 func BenchmarkFigures(b *testing.B) {
 	for _, f := range experiments.Registry() {
-		b.Run(f.Driver, benchFigure(f))
+		b.Run(f.DriverName(), benchFigure(f))
 	}
 }
 

@@ -117,8 +117,10 @@ func main() {
 			defer svc.Close()
 			r, err := svc.Run(kind, mix, *scale, config.Default())
 			if err == nil {
+				// Whether the store served the cell is host state, so it
+				// goes to stderr: a rerun's stdout must match the run's.
 				stats := svc.Stats()
-				fmt.Printf("cache:      %s (sims %d, disk hits %d)\n", st.Dir(), stats.Sims, stats.DiskHits)
+				fmt.Fprintf(os.Stderr, "cache:      %s (sims %d, disk hits %d)\n", st.Dir(), stats.Sims, stats.DiskHits)
 			}
 			return r, err
 		}

@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -23,10 +27,6 @@ type Figure struct {
 	Ref string
 	// Title is a short human-readable name.
 	Title string
-	// Driver names the experiments-package function that produces the
-	// table, Run; the registry-completeness test keeps it in sync with
-	// Run and with the actual exported drivers.
-	Driver string
 	// Claim states the paper's finding in one sentence.
 	Claim string
 	// Shape states the qualitative property Check asserts about the
@@ -36,9 +36,11 @@ type Figure struct {
 	// Options.Mixes entirely and read only the run's configuration,
 	// Options.Cfg.
 	ScaleFree bool
-	// Run is the driver itself: it regenerates the figure's table
-	// under the given options. The table is the figure's only output,
-	// so everything Check, zngfig and the docs read is in it.
+	// Run is the driver itself, an exported function of this package
+	// named directly (znglint's registry analyzer rejects a closure or
+	// an unexported helper): it regenerates the figure's table under
+	// the given options. The table is the figure's only output, so
+	// everything Check, zngfig and the docs read is in it.
 	Run func(Options) (*stats.Table, error)
 	// Check validates Shape against the measured table; nil error
 	// means the paper's qualitative shape holds in this reproduction.
@@ -47,16 +49,21 @@ type Figure struct {
 	Check func(*stats.Table) error
 }
 
+// DriverName is the name Run is declared under, e.g. "Fig10", as the
+// docs' inventory and the figure benchmarks print it. The registry
+// analyzer keeps every Run a declared driver, never a closure.
+func (f Figure) DriverName() string {
+	name := runtime.FuncForPC(reflect.ValueOf(f.Run).Pointer()).Name()
+	return name[strings.LastIndexByte(name, '.')+1:]
+}
+
 // VerdictPass is the verdict of a figure whose shape check passes.
 const VerdictPass = "PASS"
 
 // Verdict runs the figure's shape check on its table and says how it
-// went, as docs/EXPERIMENTS.md and zngfig print it: PASS, FAIL with the
-// check's error, or n/a for a figure without a check.
+// went, as docs/EXPERIMENTS.md and zngfig print it: PASS, or FAIL with
+// the check's error.
 func (f Figure) Verdict(t *stats.Table) string {
-	if f.Check == nil {
-		return "n/a (no shape check)"
-	}
 	if err := f.Check(t); err != nil {
 		return "FAIL — " + err.Error()
 	}
@@ -81,8 +88,7 @@ func DocsOptions() Options {
 func Registry() []Figure {
 	return []Figure{
 		{
-			ID: "table1", Ref: "Sec. V-A, Table I", Title: "System configuration",
-			Driver: "TableI", ScaleFree: true,
+			ID: "table1", Ref: "Sec. V-A, Table I", Title: "System configuration", ScaleFree: true,
 			Claim: "The evaluated GTX580-class GPU pairs 16 SMs with a 24 MB STT-MRAM L2 and an 800 GB-class Z-NAND backbone (3 us reads, 100 us programs, 100k P/E).",
 			Shape: "The transcription carries the Z-NAND geometry/timing, the mesh flash network and the Optane DC PMM timing of Table I.",
 			Run:   TableI,
@@ -90,39 +96,34 @@ func Registry() []Figure {
 		},
 		{
 			ID: "table2", Ref: "Sec. V-A, Table II", Title: "GPU benchmarks",
-			Driver: "TableII",
-			Claim:  "The sixteen benchmarks span graph analytics and scientific kernels whose read ratios range from write-heavy (~46%) to almost pure-read (~99%).",
-			Shape:  "All sixteen apps generate traces and the measured read ratio of every trace tracks the paper's per-app column within 0.15.",
-			Run:    TableII,
-			Check:  checkTableII,
+			Claim: "The sixteen benchmarks span graph analytics and scientific kernels whose read ratios range from write-heavy (~46%) to almost pure-read (~99%).",
+			Shape: "All sixteen apps generate traces and the measured read ratio of every trace tracks the paper's per-app column within 0.15.",
+			Run:   TableII,
+			Check: checkTableII,
 		},
 		{
-			ID: "fig1b", Ref: "Sec. I, Fig. 1b", Title: "HybridGPU component bandwidths",
-			Driver: "Fig1b", ScaleFree: true,
+			ID: "fig1b", Ref: "Sec. I, Fig. 1b", Title: "HybridGPU component bandwidths", ScaleFree: true,
 			Claim: "Z-NAND arrays can stream far more bandwidth than the DRAM buffer, legacy channels or SSD engine that HybridGPU puts in front of them, leaving an order-of-magnitude gap to GDDR5.",
 			Shape: "flash read > flash channel > DRAM buffer > SSD engine, reads out-pace programs, and the GDDR5 gap line exceeds 10x the DRAM buffer.",
 			Run:   Fig1b,
 			Check: checkFig1b,
 		},
 		{
-			ID: "fig3", Ref: "Sec. II-B, Fig. 3", Title: "Density and power per package",
-			Driver: "Fig3", ScaleFree: true,
+			ID: "fig3", Ref: "Sec. II-B, Fig. 3", Title: "Density and power per package", ScaleFree: true,
 			Claim: "Z-NAND offers the highest per-package density at the lowest power per GB among GDDR5, DDR4 and LPDDR4.",
 			Shape: "The Z-NAND row has the maximum density and the minimum W/GB of the four media.",
 			Run:   Fig3,
 			Check: checkFig3,
 		},
 		{
-			ID: "fig4c", Ref: "Sec. II-C, Fig. 4c", Title: "Max data access throughput",
-			Driver: "Fig4c", ScaleFree: true,
+			ID: "fig4c", Ref: "Sec. II-C, Fig. 4c", Title: "Max data access throughput", ScaleFree: true,
 			Claim: "On 128 B accesses GPU DRAM outperforms the host-mediated GPU-SSD path by ~80x and HybridGPU by ~40x.",
 			Shape: "GDDR5 > DDR4 > LPDDR4 > ZSSD, HybridGPU beats GPU-SSD, and the GDDR5/GPU-SSD ratio is at least 30x.",
 			Run:   Fig4c,
 			Check: checkFig4c,
 		},
 		{
-			ID: "fig4d", Ref: "Sec. II-C, Fig. 4d", Title: "Memory-access latency breakdown",
-			Driver: "Fig4d", ScaleFree: true,
+			ID: "fig4d", Ref: "Sec. II-C, Fig. 4d", Title: "Memory-access latency breakdown", ScaleFree: true,
 			Claim: "The SSD engine's firmware alone accounts for about two thirds of HybridGPU's loaded memory latency.",
 			Shape: "HybridGPU's total exceeds the conventional GPU's, with the SSD engine the dominant component (>30% of the total).",
 			Run:   Fig4d,
@@ -130,79 +131,69 @@ func Registry() []Figure {
 		},
 		{
 			ID: "fig5a", Ref: "Sec. III-A, Fig. 5a", Title: "Direct Z-NAND degradation",
-			Driver: "Fig5a",
-			Claim:  "Serving GPU memory requests directly from Z-NAND (no buffering) degrades performance by up to ~28x versus GDDR5.",
-			Shape:  "Degradation is at least 5x on every co-run pair.",
-			Run:    Fig5a,
-			Check:  checkFig5a,
+			Claim: "Serving GPU memory requests directly from Z-NAND (no buffering) degrades performance by up to ~28x versus GDDR5.",
+			Shape: "Degradation is at least 5x on every co-run pair.",
+			Run:   Fig5a,
+			Check: checkFig5a,
 		},
 		{
 			ID: "fig5bcd", Ref: "Sec. III-A, Fig. 5b-d", Title: "Workload locality characterization",
-			Driver: "Fig5bcd",
-			Claim:  "GPU co-run workloads re-read flash pages ~42x and rewrite them ~65x on average, and reads dominate the access mix.",
-			Shape:  "Average read re-access and write redundancy both exceed 1, so register caching and prefetching have locality to harvest.",
-			Run:    Fig5bcd,
-			Check:  checkFig5bcd,
+			Claim: "GPU co-run workloads re-read flash pages ~42x and rewrite them ~65x on average, and reads dominate the access mix.",
+			Shape: "Average read re-access and write redundancy both exceed 1, so register caching and prefetching have locality to harvest.",
+			Run:   Fig5bcd,
+			Check: checkFig5bcd,
 		},
 		{
 			ID: "fig8b", Ref: "Sec. IV-C, Fig. 8b", Title: "Asymmetric Z-NAND writes",
-			Driver: "Fig8b",
-			Claim:  "Writes concentrate on a small subset of planes, leaving most per-plane register caches idle — the motivation for grouping them.",
-			Shape:  "Per-plane program counts are visibly non-uniform (some plane group differs from its channel's peak).",
-			Run:    Fig8b,
-			Check:  checkFig8b,
+			Claim: "Writes concentrate on a small subset of planes, leaving most per-plane register caches idle — the motivation for grouping them.",
+			Shape: "Per-plane program counts are visibly non-uniform (some plane group differs from its channel's peak).",
+			Run:   Fig8b,
+			Check: checkFig8b,
 		},
 		{
 			ID: "fig10", Ref: "Sec. V-B, Fig. 10", Title: "Normalized IPC, all platforms",
-			Driver: "Fig10",
-			Claim:  "ZnG outperforms HybridGPU by 1.9x on average (up to 12.6x) and its read and write optimizations are both needed to get there.",
-			Shape:  "On the workload average ZnG > HybridGPU > ZnG-base, with every platform normalized to ZnG = 1.",
-			Run:    Fig10,
-			Check:  checkFig10,
+			Claim: "ZnG outperforms HybridGPU by 1.9x on average (up to 12.6x) and its read and write optimizations are both needed to get there.",
+			Shape: "On the workload average ZnG > HybridGPU > ZnG-base, with every platform normalized to ZnG = 1.",
+			Run:   Fig10,
+			Check: checkFig10,
 		},
 		{
 			ID: "fig11", Ref: "Sec. V-B, Fig. 11", Title: "Flash array bandwidth",
-			Driver: "Fig11",
-			Claim:  "ZnG's optimizations raise delivered flash-array bandwidth well above HybridGPU's channel- and engine-throttled path.",
-			Shape:  "Average ZnG array bandwidth exceeds average HybridGPU array bandwidth.",
-			Run:    Fig11,
-			Check:  checkFig11,
+			Claim: "ZnG's optimizations raise delivered flash-array bandwidth well above HybridGPU's channel- and engine-throttled path.",
+			Shape: "Average ZnG array bandwidth exceeds average HybridGPU array bandwidth.",
+			Run:   Fig11,
+			Check: checkFig11,
 		},
 		{
 			ID: "fig12", Ref: "Sec. V-C, Fig. 12", Title: "Read-path effectiveness",
-			Driver: "Fig12",
-			Claim:  "The dynamic prefetcher fills the STT-MRAM L2 from already-sensed flash pages, raising L2 hits and cutting demand fills.",
-			Shape:  "ZnG-rdopt prefetches a non-zero volume and its mean L2 hit rate is at least ZnG-base's.",
-			Run:    Fig12,
-			Check:  checkFig12,
+			Claim: "The dynamic prefetcher fills the STT-MRAM L2 from already-sensed flash pages, raising L2 hits and cutting demand fills.",
+			Shape: "ZnG-rdopt prefetches a non-zero volume and its mean L2 hit rate is at least ZnG-base's.",
+			Run:   Fig12,
+			Check: checkFig12,
 		},
 		{
 			ID: "fig13", Ref: "Sec. V-D, Fig. 13", Title: "Prefetch threshold sensitivity",
-			Driver: "Fig13Sweep",
-			Claim:  "Performance is stable across a wide waste-threshold region; the paper lands on high=0.3, low=0.05.",
-			Shape:  "Every (high, low) cell simulates to a positive IPC — no threshold choice collapses the read path.",
-			Run:    Fig13Sweep,
-			Check:  checkFig13,
+			Claim: "Performance is stable across a wide waste-threshold region; the paper lands on high=0.3, low=0.05.",
+			Shape: "Every (high, low) cell simulates to a positive IPC — no threshold choice collapses the read path.",
+			Run:   Fig13Sweep,
+			Check: checkFig13,
 		},
 		{
 			ID: "abl-writenet", Ref: "ablation (Sec. IV-C)", Title: "Register interconnect ablation",
-			Driver: "AblationWriteNet",
-			Claim:  "The network-in-flash (NiF) approaches fully-connected (FCnet) write absorption at mesh cost, where a plain switched bus (SWnet) serializes.",
-			Shape:  "All three interconnects sustain positive IPC on the write-heavy pairs and NiF's register migrations are counted.",
-			Run:    AblationWriteNet,
-			Check:  checkAblWriteNet,
+			Claim: "The network-in-flash (NiF) approaches fully-connected (FCnet) write absorption at mesh cost, where a plain switched bus (SWnet) serializes.",
+			Shape: "All three interconnects sustain positive IPC on the write-heavy pairs and NiF's register migrations are counted.",
+			Run:   AblationWriteNet,
+			Check: checkAblWriteNet,
 		},
 		{
 			ID: "abl-consolidation", Ref: "ablation (beyond Sec. V-A's 2-app co-runs)", Title: "Consolidation sweep",
-			Driver: "AblationConsolidation",
-			Claim:  "The paper evaluates 2-app co-runs only; stacking more tenants should favor ZnG, whose flash arrays serve requests directly, over HybridGPU, whose SSD engine serializes every miss.",
-			Shape:  "Both platforms sustain positive IPC at every co-run degree 1-4, and ZnG retains at least as much of its solo IPC as HybridGPU does at the highest degree.",
-			Run:    AblationConsolidation,
-			Check:  checkAblConsolidation,
+			Claim: "The paper evaluates 2-app co-runs only; stacking more tenants should favor ZnG, whose flash arrays serve requests directly, over HybridGPU, whose SSD engine serializes every miss.",
+			Shape: "Both platforms sustain positive IPC at every co-run degree 1-4, and ZnG retains at least as much of its solo IPC as HybridGPU does at the highest degree.",
+			Run:   AblationConsolidation,
+			Check: checkAblConsolidation,
 		},
 		{
-			ID: "abl-gc", Ref: "ablation (Sec. III-B/IV-A)", Title: "Split-FTL garbage collection",
-			Driver: "AblationGC", ScaleFree: true,
+			ID: "abl-gc", Ref: "ablation (Sec. III-B/IV-A)", Title: "Split-FTL garbage collection", ScaleFree: true,
 			Claim: "The split FTL's helper-thread merges reclaim log blocks without stalling the write path, and wear levelling bounds per-block erase counts.",
 			Shape: "Merges occur under rewrite pressure, max erase count stays within the merge count, and write amplification is at least 1.",
 			Run:   AblationGC,
@@ -210,11 +201,10 @@ func Registry() []Figure {
 		},
 		{
 			ID: "abl-l2", Ref: "ablation (Sec. IV-B)", Title: "L2 capacity sweep",
-			Driver: "AblationL2",
-			Claim:  "Replacing the 6 MB SRAM L2 with the 24 MB STT-MRAM array is what gives the prefetcher room to work; capacity beyond that shows diminishing returns.",
-			Shape:  "Swept capacities ascend and every configuration sustains a positive IPC and L2 hit rate.",
-			Run:    AblationL2,
-			Check:  checkAblL2,
+			Claim: "Replacing the 6 MB SRAM L2 with the 24 MB STT-MRAM array is what gives the prefetcher room to work; capacity beyond that shows diminishing returns.",
+			Shape: "Swept capacities ascend and every configuration sustains a positive IPC and L2 hit rate.",
+			Run:   AblationL2,
+			Check: checkAblL2,
 		},
 	}
 }
@@ -245,589 +235,279 @@ func FigureByID(id string) (Figure, error) {
 //
 // Each check validates its figure's Shape on the rendered table, the
 // one place it is asserted: docs/EXPERIMENTS.md and zngfig report its
-// verdict, and tier-1 requires it to pass.
+// verdict, and tier-1 requires it to pass. A check reads the table
+// through cells, by row label and column header, never by position.
 
-// cellStr returns the formatted cell at (r, c), or "" when row r omitted
-// its trailing cells — checks must degrade to a FAIL verdict on a
-// short row, never panic mid docs generation.
-func cellStr(t *stats.Table, r, c int) string {
-	row := t.Row(r)
-	if c >= len(row) {
-		return ""
-	}
-	return row[c]
+// cells reads a figure's table by row label (a row's first cell) and
+// column header. Like wire.Decoder it keeps the first failure, here a
+// read of a missing row or column or of a non-numeric cell, or an unmet
+// requirement, and every later read returns the zero value. So a check
+// reads and requires in sequence, and returns err: the first failure,
+// as if it had stopped there.
+type cells struct {
+	t   *stats.Table
+	err error
 }
 
-// cellFloat parses the formatted cell at (r, c).
-func cellFloat(t *stats.Table, r, c int) (float64, error) {
-	s := cellStr(t, r, c)
+// labels lists the row labels in table order.
+func (c *cells) labels() []string {
+	out := make([]string, c.t.Rows())
+	for r := range out {
+		if row := c.t.Row(r); len(row) > 0 {
+			out[r] = row[0]
+		}
+	}
+	return out
+}
+
+// at finds the cell in column col of the first row labelled row, with
+// its position. A cell a short row omits reads "", so a malformed
+// table fails a check instead of panicking it.
+func (c *cells) at(row, col string) (s string, r, k int) {
+	if c.err != nil {
+		return "", 0, 0
+	}
+	r, k = slices.Index(c.labels(), row), slices.Index(c.t.Header(), col)
+	switch {
+	case r < 0:
+		c.err = fmt.Errorf("no row %q", row)
+	case k < 0:
+		c.err = fmt.Errorf("no column %q", col)
+	case k < len(c.t.Row(r)):
+		s = c.t.Cell(r, k)
+	}
+	return s, r, k
+}
+
+// str reads the cell in column col of row row.
+func (c *cells) str(row, col string) string {
+	s, _, _ := c.at(row, col)
+	return s
+}
+
+// num reads the cell in column col of row row as a number.
+func (c *cells) num(row, col string) float64 {
+	s, r, k := c.at(row, col)
+	if c.err != nil {
+		return 0
+	}
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
-		return 0, fmt.Errorf("cell (%d,%d) %q is not numeric", r, c, s)
+		c.err = fmt.Errorf("cell (%d,%d) %q is not numeric", r, k, s)
+		return 0
 	}
-	return v, nil
+	return v
 }
 
-// colByName returns the index of the named header column.
-func colByName(t *stats.Table, name string) (int, error) {
-	for i, h := range t.Header() {
-		if h == name {
-			return i, nil
-		}
+// require records a failure, formatted as fmt.Errorf formats it,
+// unless ok or a failure is already recorded.
+func (c *cells) require(ok bool, format string, args ...any) {
+	if !ok && c.err == nil {
+		c.err = fmt.Errorf(format, args...)
 	}
-	return 0, fmt.Errorf("no column %q", name)
 }
 
-// rowByName returns the index of the data row whose first cell is name.
-func rowByName(t *stats.Table, name string) (int, error) {
-	for r := 0; r < t.Rows(); r++ {
-		if cellStr(t, r, 0) == name {
-			return r, nil
-		}
+// descending requires each named row to exceed the next in column col.
+func (c *cells) descending(col string, rows ...string) {
+	for i := 1; i < len(rows); i++ {
+		hi, lo := c.num(rows[i-1], col), c.num(rows[i], col)
+		c.require(hi > lo, "%s (%v) must exceed %s (%v)", rows[i-1], hi, rows[i], lo)
 	}
-	return 0, fmt.Errorf("no row %q", name)
-}
-
-// col1ByRowName builds a name -> column-1 value map for two-column
-// tables like Fig. 1b and Fig. 4c.
-func col1ByRowName(t *stats.Table) (map[string]float64, error) {
-	vals := make(map[string]float64, t.Rows())
-	for r := 0; r < t.Rows(); r++ {
-		v, err := cellFloat(t, r, 1)
-		if err != nil {
-			return nil, err
-		}
-		vals[cellStr(t, r, 0)] = v
-	}
-	return vals, nil
-}
-
-// rowVal looks up a named row's value, erroring on a missing name so
-// a renamed driver row can never make a comparison vacuously pass.
-func rowVal(vals map[string]float64, name string) (float64, error) {
-	v, ok := vals[name]
-	if !ok {
-		return 0, fmt.Errorf("no row %q", name)
-	}
-	return v, nil
-}
-
-func requireOrder(vals map[string]float64, order ...string) error {
-	for i := 1; i < len(order); i++ {
-		hi, err := rowVal(vals, order[i-1])
-		if err != nil {
-			return err
-		}
-		lo, err := rowVal(vals, order[i])
-		if err != nil {
-			return err
-		}
-		if !(hi > lo) {
-			return fmt.Errorf("%s (%v) must exceed %s (%v)", order[i-1], hi, order[i], lo)
-		}
-	}
-	return nil
 }
 
 func checkTableI(t *stats.Table) error {
-	if t.Rows() < 15 {
-		return fmt.Errorf("only %d configuration rows", t.Rows())
-	}
-	for _, want := range []string{"Z-NAND", "mesh", "Optane DC PMM"} {
-		found := false
-		for r := 0; r < t.Rows(); r++ {
-			if strings.Contains(cellStr(t, r, 0), want) || strings.Contains(cellStr(t, r, 2), want) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("missing %q", want)
-		}
-	}
-	return nil
+	c := cells{t: t}
+	c.require(t.Rows() >= 15, "only %d configuration rows", t.Rows())
+	c.str("Z-NAND", "value") // a read requires the row
+	c.require(c.str("Flash network", "value") == "mesh", `missing "mesh"`)
+	c.str("Optane DC PMM", "value")
+	return c.err
 }
 
 func checkTableII(t *stats.Table) error {
-	if t.Rows() != 16 {
-		return fmt.Errorf("rows = %d, want the 16 Table II apps", t.Rows())
+	c := cells{t: t}
+	c.require(t.Rows() == 16, "rows = %d, want the 16 Table II apps", t.Rows())
+	for _, app := range c.labels() {
+		paper, meas := c.num(app, "read ratio (paper)"), c.num(app, "read ratio (measured)")
+		c.require(math.Abs(meas-paper) <= 0.15, "%s: measured read ratio %.3f vs paper %.3f (|delta| > 0.15)",
+			app, meas, paper)
 	}
-	paperCol, err := colByName(t, "read ratio (paper)")
-	if err != nil {
-		return err
-	}
-	measCol, err := colByName(t, "read ratio (measured)")
-	if err != nil {
-		return err
-	}
-	for r := 0; r < t.Rows(); r++ {
-		paper, err := cellFloat(t, r, paperCol)
-		if err != nil {
-			return err
-		}
-		meas, err := cellFloat(t, r, measCol)
-		if err != nil {
-			return err
-		}
-		if d := meas - paper; d > 0.15 || d < -0.15 {
-			return fmt.Errorf("%s: measured read ratio %.3f vs paper %.3f (|delta| > 0.15)",
-				cellStr(t, r, 0), meas, paper)
-		}
-	}
-	return nil
+	return c.err
 }
 
 func checkFig1b(t *stats.Table) error {
-	vals, err := col1ByRowName(t)
-	if err != nil {
-		return err
-	}
-	if err := requireOrder(vals, "flash read", "flash channel", "DRAM buffer", "SSD engine"); err != nil {
-		return err
-	}
-	if err := requireOrder(vals, "flash read", "flash write"); err != nil {
-		return fmt.Errorf("array reads must out-pace programs: %w", err)
-	}
-	gap, err := rowVal(vals, "GDDR5 (gap line)")
-	if err != nil {
-		return err
-	}
-	if !(gap > 10*vals["DRAM buffer"]) {
-		return fmt.Errorf("GDDR5 gap (%v) must exceed 10x the DRAM buffer (%v)",
-			gap, vals["DRAM buffer"])
-	}
-	return nil
+	c := cells{t: t}
+	c.descending("GB/s", "flash read", "flash channel", "DRAM buffer", "SSD engine")
+	read, write := c.num("flash read", "GB/s"), c.num("flash write", "GB/s")
+	c.require(read > write, "array reads must out-pace programs: flash read (%v) must exceed flash write (%v)", read, write)
+	gap, buf := c.num("GDDR5 (gap line)", "GB/s"), c.num("DRAM buffer", "GB/s")
+	c.require(gap > 10*buf, "GDDR5 gap (%v) must exceed 10x the DRAM buffer (%v)", gap, buf)
+	return c.err
 }
 
 func checkFig3(t *stats.Table) error {
-	zn, err := rowByName(t, "Z-NAND")
-	if err != nil {
-		return err
-	}
-	znDens, err := cellFloat(t, zn, 1)
-	if err != nil {
-		return err
-	}
-	znPow, err := cellFloat(t, zn, 2)
-	if err != nil {
-		return err
-	}
-	for r := 0; r < t.Rows(); r++ {
-		if r == zn {
+	c := cells{t: t}
+	znDens, znPow := c.num("Z-NAND", "density (GB)"), c.num("Z-NAND", "power (W/GB)")
+	for _, m := range c.labels() {
+		if m == "Z-NAND" {
 			continue
 		}
-		dens, err := cellFloat(t, r, 1)
-		if err != nil {
-			return err
-		}
-		pow, err := cellFloat(t, r, 2)
-		if err != nil {
-			return err
-		}
-		if dens >= znDens {
-			return fmt.Errorf("%s density %v >= Z-NAND %v", cellStr(t, r, 0), dens, znDens)
-		}
-		if pow <= znPow {
-			return fmt.Errorf("%s power %v <= Z-NAND %v", cellStr(t, r, 0), pow, znPow)
-		}
+		dens, pow := c.num(m, "density (GB)"), c.num(m, "power (W/GB)")
+		c.require(dens < znDens, "%s density %v >= Z-NAND %v", m, dens, znDens)
+		c.require(pow > znPow, "%s power %v <= Z-NAND %v", m, pow, znPow)
 	}
-	return nil
+	return c.err
 }
 
 func checkFig4c(t *stats.Table) error {
-	vals, err := col1ByRowName(t)
-	if err != nil {
-		return err
-	}
-	if err := requireOrder(vals, "GDDR5", "DDR4", "LPDDR4", "ZSSD"); err != nil {
-		return err
-	}
-	if err := requireOrder(vals, "HybridGPU", "GPU-SSD"); err != nil {
-		return fmt.Errorf("HybridGPU must beat host-mediated GPU-SSD: %w", err)
-	}
-	if r := vals["GDDR5"] / vals["GPU-SSD"]; r < 30 {
-		return fmt.Errorf("GDDR5/GPU-SSD ratio %.0fx, want >= 30x (paper ~80x)", r)
-	}
-	return nil
+	c := cells{t: t}
+	c.descending("GB/s", "GDDR5", "DDR4", "LPDDR4", "ZSSD")
+	hyb, host := c.num("HybridGPU", "GB/s"), c.num("GPU-SSD", "GB/s")
+	c.require(hyb > host, "HybridGPU must beat host-mediated GPU-SSD: HybridGPU (%v) must exceed GPU-SSD (%v)", hyb, host)
+	r := c.num("GDDR5", "GB/s") / host
+	c.require(r >= 30, "GDDR5/GPU-SSD ratio %.0fx, want >= 30x (paper ~80x)", r)
+	return c.err
 }
 
 func checkFig4d(t *stats.Table) error {
-	total, err := rowByName(t, "TOTAL")
-	if err != nil {
-		return err
-	}
-	gpuTot, err := cellFloat(t, total, 1)
-	if err != nil {
-		return err
-	}
-	hybTot, err := cellFloat(t, total, 2)
-	if err != nil {
-		return err
-	}
-	if hybTot <= gpuTot {
-		return fmt.Errorf("HybridGPU total %v must exceed GPU total %v", hybTot, gpuTot)
-	}
-	eng, err := rowByName(t, "SSD engine")
-	if err != nil {
-		return err
-	}
-	engLat, err := cellFloat(t, eng, 2)
-	if err != nil {
-		return err
-	}
-	if frac := engLat / hybTot; frac < 0.3 {
-		return fmt.Errorf("SSD engine fraction %.2f, want dominant (paper 0.67)", frac)
-	}
-	return nil
+	c := cells{t: t}
+	gpuTot, hybTot := c.num("TOTAL", "GPU(DRAM)"), c.num("TOTAL", "HybridGPU")
+	c.require(hybTot > gpuTot, "HybridGPU total %v must exceed GPU total %v", hybTot, gpuTot)
+	frac := c.num("SSD engine", "HybridGPU") / hybTot
+	c.require(frac >= 0.3, "SSD engine fraction %.2f, want dominant (paper 0.67)", frac)
+	return c.err
 }
 
 func checkFig5a(t *stats.Table) error {
-	col, err := colByName(t, "degradation (x)")
-	if err != nil {
-		return err
+	c := cells{t: t}
+	for _, m := range c.labels() {
+		d := c.num(m, "degradation (x)")
+		c.require(d >= 5, "%s: degradation %.1fx, want >= 5x (paper up to 28x)", m, d)
 	}
-	for r := 0; r < t.Rows(); r++ {
-		d, err := cellFloat(t, r, col)
-		if err != nil {
-			return err
-		}
-		if d < 5 {
-			return fmt.Errorf("%s: degradation %.1fx, want >= 5x (paper up to 28x)", cellStr(t, r, 0), d)
-		}
-	}
-	return nil
+	return c.err
 }
 
 func checkFig5bcd(t *stats.Table) error {
-	avg, err := rowByName(t, "AVERAGE")
-	if err != nil {
-		return err
-	}
-	reuse, err := cellFloat(t, avg, 1)
-	if err != nil {
-		return err
-	}
-	redund, err := cellFloat(t, avg, 2)
-	if err != nil {
-		return err
-	}
-	if reuse <= 1 {
-		return fmt.Errorf("average read re-access %.2f, want > 1", reuse)
-	}
-	if redund <= 1 {
-		return fmt.Errorf("average write redundancy %.2f, want > 1", redund)
-	}
-	return nil
+	c := cells{t: t}
+	reuse, redund := c.num("AVERAGE", "read re-accesses"), c.num("AVERAGE", "write redundancy")
+	c.require(reuse > 1, "average read re-access %.2f, want > 1", reuse)
+	c.require(redund > 1, "average write redundancy %.2f, want > 1", redund)
+	return c.err
 }
 
 func checkFig8b(t *stats.Table) error {
-	minCol, err := colByName(t, "min")
-	if err != nil {
-		return err
-	}
-	maxCol, err := colByName(t, "max")
-	if err != nil {
-		return err
-	}
-	totCol, err := colByName(t, "total")
-	if err != nil {
-		return err
-	}
+	c := cells{t: t}
 	anyWrites, asymmetric := false, false
 	var firstTotal float64
-	for r := 0; r < t.Rows(); r++ {
-		lo, err := cellFloat(t, r, minCol)
-		if err != nil {
-			return err
-		}
-		hi, err := cellFloat(t, r, maxCol)
-		if err != nil {
-			return err
-		}
-		tot, err := cellFloat(t, r, totCol)
-		if err != nil {
-			return err
-		}
-		if r == 0 {
+	for i, ch := range c.labels() {
+		lo, hi, tot := c.num(ch, "min"), c.num(ch, "max"), c.num(ch, "total")
+		if i == 0 {
 			firstTotal = tot
 		}
-		if hi > 0 {
-			anyWrites = true
-		}
+		anyWrites = anyWrites || hi > 0
 		// Skew within a channel or across channels both count.
-		if lo != hi || tot != firstTotal {
-			asymmetric = true
-		}
+		asymmetric = asymmetric || lo != hi || tot != firstTotal
 	}
-	if !anyWrites {
-		return fmt.Errorf("no programs recorded")
-	}
-	if !asymmetric {
-		return fmt.Errorf("write distribution perfectly uniform; Fig. 8b asymmetry absent")
-	}
-	return nil
+	c.require(anyWrites, "no programs recorded")
+	c.require(asymmetric, "write distribution perfectly uniform; Fig. 8b asymmetry absent")
+	return c.err
 }
 
 func checkFig10(t *stats.Table) error {
-	avg, err := rowByName(t, "AVERAGE")
-	if err != nil {
-		return err
-	}
-	get := func(name string) (float64, error) {
-		c, err := colByName(t, name)
-		if err != nil {
-			return 0, err
-		}
-		return cellFloat(t, avg, c)
-	}
-	zng, err := get("ZnG")
-	if err != nil {
-		return err
-	}
-	hyb, err := get("HybridGPU")
-	if err != nil {
-		return err
-	}
-	base, err := get("ZnG-base")
-	if err != nil {
-		return err
-	}
-	if zng != 1 {
-		return fmt.Errorf("normalization broken: ZnG average %v != 1", zng)
-	}
-	if !(hyb < zng) {
-		return fmt.Errorf("ZnG must beat HybridGPU (%v) on average", hyb)
-	}
-	if !(base < hyb) {
-		return fmt.Errorf("ZnG-base (%v) must trail HybridGPU (%v) on average", base, hyb)
-	}
-	return nil
+	c := cells{t: t}
+	zng, hyb, base := c.num("AVERAGE", "ZnG"), c.num("AVERAGE", "HybridGPU"), c.num("AVERAGE", "ZnG-base")
+	c.require(zng == 1, "normalization broken: ZnG average %v != 1", zng)
+	c.require(hyb < zng, "ZnG must beat HybridGPU (%v) on average", hyb)
+	c.require(base < hyb, "ZnG-base (%v) must trail HybridGPU (%v) on average", base, hyb)
+	return c.err
 }
 
 func checkFig11(t *stats.Table) error {
-	avg, err := rowByName(t, "AVERAGE")
-	if err != nil {
-		return err
-	}
-	hybCol, err := colByName(t, "HybridGPU")
-	if err != nil {
-		return err
-	}
-	zngCol, err := colByName(t, "ZnG")
-	if err != nil {
-		return err
-	}
-	hyb, err := cellFloat(t, avg, hybCol)
-	if err != nil {
-		return err
-	}
-	zng, err := cellFloat(t, avg, zngCol)
-	if err != nil {
-		return err
-	}
-	if zng <= hyb {
-		return fmt.Errorf("ZnG average bandwidth %.2f must exceed HybridGPU's %.2f", zng, hyb)
-	}
-	return nil
+	c := cells{t: t}
+	hyb, zng := c.num("AVERAGE", "HybridGPU"), c.num("AVERAGE", "ZnG")
+	c.require(zng > hyb, "ZnG average bandwidth %.2f must exceed HybridGPU's %.2f", zng, hyb)
+	return c.err
 }
 
 func checkFig12(t *stats.Table) error {
-	pfCol, err := colByName(t, "prefetch KB (rdopt)")
-	if err != nil {
-		return err
-	}
-	baseCol, err := colByName(t, "L2 hit (base)")
-	if err != nil {
-		return err
-	}
-	rdCol, err := colByName(t, "L2 hit (rdopt)")
-	if err != nil {
-		return err
-	}
+	c := cells{t: t}
 	var pfTotal, baseSum, rdSum float64
-	for r := 0; r < t.Rows(); r++ {
-		pf, err := cellFloat(t, r, pfCol)
-		if err != nil {
-			return err
-		}
-		pfTotal += pf
-		b, err := cellFloat(t, r, baseCol)
-		if err != nil {
-			return err
-		}
-		baseSum += b
-		rd, err := cellFloat(t, r, rdCol)
-		if err != nil {
-			return err
-		}
-		rdSum += rd
+	for _, m := range c.labels() {
+		pfTotal += c.num(m, "prefetch KB (rdopt)")
+		baseSum += c.num(m, "L2 hit (base)")
+		rdSum += c.num(m, "L2 hit (rdopt)")
 	}
-	if pfTotal <= 0 {
-		return fmt.Errorf("rdopt prefetched nothing")
-	}
-	if rdSum < baseSum {
-		return fmt.Errorf("mean rdopt L2 hit rate %.3f below base %.3f",
-			rdSum/float64(t.Rows()), baseSum/float64(t.Rows()))
-	}
-	return nil
+	n := float64(t.Rows())
+	c.require(pfTotal > 0, "rdopt prefetched nothing")
+	c.require(rdSum >= baseSum, "mean rdopt L2 hit rate %.3f below base %.3f", rdSum/n, baseSum/n)
+	return c.err
 }
 
 func checkFig13(t *stats.Table) error {
-	for r := 0; r < t.Rows(); r++ {
-		for c := 1; c < t.Cols(); c++ {
-			v, err := cellFloat(t, r, c)
-			if err != nil {
-				return err
-			}
-			if v <= 0 {
-				return fmt.Errorf("threshold cell (high=%s, low#%d) collapsed to IPC %v",
-					cellStr(t, r, 0), c, v)
-			}
+	c := cells{t: t}
+	for _, hi := range c.labels() {
+		for i, lo := range t.Header()[1:] {
+			v := c.num(hi, lo)
+			c.require(v > 0, "threshold cell (high=%s, low#%d) collapsed to IPC %v", hi, i+1, v)
 		}
 	}
-	return nil
+	return c.err
 }
 
 func checkAblWriteNet(t *stats.Table) error {
-	if t.Rows() < 2 {
-		return fmt.Errorf("rows = %d, want the two write-heavy pairs", t.Rows())
-	}
-	for r := 0; r < t.Rows(); r++ {
+	c := cells{t: t}
+	c.require(t.Rows() >= 2, "rows = %d, want the two write-heavy pairs", t.Rows())
+	for _, pair := range c.labels() {
 		for _, net := range []string{"SWnet", "FCnet", "NiF"} {
-			c, err := colByName(t, net)
-			if err != nil {
-				return err
-			}
-			v, err := cellFloat(t, r, c)
-			if err != nil {
-				return err
-			}
-			if v <= 0 {
-				return fmt.Errorf("%s: %s IPC %v, want positive", cellStr(t, r, 0), net, v)
-			}
+			v := c.num(pair, net)
+			c.require(v > 0, "%s: %s IPC %v, want positive", pair, net, v)
 		}
 	}
-	return nil
+	return c.err
 }
 
 func checkAblConsolidation(t *stats.Table) error {
 	if t.Rows() != workload.ConsolidationDegrees {
 		return fmt.Errorf("rows = %d, want co-run degrees 1-%d", t.Rows(), workload.ConsolidationDegrees)
 	}
-	hybCol, err := colByName(t, "HybridGPU")
-	if err != nil {
-		return err
-	}
-	zngCol, err := colByName(t, "ZnG")
-	if err != nil {
-		return err
-	}
-	hybNormCol, err := colByName(t, "HybridGPU (vs solo)")
-	if err != nil {
-		return err
-	}
-	zngNormCol, err := colByName(t, "ZnG (vs solo)")
-	if err != nil {
-		return err
-	}
-	for r := 0; r < t.Rows(); r++ {
-		for _, c := range []int{hybCol, zngCol} {
-			v, err := cellFloat(t, r, c)
-			if err != nil {
-				return err
-			}
-			if v <= 0 {
-				return fmt.Errorf("%s: IPC %v, want positive", cellStr(t, r, 0), v)
-			}
+	c := cells{t: t}
+	mixes := c.labels()
+	for _, mix := range mixes {
+		for _, p := range []string{"HybridGPU", "ZnG"} {
+			v := c.num(mix, p)
+			c.require(v > 0, "%s: IPC %v, want positive", mix, v)
 		}
 	}
-	last := t.Rows() - 1
-	hybNorm, err := cellFloat(t, last, hybNormCol)
-	if err != nil {
-		return err
-	}
-	zngNorm, err := cellFloat(t, last, zngNormCol)
-	if err != nil {
-		return err
-	}
-	if zngNorm < hybNorm {
-		return fmt.Errorf("at degree %d ZnG retains %.3f of solo IPC vs HybridGPU's %.3f: ZnG must degrade at least as gracefully",
-			t.Rows(), zngNorm, hybNorm)
-	}
-	return nil
+	last := mixes[len(mixes)-1]
+	hybNorm, zngNorm := c.num(last, "HybridGPU (vs solo)"), c.num(last, "ZnG (vs solo)")
+	c.require(zngNorm >= hybNorm, "at degree %d ZnG retains %.3f of solo IPC vs HybridGPU's %.3f: ZnG must degrade at least as gracefully",
+		len(mixes), zngNorm, hybNorm)
+	return c.err
 }
 
 func checkAblGC(t *stats.Table) error {
-	get := func(name string) (float64, error) {
-		r, err := rowByName(t, name)
-		if err != nil {
-			return 0, err
-		}
-		return cellFloat(t, r, 1)
-	}
-	merges, err := get("log merges")
-	if err != nil {
-		return err
-	}
-	if merges == 0 {
-		return fmt.Errorf("no merges under rewrite pressure")
-	}
-	maxErase, err := get("max block erase count")
-	if err != nil {
-		return err
-	}
-	if maxErase > merges {
-		return fmt.Errorf("max erase %v exceeds merges %v: wear levelling broken", maxErase, merges)
-	}
-	wa, err := get("write amplification")
-	if err != nil {
-		return err
-	}
-	if wa < 1 {
-		return fmt.Errorf("write amplification %v < 1", wa)
-	}
-	return nil
+	c := cells{t: t}
+	merges := c.num("log merges", "value")
+	c.require(merges != 0, "no merges under rewrite pressure")
+	maxErase := c.num("max block erase count", "value")
+	c.require(maxErase <= merges, "max erase %v exceeds merges %v: wear levelling broken", maxErase, merges)
+	wa := c.num("write amplification", "value")
+	c.require(wa >= 1, "write amplification %v < 1", wa)
+	return c.err
 }
 
 func checkAblL2(t *stats.Table) error {
-	sizeCol, err := colByName(t, "size (MB)")
-	if err != nil {
-		return err
-	}
-	ipcCol, err := colByName(t, "IPC")
-	if err != nil {
-		return err
-	}
-	hitCol, err := colByName(t, "L2 hit rate")
-	if err != nil {
-		return err
-	}
+	c := cells{t: t}
 	var sizes []float64
-	for r := 0; r < t.Rows(); r++ {
-		size, err := cellFloat(t, r, sizeCol)
-		if err != nil {
-			return err
-		}
-		sizes = append(sizes, size)
-		ipc, err := cellFloat(t, r, ipcCol)
-		if err != nil {
-			return err
-		}
-		if ipc <= 0 {
-			return fmt.Errorf("%s: IPC %v, want positive", cellStr(t, r, 0), ipc)
-		}
-		hit, err := cellFloat(t, r, hitCol)
-		if err != nil {
-			return err
-		}
-		if hit <= 0 {
-			return fmt.Errorf("%s: L2 hit rate %v, want positive", cellStr(t, r, 0), hit)
-		}
+	for _, l2 := range c.labels() {
+		sizes = append(sizes, c.num(l2, "size (MB)"))
+		ipc := c.num(l2, "IPC")
+		c.require(ipc > 0, "%s: IPC %v, want positive", l2, ipc)
+		hit := c.num(l2, "L2 hit rate")
+		c.require(hit > 0, "%s: L2 hit rate %v, want positive", l2, hit)
 	}
 	for i := 1; i < len(sizes); i++ {
-		if sizes[i] <= sizes[i-1] {
-			return fmt.Errorf("swept sizes %v not strictly ascending", sizes)
-		}
+		c.require(sizes[i] > sizes[i-1], "swept sizes %v not strictly ascending", sizes)
 	}
-	return nil
+	return c.err
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -13,9 +11,10 @@ import (
 // the scenario-constructor reachability check in internal/workload —
 // to the znglint registry analyzer, which replaced the go/parser
 // walk that used to live here. The analyzer is the authority (it is
-// also the CI gate); this test keeps the property wired into plain
-// `go test ./internal/experiments` and adds the one check static
-// analysis cannot do: every registry entry is runtime-complete.
+// also the CI gate): every entry's Run names an exported driver of
+// this package, registered once. This test keeps the property wired
+// into plain `go test ./internal/experiments` and adds the one check
+// static analysis cannot do: every registry entry is runtime-complete.
 func TestRegistryComplete(t *testing.T) {
 	pkgs, err := lint.Load(".", "zng/internal/experiments", "zng/internal/workload")
 	if err != nil {
@@ -33,13 +32,6 @@ func TestRegistryComplete(t *testing.T) {
 		if fig.ID == "" || fig.Ref == "" || fig.Title == "" || fig.Claim == "" ||
 			fig.Shape == "" || fig.Run == nil || fig.Check == nil {
 			t.Errorf("registry entry %q is incomplete: %+v", fig.ID, fig)
-			continue
-		}
-		// Run is the driver itself, never a wrapper, so the driver's
-		// table is the figure's only output.
-		run := runtime.FuncForPC(reflect.ValueOf(fig.Run).Pointer()).Name()
-		if want := "zng/internal/experiments." + fig.Driver; run != want {
-			t.Errorf("registry entry %q runs %s, want its driver %s", fig.ID, run, want)
 		}
 	}
 }
@@ -49,7 +41,7 @@ func TestFigureByID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Driver != "Fig10" || f.ID != "fig10" {
+	if f.DriverName() != "Fig10" || f.ID != "fig10" {
 		t.Errorf("resolved %+v", f)
 	}
 

@@ -57,13 +57,16 @@ func (m *Campaigns) Start(spec campaign.Spec) (*campaign.Campaign, error) {
 	if _, err := spec.Expand(m.base); err != nil {
 		return nil, err
 	}
-	id := CampaignID(spec)
+	id, err := CampaignID(spec, m.base)
+	if err != nil {
+		return nil, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if c, ok := m.byID[id]; ok {
 		return c, nil
 	}
-	_, err := m.ck.LoadSpec(id)
+	_, err = m.ck.LoadSpec(id)
 	resuming := err == nil
 	if err := m.ck.WriteSpec(id, spec); err != nil {
 		return nil, err
@@ -108,8 +111,14 @@ func (m *Campaigns) Resume(id string) (*campaign.Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	if got := CampaignID(spec); got != id {
-		return nil, fmt.Errorf("fleet: checkpoint %q reloads as campaign %q; refusing to resume a tampered spec", id, got)
+	got, err := CampaignID(spec, m.base)
+	if err != nil {
+		return nil, err
+	}
+	if got != id {
+		// The spec was edited, or the campaign ran over another base
+		// configuration.
+		return nil, fmt.Errorf("fleet: checkpoint %q reloads as campaign %q under this coordinator's configuration; refusing to resume it", id, got)
 	}
 	return m.Start(spec)
 }

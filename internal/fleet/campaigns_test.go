@@ -1,7 +1,6 @@
 package fleet_test
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -52,13 +51,17 @@ func TestCampaignsLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1.ID != fleet.CampaignID(first) {
-		t.Errorf("id = %s, want the content address %s", c1.ID, fleet.CampaignID(first))
+	if id, err := fleet.CampaignID(first, config.Default()); err != nil || c1.ID != id {
+		t.Errorf("id = %s, want the content address %s (%v)", c1.ID, id, err)
 	}
 	if got, ok := m.Get(c1.ID); !ok || got != c1 {
 		t.Errorf("Get(%s) = %v, %v; want the started campaign", c1.ID, got, ok)
 	}
-	if _, ok := m.Get(fleet.CampaignID(soloSpec("never-started", "solo-pr"))); ok {
+	never, err := fleet.CampaignID(soloSpec("never-started", "solo-pr"), config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.Get(never); ok {
 		t.Error("Get of a never-started id hit")
 	}
 	<-started
@@ -78,7 +81,8 @@ func TestCampaignsLifecycle(t *testing.T) {
 		t.Errorf("List = %v, want [%s %s]", got, c1.ID, c2.ID)
 	}
 
-	// A rejected spec leaves no checkpoint directory behind.
+	// A rejected spec leaves no checkpoint directory behind: the store
+	// holds the two started campaigns only.
 	for name, bad := range map[string]campaign.Spec{
 		"empty":            {},
 		"unknown platform": {Platforms: []string{"GTX9000"}, Scenarios: []string{"solo-bfs1"}},
@@ -88,9 +92,9 @@ func TestCampaignsLifecycle(t *testing.T) {
 		if _, err := m.Start(bad); err == nil {
 			t.Errorf("%s: unexpandable spec started", name)
 		}
-		if _, err := os.Stat(filepath.Join(dir, "campaigns", fleet.CampaignID(bad))); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("%s: rejected spec left a checkpoint (stat: %v)", name, err)
-		}
+	}
+	if ents, err := os.ReadDir(filepath.Join(dir, "campaigns")); err != nil || len(ents) != 2 {
+		t.Errorf("checkpoint directories after rejected starts: %v (%v), want the 2 started campaigns", ents, err)
 	}
 	if got := len(m.List()); got != 2 {
 		t.Errorf("List holds %d campaigns after rejected starts, want 2", got)

@@ -10,17 +10,20 @@ import (
 	"path/filepath"
 
 	"zng/internal/campaign"
+	"zng/internal/config"
 	"zng/internal/store"
 )
 
 // checkpointSchemaVersion stamps the campaign id derivation and the
-// spec document; bump it whenever the spec document changes meaning,
-// so old checkpoints read as different campaigns instead of resuming
-// wrongly. Version 2's overrides are partial config documents.
-const checkpointSchemaVersion = 2
+// spec document; bump it whenever either changes meaning, so an old
+// checkpoint fails to load with a schema error instead of resuming
+// wrongly. Version 2's overrides are partial config documents;
+// version 3's ids hash the configuration each override applies.
+const checkpointSchemaVersion = 3
 
-// specDoc is the canonical spec document CampaignID hashes and
-// WriteSpec persists — the campaign Spec plus the schema stamp, all
+// specDoc is the spec document WriteSpec persists, and, with each
+// override's document replaced by the configuration it applies, the
+// one CampaignID hashes: the campaign Spec plus the schema stamp, all
 // canonical types (strings, numbers, slices and each override's JSON
 // document, which json.Marshal writes compact).
 type specDoc struct {
@@ -28,23 +31,39 @@ type specDoc struct {
 	Spec    campaign.Spec `json:"spec"`
 }
 
-// CampaignID derives the content address of a campaign: the hex
-// SHA-256 of the canonical spec document. Identical sweeps get
-// identical ids across processes and machines, which is what lets a
-// fresh coordinator pointed at the same store directory resume a
-// campaign it has never seen — and makes starting the same spec twice
-// idempotent instead of a duplicate sweep.
-func CampaignID(spec campaign.Spec) string {
+// CampaignID derives the content address of a campaign run over base:
+// the hex SHA-256 of the spec document in which each override (the
+// base cell when there is none) carries the configuration it applies
+// to base, as config.AppendJSON writes it, instead of its document as
+// spelled. Spellings of one override that decode alike (key case, key
+// order, whitespace) therefore name one campaign, as their cells have
+// one key. Identical sweeps get identical ids across processes and
+// machines, which is what lets a fresh coordinator pointed at the same
+// store directory resume a campaign it has never seen — and makes
+// starting the same spec twice idempotent instead of a duplicate
+// sweep. An override that does not apply is an error.
+func CampaignID(spec campaign.Spec, base config.Config) (string, error) {
+	overrides := spec.Overrides
+	if len(overrides) == 0 {
+		overrides = []campaign.Override{{}}
+	}
+	spec.Overrides = make([]campaign.Override, len(overrides))
+	for i, ov := range overrides {
+		cfg, err := ov.Apply(base)
+		if err != nil {
+			return "", err
+		}
+		if spec.Overrides[i].Config, err = cfg.AppendJSON(nil); err != nil {
+			return "", err
+		}
+		spec.Overrides[i].Name = ov.Name
+	}
 	b, err := json.Marshal(specDoc{Version: checkpointSchemaVersion, Spec: spec})
 	if err != nil {
-		// A spec that expands, or that was decoded from JSON, has a
-		// JSON form: finite scales and well-formed override documents.
-		// Campaigns asks only for such ids, so panic loudly rather than
-		// return a colliding id.
-		panic(fmt.Sprintf("fleet: encoding campaign spec: %v", err))
+		return "", fmt.Errorf("fleet: encoding campaign spec: %w", err)
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // isCampaignID reports whether id has CampaignID's form: 64 lowercase

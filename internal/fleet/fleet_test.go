@@ -72,6 +72,17 @@ func testSpec() campaign.Spec {
 	}
 }
 
+// testID is CampaignID over the Table I configuration, the base every
+// test coordinator runs.
+func testID(t *testing.T, spec campaign.Spec) string {
+	t.Helper()
+	id, err := CampaignID(spec, config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
 func newTestCoordinator(t *testing.T, dir string, local campaign.Runner) *Coordinator {
 	t.Helper()
 	var st *store.Store
@@ -104,7 +115,7 @@ func TestLoadSpecRejectsUnknownKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := NewCheckpointer(st)
-	id := CampaignID(testSpec())
+	id := testID(t, testSpec())
 	if err := os.MkdirAll(ck.dir(id), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +123,8 @@ func TestLoadSpecRejectsUnknownKeys(t *testing.T) {
 		`{"v":1,"spec":{"platforms":["ZnG"],"scenarios":["solo-bfs1"],"overrides":[{"l2_mult":8}]}}`:     `unknown field "l2_mult"`,
 		`{"v":2,"spec":{"platforms":["ZnG"],"scenarios":["solo-bfs1"],"overrides":[{"reg_net":"NiF"}]}}`: `unknown field "reg_net"`,
 		`{"v":2,"spec":{"platforms":["ZnG"],"scenarios":["solo-bfs1"],"scale":[0.5]}}`:                   `unknown field "scale"`,
-		`{"v":1,"spec":{"platforms":["ZnG"],"scenarios":["solo-bfs1"]}}`:                                 "schema v1, want v2",
+		`{"v":1,"spec":{"platforms":["ZnG"],"scenarios":["solo-bfs1"]}}`:                                 "schema v1, want v3",
+		`{"v":2,"spec":{"platforms":["ZnG"],"scenarios":["solo-bfs1"]}}`:                                 "schema v2, want v3",
 	} {
 		if err := os.WriteFile(filepath.Join(ck.dir(id), "spec.json"), []byte(doc), 0o644); err != nil {
 			t.Fatal(err)
@@ -123,19 +135,64 @@ func TestLoadSpecRejectsUnknownKeys(t *testing.T) {
 	}
 }
 
+// TestCampaignIDContentAddressed: the id is a pure function of the
+// campaign's content, its base configuration included. Spellings of one override that decode alike (key
+// case, whitespace, key order) expand to cells with one key each, so
+// they name one campaign; specs whose cells differ name two, and an
+// override that does not apply names none.
 func TestCampaignIDContentAddressed(t *testing.T) {
 	spec := testSpec()
-	id := CampaignID(spec)
+	id := testID(t, spec)
 	if len(id) != 64 {
 		t.Fatalf("id %q is not a hex sha256", id)
 	}
-	if CampaignID(testSpec()) != id {
+	if testID(t, testSpec()) != id {
 		t.Error("identical specs derive different ids")
 	}
 	other := testSpec()
 	other.Scales = []float64{1}
-	if CampaignID(other) == id {
+	if testID(t, other) == id {
 		t.Error("different specs collide")
+	}
+	base := config.Default()
+	base.Flash.Channels = 8
+	if got, err := CampaignID(spec, base); err != nil || got == id {
+		t.Errorf("one spec over two base configurations names one campaign (%v)", err)
+	}
+
+	withOverride := func(doc string) campaign.Spec {
+		spec := testSpec()
+		spec.Overrides = []campaign.Override{{}, {Name: "flash", Config: json.RawMessage(doc)}}
+		return spec
+	}
+	for _, same := range [][2]string{
+		{`{"Flash":{"Channels":8}}`, `{"flash":{"channels":8}}`},
+		{`{"Flash":{"Channels":8}}`, " { \"Flash\" :\n\t{ \"Channels\" : 8 } } "},
+		{`{"Flash":{"Channels":8},"L2STT":{"Sets":8192}}`, `{"L2STT":{"Sets":8192},"Flash":{"Channels":8}}`},
+	} {
+		a, b := withOverride(same[0]), withOverride(same[1])
+		ca, err := a.Expand(config.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := b.Expand(config.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ca {
+			if ca[i].Key != cb[i].Key {
+				t.Fatalf("%s and %s expand to different cells", same[0], same[1])
+			}
+		}
+		if testID(t, a) != testID(t, b) {
+			t.Errorf("%s and %s name two campaigns", same[0], same[1])
+		}
+	}
+	if testID(t, withOverride(`{"Flash":{"Channels":4}}`)) == testID(t, withOverride(`{"Flash":{"Channels":8}}`)) {
+		t.Error("Channels 4 and 8 name one campaign")
+	}
+	if id, err := CampaignID(withOverride(`{"Flash":{"Bogus":8}}`), config.Default()); err == nil {
+		t.Errorf("an override that does not apply names campaign %s", id)
 	}
 }
 
@@ -147,7 +204,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	ck := NewCheckpointer(st)
 	spec := testSpec()
 	spec.Overrides = []campaign.Override{{}, {Name: "ch8", Config: json.RawMessage(`{"Flash": {"Channels": 8}}`)}}
-	id := CampaignID(spec)
+	id := testID(t, spec)
 
 	if err := ck.WriteSpec(id, spec); err != nil {
 		t.Fatal(err)
@@ -161,7 +218,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Errorf("spec round-trip mutated:\nwrote %s\nread  %s", a, b)
 	}
-	if CampaignID(got) != id {
+	if testID(t, got) != id {
 		t.Error("reloaded spec derives a different id")
 	}
 
@@ -205,7 +262,7 @@ func TestResumeServesStoredCells(t *testing.T) {
 	if ranFirst != len(c1.Cells()) {
 		t.Fatalf("first pass ran %d cells, want %d", ranFirst, len(c1.Cells()))
 	}
-	if got := CampaignID(spec); c1.ID != got {
+	if got := testID(t, spec); c1.ID != got {
 		t.Errorf("campaign id = %s, want content address %s", c1.ID, got)
 	}
 	if co1.Gauges().CampaignsResumed != 0 {

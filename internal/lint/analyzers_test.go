@@ -34,7 +34,7 @@ func TestRegistry(t *testing.T) {
 		TableType:      "Table",
 		RegistryFunc:   "Registry",
 		EntryType:      "Figure",
-		DriverField:    "Driver",
+		RunField:       "Run",
 		IDField:        "ID",
 
 		ScenariosPkg:   "regmix",

@@ -2,8 +2,8 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/types"
-	"strconv"
 )
 
 // RegistryConfig scopes the registry-completeness analyzer to the two
@@ -18,11 +18,11 @@ type RegistryConfig struct {
 	TablePkg  string
 	TableType string
 	// RegistryFunc is the function whose body declares the registry
-	// entries; EntryType is their struct type, DriverField/IDField the
-	// string fields to cross-check.
+	// entries; EntryType is their struct type, RunField the field that
+	// names each entry's driver and IDField its string id.
 	RegistryFunc string
 	EntryType    string
-	DriverField  string
+	RunField     string
 	IDField      string
 
 	// ScenariosPkg is the import-path suffix of the scenario package;
@@ -46,7 +46,7 @@ func DefaultRegistry() *Analyzer {
 		TableType:      "Table",
 		RegistryFunc:   "Registry",
 		EntryType:      "Figure",
-		DriverField:    "Driver",
+		RunField:       "Run",
 		IDField:        "ID",
 
 		ScenariosPkg:   "internal/workload",
@@ -58,15 +58,14 @@ func DefaultRegistry() *Analyzer {
 
 // NewRegistry builds the registry-completeness analyzer: in the
 // experiments package it asserts a bijection between figure drivers
-// (exported functions whose first result is *stats.Table) and the
-// Driver fields of the entries Registry() declares — every driver
-// registered exactly once, every registered name backed by a real
-// driver, every ID unique. In the workload package it asserts that
-// every exported Mix-returning constructor is reachable from
-// Scenarios() in the static call graph, so a new scenario family
-// cannot be added without entering the registry vocabulary. This is
-// the compile-time successor of the go/parser test that previously
-// lived in internal/experiments.
+// (exported functions whose first result is *stats.Table) and the Run
+// fields of the entries Registry() declares — every entry's Run names
+// a driver (not a closure, an unexported helper or any other value),
+// every driver is registered exactly once, every ID is unique. In the
+// workload package it asserts that every exported Mix-returning
+// constructor is reachable from Scenarios() in the static call graph,
+// so a new scenario family cannot be added without entering the
+// registry vocabulary.
 func NewRegistry(cfg RegistryConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "registry",
@@ -126,7 +125,6 @@ func checkFigureRegistry(pass *Pass, cfg RegistryConfig) {
 		if named == nil || named.Obj().Name() != cfg.EntryType || named.Obj().Pkg() != pass.Pkg {
 			return true
 		}
-		var driver, id ast.Expr
 		for _, el := range lit.Elts {
 			kv, ok := el.(*ast.KeyValueExpr)
 			if !ok {
@@ -137,24 +135,15 @@ func checkFigureRegistry(pass *Pass, cfg RegistryConfig) {
 				continue
 			}
 			switch key.Name {
-			case cfg.DriverField:
-				driver = kv.Value
+			case cfg.RunField:
+				if name, ok := runDriver(pass, kv.Value, drivers); ok {
+					registered[name] = append(registered[name], kv.Value)
+				}
 			case cfg.IDField:
-				id = kv.Value
-			}
-		}
-		if driver != nil {
-			if name, ok := stringConst(pass, driver); ok {
-				registered[name] = append(registered[name], driver)
-			} else {
-				pass.Reportf(driver.Pos(),
-					"registry entry's %s field is not a constant string: the driver bijection cannot be checked statically",
-					cfg.DriverField)
-			}
-		}
-		if id != nil {
-			if name, ok := stringConst(pass, id); ok {
-				ids[name] = append(ids[name], id)
+				if tv := pass.TypesInfo.Types[kv.Value]; tv.Value != nil && tv.Value.Kind() == constant.String {
+					id := constant.StringVal(tv.Value)
+					ids[id] = append(ids[id], kv.Value)
+				}
 			}
 		}
 		return false
@@ -171,18 +160,35 @@ func checkFigureRegistry(pass *Pass, cfg RegistryConfig) {
 				"driver %s is registered %d times", name, n)
 		}
 	}
-	for name, exprs := range registered {
-		if drivers[name] == nil {
-			pass.Reportf(exprs[0].Pos(),
-				"%s() names driver %s, which no exported *%s.%s function defines",
-				cfg.RegistryFunc, name, "stats", cfg.TableType)
-		}
-	}
 	for id, exprs := range ids {
 		if len(exprs) > 1 {
 			pass.Reportf(exprs[1].Pos(), "figure id %q registered %d times", id, len(exprs))
 		}
 	}
+}
+
+// runDriver resolves a registry entry's Run value to the driver it
+// names, reporting a value that names none: a closure, an unexported
+// helper, or anything but a package-level driver of this package. The
+// driver's name is then the figure's only spelling of it.
+func runDriver(pass *Pass, e ast.Expr, drivers map[string]*ast.FuncDecl) (string, bool) {
+	switch v := ast.Unparen(e).(type) {
+	case *ast.FuncLit:
+		pass.Reportf(e.Pos(), "registry entry's Run is a closure: name the figure's exported driver")
+		return "", false
+	case *ast.Ident:
+		if fn, ok := pass.TypesInfo.Uses[v].(*types.Func); ok && fn.Pkg() == pass.Pkg {
+			if drivers[fn.Name()] != nil {
+				return fn.Name(), true
+			}
+			if !fn.Exported() {
+				pass.Reportf(e.Pos(), "registry entry's Run names unexported %s: export it as the figure's driver", fn.Name())
+				return "", false
+			}
+		}
+	}
+	pass.Reportf(e.Pos(), "registry entry's Run is not a driver of this package: name an exported function returning the table")
+	return "", false
 }
 
 // firstResultIsTablePtr reports whether fd's first result is a
@@ -201,31 +207,6 @@ func firstResultIsTablePtr(pass *Pass, fd *ast.FuncDecl, cfg RegistryConfig) boo
 		return false
 	}
 	return pathMatches(named.Obj().Pkg().Path(), []string{cfg.TablePkg})
-}
-
-// stringConst resolves e to a constant string value.
-func stringConst(pass *Pass, e ast.Expr) (string, bool) {
-	if lit, ok := ast.Unparen(e).(*ast.BasicLit); ok {
-		s, err := strconv.Unquote(lit.Value)
-		return s, err == nil
-	}
-	if tv, ok := pass.TypesInfo.Types[e]; ok && tv.Value != nil {
-		return constStringValue(tv)
-	}
-	return "", false
-}
-
-func constStringValue(tv types.TypeAndValue) (string, bool) {
-	if tv.Value == nil {
-		return "", false
-	}
-	s := tv.Value.ExactString()
-	if len(s) >= 2 && s[0] == '"' {
-		if u, err := strconv.Unquote(s); err == nil {
-			return u, true
-		}
-	}
-	return "", false
 }
 
 // checkScenarioReachability flags exported Mix-returning constructors

@@ -1,18 +1,18 @@
 // Package regfigs exercises the figure half of the registry
-// analyzer: the driver/registry bijection, duplicate ids, and
-// non-constant Driver fields.
+// analyzer: each entry's Run names an exported driver, each driver is
+// registered exactly once, and ids are unique.
 package regfigs
 
 import "zng/internal/lint/testdata/src/regstats"
 
 // Figure is one registry entry.
 type Figure struct {
-	ID     string
-	Driver string
+	ID  string
+	Run func() *regstats.Table
 }
 
-// dynDriver makes one entry's Driver field non-constant.
-var dynDriver = "Fig12"
+// dynRun is a value, not a driver.
+var dynRun = Fig10
 
 // Fig10 is registered exactly once — the clean case.
 func Fig10() *regstats.Table { return &regstats.Table{} }
@@ -28,12 +28,12 @@ func helperTable() *regstats.Table { return &regstats.Table{} }
 
 // Registry declares the entries the analyzer cross-checks.
 func Registry() []Figure {
-	_ = helperTable()
 	return []Figure{
-		{ID: "fig10", Driver: "Fig10"},
-		{ID: "fig11", Driver: "Fig11"},
-		{ID: "fig10", Driver: "Ghost"},   // want "names driver Ghost" "registered 2 times"
-		{ID: "fig11b", Driver: "Fig11"},  // want "registered 2 times"
-		{ID: "fig12", Driver: dynDriver}, // want "not a constant string"
+		{ID: "fig10", Run: Fig10},
+		{ID: "fig11", Run: Fig11},
+		{ID: "fig11b", Run: Fig11},                                    // want "driver Fig11 is registered 2 times"
+		{ID: "fig10", Run: helperTable},                               // want "names unexported helperTable" "figure id \"fig10\" registered 2 times"
+		{ID: "fig12", Run: func() *regstats.Table { return Fig10() }}, // want "Run is a closure"
+		{ID: "fig13", Run: dynRun},                                    // want "Run is not a driver"
 	}
 }

@@ -140,9 +140,14 @@ implementation drift.
 registry that binds each figure id to its driver, paper reference,
 claim and shape check. Every driver has one signature,
 ` + "`func(Options) (*stats.Table, error)`" + `, and is its registry entry's
-` + "`Run`" + `: the table is the figure's only output, so the shape check,
-` + "`zngfig`" + `, the examples and these docs all read the same cells, and
-the test suite requires every check to pass on a one-pair run.
+` + "`Run`" + `, named there once: the inventory below and the figure
+benchmarks print the name of the function ` + "`Run`" + ` is. The table is the
+figure's only output, so the shape check, ` + "`zngfig`" + `, the examples and
+these docs all read the same cells. A check reads each cell by row
+label and column header, never by position, and its first failed read
+(a missing row or column, a non-numeric cell) is its FAIL verdict; the
+test suite requires every check to pass on a one-pair run and to FAIL
+on a table that breaks its shape.
 Drivers run their cells through an injectable ` + "`Runner`" + ` carried by
 ` + "`Options`" + ` — by default an in-memory single-flight memo keyed by
 (platform, mix ID, scale, config); the mix participates through its
@@ -241,9 +246,11 @@ run on a store-backed coordinator checkpoint themselves with one
 record per cell: the coordinator reads the content-addressed store
 before it dispatches any cell and writes every successful result
 back, so the only campaign document is the spec under the store
-(content-addressed campaign id = SHA-256 of the canonical spec, its
-encoding guarded by the same canonical-key analyzer that guards the
-store codecs; atomic temp+rename writes). A restarted coordinator
+(content-addressed campaign id = SHA-256 of the spec with each
+override replaced by the configuration it applies, so spellings of one
+override that decode alike name one campaign, its encoding guarded by
+the same canonical-key analyzer that guards the store codecs; atomic
+temp+rename writes). A restarted coordinator
 resumes a half-finished sweep (` + "`/v1/campaigns/{id}/resume`" + `,
 ` + "`zngsweep -resume`" + `) by re-running whatever the store lacks — a
 failed cell included, since no error is ever persisted — and serving
@@ -285,10 +292,11 @@ analyzers see exactly what the compiler builds). Four analyzers:
 ` + "`internal/rng`" + ` and order-sensitive map iteration in the simulation
 and reporting core; *guardedby* checks fields annotated
 ` + "`guarded by mu`" + ` against an intraprocedural lock tracker in the
-concurrent serving layers; *registry* re-proves the figure
-driver/registry bijection and scenario reachability at type-check
-time; *canonicalkey* rejects interface, func, chan and
-unsortable-map fields in any type passed to ` + "`cellkey.Key`" + ` or
+concurrent serving layers; *registry* resolves each figure entry's
+` + "`Run`" + ` to an exported driver, re-proves the driver/registry
+bijection and checks scenario reachability at type-check time;
+*canonicalkey* rejects interface, func, chan and unsortable-map
+fields in any type passed to ` + "`cellkey.Key`" + ` or
 ` + "`report.EncodeResult`" + `, the two encoders content addresses ride on.
 ` + "`cmd/znglint ./...`" + ` runs the suite (CI gates on it), and the lint
 tests replay each analyzer against fixture packages with

@@ -61,17 +61,12 @@ func Experiments(o experiments.Options) ([]byte, DocStats, error) {
 		if err != nil {
 			return nil, ds, fmt.Errorf("%s: %w", f.ID, err)
 		}
-		// A nil Check renders as n/a and stays out of the tally, so
-		// the headline count and the per-figure verdicts can never
-		// disagree.
 		verdict := f.Verdict(t)
-		if f.Check != nil {
-			ds.Checked++
-			if verdict == experiments.VerdictPass {
-				ds.Passed++
-			} else {
-				ds.Failed++
-			}
+		ds.Checked++
+		if verdict == experiments.VerdictPass {
+			ds.Passed++
+		} else {
+			ds.Failed++
 		}
 		all = append(all, rendered{f, t, verdict})
 	}
@@ -142,7 +137,7 @@ func Design() []byte {
 		if f.ScaleFree {
 			inputs = "Table I config only"
 		}
-		inv.AddRow("`"+f.ID+"`", "`experiments."+f.Driver+"`", f.Ref, f.Title, inputs)
+		inv.AddRow("`"+f.ID+"`", "`experiments."+f.DriverName()+"`", f.Ref, f.Title, inputs)
 	}
 	b.WriteString(markdownTable(inv))
 	return []byte(b.String())

@@ -135,8 +135,8 @@ func TestDesignDocContent(t *testing.T) {
 		if !strings.Contains(s, "`"+f.ID+"`") {
 			t.Errorf("inventory missing %s", f.ID)
 		}
-		if !strings.Contains(s, "`experiments."+f.Driver+"`") {
-			t.Errorf("inventory missing driver %s", f.Driver)
+		if !strings.Contains(s, "`experiments."+f.DriverName()+"`") {
+			t.Errorf("inventory missing driver %s", f.DriverName())
 		}
 	}
 }

@@ -36,7 +36,7 @@ func TestBenchSmoke(t *testing.T) {
 	}
 	// BenchmarkFigures' sub-benchmarks, one subtest each.
 	for _, f := range experiments.Registry() {
-		smoke(f.Driver, benchFigure(f))
+		smoke(f.DriverName(), benchFigure(f))
 	}
 	smoke("ScaleSweep", BenchmarkScaleSweep)
 	smoke("Platforms", BenchmarkPlatforms)
