@@ -166,7 +166,7 @@ func main() {
 	}
 
 	fmt.Printf("platform:   %s\n", r.Kind)
-	fmt.Printf("workload:   %s = %s (scale %.2f)\n", r.Workload, mix.ID(), *scale)
+	fmt.Printf("workload:   %s = %s (scale %.2f)\n", mix.Name, mix.ID(), *scale)
 	fmt.Printf("IPC:        %.4f\n", r.IPC)
 	fmt.Printf("cycles:     %d (%.3f ms simulated)\n", r.Cycles, config.TicksToNs(r.Cycles)/1e6)
 	fmt.Printf("insts:      %d\n", r.Insts)

@@ -17,8 +17,8 @@ import (
 // existing store cold without a word, so a deliberate one comes with a
 // SchemaVersion bump and new values here.
 func TestKeyGolden(t *testing.T) {
-	if SchemaVersion != 5 {
-		t.Fatalf("SchemaVersion = %d; the golden keys below are for 5", SchemaVersion)
+	if SchemaVersion != 6 {
+		t.Fatalf("SchemaVersion = %d; the golden keys below are for 6", SchemaVersion)
 	}
 	cfg := config.Default()
 	cfg.Flash.Channels = 8
@@ -32,9 +32,9 @@ func TestKeyGolden(t *testing.T) {
 		cfg   config.Config
 		want  string
 	}{
-		{platform.ZnG, "bfs1+gaus", 2, config.Default(), "01667aca97490c6699cf10361ef16ce1819e26ed12357cb21ac8ff5db80c4414"},
-		{platform.HybridGPU, "bfs1", 0.05, config.Default(), "385520e9929a7f6999e7c4202d5b0f387f1355691ff9a09035002ed76dcb5ed5"},
-		{platform.ZnGBase, "oltp*2+fbfs", 1.28, cfg, "fafd286ba2712fb823efc615ddfdf7a873e166c0aab764dc8082a4a75bae310b"},
+		{platform.ZnG, "bfs1+gaus", 2, config.Default(), "2baaa59f23186fab1d7a4a13a7b8b46c279ebd65400759e48c196cd8f6fe8606"},
+		{platform.HybridGPU, "bfs1", 0.05, config.Default(), "84edfec9d0a48eb96f180676a6e639fb2a7d960adeba58b924f859b5fd8d2b08"},
+		{platform.ZnGBase, "oltp*2+fbfs", 1.28, cfg, "83f8706e7cbd24f311a4f0cc16c364befeb22cf27f16becd91ae987dbfe41716"},
 	} {
 		if got := Key(tc.kind, tc.mix, tc.scale, tc.cfg); got != tc.want {
 			t.Errorf("Key(%v, %q, %v) = %s, want %s", tc.kind, tc.mix, tc.scale, got, tc.want)

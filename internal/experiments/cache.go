@@ -51,7 +51,8 @@ type StatsReporter interface {
 // its canonical content identity: a Mix carries a component slice and
 // so cannot sit in a comparable map key itself, and keying on the ID
 // (rather than the display name) lets scenarios that alias the same
-// composition — consol-2 and bfs1-gaus, say — share one simulation.
+// composition — consol-2 and bfs1-gaus, say — share one simulation and
+// one result, which platform.RunMix labels with that ID.
 //
 // config.Config is a flat value type (no slices, maps or pointers), so
 // the whole configuration participates in the key by value; any sweep
@@ -107,13 +108,7 @@ func (c *Memo) Run(kind platform.Kind, mix workload.Mix, scale float64, cfg conf
 		}
 		c.mu.Unlock()
 		<-e.done
-		// Two scenario names may share one content ID; each caller gets
-		// the result labeled with the name it asked under.
-		res := e.res
-		if e.err == nil {
-			res.Workload = mix.Name
-		}
-		return res, e.err
+		return e.res, e.err
 	}
 	e := &runEntry{done: make(chan struct{})}
 	c.m[key] = e
@@ -131,14 +126,4 @@ func (c *Memo) Stats() RunnerStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return RunnerStats{Sims: c.sims, MemoryHits: c.memHits, Coalesced: c.coalesced}
-}
-
-// Reset drops all memoized results (and the stats counters).
-// Benchmarks that deliberately re-simulate use it; figure runs never
-// need to.
-func (c *Memo) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = map[runKey]*runEntry{}
-	c.sims, c.memHits, c.coalesced = 0, 0, 0
 }

@@ -109,28 +109,3 @@ func TestMemoIsolatedPerOptions(t *testing.T) {
 		t.Errorf("second lineage stats %+v, want its own single simulation", st)
 	}
 }
-
-func TestMemoReset(t *testing.T) {
-	o := TestOptions()
-	o.Scale = 0.013
-	memo := o.Runner.(*Memo)
-	if _, err := runCell(o, platform.GDDR5, o.Mixes[0].Name); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runCell(o, platform.GDDR5, o.Mixes[0].Name); err != nil {
-		t.Fatal(err)
-	}
-	if st := memo.Stats(); st.Sims != 1 || st.MemoryHits != 1 {
-		t.Fatalf("expected one simulation and one pure hit, got %+v", st)
-	}
-	memo.Reset()
-	if st := memo.Stats(); st != (RunnerStats{}) {
-		t.Errorf("stats after reset = %+v, want zeroes", st)
-	}
-	if _, err := runCell(o, platform.GDDR5, o.Mixes[0].Name); err != nil {
-		t.Fatal(err)
-	}
-	if st := memo.Stats(); st.Sims != 1 {
-		t.Errorf("post-reset run simulated %d cells, want 1 (memo was dropped)", st.Sims)
-	}
-}

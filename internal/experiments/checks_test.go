@@ -69,7 +69,7 @@ func TestShapeChecksFail(t *testing.T) {
 			"bfs1-gaus|0.3|0.2|100|10|9", "pr-gaus|0.4|0.3|50|10|9"),
 			"mean rdopt L2 hit rate 0.250 below base 0.350"},
 		{"fig13", shapeTable(`high \ low|0.01|0.05|0.2`, "0.1|0.7|0.7|0.7", "0.3|0.7|0|0.7"),
-			"threshold cell (high=0.3, low#2) collapsed to IPC 0"},
+			"threshold cell (high=0.3, low=0.05) collapsed to IPC 0"},
 		{"abl-writenet", shapeTable("workload|SWnet|FCnet|NiF|migrations (NiF)", "betw-back|0.5|0.5|0.5|0", "bfs4-back|0.5|0|0.5|0"),
 			"bfs4-back: FCnet IPC 0, want positive"},
 		{"abl-consolidation", shapeTable("mix|degree|HybridGPU|ZnG|HybridGPU (vs solo)|ZnG (vs solo)",
@@ -85,7 +85,7 @@ func TestShapeChecksFail(t *testing.T) {
 		{"fig10", shapeTable("workload|HybridGPU|ZnG", "AVERAGE|0.2|1"), `no column "ZnG-base"`},
 		{"fig11", shapeTable("workload|HybridGPU|ZnG", "bfs1-gaus|3|8"), `no row "AVERAGE"`},
 		{"fig5a", shapeTable("workload|GDDR5 IPC|direct Z-NAND IPC|degradation (x)", "bfs1-gaus|1|0.1|n/a"),
-			`cell (0,3) "n/a" is not numeric`},
+			`row "bfs1-gaus", column "degradation (x)": "n/a" is not numeric`},
 	}
 	broken := map[string]bool{}
 	for _, tc := range cases {

@@ -260,40 +260,34 @@ func (c *cells) labels() []string {
 	return out
 }
 
-// at finds the cell in column col of the first row labelled row, with
-// its position. A cell a short row omits reads "", so a malformed
-// table fails a check instead of panicking it.
-func (c *cells) at(row, col string) (s string, r, k int) {
+// str reads the cell in column col of the first row labelled row. A
+// cell a short row omits reads "", so a malformed table fails a check
+// instead of panicking it.
+func (c *cells) str(row, col string) string {
 	if c.err != nil {
-		return "", 0, 0
+		return ""
 	}
-	r, k = slices.Index(c.labels(), row), slices.Index(c.t.Header(), col)
+	r, k := slices.Index(c.labels(), row), slices.Index(c.t.Header(), col)
 	switch {
 	case r < 0:
 		c.err = fmt.Errorf("no row %q", row)
 	case k < 0:
 		c.err = fmt.Errorf("no column %q", col)
 	case k < len(c.t.Row(r)):
-		s = c.t.Cell(r, k)
+		return c.t.Cell(r, k)
 	}
-	return s, r, k
-}
-
-// str reads the cell in column col of row row.
-func (c *cells) str(row, col string) string {
-	s, _, _ := c.at(row, col)
-	return s
+	return ""
 }
 
 // num reads the cell in column col of row row as a number.
 func (c *cells) num(row, col string) float64 {
-	s, r, k := c.at(row, col)
+	s := c.str(row, col)
 	if c.err != nil {
 		return 0
 	}
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
-		c.err = fmt.Errorf("cell (%d,%d) %q is not numeric", r, k, s)
+		c.err = fmt.Errorf("row %q, column %q: %q is not numeric", row, col, s)
 		return 0
 	}
 	return v
@@ -446,9 +440,9 @@ func checkFig12(t *stats.Table) error {
 func checkFig13(t *stats.Table) error {
 	c := cells{t: t}
 	for _, hi := range c.labels() {
-		for i, lo := range t.Header()[1:] {
+		for _, lo := range t.Header()[1:] {
 			v := c.num(hi, lo)
-			c.require(v > 0, "threshold cell (high=%s, low#%d) collapsed to IPC %v", hi, i+1, v)
+			c.require(v > 0, "threshold cell (high=%s, low=%s) collapsed to IPC %v", hi, lo, v)
 		}
 	}
 	return c.err

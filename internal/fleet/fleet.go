@@ -294,7 +294,8 @@ func (c *Coordinator) Gauges() Gauges {
 }
 
 // Run implements campaign.Runner over the store and the fleet: a cell
-// the store holds is answered from it; any other cell is dispatched to
+// the store holds is answered with its stored document, whichever
+// alias of the cell asked; any other cell is dispatched to
 // the live membership, falling back to the Local runner when the
 // fleet is empty or every peer faulted on the cell, and a successful
 // result is written to the store. A deterministic simulation error
@@ -325,12 +326,6 @@ func (c *Coordinator) run(sc obs.SpanContext, kind platform.Kind, mix workload.M
 	key := cellkey.Key(kind, mix.ID(), scale, cfg)
 	start := time.Now()
 	if r, ok := c.st.Get(key); ok {
-		// The stored document may carry the label of whoever first
-		// computed the cell (an aliasing scenario); relabel per request,
-		// as the serving layer does.
-		if mix.Name != "" {
-			r.Workload = mix.Name
-		}
 		c.tr.Observe(sc, "dispatch", "store", start, time.Since(start), nil)
 		return r, nil
 	}

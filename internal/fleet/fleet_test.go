@@ -50,7 +50,7 @@ func (r *stubRunner) Run(kind platform.Kind, mix workload.Mix, scale float64, cf
 	}
 	return platform.Result{
 		Kind:     kind,
-		Workload: mix.Name,
+		Workload: mix.ID(),
 		IPC:      float64(kind) + scale*float64(len(mix.ID())),
 		Cycles:   1000,
 		Insts:    500,
@@ -405,12 +405,12 @@ func TestResumeRerunsFailedCells(t *testing.T) {
 	}
 }
 
-// TestStoreHitRelabels: a store hit comes back under the name the
-// caller asked for, not the one whoever computed the cell stored —
-// consol-2 and bfs1-gaus share one cell. Traced, the write records a
+// TestStoreHitServesTheStoredDocument: consol-2 and bfs1-gaus share
+// one cell, so a store hit for the alias answers the document the
+// first name stored, byte for byte. Traced, the write records a
 // "store.write" span (not simsvc's "store.put") and the hit a
 // "dispatch" span with detail "store".
-func TestStoreHitRelabels(t *testing.T) {
+func TestStoreHitServesTheStoredDocument(t *testing.T) {
 	local := &stubRunner{}
 	tr := obs.New("coordinator", 64, 1)
 	st := mustStore(t, t.TempDir())
@@ -420,24 +420,29 @@ func TestStoreHitRelabels(t *testing.T) {
 		t.Fatalf("%s and %s no longer share a cell", computed.Name, alias.Name)
 	}
 	root := tr.StartRoot("test", "")
-	if _, err := co.RunTraced(root.Context(), platform.ZnG, computed, 0.5, config.Default()); err != nil {
+	first, err := co.RunTraced(root.Context(), platform.ZnG, computed, 0.5, config.Default())
+	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := co.RunTraced(root.Context(), platform.ZnG, alias, 0.5, config.Default())
+	hit, err := co.RunTraced(root.Context(), platform.ZnG, alias, 0.5, config.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if local.Calls() != 1 {
 		t.Errorf("local calls = %d, want 1 (the alias is a store hit)", local.Calls())
 	}
-	if res.Workload != alias.Name {
-		t.Errorf("store hit labeled %q, want %q", res.Workload, alias.Name)
+	key := cellkey.Key(platform.ZnG, alias.ID(), 0.5, config.Default())
+	stored, err := os.ReadFile(st.Path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc := report.EncodeResult(hit); !bytes.Equal(doc, stored) || !bytes.Equal(report.EncodeResult(first), stored) {
+		t.Errorf("store hit answered\n%s\nfirst run answered\n%s\nstore holds\n%s", doc, report.EncodeResult(first), stored)
 	}
 	spans := map[string]int{}
 	for _, r := range tr.Trace(root.Context().Trace) {
 		spans[r.Name+"/"+r.Detail]++
 	}
-	key := cellkey.Key(platform.ZnG, alias.ID(), 0.5, config.Default())
 	want := map[string]int{"dispatch/local": 1, "store.write/" + key: 1, "dispatch/store": 1}
 	if !reflect.DeepEqual(spans, want) {
 		t.Errorf("spans = %v, want %v", spans, want)

@@ -104,7 +104,7 @@ func (k Kind) String() string {
 // Result summarizes one simulation.
 type Result struct {
 	Kind     Kind
-	Workload string // mix name (or ad-hoc label) the platform ran
+	Workload string // the mix's content ID (RunMix), or RunApps' label
 	IPC      float64
 	Cycles   sim.Tick
 	Insts    uint64
@@ -124,42 +124,40 @@ type Result struct {
 // FlashArrayGBps reports combined array bandwidth.
 func (r Result) FlashArrayGBps() float64 { return r.FlashReadGBps + r.FlashWriteGBps }
 
-// SimInstsPerSec reports simulated instruction throughput: retired
-// instructions over simulated (not host) time. Unlike wall-clock
-// rates it is deterministic, so figures may render it.
-func (r Result) SimInstsPerSec() float64 {
-	ns := config.TicksToNs(r.Cycles)
-	if ns <= 0 {
-		return 0
-	}
-	return float64(r.Insts) / (ns * 1e-9)
-}
-
 // maxEvents caps a single simulation; hitting it means a deadlock or
 // runaway configuration, which is a bug worth failing loudly on.
 const maxEvents = 600_000_000
 
 // RunMix simulates one platform on one workload mix at the given trace
-// scale and returns its measurements. Any registered scenario or
-// ad-hoc composition runs through here; co-resident apps split the SMs
-// evenly, each in its own address space.
+// scale and returns its measurements, labelled with the mix's content
+// ID: the cell key hashes that ID, so aliasing scenarios (consol-2 and
+// bfs1-gaus) get one result whichever name asked. Any registered
+// scenario or ad-hoc composition runs through here; co-resident apps
+// split the SMs evenly, each in its own address space.
 func RunMix(kind Kind, mix workload.Mix, scale float64, cfg config.Config) (Result, error) {
 	apps, err := mix.Apps(scale)
 	if err != nil {
 		return Result{}, err
 	}
-	return RunApps(kind, mix.Name, apps, cfg)
+	return RunApps(kind, mix.ID(), apps, cfg)
 }
 
-// RunApps simulates one platform running the given already-built apps.
-// It refuses a cfg that config.Config.Validate rejects before building
-// anything.
+// RunApps simulates one platform running the given already-built apps
+// and labels the result's Workload with label. It refuses a cfg that
+// config.Config.Validate rejects before building anything, and returns
+// a model panic, such as a valid flash that the trace outgrows
+// ("ftl: plane out of data blocks"), as an error naming the platform.
 func RunApps(kind Kind, label string, apps []*workload.App, cfg config.Config) (Result, error) {
 	return runApps(kind, label, apps, cfg, maxEvents)
 }
 
 // runApps is RunApps stopping the simulation after limit events.
-func runApps(kind Kind, label string, apps []*workload.App, cfg config.Config, limit uint64) (Result, error) {
+func runApps(kind Kind, label string, apps []*workload.App, cfg config.Config, limit uint64) (r Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			r, err = Result{}, fmt.Errorf("platform %v: %v", kind, p)
+		}
+	}()
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}

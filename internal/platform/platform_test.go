@@ -177,7 +177,8 @@ func TestPlaneWritesRecorded(t *testing.T) {
 
 func TestRunMixHigherDegrees(t *testing.T) {
 	// The scenario subsystem's contract: solo and degree-4 mixes run on
-	// the same entry point as the paper pairs.
+	// the same entry point as the paper pairs, and each result names
+	// its mix by content.
 	for _, name := range []string{"solo-bfs1", "consol-4", "oltp-bfs1"} {
 		m, err := workload.MixByName(name)
 		if err != nil {
@@ -187,8 +188,8 @@ func TestRunMixHigherDegrees(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if r.IPC <= 0 || r.Workload != name {
-			t.Errorf("%s: IPC=%v workload=%q", name, r.IPC, r.Workload)
+		if r.IPC <= 0 || r.Workload != m.ID() {
+			t.Errorf("%s: IPC=%v workload=%q, want %q", name, r.IPC, r.Workload, m.ID())
 		}
 	}
 }
@@ -200,17 +201,6 @@ func TestRunMixTooManyApps(t *testing.T) {
 	if _, err := RunMix(ZnG, m, 0.05, cfg); err == nil {
 		t.Error("want error when apps exceed SMs")
 	}
-}
-
-// runMixGuarded is RunMix turning a panic into an error.
-func runMixGuarded(k Kind, m workload.Mix, cfg config.Config) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("panic: %v", p)
-		}
-	}()
-	_, err = RunMix(k, m, 0.05, cfg)
-	return err
 }
 
 // TestRunMixRejectsUnindexableCache: a cache geometry the tag store
@@ -230,7 +220,7 @@ func TestRunMixRejectsUnindexableCache(t *testing.T) {
 		cfg := testCfg()
 		tc.mutate(&cfg)
 		for _, k := range []Kind{HybridGPU, ZnG} {
-			if err := runMixGuarded(k, m, cfg); err == nil || err.Error() != tc.want {
+			if _, err := RunMix(k, m, 0.05, cfg); err == nil || err.Error() != tc.want {
 				t.Errorf("%s on %v: err = %v, want %q", tc.name, k, err, tc.want)
 			}
 		}
@@ -264,7 +254,7 @@ func TestRunMixRejectsNegativeLatencies(t *testing.T) {
 		f.v.SetInt(-1)
 		want := "config: " + f.path + " -1, want [0, 4294967296]"
 		for _, k := range AllKinds() {
-			if err := runMixGuarded(k, m, cfg); err == nil || err.Error() != want {
+			if _, err := RunMix(k, m, 0.05, cfg); err == nil || err.Error() != want {
 				t.Errorf("%s = -1 on %v: err = %v, want %q", f.path, k, err, want)
 			}
 		}
@@ -283,7 +273,7 @@ func TestRunMixRejectsUnusableBandwidthsAndRegisters(t *testing.T) {
 	check := func(cfg config.Config, path, value string) {
 		want := "config: " + path + " " + value + ", want ["
 		for _, k := range AllKinds() {
-			if err := runMixGuarded(k, m, cfg); err == nil || !strings.HasPrefix(err.Error(), want) {
+			if _, err := RunMix(k, m, 0.05, cfg); err == nil || !strings.HasPrefix(err.Error(), want) {
 				t.Errorf("%s = %s on %v: err = %v, want one starting %q", path, value, k, err, want)
 			}
 		}

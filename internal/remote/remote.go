@@ -117,10 +117,9 @@ type envelope struct {
 // Run implements the Runner interface against the peer: submit the
 // cell asynchronously with a wait, long-poll its job if it outlasts
 // the wait (every round trip bounded by the client timeout, so a
-// wedged peer faults instead of hanging), decode the canonical result
-// document, and relabel it with the caller's mix name (aliasing
-// scenarios share the remote cell but keep their own labels, matching
-// the local runners' contract).
+// wedged peer faults instead of hanging), and decode the canonical
+// result document: the bytes a local runner would encode, whichever
+// alias of the cell asked.
 func (c *Client) Run(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
 	r, _, err := c.run(obs.SpanContext{}, kind, mix, scale, cfg)
 	return r, err
@@ -191,9 +190,6 @@ func (c *Client) run(sc obs.SpanContext, kind platform.Kind, mix workload.Mix, s
 	r, err := report.DecodeResult(env.Result)
 	if err != nil {
 		return platform.Result{}, nil, &PeerError{Peer: c.base, Err: err}
-	}
-	if mix.Name != "" {
-		r.Workload = mix.Name
 	}
 	return r, env.Spans, nil
 }

@@ -14,9 +14,8 @@ import (
 // scenario name) or Apps (zngsim's ad-hoc composition syntax, e.g.
 // "bfs1,gaus*1.5") selects the workload. Client sends the cell's mix
 // as Apps, derived from its content ID, so unregistered compositions
-// work and a registered scenario resolves to the same cell key on the
-// peer; the caller relabels the returned result with its own display
-// name.
+// work and a registered scenario resolves to the same cell key, and
+// the same result document, on the peer.
 type RunRequest struct {
 	Platform string
 	Mix      string

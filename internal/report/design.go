@@ -152,8 +152,12 @@ Drivers run their cells through an injectable ` + "`Runner`" + ` carried by
 ` + "`Options`" + ` — by default an in-memory single-flight memo keyed by
 (platform, mix ID, scale, config); the mix participates through its
 canonical content identity, so scenarios aliasing the same
-composition coalesce — and the full figure suite performs each unique
-simulation exactly once per runner.
+composition share one simulation and one result, labelled with that
+ID by ` + "`platform.RunMix`" + ` and by no runner after it — and the full figure
+suite performs each unique simulation exactly once per runner. A
+model panic, such as a trace that outgrows a valid flash, is
+` + "`platform.RunMix`" + `'s error naming the platform: one failed cell on every
+runner.
 ` + "`internal/stats`" + ` provides counters, breakdowns and the
 deterministic table type every driver returns; ` + "`internal/report`" + `
 renders those tables to Markdown/CSV/JSON (plus the canonical
@@ -190,7 +194,7 @@ SSD-resident data with a page cache: ` + "`internal/restier`" + ` keeps a
 capacity-bounded LRU of decoded result documents over the store, so
 lookups resolve memory, then disk (promoting the hit), then
 simulation — and a cell's document is byte-identical no matter which
-tier answered, because the tier only moves the exact stored encoding
+tier answered or which alias asked: a tier only moves the stored bytes
 closer. Admission is bounded too: past a configurable pending-queue
 depth the service refuses new simulation work with an overload error
 the HTTP layer maps to 429 plus a Retry-After estimate derived from

@@ -18,7 +18,7 @@ import (
 //
 //	{
 //	  "kind": "ZnG",
-//	  "workload": "bfs1-gaus",
+//	  "workload": "bfs1+gaus",
 //	  "ipc": 0.5,
 //	  "cycles": 123,
 //	  "insts": 456,

@@ -312,16 +312,12 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 		// round trip. JobResult snapshots status and result from the
 		// one job it resolved, so retention eviction between the two
 		// (or during the wait) cannot reply "done" without the document.
-		// The result is relabeled to the job's workload, matching the
-		// sync run path — a disk-served cell may carry the label of
-		// whoever first computed it, possibly an aliasing scenario.
+		// The document is the cell's, whichever alias asked; the job's
+		// "workload" names the scenario of the request that admitted it.
 		job, res, ok := svc.JobResult(r.Context(), id, wait)
 		if !ok {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 			return
-		}
-		if job.Workload != "" {
-			res.Workload = job.Workload
 		}
 		writeRun(w, http.StatusOK, jobReply(tr, r, job, res))
 	})

@@ -29,7 +29,7 @@ func newTestServer(t *testing.T, sim SimFunc) (*httptest.Server, *Service) {
 
 func fixedSim(ipc float64) SimFunc {
 	return func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
-		return platform.Result{Kind: kind, Workload: mix.Name, IPC: ipc, Cycles: 1000, Insts: 500}, nil
+		return platform.Result{Kind: kind, Workload: mix.ID(), IPC: ipc, Cycles: 1000, Insts: 500}, nil
 	}
 }
 
@@ -62,7 +62,7 @@ func TestAPIRunSync(t *testing.T) {
 	if err := json.Unmarshal(doc["result"], &result); err != nil {
 		t.Fatal(err)
 	}
-	if result.IPC != 3.25 || result.Workload != "betw-back" || result.Kind != "ZnG" {
+	if result.IPC != 3.25 || result.Workload != "betw+back" || result.Kind != "ZnG" {
 		t.Errorf("result = %+v", result)
 	}
 	var job JobInfo

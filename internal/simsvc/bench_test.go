@@ -13,8 +13,8 @@ import (
 
 // BenchmarkServiceThroughput measures end-to-end request throughput
 // against a warmed store at TestOptions scale: every request pays the
-// full serving path — content-address hashing, submit, job lookup,
-// result relabel — and is satisfied without simulating. This is the
+// full serving path — content-address hashing, submit, job lookup —
+// and is satisfied without simulating. This is the
 // baseline trajectory for future scaling work (sharding, batching,
 // multi-node): the serving overhead a hit costs, as requests/sec.
 func BenchmarkServiceThroughput(b *testing.B) {

@@ -73,8 +73,9 @@ var ErrClosed = errors.New("simsvc: service closed")
 // translates this to 429 with a Retry-After header).
 var ErrOverloaded = errors.New("simsvc: service overloaded: pending queue is full")
 
-// SimFunc computes one cell. The default is platform.RunMix; tests
-// inject stubs to pin scheduling behavior without paying for
+// SimFunc computes one cell. The default is platform.RunMix, which
+// returns a model panic as an error; a worker does not recover one.
+// Tests inject stubs to pin scheduling behavior without paying for
 // simulations.
 type SimFunc func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error)
 
@@ -409,11 +410,11 @@ func (s *Service) submit(req Request) (*job, string, error) {
 	return j, "", nil
 }
 
-// Do is the synchronous request path: submit, wait, and relabel the
-// result with the name the caller asked under (aliasing scenarios
-// share cells but keep their own labels, matching the experiments
-// memo's contract). Do holds the job directly, so MaxJobs retention
-// can never evict a result out from under a waiting caller.
+// Do is the synchronous request path: submit and wait. The result is
+// the cell's one document whichever name asked for it (aliasing
+// scenarios share a cell, and platform.RunMix labels its result with
+// the mix's content ID). Do holds the job directly, so MaxJobs
+// retention can never evict a result out from under a waiting caller.
 func (s *Service) Do(req Request) (platform.Result, error) {
 	res, _, err := s.DoJob(req)
 	return res, err
@@ -436,20 +437,15 @@ func (s *Service) DoJob(req Request) (platform.Result, JobInfo, error) {
 	if served != "" {
 		info.Source = served
 	}
-	res := j.res
-	if j.err == nil && req.Mix.Name != "" {
-		res.Workload = req.Mix.Name
-	}
-	return res, info, j.err
+	return j.res, info, j.err
 }
 
 // SubmitWait is DoJob for async callers: it admits req and waits up to
 // d (d <= 0: not at all) for the job to finish, returning early when
 // ctx ends. The snapshot's state says whether the job finished; it is
 // taken from the held job, so retention cannot evict the outcome out
-// from under the wait. Once the job is done the result is set and
-// relabeled as DoJob's is; the error is the admission failure or, for
-// a failed job, the job's own.
+// from under the wait. Once the job is done the result is set; the
+// error is the admission failure or, for a failed job, the job's own.
 func (s *Service) SubmitWait(ctx context.Context, req Request, d time.Duration) (platform.Result, JobInfo, error) {
 	j, served, err := s.submit(req)
 	if err != nil {
@@ -467,11 +463,7 @@ func (s *Service) SubmitWait(ctx context.Context, req Request, d time.Duration) 
 	// lock-free once it says the job finished.
 	switch info.State {
 	case StateDone:
-		res := j.res
-		if req.Mix.Name != "" {
-			res.Workload = req.Mix.Name
-		}
-		return res, info, nil
+		return j.res, info, nil
 	case StateError:
 		return platform.Result{}, info, j.err
 	}
@@ -656,7 +648,7 @@ func (s *Service) worker() {
 			simSpan = s.tr.StartSpan(j.trace, "sim", j.req.Kind.String()+"/"+j.req.Mix.ID())
 		}
 		start := time.Now()
-		r, err := s.runCell(j)
+		r, err := s.sim(j.req.Kind, j.req.Mix, j.req.Scale, j.req.Cfg)
 		simDur := time.Since(start)
 		simSpan.EndErr(err)
 		persisted := false
@@ -675,27 +667,14 @@ func (s *Service) worker() {
 			}
 		} else {
 			// Every error that reaches a worker is deterministic — the
-			// simulator is a pure function of the cell, and runCell folds
-			// panics into errors — so cache it: repeat requests for the
-			// cell replay the failure from the tier without a worker.
+			// simulator is a pure function of the cell, and
+			// platform.RunMix returns a model panic as an error — so cache
+			// it: repeat requests for the cell replay the failure from the
+			// tier without a worker.
 			s.tier.PutNegative(j.key, err.Error())
 		}
 		s.finish(j, r, err, "sim", persisted, simDur)
 	}
-}
-
-// runCell invokes the simulator for one job, converting a panic —
-// e.g. a valid configuration whose flash the trace outgrows ("plane
-// out of data blocks"; a value outside its declared range never gets
-// here) — into a deterministic job error instead of killing the
-// worker goroutine and with it the whole daemon.
-func (s *Service) runCell(j *job) (r platform.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("simsvc: simulation panicked: %v", p)
-		}
-	}()
-	return s.sim(j.req.Kind, j.req.Mix, j.req.Scale, j.req.Cfg)
 }
 
 // finish publishes a job's outcome, wakes its waiters, and evicts

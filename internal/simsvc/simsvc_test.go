@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,7 +57,7 @@ func (s *stubSim) fn(kind platform.Kind, mix workload.Mix, scale float64, cfg co
 	}
 	r := s.res
 	r.Kind = kind
-	r.Workload = mix.Name
+	r.Workload = mix.ID() // as platform.RunMix labels it
 	return r, s.err
 }
 
@@ -219,16 +218,16 @@ func TestDiskRoundTripAcrossRestart(t *testing.T) {
 	}
 
 	// The aliasing contract survives the disk path too: consol-2 has
-	// the same content ID and must hit the same entry under its own
-	// label.
+	// the same content ID, so it hits the same entry and is answered
+	// the same document.
 	alias := req
 	alias.Mix = testMix(t, "consol-2")
 	r3, err := svc2.Do(alias)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.Workload != "consol-2" {
-		t.Errorf("alias label = %q, want consol-2", r3.Workload)
+	if got, want := report.EncodeResult(r3), report.EncodeResult(r1); !bytes.Equal(got, want) {
+		t.Errorf("alias served\n%s\nwant\n%s", got, want)
 	}
 	if sim2.count() != 0 {
 		t.Error("alias request simulated; want shared cell")
@@ -649,25 +648,30 @@ func TestJobResultSingleLookup(t *testing.T) {
 	}
 }
 
-// TestPanickingSimulationBecomesJobError: a panic inside a simulation
-// — reachable from outside via zngd's arbitrary "config" request
-// field — must fail that job deterministically, not kill the worker
-// (and with it the daemon).
+// TestPanickingSimulationBecomesJobError: a configuration that
+// config.Validate accepts but whose flash the trace outgrows (one plane
+// of nine 16-page blocks; reachable from outside through zngd's
+// "config" request field) panics in the FTL, and the simulator's error
+// for it fails that job, replayed without a simulation on a repeat,
+// instead of killing the worker and with it the daemon.
 func TestPanickingSimulationBecomesJobError(t *testing.T) {
-	boom := func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
-		if cfg.GPU.SMs == 0 {
-			panic("integer divide by zero")
-		}
-		return platform.Result{IPC: 1}, nil
-	}
-	svc := New(Config{Workers: 1, Simulate: boom})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
-	bad := config.Config{}
-	if _, err := svc.Do(Request{Kind: platform.ZnG, Mix: testMix(t, "solo-bfs1"), Scale: 0.5, Cfg: bad}); err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("panicking cell error = %v, want a simulation-panicked job error", err)
+	tiny := config.Default()
+	tiny.Flash.Channels, tiny.Flash.DiesPerPkg, tiny.Flash.PlanesPerDie = 1, 1, 1
+	tiny.Flash.BlocksPerPl, tiny.Flash.PagesPerBlock = 9, 16
+	bad := Request{Kind: platform.ZnG, Mix: testMix(t, "betw-back"), Scale: 0.05, Cfg: tiny}
+	const want = "platform ZnG: ftl: plane out of data blocks (working set exceeds capacity)"
+	for range 2 {
+		if _, err := svc.Do(bad); err == nil || err.Error() != want {
+			t.Fatalf("outgrown flash = %v, want the job error %q", err, want)
+		}
+	}
+	if st := svc.Stats(); st.Sims != 1 || st.MemoryHits != 1 {
+		t.Errorf("stats = %+v, want one simulation and a replayed failure", st)
 	}
 	// The worker survived: a sane request on the same service works.
-	if r, err := svc.Do(Request{Kind: platform.ZnG, Mix: testMix(t, "solo-bfs1"), Scale: 0.5, Cfg: config.Default()}); err != nil || r.IPC != 1 {
-		t.Fatalf("service dead after panic: %v, %+v", err, r)
+	if r, err := svc.Do(Request{Kind: platform.GDDR5, Mix: testMix(t, "solo-bfs1"), Scale: 0.02, Cfg: config.Default()}); err != nil || !(r.IPC > 0) {
+		t.Fatalf("service dead after the failed cell: %v, %+v", err, r)
 	}
 }

@@ -23,7 +23,7 @@ func gatedSim() (sim SimFunc, open func()) {
 	var once sync.Once
 	return func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
 		<-gate
-		return platform.Result{Kind: kind, Workload: mix.Name, IPC: 7, Cycles: 1000, Insts: 500}, nil
+		return platform.Result{Kind: kind, Workload: mix.ID(), IPC: 7, Cycles: 1000, Insts: 500}, nil
 	}, func() { once.Do(func() { close(gate) }) }
 }
 
@@ -126,14 +126,14 @@ func TestAPIWaitingRunAndPoll(t *testing.T) {
 	}
 
 	// A cell that finishes within the submit's wait is answered by the
-	// POST: 200, the result relabeled for this caller, no poll needed.
+	// POST: 200 with the cell's document, no poll needed.
 	resp = post("?wait=10s", `{"platform":"ZnG","mix":"consol-2","scale":0.5,"async":true}`)
 	doc = decodeJobDoc(t, resp)
 	if resp.StatusCode != http.StatusOK || doc.Job.State != StateDone {
 		t.Fatalf("quick waiting run = %d, job %+v; want 200 done", resp.StatusCode, doc.Job)
 	}
-	if err := json.Unmarshal(doc.Result, &res); err != nil || res.IPC != 7 || res.Workload != "consol-2" {
-		t.Fatalf("waiting run result = %+v (%v), want IPC 7 labeled consol-2", res, err)
+	if err := json.Unmarshal(doc.Result, &res); err != nil || res.IPC != 7 || res.Workload != "bfs1+gaus" {
+		t.Fatalf("waiting run result = %+v (%v), want IPC 7 labeled bfs1+gaus", res, err)
 	}
 
 	// Done at admission: the memory layer answers, attributed as such.

@@ -40,9 +40,6 @@ func (t *Table) AddRow(cells ...any) {
 // Rows reports the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
 
-// Cols reports the number of columns (the header width).
-func (t *Table) Cols() int { return len(t.header) }
-
 // Title returns the table title.
 func (t *Table) Title() string { return t.title }
 

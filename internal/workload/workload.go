@@ -287,9 +287,6 @@ func oltpTxnReads(ratio float64) int {
 	return k
 }
 
-// Remaining reports how many memory instructions the stream still has.
-func (s *Stream) Remaining() int { return s.app.instPerWK - s.step }
-
 // Next returns the next instruction, or ok=false at stream end.
 func (s *Stream) Next() (inst Inst, ok bool) {
 	if s.step >= s.app.instPerWK {
