@@ -16,6 +16,7 @@ import (
 	"zng/internal/config"
 	"zng/internal/experiments"
 	"zng/internal/platform"
+	"zng/internal/simsvc"
 	"zng/internal/workload"
 )
 
@@ -34,14 +35,17 @@ func BenchmarkFigures(b *testing.B) {
 	}
 }
 
-// benchFigure times one figure's driver on a fresh memo each
-// iteration, so every iteration simulates its whole grid.
+// benchFigure times one figure's driver on a fresh memory-only
+// service each iteration, so every iteration simulates its whole grid.
 func benchFigure(f experiments.Figure) func(*testing.B) {
 	return func(b *testing.B) {
 		o := benchOptions()
 		for i := 0; i < b.N; i++ {
-			o.Runner = experiments.NewMemo()
-			if _, err := f.Run(o); err != nil {
+			svc := simsvc.New(simsvc.Config{})
+			o.Runner = svc
+			_, err := f.Run(o)
+			svc.Close()
+			if err != nil {
 				b.Fatal(err)
 			}
 		}

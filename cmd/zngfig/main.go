@@ -18,10 +18,10 @@
 // figure (<id>.<format>) into a directory instead of printing. Without
 // either, figures print as plain text tables.
 //
-// The figure drivers share one simulation runner per invocation: any
+// The figure drivers share one simsvc service per invocation: any
 // (kind, mix, scale, config) cell is simulated once no matter how
 // many figures need it, which is what makes `-fig all` tractable at
-// full scale. With -cache DIR the runner is the persistent
+// full scale. With -cache DIR the service is backed by the persistent
 // content-addressed store shared with zngsim and the zngd daemon, so
 // cells survive across invocations too. -v reports per-figure
 // wall-clock and the dedup ratio (memory vs disk hits).
@@ -41,7 +41,6 @@ import (
 	"strings"
 	"time"
 
-	"zng/internal/campaign"
 	"zng/internal/experiments"
 	"zng/internal/report"
 	"zng/internal/simsvc"
@@ -53,7 +52,7 @@ import (
 func main() {
 	var (
 		fig      = flag.String("fig", "all", "figure id to regenerate, or all, or docs")
-		scale    = flag.Float64("scale", experiments.DefaultScale, "trace scale (1.0 = Table II budgets)")
+		scale    = flag.Float64("scale", workload.DefaultScale, "trace scale (1.0 = Table II budgets)")
 		mixesCS  = flag.String("mixes", "", "comma-separated workload scenarios (default: the 12 paper pairs)")
 		workers  = flag.Int("workers", 0, "parallel simulations (0 = NumCPU)")
 		outDir   = flag.String("out", "", "write figures to this directory instead of stdout")
@@ -63,19 +62,17 @@ func main() {
 	)
 	flag.Parse()
 
-	// With -cache the figure suite runs through the store-backed
-	// service (the same code path zngsim and zngd use); without it,
-	// DefaultOptions' in-memory memo already dedups within this run.
-	var runner campaign.Runner
+	// The figure suite runs through one simsvc service: memory-only, or
+	// with -cache backed by the persistent store zngsim and zngd share.
+	var st *store.Store
 	if *cacheDir != "" {
-		st, err := store.Open(*cacheDir)
-		if err != nil {
+		var err error
+		if st, err = store.Open(*cacheDir); err != nil {
 			fatal(err)
 		}
-		svc := simsvc.New(simsvc.Config{Store: st, Workers: *workers})
-		defer svc.Close()
-		runner = svc
 	}
+	svc := simsvc.New(simsvc.Config{Store: st, Workers: *workers})
+	defer svc.Close()
 
 	// Reject NaN and ±Inf along with non-positives: a non-finite scale
 	// would otherwise reach the store's key hasher, which cannot encode
@@ -105,9 +102,7 @@ func main() {
 		// `zngfig -fig docs` always reproduces the committed files;
 		// explicit flags still override for ad-hoc larger runs.
 		o := experiments.DocsOptions()
-		if runner != nil {
-			o.Runner = runner
-		}
+		o.Runner = svc
 		applyExplicitFlags(&o, *scale, *mixesCS, *workers)
 		dir := *outDir
 		if dir == "" {
@@ -121,14 +116,14 @@ func main() {
 			}
 		}
 		start := time.Now()
-		ds, err := report.WriteDocs(dir, o)
+		ds, err := experiments.WriteDocs(dir, o)
 		if err != nil {
 			fatal(err)
 		}
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "zngfig: docs -> %s in %v (%d/%d shape checks pass)\n",
 				dir, time.Since(start).Round(time.Millisecond), ds.Passed, ds.Checked)
-			reportRunner(o.Runner)
+			reportRunner(svc)
 		}
 		// The docs record FAIL verdicts honestly, but the run itself
 		// must go red so a shape regression cannot land with green CI.
@@ -139,9 +134,7 @@ func main() {
 	}
 
 	o := experiments.DefaultOptions()
-	if runner != nil {
-		o.Runner = runner
-	}
+	o.Runner = svc
 	applyExplicitFlags(&o, *scale, *mixesCS, *workers)
 
 	ids := []string{*fig}
@@ -178,7 +171,7 @@ func main() {
 		}
 	}
 	if *verbose {
-		reportRunner(o.Runner)
+		reportRunner(svc)
 	}
 }
 
@@ -250,15 +243,11 @@ func emit(t *stats.Table, id, outDir, format string) error {
 	return os.WriteFile(filepath.Join(outDir, id+"."+format), out, 0o644)
 }
 
-// reportRunner prints the dedup ratio of whatever runner the suite
-// ran under: how many cells actually simulated, and how the rest were
-// served (memory vs the persistent store vs coalesced onto a flight).
-func reportRunner(r campaign.Runner) {
-	sr, ok := r.(experiments.StatsReporter)
-	if !ok {
-		return
-	}
-	st := sr.Stats()
+// reportRunner prints the suite's dedup ratio: how many cells
+// actually simulated, and how the rest were served (memory vs the
+// persistent store vs coalesced onto a flight).
+func reportRunner(svc *simsvc.Service) {
+	st := svc.Stats()
 	fmt.Fprintf(os.Stderr, "zngfig: %d unique simulations, %d memory hits, %d disk hits, %d coalesced\n",
 		st.Sims, st.MemoryHits, st.DiskHits, st.Coalesced)
 }

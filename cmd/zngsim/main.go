@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"zng/internal/config"
-	"zng/internal/experiments"
 	"zng/internal/platform"
 	"zng/internal/simsvc"
 	"zng/internal/store"
@@ -56,7 +55,7 @@ func main() {
 		plat     = flag.String("platform", "ZnG", "platform: "+strings.Join(platform.KindNames(), ", "))
 		mixName  = flag.String("mix", "betw-back", "workload scenario name (see -list)")
 		apps     = flag.String("apps", "", "ad-hoc mix: comma-separated applications, e.g. bfs1,gaus,pr (overrides -mix)")
-		scale    = flag.Float64("scale", experiments.DefaultScale, "trace scale")
+		scale    = flag.Float64("scale", workload.DefaultScale, "trace scale")
 		cacheDir = flag.String("cache", "", "read-through/write-through persistent result store directory")
 		list     = flag.Bool("list", false, "list platforms, applications and scenarios")
 		profile  = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")

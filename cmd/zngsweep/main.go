@@ -33,10 +33,11 @@
 // A spec whose grid is over campaign.MaxCells (16,384) cells is
 // refused, from a file or from flags.
 //
-// In this process a campaign runs on the in-memory single-flight
-// memo, or with -cache DIR on the store-backed simsvc scheduler (cells
-// persist and dedupe across invocations and against zngd daemons
-// sharing the directory).
+// In this process a campaign runs on one simsvc service, which
+// simulates each unique cell once. It is memory-only by default; with
+// -cache DIR the persistent store backs it, so cells persist and
+// dedupe across invocations and against zngd daemons sharing the
+// directory.
 //
 // With -coordinator URL the campaign runs inside a zngd fleet
 // coordinator instead, which is the one way a sweep leaves this
@@ -76,7 +77,6 @@ import (
 
 	"zng/internal/campaign"
 	"zng/internal/config"
-	"zng/internal/experiments"
 	"zng/internal/obs"
 	"zng/internal/report"
 	"zng/internal/simsvc"
@@ -129,22 +129,16 @@ func main() {
 		tracer = obs.New("zngsweep", obs.DefaultCapacity, 1)
 	}
 
-	// Pick the local backend: the store-backed service or the
-	// in-memory memo. Both satisfy the same Runner interface.
-	var runner campaign.Runner
+	var st *store.Store
 	if *cacheDir != "" {
-		st, err := store.Open(*cacheDir)
-		if err != nil {
+		if st, err = store.Open(*cacheDir); err != nil {
 			fatal(err)
 		}
-		svc := simsvc.New(simsvc.Config{Store: st, Workers: *workers, Tracer: tracer})
-		defer svc.Close()
-		runner = svc
-	} else {
-		runner = experiments.NewMemo()
 	}
+	svc := simsvc.New(simsvc.Config{Store: st, Workers: *workers, Tracer: tracer})
+	defer svc.Close()
 
-	ex := campaign.Executor{Runner: runner, Workers: *workers, Tracer: tracer}
+	ex := campaign.Executor{Runner: svc, Workers: *workers, Tracer: tracer}
 	run, err := ex.Start(spec, config.Default())
 	if err != nil {
 		fatal(err)
@@ -178,11 +172,9 @@ func main() {
 
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "zngsweep: campaign finished in %v\n", time.Since(start).Round(time.Millisecond))
-		if sr, ok := runner.(experiments.StatsReporter); ok {
-			st := sr.Stats()
-			fmt.Fprintf(os.Stderr, "zngsweep: %d unique simulations, %d memory hits, %d disk hits, %d coalesced\n",
-				st.Sims, st.MemoryHits, st.DiskHits, st.Coalesced)
-		}
+		rs := svc.Stats()
+		fmt.Fprintf(os.Stderr, "zngsweep: %d unique simulations, %d memory hits, %d disk hits, %d coalesced\n",
+			rs.Sims, rs.MemoryHits, rs.DiskHits, rs.Coalesced)
 		printStages(tracer.Stages())
 	}
 	if err := out.Err(); err != nil {

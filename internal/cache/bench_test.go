@@ -30,8 +30,8 @@ func BenchmarkCacheAccess(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			eng := sim.NewEngine()
-			c := New(eng, cfg, mem.Func(func(r *mem.Request) { eng.Schedule(100, r, nil) }), "L2")
-			r := &mem.Request{Size: cfg.LineBytes}
+			c := New(eng, cfg, mem.Func(func(r *mem.Request) { eng.Schedule(100, r.Done, r) }), "L2")
+			r := &mem.Request{Size: cfg.LineBytes, Done: sim.Func(func() {})}
 			var n uint64
 			read := func() {
 				r.Addr = n % bc.span * bc.stride * uint64(cfg.LineBytes)

@@ -241,7 +241,7 @@ func (h allocated) Handle(arg any) {
 	if row, i := c.install(la, false); i >= 0 {
 		row[i] |= wDirty
 	}
-	c.eng.Schedule(c.cfg.WriteLat, r, nil)
+	c.eng.Schedule(c.cfg.WriteLat, r.Done, r)
 }
 
 func (h written) Handle(arg any) { h.c.reqs.Put(arg.(*mem.Request)) }
@@ -265,7 +265,7 @@ func (c *Cache) resolve(r *mem.Request, la uint64) {
 	if i >= 0 {
 		touch(row, i, wAccessed)
 		c.Hits.Inc()
-		c.eng.Schedule(c.cfg.ReadLat, r, nil)
+		c.eng.Schedule(c.cfg.ReadLat, r.Done, r)
 		return
 	}
 
@@ -294,7 +294,7 @@ func (c *Cache) resolveWrite(r *mem.Request, la uint64, row []uint64, i int) {
 		if i >= 0 && row[i]&wPinned != 0 {
 			touch(row, i, wDirty)
 			c.WriteHits.Inc()
-			c.eng.Schedule(c.cfg.WriteLat, r, nil)
+			c.eng.Schedule(c.cfg.WriteLat, r.Done, r)
 			return
 		}
 		if i >= 0 {
@@ -309,7 +309,7 @@ func (c *Cache) resolveWrite(r *mem.Request, la uint64, row []uint64, i int) {
 		c.WriteHits.Inc()
 		if c.cfg.WriteBack {
 			touch(row, i, wAccessed|wDirty)
-			c.eng.Schedule(c.cfg.WriteLat, r, nil)
+			c.eng.Schedule(c.cfg.WriteLat, r.Done, r)
 		} else {
 			// Write-through: update the line, forward the store.
 			touch(row, i, wAccessed)
@@ -353,7 +353,7 @@ func (c *Cache) fill(la uint64) {
 	}
 	c.install(la, false)
 	for w := waiters.Pop(); w != nil; w = waiters.Pop() {
-		c.eng.Schedule(c.cfg.ReadLat, w, nil)
+		c.eng.Schedule(c.cfg.ReadLat, w.Done, w)
 	}
 	c.drainOverflow()
 }
@@ -365,7 +365,7 @@ func (c *Cache) drainOverflow() {
 		if _, i := c.find(la); i >= 0 {
 			// Filled while queued: now a hit.
 			c.Hits.Inc()
-			c.eng.Schedule(c.cfg.ReadLat, r, nil)
+			c.eng.Schedule(c.cfg.ReadLat, r.Done, r)
 			continue
 		}
 		if slot, ok := c.mshrIdx.Get(la); ok {

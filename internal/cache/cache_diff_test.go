@@ -120,7 +120,7 @@ func (h refAllocated) Handle(arg any) {
 	if w := refFind(c.set(la), la); w >= 0 {
 		c.set(la)[w].dirty = true
 	}
-	c.eng.Schedule(c.cfg.WriteLat, r, nil)
+	c.eng.Schedule(c.cfg.WriteLat, r.Done, r)
 }
 
 func (h refWritten) Handle(arg any) { h.c.reqs.Put(arg.(*mem.Request)) }
@@ -143,7 +143,7 @@ func (c *refCache) resolve(r *mem.Request, la uint64) {
 		set[way].accessed = true
 		set[way].stamp = c.clock
 		c.Hits.Inc()
-		c.eng.Schedule(c.cfg.ReadLat, r, nil)
+		c.eng.Schedule(c.cfg.ReadLat, r.Done, r)
 		return
 	}
 	c.Misses.Inc()
@@ -165,7 +165,7 @@ func (c *refCache) resolveWrite(r *mem.Request, la uint64, set []refLine, way in
 			set[way].dirty = true
 			set[way].stamp = c.clock
 			c.WriteHits.Inc()
-			c.eng.Schedule(c.cfg.WriteLat, r, nil)
+			c.eng.Schedule(c.cfg.WriteLat, r.Done, r)
 			return
 		}
 		if way >= 0 {
@@ -182,7 +182,7 @@ func (c *refCache) resolveWrite(r *mem.Request, la uint64, set []refLine, way in
 		c.WriteHits.Inc()
 		if c.cfg.WriteBack {
 			ln.dirty = true
-			c.eng.Schedule(c.cfg.WriteLat, r, nil)
+			c.eng.Schedule(c.cfg.WriteLat, r.Done, r)
 		} else {
 			c.next.Access(r)
 		}
@@ -219,7 +219,7 @@ func (c *refCache) fill(la uint64) {
 	}
 	c.install(la, false)
 	for w := waiters.Pop(); w != nil; w = waiters.Pop() {
-		c.eng.Schedule(c.cfg.ReadLat, w, nil)
+		c.eng.Schedule(c.cfg.ReadLat, w.Done, w)
 	}
 	c.drainOverflow()
 }
@@ -230,7 +230,7 @@ func (c *refCache) drainOverflow() {
 		la := c.lineAddr(r.Addr)
 		if refFind(c.set(la), la) >= 0 {
 			c.Hits.Inc()
-			c.eng.Schedule(c.cfg.ReadLat, r, nil)
+			c.eng.Schedule(c.cfg.ReadLat, r.Done, r)
 			continue
 		}
 		if slot, ok := c.mshrIdx.Get(la); ok {
@@ -361,7 +361,7 @@ type recorder struct {
 
 func (m *recorder) Access(r *mem.Request) {
 	m.log = append(m.log, arrival{m.eng.Now(), r.Addr, r.Size, r.Write, r.Prefetch})
-	m.eng.Schedule(40+sim.Tick(r.Addr/128%64), r, nil)
+	m.eng.Schedule(40+sim.Tick(r.Addr/128%64), r.Done, r)
 }
 
 // completion is a driven request finishing: its op number and tick.

@@ -22,7 +22,7 @@ type backend struct {
 func (b *backend) Access(r *mem.Request) {
 	b.reqs = append(b.reqs, *r)
 	b.inFlight++
-	b.eng.Schedule(b.lat, sim.Func(func() { b.inFlight--; r.Complete() }), nil)
+	b.eng.Schedule(b.lat, sim.Func(func() { b.inFlight--; r.Done.Handle(r) }), nil)
 }
 
 func (b *backend) reads() int {

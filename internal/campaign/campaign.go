@@ -9,9 +9,9 @@
 // ablation sweeps, Section V), and every internal/experiments figure
 // driver declares its part of it as a Spec.
 //
-// An Executor drives the cells through any runner — the in-memory
-// experiments memo, the store-backed simsvc scheduler, or the
-// internal/fleet coordinator fanning out over zngd workers — with
+// An Executor drives the cells through any runner — the simsvc
+// scheduler, memory-only or store-backed, or the internal/fleet
+// coordinator fanning out over zngd workers — with
 // bounded concurrency, live progress counters and partial-failure
 // reporting, and folds the results into a stats.Table matrix that
 // internal/report renders like any figure.
@@ -36,7 +36,7 @@ import (
 )
 
 // Runner answers one simulation cell. It is the one runner contract:
-// the experiments memo, the simsvc service, remote clients and
+// the simsvc service (memory-only or store-backed), remote clients and
 // dispatchers and the fleet coordinator all implement it. It lives
 // here, not in internal/experiments, because the figure drivers build
 // matrices through a campaign and so import this package.

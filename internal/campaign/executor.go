@@ -19,7 +19,7 @@ import (
 // so the cell's downstream lifecycle — dispatch pick, peer round
 // trip, queue wait, tier lookups, simulation — records under the
 // campaign's trace. The executor type-asserts for it per cell; plain
-// Runners (the experiments memo) still work untraced.
+// Runners (test stubs) still work untraced.
 type TracedRunner interface {
 	RunTraced(sc obs.SpanContext, kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error)
 }
@@ -28,7 +28,7 @@ type TracedRunner interface {
 // concurrency. The zero value is not usable: a Runner is required.
 // Individual simulations stay single-threaded and deterministic;
 // Workers only bounds how many cells are in flight, and a
-// deduplicating runner (memo, simsvc, coordinator) still coalesces
+// deduplicating runner (simsvc, coordinator) still coalesces
 // identical cells submitted concurrently. Each cell runs once and its
 // error is final: a simulation error is deterministic, a local service
 // refusing work at shutdown or past its queue bound refuses an

@@ -67,7 +67,7 @@ func (h transferred) Handle(arg any) {
 	if r.Write {
 		lat = h.d.cfg.WriteLat
 	}
-	h.d.eng.Schedule(lat, r, nil)
+	h.d.eng.Schedule(lat, r.Done, r)
 }
 
 // DeliveredGBps reports achieved bandwidth over the elapsed ticks.

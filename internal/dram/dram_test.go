@@ -64,7 +64,7 @@ func TestOptaneGranularityPenalty(t *testing.T) {
 		d := New(eng, config.Default().Optane)
 		const n = 2000
 		for i := 0; i < n; i++ {
-			d.Access(&mem.Request{Addr: uint64(i) * 256, Size: reqSize})
+			d.Access(&mem.Request{Addr: uint64(i) * 256, Size: reqSize, Done: sim.Func(func() {})})
 		}
 		eng.Run()
 		useful := float64(n*reqSize) / float64(eng.Now())

@@ -1,11 +1,10 @@
-package report
+package experiments
 
 // designProse holds the authored architecture sections of
 // docs/DESIGN.md. The prose is maintained here — next to the emitter
 // that publishes it — while the figure/ablation inventory that
-// follows it in the document is generated from the experiments
-// registry, so the two can never disagree about what the simulator
-// measures.
+// follows it in the document is generated from the registry, so the
+// two can never disagree about what the simulator measures.
 const designProse = `This document records how the ZnG reproduction is layered and why.
 The paper — *ZnG: Architecting GPU Multi-Processors with New Flash
 for Scalable Data Analysis* (ISCA 2020) — replaces a GPU's DRAM with
@@ -41,9 +40,9 @@ each, where one per record and block made 8,000 to 12,000. The queue is a timing
 FIFO lists over the next 8,192 ticks, backed by a 4-ary min-heap for
 later events, and same-tick events fire FIFO, a contract the tests pin
 because determinism is load-bearing: a simulation is a pure function
-of its inputs, which is what lets ` + "`internal/experiments`" + ` memoize whole
-runs (see below). An event scheduled before the current tick panics,
-since only a bug can ask for one.
+of its inputs, which is what lets one service simulate each cell once
+and answer every later request for it (see below). An event scheduled
+before the current tick panics, since only a bug can ask for one.
 
 ## Configuration (` + "`internal/config`" + `)
 
@@ -149,8 +148,10 @@ label and column header, never by position, and its first failed read
 test suite requires every check to pass on a one-pair run and to FAIL
 on a table that breaks its shape.
 Drivers run their cells through an injectable ` + "`Runner`" + ` carried by
-` + "`Options`" + ` — by default an in-memory single-flight memo keyed by
-(platform, mix ID, scale, config); the mix participates through its
+` + "`Options`" + ` — by default a memory-only ` + "`simsvc.Service`" + `, the scheduler
+zngd serves from, without a store, which keys each cell by
+(platform, mix ID, scale, config) and starts its workers with the
+first simulation; the mix participates through its
 canonical content identity, so scenarios aliasing the same
 composition share one simulation and one result, labelled with that
 ID by ` + "`platform.RunMix`" + ` and by no runner after it — and the full figure
@@ -161,8 +162,10 @@ runner.
 ` + "`internal/stats`" + ` provides counters, breakdowns and the
 deterministic table type every driver returns; ` + "`internal/report`" + `
 renders those tables to Markdown/CSV/JSON (plus the canonical
-per-result JSON document the store persists) and composes this
-document and [EXPERIMENTS.md](EXPERIMENTS.md). ` + "`cmd/zngfig`" + ` is the
+per-result JSON document the store persists), and
+` + "`internal/experiments`" + ` composes this document and
+[EXPERIMENTS.md](EXPERIMENTS.md) from them, so the codec, the store
+and the service never link the figure registry. ` + "`cmd/zngfig`" + ` is the
 thin CLI over all of it; ` + "`cmd/zngsim`" + ` runs a single (platform, mix)
 cell and dumps every measurement.
 
@@ -182,7 +185,7 @@ coalesce onto one in-flight job, and every request resolves through
 memory, then disk, then simulation — with counters (sims, memory
 hits, disk hits, coalesced waiters) at each step. The service
 implements ` + "`campaign.Runner`" + `, the one runner interface, so the
-figure drivers, ` + "`zngsim -cache`" + `/` + "`zngfig -cache`" + ` and ` + "`cmd/zngd`" + ` — the HTTP JSON
+figure drivers, ` + "`zngfig`" + `, ` + "`zngsweep`" + `, ` + "`zngsim -cache`" + ` and ` + "`cmd/zngd`" + ` — the HTTP JSON
 daemon exposing run/jobs/campaigns/scenarios/platforms/healthz/metrics
 endpoints with graceful drain on shutdown — all serve simulations
 through one code path. The daemon's job history is bounded: past the

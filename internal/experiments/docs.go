@@ -1,4 +1,4 @@
-package report
+package experiments
 
 import (
 	"fmt"
@@ -6,26 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 
-	"zng/internal/experiments"
+	"zng/internal/report"
 	"zng/internal/stats"
 )
-
-// Formats lists the supported rendering formats — the single source
-// of truth for Render and for CLI flag validation.
-func Formats() []string { return []string{"md", "csv", "json"} }
-
-// Render formats a table in the named format: "md", "csv" or "json".
-func Render(t *stats.Table, format string) ([]byte, error) {
-	switch format {
-	case "md":
-		return []byte(Markdown(t)), nil
-	case "csv":
-		return []byte(CSV(t)), nil
-	case "json":
-		return JSON(t), nil
-	}
-	return nil, fmt.Errorf("unknown format %q (valid: %s)", format, strings.Join(Formats(), ", "))
-}
 
 // generatedBanner marks both docs as build artifacts. CI regenerates
 // them and fails on any diff, so hand edits cannot survive.
@@ -34,7 +17,7 @@ const generatedBanner = "<!-- GENERATED FILE — do not edit by hand.\n" +
 	"     the CI docs-freshness job fails if this file drifts from the\n" +
 	"     simulator's output. -->"
 
-// DocStats summarizes the shape-check verdicts of one Experiments
+// DocStats summarizes the shape-check verdicts of one ExperimentsDoc
 // composition, so callers (zngfig, CI) can fail loudly on a shape
 // regression instead of silently committing a FAIL into the docs.
 type DocStats struct {
@@ -43,14 +26,14 @@ type DocStats struct {
 	Checked int
 }
 
-// Experiments runs every registered figure through the memoized
-// simulation cache and composes docs/EXPERIMENTS.md: for each figure,
-// the paper's claim, the qualitative shape this reproduction asserts,
-// the shape check's verdict, and the measured table itself.
-func Experiments(o experiments.Options) ([]byte, DocStats, error) {
-	reg := experiments.Registry()
+// ExperimentsDoc runs every registered figure through o.Runner and
+// composes docs/EXPERIMENTS.md: for each figure, the paper's claim,
+// the qualitative shape this reproduction asserts, the shape check's
+// verdict, and the measured table itself.
+func ExperimentsDoc(o Options) ([]byte, DocStats, error) {
+	reg := Registry()
 	type rendered struct {
-		fig     experiments.Figure
+		fig     Figure
 		table   *stats.Table
 		verdict string
 	}
@@ -63,7 +46,7 @@ func Experiments(o experiments.Options) ([]byte, DocStats, error) {
 		}
 		verdict := f.Verdict(t)
 		ds.Checked++
-		if verdict == experiments.VerdictPass {
+		if verdict == VerdictPass {
 			ds.Passed++
 		} else {
 			ds.Failed++
@@ -100,7 +83,7 @@ Shape checks passing: **%d of %d**.
 		}
 		sum.AddRow("`"+r.fig.ID+"`", r.fig.Ref, v, r.fig.Claim)
 	}
-	b.WriteString(markdownTable(sum))
+	b.WriteString(report.MarkdownTable(sum))
 	b.WriteByte('\n')
 
 	for _, r := range all {
@@ -112,16 +95,16 @@ Shape checks passing: **%d of %d**.
 			b.WriteString(" _(scale-free)_")
 		}
 		b.WriteString("\n\n")
-		b.WriteString(markdownTable(r.table))
+		b.WriteString(report.MarkdownTable(r.table))
 		b.WriteByte('\n')
 	}
 	return []byte(b.String()), ds, nil
 }
 
-// Design composes docs/DESIGN.md: the authored architecture prose of
-// design.go plus the figure/ablation inventory generated from the
+// DesignDoc composes docs/DESIGN.md: the authored architecture prose
+// of design.go plus the figure/ablation inventory generated from the
 // registry.
-func Design() []byte {
+func DesignDoc() []byte {
 	var b strings.Builder
 	b.WriteString("# DESIGN — simulator architecture\n\n")
 	b.WriteString(generatedBanner)
@@ -132,14 +115,14 @@ func Design() []byte {
 	b.WriteString("`zngfig -fig <id>` regenerates any of them, and\n")
 	b.WriteString("[EXPERIMENTS.md](EXPERIMENTS.md) records paper-vs-measured for each.\n\n")
 	inv := stats.NewTable("", "id", "driver", "paper ref", "title", "inputs")
-	for _, f := range experiments.Registry() {
+	for _, f := range Registry() {
 		inputs := "traces at -scale"
 		if f.ScaleFree {
 			inputs = "Table I config only"
 		}
 		inv.AddRow("`"+f.ID+"`", "`experiments."+f.DriverName()+"`", f.Ref, f.Title, inputs)
 	}
-	b.WriteString(markdownTable(inv))
+	b.WriteString(report.MarkdownTable(inv))
 	return []byte(b.String())
 }
 
@@ -148,8 +131,8 @@ func Design() []byte {
 // DESIGN.md. The returned DocStats lets the caller turn FAIL verdicts
 // into a non-zero exit — the files are still written first, so a
 // failing reproduction is recorded honestly while CI goes red.
-func WriteDocs(dir string, o experiments.Options) (DocStats, error) {
-	exp, ds, err := Experiments(o)
+func WriteDocs(dir string, o Options) (DocStats, error) {
+	exp, ds, err := ExperimentsDoc(o)
 	if err != nil {
 		return ds, err
 	}
@@ -159,5 +142,5 @@ func WriteDocs(dir string, o experiments.Options) (DocStats, error) {
 	if err := os.WriteFile(filepath.Join(dir, "EXPERIMENTS.md"), exp, 0o644); err != nil {
 		return ds, err
 	}
-	return ds, os.WriteFile(filepath.Join(dir, "DESIGN.md"), Design(), 0o644)
+	return ds, os.WriteFile(filepath.Join(dir, "DESIGN.md"), DesignDoc(), 0o644)
 }

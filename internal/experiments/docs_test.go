@@ -1,19 +1,17 @@
-package report
+package experiments
 
 import (
 	"bytes"
 	"strings"
 	"sync"
 	"testing"
-
-	"zng/internal/experiments"
 )
 
 // docTestOptions shrinks the docs run to one pair so the composer
 // tests stay cheap; the full 12-pair run is exercised by the CI
 // docs-freshness job.
-func docTestOptions() experiments.Options {
-	o := experiments.TestOptions()
+func docTestOptions() Options {
+	o := TestOptions()
 	o.Mixes = o.Mixes[:1]
 	return o
 }
@@ -21,7 +19,7 @@ func docTestOptions() experiments.Options {
 // firstDocRender is the one-pair EXPERIMENTS.md render that both doc
 // tests read, rendered once per test binary.
 var firstDocRender = sync.OnceValues(func() (docRender, error) {
-	doc, ds, err := Experiments(docTestOptions())
+	doc, ds, err := ExperimentsDoc(docTestOptions())
 	return docRender{doc, ds}, err
 })
 
@@ -41,12 +39,11 @@ func TestExperimentsDocDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, dsA := first.doc, first.ds
-	// Use a fresh simulation memo so the second render re-simulates
-	// from scratch; without this the byte-equality would only test the
-	// composer, not the simulator's determinism.
-	o := docTestOptions()
-	o.Runner = experiments.NewMemo()
-	b, dsB, err := Experiments(o)
+	// Fresh options carry a fresh runner, so the second render
+	// re-simulates from scratch; sharing one would make the
+	// byte-equality test only the composer, not the simulator's
+	// determinism.
+	b, dsB, err := ExperimentsDoc(docTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +53,8 @@ func TestExperimentsDocDeterministic(t *testing.T) {
 	if dsA != dsB {
 		t.Errorf("verdict stats not stable: %+v vs %+v", dsA, dsB)
 	}
-	if dsA.Checked != len(experiments.Registry()) {
-		t.Errorf("checked %d figures, registry has %d", dsA.Checked, len(experiments.Registry()))
+	if dsA.Checked != len(Registry()) {
+		t.Errorf("checked %d figures, registry has %d", dsA.Checked, len(Registry()))
 	}
 	if dsA.Passed+dsA.Failed != dsA.Checked {
 		t.Errorf("verdicts don't add up: %+v", dsA)
@@ -93,7 +90,7 @@ func TestExperimentsDocContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := string(first.doc)
-	for _, f := range experiments.Registry() {
+	for _, f := range Registry() {
 		if !strings.Contains(s, "(`"+f.ID+"`)") {
 			t.Errorf("missing section for %s", f.ID)
 		}
@@ -115,7 +112,7 @@ func TestExperimentsDocContent(t *testing.T) {
 }
 
 func TestDesignDocContent(t *testing.T) {
-	s := string(Design())
+	s := string(DesignDoc())
 	for _, want := range []string{
 		"## Simulation engine",
 		"## Workload model",
@@ -131,7 +128,7 @@ func TestDesignDocContent(t *testing.T) {
 			t.Errorf("DESIGN.md missing %q", want)
 		}
 	}
-	for _, f := range experiments.Registry() {
+	for _, f := range Registry() {
 		if !strings.Contains(s, "`"+f.ID+"`") {
 			t.Errorf("inventory missing %s", f.ID)
 		}

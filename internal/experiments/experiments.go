@@ -4,7 +4,8 @@
 // whose table, holding the same rows or series the paper plots, is
 // its only output; the registry (registry.go) binds each figure id to
 // its driver, paper claim and shape check, and the generated
-// docs/EXPERIMENTS.md records paper-vs-measured for each.
+// docs/EXPERIMENTS.md, which this package composes with
+// docs/DESIGN.md (docs.go), records paper-vs-measured for each.
 //
 // Absolute numbers are not expected to match the authors' testbed —
 // the substrate here is a from-scratch simulator with synthetic traces
@@ -18,6 +19,7 @@ import (
 	"zng/internal/campaign"
 	"zng/internal/config"
 	"zng/internal/platform"
+	"zng/internal/simsvc"
 	"zng/internal/workload"
 )
 
@@ -37,20 +39,19 @@ type Options struct {
 	// simulations stay single-threaded and deterministic.
 	Workers int
 	// Runner answers simulation requests; required. DefaultOptions
-	// injects a fresh in-memory Memo, so every Options lineage (the
-	// value and all copies derived from it) shares one memo and
-	// independent lineages cannot observe each other; the CLIs and
-	// the zngd daemon inject the persistent simsvc scheduler instead.
+	// injects a fresh memory-only simsvc.Service, so every Options
+	// lineage (the value and all copies derived from it) simulates each
+	// cell once and independent lineages cannot observe each other.
+	// zngfig and zngsweep inject one service of their own, backed by
+	// the persistent store when -cache names one.
 	Runner campaign.Runner
 }
 
-// DefaultScale is the figure-quality trace scale.
-const DefaultScale = 2.0
-
 // DefaultOptions returns full-fidelity settings with a fresh
-// in-memory simulation memo.
+// memory-only simulation service. The service starts no goroutine
+// until a cell needs simulating.
 func DefaultOptions() Options {
-	return Options{Scale: DefaultScale, Cfg: config.Default(), Mixes: workload.PaperPairs(), Runner: NewMemo()}
+	return Options{Scale: workload.DefaultScale, Cfg: config.Default(), Mixes: workload.PaperPairs(), Runner: simsvc.New(simsvc.Config{})}
 }
 
 // TestOptions returns a fast, scaled-down variant for tests and

@@ -216,7 +216,7 @@ func TestAblationConsolidation(t *testing.T) {
 	}
 }
 
-// TestMixAliasesShareSimulations pins the memo's content keying:
+// TestMixAliasesShareSimulations pins the runner's content keying:
 // consol-2 and the paper pair bfs1-gaus have different names but the
 // same canonical ID, so one grid naming both must simulate once and
 // answer both cells with one result, labelled with that ID; each cell
@@ -228,7 +228,7 @@ func TestMixAliasesShareSimulations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := o.Runner.(*Memo).Stats(); st.Sims != 1 {
+	if st := memoStats(t, o); st.Sims != 1 {
 		t.Errorf("aliasing scenarios performed %d simulations, want 1", st.Sims)
 	}
 	r1, r2 := cells[0].Result, cells[1].Result

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"zng/internal/platform"
+	"zng/internal/simsvc"
 	"zng/internal/workload"
 )
 
@@ -17,20 +18,24 @@ func runCell(o Options, k platform.Kind, name string) (platform.Result, error) {
 	return o.Runner.Run(k, m, o.Scale, o.Cfg)
 }
 
-// memoStats extracts the RunnerStats of the Options' injected runner.
-func memoStats(t *testing.T, o Options) RunnerStats {
+// memoStats extracts the RunnerStats of the memory-only service the
+// Options inject.
+func memoStats(t *testing.T, o Options) simsvc.RunnerStats {
 	t.Helper()
-	sr, ok := o.Runner.(StatsReporter)
+	svc, ok := o.Runner.(*simsvc.Service)
 	if !ok {
-		t.Fatalf("options runner %T does not report stats", o.Runner)
+		t.Fatalf("options runner is %T, want the memory-only *simsvc.Service", o.Runner)
 	}
-	return sr.Stats()
+	if svc.Store() != nil {
+		t.Fatalf("options runner is backed by store %s, want memory only", svc.Store().Dir())
+	}
+	return svc.Stats()
 }
 
-// TestMemoDedupsRepeatedMatrices pins the memo property: running the
-// same matrix twice under one Options lineage performs each unique
-// simulation exactly once. No scale tricks are needed any more — the
-// memo is per-Options, not process-wide.
+// TestMemoDedupsRepeatedMatrices pins the memo property of the service
+// TestOptions injects: running the same matrix twice under one Options
+// lineage performs each unique simulation exactly once. The service is
+// per-Options, not process-wide.
 func TestMemoDedupsRepeatedMatrices(t *testing.T) {
 	o := TestOptions()
 	o.Scale = 0.013
@@ -56,7 +61,7 @@ func TestMemoDedupsRepeatedMatrices(t *testing.T) {
 }
 
 // TestMemoSingleFlight: concurrent requests for one cell coalesce
-// onto a single simulation.
+// onto a single simulation of the injected service.
 func TestMemoSingleFlight(t *testing.T) {
 	o := TestOptions()
 	o.Scale = 0.017

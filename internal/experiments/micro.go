@@ -12,6 +12,11 @@ import (
 	"zng/internal/stats"
 )
 
+// nop completes the micro-drivers' requests and flash operations that
+// only have to finish: it still fires at the completion tick, so a
+// saturation run ends when its last request completes.
+var nop = sim.Func(func() {})
+
 // Fig1b measures the accumulated bandwidth of each HybridGPU component
 // in isolation (Fig. 1b): the single-package DRAM buffer, the legacy
 // flash channels, the flash arrays (read and write), and the SSD
@@ -212,7 +217,7 @@ func saturateDRAM(dcfg config.DRAM) float64 {
 	dev := dram.New(eng, dcfg)
 	const n = 16000
 	for i := 0; i < n; i++ {
-		dev.Access(&mem.Request{Addr: uint64(i) * uint64(dcfg.AccessGran), Size: dcfg.AccessGran})
+		dev.Access(&mem.Request{Addr: uint64(i) * uint64(dcfg.AccessGran), Size: dcfg.AccessGran, Done: nop})
 	}
 	eng.Run()
 	return dev.DeliveredGBps(eng.Now())
@@ -221,13 +226,12 @@ func saturateDRAM(dcfg config.DRAM) float64 {
 // saturateArrays floods every plane with page reads, then programs,
 // and reports accumulated array bandwidth.
 func saturateArrays(fcfg config.Flash) (readGBps, writeGBps float64) {
-	nop := func() {}
 	eng := sim.NewEngine()
 	bb := flash.New(eng, fcfg)
 	const per = 8
 	for p := 0; p < bb.Planes(); p++ {
 		for i := 0; i < per; i++ {
-			bb.Plane(p).Read(0, i, sim.Func(nop), nil)
+			bb.Plane(p).Read(0, i, nop, nil)
 		}
 	}
 	eng.Run()
@@ -237,7 +241,7 @@ func saturateArrays(fcfg config.Flash) (readGBps, writeGBps float64) {
 	bb2 := flash.New(eng2, fcfg)
 	for p := 0; p < bb2.Planes(); p++ {
 		for i := 0; i < per; i++ {
-			if err := bb2.Plane(p).Program(0, i, sim.Func(nop), nil); err != nil {
+			if err := bb2.Plane(p).Program(0, i, nop, nil); err != nil {
 				panic(err)
 			}
 		}
@@ -255,7 +259,7 @@ func saturateEngine(cfg config.Config) float64 {
 	fcfg := cfg.Flash
 	mod := ssd.New(eng, cfg.Engine, fcfg, cfg.FTL)
 	// Warm one page.
-	mod.Access(&mem.Request{Addr: 0, Size: 128})
+	mod.Access(&mem.Request{Addr: 0, Size: 128, Done: nop})
 	eng.Run()
 	start := eng.Now()
 	const n = 8000

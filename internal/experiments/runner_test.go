@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -117,10 +118,27 @@ func TestFiguresShareCells(t *testing.T) {
 
 func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions()
-	if o.Scale != DefaultScale || len(o.Mixes) != 12 {
+	if o.Scale != workload.DefaultScale || len(o.Mixes) != 12 {
 		t.Errorf("defaults: %+v", o)
 	}
 	if o.workers() < 1 {
 		t.Error("workers must be positive")
+	}
+}
+
+// TestOptionsHoldNoGoroutine: an Options value's service starts its
+// workers with its first simulation, so building the three option sets
+// and running a scale-free figure under each starts no goroutine.
+func TestOptionsHoldNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, o := range []Options{DefaultOptions(), TestOptions(), DocsOptions()} {
+		if _, err := TableI(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A goroutine of an earlier test may still be exiting, so only
+	// growth counts.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines grew from %d to %d", before, after)
 	}
 }

@@ -19,7 +19,7 @@ type fixedMem struct {
 
 func (f *fixedMem) Access(r *mem.Request) {
 	f.seen++
-	f.eng.Schedule(f.lat, r, nil)
+	f.eng.Schedule(f.lat, r.Done, r)
 }
 
 func rig(lat sim.Tick) (*sim.Engine, *GPU, *fixedMem) {

@@ -31,7 +31,9 @@ type Request struct {
 	// Prefetch marks requests injected by the read-prefetch unit.
 	Prefetch bool
 	// Done receives Handle(r) exactly once, when the request is
-	// complete.
+	// complete: the level completing r schedules it with r as the
+	// argument, eng.Schedule(lat, r.Done, r). Every request carries
+	// one.
 	Done sim.Handler
 	// Cause is the request a cache fill was issued on behalf of (a
 	// write-allocate fill names the store it allocates for); nil
@@ -40,18 +42,6 @@ type Request struct {
 
 	next *Request // Queue link
 }
-
-// Complete notifies Done, if set. Levels must call it exactly once per
-// request they own.
-func (r *Request) Complete() {
-	if r.Done != nil {
-		r.Done.Handle(r)
-	}
-}
-
-// Handle implements sim.Handler by completing r, so a level schedules
-// a completion latency with eng.Schedule(lat, r, nil).
-func (r *Request) Handle(any) { r.Complete() }
 
 // Queue is an intrusive FIFO of requests (MSHR waiters, misses waiting
 // for a free MSHR, reads waiting on one flash sense). It links requests

@@ -44,20 +44,9 @@ func TestLineAddrProperty(t *testing.T) {
 	}
 }
 
-func TestCompleteNilSafe(t *testing.T) {
-	r := &Request{}
-	r.Complete() // must not panic with nil Done
-	called := 0
-	r.Done = sim.Func(func() { called++ })
-	r.Complete()
-	if called != 1 {
-		t.Errorf("called = %d", called)
-	}
-}
-
 func TestFuncAdapter(t *testing.T) {
 	hit := false
-	var m Memory = Func(func(r *Request) { hit = true; r.Complete() })
+	var m Memory = Func(func(r *Request) { hit = true; r.Done.Handle(r) })
 	done := false
 	m.Access(&Request{Done: sim.Func(func() { done = true })})
 	if !hit || !done {
@@ -85,19 +74,5 @@ func TestQueueFIFO(t *testing.T) {
 	}
 	if q.Pop() != nil || q.Len() != 0 {
 		t.Fatal("queue not empty after draining")
-	}
-}
-
-// A request scheduled as its own completion event fires Done with
-// itself as the argument.
-func TestRequestAsCompletionEvent(t *testing.T) {
-	eng := sim.NewEngine()
-	var got *Request
-	r := &Request{}
-	r.Done = sim.Func(func() { got = r })
-	eng.Schedule(3, r, nil)
-	eng.Run()
-	if got != r || eng.Now() != 3 {
-		t.Fatalf("completion fired with %v at %d, want r at 3", got, eng.Now())
 	}
 }

@@ -209,7 +209,7 @@ type (
 
 func (h stored) Handle(arg any) {
 	r := arg.(*mem.Request)
-	h.z.regs.Write(r.Addr, r, nil)
+	h.z.regs.Write(r.Addr, r.Done, r)
 }
 
 func (h commanded) Handle(arg any) {
@@ -231,7 +231,7 @@ func (h delivered) Handle(arg any) {
 			z.l2.InstallPrefetch(r.Addr + uint64(off))
 		}
 	}
-	r.Complete()
+	r.Done.Handle(r)
 }
 
 // Access implements mem.Memory for L2 fills (reads) and write-backs /
@@ -251,7 +251,7 @@ func (z *zngController) Access(r *mem.Request) {
 func (z *zngController) read(r *mem.Request, n int) {
 	// Newest data may still sit in a flash write register.
 	if z.regs.ReadCheck(r.Addr) {
-		z.mesh.Send(n, n, r.Size, r, nil)
+		z.mesh.Send(n, n, r.Size, r.Done, r)
 		return
 	}
 

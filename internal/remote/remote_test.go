@@ -13,7 +13,6 @@ import (
 
 	"zng/internal/campaign"
 	"zng/internal/config"
-	"zng/internal/experiments"
 	"zng/internal/platform"
 	"zng/internal/remote"
 	"zng/internal/report"
@@ -177,7 +176,7 @@ func TestDispatcherAllPeersDown(t *testing.T) {
 // TestDistributedCampaignEqualsLocal is the acceptance criterion: a
 // campaign fanned out across two real zngd peers (each running the
 // real simulator) produces a result matrix byte-identical to the same
-// campaign executed locally through experiments.NewMemo(), every cell
+// campaign executed locally through a memory-only simsvc service, every cell
 // is simulated exactly once across the fleet with no re-routing, and
 // both peers simulated at least one cell.
 func TestDistributedCampaignEqualsLocal(t *testing.T) {
@@ -202,7 +201,9 @@ func TestDistributedCampaignEqualsLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	local, err := campaign.Executor{Runner: experiments.NewMemo(), Workers: 2}.Execute(spec, config.Default())
+	localSvc := simsvc.New(simsvc.Config{Workers: 2})
+	defer localSvc.Close()
+	local, err := campaign.Executor{Runner: localSvc, Workers: 2}.Execute(spec, config.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Package report renders the experiment drivers' stats.Table values
-// to Markdown, CSV and JSON, and composes the repository's generated
-// documents: docs/EXPERIMENTS.md (paper-vs-measured for every
-// registered figure, with the shape check's PASS/FAIL verdict) and
-// docs/DESIGN.md (authored architecture prose plus the generated
-// figure/ablation inventory).
+// to Markdown, CSV and JSON, and holds the canonical per-result JSON
+// codec (EncodeResult, DecodeResult) that the result store persists
+// and zngd serves. The generated documents docs/EXPERIMENTS.md and
+// docs/DESIGN.md are composed in internal/experiments from these
+// emitters.
 //
 // All three emitters are deterministic: cells are the already-
 // formatted strings stats.Table holds (fixed float trimming), JSON
@@ -22,6 +22,23 @@ import (
 	"zng/internal/stats"
 )
 
+// Formats lists the supported rendering formats — the single source
+// of truth for Render and for CLI flag validation.
+func Formats() []string { return []string{"md", "csv", "json"} }
+
+// Render formats a table in the named format: "md", "csv" or "json".
+func Render(t *stats.Table, format string) ([]byte, error) {
+	switch format {
+	case "md":
+		return []byte(Markdown(t)), nil
+	case "csv":
+		return []byte(CSV(t)), nil
+	case "json":
+		return JSON(t), nil
+	}
+	return nil, fmt.Errorf("unknown format %q (valid: %s)", format, strings.Join(Formats(), ", "))
+}
+
 // Markdown renders the table as a GitHub-flavored Markdown document
 // fragment: a level-3 heading carrying the title, then the table.
 func Markdown(t *stats.Table) string {
@@ -31,13 +48,13 @@ func Markdown(t *stats.Table) string {
 		b.WriteString(t.Title())
 		b.WriteString("\n\n")
 	}
-	b.WriteString(markdownTable(t))
+	b.WriteString(MarkdownTable(t))
 	return b.String()
 }
 
-// markdownTable renders just the GFM table, for composers that manage
+// MarkdownTable renders just the GFM table, for composers that manage
 // their own headings.
-func markdownTable(t *stats.Table) string {
+func MarkdownTable(t *stats.Table) string {
 	var b strings.Builder
 	writeRow := func(cells []string) {
 		b.WriteByte('|')

@@ -16,7 +16,6 @@ import (
 
 	"zng/internal/campaign"
 	"zng/internal/config"
-	"zng/internal/experiments"
 	"zng/internal/fleet"
 	"zng/internal/latency"
 	"zng/internal/obs"
@@ -219,7 +218,7 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 		}
 		scale := req.Scale
 		if scale == 0 {
-			scale = experiments.DefaultScale
+			scale = workload.DefaultScale
 		}
 		if scale < 0 {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("scale must be positive, got %v", scale))

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"zng/internal/config"
-	"zng/internal/experiments"
 	"zng/internal/platform"
 	"zng/internal/workload"
 )
@@ -275,7 +274,7 @@ func TestAPIJobsListAndMetrics(t *testing.T) {
 func TestAPIRunRealSimulation(t *testing.T) {
 	svc := New(Config{Workers: 1})
 	t.Cleanup(svc.Close)
-	o := experiments.TestOptions()
+	o := testOptions()
 	srv := httptest.NewServer(NewHandler(svc, o.Cfg))
 	t.Cleanup(srv.Close)
 
@@ -625,5 +624,61 @@ func TestAPIServeAttribution(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Sims != 1 || st.MemoryHits != 2 {
 		t.Errorf("stats = %+v, want 1 sim, 2 memory hits", st)
+	}
+}
+
+// TestAPIRunNamesCallersScenario: consol-2 aliases bfs1-gaus, so one
+// job serves both, but each /v1/run reply names the scenario its own
+// request asked for, sync or async. The job itself keeps the name of
+// the request that admitted it, and the result document names the
+// cell's mix ID.
+func TestAPIRunNamesCallersScenario(t *testing.T) {
+	srv, _ := newTestServer(t, fixedSim(1.5))
+	reply := func(doc map[string]json.RawMessage) (job JobInfo, result string) {
+		t.Helper()
+		if err := json.Unmarshal(doc["job"], &job); err != nil {
+			t.Fatal(err)
+		}
+		if doc["result"] != nil {
+			var r struct {
+				Workload string `json:"workload"`
+			}
+			if err := json.Unmarshal(doc["result"], &r); err != nil {
+				t.Fatal(err)
+			}
+			result = r.Workload
+		}
+		return job, result
+	}
+	_, doc := postRun(t, srv.URL, `{"platform":"ZnG","mix":"bfs1-gaus","scale":0.5}`)
+	first, _ := reply(doc)
+	for _, tc := range []struct {
+		body, result string
+		status       int
+	}{
+		{`{"platform":"ZnG","mix":"consol-2","scale":0.5}`, "bfs1+gaus", http.StatusOK},
+		{`{"platform":"ZnG","mix":"consol-2","scale":0.5,"async":true}`, "", http.StatusAccepted},
+	} {
+		resp, doc := postRun(t, srv.URL, tc.body)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status = %d (%s), want %d", tc.body, resp.StatusCode, doc["error"], tc.status)
+		}
+		job, result := reply(doc)
+		if job.ID != first.ID || job.Workload != "consol-2" || result != tc.result {
+			t.Errorf("%s: job %s workload %q, result workload %q; want job %s, consol-2, %q",
+				tc.body, job.ID, job.Workload, result, first.ID, tc.result)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/v1/jobs/" + first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var polled map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&polled); err != nil {
+		t.Fatal(err)
+	}
+	if job, result := reply(polled); job.Workload != "bfs1-gaus" || result != "bfs1+gaus" {
+		t.Errorf("GET /v1/jobs/%s: workload %q, result workload %q; want bfs1-gaus, bfs1+gaus", first.ID, job.Workload, result)
 	}
 }

@@ -5,21 +5,20 @@ import (
 	"testing"
 
 	"zng/internal/config"
-	"zng/internal/experiments"
 	"zng/internal/platform"
 	"zng/internal/store"
 	"zng/internal/workload"
 )
 
 // BenchmarkServiceThroughput measures end-to-end request throughput
-// against a warmed store at TestOptions scale: every request pays the
+// against a warmed store in the test regime: every request pays the
 // full serving path — content-address hashing, submit, job lookup —
 // and is satisfied without simulating. This is the
 // baseline trajectory for future scaling work (sharding, batching,
 // multi-node): the serving overhead a hit costs, as requests/sec.
 func BenchmarkServiceThroughput(b *testing.B) {
-	o := experiments.TestOptions()
-	mix := o.Mixes[0]
+	o := testOptions()
+	mix := workload.PaperPairs()[0]
 	st, err := store.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -73,8 +72,8 @@ func benchTieredServing(b *testing.B, cacheEntries int) {
 	svc := New(Config{Store: st, MaxJobs: 1, CacheEntries: cacheEntries, Simulate: stub})
 	defer svc.Close()
 
-	o := experiments.TestOptions()
-	mix := o.Mixes[0]
+	o := testOptions()
+	mix := workload.PaperPairs()[0]
 	reqs := make([]Request, cells)
 	for i := range reqs {
 		reqs[i] = Request{Kind: platform.GDDR5, Mix: mix, Scale: o.Scale * (1 + float64(i)/cells), Cfg: o.Cfg}

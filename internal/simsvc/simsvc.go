@@ -5,10 +5,13 @@
 // cell cost exactly one simulation and a cell computed by any past
 // process is served from disk without simulating at all.
 //
-// The service implements the campaign.Runner interface, so the
-// figure drivers, the CLIs (-cache) and the zngd daemon all share
-// this one code path; what used to be a process-wide memo global in
-// internal/experiments is now an injectable runner. Request flow:
+// The service implements the campaign.Runner interface and is the one
+// in-process result layer: the figure drivers (a memory-only service
+// by default, see experiments.DefaultOptions), zngfig and zngsweep
+// (memory-only, or store-backed with -cache) and the zngd daemon all
+// share this one code path. Its workers start with the first queued
+// job, so a service that is never asked to simulate holds no
+// goroutine. Request flow:
 //
 //	memory (completed cell)      -> MemoryHits
 //	memory (LRU result tier)     -> MemoryHits (internal/restier; the
@@ -39,8 +42,9 @@
 // disk as a DiskHit), failed jobs unconditionally (a deterministic
 // failure recomputes identically). Queued and running jobs are never
 // evicted, and a memory-only service (no store) never evicts done
-// results, so the memo contract degrades only where disk can back it
-// up. Eviction counts surface as jobs_evicted in /metrics.
+// results, so each cell is simulated once per service unless disk
+// can serve it again. Eviction counts surface as jobs_evicted in
+// /metrics.
 package simsvc
 
 import (
@@ -54,7 +58,6 @@ import (
 
 	"zng/internal/cellkey"
 	"zng/internal/config"
-	"zng/internal/experiments"
 	"zng/internal/latency"
 	"zng/internal/obs"
 	"zng/internal/platform"
@@ -110,6 +113,21 @@ type Config struct {
 	// untraced request — costs the hot path nothing beyond a struct
 	// comparison.
 	Tracer *obs.Tracer
+}
+
+// RunnerStats counts how a Service satisfied its requests. A
+// memory-only service (no store) never reports DiskHits.
+type RunnerStats struct {
+	// Sims is the number of unique simulations actually performed.
+	Sims uint64
+	// MemoryHits counts requests served from an already-completed
+	// in-memory result.
+	MemoryHits uint64
+	// DiskHits counts requests served from the persistent store.
+	DiskHits uint64
+	// Coalesced counts requests that attached to an identical
+	// simulation already in flight instead of starting their own.
+	Coalesced uint64
 }
 
 // State is a job's lifecycle phase.
@@ -235,14 +253,14 @@ type Service struct {
 	simHist latency.Histogram
 
 	mu     sync.Mutex
-	cond   *sync.Cond              // queue became non-empty, or the service closed
-	queue  jobQueue                // guarded by mu
-	keys   map[keyID]string        // guarded by mu; memoized cell-key derivations (the hot path's SHA-256)
-	cells  map[string]*job         // guarded by mu; cell key -> owning job (completed cells stay: the memory layer)
-	jobs   map[string]*job         // guarded by mu; job id -> job
-	order  []*job                  // guarded by mu; submission order, for listing
-	nextID uint64                  // guarded by mu
-	stats  experiments.RunnerStats // guarded by mu
+	cond   *sync.Cond       // queue became non-empty, or the service closed
+	queue  jobQueue         // guarded by mu
+	keys   map[keyID]string // guarded by mu; memoized cell-key derivations (the hot path's SHA-256)
+	cells  map[string]*job  // guarded by mu; cell key -> owning job (completed cells stay: the memory layer)
+	jobs   map[string]*job  // guarded by mu; job id -> job
+	order  []*job           // guarded by mu; submission order, for listing
+	nextID uint64           // guarded by mu
+	stats  RunnerStats      // guarded by mu
 	// rejected counts submissions refused with ErrOverloaded. guarded by mu.
 	rejected uint64
 	// simEWMA tracks recent per-simulation latency in nanoseconds
@@ -259,12 +277,16 @@ type Service struct {
 	// with the queue depth, the load figure a fleet worker heartbeats
 	// to its coordinator. guarded by mu.
 	running int
+	// started records that the worker goroutines run: they start with
+	// the first queued job, so a service that never simulates holds
+	// none. guarded by mu.
+	started bool
 	closed  bool // guarded by mu
 	wg      sync.WaitGroup
 }
 
-// New starts a service with cfg.Workers worker goroutines. Close it
-// to drain.
+// New returns a service whose cfg.Workers worker goroutines start
+// with its first queued job. Close it to drain.
 func New(cfg Config) *Service {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
@@ -285,20 +307,16 @@ func New(cfg Config) *Service {
 		jobs:     map[string]*job{},
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
-	}
 	return s
 }
 
 // submit is the admission core: it returns the owning job itself, so
 // internal callers keep a live reference that eviction cannot
 // invalidate. served names the tier that satisfied THIS request when
-// it was answered at admission time ("memory" for memo and tier hits)
-// and is empty for coalesced attaches and fresh jobs — the job's own
-// source says how the cell was originally computed, which is not the
-// same thing (request-level serve attribution).
+// it was answered at admission time ("memory" for completed-job and
+// tier hits) and is empty for coalesced attaches and fresh jobs — the
+// job's own source says how the cell was originally computed, which
+// is not the same thing (request-level serve attribution).
 func (s *Service) submit(req Request) (*job, string, error) {
 	id := keyID{kind: req.Kind, mixID: req.Mix.ID(), scale: req.Scale, cfg: req.Cfg}
 	s.mu.Lock()
@@ -406,6 +424,13 @@ func (s *Service) submit(req Request) (*job, string, error) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
 	heap.Push(&s.queue, j)
+	if !s.started {
+		s.started = true
+		s.wg.Add(s.workers)
+		for range s.workers {
+			go s.worker()
+		}
+	}
 	s.cond.Signal()
 	return j, "", nil
 }
@@ -428,16 +453,7 @@ func (s *Service) DoJob(req Request) (platform.Result, JobInfo, error) {
 		return platform.Result{}, JobInfo{}, err
 	}
 	<-j.done
-	s.mu.Lock()
-	info := j.info()
-	s.mu.Unlock()
-	// Request-level attribution: a request answered at admission from
-	// the memory layer reports the tier that served it, not the source
-	// that originally computed the cell for some earlier request.
-	if served != "" {
-		info.Source = served
-	}
-	return j.res, info, j.err
+	return j.res, s.requestInfo(j, req, served), j.err
 }
 
 // SubmitWait is DoJob for async callers: it admits req and waits up to
@@ -452,12 +468,7 @@ func (s *Service) SubmitWait(ctx context.Context, req Request, d time.Duration) 
 		return platform.Result{}, JobInfo{}, err
 	}
 	waitDone(ctx, j.done, d)
-	s.mu.Lock()
-	info := j.info()
-	s.mu.Unlock()
-	if served != "" {
-		info.Source = served
-	}
+	info := s.requestInfo(j, req, served)
 	// res and err were published before the state the snapshot observed
 	// (finish holds the lock for all three), so they may be read
 	// lock-free once it says the job finished.
@@ -468,6 +479,23 @@ func (s *Service) SubmitWait(ctx context.Context, req Request, d time.Duration) 
 		return platform.Result{}, info, j.err
 	}
 	return platform.Result{}, info, nil
+}
+
+// requestInfo snapshots j as one request sees it. Request-level
+// attribution: the snapshot names the request's own scenario, not the
+// name of the request that admitted the job (aliasing scenarios share
+// a job), and a request answered at admission from the memory layer
+// reports the tier that served it, not the source that originally
+// computed the cell for some earlier request.
+func (s *Service) requestInfo(j *job, req Request, served string) JobInfo {
+	s.mu.Lock()
+	info := j.info()
+	s.mu.Unlock()
+	info.Workload = req.Mix.Name
+	if served != "" {
+		info.Source = served
+	}
+	return info
 }
 
 // Run implements campaign.Runner at default priority — the single
@@ -489,7 +517,7 @@ func (s *Service) RunTraced(sc obs.SpanContext, kind platform.Kind, mix workload
 func (s *Service) Tracer() *obs.Tracer { return s.tr }
 
 // note records a zero-duration marker span — admission-time outcomes
-// (memo hit, coalesce attach, memory-tier hit) that have no
+// (completed-job hit, coalesce attach, memory-tier hit) that have no
 // meaningful extent — for traced requests only. Untraced requests pay
 // two comparisons. Called with mu held; the ring has its own brief
 // lock and never calls back into the service.
@@ -567,8 +595,10 @@ func (s *Service) Jobs() []JobInfo {
 	return out
 }
 
-// Stats implements experiments.StatsReporter.
-func (s *Service) Stats() experiments.RunnerStats {
+// Stats reports how the service satisfied its requests — the dedup
+// ratio zngfig and zngsweep print with -v, and the sims/hits gauges in
+// /metrics.
+func (s *Service) Stats() RunnerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats

@@ -13,12 +13,27 @@ import (
 	"zng/internal/campaign"
 	"zng/internal/cellkey"
 	"zng/internal/config"
-	"zng/internal/experiments"
 	"zng/internal/platform"
 	"zng/internal/report"
 	"zng/internal/store"
 	"zng/internal/workload"
 )
+
+// testRegime is the scaled-down regime of the tests that run the real
+// simulator, as experiments.TestOptions sets it: short traces, with 8
+// SMs and both L2s cut to 1/8 so cache pressure stays realistic.
+type testRegime struct {
+	Scale float64
+	Cfg   config.Config
+}
+
+func testOptions() testRegime {
+	cfg := config.Default()
+	cfg.GPU.SMs = 8
+	cfg.L2SRAM.Sets /= 8
+	cfg.L2STT.Sets /= 8
+	return testRegime{Scale: 0.12, Cfg: cfg}
+}
 
 // testMix resolves a registered scenario or fails the test.
 func testMix(t testing.TB, name string) workload.Mix {
@@ -422,7 +437,7 @@ func TestCloseDrainsInFlightAndFailsQueued(t *testing.T) {
 // simulated one byte-for-byte under the canonical result encoding.
 // This runs the real simulator at a small scale.
 func TestDiskServedEqualsFreshSimulation(t *testing.T) {
-	o := experiments.TestOptions()
+	o := testOptions()
 	mix := testMix(t, "solo-bfs1")
 	kind := platform.GDDR5
 
@@ -465,7 +480,6 @@ func TestDiskServedEqualsFreshSimulation(t *testing.T) {
 // TestServiceImplementsRunner pins the structural contract the whole
 // refactor hangs on: the service is a drop-in campaign runner.
 var _ campaign.Runner = (*Service)(nil)
-var _ experiments.StatsReporter = (*Service)(nil)
 
 // TestErrorsAreCachedInMemory: a deterministic failure is remembered
 // like a result — retrying the cell does not re-simulate.

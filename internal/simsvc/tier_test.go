@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"zng/internal/config"
-	"zng/internal/experiments"
 	"zng/internal/platform"
 	"zng/internal/report"
 	"zng/internal/restier"
@@ -26,7 +25,7 @@ import (
 // under report.EncodeResult. This runs the real simulator at a small
 // scale.
 func TestTierServedEqualsFreshSimulation(t *testing.T) {
-	o := experiments.TestOptions()
+	o := testOptions()
 	mixA := testMix(t, "solo-bfs1")
 	mixB := testMix(t, "solo-gaus")
 	kind := platform.GDDR5

@@ -106,7 +106,7 @@ func (m *Module) afterEngine(r *mem.Request) {
 	page := mem.PageAddr(r.Addr, m.BB.Cfg.PageBytes)
 	if touch(m.buf, page, r.Write) {
 		m.BufHits.Inc()
-		m.bufPort.Send(r.Size, r, nil)
+		m.bufPort.Send(r.Size, r.Done, r)
 		return
 	}
 	m.BufMisses.Inc()
@@ -116,7 +116,7 @@ func (m *Module) afterEngine(r *mem.Request) {
 		// whole. (Flash pages are written as units; sub-page residue is
 		// folded into the flush.)
 		m.install(page, true)
-		m.bufPort.Send(r.Size, r, nil)
+		m.bufPort.Send(r.Size, r.Done, r)
 		return
 	}
 
@@ -140,7 +140,7 @@ func (o *op) Handle(any) {
 		r, page := o.r, o.page
 		m.ops.Put(o)
 		m.install(page, false)
-		m.bufPort.Send(r.Size, r, nil)
+		m.bufPort.Send(r.Size, r.Done, r)
 	default:
 		victim := o.page
 		m.ops.Put(o)

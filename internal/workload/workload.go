@@ -38,6 +38,11 @@ const SectorBytes = 128
 // reuse statistics of Fig. 5.
 const PageBytes = 4096
 
+// DefaultScale is the figure-quality trace scale: twice the Table II
+// budgets, so working sets clearly exceed the 24 MB STT-MRAM L2. The
+// figure defaults, zngsim and zngd's /v1/run fall back to it.
+const DefaultScale = 2.0
+
 // Access is one coalesced sector access emitted by a memory
 // instruction.
 type Access struct {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"zng/internal/config"
-	"zng/internal/experiments"
 	"zng/internal/fleet"
 	"zng/internal/platform"
 	"zng/internal/remote"
@@ -94,13 +93,16 @@ func TestAliasesShareOneDocumentOnEveryRunner(t *testing.T) {
 	r, err = platform.RunMix(kind, alias, scale, cfg)
 	check("RunMix consol-2", r, err)
 
-	memo := experiments.NewMemo()
+	// The memory-only service experiments.Options inject: consol-2
+	// simulates, then bfs1-gaus is a memory hit.
+	mem := simsvc.New(simsvc.Config{})
+	defer mem.Close()
 	for _, m := range []workload.Mix{alias, pair} {
-		r, err := memo.Run(kind, m, scale, cfg)
-		check("Memo "+m.Name, r, err)
+		r, err := mem.Run(kind, m, scale, cfg)
+		check("memory-only simsvc "+m.Name, r, err)
 	}
-	if st := memo.Stats(); st.Sims != 1 || st.MemoryHits != 1 {
-		t.Errorf("Memo stats %+v, want one simulation and one memory hit", st)
+	if st := mem.Stats(); st.Sims != 1 || st.MemoryHits != 1 {
+		t.Errorf("memory-only simsvc stats %+v, want one simulation and one memory hit", st)
 	}
 
 	// simsvc: bfs1-gaus simulates while consol-2 attaches to it, then
@@ -205,7 +207,9 @@ func TestAliasesShareOneDocumentOnEveryRunner(t *testing.T) {
 	// A coordinator over a second store, filled in the opposite order:
 	// consol-2 runs locally and is written, bfs1-gaus is a store hit.
 	stB := openStore(t)
-	co := fleet.New(fleet.Config{Local: experiments.NewMemo(), Store: stB, Base: cfg})
+	local := simsvc.New(simsvc.Config{Workers: 1})
+	defer local.Close()
+	co := fleet.New(fleet.Config{Local: local, Store: stB, Base: cfg})
 	for _, m := range []workload.Mix{alias, pair} {
 		r, err := co.Run(kind, m, scale, cfg)
 		check("fleet.Coordinator "+m.Name, r, err)
@@ -221,9 +225,9 @@ func TestAliasesShareOneDocumentOnEveryRunner(t *testing.T) {
 // TestOutgrownFlashIsAnErrorOnEveryRunner runs betw-back on a flash
 // that config.Validate accepts but the trace outgrows (one plane of
 // nine 16-page blocks): every flash platform's run is an error naming
-// the platform and the FTL's complaint, from platform.RunMix, the
-// experiments memo and a simsvc job alike, and the service's worker
-// goes on to serve the next cell.
+// the platform and the FTL's complaint, from platform.RunMix and a
+// memory-only simsvc job alike, and the service's worker goes on to
+// serve the next cell.
 func TestOutgrownFlashIsAnErrorOnEveryRunner(t *testing.T) {
 	cfg := config.Default()
 	cfg.Flash.Channels, cfg.Flash.DiesPerPkg, cfg.Flash.PlanesPerDie = 1, 1, 1
@@ -233,7 +237,6 @@ func TestOutgrownFlashIsAnErrorOnEveryRunner(t *testing.T) {
 	}
 	mix := mixByName(t, "betw-back")
 	const scale = 0.05
-	memo := experiments.NewMemo()
 	svc := simsvc.New(simsvc.Config{Workers: 1})
 	defer svc.Close()
 	for _, tc := range []struct {
@@ -249,9 +252,6 @@ func TestOutgrownFlashIsAnErrorOnEveryRunner(t *testing.T) {
 		_, err := platform.RunMix(tc.kind, mix, scale, cfg)
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("RunMix on %v: %v, want %q", tc.kind, err, tc.want)
-		}
-		if _, err := memo.Run(tc.kind, mix, scale, cfg); err == nil || err.Error() != tc.want {
-			t.Errorf("Memo on %v: %v, want %q", tc.kind, err, tc.want)
 		}
 		if _, err := svc.Do(simsvc.Request{Kind: tc.kind, Mix: mix, Scale: scale, Cfg: cfg}); err == nil || err.Error() != tc.want {
 			t.Errorf("simsvc job on %v: %v, want %q", tc.kind, err, tc.want)
