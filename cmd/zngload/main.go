@@ -62,11 +62,12 @@ type reportDoc struct {
 	Errors        uint64           `json:"errors"`
 	ThroughputRPS float64          `json:"throughput_rps"`
 	Latency       latency.Snapshot `json:"latency"`
-	// Tiers counts the source of the job satisfying each request
-	// (memory/disk/sim). A request attaching to a retained completed
-	// job inherits that job's original source, so against a daemon
-	// whose -max-jobs bound never evicts, a hot cell keeps reporting
-	// how it was first computed.
+	// Tiers counts the source each reply's job reports (memory/disk/
+	// sim), which names the tier that served that request: a request
+	// answered by a retained completed job, or by the memory result
+	// tier, reports memory however the cell was first computed. A
+	// request that coalesced onto an in-flight job reports that job's
+	// source.
 	Tiers map[string]uint64 `json:"tiers"`
 	// Stages is the daemon's server-side per-stage latency breakdown
 	// (GET /v1/trace/stats) over whatever spans its flight recorder

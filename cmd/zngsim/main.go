@@ -34,7 +34,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -77,12 +76,6 @@ func main() {
 		return
 	}
 
-	// Reject NaN and ±Inf along with non-positives: a non-finite scale
-	// would otherwise reach the store's key hasher, which cannot encode
-	// it.
-	if !(*scale > 0) || math.IsInf(*scale, 0) {
-		fatal(fmt.Errorf("scale must be positive and finite, got %v", *scale))
-	}
 	kind, err := platform.KindByName(*plat)
 	if err != nil {
 		fatal(err)

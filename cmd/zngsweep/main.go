@@ -182,24 +182,6 @@ func main() {
 	}
 }
 
-// coordCampaign mirrors the daemon's campaign status envelope (the
-// campaignInfo/campaignDetail shapes simsvc serves).
-type coordCampaign struct {
-	ID       string            `json:"id"`
-	Name     string            `json:"name"`
-	State    string            `json:"state"`
-	Trace    string            `json:"trace"`
-	Progress campaign.Progress `json:"progress"`
-	Errors   []struct {
-		Platform string  `json:"platform"`
-		Scenario string  `json:"scenario"`
-		Scale    float64 `json:"scale"`
-		Config   string  `json:"config"`
-		Error    string  `json:"error"`
-	} `json:"errors"`
-	Table json.RawMessage `json:"table"`
-}
-
 // runOnCoordinator executes (or resumes) the campaign inside a zngd
 // fleet coordinator: POST the spec (or the resume), long-poll to done,
 // render the coordinator's folded matrix through the same emitters a
@@ -226,8 +208,8 @@ func runOnCoordinator(base string, spec campaign.Spec, resumeID, format string, 
 		return err
 	}
 	var started struct {
-		Campaign coordCampaign `json:"campaign"`
-		Error    string        `json:"error"`
+		Campaign simsvc.CampaignInfo `json:"campaign"`
+		Error    string              `json:"error"`
 	}
 	if err := decodeReply(resp, &started); err != nil {
 		return err
@@ -244,7 +226,7 @@ func runOnCoordinator(base string, spec campaign.Spec, resumeID, format string, 
 	// to finish, so completion is seen in the round trip it happens in
 	// and -v still prints progress about once a second.
 	var detail struct {
-		coordCampaign
+		simsvc.CampaignDetail
 		Error string `json:"error"`
 	}
 	for {

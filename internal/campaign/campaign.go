@@ -24,7 +24,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -230,9 +229,6 @@ func (s Spec) Expand(base config.Config) ([]Cell, error) {
 		scales = []float64{1}
 	}
 	for _, sc := range scales {
-		if !(sc > 0) || math.IsInf(sc, 0) {
-			return nil, fmt.Errorf("campaign: scale must be positive and finite, got %v", sc)
-		}
 		for _, m := range mixes {
 			if err := m.CheckScale(sc); err != nil {
 				return nil, fmt.Errorf("campaign: scenario %q: %w", m.Name, err)

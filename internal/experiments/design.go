@@ -150,8 +150,8 @@ on a table that breaks its shape.
 Drivers run their cells through an injectable ` + "`Runner`" + ` carried by
 ` + "`Options`" + ` — by default a memory-only ` + "`simsvc.Service`" + `, the scheduler
 zngd serves from, without a store, which keys each cell by
-(platform, mix ID, scale, config) and starts its workers with the
-first simulation; the mix participates through its
+(platform, mix ID, scale, config) and runs a worker only while a
+cell is queued; the mix participates through its
 canonical content identity, so scenarios aliasing the same
 composition share one simulation and one result, labelled with that
 ID by ` + "`platform.RunMix`" + ` and by no runner after it — and the full figure
@@ -180,10 +180,14 @@ are atomic — temp file, then rename — so concurrent processes sharing
 a cache directory never observe a torn entry, and any undecodable
 entry reads as a miss that re-simulation heals. ` + "`internal/simsvc`" + `
 fronts the store with a job scheduler: a bounded worker pool drains a
-FIFO-with-priority queue, concurrent requests for the same cell
-coalesce onto one in-flight job, and every request resolves through
-memory, then disk, then simulation — with counters (sims, memory
-hits, disk hits, coalesced waiters) at each step. The service
+FIFO-with-priority queue and runs only while jobs are queued,
+concurrent requests for the same cell coalesce onto one in-flight job
+named by the cell's key (the address of its store document), and
+every request resolves through memory, then disk, then simulation —
+with counters (sims, memory hits, disk hits, coalesced waiters) at
+each step. A caller waits on its job one way, with or without a
+deadline, and stops when its context ends: a synchronous HTTP run
+whose client leaves returns while the job runs on. The service
 implements ` + "`campaign.Runner`" + `, the one runner interface, so the
 figure drivers, ` + "`zngfig`" + `, ` + "`zngsweep`" + `, ` + "`zngsim -cache`" + ` and ` + "`cmd/zngd`" + ` — the HTTP JSON
 daemon exposing run/jobs/campaigns/scenarios/platforms/healthz/metrics

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"zng/internal/campaign"
 	"zng/internal/config"
@@ -126,9 +127,10 @@ func TestDefaultOptions(t *testing.T) {
 	}
 }
 
-// TestOptionsHoldNoGoroutine: an Options value's service starts its
-// workers with its first simulation, so building the three option sets
-// and running a scale-free figure under each starts no goroutine.
+// TestOptionsHoldNoGoroutine: an Options value's service runs a worker
+// only while a cell is queued, so building the three option sets and
+// running a scale-free figure under each starts no goroutine, and one
+// that has simulated a cell holds none once it is idle.
 func TestOptionsHoldNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, o := range []Options{DefaultOptions(), TestOptions(), DocsOptions()} {
@@ -140,5 +142,15 @@ func TestOptionsHoldNoGoroutine(t *testing.T) {
 	// growth counts.
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutines grew from %d to %d", before, after)
+	}
+	o := TestOptions()
+	if _, err := o.Runner.Run(platform.GDDR5, o.Mixes[0], 0.02, o.Cfg); err != nil {
+		t.Fatal(err)
+	}
+	// The worker exits just after it wakes the caller.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines grew from %d to %d and stayed a second after the cell finished", before, runtime.NumGoroutine())
+		}
 	}
 }

@@ -10,23 +10,24 @@ import (
 	"time"
 )
 
-// registerRequest is the POST /v1/fleet/register body: the address
+// RegisterRequest is the POST /v1/fleet/register body: the address
 // the worker serves /v1/run on, as reachable from the coordinator.
-type registerRequest struct {
+// The Agent sends it and simsvc's coordinator handler decodes it.
+type RegisterRequest struct {
 	Addr string `json:"addr"`
 }
 
-// registerReply is the coordinator's answer: the peer record plus the
+// RegisterReply is the coordinator's answer: the peer record plus the
 // heartbeat cadence the worker should hold (derived from the
 // coordinator's TTL with headroom for lost beats).
-type registerReply struct {
+type RegisterReply struct {
 	Peer Peer `json:"peer"`
 	// HeartbeatMS is the interval the worker should heartbeat at.
 	HeartbeatMS int64 `json:"heartbeat_ms"`
 }
 
-// heartbeatRequest is the POST /v1/fleet/heartbeat body.
-type heartbeatRequest struct {
+// HeartbeatRequest is the POST /v1/fleet/heartbeat body.
+type HeartbeatRequest struct {
 	ID   string `json:"id"`
 	Load int    `json:"load"`
 }
@@ -123,8 +124,8 @@ func (a *Agent) sleep(d time.Duration) bool {
 }
 
 func (a *Agent) register() (id string, interval time.Duration, err error) {
-	var reply registerReply
-	if err := a.post("/v1/fleet/register", registerRequest{Addr: a.addr}, &reply); err != nil {
+	var reply RegisterReply
+	if err := a.post("/v1/fleet/register", RegisterRequest{Addr: a.addr}, &reply); err != nil {
 		return "", 0, err
 	}
 	interval = time.Duration(reply.HeartbeatMS) * time.Millisecond
@@ -135,7 +136,7 @@ func (a *Agent) register() (id string, interval time.Duration, err error) {
 }
 
 func (a *Agent) heartbeat(id string) error {
-	return a.post("/v1/fleet/heartbeat", heartbeatRequest{ID: id, Load: a.load()}, nil)
+	return a.post("/v1/fleet/heartbeat", HeartbeatRequest{ID: id, Load: a.load()}, nil)
 }
 
 func (a *Agent) post(path string, body, reply any) error {

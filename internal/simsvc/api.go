@@ -59,23 +59,6 @@ func WithFleet(fc *fleet.Coordinator) HandlerOption {
 	return func(o *handlerOpts) { o.fleet = fc }
 }
 
-// fleetRegisterRequest is the POST /v1/fleet/register body.
-type fleetRegisterRequest struct {
-	Addr string `json:"addr"`
-}
-
-// fleetRegisterReply mirrors the shape fleet.Agent expects.
-type fleetRegisterReply struct {
-	Peer        fleet.Peer `json:"peer"`
-	HeartbeatMS int64      `json:"heartbeat_ms"`
-}
-
-// fleetHeartbeatRequest is the POST /v1/fleet/heartbeat body.
-type fleetHeartbeatRequest struct {
-	ID   string `json:"id"`
-	Load int    `json:"load"`
-}
-
 // NewHandler builds the zngd HTTP JSON API over one service. cfg is
 // the base simulation configuration requests run under (the daemon
 // passes Table I defaults); requests choose platform, workload, scale
@@ -108,7 +91,8 @@ type fleetHeartbeatRequest struct {
 // caller's span subtree — and 202 with the job otherwise; the GETs
 // reply as they do without a wait. A request without wait takes the
 // immediate path; a malformed or negative wait, or one on a sync
-// run, is a 400.
+// run, is a 400. A sync run waits the same way with no deadline: it
+// stops when its client goes away, and the job runs on.
 //
 // Every reply — success, validation failure, unknown path, wrong
 // method — is a JSON document; errors are {"error": ...} with the
@@ -220,10 +204,6 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 		if scale == 0 {
 			scale = workload.DefaultScale
 		}
-		if scale < 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("scale must be positive, got %v", scale))
-			return
-		}
 		if err := mix.CheckScale(scale); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -241,17 +221,16 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 			span = tr.SampledRoot("http", "POST /v1/run")
 		}
 		request := Request{Kind: kind, Mix: mix, Scale: scale, Cfg: *req.Config, Priority: req.Priority, Trace: span.Context()}
-		// Either call holds the job across its wait, so a retention
-		// eviction between completion and reply cannot lose the result.
-		var (
-			res platform.Result
-			job JobInfo
-		)
-		if req.Async {
-			res, job, err = svc.SubmitWait(r.Context(), request, wait)
-		} else {
-			res, job, err = svc.DoJob(request)
+		// A sync run waits for its job with no deadline, an async one up
+		// to ?wait=D (0: not at all), and either stops when its client
+		// leaves; the job runs on. SubmitWait holds the job across the
+		// wait, so a retention eviction between completion and reply
+		// cannot lose the result.
+		d := wait
+		if !req.Async {
+			d = forever
 		}
+		res, job, err := svc.SubmitWait(r.Context(), request, d)
 		if errors.Is(err, ErrOverloaded) {
 			span.SetCode(http.StatusTooManyRequests)
 			span.EndErr(err)
@@ -266,7 +245,10 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 			writeErr(w, http.StatusServiceUnavailable, err)
 			return
 		}
-		if req.Async && (wait == 0 || !finished(job.State)) {
+		// An unfinished job (an async wait ran out, or a sync run's
+		// client left) is answered with the job, as an async run without
+		// a wait always is.
+		if !finished(job.State) || (req.Async && wait == 0) {
 			span.SetCode(http.StatusAccepted)
 			span.End()
 			writeRun(w, http.StatusAccepted, runResponse{Job: job})
@@ -333,18 +315,18 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 			return
 		}
 		writeJSON(w, http.StatusAccepted, struct {
-			Campaign campaignInfo `json:"campaign"`
+			Campaign CampaignInfo `json:"campaign"`
 		}{campaignStatus(c)})
 	})
 
 	timed("GET /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
 		list := mgr.List()
-		out := make([]campaignInfo, len(list))
+		out := make([]CampaignInfo, len(list))
 		for i, c := range list {
 			out[i] = campaignStatus(c)
 		}
 		writeJSON(w, http.StatusOK, struct {
-			Campaigns []campaignInfo `json:"campaigns"`
+			Campaigns []CampaignInfo `json:"campaigns"`
 		}{out})
 	})
 
@@ -361,7 +343,7 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 			return
 		}
 		waitDone(r.Context(), c.Finished(), wait)
-		detail := campaignDetail{campaignInfo: campaignStatus(c)}
+		detail := CampaignDetail{CampaignInfo: campaignStatus(c)}
 		// A finished campaign carries the folded result matrix (the
 		// same table zngsweep prints) and any per-cell failures, so
 		// one poll-to-done loop collects everything.
@@ -369,7 +351,7 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 			detail.Table = report.JSON(out.Table())
 			for _, cr := range out.Cells {
 				if cr.Err != nil {
-					detail.Errors = append(detail.Errors, campaignCellError{
+					detail.Errors = append(detail.Errors, CampaignCellError{
 						Platform: cr.Cell.Kind.String(),
 						Scenario: cr.Cell.Mix.Name,
 						Scale:    cr.Cell.Scale,
@@ -394,12 +376,12 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 			return
 		}
 		writeJSON(w, http.StatusAccepted, struct {
-			Campaign campaignInfo `json:"campaign"`
+			Campaign CampaignInfo `json:"campaign"`
 		}{campaignStatus(c)})
 	})
 
 	timed("POST /v1/fleet/register", func(w http.ResponseWriter, r *http.Request) {
-		var req fleetRegisterRequest
+		var req fleet.RegisterRequest
 		if err := decodeBody(w, r, &req); err != nil {
 			writeBodyErr(w, "decoding register request", err)
 			return
@@ -409,14 +391,14 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, fleetRegisterReply{
+		writeJSON(w, http.StatusOK, fleet.RegisterReply{
 			Peer:        peer,
 			HeartbeatMS: fleet.HeartbeatInterval(fc.TTL()).Milliseconds(),
 		})
 	})
 
 	timed("POST /v1/fleet/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req fleetHeartbeatRequest
+		var req fleet.HeartbeatRequest
 		if err := decodeBody(w, r, &req); err != nil {
 			writeBodyErr(w, "decoding heartbeat", err)
 			return
@@ -660,9 +642,10 @@ func jobReply(tr *obs.Tracer, r *http.Request, job JobInfo, res platform.Result)
 	return resp
 }
 
-// campaignInfo is the campaign status envelope shared by the list,
-// detail and start replies.
-type campaignInfo struct {
+// CampaignInfo is the campaign status envelope shared by the list,
+// detail and start replies. zngsweep -coordinator decodes the replies
+// into it and CampaignDetail.
+type CampaignInfo struct {
 	ID       string            `json:"id"`
 	Name     string            `json:"name,omitempty"`
 	State    string            `json:"state"` // "running" or "done"
@@ -673,16 +656,16 @@ type campaignInfo struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// campaignDetail extends the status with the finished campaign's
+// CampaignDetail extends the status with the finished campaign's
 // result matrix and per-cell failures.
-type campaignDetail struct {
-	campaignInfo
-	Errors []campaignCellError `json:"errors,omitempty"`
+type CampaignDetail struct {
+	CampaignInfo
+	Errors []CampaignCellError `json:"errors,omitempty"`
 	Table  json.RawMessage     `json:"table,omitempty"`
 }
 
-// campaignCellError locates one failed cell in the grid.
-type campaignCellError struct {
+// CampaignCellError locates one failed cell in the grid.
+type CampaignCellError struct {
 	Platform string  `json:"platform"`
 	Scenario string  `json:"scenario"`
 	Scale    float64 `json:"scale"`
@@ -690,12 +673,12 @@ type campaignCellError struct {
 	Error    string  `json:"error"`
 }
 
-func campaignStatus(c *campaign.Campaign) campaignInfo {
+func campaignStatus(c *campaign.Campaign) CampaignInfo {
 	state := "running"
 	if c.Done() {
 		state = "done"
 	}
-	info := campaignInfo{ID: c.ID, Name: c.Spec.Name, State: state, Progress: c.Progress()}
+	info := CampaignInfo{ID: c.ID, Name: c.Spec.Name, State: state, Progress: c.Progress()}
 	if t := c.Trace(); t != 0 {
 		info.Trace = t.String()
 	}

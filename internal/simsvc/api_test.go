@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"zng/internal/cellkey"
 	"zng/internal/config"
 	"zng/internal/platform"
 	"zng/internal/workload"
@@ -680,5 +681,51 @@ func TestAPIRunNamesCallersScenario(t *testing.T) {
 	}
 	if job, result := reply(polled); job.Workload != "bfs1-gaus" || result != "bfs1+gaus" {
 		t.Errorf("GET /v1/jobs/%s: workload %q, result workload %q; want bfs1-gaus, bfs1+gaus", first.ID, job.Workload, result)
+	}
+}
+
+// TestAPIJobIDIsCellKey: a job's id is the cell key that also names
+// the cell's store document, on a sync reply, an async reply and a
+// coalesced attach alike, and GET /v1/jobs/{key} answers that job.
+func TestAPIJobIDIsCellKey(t *testing.T) {
+	sim, open := gatedSim()
+	srv, _ := newTestServer(t, sim)
+	t.Cleanup(open)
+	run := func(body string) (int, JobInfo) {
+		t.Helper()
+		resp, doc := postRun(t, srv.URL, body)
+		var job JobInfo
+		if err := json.Unmarshal(doc["job"], &job); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, job
+	}
+	cfg := config.Default()
+	asyncKey := cellkey.Key(platform.ZnG, testMix(t, "pr-gaus").ID(), 0.5, cfg)
+	syncKey := cellkey.Key(platform.HybridGPU, testMix(t, "bfs1-gaus").ID(), 0.25, cfg)
+
+	// The gate is shut, so the async run's job is still in flight when
+	// the identical request attaches to it.
+	const asyncCell = `{"platform":"ZnG","mix":"pr-gaus","scale":0.5,"async":true}`
+	if code, job := run(asyncCell); code != http.StatusAccepted || job.ID != asyncKey {
+		t.Errorf("async reply: status %d, job %+v; want 202 with id %s", code, job, asyncKey)
+	}
+	if code, job := run(asyncCell); code != http.StatusAccepted || job.ID != asyncKey || job.Waiters != 1 {
+		t.Errorf("coalesced attach: status %d, job %+v; want 202 with id %s and 1 waiter", code, job, asyncKey)
+	}
+	open()
+	if code, job := run(`{"platform":"HybridGPU","mix":"bfs1-gaus","scale":0.25}`); code != http.StatusOK || job.ID != syncKey {
+		t.Errorf("sync reply: status %d, job %+v; want 200 with id %s", code, job, syncKey)
+	}
+
+	for _, k := range []string{asyncKey, syncKey} {
+		var polled struct {
+			Job    JobInfo         `json:"job"`
+			Result json.RawMessage `json:"result"`
+		}
+		if code := getJSON(t, srv.URL+"/v1/jobs/"+k+"?wait=10s", &polled); code != http.StatusOK || polled.Job.ID != k ||
+			polled.Job.State != StateDone || len(polled.Result) == 0 {
+			t.Errorf("GET /v1/jobs/%s: status %d, job %+v; want 200 with that job, done, and its result", k, code, polled.Job)
+		}
 	}
 }

@@ -9,9 +9,10 @@
 // in-process result layer: the figure drivers (a memory-only service
 // by default, see experiments.DefaultOptions), zngfig and zngsweep
 // (memory-only, or store-backed with -cache) and the zngd daemon all
-// share this one code path. Its workers start with the first queued
-// job, so a service that is never asked to simulate holds no
-// goroutine. Request flow:
+// share this one code path. Its workers run only while jobs are
+// queued: submit starts one when it queues a job and fewer than
+// Config.Workers are running, and a worker that finds the queue empty
+// exits, so an idle service holds no goroutine. Request flow:
 //
 //	memory (completed cell)      -> MemoryHits
 //	memory (LRU result tier)     -> MemoryHits (internal/restier; the
@@ -32,9 +33,12 @@
 // queue — memory hits, tier hits, coalesced attaches — are always
 // admitted.
 //
-// Every admitted cell is one Job with an observable lifecycle
+// Every admitted cell is one job with an observable lifecycle
 // (queued, running, done, error) — the unit the zngd HTTP API
-// (api.go) exposes.
+// (api.go) exposes. A job's id is its cell's key (cellkey.Key), the
+// content address that also names the cell's store document, so one
+// map indexes the jobs by cell and by id. A caller waits on a job one
+// way, SubmitWait; Do is SubmitWait without a deadline.
 //
 // Retention is bounded: with Config.MaxJobs set, completed jobs past
 // the bound are evicted oldest-first — done jobs only once their
@@ -51,7 +55,7 @@ import (
 	"container/heap"
 	"context"
 	"errors"
-	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -158,6 +162,7 @@ type Request struct {
 // JobInfo is the externally visible snapshot of one job, shaped for
 // the zngd JSON API.
 type JobInfo struct {
+	// ID is the cell key: 64 lowercase hex digits.
 	ID       string  `json:"id"`
 	State    State   `json:"state"`
 	Platform string  `json:"platform"`
@@ -193,11 +198,10 @@ type keyID struct {
 // before done is closed, so readers that have observed the close may
 // read them without the service lock.
 type job struct {
-	id      string
-	seq     uint64
-	idx     int // position in the pending heap; -1 once popped
+	key     string // the cell key, which is also the job's id
+	seq     uint64 // admissions before this one: the queue's FIFO tie-break
+	idx     int    // position in the pending heap; -1 once popped
 	req     Request
-	key     string
 	state   State
 	source  string
 	waiters int
@@ -220,7 +224,7 @@ type job struct {
 
 func (j *job) info() JobInfo {
 	info := JobInfo{
-		ID:       j.id,
+		ID:       j.key,
 		State:    j.state,
 		Platform: j.req.Kind.String(),
 		Workload: j.req.Mix.Name,
@@ -252,15 +256,15 @@ type Service struct {
 	// is internally atomic, so workers record without the service lock.
 	simHist latency.Histogram
 
-	mu     sync.Mutex
-	cond   *sync.Cond       // queue became non-empty, or the service closed
-	queue  jobQueue         // guarded by mu
-	keys   map[keyID]string // guarded by mu; memoized cell-key derivations (the hot path's SHA-256)
-	cells  map[string]*job  // guarded by mu; cell key -> owning job (completed cells stay: the memory layer)
-	jobs   map[string]*job  // guarded by mu; job id -> job
-	order  []*job           // guarded by mu; submission order, for listing
-	nextID uint64           // guarded by mu
-	stats  RunnerStats      // guarded by mu
+	mu    sync.Mutex
+	queue jobQueue         // guarded by mu
+	keys  map[keyID]string // guarded by mu; memoized cell-key derivations (the hot path's SHA-256)
+	// cells is the one job index, by cell key (= job id); completed
+	// cells stay until retention evicts them: the memory layer.
+	// guarded by mu.
+	cells map[string]*job
+	order []*job      // guarded by mu; submission order, for listing and retention
+	stats RunnerStats // guarded by mu
 	// rejected counts submissions refused with ErrOverloaded. guarded by mu.
 	rejected uint64
 	// simEWMA tracks recent per-simulation latency in nanoseconds
@@ -273,20 +277,19 @@ type Service struct {
 	// order slice on every completion. guarded by mu.
 	evictable int
 	evicted   uint64 // guarded by mu
-	// running counts jobs a worker has popped and not yet finished —
-	// with the queue depth, the load figure a fleet worker heartbeats
-	// to its coordinator. guarded by mu.
+	// running counts the worker goroutines, each of which holds the one
+	// job it popped and is running: at most workers, and none once the
+	// queue is empty. With the queue depth it is the load figure a
+	// fleet worker heartbeats to its coordinator. guarded by mu.
 	running int
-	// started records that the worker goroutines run: they start with
-	// the first queued job, so a service that never simulates holds
-	// none. guarded by mu.
-	started bool
 	closed  bool // guarded by mu
 	wg      sync.WaitGroup
 }
 
-// New returns a service whose cfg.Workers worker goroutines start
-// with its first queued job. Close it to drain.
+// New returns a service that starts a worker goroutine, up to
+// cfg.Workers of them, for each job it queues; a worker exits when it
+// finds the queue empty, so a new service and an idle one hold none.
+// Close it to drain.
 func New(cfg Config) *Service {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
@@ -294,7 +297,7 @@ func New(cfg Config) *Service {
 	if cfg.Simulate == nil {
 		cfg.Simulate = platform.RunMix
 	}
-	s := &Service{
+	return &Service{
 		st:       cfg.Store,
 		tier:     restier.NewTiered(cfg.CacheEntries, cfg.Store),
 		sim:      cfg.Simulate,
@@ -304,10 +307,7 @@ func New(cfg Config) *Service {
 		tr:       cfg.Tracer,
 		keys:     map[keyID]string{},
 		cells:    map[string]*job{},
-		jobs:     map[string]*job{},
 	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
 }
 
 // submit is the admission core: it returns the owning job itself, so
@@ -370,33 +370,20 @@ func (s *Service) submit(req Request) (*job, string, error) {
 	if r, negErr, ok := s.tier.GetMem(key); ok {
 		s.stats.MemoryHits++
 		s.note(req, memTierName(negErr), negErr)
-		s.nextID++
-		j := &job{
-			id:     fmt.Sprintf("job-%d", s.nextID),
-			seq:    s.nextID,
-			idx:    -1,
-			req:    req,
-			key:    key,
-			state:  StateDone,
-			source: "memory",
-			// With a store present the tier's residents came off disk or
-			// were written through; even after a rare failed write-through
-			// an eviction only costs a deterministic re-simulation.
-			persisted: s.tier.Store() != nil,
-			done:      make(chan struct{}),
-			res:       r,
-		}
+		j := s.admitLocked(req, key, StateDone)
+		j.source = "memory"
+		// With a store present the tier's residents came off disk or
+		// were written through; even after a rare failed write-through
+		// an eviction only costs a deterministic re-simulation.
+		j.persisted = s.tier.Store() != nil
 		if negErr != nil {
 			// A cached deterministic failure replays without burning a
 			// worker on a simulation that fails identically every time.
-			j.state = StateError
-			j.err = negErr
-			j.res = platform.Result{}
+			j.state, j.err = StateError, negErr
+		} else {
+			j.res = r
 		}
 		close(j.done)
-		s.cells[key] = j
-		s.jobs[j.id] = j
-		s.order = append(s.order, j)
 		if s.jobEvictable(j) {
 			s.evictable++
 		}
@@ -407,61 +394,66 @@ func (s *Service) submit(req Request) (*job, string, error) {
 		s.rejected++
 		return nil, "", ErrOverloaded
 	}
-	s.nextID++
-	j := &job{
-		id:    fmt.Sprintf("job-%d", s.nextID),
-		seq:   s.nextID,
-		req:   req,
-		key:   key,
-		state: StateQueued,
-		done:  make(chan struct{}),
-	}
+	j := s.admitLocked(req, key, StateQueued)
 	if s.tr != nil && req.Trace.Valid() {
 		j.trace = req.Trace
 		j.enq = time.Now()
 	}
-	s.cells[key] = j
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
 	heap.Push(&s.queue, j)
-	if !s.started {
-		s.started = true
-		s.wg.Add(s.workers)
-		for range s.workers {
-			go s.worker()
-		}
+	if s.running < s.workers {
+		s.wg.Add(1)
+		go s.worker(s.popLocked())
 	}
-	s.cond.Signal()
 	return j, "", nil
 }
 
-// Do is the synchronous request path: submit and wait. The result is
-// the cell's one document whichever name asked for it (aliasing
-// scenarios share a cell, and platform.RunMix labels its result with
-// the mix's content ID). Do holds the job directly, so MaxJobs
-// retention can never evict a result out from under a waiting caller.
+// admitLocked builds the job that answers req for the cell key and
+// indexes it: cells maps the key, which is the job's id, to it, and
+// order lists it for Jobs and retention. Called with mu held.
+func (s *Service) admitLocked(req Request, key string, state State) *job {
+	j := &job{
+		key: key,
+		// Every admission appends to order and every eviction moves one
+		// job from order to evicted, so the sum counts admissions.
+		seq:   uint64(len(s.order)) + s.evicted,
+		idx:   -1,
+		req:   req,
+		state: state,
+		done:  make(chan struct{}),
+	}
+	s.cells[key] = j
+	s.order = append(s.order, j)
+	return j
+}
+
+// popLocked hands the queue's first job to a worker. Called with mu
+// held and the queue non-empty.
+func (s *Service) popLocked() *job {
+	j := heap.Pop(&s.queue).(*job)
+	j.state = StateRunning
+	s.running++
+	return j
+}
+
+// forever is the wait with no deadline: the longest time.Duration.
+const forever = time.Duration(math.MaxInt64)
+
+// Do is the synchronous request path: SubmitWait with no deadline and
+// no context to end the wait. The result is the cell's one document
+// whichever name asked for it (aliasing scenarios share a cell, and
+// platform.RunMix labels its result with the mix's content ID).
 func (s *Service) Do(req Request) (platform.Result, error) {
-	res, _, err := s.DoJob(req)
+	res, _, err := s.SubmitWait(context.Background(), req, forever)
 	return res, err
 }
 
-// DoJob is Do plus the satisfied job's final snapshot, for callers
-// (the HTTP sync path) that report job metadata alongside the result.
-func (s *Service) DoJob(req Request) (platform.Result, JobInfo, error) {
-	j, served, err := s.submit(req)
-	if err != nil {
-		return platform.Result{}, JobInfo{}, err
-	}
-	<-j.done
-	return j.res, s.requestInfo(j, req, served), j.err
-}
-
-// SubmitWait is DoJob for async callers: it admits req and waits up to
-// d (d <= 0: not at all) for the job to finish, returning early when
-// ctx ends. The snapshot's state says whether the job finished; it is
-// taken from the held job, so retention cannot evict the outcome out
-// from under the wait. Once the job is done the result is set; the
-// error is the admission failure or, for a failed job, the job's own.
+// SubmitWait is the one wait on a job: it admits req and waits up to d
+// (d <= 0: not at all) for the job to finish, returning early when ctx
+// ends. The snapshot's state says whether the job finished; it is
+// taken from the held job, so MaxJobs retention cannot evict the
+// outcome out from under the wait. Once the job is done the result is
+// set; the error is the admission failure or, for a failed job, the
+// job's own.
 func (s *Service) SubmitWait(ctx context.Context, req Request, d time.Duration) (platform.Result, JobInfo, error) {
 	j, served, err := s.submit(req)
 	if err != nil {
@@ -537,15 +529,15 @@ func memTierName(err error) string {
 	return "tier.memory"
 }
 
-// JobResult snapshots one job by id and — when it is done — its
-// result, after waiting up to d (d <= 0: not at all) for the job to
-// finish, returning early when ctx ends. The id is resolved once, so a
-// retention eviction between "observe done" and "read result", or
-// during the wait, cannot lose the result (the HTTP poll endpoint's
-// contract).
+// JobResult snapshots one job by id, its cell key, and — when it is
+// done — its result, after waiting up to d (d <= 0: not at all) for the
+// job to finish, returning early when ctx ends. The id is resolved
+// once, so a retention eviction between "observe done" and "read
+// result", or during the wait, cannot lose the result (the HTTP poll
+// endpoint's contract).
 func (s *Service) JobResult(ctx context.Context, id string, d time.Duration) (JobInfo, platform.Result, bool) {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
+	j, ok := s.cells[id]
 	s.mu.Unlock()
 	if !ok {
 		return JobInfo{}, platform.Result{}, false
@@ -575,11 +567,17 @@ func waitDone(ctx context.Context, done <-chan struct{}, d time.Duration) {
 		return
 	default:
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	// A wait without a deadline arms no timer: a nil channel never
+	// fires.
+	var expired <-chan time.Time
+	if d < forever {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		expired = t.C
+	}
 	select {
 	case <-done:
-	case <-t.C:
+	case <-expired:
 	case <-ctx.Done():
 	}
 }
@@ -623,30 +621,18 @@ func (s *Service) Close() {
 			close(j.done)
 		}
 		s.queue = nil
-		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
 }
 
-// worker pops jobs in priority-then-FIFO order, satisfying each from
-// the persistent store when possible and simulating otherwise.
-func (s *Service) worker() {
+// worker runs j, the job submit popped for it, then the queue's next
+// job in priority-then-FIFO order until finish finds the queue empty,
+// satisfying each from the persistent store when possible and
+// simulating otherwise.
+func (s *Service) worker(j *job) {
 	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if len(s.queue) == 0 {
-			s.mu.Unlock()
-			return
-		}
-		j := heap.Pop(&s.queue).(*job)
-		j.state = StateRunning
-		s.running++
-		s.mu.Unlock()
-
+	for j != nil {
 		// Traced jobs record their lifecycle; untraced ones never read
 		// the clock on tracing's behalf.
 		traced := s.tr != nil && j.trace.Valid()
@@ -669,7 +655,7 @@ func (s *Service) worker() {
 				}
 				s.tr.Observe(j.trace, name, "", tierStart, time.Since(tierStart), negErr)
 			}
-			s.finish(j, r, negErr, tier.String(), negErr == nil, 0)
+			j = s.finish(j, r, negErr, tier.String(), negErr == nil, 0)
 			continue
 		}
 		var simSpan *obs.Span
@@ -703,15 +689,17 @@ func (s *Service) worker() {
 			// tier without a worker.
 			s.tier.PutNegative(j.key, err.Error())
 		}
-		s.finish(j, r, err, "sim", persisted, simDur)
+		j = s.finish(j, r, err, "sim", persisted, simDur)
 	}
 }
 
-// finish publishes a job's outcome, wakes its waiters, and evicts
-// past the retention bound. simDur is the wall-clock simulation time
-// (0 when the job was served from a tier) feeding the latency
-// histogram and the Retry-After estimator.
-func (s *Service) finish(j *job, r platform.Result, err error, source string, persisted bool, simDur time.Duration) {
+// finish publishes a job's outcome, wakes its waiters, evicts past the
+// retention bound and returns the worker's next job: the queue's
+// first, or nil when the queue is empty and the worker is to exit.
+// simDur is the wall-clock simulation time (0 when the job was served
+// from a tier) feeding the latency histogram and the Retry-After
+// estimator.
+func (s *Service) finish(j *job, r platform.Result, err error, source string, persisted bool, simDur time.Duration) *job {
 	if simDur > 0 {
 		s.simHist.Observe(simDur)
 	}
@@ -746,6 +734,10 @@ func (s *Service) finish(j *job, r platform.Result, err error, source string, pe
 	}
 	close(j.done)
 	s.evictLocked()
+	if len(s.queue) == 0 {
+		return nil
+	}
+	return s.popLocked()
 }
 
 // jobEvictable reports whether a job's in-memory copy is redundant: a
@@ -768,10 +760,7 @@ func (s *Service) evictLocked() {
 	keep := s.order[:0]
 	for _, j := range s.order {
 		if excess > 0 && s.jobEvictable(j) {
-			delete(s.jobs, j.id)
-			if s.cells[j.key] == j {
-				delete(s.cells, j.key)
-			}
+			delete(s.cells, j.key)
 			s.evictable--
 			s.evicted++
 			excess--

@@ -141,7 +141,7 @@ func TestCoalescing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var info JobInfo
-			results[i], info, errs[i] = svc.DoJob(req)
+			results[i], info, errs[i] = svc.SubmitWait(context.Background(), req, forever)
 			ids[i] = info.ID
 		}()
 	}
@@ -282,7 +282,8 @@ func TestCorruptEntryFallsBackToSimulation(t *testing.T) {
 }
 
 // TestPriorityOrdersQueue: with one busy worker, a higher-priority
-// job submitted later must run before an earlier lower-priority one.
+// job submitted later must run before an earlier lower-priority one,
+// and jobs of equal priority run in submission order.
 func TestPriorityOrdersQueue(t *testing.T) {
 	var (
 		mu    sync.Mutex
@@ -311,20 +312,25 @@ func TestPriorityOrdersQueue(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	lowID := submit(t, svc, Request{Kind: platform.ZnG, Mix: testMix(t, "solo-gaus"), Scale: 2, Cfg: cfg, Priority: 0})
-	highID := submit(t, svc, Request{Kind: platform.ZnG, Mix: testMix(t, "solo-pr"), Scale: 2, Cfg: cfg, Priority: 5})
+	ids := []string{gateID}
+	for _, c := range []struct {
+		mix      string
+		priority int
+	}{{"solo-gaus", 0}, {"solo-pr", 5}, {"solo-bfs2", 0}, {"solo-bfs3", 0}, {"solo-bfs4", 0}, {"solo-bfs5", 0}} {
+		ids = append(ids, submit(t, svc, Request{Kind: platform.ZnG, Mix: testMix(t, c.mix), Scale: 2, Cfg: cfg, Priority: c.priority}))
+	}
 	close(gate)
-	for _, id := range []string{gateID, lowID, highID} {
+	for _, id := range ids {
 		if _, err := await(t, svc, id); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	want := []string{"solo-bfs1", "solo-pr", "solo-gaus"}
+	want := []string{"solo-bfs1", "solo-pr", "solo-gaus", "solo-bfs2", "solo-bfs3", "solo-bfs4", "solo-bfs5"}
 	for i := range want {
 		if order[i] != want[i] {
-			t.Fatalf("execution order %v, want %v (priority must preempt FIFO)", order, want)
+			t.Fatalf("execution order %v, want %v (priority must preempt FIFO, and FIFO must order the rest)", order, want)
 		}
 	}
 }
@@ -528,10 +534,11 @@ func TestRetentionEvictsPersistedJobs(t *testing.T) {
 		t.Errorf("evicted = %d, want 2", got)
 	}
 	// The oldest jobs went first: their ids are gone, the newest stay.
-	if _, ok := jobInfo(svc, "job-1"); ok {
+	id := func(name string) string { return cellkey.Key(platform.ZnG, testMix(t, name).ID(), 0.5, cfg) }
+	if _, ok := jobInfo(svc, id(mixes[0])); ok {
 		t.Error("oldest job survived eviction")
 	}
-	if _, ok := jobInfo(svc, "job-4"); !ok {
+	if _, ok := jobInfo(svc, id(mixes[3])); !ok {
 		t.Error("newest job was evicted")
 	}
 

@@ -51,7 +51,7 @@ func TestTierServedEqualsFreshSimulation(t *testing.T) {
 	if _, err := svc1.Run(kind, mixB, o.Scale, o.Cfg); err != nil {
 		t.Fatal(err)
 	}
-	memServed, job, err := svc1.DoJob(Request{Kind: kind, Mix: mixA, Scale: o.Scale, Cfg: o.Cfg})
+	memServed, job, err := svc1.SubmitWait(context.Background(), Request{Kind: kind, Mix: mixA, Scale: o.Scale, Cfg: o.Cfg}, forever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestTierServedEqualsFreshSimulation(t *testing.T) {
 			return platform.Result{}, errors.New("must serve from a tier")
 		}})
 	defer svc2.Close()
-	diskServed, job, err := svc2.DoJob(Request{Kind: kind, Mix: mixA, Scale: o.Scale, Cfg: o.Cfg})
+	diskServed, job, err := svc2.SubmitWait(context.Background(), Request{Kind: kind, Mix: mixA, Scale: o.Scale, Cfg: o.Cfg}, forever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTierServedEqualsFreshSimulation(t *testing.T) {
 	if _, err := svc2.Run(kind, mixB, o.Scale/2, o.Cfg); err == nil {
 		t.Fatal("rigged simulator did not fail")
 	}
-	memServed2, job, err := svc2.DoJob(Request{Kind: kind, Mix: mixA, Scale: o.Scale, Cfg: o.Cfg})
+	memServed2, job, err := svc2.SubmitWait(context.Background(), Request{Kind: kind, Mix: mixA, Scale: o.Scale, Cfg: o.Cfg}, forever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestTierDisabledByDefault(t *testing.T) {
 	if _, err := svc.Do(other); err != nil {
 		t.Fatal(err)
 	}
-	if _, job, err := svc.DoJob(req); err != nil || job.Source != "disk" {
+	if _, job, err := svc.SubmitWait(context.Background(), req, forever); err != nil || job.Source != "disk" {
 		t.Fatalf("tier-less re-request: source %q err %v, want disk", job.Source, err)
 	}
 	if ts := svc.TierStats(); ts.Capacity != 0 || ts.Hits != 0 {
@@ -366,7 +366,7 @@ func TestNegativeCacheServesRepeatFailures(t *testing.T) {
 		t.Fatalf("tier negatives = %d, want 1 (stats %+v)", ts.Negatives, ts)
 	}
 
-	_, job, err := svc.DoJob(Request{Kind: platform.ZnG, Mix: mixA, Scale: 0.5, Cfg: cfg})
+	_, job, err := svc.SubmitWait(context.Background(), Request{Kind: platform.ZnG, Mix: mixA, Scale: 0.5, Cfg: cfg}, forever)
 	if err == nil || err.Error() != "zng: apps exceed SMs" {
 		t.Fatalf("replayed err = %v, want the original failure text", err)
 	}

@@ -1,6 +1,7 @@
 package simsvc
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestTierOutcomeSpans(t *testing.T) {
 
 	do := func(svc *Service, tr *obs.Tracer, mix workload.Mix, scale float64) (obs.ID, JobInfo, error) {
 		root := tr.StartRoot("test.request", mix.Name)
-		_, job, err := svc.DoJob(Request{Kind: platform.ZnG, Mix: mix, Scale: scale, Cfg: cfg, Trace: root.Context()})
+		_, job, err := svc.SubmitWait(context.Background(), Request{Kind: platform.ZnG, Mix: mix, Scale: scale, Cfg: cfg, Trace: root.Context()}, forever)
 		root.End()
 		return root.Context().Trace, job, err
 	}

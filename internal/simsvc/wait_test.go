@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"zng/internal/cellkey"
 	"zng/internal/config"
 	"zng/internal/obs"
 	"zng/internal/platform"
@@ -299,5 +300,56 @@ func TestAPIWaitingRunCarriesSpans(t *testing.T) {
 		if !kinds[want] {
 			t.Errorf("reply spans lack %q (got %v)", want, kinds)
 		}
+	}
+}
+
+// TestAPISyncRunStopsWaitingWhenClientLeaves: a sync POST /v1/run
+// waits for its job under the request's context, so the handler
+// returns once the client leaves while the simulation runs on; the
+// finished cell then answers the next request from memory.
+func TestAPISyncRunStopsWaitingWhenClientLeaves(t *testing.T) {
+	sim := &stubSim{gate: make(chan struct{}), started: make(chan struct{}, 1), res: platform.Result{IPC: 4}}
+	svc := New(Config{Workers: 1, Simulate: sim.fn})
+	t.Cleanup(svc.Close)
+	var once sync.Once
+	open := func() { once.Do(func() { close(sim.gate) }) }
+	t.Cleanup(open)
+	h := NewHandler(svc, config.Default())
+	const cell = `{"platform":"ZnG","mix":"betw-back","scale":0.5}`
+	run := func(ctx context.Context) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(cell)).WithContext(ctx))
+		return rec
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	returned := make(chan struct{})
+	go func() {
+		run(ctx)
+		close(returned)
+	}()
+	<-sim.started
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Fatal("sync run still waiting a second after its client left")
+	}
+	key := cellkey.Key(platform.ZnG, testMix(t, "betw-back").ID(), 0.5, config.Default())
+	if info, ok := jobInfo(svc, key); !ok || info.State != StateRunning {
+		t.Fatalf("job after the client left = %+v (found %v), want still running", info, ok)
+	}
+
+	open()
+	if _, err := await(t, svc, key); err != nil {
+		t.Fatal(err)
+	}
+	rec := run(context.Background())
+	doc := decodeJobDoc(t, rec.Result())
+	if rec.Code != http.StatusOK || doc.Job.Source != "memory" || len(doc.Result) == 0 {
+		t.Errorf("next request = %d, job %+v; want 200 from memory with the result", rec.Code, doc.Job)
+	}
+	if st := svc.Stats(); st.Sims != 1 || st.MemoryHits != 1 {
+		t.Errorf("stats = %+v, want 1 simulation and 1 memory hit", st)
 	}
 }

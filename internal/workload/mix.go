@@ -83,13 +83,19 @@ func (m Mix) Apps(scale float64) ([]*App, error) {
 }
 
 // CheckScale reports whether every component of m can be instantiated
-// at the trace scale, naming the first that cannot: its application
-// must be registered, and scale × weight must be positive with its
-// per-warp and total memory-instruction counts within an int. NewApp's
+// at the trace scale, naming the first that cannot: the scale must be
+// positive and finite (a NaN or an infinity would reach the cell-key
+// hasher, which cannot encode it), the component's application must be
+// registered, and scale × weight must be positive with its per-warp and
+// total memory-instruction counts within an int. NewApp's
 // 4-instruction floor serves any positive product, however small; a
 // larger product than the counts can hold would wrap and silently run
-// a different trace. Entry points call it before a cell is keyed.
+// a different trace. Entry points call it before a cell is keyed, and
+// it is their one check of a scale.
 func (m Mix) CheckScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 0) {
+		return fmt.Errorf("workload: scale must be positive and finite, got %v", scale)
+	}
 	for _, c := range m.Components {
 		if _, err := c.spec(scale); err != nil {
 			return err

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -33,6 +34,16 @@ func TestScaleCheckRejectsUnfitTraces(t *testing.T) {
 	for _, scale := range []float64{1e308, math.Inf(1), 0, -1, math.NaN()} {
 		if err := solo.CheckScale(scale); err == nil {
 			t.Errorf("solo-bfs1 at scale %v passed the scale check", scale)
+		}
+	}
+	// A scale that is not positive and finite fails as such, whatever
+	// the mix holds; it is every entry point's one scale check.
+	for _, scale := range []float64{math.Inf(1), math.Inf(-1), 0, -1, math.NaN()} {
+		want := fmt.Sprintf("workload: scale must be positive and finite, got %v", scale)
+		for _, m := range []Mix{solo, {}} {
+			if err := m.CheckScale(scale); err == nil || err.Error() != want {
+				t.Errorf("mix %q at scale %v: error %v, want %q", m.Name, scale, err, want)
+			}
 		}
 	}
 	// A product that underflows to zero has no trace at all.
