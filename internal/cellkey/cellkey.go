@@ -28,7 +28,7 @@ import (
 // wrong results. A change to what the simulator outputs for an
 // unchanged key needs a bump too, or a store keeps serving the old
 // output while fresh simulations report the new one.
-const SchemaVersion = 6
+const SchemaVersion = 7
 
 // Key returns the content address of one simulation cell. Mixes
 // participate through their ID rather than their display name, so
@@ -36,7 +36,7 @@ const SchemaVersion = 6
 //
 // The hashed bytes are the canonical cell identity
 //
-//	{"schema":6,"kind":"ZnG","mix":"bfs1+gaus","scale":2,"cfg":{"GPU":{...},...}}
+//	{"schema":7,"kind":"ZnG","mix":"bfs1+gaus","scale":2,"cfg":{"GPU":{...},...}}
 //
 // and a newline: exactly what json.Encoder wrote for a struct of those
 // fields, since the keys of every existing store are hashes of those

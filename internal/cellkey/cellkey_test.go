@@ -17,8 +17,8 @@ import (
 // existing store cold without a word, so a deliberate one comes with a
 // SchemaVersion bump and new values here.
 func TestKeyGolden(t *testing.T) {
-	if SchemaVersion != 6 {
-		t.Fatalf("SchemaVersion = %d; the golden keys below are for 6", SchemaVersion)
+	if SchemaVersion != 7 {
+		t.Fatalf("SchemaVersion = %d; the golden keys below are for 7", SchemaVersion)
 	}
 	cfg := config.Default()
 	cfg.Flash.Channels = 8
@@ -32,9 +32,9 @@ func TestKeyGolden(t *testing.T) {
 		cfg   config.Config
 		want  string
 	}{
-		{platform.ZnG, "bfs1+gaus", 2, config.Default(), "2baaa59f23186fab1d7a4a13a7b8b46c279ebd65400759e48c196cd8f6fe8606"},
-		{platform.HybridGPU, "bfs1", 0.05, config.Default(), "84edfec9d0a48eb96f180676a6e639fb2a7d960adeba58b924f859b5fd8d2b08"},
-		{platform.ZnGBase, "oltp*2+fbfs", 1.28, cfg, "83f8706e7cbd24f311a4f0cc16c364befeb22cf27f16becd91ae987dbfe41716"},
+		{platform.ZnG, "bfs1+gaus", 2, config.Default(), "f539577007c315704efd7720e39fc9e7578b9bff6e0e399a759893556c3ed8b7"},
+		{platform.HybridGPU, "bfs1", 0.05, config.Default(), "332cb24e08d4d9fb6a4dbb0ab04a535c92dabb786fc0637edb74345d786e0997"},
+		{platform.ZnGBase, "oltp*2+fbfs", 1.28, cfg, "457d5d8aa578ce5f92f4076fb103af9fa28fcdff2688a687da67f42e4803b116"},
 	} {
 		if got := Key(tc.kind, tc.mix, tc.scale, tc.cfg); got != tc.want {
 			t.Errorf("Key(%v, %q, %v) = %s, want %s", tc.kind, tc.mix, tc.scale, got, tc.want)

@@ -178,7 +178,10 @@ SHA-256 of a canonical encoding of exactly those inputs plus a schema
 version (bumping it invalidates every stale entry at once). Writes
 are atomic — temp file, then rename — so concurrent processes sharing
 a cache directory never observe a torn entry, and any undecodable
-entry reads as a miss that re-simulation heals. ` + "`internal/simsvc`" + `
+entry reads as a miss that re-simulation heals. A document carries
+per-plane program counts only when a plane was programmed, so a flash
+cell that never programs stores under 1 KB, not 7 KB of zeros.
+` + "`internal/simsvc`" + `
 fronts the store with a job scheduler: a bounded worker pool drains a
 FIFO-with-priority queue and runs only while jobs are queued,
 concurrent requests for the same cell coalesce onto one in-flight job

@@ -65,8 +65,14 @@ func Fig8b(o Options) (*stats.Table, error) {
 	}
 	r := cells[0].Result
 	const grid = 16
-	channels := o.Cfg.Flash.Channels
-	perCh := len(r.PlaneWrites) / channels
+	channels, planes := o.Cfg.Flash.Channels, o.Cfg.Flash.Planes()
+	perCh := planes / channels
+	// A cell that never programmed carries no plane counts: every
+	// plane reads 0.
+	writes := r.PlaneWrites
+	if len(writes) == 0 {
+		writes = make([]uint64, planes)
+	}
 	group := (perCh + grid - 1) / grid
 	if group < 1 {
 		group = 1
@@ -77,7 +83,7 @@ func Fig8b(o Options) (*stats.Table, error) {
 	for ch := 0; ch < channels; ch++ {
 		clear(heat)
 		for i := 0; i < perCh; i++ {
-			heat[i/group] += r.PlaneWrites[ch*perCh+i]
+			heat[i/group] += writes[ch*perCh+i]
 		}
 		var min, max, tot uint64
 		min = ^uint64(0)

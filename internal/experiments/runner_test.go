@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +64,45 @@ func (fails failingRunner) Run(kind platform.Kind, mix workload.Mix, scale float
 		return platform.Result{}, errors.New("injected failure")
 	}
 	return platform.Result{Kind: kind, Workload: mix.Name, IPC: 1}, nil
+}
+
+// planeRunner answers every cell with IPC 1 and the plane counts it
+// holds.
+type planeRunner []uint64
+
+func (writes planeRunner) Run(kind platform.Kind, mix workload.Mix, _ float64, _ config.Config) (platform.Result, error) {
+	return platform.Result{Kind: kind, Workload: mix.ID(), IPC: 1, PlaneWrites: writes}, nil
+}
+
+// TestFig8bReadsMissingPlanesAsZeros: a ZnG-base cell that never
+// programmed carries no plane counts, and Fig8b reads it as it reads
+// an all-zero array: one 0/0/0 row per channel, which its check FAILs
+// as "no programs recorded".
+func TestFig8bReadsMissingPlanesAsZeros(t *testing.T) {
+	o := TestOptions()
+	var tables []string
+	for _, writes := range []planeRunner{nil, make(planeRunner, o.Cfg.Flash.Planes())} {
+		o.Runner = writes
+		tab, err := Fig8b(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.Rows() != o.Cfg.Flash.Channels {
+			t.Errorf("%d planes: %d rows, want one per channel (%d)", len(writes), tab.Rows(), o.Cfg.Flash.Channels)
+		}
+		for r := range tab.Rows() {
+			if row := tab.Row(r); !slices.Equal(row[1:], []string{"0", "0", "0"}) {
+				t.Errorf("%d planes: row %v, want min, max and total 0", len(writes), row)
+			}
+		}
+		if err := checkFig8b(tab); err == nil || err.Error() != "no programs recorded" {
+			t.Errorf("%d planes: checkFig8b = %v, want the FAIL \"no programs recorded\"", len(writes), err)
+		}
+		tables = append(tables, tab.String())
+	}
+	if tables[0] != tables[1] {
+		t.Errorf("a missing array renders\n%s\nan all-zero one\n%s", tables[0], tables[1])
+	}
 }
 
 // TestFigureFailsNamingCell: a figure needs its whole grid, so one

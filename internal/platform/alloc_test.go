@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"zng/internal/config"
+	"zng/internal/flash"
+	"zng/internal/sim"
 	"zng/internal/workload"
 )
 
@@ -95,5 +97,15 @@ func TestValidateConfigAllocFree(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("Validate allocates %.0f objects on the Table I configuration, want 0", allocs)
+	}
+}
+
+// TestIdlePlaneWritesAllocFree: a backbone that never programmed
+// reports no plane counts and costs no allocation for saying so.
+func TestIdlePlaneWritesAllocFree(t *testing.T) {
+	bb := flash.New(sim.NewEngine(), config.Default().Flash)
+	var out []uint64
+	if allocs := testing.AllocsPerRun(100, func() { out = planeWrites(bb) }); allocs != 0 || out != nil {
+		t.Errorf("planeWrites of an idle backbone made %.0f allocations and %d entries, want 0 and nil", allocs, len(out))
 	}
 }

@@ -112,8 +112,9 @@ type Result struct {
 	// Flash-array traffic (Fig. 11); zero for DRAM platforms.
 	FlashReadGBps  float64
 	FlashWriteGBps float64
-	// Per-plane program counts (Fig. 8b heatmap); nil for DRAM
-	// platforms.
+	// Per-plane program counts (Fig. 8b heatmap), one per plane; nil
+	// whenever no plane was programmed, on DRAM platforms and on flash
+	// ones alike, so a missing array reads as all zeros.
 	PlaneWrites []uint64
 
 	L2HitRate  float64

@@ -346,8 +346,12 @@ func (z *zngController) planPrefetch(r *mem.Request, ext int) int {
 }
 
 // planeWrites flattens per-plane program counts for the Fig. 8b
-// heatmap.
+// heatmap. A backbone that never programmed returns nil, so its result
+// document carries no all-zero array.
 func planeWrites(bb *flash.Backbone) []uint64 {
+	if bb.ArrayPrograms.Value() == 0 {
+		return nil
+	}
 	out := make([]uint64, bb.Planes())
 	for i := range out {
 		out[i] = bb.Plane(i).Programs

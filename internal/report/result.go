@@ -35,9 +35,12 @@ import (
 //	  }
 //	}
 //
-// "plane_writes" and "extra" are omitted when empty. The bytes are
-// exactly what encoding/json's MarshalIndent with a two-space indent
-// writes for a struct of those fields, Extra's keys sorted; the tests
+// "plane_writes" and "extra" are omitted when empty. PlaneWrites is
+// nil whenever no plane was programmed, so only a cell that programmed
+// its flash carries the array, one line per plane, and a reader takes
+// a missing array for all zeros. The bytes are exactly what
+// encoding/json's MarshalIndent with a two-space indent writes for a
+// struct of those fields, Extra's keys sorted; the tests
 // hold the codec to that reference, since stored documents and result
 // digests are those bytes. The persistent result store
 // (internal/store) relies on that determinism for its

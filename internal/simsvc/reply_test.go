@@ -65,21 +65,22 @@ func TestWriteRunMatchesEncoder(t *testing.T) {
 // compacts and re-indents, made 68.
 const doneJobGETAllocs = 30
 
-// TestAPIServesPlaneDocument: a ZnG cell, whose document carries 1,024
-// planes of program counts, is served through POST /v1/run?wait=D and
-// GET /v1/jobs/{id} as a memory hit and, after a restart, as a disk
-// hit. Every reply carries the stored document and stays the indented
-// envelope zngd-smoke greps.
+// TestAPIServesPlaneDocument: a ZnG-rdopt cell that programs its flash
+// (640 pages on solo-back at scale 0.05), so that its document carries
+// 1,024 planes of program counts, is served through POST
+// /v1/run?wait=D and GET /v1/jobs/{id} as a memory hit and, after a
+// restart, as a disk hit. Every reply carries the stored document and
+// stays the indented envelope zngd-smoke greps.
 func TestAPIServesPlaneDocument(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mix, err := workload.MixByName("solo-bfs1")
+	mix, err := workload.MixByName("solo-back")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const cell = `{"platform":"ZnG","mix":"solo-bfs1","scale":0.05,"async":true}`
+	const cell = `{"platform":"ZnG-rdopt","mix":"solo-back","scale":0.05,"async":true}`
 	boot := func() http.Handler {
 		svc := New(Config{Workers: 1, Store: st, CacheEntries: 16})
 		t.Cleanup(svc.Close)
@@ -133,7 +134,7 @@ func TestAPIServesPlaneDocument(t *testing.T) {
 
 	h := boot()
 	serve(h, http.MethodPost, "/v1/run?wait=10s", cell) // simulates and stores the cell
-	if stored, err = os.ReadFile(st.Path(cellkey.Key(platform.ZnG, mix.ID(), 0.05, config.Default()))); err != nil {
+	if stored, err = os.ReadFile(st.Path(cellkey.Key(platform.ZnGRdopt, mix.ID(), 0.05, config.Default()))); err != nil {
 		t.Fatal(err)
 	}
 	id := check("memory-hit POST", serve(h, http.MethodPost, "/v1/run?wait=10s", cell), "memory")
